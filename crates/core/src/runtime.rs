@@ -285,10 +285,9 @@ impl GraphCache {
         if report.admitted.is_some() {
             st.admits_since_snapshot += 1;
         }
-        let health = Arc::clone(&st.health);
         let directive = persist::journal_outcome(
             &st.store,
-            &health,
+            &st.health,
             &self.config,
             st.admits_since_snapshot,
             query,
@@ -300,13 +299,21 @@ impl GraphCache {
             report.admitted,
             &report.evicted,
         );
+        self.dispatch_directive(directive);
+    }
+
+    /// Act on a journal append's follow-up: cut the due auto-snapshot or
+    /// run the due recovery probe.
+    fn dispatch_directive(&mut self, directive: persist::PersistDirective) {
         match directive {
             persist::PersistDirective::Nothing => {}
             persist::PersistDirective::Rotate => {
                 if let Err(e) = self.snapshot_now() {
                     eprintln!("graphcache: auto-snapshot failed ({e})");
-                    health.note_error();
-                    health.trip_degraded();
+                    if let Some(st) = self.store.as_ref() {
+                        st.health.note_error();
+                        st.health.trip_degraded();
+                    }
                 }
             }
             persist::PersistDirective::Probe => self.maybe_probe_persistence(),
@@ -325,6 +332,7 @@ impl GraphCache {
     /// the dataset generation bump, and the mutation is journaled to the
     /// attached store.
     pub fn insert_graph(&mut self, g: Graph) -> GraphId {
+        let start = Instant::now();
         let gid = Arc::make_mut(&mut self.dataset).insert_graph(g);
         let universe = self.dataset.len();
         if self.overlay.universe() < universe {
@@ -342,19 +350,25 @@ impl GraphCache {
                 entry.answer.insert(gid as usize);
             }
         }
-        self.journal_dataset_delta();
+        self.finish_mutation(start);
         gid
     }
 
     /// Tombstone a data graph. Returns `false` if `gid` was already
-    /// removed. The graph is cleared from every cached answer set, the
-    /// method index is told ([`gc_method::Method::on_remove_graph`]), the
-    /// memo invalidates via the generation bump, and the mutation is
-    /// journaled.
+    /// removed or never existed. The graph is cleared from every cached
+    /// answer set, the method index is told
+    /// ([`gc_method::Method::on_remove_graph`]), the memo invalidates via
+    /// the generation bump, and the mutation is journaled.
     pub fn remove_graph(&mut self, gid: GraphId) -> bool {
-        if !Arc::make_mut(&mut self.dataset).remove_graph(gid) {
+        // Decided on the shared handle: `make_mut` deep-copies the dataset
+        // whenever the caller still holds the `Arc` it was built from,
+        // which a no-op must not cost, and an unknown id must not panic.
+        if !self.dataset.is_live(gid) {
             return false;
         }
+        let start = Instant::now();
+        let removed = Arc::make_mut(&mut self.dataset).remove_graph(gid);
+        debug_assert!(removed, "liveness checked above");
         self.method.on_remove_graph(&self.dataset, gid);
         if (gid as usize) < self.overlay.universe() {
             self.overlay.remove(gid as usize);
@@ -363,33 +377,28 @@ impl GraphCache {
             let entry = self.cache.get_mut(id).expect("listed id is live");
             entry.answer.remove(gid as usize);
         }
-        self.journal_dataset_delta();
+        self.finish_mutation(start);
         true
     }
 
-    /// Append the dataset's latest mutation to the attached journal, with
-    /// the same degraded-mode discipline as [`Self::journal_mutations`].
-    fn journal_dataset_delta(&mut self) {
-        let Some(st) = self.store.as_mut() else { return };
-        let health = Arc::clone(&st.health);
-        let directive = persist::journal_dataset_delta(
-            &st.store,
-            &health,
-            &self.config,
-            st.admits_since_snapshot,
-            &self.dataset,
-        );
-        match directive {
-            persist::PersistDirective::Nothing => {}
-            persist::PersistDirective::Rotate => {
-                if let Err(e) = self.snapshot_now() {
-                    eprintln!("graphcache: auto-snapshot failed ({e})");
-                    health.note_error();
-                    health.trip_degraded();
-                }
-            }
-            persist::PersistDirective::Probe => self.maybe_probe_persistence(),
-        }
+    /// Close a dataset mutation begun at `start`: append the delta to the
+    /// attached journal (same degraded-mode discipline as
+    /// [`Self::journal_mutations`]), observe the `mutate` stage — the same
+    /// interval the sharded front-end spends under its write lock — and
+    /// only then run whatever snapshot or probe the append made due.
+    fn finish_mutation(&mut self, start: Instant) {
+        let directive = match self.store.as_ref() {
+            Some(st) => persist::journal_dataset_delta(
+                &st.store,
+                &st.health,
+                &self.config,
+                st.admits_since_snapshot,
+                &self.dataset,
+            ),
+            None => persist::PersistDirective::Nothing,
+        };
+        self.telemetry.mutate().observe(start.elapsed());
+        self.dispatch_directive(directive);
     }
 
     /// While [`PersistHealth::Degraded`] and a recovery probe is due, try

@@ -686,6 +686,7 @@ impl SharedGraphCache {
     /// always land in generation order.
     pub fn insert_graph(&self, g: Graph) -> GraphId {
         let mut data = self.data.write();
+        let span = self.telemetry.mutate_span();
         let gid = Arc::make_mut(&mut data.dataset).insert_graph(g);
         let universe = data.dataset.len();
         if data.overlay.universe() < universe {
@@ -707,18 +708,26 @@ impl SharedGraphCache {
         }
         let directive = self.journal_dataset_delta(&data.dataset);
         drop(data);
+        drop(span);
         self.dispatch_directive(directive);
         gid
     }
 
-    /// Tombstone a data graph; returns `false` if already removed. Same
-    /// quiescing discipline as [`Self::insert_graph`]; the graph is cleared
-    /// from every shard's cached answer sets.
+    /// Tombstone a data graph; returns `false` if `gid` was already removed
+    /// or never existed. Same quiescing discipline as
+    /// [`Self::insert_graph`]; the graph is cleared from every shard's
+    /// cached answer sets.
     pub fn remove_graph(&self, gid: GraphId) -> bool {
         let mut data = self.data.write();
-        if !Arc::make_mut(&mut data.dataset).remove_graph(gid) {
+        // Decided on the shared handle: `make_mut` deep-copies the dataset
+        // whenever a `dataset()` handle is alive, which a no-op must not
+        // cost, and an unknown id must not panic under the write lock.
+        if !data.dataset.is_live(gid) {
             return false;
         }
+        let span = self.telemetry.mutate_span();
+        let removed = Arc::make_mut(&mut data.dataset).remove_graph(gid);
+        debug_assert!(removed, "liveness checked above");
         self.method.on_remove_graph(&data.dataset, gid);
         if (gid as usize) < data.overlay.universe() {
             data.overlay.remove(gid as usize);
@@ -732,6 +741,7 @@ impl SharedGraphCache {
         }
         let directive = self.journal_dataset_delta(&data.dataset);
         drop(data);
+        drop(span);
         self.dispatch_directive(directive);
         true
     }

@@ -232,13 +232,14 @@ pub struct QueryTiming {
     pub stage_us: [u64; 6],
 }
 
-/// RAII span timer: created via [`Telemetry::span`], records its elapsed
-/// time into both the stage histogram and the query-local timing slot on
-/// drop.
+/// RAII span timer: created via [`Telemetry::span`] (or
+/// [`Telemetry::mutate_span`]), records its elapsed time into the stage
+/// histogram and, for a query stage, the query-local timing slot on drop.
 #[derive(Debug)]
 pub struct Span<'a> {
     hist: &'a Histogram,
-    slot: &'a mut u64,
+    /// `None` for spans that belong to no query (dataset mutations).
+    slot: Option<&'a mut u64>,
     start: Instant,
 }
 
@@ -246,7 +247,9 @@ impl Drop for Span<'_> {
     fn drop(&mut self) {
         let us = self.start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         self.hist.observe_us(us);
-        *self.slot += us;
+        if let Some(slot) = self.slot.as_deref_mut() {
+            *slot += us;
+        }
     }
 }
 
@@ -369,6 +372,10 @@ impl TraceRing {
 pub struct Telemetry {
     stages: [Histogram; 6],
     total: Histogram,
+    /// `insert_graph` / `remove_graph`, timed over their write-locked
+    /// section. Not a [`PipelineStage`]: a mutation is no part of any
+    /// query, so it stays out of the stages that sum to `total`.
+    mutate: Histogram,
     /// Sample every `period`-th query (0 = sampling disabled).
     sample_period: u64,
     slow_threshold: Duration,
@@ -392,6 +399,7 @@ impl Telemetry {
         Telemetry {
             stages: Default::default(),
             total: Histogram::default(),
+            mutate: Histogram::default(),
             sample_period,
             slow_threshold: config.slow_query_threshold,
             seq: AtomicU64::new(0),
@@ -412,11 +420,38 @@ impl Telemetry {
         &self.total
     }
 
+    /// The dataset-mutation histogram (one observation per applied
+    /// `insert_graph` / `remove_graph`).
+    pub fn mutate(&self) -> &Histogram {
+        &self.mutate
+    }
+
+    /// Every stage histogram with its display label: the six pipeline
+    /// stages in order, then `mutate`. What `/metrics`, `/stats` and
+    /// `gc top` list.
+    pub fn labelled_stages(&self) -> impl Iterator<Item = (&'static str, &Histogram)> {
+        PipelineStage::ALL
+            .iter()
+            .map(|s| s.label())
+            .zip(self.stages.iter())
+            .chain(std::iter::once(("mutate", &self.mutate)))
+    }
+
     /// Start an RAII span for `stage`: on drop, the elapsed time lands in
     /// the stage histogram and the query-local `timing` slot.
     pub fn span<'a>(&'a self, stage: PipelineStage, timing: &'a mut QueryTiming) -> Span<'a> {
         let idx = PipelineStage::ALL.iter().position(|s| *s == stage).expect("stage in ALL");
-        Span { hist: &self.stages[idx], slot: &mut timing.stage_us[idx], start: Instant::now() }
+        Span {
+            hist: &self.stages[idx],
+            slot: Some(&mut timing.stage_us[idx]),
+            start: Instant::now(),
+        }
+    }
+
+    /// Start an RAII span around a dataset mutation: on drop, the elapsed
+    /// time lands in the [`Telemetry::mutate`] histogram.
+    pub fn mutate_span(&self) -> Span<'_> {
+        Span { hist: &self.mutate, slot: None, start: Instant::now() }
     }
 
     /// Claim the next query sequence number (one relaxed `fetch_add`).
@@ -583,6 +618,17 @@ mod tests {
         assert_eq!(t.stage(PipelineStage::Probe).count(), 1);
         assert!(timing.stage_us[1] >= 1_000, "probe slot holds the span time");
         assert_eq!(t.stage(PipelineStage::Filter).count(), 0);
+    }
+
+    #[test]
+    fn mutate_span_records_outside_the_pipeline_stages() {
+        let t = Telemetry::from_config(&CacheConfig::default());
+        drop(t.mutate_span());
+        assert_eq!(t.mutate().count(), 1);
+        assert!(PipelineStage::ALL.iter().all(|&s| t.stage(s).count() == 0));
+        let labels: Vec<&str> = t.labelled_stages().map(|(label, _)| label).collect();
+        assert_eq!(labels, ["filter", "probe", "prune", "verify", "admit", "memo", "mutate"]);
+        assert_eq!(t.labelled_stages().last().unwrap().1.count(), 1);
     }
 
     #[test]

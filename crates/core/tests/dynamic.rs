@@ -13,19 +13,25 @@
 //! * mutations racing a snapshot neither deadlock nor lose their delta —
 //!   every journaled delta is recoverable (warm restart replays it);
 //! * warm restarts replay dataset deltas from the journal on top of the
-//!   pristine base dataset and repair restored answer sets.
+//!   pristine base dataset and repair restored answer sets;
+//! * a journal whose deltas were altered, dropped or reordered, and a
+//!   directory written by format version 2, restore cold;
+//! * a remove that does not apply (already removed, unknown id) returns
+//!   `false` without copying the dataset or panicking.
 
 mod common;
 
 use common::assert_consistent;
-use gc_core::persist::CacheStore;
+use gc_core::persist::{inspect_dir, CacheStore, RecoveryReport};
 use gc_core::{CacheConfig, GraphCache, PolicyKind, SharedGraphCache};
 use gc_method::{execute_base, Dataset, Engine, QueryKind, SiMethod};
+use gc_store::journal::{decode_journal, encode_header, encode_record, HEADER_LEN};
+use gc_store::{crc64, JournalOp, JournalRecord};
 use gc_workload::{extract_query, molecule_dataset};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -375,16 +381,16 @@ fn mutations_racing_snapshots_are_never_dropped() {
     let gc = Arc::new(gc);
 
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let rotations = Arc::new(std::sync::atomic::AtomicU32::new(0));
     let snapper = {
         let gc = Arc::clone(&gc);
         let stop = Arc::clone(&stop);
+        let rotations = Arc::clone(&rotations);
         std::thread::spawn(move || {
-            let mut rotations = 0u32;
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                 gc.snapshot_now().unwrap();
-                rotations += 1;
+                rotations.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             }
-            rotations
         })
     };
     let querier = {
@@ -400,7 +406,10 @@ fn mutations_racing_snapshots_are_never_dropped() {
         })
     };
 
-    // Main thread: a burst of mutations interleaved with the snapshots.
+    // Main thread: bursts of mutations interleaved with the snapshots. A
+    // mutation takes microseconds and a rotation milliseconds, so each
+    // burst waits for one more rotation to land: deltas end up on both
+    // sides of several rotations whatever the two threads' relative speed.
     let extra = molecule_dataset(24, 444);
     let mut inserted = Vec::new();
     for (i, g) in extra.into_iter().enumerate() {
@@ -408,12 +417,15 @@ fn mutations_racing_snapshots_are_never_dropped() {
         if i % 3 == 2 {
             let victim = inserted.remove(0);
             assert!(gc.remove_graph(victim));
+            let seen = rotations.load(std::sync::atomic::Ordering::Relaxed);
+            while rotations.load(std::sync::atomic::Ordering::Relaxed) == seen {
+                std::thread::yield_now();
+            }
         }
     }
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    let rotations = snapper.join().unwrap();
+    snapper.join().unwrap();
     querier.join().unwrap();
-    assert!(rotations > 0, "the snapshot thread must have rotated at least once");
 
     let final_gen = gc.dataset().generation();
     let final_fp = gc.dataset().content_fingerprint();
@@ -434,4 +446,182 @@ fn mutations_racing_snapshots_are_never_dropped() {
     assert_eq!(b.dataset().generation(), final_gen, "no mutation may be dropped");
     assert_eq!(b.dataset().content_fingerprint(), final_fp);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A store directory holding a snapshot of the pristine base dataset and a
+/// journal of exactly four dataset deltas (generations 1-4: three inserts,
+/// one remove).
+fn dir_with_four_deltas(tag: &str) -> (Arc<Dataset>, PathBuf) {
+    let base = dataset(12, 606);
+    let dir = tmpdir(tag);
+    let store = Arc::new(CacheStore::open(&dir).unwrap());
+    let (mut a, _) = GraphCache::restore_from(
+        base.clone(),
+        Box::new(SiMethod),
+        PolicyKind::Hd.make(),
+        config(),
+        store,
+    )
+    .unwrap();
+    for g in molecule_dataset(3, 909) {
+        a.insert_graph(g);
+    }
+    assert!(a.remove_graph(0));
+    a.attached_store().unwrap().sync().unwrap();
+    (base, dir)
+}
+
+fn restore_report(base: Arc<Dataset>, dir: &Path) -> RecoveryReport {
+    let store = Arc::new(CacheStore::open(dir).unwrap());
+    GraphCache::restore_from(base, Box::new(SiMethod), PolicyKind::Hd.make(), config(), store)
+        .unwrap()
+        .1
+}
+
+fn journal_path(dir: &Path) -> PathBuf {
+    let mut journals = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "gcj"));
+    let path = journals.next().expect("one active journal");
+    assert!(journals.next().is_none(), "stale journals are cleaned at rotation");
+    path
+}
+
+/// Per-delta validation is what catches a journal that is intact frame by
+/// frame (every checksum valid) but no longer describes one mutation
+/// history.
+#[test]
+fn altered_dropped_or_reordered_deltas_restore_cold() {
+    type Edit = fn(&mut Vec<JournalRecord>);
+    let cases: [(&str, Edit, &str); 3] = [
+        (
+            "flipped",
+            |recs| match &mut recs[1] {
+                JournalRecord::DatasetDelta { resulting_fingerprint, .. } => {
+                    *resulting_fingerprint ^= 1
+                }
+                other => panic!("expected a delta, got {other:?}"),
+            },
+            "journal dataset delta fingerprint mismatch at generation 2",
+        ),
+        (
+            "dropped",
+            |recs| drop(recs.remove(1)),
+            "journal dataset delta out of order (generation 3 after 1)",
+        ),
+        (
+            "swapped",
+            |recs| recs.swap(1, 2),
+            "journal dataset delta out of order (generation 3 after 1)",
+        ),
+    ];
+    for (tag, edit, reason) in cases {
+        let (base, dir) = dir_with_four_deltas(tag);
+        let path = journal_path(&dir);
+        let (header, mut records) = decode_journal(&std::fs::read(&path).unwrap()).unwrap();
+        assert_eq!(records.len(), 4, "{tag}: the journal holds the four deltas and nothing else");
+        edit(&mut records);
+        let mut bytes = encode_header(&header);
+        for rec in &records {
+            let JournalRecord::DatasetDelta { generation, resulting_fingerprint, op } = rec else {
+                panic!("expected a delta, got {rec:?}");
+            };
+            bytes.extend(encode_record(&JournalOp::DatasetDelta {
+                generation: *generation,
+                resulting_fingerprint: *resulting_fingerprint,
+                op,
+            }));
+        }
+        std::fs::write(&path, bytes).unwrap();
+
+        let report = restore_report(base, &dir);
+        assert!(!report.warm, "{tag}: a tampered delta journal must not restore warm");
+        assert_eq!(report.cold_reason.as_deref(), Some(reason), "{tag}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // The same directory untouched restores warm, so the cold starts above
+    // are the edits' doing.
+    let (base, dir) = dir_with_four_deltas("untouched");
+    let report = restore_report(base, &dir);
+    assert!(report.warm, "{:?}", report.cold_reason);
+    assert_eq!(report.journal_deltas, 4);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Format version 3 redefined the dataset fingerprint, so a directory a
+/// version-2 build wrote — same layout, valid checksums — is rejected by
+/// version: a cold start that names it, and a doctor report, not a panic.
+#[test]
+fn version_2_directory_restores_cold_and_doctor_names_the_version() {
+    let (base, dir) = dir_with_four_deltas("v2");
+    let restamp = |path: &Path, checked_len: fn(usize) -> usize| {
+        let mut bytes = std::fs::read(path).unwrap();
+        assert_eq!(bytes[8..12], gc_store::FORMAT_VERSION.to_le_bytes());
+        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        let n = checked_len(bytes.len());
+        let crc = crc64(&bytes[..n]);
+        bytes[n..n + 8].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(path, bytes).unwrap();
+    };
+    // Snapshot: the checksum is the file's last 8 bytes; journal: the
+    // header's.
+    restamp(&dir.join("snapshot.gcs"), |len| len - 8);
+    restamp(&journal_path(&dir), |_| HEADER_LEN - 8);
+
+    let doctor = inspect_dir(&dir).unwrap();
+    assert!(!doctor.healthy());
+    let text = doctor.describe();
+    assert!(text.contains("unsupported snapshot version 2"), "{text}");
+    assert!(text.contains("unsupported journal version 2"), "{text}");
+
+    let report = restore_report(base, &dir);
+    assert!(!report.warm);
+    let reason = report.cold_reason.unwrap();
+    assert!(reason.contains("unsupported snapshot version 2"), "{reason}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A dataset with graph 2 already tombstoned, shared with the caller — the
+/// state in which `Arc::make_mut` would deep-copy it.
+fn shared_dataset_with_a_tombstone() -> Arc<Dataset> {
+    let mut d = Dataset::new(molecule_dataset(8, 5));
+    assert!(d.remove_graph(2));
+    Arc::new(d)
+}
+
+#[test]
+fn removing_an_already_removed_graph_does_not_copy_the_dataset() {
+    let ds = shared_dataset_with_a_tombstone();
+    let mut seq =
+        GraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, config()).unwrap();
+    assert!(!seq.remove_graph(2));
+    assert!(std::ptr::eq(seq.dataset(), &*ds), "a no-op remove must not copy the dataset");
+
+    let shared =
+        SharedGraphCache::new(ds.clone(), Arc::new(SiMethod), || PolicyKind::Hd.make(), config())
+            .unwrap();
+    assert!(!shared.remove_graph(2));
+    assert!(Arc::ptr_eq(&shared.dataset(), &ds), "a no-op remove must not copy the dataset");
+    assert_eq!(shared.dataset().generation(), 1);
+    assert_eq!(shared.telemetry().mutate().count(), 0, "only applied mutations are timed");
+}
+
+#[test]
+fn removing_an_unknown_graph_id_returns_false() {
+    let ds = shared_dataset_with_a_tombstone();
+    let mut seq =
+        GraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, config()).unwrap();
+    let shared =
+        SharedGraphCache::new(ds.clone(), Arc::new(SiMethod), || PolicyKind::Hd.make(), config())
+            .unwrap();
+    for gid in [ds.len() as u32, u32::MAX] {
+        assert!(!seq.remove_graph(gid));
+        assert!(!shared.remove_graph(gid));
+    }
+    assert_eq!(seq.dataset().generation(), 1);
+    // The write lock was released, not poisoned: the cache still mutates.
+    assert!(shared.remove_graph(0));
+    assert_eq!(shared.telemetry().mutate().count(), 1);
 }

@@ -67,6 +67,7 @@ fn disabled_sampler_allocates_nothing_on_the_query_path() {
         for stage in PipelineStage::ALL {
             let _span = telemetry.span(stage, &mut timing);
         }
+        drop(telemetry.mutate_span());
         telemetry.finish_query(seq, Duration::from_micros(5), |_| {
             unreachable!("disabled sampler must never build a trace")
         });
@@ -74,6 +75,7 @@ fn disabled_sampler_allocates_nothing_on_the_query_path() {
     let after = allocations_on_this_thread();
     assert_eq!(after - before, 0, "telemetry allocated with the sampler disabled");
     assert_eq!(telemetry.total().count(), 1000);
+    assert_eq!(telemetry.mutate().count(), 1000);
     assert_eq!(telemetry.sampled_count(), 0);
     assert_eq!(telemetry.slow_count(), 0);
 }

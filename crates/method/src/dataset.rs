@@ -17,6 +17,14 @@ use gc_iso::{GraphProfile, ProfileRef};
 /// where the slot never existed or still holds the graph.
 const TOMBSTONE_MARK: u64 = 0x7061_7065_7220_8888;
 
+/// One slot's term of the [`Dataset::content_fingerprint`] accumulator.
+/// Keyed by the slot index, so the same graphs in a different order sum to
+/// a different value; terms combine by wrapping addition, so a mutation
+/// adds or swaps exactly one term.
+fn slot_term(slot: usize, slot_fp: u64) -> u64 {
+    gc_graph::hash::mix(slot as u64, slot_fp)
+}
+
 /// One dataset mutation, in the order it was applied. Inserts carry the
 /// graph (its id is implied: `base_len + #prior inserts`); removes carry the
 /// tombstoned id.
@@ -70,6 +78,10 @@ pub struct Dataset {
     live: BitSet,
     dead: usize,
     generation: u64,
+    /// `Σ slot_term(i, slot i's value)` over every slot, wrapping. Seeded by
+    /// one WL pass in [`Dataset::new`], then kept current by the two
+    /// mutators in O(1); [`Dataset::content_fingerprint`] only finalises it.
+    fingerprint_acc: u64,
     base_fingerprint: u64,
     ops: Vec<DatasetOp>,
 }
@@ -115,11 +127,32 @@ impl Dataset {
             live,
             dead: 0,
             generation: 0,
+            fingerprint_acc: 0,
             base_fingerprint: 0,
             ops: Vec::new(),
         };
+        d.fingerprint_acc = d.fold_slot_terms();
         d.base_fingerprint = d.content_fingerprint();
         d
+    }
+
+    /// The accumulator's definition: every slot's term, summed from scratch
+    /// (one WL fingerprint per live graph). Seeds [`Dataset::new`]; after
+    /// that the mutators maintain the same value incrementally and only the
+    /// tests call this again, as their reference.
+    fn fold_slot_terms(&self) -> u64 {
+        self.graphs
+            .iter()
+            .enumerate()
+            .map(|(i, g)| {
+                let slot_fp = if self.live.contains(i) {
+                    gc_graph::hash::fingerprint(g)
+                } else {
+                    TOMBSTONE_MARK
+                };
+                slot_term(i, slot_fp)
+            })
+            .fold(0, u64::wrapping_add)
     }
 
     /// Append a graph, assigning it the next dense id. Bumps the
@@ -139,6 +172,9 @@ impl Dataset {
         }
         self.live.grow(id as usize + 1);
         self.live.insert(id as usize);
+        self.fingerprint_acc = self
+            .fingerprint_acc
+            .wrapping_add(slot_term(id as usize, gc_graph::hash::fingerprint(&g)));
         self.ops.push(DatasetOp::Insert(g.clone()));
         self.graphs.push(g);
         self.generation += 1;
@@ -161,6 +197,11 @@ impl Dataset {
         for v in g.vertices() {
             self.label_freq[g.label(v).0 as usize] -= 1;
         }
+        // Swap the slot's term: the graph's out, the tombstone's in.
+        self.fingerprint_acc = self
+            .fingerprint_acc
+            .wrapping_sub(slot_term(gid as usize, gc_graph::hash::fingerprint(g)))
+            .wrapping_add(slot_term(gid as usize, TOMBSTONE_MARK));
         self.ops.push(DatasetOp::Remove(gid));
         self.generation += 1;
         true
@@ -270,22 +311,18 @@ impl Dataset {
         &self.graphs
     }
 
-    /// Order-sensitive content fingerprint of the whole dataset: a hash of
-    /// the slot count and every slot's WL fingerprint (a fixed tombstone
-    /// mark for removed slots), in id order. Persistence snapshots record it
-    /// so cached answer sets are never restored over a different (or
-    /// reordered) dataset; journaled deltas record the fingerprint that
-    /// *resulted* from each mutation so replay is validated step by step.
+    /// Content fingerprint of the whole dataset, in O(1): the slot count
+    /// mixed with the sum, over every slot `i`, of `mix(i, v_i)` where `v_i`
+    /// is the slot's WL fingerprint (a fixed tombstone mark for removed
+    /// slots). It depends only on what the slots hold now — any mutation
+    /// history reaching the same slots and tombstones yields the same value
+    /// — while a reordered dataset, a removed graph and a never-present one
+    /// all differ. Persistence snapshots record it so cached answer sets are
+    /// never restored over a different (or reordered) dataset; journaled
+    /// deltas record the fingerprint that *resulted* from each mutation so
+    /// replay is validated step by step.
     pub fn content_fingerprint(&self) -> u64 {
-        gc_graph::hash::hash_seq(std::iter::once(self.graphs.len() as u64).chain(
-            self.graphs.iter().enumerate().map(|(i, g)| {
-                if self.live.contains(i) {
-                    gc_graph::hash::fingerprint(g)
-                } else {
-                    TOMBSTONE_MARK
-                }
-            }),
-        ))
+        gc_graph::hash::mix(self.fingerprint_acc, self.graphs.len() as u64)
     }
 
     /// Global label frequency across the dataset (index = label value);
@@ -317,6 +354,7 @@ impl Dataset {
 mod tests {
     use super::*;
     use gc_graph::{graph_from_parts, Label};
+    use proptest::prelude::*;
 
     fn ds() -> Dataset {
         Dataset::new(vec![
@@ -407,13 +445,21 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_distinguishes_removed_from_never_present() {
+    fn fingerprint_distinguishes_live_removed_and_never_present() {
         let g0 = graph_from_parts(&[Label(0), Label(1)], &[(0, 1)]).unwrap();
         let g1 = graph_from_parts(&[Label(1), Label(1), Label(2)], &[(0, 1), (1, 2)]).unwrap();
-        let mut removed = Dataset::new(vec![g0, g1.clone()]);
-        removed.remove_graph(0);
-        let only = Dataset::new(vec![g1]);
-        assert_ne!(removed.content_fingerprint(), only.content_fingerprint());
+        let live = Dataset::new(vec![g0.clone(), g1.clone()]);
+        // A leading and a trailing slot: live ≠ tombstoned ≠ never present.
+        for (victim, without) in [(0, g1.clone()), (1, g0.clone())] {
+            let mut removed = live.clone();
+            removed.remove_graph(victim);
+            let never = Dataset::new(vec![without]);
+            assert_ne!(removed.content_fingerprint(), live.content_fingerprint());
+            assert_ne!(removed.content_fingerprint(), never.content_fingerprint());
+            assert_ne!(live.content_fingerprint(), never.content_fingerprint());
+        }
+        let swapped = Dataset::new(vec![g1, g0]);
+        assert_ne!(swapped.content_fingerprint(), live.content_fingerprint(), "position-keyed");
     }
 
     #[test]
@@ -430,5 +476,69 @@ mod tests {
         assert_eq!(fresh.content_fingerprint(), d.content_fingerprint());
         assert_eq!(fresh.label_freq(), d.label_freq());
         assert_eq!(fresh.all_graphs(), d.all_graphs());
+    }
+
+    /// A labelled path, one vertex per label.
+    fn path(labels: &[u32]) -> Graph {
+        let labels: Vec<Label> = labels.iter().map(|&l| Label(l)).collect();
+        let edges: Vec<(u32, u32)> = (1..labels.len() as u32).map(|v| (v - 1, v)).collect();
+        graph_from_parts(&labels, &edges).unwrap()
+    }
+
+    fn arb_graphs(size: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Graph>> {
+        proptest::collection::vec(proptest::collection::vec(0u32..4, 1..6), size)
+            .prop_map(|all| all.iter().map(|labels| path(labels)).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// After every op of a random insert/remove program the O(1)
+        /// accumulator equals the from-scratch fold, and a dataset built
+        /// directly from the final slots, tombstoned in another order,
+        /// reaches the same fingerprint.
+        #[test]
+        fn incremental_fingerprint_matches_fold_and_ignores_history(
+            base in arb_graphs(1..6),
+            inserts in arb_graphs(0..8),
+            ops in proptest::collection::vec((any::<bool>(), 0u32..64), 0..24),
+        ) {
+            let mut d = Dataset::new(base);
+            prop_assert_eq!(d.fingerprint_acc, d.fold_slot_terms());
+            let mut inserts = inserts.into_iter();
+            for (insert, pick) in ops {
+                let before = d.content_fingerprint();
+                let applied = if insert {
+                    inserts.next().map(|g| d.insert_graph(g)).is_some()
+                } else {
+                    d.remove_graph(pick % d.len() as u32)
+                };
+                prop_assert_eq!(d.fingerprint_acc, d.fold_slot_terms());
+                prop_assert_eq!(d.content_fingerprint() != before, applied);
+            }
+
+            let mut direct = Dataset::new(d.graphs().to_vec());
+            for gid in (0..d.len() as u32).rev().filter(|&gid| !d.is_live(gid)) {
+                prop_assert!(direct.remove_graph(gid));
+            }
+            prop_assert_eq!(direct.content_fingerprint(), d.content_fingerprint());
+        }
+
+        /// Swapping two base graphs with different fingerprints changes the
+        /// dataset fingerprint.
+        #[test]
+        fn swapping_two_graphs_changes_fingerprint(
+            graphs in arb_graphs(2..8),
+            i in 0usize..8,
+            j in 0usize..8,
+        ) {
+            let (i, j) = (i % graphs.len(), j % graphs.len());
+            let differ =
+                gc_graph::hash::fingerprint(&graphs[i]) != gc_graph::hash::fingerprint(&graphs[j]);
+            let mut swapped = graphs.clone();
+            swapped.swap(i, j);
+            let (a, b) = (Dataset::new(graphs), Dataset::new(swapped));
+            prop_assert_eq!(a.content_fingerprint() != b.content_fingerprint(), differ);
+        }
     }
 }

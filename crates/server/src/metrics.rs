@@ -170,17 +170,18 @@ impl ServerMetrics {
             );
         }
 
-        // Cache pipeline telemetry: per-stage spans plus the end-to-end
-        // query histogram and its bucket-estimated percentiles.
+        // Cache pipeline telemetry: per-stage spans (the query stages plus
+        // dataset mutations) and the end-to-end query histogram with its
+        // bucket-estimated percentiles.
         out.push_str(concat!(
             "# HELP gc_pipeline_stage_microseconds Cache pipeline latency by stage.\n",
             "# TYPE gc_pipeline_stage_microseconds histogram\n"
         ));
-        for stage in gc_core::PipelineStage::ALL {
-            telemetry.stage(stage).render_prometheus(
+        for (label, hist) in telemetry.labelled_stages() {
+            hist.render_prometheus(
                 &mut out,
                 "gc_pipeline_stage_microseconds",
-                &format!("stage=\"{}\"", stage.label()),
+                &format!("stage=\"{label}\""),
             );
         }
         out.push_str(concat!(
@@ -306,6 +307,7 @@ mod tests {
         {
             let _span = telemetry.span(gc_core::PipelineStage::Verify, &mut timing);
         }
+        drop(telemetry.mutate_span());
         telemetry.finish_query(seq, Duration::from_micros(900), |slow| gc_core::QueryTrace {
             slow,
             ..Default::default()
@@ -315,6 +317,7 @@ mod tests {
         assert!(text.contains("# TYPE gc_pipeline_stage_microseconds histogram\n"));
         assert!(text.contains("gc_pipeline_stage_microseconds_count{stage=\"verify\"} 1\n"));
         assert!(text.contains("gc_pipeline_stage_microseconds_count{stage=\"filter\"} 0\n"));
+        assert!(text.contains("gc_pipeline_stage_microseconds_count{stage=\"mutate\"} 1\n"));
         assert!(text.contains("# TYPE gc_query_microseconds histogram\n"));
         assert!(text.contains("gc_query_microseconds_count{} 1\n"));
         assert!(text.contains("# TYPE gc_query_p50_microseconds gauge\n"));

@@ -661,17 +661,14 @@ fn handle_stats(shared: &Shared) -> Response {
         pipeline_p99_us: s.pipeline_p99_us,
         traces_sampled: s.traces_sampled,
         slow_queries: s.slow_queries,
-        stages: gc_core::PipelineStage::ALL
-            .iter()
-            .map(|&stage| {
-                let h = telemetry.stage(stage);
-                StageSummary {
-                    stage: stage.label().into(),
-                    count: h.count(),
-                    p50_us: h.percentile_us(50.0),
-                    p90_us: h.percentile_us(90.0),
-                    p99_us: h.percentile_us(99.0),
-                }
+        stages: telemetry
+            .labelled_stages()
+            .map(|(label, h)| StageSummary {
+                stage: label.into(),
+                count: h.count(),
+                p50_us: h.percentile_us(50.0),
+                p90_us: h.percentile_us(90.0),
+                p99_us: h.percentile_us(99.0),
             })
             .collect(),
     };
@@ -877,8 +874,9 @@ mod tests {
             serde_json::from_str(&client.get("/stats").unwrap().body_text()).unwrap();
         assert_eq!(stats.slow_queries, 3);
         assert!(stats.traces_sampled >= 3);
-        assert_eq!(stats.stages.len(), 6);
+        assert_eq!(stats.stages.len(), 7);
         assert!(stats.stages.iter().any(|s| s.stage == "filter" && s.count > 0));
+        assert!(stats.stages.iter().any(|s| s.stage == "mutate" && s.count == 0));
 
         // /metrics exposes the pipeline histograms.
         let metrics = client.get("/metrics").unwrap().body_text();
@@ -995,6 +993,10 @@ mod tests {
             serde_json::from_str(&client.get("/stats").unwrap().body_text()).unwrap();
         assert_eq!(stats.dataset_generation, 2, "the no-op remove must not bump the generation");
         assert_eq!(stats.dataset_live_graphs, dataset.len() as u64);
+        assert!(
+            stats.stages.iter().any(|s| s.stage == "mutate" && s.count == 2),
+            "the mutate stage times each applied mutation and skips the no-op"
+        );
         server.drain();
     }
 

@@ -33,10 +33,14 @@ use gc_method::{DatasetOp, QueryKind};
 /// Magic prefix of snapshot files.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"GCSNAP01";
 
-/// Current on-disk format version (bumped on incompatible layout changes).
+/// Current on-disk format version (bumped on incompatible changes).
 /// Version 2 added dynamic-dataset state: the base dataset fingerprint, the
-/// dataset generation counter and the mutation op log.
-pub const FORMAT_VERSION: u32 = 2;
+/// dataset generation counter and the mutation op log. Version 3 keeps that
+/// layout but changes what the recorded fingerprints *mean*
+/// (`Dataset::content_fingerprint` became an incrementally maintained sum),
+/// so a version-2 file's fingerprints can never match and it is rejected by
+/// version, like any other unsupported file.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Longest accepted counter/policy name (corruption guard).
 const MAX_NAME: usize = 256;
