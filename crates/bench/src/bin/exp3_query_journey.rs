@@ -20,6 +20,8 @@ use std::sync::Arc;
 
 #[derive(Serialize)]
 struct JourneyNumbers {
+    /// `"filter"` or `"bounded"`: which plan built the candidate set `cm`.
+    plan: &'static str,
     sub_hits: usize,
     super_hits: usize,
     cm: usize,
@@ -69,6 +71,7 @@ fn main() {
     // --- invariants of the Fig. 3 pipeline -----------------------------------
     assert!(!r.exact_hit);
     assert!(r.verified_set.is_subset(&r.cm_set), "C ⊆ C_M");
+    assert!(r.answer.is_subset(&r.cm_set), "A ⊆ C_M");
     assert!(r.definite_set.is_disjoint(&r.verified_set), "S ∩ C = ∅");
     let mut a = r.survivors_set.clone();
     a.union_with(&r.definite_set);
@@ -78,6 +81,7 @@ fn main() {
     assert!(r.verified < r.cm_size, "the cache must prune C_M");
 
     let numbers = JourneyNumbers {
+        plan: r.plan(),
         sub_hits: r.sub_hits.len(),
         super_hits: r.super_hits.len(),
         cm: r.cm_size,
@@ -92,8 +96,14 @@ fn main() {
         "paper's instance: 1 sub + 3 super hits, C_M 75 -> C 43, speedup 1.74 (ratio |C_M|/|C|)"
     );
     println!(
-        "this instance   : {} sub + {} super hits, C_M {} -> C {}, speedup {:.2} (probe-charged)",
-        numbers.sub_hits, numbers.super_hits, numbers.cm, numbers.c, numbers.test_speedup
+        "this instance   : {} sub + {} super hits, plan {}, C_M {} -> C {}, speedup {:.2} \
+         (probe-charged)",
+        numbers.sub_hits,
+        numbers.super_hits,
+        numbers.plan,
+        numbers.cm,
+        numbers.c,
+        numbers.test_speedup
     );
     println!("all Fig. 3 pipeline invariants verified: A = R ∪ S, C ⊆ C_M, S ∩ C = ∅");
     match write_artifact("exp3_query_journey", &numbers) {

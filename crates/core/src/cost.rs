@@ -76,6 +76,15 @@ impl CostModel {
         ids.map(|g| self.estimate(g)).sum()
     }
 
+    /// Mean estimate over a set of graphs; 1.0 — the cheapest possible
+    /// test, as for ids beyond the model — over the empty set.
+    pub fn mean_over(&self, set: &BitSet) -> f64 {
+        match set.count() {
+            0 => 1.0,
+            n => self.sum_over(set) / n as f64,
+        }
+    }
+
     /// Export the per-graph `(estimate, observed)` state for persistence
     /// snapshots, in graph-id order.
     pub fn export(&self) -> Vec<(f64, bool)> {
@@ -144,8 +153,10 @@ mod tests {
         m.observe(1, 30);
         let all = BitSet::from_indices(2, [0usize, 1]);
         assert!((m.sum_over(&all) - 40.0).abs() < 1e-9);
+        assert!((m.mean_over(&all) - 20.0).abs() < 1e-9);
         let none = BitSet::new(2);
         assert_eq!(m.sum_over(&none), 0.0);
+        assert_eq!(m.mean_over(&none), 1.0);
     }
 
     #[test]

@@ -3,11 +3,13 @@
 //! This crate implements the paper's Kernel subsystem (Fig. 1) as a
 //! **staged query pipeline** with two front-ends:
 //!
-//! * [`pipeline`] — the five explicit stages every query passes through
-//!   (Fig. 3): [`pipeline::filter`] computes Method M's candidate set
-//!   `C_M`; [`pipeline::probe`] finds exact / sub-case / super-case cache
-//!   hits; [`pipeline::prune`] turns hit answers into definite answers and
-//!   a reduced candidate set; [`pipeline::verify`] runs exact sub-iso
+//! * [`pipeline`] — the six explicit stages every query passes through
+//!   (Fig. 3): [`pipeline::probe`] finds sub-case / super-case cache hits;
+//!   [`pipeline::bound`] turns hit answers into definite answers and an
+//!   upper bound, and decides whether Method M's filter is worth running;
+//!   [`pipeline::filter`] computes Method M's candidate set `C_M` when it
+//!   is; [`pipeline::prune`] reduces the candidate set to what still needs
+//!   a test; [`pipeline::verify`] runs exact sub-iso
 //!   testing (inline or pooled); [`pipeline::admit`] credits hits, admits
 //!   the query and runs the batched replacement sweep. A
 //!   [`pipeline::PipelineCtx`] carries one query through the stages;

@@ -153,6 +153,7 @@ macro_rules! for_each_persisted_counter {
         $cb!(tests_executed);
         $cb!(probe_tests);
         $cb!(tests_saved);
+        $cb!(filter_skipped);
         $cb!(verify_steps);
         $cb!(probe_steps);
         $cb!(admitted);
@@ -974,6 +975,7 @@ mod tests {
             tests_executed: 100,
             probe_tests: 7,
             tests_saved: 50,
+            filter_skipped: 6,
             verify_steps: 1000,
             probe_steps: 70,
             admitted: 8,

@@ -1,4 +1,4 @@
-//! Stage 5 — **Admit**: hit crediting, admission and the batched
+//! Stage 6 — **Admit**: hit crediting, admission and the batched
 //! replacement sweep (Statistics Manager + Window Manager).
 //!
 //! The only stage that *mutates* cache state, so it is where the sharded
@@ -17,8 +17,8 @@ use crate::cache::CacheManager;
 use crate::config::CacheConfig;
 use crate::cost::CostModel;
 use crate::entry::EntryId;
-use crate::pipeline::probe::{CacheHits, Relation};
-use crate::pipeline::prune::gives_definite;
+use crate::pipeline::bound::gives_definite;
+use crate::pipeline::probe::{CacheHits, HitSnapshot, Relation};
 use crate::policy::{HitCredit, HitKind, ReplacementPolicy};
 use crate::window::WindowManager;
 use gc_graph::{BitSet, Graph};
@@ -54,28 +54,43 @@ pub struct AdmitOutcome {
 /// Attribute per-hit savings to entries (paper: "each cache hit shall evoke
 /// various numbers of savings in sub-iso testing").
 ///
-/// `answers[i]` must be the answer snapshot of `hits.iter()`'s `i`-th hit
-/// (the probe stage guarantees this alignment). Entries that no longer
-/// exist are skipped, see module docs.
+/// `cm` is the candidate set the pipeline started from. On the filter plan
+/// (`bounded_mean_cost` is `None`) that is Method M's `C_M` and each hit is
+/// credited what it alone removed from it. On the bounded plan `cm` is the
+/// hits' upper bound `U` and no `C_M` exists, so a pruning hit `h` is
+/// credited against its *own* recorded baseline — `h.base_tests − |A_h|`
+/// tests, each priced at `bounded_mean_cost` (the caller's
+/// [`CostModel::mean_over`] `U`) — a quantity that does not depend on which
+/// other hits the query found or in what order; definite hits keep
+/// `|A_h ∩ cm|`, which is `|A_h|` there since `A_h ⊆ A(g) ⊆ U`.
+///
+/// `answers[i]` must be the snapshot of `hits.iter()`'s `i`-th hit (the
+/// probe stage guarantees this alignment). Entries that no longer exist are
+/// skipped, see module docs.
 #[allow(clippy::too_many_arguments)] // explicit state triple + query facts; a struct would just rename them
 pub fn credit_hits(
     cache: &mut CacheManager,
     policy: &mut dyn ReplacementPolicy,
     cost: &CostModel,
     cm: &BitSet,
+    bounded_mean_cost: Option<f64>,
     kind: QueryKind,
     now: u64,
     hits: &CacheHits,
-    answers: &[(Relation, BitSet)],
+    answers: &[HitSnapshot],
 ) {
     debug_assert_eq!(answers.len(), hits.count(), "answers must align with hits");
-    for (h, (rel, answer)) in hits.iter().zip(answers) {
-        debug_assert_eq!(h.relation, *rel);
+    for (h, snap) in hits.iter().zip(answers) {
+        debug_assert_eq!(h.relation, snap.relation);
+        let answer = &snap.answer;
         // Tests this hit alone would have saved, and their estimated cost —
         // cardinality via the dispatched popcount kernels and the cost sum
         // over the lazy pair iterators; no temporary bitset is cloned.
         let (tests_saved, cost_saved) = if gives_definite(kind, h.relation) {
             (answer.intersect_count(cm) as u64, cost.sum_over_ids(answer.intersection_ones(cm)))
+        } else if let Some(mean_cost) = bounded_mean_cost {
+            let tests = snap.base_tests.saturating_sub(answer.count() as u64);
+            (tests, tests as f64 * mean_cost)
         } else {
             (cm.difference_count(answer) as u64, cost.sum_over_ids(cm.difference_ones(answer)))
         };
@@ -311,15 +326,59 @@ mod tests {
         policy.on_insert(dead, 1);
         cache.remove(dead);
         let hits = CacheHits { sub: vec![live, dead], ..CacheHits::default() };
-        let answers = vec![
-            (Relation::QueryInCached, BitSet::from_indices(2, [0usize])),
-            (Relation::QueryInCached, BitSet::from_indices(2, [1usize])),
-        ];
+        let snap = |gid: usize| HitSnapshot {
+            relation: Relation::QueryInCached,
+            answer: BitSet::from_indices(2, [gid]),
+            base_tests: 1,
+        };
+        let answers = vec![snap(0), snap(1)];
         let cm = BitSet::from_indices(2, [0usize, 1]);
-        credit_hits(&mut cache, &mut policy, &cost, &cm, QueryKind::Subgraph, 9, &hits, &answers);
+        credit_hits(
+            &mut cache,
+            &mut policy,
+            &cost,
+            &cm,
+            None,
+            QueryKind::Subgraph,
+            9,
+            &hits,
+            &answers,
+        );
         let e = cache.get(live).unwrap();
         assert_eq!(e.stats.sub_hits, 1);
         assert_eq!(e.stats.last_used, 9);
         assert_eq!(e.stats.tests_saved, 1, "definite sub hit saves |answer ∩ cm|");
+    }
+
+    #[test]
+    fn bounded_pruning_credit_uses_the_entrys_own_baseline() {
+        let (mut cache, mut policy, _, _, cost) = setup();
+        let id = cache.insert(g(&[0], &[]), QueryKind::Subgraph, BitSet::new(2), 7, 1, 1);
+        policy.on_insert(id, 1);
+        let hits = CacheHits { super_: vec![id], ..CacheHits::default() };
+        let answers = vec![HitSnapshot {
+            relation: Relation::CachedInQuery,
+            answer: BitSet::from_indices(2, [1usize]),
+            base_tests: 7,
+        }];
+        // cm = U = the pruning hit's answer; no C_M to subtract from.
+        let u = answers[0].answer.clone();
+        for (round, credited) in [(Some(2.5), 6), (None, 0)] {
+            let before = cache.get(id).unwrap().stats.clone();
+            credit_hits(
+                &mut cache,
+                &mut policy,
+                &cost,
+                &u,
+                round,
+                QueryKind::Subgraph,
+                9,
+                &hits,
+                &answers,
+            );
+            let e = cache.get(id).unwrap();
+            assert_eq!(e.stats.tests_saved - before.tests_saved, credited);
+            assert!((e.stats.cost_saved - before.cost_saved - credited as f64 * 2.5).abs() < 1e-9);
+        }
     }
 }

@@ -1,9 +1,17 @@
-//! Stage 1 — **Filter**: Method M's candidate set `C_M` (Fig. 3(b)).
+//! Stage 3 — **Filter**: Method M's candidate set `C_M` (Fig. 3(b)) — run
+//! only when the hits did not already fence the answer.
 //!
 //! The thinnest stage by design: GraphCache is a cache layered *over* an
 //! existing filter-then-verify method, and this stage is exactly that
 //! method's filter. It takes no cache locks and mutates no cache state, so
 //! any number of concurrent queries can run it at once.
+//!
+//! It is also the one stage no cache hit makes cheaper — a walk over the
+//! dataset index whose cost depends on the query and the dataset alone — so
+//! it runs *after* probe and bound, and not at all on the bounded plan
+//! ([`crate::pipeline::bound`]): there the candidate set is the hits' upper
+//! bound `U`, which already is within the live graphs and covers every
+//! answer, overlay graphs included.
 //!
 //! With a **dynamic dataset** the stage also reconciles the method's view
 //! with the live dataset: graphs inserted since the method's index was
@@ -21,20 +29,17 @@ use gc_method::{Dataset, Method};
 ///
 /// `overlay` holds dataset graphs the method's own filter index does not
 /// cover (inserted after an immutable index was built); they are unioned
-/// into `C_M` so no live graph can be silently missed.
+/// into `C_M` so no live graph can be silently missed. It must span the
+/// dataset's universe (`overlay.universe() == dataset.len()`).
 pub fn run(ctx: &mut PipelineCtx<'_>, method: &dyn Method, dataset: &Dataset, overlay: &BitSet) {
     let mut cm = method.filter(dataset, ctx.query, ctx.kind);
     if cm.universe() < dataset.len() {
         // Method index predates later inserts: widen to the live universe.
         cm.grow(dataset.len());
     }
-    if overlay.count() > 0 {
-        let mut patch = overlay.clone();
-        if patch.universe() < cm.universe() {
-            patch.grow(cm.universe());
-        }
-        cm.union_with(&patch);
-    }
+    // In place: both runtimes grow the overlay with the dataset, so the
+    // universes agree and no per-query copy of the overlay is needed.
+    cm.union_with(overlay);
     if dataset.has_tombstones() {
         cm.intersect_with(dataset.live_mask());
     }
@@ -54,7 +59,7 @@ mod tests {
         let dataset = Dataset::new(vec![g0, g1]);
         let q = graph_from_parts(&[Label(0)], &[]).unwrap();
         let mut ctx = PipelineCtx::new(&q, QueryKind::Subgraph, 1, dataset.len());
-        run(&mut ctx, &SiMethod, &dataset, &BitSet::new(0));
+        run(&mut ctx, &SiMethod, &dataset, &dataset.empty_set());
         // SI does no filtering: every dataset graph is a candidate.
         assert_eq!(ctx.cm.count(), dataset.len());
     }

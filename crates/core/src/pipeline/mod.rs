@@ -1,16 +1,23 @@
-//! The staged query pipeline — the paper's kernel (Fig. 1/Fig. 3) as five
-//! explicit stages:
+//! The staged query pipeline — the paper's kernel (Fig. 1/Fig. 3) as six
+//! explicit stages, ordered by what each one costs and what it can spare
+//! the next:
 //!
 //! ```text
-//!  query ──▶ filter ──▶ probe ──▶ prune ──▶ verify ──▶ admit ──▶ report
-//!            (C_M)      (H,H')    (S,C)      (R)      (window)
+//!  query ──▶ probe ──▶ bound ──┬──▶ filter ──┬──▶ prune ──▶ verify ──▶ admit ──▶ report
+//!            (H,H')    (S,U)   │    (C_M)    │     (C)       (R)      (window)
+//!                              └─ bounded: U ┘
 //! ```
 //!
-//! * [`filter`] — Method M's candidate set `C_M` (lock-free);
 //! * [`probe`] — Sub/Super Case Processors: find cache hits, snapshot their
-//!   answers (read access to cache state);
-//! * [`prune`] — bitset algebra turning hits into definite answers `S` and
-//!   the reduced verification set `C` (pure);
+//!   answers (read access to cache state; needs nothing from `C_M`);
+//! * [`bound`] — bitset algebra turning hits into definite answers `S` and
+//!   the upper bound `U`, and the choice of plan: when the hits already
+//!   fence the answer, the candidate set is `U` and the filter is skipped
+//!   (pure);
+//! * [`filter`] — Method M's candidate set `C_M`, on the filter plan only
+//!   (lock-free);
+//! * [`prune`] — the reduced verification set `C = (candidates ∩ U) ∖ S`
+//!   (pure);
 //! * [`verify`] — exact sub-iso testing of `C`, inline or on a worker pool
 //!   (lock-free);
 //! * [`admit`] — hit crediting, admission, batched replacement (write
@@ -28,13 +35,15 @@
 //!   locks and admission under short write sections.
 
 pub mod admit;
+pub mod bound;
 pub mod filter;
 pub mod probe;
 pub mod prune;
 pub mod verify;
 
 use crate::pipeline::admit::AdmitOutcome;
-use crate::pipeline::probe::{CacheHits, ProbeScratch, Relation};
+use crate::pipeline::bound::Bound;
+use crate::pipeline::probe::{CacheHits, HitSnapshot, ProbeScratch};
 use crate::pipeline::prune::Pruned;
 use crate::report::QueryReport;
 use crate::stats::GlobalStats;
@@ -60,8 +69,13 @@ pub struct PipelineCtx<'q> {
     pub now: u64,
     /// Wall-clock entry time.
     pub start: Instant,
-    /// Stage 1 product: Method M's candidate set `C_M`.
+    /// The candidate set the pipeline started from: Method M's `C_M`
+    /// (filter stage), or the hits' upper bound `U` when the bound stage
+    /// skipped the filter.
     pub cm: BitSet,
+    /// Bound stage product: `true` when the bounded plan was taken and the
+    /// filter stage must not run.
+    pub filter_skipped: bool,
     /// The query's feature vector under the cache's feature config,
     /// extracted **once per query** at the start of the probe stage and
     /// shared by the sub-probe, the super-probe (on every shard) and
@@ -73,20 +87,22 @@ pub struct PipelineCtx<'q> {
     /// one per thread — and swapped into the context for the query's
     /// lifetime, so the probe stage allocates nothing in steady state.
     pub probe_scratch: ProbeScratch,
-    /// Stage 2 product: verified cache hits.
+    /// Probe stage product: verified cache hits.
     pub hits: CacheHits,
-    /// Stage 2 product: answer snapshots aligned with `hits.iter()` order
-    /// in the sequential runtime (the sharded front-end stores them in
-    /// probe-discovery order; only [`prune`], which is order-insensitive,
-    /// consumes them from the context).
-    pub hit_answers: Vec<(Relation, BitSet)>,
-    /// Stage 3 product: definite answers `S` and reduced set `C`.
+    /// Probe stage product: answer snapshots aligned with `hits.iter()`
+    /// order in the sequential runtime (the sharded front-end stores them
+    /// in probe-discovery order; only [`bound`], which is
+    /// order-insensitive, consumes them from the context).
+    pub hit_answers: Vec<HitSnapshot>,
+    /// Bound stage product: definite answers `S` and upper bound `U`.
+    pub bound: Bound,
+    /// Prune stage product: definite answers `S` and reduced set `C`.
     pub pruned: Pruned,
-    /// Stage 4 product: verification survivors `R`.
+    /// Verify stage product: verification survivors `R`.
     pub survivors: BitSet,
-    /// Stage 4 product: verifier steps spent on dataset graphs.
+    /// Verify stage product: verifier steps spent on dataset graphs.
     pub verify_steps: u64,
-    /// Stage 4 product: observed per-graph verification cost
+    /// Verify stage product: observed per-graph verification cost
     /// `(gid, steps)`, one entry per verified candidate (feeds the
     /// [`crate::cost::CostModel`]).
     pub verify_costs: Vec<(usize, u64)>,
@@ -101,10 +117,12 @@ impl<'q> PipelineCtx<'q> {
             now,
             start: Instant::now(),
             cm: BitSet::new(universe),
+            filter_skipped: false,
             features: None,
             probe_scratch: ProbeScratch::default(),
             hits: CacheHits::default(),
             hit_answers: Vec::new(),
+            bound: Bound::empty(universe),
             pruned: Pruned::empty(universe),
             survivors: BitSet::new(universe),
             verify_steps: 0,
@@ -131,6 +149,7 @@ impl<'q> PipelineCtx<'q> {
             tests_executed: self.pruned.to_verify.count() as u64,
             probe_tests: self.hits.probe_tests,
             tests_saved: self.pruned.saved as u64,
+            filter_skipped: u64::from(self.filter_skipped),
             verify_steps: self.verify_steps,
             probe_steps: self.hits.probe_steps,
             admitted: u64::from(outcome.admitted.is_some()),
@@ -153,21 +172,23 @@ impl<'q> PipelineCtx<'q> {
         elapsed: Duration,
     ) -> QueryReport {
         let verified_count = self.pruned.to_verify.count();
+        let definite_count = self.pruned.definite.count();
         let survivors_count = self.survivors.count();
         debug_assert_eq!(answer, self.answer(), "caller must pass this ctx's own answer");
         QueryReport {
             answer,
             cm_set: self.cm,
-            definite_set: self.pruned.definite.clone(),
-            verified_set: self.pruned.to_verify.clone(),
+            definite_set: self.pruned.definite,
+            verified_set: self.pruned.to_verify,
             survivors_set: self.survivors,
             kind: self.kind,
             exact_hit: false,
             memo_hit: false,
+            filter_skipped: self.filter_skipped,
             sub_hits: self.hits.sub,
             super_hits: self.hits.super_,
             cm_size: self.pruned.cm_size,
-            definite: self.pruned.definite.count(),
+            definite: definite_count,
             verified: verified_count,
             survivors: survivors_count,
             sub_iso_tests: verified_count as u64,
@@ -199,6 +220,7 @@ pub fn exact_report(
         kind,
         exact_hit: true,
         memo_hit: false,
+        filter_skipped: false,
         sub_hits: Vec::new(),
         super_hits: Vec::new(),
         cm_size: base_tests as usize,

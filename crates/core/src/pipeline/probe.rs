@@ -1,4 +1,4 @@
-//! Stage 2 — **Probe**: the Sub/Super Case Processors (Fig. 3(a), 3(e)).
+//! Stage 1 — **Probe**: the Sub/Super Case Processors (Fig. 3(a), 3(e)).
 //!
 //! Detects cache hits for a new query. Terminology (fixed by the demo's
 //! Fig. 3, stated for *subgraph* queries):
@@ -9,14 +9,19 @@
 //!   [`Relation::CachedInQuery`]).
 //!
 //! Which relation yields definite answers and which yields pruning depends
-//! on the query kind; that mapping lives in [`crate::pipeline::prune`]. This
+//! on the query kind; that mapping lives in [`crate::pipeline::bound`]. This
 //! stage only *finds and verifies* the relationships, under budgets so that
 //! cache probing can never dominate query time.
 //!
-//! The stage snapshots (clones) each hit's answer set while the cache is
-//! borrowed, so everything downstream of probing works on owned data — this
-//! is what lets [`crate::SharedGraphCache`] drop its shard read locks before
-//! the (expensive) verify stage runs.
+//! The stage runs **first**: it needs the query and the cache, nothing from
+//! Method M's candidate set, and what it finds decides whether the filter
+//! has to run at all (see [`crate::pipeline::bound`]).
+//!
+//! The stage snapshots (clones) each hit's answer set, and copies its
+//! recorded baseline, while the cache is borrowed, so everything downstream
+//! of probing works on owned data — this is what lets
+//! [`crate::SharedGraphCache`] drop its shard read locks before the
+//! (expensive) verify stage runs.
 
 use crate::cache::CacheManager;
 use crate::config::CacheConfig;
@@ -69,6 +74,19 @@ pub struct Hit {
     pub entry: EntryId,
     /// How it relates to the new query.
     pub relation: Relation,
+}
+
+/// What the probe stage copies out of one hit entry while the cache is
+/// borrowed — everything the stages downstream of probing need from it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HitSnapshot {
+    /// How the entry relates to the new query.
+    pub relation: Relation,
+    /// The entry's answer set, exact at the pinned dataset generation.
+    pub answer: BitSet,
+    /// The entry's recorded Method M baseline (`|C_M|`, or its upper bound
+    /// when the entry was itself admitted from the bounded plan).
+    pub base_tests: u64,
 }
 
 /// All hits found for one query, plus probing costs.
@@ -236,13 +254,13 @@ pub fn probe_cases(
     hits
 }
 
-/// Snapshot the answer sets of `hits` (in [`CacheHits::iter`] order) while
-/// the cache is still borrowed.
-pub fn snapshot_answers(cache: &CacheManager, hits: &CacheHits) -> Vec<(Relation, BitSet)> {
+/// Snapshot the answer sets and recorded baselines of `hits` (in
+/// [`CacheHits::iter`] order) while the cache is still borrowed.
+pub fn snapshot_answers(cache: &CacheManager, hits: &CacheHits) -> Vec<HitSnapshot> {
     hits.iter()
         .map(|h| {
             let e = cache.get(h.entry).expect("hit ids are live under the borrow");
-            (h.relation, e.answer.clone())
+            HitSnapshot { relation: h.relation, answer: e.answer.clone(), base_tests: e.base_tests }
         })
         .collect()
 }
@@ -365,9 +383,10 @@ mod tests {
         let hits = probe(&cm, &CacheConfig::default(), &q, QueryKind::Subgraph);
         let snaps = snapshot_answers(&cm, &hits);
         assert_eq!(snaps.len(), hits.count());
-        for (hit, (rel, answer)) in hits.iter().zip(&snaps) {
-            assert_eq!(hit.relation, *rel);
-            assert_eq!(&cm.get(hit.entry).unwrap().answer, answer);
+        for (hit, snap) in hits.iter().zip(&snaps) {
+            assert_eq!(hit.relation, snap.relation);
+            assert_eq!(cm.get(hit.entry).unwrap().answer, snap.answer);
+            assert_eq!(snap.base_tests, 8);
         }
     }
 

@@ -1,42 +1,38 @@
-//! Stage 3 — **Prune**: turn cache hits into savings (Fig. 3(c), 3(d),
-//! 3(f)).
+//! Stage 4 — **Prune**: apply the bound to the candidate set (Fig. 3(f)).
 //!
-//! Implements the demo's Fig. 3 pipeline as bitset algebra. For a query `g`
-//! of kind `k` with Method-M candidate set `C_M` and verified hits:
+//! [`crate::pipeline::bound`] turned the hits into definite answers `S` and
+//! an upper bound `U`; this stage applies them to whichever candidate set
+//! the plan produced:
 //!
-//! * hits whose cached answer is a **subset** of `A(g)` contribute definite
-//!   answers `S` (skip verification, Fig. 3(c));
-//! * hits whose cached answer is a **superset** of `A(g)` restrict the
-//!   candidate set (their complements are the definite non-answers `S'`,
-//!   Fig. 3(d));
-//! * the reduced verification set is `C = (C_M ∩ ⋂ supersets) \ S`
-//!   (Fig. 3(f)).
+//! * *filter* plan — `C_M` is Method M's candidate set, and the reduced
+//!   verification set is `C = (C_M ∩ U) ∖ S`;
+//! * *bounded* plan — the candidate set *is* `U` (the filter never ran), so
+//!   `C = U ∖ S`, and the Method M baseline charged to the query is the
+//!   sound upper bound [`crate::pipeline::bound::Bound::baseline_tests`]
+//!   instead of a `|C_M|` nobody computed.
 //!
-//! The relation → role mapping depends on the query kind:
+//! Soundness in both plans is the containment algebra `S ⊆ A(g) ⊆ U`:
+//! everything outside `U` is a definite non-answer (`S'` in Fig. 3(d)),
+//! everything in `S` is an answer without a test, and `A(g) ⊆ C_M` for a
+//! sound filter — so verifying `C` and adding `S` yields `A(g)` exactly.
 //!
-//! | relation                  | subgraph query        | supergraph query      |
-//! |---------------------------|-----------------------|-----------------------|
-//! | `query ⊑ cached` (sub)    | `A(h) ⊆ A(g)`: S      | `A(g) ⊆ A(h)`: prune  |
-//! | `cached ⊑ query` (super)  | `A(g) ⊆ A(h)`: prune  | `A(h) ⊆ A(g)`: S      |
-//!
-//! This stage is pure bitset algebra over the answer snapshots the probe
-//! stage collected — no cache access, no locks.
+//! Pure bitset algebra — no cache access, no locks.
 
-use crate::pipeline::probe::Relation;
+use crate::pipeline::bound::Bound;
 use crate::pipeline::PipelineCtx;
 use gc_graph::BitSet;
-use gc_method::QueryKind;
 
-/// Result of pruning `C_M` with cache hits.
+/// Result of pruning the candidate set with cache hits.
 #[derive(Debug, Clone)]
 pub struct Pruned {
     /// `S` — definite answers (never verified).
     pub definite: BitSet,
     /// `C` — the reduced set that still needs verification.
     pub to_verify: BitSet,
-    /// `|C_M|` for reporting.
+    /// Method M's baseline tests for this query: `|C_M|` on the filter
+    /// plan, its upper bound on the bounded plan.
     pub cm_size: usize,
-    /// Number of candidates removed (`|C_M| − |C|`), the per-query savings
+    /// Number of candidates removed (`cm_size − |C|`), the per-query savings
     /// in sub-iso tests.
     pub saved: usize,
 }
@@ -53,69 +49,55 @@ impl Pruned {
     }
 }
 
-/// Does a hit of `rel` contribute definite answers (vs pruning) for queries
-/// of `kind`? (The table in the module docs.)
-pub fn gives_definite(kind: QueryKind, rel: Relation) -> bool {
-    matches!(
-        (kind, rel),
-        (QueryKind::Subgraph, Relation::QueryInCached)
-            | (QueryKind::Supergraph, Relation::CachedInQuery)
-    )
-}
-
-/// Apply hit answers to the Method-M candidate set.
-///
-/// `hits` pairs each verified hit's relation with the cached answer bitset.
-/// Takes any iterator so callers can feed their snapshots directly — the
-/// pipeline's [`run`] streams `PipelineCtx::hit_answers` without building a
-/// per-query reference vector.
-pub fn prune<'a>(
-    cm: &BitSet,
-    hits: impl IntoIterator<Item = (Relation, &'a BitSet)>,
-    kind: QueryKind,
-) -> Pruned {
-    let cm_size = cm.count();
-    let mut definite = BitSet::new(cm.universe());
-    let mut keep = cm.clone();
-
-    for (rel, answer) in hits {
-        if gives_definite(kind, rel) {
-            definite.union_with(answer);
-        } else {
-            keep.intersect_with(answer);
-        }
-    }
-
-    // Definite answers are answers regardless of C_M; but anything the
-    // pruning hits exclude cannot be an answer, and S is always a subset of
-    // the true answer set, which is a subset of every pruning superset —
-    // so S ∩ keep == S whenever the cached answers are consistent.
-    let mut to_verify = keep;
-    to_verify.difference_with(&definite);
+/// Apply `bound` to the candidate set `cm`, charging the query `cm_size`
+/// baseline tests (`cm.count()` when `cm` is Method M's own `C_M`).
+pub fn prune(cm: &BitSet, bound: &Bound, cm_size: usize) -> Pruned {
+    // Definite answers are answers regardless of C_M; anything outside U
+    // cannot be an answer; and S ⊆ A(g) ⊆ U, so removing S after the
+    // intersection loses nothing.
+    let mut to_verify = cm.clone();
+    to_verify.intersect_with(&bound.upper);
+    to_verify.difference_with(&bound.definite);
     let saved = cm_size - to_verify.count();
-    Pruned { definite, to_verify, cm_size, saved }
+    Pruned { definite: bound.definite.clone(), to_verify, cm_size, saved }
 }
 
-/// Run the prune stage over the snapshots in `ctx` (streamed; no per-query
-/// reference vector is materialized).
+/// Run the prune stage over the bound and candidate set in `ctx`.
 pub fn run(ctx: &mut PipelineCtx<'_>) {
-    ctx.pruned =
-        prune(&ctx.cm, ctx.hit_answers.iter().map(|(rel, answer)| (*rel, answer)), ctx.kind);
+    let cm_size =
+        if ctx.filter_skipped { ctx.bound.baseline_tests() as usize } else { ctx.cm.count() };
+    ctx.pruned = prune(&ctx.cm, &ctx.bound, cm_size);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::bound::bound;
+    use crate::pipeline::probe::{HitSnapshot, Relation};
+    use gc_method::QueryKind;
 
     fn bs(universe: usize, idx: &[usize]) -> BitSet {
         BitSet::from_indices(universe, idx.iter().copied())
     }
 
+    /// Prune `cm` (Method M's own candidate set) with `hits` over a fully
+    /// live universe.
+    fn pruned(cm: &BitSet, hits: &[(Relation, &[usize])], kind: QueryKind) -> Pruned {
+        let snapshots: Vec<HitSnapshot> = hits
+            .iter()
+            .map(|&(relation, idx)| HitSnapshot {
+                relation,
+                answer: bs(cm.universe(), idx),
+                base_tests: cm.universe() as u64,
+            })
+            .collect();
+        prune(cm, &bound(&BitSet::full(cm.universe()), &snapshots, kind), cm.count())
+    }
+
     #[test]
     fn subgraph_query_sub_case_gives_definite() {
         let cm = bs(10, &[0, 1, 2, 3, 4]);
-        let cached_answer = bs(10, &[2, 3]);
-        let p = prune(&cm, [(Relation::QueryInCached, &cached_answer)], QueryKind::Subgraph);
+        let p = pruned(&cm, &[(Relation::QueryInCached, &[2, 3])], QueryKind::Subgraph);
         assert_eq!(p.definite.to_vec(), vec![2, 3]);
         assert_eq!(p.to_verify.to_vec(), vec![0, 1, 4]);
         assert_eq!(p.cm_size, 5);
@@ -125,8 +107,7 @@ mod tests {
     #[test]
     fn subgraph_query_super_case_prunes() {
         let cm = bs(10, &[0, 1, 2, 3, 4]);
-        let cached_answer = bs(10, &[1, 2, 7]);
-        let p = prune(&cm, [(Relation::CachedInQuery, &cached_answer)], QueryKind::Subgraph);
+        let p = pruned(&cm, &[(Relation::CachedInQuery, &[1, 2, 7])], QueryKind::Subgraph);
         assert!(p.definite.is_empty());
         assert_eq!(p.to_verify.to_vec(), vec![1, 2]);
         assert_eq!(p.saved, 3);
@@ -137,11 +118,9 @@ mod tests {
         // Mimic the Query Journey: C_M of 5, one sub hit delivering {4},
         // one super hit keeping {0, 1, 4}.
         let cm = bs(8, &[0, 1, 2, 3, 4]);
-        let sub_answer = bs(8, &[4]);
-        let super_answer = bs(8, &[0, 1, 4, 6]);
-        let p = prune(
+        let p = pruned(
             &cm,
-            [(Relation::QueryInCached, &sub_answer), (Relation::CachedInQuery, &super_answer)],
+            &[(Relation::QueryInCached, &[4]), (Relation::CachedInQuery, &[0, 1, 4, 6])],
             QueryKind::Subgraph,
         );
         assert_eq!(p.definite.to_vec(), vec![4]);
@@ -152,12 +131,11 @@ mod tests {
     #[test]
     fn supergraph_query_roles_flip() {
         let cm = bs(10, &[0, 1, 2, 3]);
-        let ans = bs(10, &[1, 2]);
         // cached ⊑ query gives definite answers for supergraph queries.
-        let p = prune(&cm, [(Relation::CachedInQuery, &ans)], QueryKind::Supergraph);
+        let p = pruned(&cm, &[(Relation::CachedInQuery, &[1, 2])], QueryKind::Supergraph);
         assert_eq!(p.definite.to_vec(), vec![1, 2]);
         // query ⊑ cached prunes.
-        let p2 = prune(&cm, [(Relation::QueryInCached, &ans)], QueryKind::Supergraph);
+        let p2 = pruned(&cm, &[(Relation::QueryInCached, &[1, 2])], QueryKind::Supergraph);
         assert!(p2.definite.is_empty());
         assert_eq!(p2.to_verify.to_vec(), vec![1, 2]);
     }
@@ -165,7 +143,7 @@ mod tests {
     #[test]
     fn no_hits_is_identity() {
         let cm = bs(6, &[0, 3, 5]);
-        let p = prune(&cm, [], QueryKind::Subgraph);
+        let p = pruned(&cm, &[], QueryKind::Subgraph);
         assert_eq!(p.to_verify, cm);
         assert!(p.definite.is_empty());
         assert_eq!(p.saved, 0);
@@ -174,11 +152,9 @@ mod tests {
     #[test]
     fn multiple_pruning_hits_intersect() {
         let cm = bs(10, &[0, 1, 2, 3, 4, 5]);
-        let a1 = bs(10, &[0, 1, 2, 3]);
-        let a2 = bs(10, &[2, 3, 4]);
-        let p = prune(
+        let p = pruned(
             &cm,
-            [(Relation::CachedInQuery, &a1), (Relation::CachedInQuery, &a2)],
+            &[(Relation::CachedInQuery, &[0, 1, 2, 3]), (Relation::CachedInQuery, &[2, 3, 4])],
             QueryKind::Subgraph,
         );
         assert_eq!(p.to_verify.to_vec(), vec![2, 3]);
@@ -188,14 +164,27 @@ mod tests {
     #[test]
     fn multiple_definite_hits_union() {
         let cm = bs(10, &[0, 1, 2, 3, 4, 5]);
-        let a1 = bs(10, &[0]);
-        let a2 = bs(10, &[4, 5]);
-        let p = prune(
+        let p = pruned(
             &cm,
-            [(Relation::QueryInCached, &a1), (Relation::QueryInCached, &a2)],
+            &[(Relation::QueryInCached, &[0]), (Relation::QueryInCached, &[4, 5])],
             QueryKind::Subgraph,
         );
         assert_eq!(p.definite.to_vec(), vec![0, 4, 5]);
         assert_eq!(p.to_verify.to_vec(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn bounded_plan_charges_the_baseline_not_the_candidates() {
+        // The candidate set is U itself; the recorded baseline of the
+        // pruning hit (6) is what Method M is charged.
+        let hits = [HitSnapshot {
+            relation: Relation::CachedInQuery,
+            answer: bs(10, &[1, 2, 7]),
+            base_tests: 6,
+        }];
+        let b = bound(&BitSet::full(10), &hits, QueryKind::Subgraph);
+        let p = prune(&b.upper, &b, b.baseline_tests() as usize);
+        assert_eq!(p.to_verify.to_vec(), vec![1, 2, 7]);
+        assert_eq!((p.cm_size, p.saved), (6, 3));
     }
 }

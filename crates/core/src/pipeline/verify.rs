@@ -1,4 +1,4 @@
-//! Stage 4 — **Verify**: exact sub-iso testing of the reduced candidate set
+//! Stage 5 — **Verify**: exact sub-iso testing of the reduced candidate set
 //! `C` (Fig. 3(g)).
 //!
 //! The expensive stage. Builds the query's [`QueryProfile`] **once**, then

@@ -41,8 +41,11 @@ impl IndexHealth {
 pub struct QueryReport {
     /// The exact answer set `A` (Fig. 3(h)).
     pub answer: BitSet,
-    /// `C_M` — Method M's candidate set (Fig. 3(b)). Empty for exact hits
-    /// (the filter is skipped entirely on that fast path).
+    /// The candidate set the pipeline started from (Fig. 3(b)): Method M's
+    /// `C_M`, or the hits' upper bound `U` when bounded
+    /// ([`QueryReport::filter_skipped`]). Either way it contains the answer
+    /// and everything that was verified. Empty for exact and memo hits (no
+    /// stage ran on those fast paths).
     pub cm_set: BitSet,
     /// `S` — definite answers contributed by hits (Fig. 3(c)).
     pub definite_set: BitSet,
@@ -57,12 +60,20 @@ pub struct QueryReport {
     /// `true` when the generation-versioned answer memo served the query
     /// (no cache entry involved; filter/probe/verify all skipped).
     pub memo_hit: bool,
+    /// `true` when the pipeline took the bounded plan: the cache hits
+    /// already fenced the answer, so Method M's filter never ran and
+    /// `cm_set` is the hits' upper bound `U` (see
+    /// [`crate::pipeline::bound`]). `false` on the filter plan and on the
+    /// exact/memo fast paths.
+    pub filter_skipped: bool,
     /// Sub-case hit entries (`H` in Fig. 3(a)).
     pub sub_hits: Vec<EntryId>,
     /// Super-case hit entries (`H'` in Fig. 3(e)).
     pub super_hits: Vec<EntryId>,
-    /// `|C_M|` — Method M's candidate count (Fig. 3(b)); for exact hits this
-    /// is the stored base count of the matching entry.
+    /// Method M baseline tests: `|C_M|` (Fig. 3(b)) on the filter plan; an
+    /// upper bound on it when bounded (never below `|cm_set|`, so
+    /// `verified ≤ cm_size` always holds); for exact and memo hits the
+    /// stored base count of the matching entry.
     pub cm_size: usize,
     /// `|S|` — definite answers from hits (Fig. 3(c)).
     pub definite: usize,
@@ -87,7 +98,28 @@ pub struct QueryReport {
     pub elapsed: Duration,
 }
 
+/// Display label of the plan a pipeline query ran (`QueryTrace::plan`, the
+/// server's `QueryResponse::plan`, the Query Journey).
+pub(crate) fn plan_label(filter_skipped: bool) -> &'static str {
+    if filter_skipped {
+        "bounded"
+    } else {
+        "filter"
+    }
+}
+
 impl QueryReport {
+    /// Which plan produced the candidate set: `"filter"` (Method M's
+    /// filter), `"bounded"` (the hits' upper bound; the filter was
+    /// skipped), or `""` for exact/memo hits, where no stage ran.
+    pub fn plan(&self) -> &'static str {
+        if self.exact_hit || self.memo_hit {
+            ""
+        } else {
+            plan_label(self.filter_skipped)
+        }
+    }
+
     /// Per-query speedup in number of sub-iso tests relative to Method M
     /// alone: `|C_M| / (|C| + probes)` (the demo reports 75/43 = 1.74; we
     /// charge probe tests too, so the cache pays its own overhead).
@@ -127,6 +159,7 @@ mod tests {
             kind: QueryKind::Subgraph,
             exact_hit: false,
             memo_hit: false,
+            filter_skipped: false,
             sub_hits: vec![],
             super_hits: vec![],
             cm_size: 75,
@@ -150,6 +183,9 @@ mod tests {
         assert!((r.test_speedup() - 75.0 / 43.0).abs() < 1e-9);
         assert_eq!(r.tests_saved(), 32);
         assert!(!r.any_hit());
+        assert_eq!(r.plan(), "filter");
+        assert_eq!(QueryReport { filter_skipped: true, ..r.clone() }.plan(), "bounded");
+        assert_eq!(QueryReport { memo_hit: true, ..r }.plan(), "");
     }
 
     #[test]

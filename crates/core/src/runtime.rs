@@ -2,7 +2,7 @@
 //!
 //! Since the pipeline refactor this file is a *thin composition* over the
 //! stage modules in [`crate::pipeline`] — each stage lives in its own module
-//! (`filter`, `probe`, `prune`, `verify`, `admit`) and
+//! (`probe`, `bound`, `filter`, `prune`, `verify`, `admit`) and
 //! [`GraphCache::query`] just wires them together over this instance's
 //! state. The concurrent front-end ([`crate::SharedGraphCache`]) composes
 //! the same stages over sharded, lock-protected state.
@@ -15,7 +15,7 @@ use crate::memo::AnswerMemo;
 use crate::persist::{self, PersistHealth, RecoveryReport, RestoredEntry, StoreHealth};
 use crate::pipeline::admit::{self, AdmitLimits};
 use crate::pipeline::probe::ProbeScratch;
-use crate::pipeline::{self, filter, probe, prune, verify, PipelineCtx};
+use crate::pipeline::{self, bound, filter, probe, prune, verify, PipelineCtx};
 use crate::policy::ReplacementPolicy;
 use crate::report::{IndexHealth, QueryReport};
 use crate::stats::{GlobalStats, StatsMonitor};
@@ -73,6 +73,9 @@ pub struct GraphCache {
     /// after an immutable index was built); unioned into `C_M` by the
     /// filter stage.
     overlay: BitSet,
+    /// Which plans the bound stage may pick ([`bound::Plan::Auto`] unless a
+    /// test forced one).
+    plan: bound::Plan,
     /// Generation-versioned exact answer memo: repeats of a query on an
     /// unmutated dataset skip filter/probe/verify entirely.
     memo: AnswerMemo,
@@ -107,6 +110,7 @@ impl GraphCache {
             stats: StatsMonitor::new(),
             cost: CostModel::new(&dataset),
             overlay: BitSet::new(dataset.len()),
+            plan: bound::Plan::Auto,
             memo: AnswerMemo::new(config.memo_capacity),
             dataset,
             method,
@@ -128,6 +132,15 @@ impl GraphCache {
         config: CacheConfig,
     ) -> Result<Self, String> {
         Self::new(dataset, method, kind.make(), config)
+    }
+
+    /// Test hook: pin the bound stage to one plan for every query, so a
+    /// suite can drive the bounded and the filter path over the same
+    /// stream. Not configuration — production code never calls it.
+    #[doc(hidden)]
+    pub fn with_plan(mut self, plan: bound::Plan) -> Self {
+        self.plan = plan;
+        self
     }
 
     /// Process one query; returns the exact answer set plus the full
@@ -207,12 +220,16 @@ impl GraphCache {
         // (returned before the context is consumed below).
         std::mem::swap(&mut ctx.probe_scratch, &mut self.probe_scratch);
         {
-            let _span = self.telemetry.span(PipelineStage::Filter, &mut timing);
-            filter::run(&mut ctx, self.method.as_ref(), &self.dataset, &self.overlay);
-        }
-        {
             let _span = self.telemetry.span(PipelineStage::Probe, &mut timing);
             probe::run(&mut ctx, &self.cache, &self.config);
+        }
+        {
+            let _span = self.telemetry.span(PipelineStage::Bound, &mut timing);
+            bound::run(&mut ctx, self.dataset.live_mask(), self.plan);
+        }
+        if !ctx.filter_skipped {
+            let _span = self.telemetry.span(PipelineStage::Filter, &mut timing);
+            filter::run(&mut ctx, self.method.as_ref(), &self.dataset, &self.overlay);
         }
         {
             let _span = self.telemetry.span(PipelineStage::Prune, &mut timing);
@@ -230,6 +247,7 @@ impl GraphCache {
             self.policy.as_mut(),
             &self.cost,
             &ctx.cm,
+            ctx.filter_skipped.then(|| self.cost.mean_over(&ctx.cm)),
             kind,
             now,
             &ctx.hits,
@@ -844,13 +862,15 @@ pub(crate) fn finish_fast_path(
         outcome: outcome.to_owned(),
         shard,
         generation,
+        plan: String::new(),
         total_us: elapsed.as_micros().min(u128::from(u64::MAX)) as u64,
-        filter_us: timing.stage_us[0],
-        probe_us: timing.stage_us[1],
-        prune_us: timing.stage_us[2],
-        verify_us: timing.stage_us[3],
-        admit_us: timing.stage_us[4],
-        memo_us: timing.stage_us[5],
+        probe_us: timing.us(PipelineStage::Probe),
+        bound_us: timing.us(PipelineStage::Bound),
+        filter_us: timing.us(PipelineStage::Filter),
+        prune_us: timing.us(PipelineStage::Prune),
+        verify_us: timing.us(PipelineStage::Verify),
+        admit_us: timing.us(PipelineStage::Admit),
+        memo_us: timing.us(PipelineStage::Memo),
         cm_size: 0,
         definite: 0,
         to_verify: 0,
@@ -883,13 +903,15 @@ pub(crate) fn pipeline_trace(
         outcome: "pipeline".to_owned(),
         shard,
         generation,
+        plan: crate::report::plan_label(ctx.filter_skipped).to_owned(),
         total_us: elapsed.as_micros().min(u128::from(u64::MAX)) as u64,
-        filter_us: timing.stage_us[0],
-        probe_us: timing.stage_us[1],
-        prune_us: timing.stage_us[2],
-        verify_us: timing.stage_us[3],
-        admit_us: timing.stage_us[4],
-        memo_us: timing.stage_us[5],
+        probe_us: timing.us(PipelineStage::Probe),
+        bound_us: timing.us(PipelineStage::Bound),
+        filter_us: timing.us(PipelineStage::Filter),
+        prune_us: timing.us(PipelineStage::Prune),
+        verify_us: timing.us(PipelineStage::Verify),
+        admit_us: timing.us(PipelineStage::Admit),
+        memo_us: timing.us(PipelineStage::Memo),
         cm_size: ctx.pruned.cm_size as u64,
         definite: ctx.pruned.definite.count() as u64,
         to_verify: ctx.pruned.to_verify.count() as u64,

@@ -11,8 +11,8 @@
 //!   `Mutex`. A query graph's WL fingerprint picks its *home shard*
 //!   (admission and exact-match lookups touch only that shard; fingerprints
 //!   are isomorphism-invariant, so an exact duplicate always routes home);
-//! * **read-mostly probing** — the filter / probe / prune / verify stages
-//!   take only shard *read* locks (and hold them just long enough to
+//! * **read-mostly probing** — the probe / bound / filter / prune / verify
+//!   stages take only shard *read* locks (and hold them just long enough to
 //!   snapshot hit answers); write locks are taken for the two short
 //!   sections that mutate state: hit crediting and admission/eviction;
 //! * **lock-free accounting** — [`StatsMonitor`] and [`CostModel`] are
@@ -49,8 +49,8 @@ use crate::entry::EntryId;
 use crate::memo::AnswerMemo;
 use crate::persist::{self, PersistHealth, RecoveryReport, RestoredEntry, StoreHealth};
 use crate::pipeline::admit::{self, AdmitLimits, AdmitOutcome};
-use crate::pipeline::probe::{CacheHits, ProbeScratch};
-use crate::pipeline::{self, filter, probe, prune, verify, PipelineCtx};
+use crate::pipeline::probe::{CacheHits, HitSnapshot, ProbeScratch};
+use crate::pipeline::{self, bound, filter, probe, prune, verify, PipelineCtx};
 use crate::policy::ReplacementPolicy;
 use crate::report::{IndexHealth, QueryReport};
 use crate::runtime::{finish_fast_path, pipeline_trace};
@@ -87,7 +87,7 @@ type ShardProbe = (usize, CacheHits, std::ops::Range<usize>);
 /// One shard's raw probe output: shard-local hits plus the answer
 /// snapshots taken under the shard's read lock (not yet merged into a
 /// query's context).
-type ShardHits = (CacheHits, Vec<(probe::Relation, gc_graph::BitSet)>);
+type ShardHits = (CacheHits, Vec<HitSnapshot>);
 
 /// Everything a fanned-out shard-probe task needs, bundled once per query
 /// behind an `Arc` so the per-shard closures are `'static` (the worker
@@ -219,6 +219,9 @@ pub struct SharedGraphCache {
     /// Pipeline telemetry: stage histograms, the trace sampler, and the
     /// slow-query ring (all lock-free on the query path).
     telemetry: Telemetry,
+    /// Which plans the bound stage may pick ([`bound::Plan::Auto`] unless a
+    /// test forced one).
+    plan: bound::Plan,
 }
 
 impl SharedGraphCache {
@@ -265,6 +268,7 @@ impl SharedGraphCache {
             method,
             config,
             telemetry,
+            plan: bound::Plan::Auto,
             shards: Arc::new(shards),
             limits,
             policy_name,
@@ -283,6 +287,15 @@ impl SharedGraphCache {
         config: CacheConfig,
     ) -> Result<Self, String> {
         Self::new(dataset, Arc::from(method), move || kind.make(), config)
+    }
+
+    /// Test hook: pin the bound stage to one plan for every query, so a
+    /// suite can drive the bounded and the filter path over the same
+    /// stream. Not configuration — production code never calls it.
+    #[doc(hidden)]
+    pub fn with_plan(mut self, plan: bound::Plan) -> Self {
+        self.plan = plan;
+        self
     }
 
     /// Process one query through the staged pipeline; callable from any
@@ -376,10 +389,6 @@ impl SharedGraphCache {
         // Borrow this thread's warm probe buffers for the query's lifetime
         // (returned before the context is consumed below).
         PROBE_SCRATCH.with(|s| std::mem::swap(&mut ctx.probe_scratch, &mut s.borrow_mut()));
-        {
-            let _span = self.telemetry.span(PipelineStage::Filter, &mut timing);
-            filter::run(&mut ctx, self.method.as_ref(), &data.dataset, &data.overlay);
-        }
 
         // The query's features and verification profile are computed once
         // here — every shard's sub/super probe shares them (and admission
@@ -429,6 +438,16 @@ impl SharedGraphCache {
             }
         }
 
+        // What the hits alone say about the answer decides the plan: start
+        // from their upper bound, or pay for Method M's filter.
+        {
+            let _span = self.telemetry.span(PipelineStage::Bound, &mut timing);
+            bound::run(&mut ctx, data.dataset.live_mask(), self.plan);
+        }
+        if !ctx.filter_skipped {
+            let _span = self.telemetry.span(PipelineStage::Filter, &mut timing);
+            filter::run(&mut ctx, self.method.as_ref(), &data.dataset, &data.overlay);
+        }
         {
             let _span = self.telemetry.span(PipelineStage::Prune, &mut timing);
             prune::run(&mut ctx);
@@ -442,6 +461,7 @@ impl SharedGraphCache {
 
         let admit_span = self.telemetry.span(PipelineStage::Admit, &mut timing);
         // ---- crediting: short write section per shard with hits -----------
+        let bounded_mean_cost = ctx.filter_skipped.then(|| self.cost.mean_over(&ctx.cm));
         for (si, hits, range) in &per_shard {
             let shard = &self.shards[*si];
             let mut state = shard.state.write();
@@ -451,6 +471,7 @@ impl SharedGraphCache {
                 policy.as_mut(),
                 &self.cost,
                 &ctx.cm,
+                bounded_mean_cost,
                 kind,
                 now,
                 hits,

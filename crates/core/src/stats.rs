@@ -40,8 +40,15 @@ pub struct GlobalStats {
     /// Sub-iso tests executed against *cached queries* while probing for
     /// hits (cache overhead).
     pub probe_tests: u64,
-    /// Sub-iso tests saved relative to Method M alone (Σ (|C_M| − |C|)).
+    /// Sub-iso tests saved relative to Method M alone (Σ (|C_M| − |C|),
+    /// with `|C_M|` the recorded upper bound for queries on the bounded
+    /// plan).
     pub tests_saved: u64,
+    /// Pipeline queries that took the bounded plan: the cache hits already
+    /// fenced the answer, so Method M's filter was skipped and the
+    /// candidate set was the hits' upper bound (see
+    /// [`crate::pipeline::bound`]).
+    pub filter_skipped: u64,
     /// Verifier steps spent on dataset-graph verification.
     pub verify_steps: u64,
     /// Verifier steps spent probing the cache.
@@ -179,6 +186,7 @@ struct AtomicStats {
     tests_executed: AtomicU64,
     probe_tests: AtomicU64,
     tests_saved: AtomicU64,
+    filter_skipped: AtomicU64,
     verify_steps: AtomicU64,
     probe_steps: AtomicU64,
     admitted: AtomicU64,
@@ -212,6 +220,7 @@ macro_rules! for_each_counter {
         $macro_cb!(tests_executed);
         $macro_cb!(probe_tests);
         $macro_cb!(tests_saved);
+        $macro_cb!(filter_skipped);
         $macro_cb!(verify_steps);
         $macro_cb!(probe_steps);
         $macro_cb!(admitted);
@@ -316,6 +325,7 @@ mod tests {
             tests_executed: 8,
             probe_tests: 9,
             tests_saved: 10,
+            filter_skipped: 18,
             verify_steps: 11,
             probe_steps: 12,
             admitted: 13,

@@ -185,11 +185,15 @@ impl HistogramSnapshot {
 /// plus the answer-memo tier (timed on memo-hit fast paths).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PipelineStage {
-    /// Method M filtering: build the candidate set CM.
-    Filter,
-    /// Cache probe: find exact/sub/super hits in the index.
+    /// Cache probe: find sub/super hits in the index, snapshot answers.
     Probe,
-    /// Prune: intersect hit answers into definite/to-verify sets.
+    /// Bound: fold hit answers into definite answers and an upper bound,
+    /// and pick the plan (run the filter, or start from the bound).
+    Bound,
+    /// Method M filtering: build the candidate set CM. Not observed for
+    /// queries on the bounded plan — the stage does not run there.
+    Filter,
+    /// Prune: reduce the candidate set to the to-verify set.
     Prune,
     /// Verification of surviving candidates (sub-iso tests).
     Verify,
@@ -200,21 +204,29 @@ pub enum PipelineStage {
 }
 
 impl PipelineStage {
-    /// All stages, in pipeline order.
-    pub const ALL: [PipelineStage; 6] = [
-        PipelineStage::Filter,
+    /// All stages, in pipeline order (a stage's position is its
+    /// discriminant, see [`PipelineStage::index`]).
+    pub const ALL: [PipelineStage; 7] = [
         PipelineStage::Probe,
+        PipelineStage::Bound,
+        PipelineStage::Filter,
         PipelineStage::Prune,
         PipelineStage::Verify,
         PipelineStage::Admit,
         PipelineStage::Memo,
     ];
 
+    /// Position in [`PipelineStage::ALL`] and in per-stage arrays.
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
     /// Prometheus / display label.
     pub fn label(self) -> &'static str {
         match self {
-            PipelineStage::Filter => "filter",
             PipelineStage::Probe => "probe",
+            PipelineStage::Bound => "bound",
+            PipelineStage::Filter => "filter",
             PipelineStage::Prune => "prune",
             PipelineStage::Verify => "verify",
             PipelineStage::Admit => "admit",
@@ -228,8 +240,15 @@ impl PipelineStage {
 /// atomics, no allocation.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct QueryTiming {
-    /// Microseconds spent per stage, indexed by [`PipelineStage::ALL`].
-    pub stage_us: [u64; 6],
+    /// Microseconds spent per stage, indexed by [`PipelineStage::index`].
+    pub stage_us: [u64; PipelineStage::ALL.len()],
+}
+
+impl QueryTiming {
+    /// Microseconds this query spent in `stage` (0 if it never ran).
+    pub fn us(&self, stage: PipelineStage) -> u64 {
+        self.stage_us[stage.index()]
+    }
 }
 
 /// RAII span timer: created via [`Telemetry::span`] (or
@@ -270,12 +289,18 @@ pub struct QueryTrace {
     pub shard: u32,
     /// Dataset generation the query executed against.
     pub generation: u64,
+    /// Which plan the pipeline ran: `"filter"` (Method M's filter built the
+    /// candidate set) or `"bounded"` (the hits' upper bound did and the
+    /// filter was skipped); empty for `exact`/`memo` outcomes.
+    pub plan: String,
     /// End-to-end latency, microseconds.
     pub total_us: u64,
-    /// Filter-stage time, microseconds.
-    pub filter_us: u64,
     /// Probe-stage time, microseconds.
     pub probe_us: u64,
+    /// Bound-stage time, microseconds.
+    pub bound_us: u64,
+    /// Filter-stage time, microseconds (0 on the bounded plan).
+    pub filter_us: u64,
     /// Prune-stage time, microseconds.
     pub prune_us: u64,
     /// Verify-stage time, microseconds.
@@ -285,7 +310,8 @@ pub struct QueryTrace {
     pub admit_us: u64,
     /// Memo-lookup time, microseconds.
     pub memo_us: u64,
-    /// Candidate-set size out of the filter stage.
+    /// Method M baseline tests: `|C_M|` out of the filter stage, or its
+    /// upper bound on the bounded plan.
     pub cm_size: u64,
     /// Candidates answered definitively by cache hits (no test needed).
     pub definite: u64,
@@ -310,8 +336,9 @@ impl QueryTrace {
     ///
     /// [`total_us`]: QueryTrace::total_us
     pub fn stage_sum_us(&self) -> u64 {
-        self.filter_us
-            + self.probe_us
+        self.probe_us
+            + self.bound_us
+            + self.filter_us
             + self.prune_us
             + self.verify_us
             + self.admit_us
@@ -370,7 +397,7 @@ impl TraceRing {
 /// histogram, the trace sampler, and the slow-query ring.
 #[derive(Debug)]
 pub struct Telemetry {
-    stages: [Histogram; 6],
+    stages: [Histogram; PipelineStage::ALL.len()],
     total: Histogram,
     /// `insert_graph` / `remove_graph`, timed over their write-locked
     /// section. Not a [`PipelineStage`]: a mutation is no part of any
@@ -412,7 +439,7 @@ impl Telemetry {
 
     /// The histogram for one pipeline stage.
     pub fn stage(&self, stage: PipelineStage) -> &Histogram {
-        &self.stages[PipelineStage::ALL.iter().position(|s| *s == stage).expect("stage in ALL")]
+        &self.stages[stage.index()]
     }
 
     /// The end-to-end query-latency histogram (every query, all paths).
@@ -426,8 +453,8 @@ impl Telemetry {
         &self.mutate
     }
 
-    /// Every stage histogram with its display label: the six pipeline
-    /// stages in order, then `mutate`. What `/metrics`, `/stats` and
+    /// Every stage histogram with its display label: the pipeline stages
+    /// in order, then `mutate`. What `/metrics`, `/stats` and
     /// `gc top` list.
     pub fn labelled_stages(&self) -> impl Iterator<Item = (&'static str, &Histogram)> {
         PipelineStage::ALL
@@ -440,10 +467,9 @@ impl Telemetry {
     /// Start an RAII span for `stage`: on drop, the elapsed time lands in
     /// the stage histogram and the query-local `timing` slot.
     pub fn span<'a>(&'a self, stage: PipelineStage, timing: &'a mut QueryTiming) -> Span<'a> {
-        let idx = PipelineStage::ALL.iter().position(|s| *s == stage).expect("stage in ALL");
         Span {
-            hist: &self.stages[idx],
-            slot: Some(&mut timing.stage_us[idx]),
+            hist: &self.stages[stage.index()],
+            slot: Some(&mut timing.stage_us[stage.index()]),
             start: Instant::now(),
         }
     }
@@ -523,9 +549,11 @@ mod tests {
             outcome: "pipeline".into(),
             shard: 0,
             generation: 0,
+            plan: "filter".into(),
             total_us: 10,
-            filter_us: 1,
             probe_us: 2,
+            bound_us: 0,
+            filter_us: 1,
             prune_us: 3,
             verify_us: 4,
             admit_us: 0,
@@ -603,7 +631,10 @@ mod tests {
     #[test]
     fn stage_labels_cover_all() {
         let labels: Vec<&str> = PipelineStage::ALL.iter().map(|s| s.label()).collect();
-        assert_eq!(labels, ["filter", "probe", "prune", "verify", "admit", "memo"]);
+        assert_eq!(labels, ["probe", "bound", "filter", "prune", "verify", "admit", "memo"]);
+        for (i, stage) in PipelineStage::ALL.into_iter().enumerate() {
+            assert_eq!(stage.index(), i, "ALL lists the stages in discriminant order");
+        }
     }
 
     #[test]
@@ -616,7 +647,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         assert_eq!(t.stage(PipelineStage::Probe).count(), 1);
-        assert!(timing.stage_us[1] >= 1_000, "probe slot holds the span time");
+        assert!(timing.us(PipelineStage::Probe) >= 1_000, "probe slot holds the span time");
         assert_eq!(t.stage(PipelineStage::Filter).count(), 0);
     }
 
@@ -627,7 +658,10 @@ mod tests {
         assert_eq!(t.mutate().count(), 1);
         assert!(PipelineStage::ALL.iter().all(|&s| t.stage(s).count() == 0));
         let labels: Vec<&str> = t.labelled_stages().map(|(label, _)| label).collect();
-        assert_eq!(labels, ["filter", "probe", "prune", "verify", "admit", "memo", "mutate"]);
+        assert_eq!(
+            labels,
+            ["probe", "bound", "filter", "prune", "verify", "admit", "memo", "mutate"]
+        );
         assert_eq!(t.labelled_stages().last().unwrap().1.count(), 1);
     }
 

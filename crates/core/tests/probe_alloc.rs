@@ -7,16 +7,22 @@
 //! candidates but no hits (verified hits append to the returned
 //! `CacheHits`, which is a per-query product, not scratch).
 //!
+//! Also pins the filter stage's overlay handling: once graphs have been
+//! inserted behind an immutable method index, [`gc_core::pipeline::filter`]
+//! unions the overlay into `C_M` in place — a query over a mutated dataset
+//! allocates exactly what the same query over a pristine one does.
+//!
 //! Same counting-allocator harness as `crates/index/tests/alloc_free.rs`;
 //! its own binary so the `#[global_allocator]` stays out of the other
 //! integration tests.
 
 use gc_core::pipeline::probe::{probe_cases, ProbeScratch};
+use gc_core::pipeline::{filter, PipelineCtx};
 use gc_core::{CacheConfig, CacheManager};
 use gc_graph::{graph_from_parts, BitSet, Graph, Label};
 use gc_index::FeatureConfig;
 use gc_iso::GraphProfile;
-use gc_method::QueryKind;
+use gc_method::{Dataset, QueryKind, SiMethod};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -162,4 +168,23 @@ fn probe_ordering_is_deterministic_across_scratch_reuse() {
         assert_eq!(again.sub, first.sub);
         assert_eq!(again.super_, first.super_);
     }
+}
+
+#[test]
+fn filter_overlay_union_adds_no_allocation() {
+    let dataset = Dataset::new(vec![g(&[0, 1], &[(0, 1)]), g(&[2], &[]), g(&[0], &[])]);
+    let query = g(&[0], &[]);
+    let filter_allocations = |overlay: &BitSet| {
+        let mut ctx = PipelineCtx::new(&query, QueryKind::Subgraph, 1, dataset.len());
+        let before = allocations_on_this_thread();
+        filter::run(&mut ctx, &SiMethod, &dataset, overlay);
+        let spent = allocations_on_this_thread() - before;
+        (spent, ctx.cm)
+    };
+    let (pristine, cm) = filter_allocations(&dataset.empty_set());
+    assert_eq!(cm.count(), 3);
+    // Every graph in the overlay: the worst case for a per-query copy.
+    let (mutated, cm) = filter_allocations(&dataset.all_graphs());
+    assert_eq!(cm.count(), 3);
+    assert_eq!(mutated, pristine, "a non-empty overlay must not cost the filter an allocation");
 }

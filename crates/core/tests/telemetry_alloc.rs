@@ -100,26 +100,13 @@ fn slow_query_capture_still_works_with_sampler_disabled() {
         assert!(slow);
         gc_core::QueryTrace {
             seq,
-            request_id: None,
             kind: "sub".into(),
             outcome: "pipeline".into(),
-            shard: 0,
-            generation: 0,
+            plan: "filter".into(),
             total_us: 5_000,
-            filter_us: 0,
-            probe_us: 0,
-            prune_us: 0,
-            verify_us: timing.stage_us[3],
-            admit_us: 0,
-            memo_us: 0,
-            cm_size: 0,
-            definite: 0,
-            to_verify: 0,
-            survivors: 0,
-            answer: 0,
-            probe_tests: 0,
-            verify_steps: 0,
+            verify_us: timing.us(PipelineStage::Verify),
             slow,
+            ..Default::default()
         }
     });
     assert_eq!(telemetry.slow_count(), 1);

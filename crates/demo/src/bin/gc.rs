@@ -660,9 +660,10 @@ fn cmd_top(flags: &HashMap<String, String>) -> Result<(), String> {
             interval.as_millis()
         ));
         frame.push_str(&format!(
-            "queries {}  hit ratio {:.1}%  entries {}  generation {}  up {}s{}\n",
+            "queries {}  hit ratio {:.1}%  filter skipped {}  entries {}  generation {}  up {}s{}\n",
             s.queries,
             100.0 * s.hit_ratio,
+            s.filter_skipped,
             s.entries,
             s.dataset_generation,
             s.uptime_secs,
@@ -697,11 +698,12 @@ fn cmd_top(flags: &HashMap<String, String>) -> Result<(), String> {
             frame.push_str("slow queries (newest first):\n");
             for t in &slow.traces {
                 frame.push_str(&format!(
-                    "  seq {:<7} {:<5} {:<8} total {:>8} us  verify {:>8} us  cm {:>5}  \
+                    "  seq {:<7} {:<5} {:<8} {:<7} total {:>8} us  verify {:>8} us  cm {:>5}  \
                      answer {:>4}  rid {}\n",
                     t.seq,
                     t.kind,
                     t.outcome,
+                    if t.plan.is_empty() { "-" } else { &t.plan },
                     t.total_us,
                     t.verify_us,
                     t.cm_size,

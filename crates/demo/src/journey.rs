@@ -1,8 +1,9 @@
 //! Scenario I: The Query Journey (paper §3.2, Fig. 3).
 //!
 //! Executes one query against a (typically pre-warmed) [`GraphCache`] and
-//! narrates every stage of the computation: cache hits found, Method M's
-//! candidate set, savings from the sub and super cases, the reduced
+//! narrates every stage of the computation: cache hits found, the candidate
+//! set (Method M's, or the hits' own upper bound when they already fence
+//! the answer), savings from the sub and super cases, the reduced
 //! verification set, the survivors, and the final answer — ending with the
 //! speedup in sub-iso tests, exactly like the demo's worked example
 //! (75 → 43, speedup 1.74).
@@ -47,7 +48,19 @@ fn render(gc: &GraphCache, query: &Graph, r: &QueryReport) -> String {
     }
     out.push_str(&format!("(a) H  — sub-case hits (query ⊑ cached): {:?}\n", r.sub_hits));
     out.push_str(&format!("(e) H' — super-case hits (cached ⊑ query): {:?}\n", r.super_hits));
-    out.push_str(&format!("(b) C_M — Method M candidates, |C_M| = {}\n", r.cm_size));
+    if r.filter_skipped {
+        out.push_str(&format!(
+            "(b) U  — plan: bounded — the hits fence the answer, Method M's filter skipped; \
+             |U| = {}, |C_M| ≤ {}\n",
+            r.cm_set.count(),
+            r.cm_size
+        ));
+    } else {
+        out.push_str(&format!(
+            "(b) C_M — plan: filter — Method M candidates, |C_M| = {}\n",
+            r.cm_size
+        ));
+    }
     out.push_str(&ascii::id_grid(&r.cm_set, per_row));
     out.push_str(&format!(
         "(c) S  — definite answers from hits, |S| = {} : {}\n",

@@ -20,7 +20,12 @@ pub struct QueryResponse {
     /// `true` when the generation-versioned answer memo served the query
     /// without running the pipeline (zero probe/verify work).
     pub memo_hit: bool,
-    /// `|C_M|` — base method's candidate count.
+    /// Which plan produced the candidate set: `"filter"` (the base
+    /// method's filter ran) or `"bounded"` (the cache hits already fenced
+    /// the answer and the filter was skipped); empty for exact/memo hits.
+    pub plan: String,
+    /// Base method's baseline tests: `|C_M|`, or an upper bound on it when
+    /// `plan` is `"bounded"`.
     pub cm_size: usize,
     /// `|S|` — definite answers contributed by cache hits.
     pub definite: usize,
@@ -91,6 +96,9 @@ pub struct StatsResponse {
     pub probe_tests: u64,
     /// Sub-iso tests saved vs the base method alone.
     pub tests_saved: u64,
+    /// Pipeline queries that skipped the base method's filter (bounded
+    /// plan).
+    pub filter_skipped: u64,
     /// Entries admitted.
     pub admitted: u64,
     /// Entries evicted.
@@ -144,7 +152,8 @@ pub struct StatsResponse {
 /// log2-µs histogram; percentiles are bucket upper bounds).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StageSummary {
-    /// Stage label: `filter`/`probe`/`prune`/`verify`/`admit`/`memo`.
+    /// Stage label: `probe`/`bound`/`filter`/`prune`/`verify`/`admit`/
+    /// `memo`, then `mutate`.
     pub stage: String,
     /// Observations recorded for this stage.
     pub count: u64,
@@ -175,6 +184,7 @@ mod tests {
             kind: "sub".into(),
             exact_hit: true,
             memo_hit: false,
+            plan: "bounded".into(),
             cm_size: 75,
             definite: 1,
             verified: 43,
@@ -226,6 +236,7 @@ mod tests {
             tests_executed: 900,
             probe_tests: 100,
             tests_saved: 500,
+            filter_skipped: 12,
             admitted: 20,
             evicted: 5,
             entries: 15,
@@ -269,6 +280,7 @@ mod tests {
                 request_id: Some("req-7".into()),
                 kind: "sub".into(),
                 outcome: "pipeline".into(),
+                plan: "filter".into(),
                 total_us: 900,
                 verify_us: 700,
                 cm_size: 40,

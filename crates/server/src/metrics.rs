@@ -233,6 +233,12 @@ impl ServerMetrics {
             "Sub-iso tests saved vs Method M alone.",
             cache_stats.tests_saved,
         );
+        counter(
+            &mut out,
+            "gc_filter_skipped_total",
+            "Pipeline queries whose cache hits fenced the answer, so Method M's filter was skipped.",
+            cache_stats.filter_skipped,
+        );
         counter(&mut out, "gc_cache_admitted_total", "Entries admitted.", cache_stats.admitted);
         counter(&mut out, "gc_cache_evicted_total", "Entries evicted.", cache_stats.evicted);
         gauge(&mut out, "gc_cache_entries", "Live cached entries.", entries as u64);
@@ -287,13 +293,14 @@ mod tests {
         m.connections_shed.fetch_add(1, Ordering::Relaxed);
         m.requests_shed.fetch_add(1, Ordering::Relaxed);
         m.observe(Stage::Execute, Duration::from_micros(42));
-        let stats = gc_core::GlobalStats { queries: 3, ..Default::default() };
+        let stats = gc_core::GlobalStats { queries: 3, filter_skipped: 2, ..Default::default() };
         let telemetry = gc_core::Telemetry::from_config(&gc_core::CacheConfig::default());
         let text = m.render_prometheus(&stats, 7, &telemetry);
         assert!(text.contains("gc_requests_total 3\n"));
         assert!(text.contains("gc_requests_shed_total 2\n"), "both shed points sum");
         assert!(text.contains("stage=\"execute\""));
         assert!(text.contains("gc_cache_queries_total 3\n"));
+        assert!(text.contains("gc_filter_skipped_total 2\n"));
         assert!(text.contains("gc_cache_entries 7\n"));
         assert!(text.contains("# TYPE gc_request_stage_microseconds histogram\n"));
     }
@@ -317,6 +324,7 @@ mod tests {
         assert!(text.contains("# TYPE gc_pipeline_stage_microseconds histogram\n"));
         assert!(text.contains("gc_pipeline_stage_microseconds_count{stage=\"verify\"} 1\n"));
         assert!(text.contains("gc_pipeline_stage_microseconds_count{stage=\"filter\"} 0\n"));
+        assert!(text.contains("gc_pipeline_stage_microseconds_count{stage=\"bound\"} 0\n"));
         assert!(text.contains("gc_pipeline_stage_microseconds_count{stage=\"mutate\"} 1\n"));
         assert!(text.contains("# TYPE gc_query_microseconds histogram\n"));
         assert!(text.contains("gc_query_microseconds_count{} 1\n"));

@@ -557,6 +557,7 @@ fn handle_query(
         kind: kind.as_str().into(),
         exact_hit: report.exact_hit,
         memo_hit: report.memo_hit,
+        plan: report.plan().into(),
         cm_size: report.cm_size,
         definite: report.definite,
         verified: report.verified,
@@ -639,6 +640,7 @@ fn handle_stats(shared: &Shared) -> Response {
         tests_executed: s.tests_executed,
         probe_tests: s.probe_tests,
         tests_saved: s.tests_saved,
+        filter_skipped: s.filter_skipped,
         admitted: s.admitted,
         evicted: s.evicted,
         entries: shared.cache.len(),
@@ -874,14 +876,19 @@ mod tests {
             serde_json::from_str(&client.get("/stats").unwrap().body_text()).unwrap();
         assert_eq!(stats.slow_queries, 3);
         assert!(stats.traces_sampled >= 3);
-        assert_eq!(stats.stages.len(), 7);
+        assert_eq!(stats.stages.len(), 8);
         assert!(stats.stages.iter().any(|s| s.stage == "filter" && s.count > 0));
+        assert!(stats.stages.iter().any(|s| s.stage == "bound" && s.count > 0));
+        assert_eq!(stats.filter_skipped, 0, "one cold query, then exact hits: nothing to bound");
+        assert_eq!(parsed.traces[0].plan, "", "an exact hit ran no plan");
+        assert!(slow.traces.iter().any(|t| t.plan == "filter"));
         assert!(stats.stages.iter().any(|s| s.stage == "mutate" && s.count == 0));
 
         // /metrics exposes the pipeline histograms.
         let metrics = client.get("/metrics").unwrap().body_text();
         assert!(metrics.contains("gc_pipeline_stage_microseconds_bucket"));
         assert!(metrics.contains("gc_query_microseconds_count"));
+        assert!(metrics.contains("gc_filter_skipped_total 0\n"));
 
         // Wrong method: still part of the routed surface.
         assert_eq!(client.post("/debug/traces", &[]).unwrap().status, 405);

@@ -55,14 +55,16 @@ fn pipeline_invariants_hold_on_every_query() {
             // staged pipeline (whose algebra this checks) never ran.
             continue;
         }
-        // Fig. 3 pipeline algebra.
+        // Fig. 3 pipeline algebra — on either plan: `cm_set` is Method M's
+        // C_M, or the hits' upper bound U when the filter was skipped.
         assert!(r.verified_set.is_subset(&r.cm_set), "C ⊆ C_M");
+        assert!(r.verified <= r.cm_size, "|C| ≤ Method M's baseline");
         assert!(r.definite_set.is_disjoint(&r.verified_set), "S ∩ C = ∅");
         assert!(r.survivors_set.is_subset(&r.verified_set), "R ⊆ C");
         let mut a = r.survivors_set.clone();
         a.union_with(&r.definite_set);
         assert_eq!(a, r.answer, "A = R ∪ S");
-        assert!(r.answer.is_subset(&r.cm_set), "A ⊆ C_M (sound filter)");
+        assert!(r.answer.is_subset(&r.cm_set), "A ⊆ C_M (sound filter, sound bound)");
         assert_eq!(r.verified as u64, r.sub_iso_tests);
     }
 }
