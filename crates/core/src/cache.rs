@@ -80,9 +80,9 @@ impl CacheManager {
         self.by_fingerprint.get(&fp).map_or(&[], Vec::as_slice)
     }
 
-    /// Insert a new entry; returns its id. Extracts the entry's features
-    /// here — prefer [`CacheManager::insert_with_features`] when the
-    /// pipeline already extracted them for the probe stage.
+    /// Insert a new entry; returns its id. Computes the entry's fingerprint
+    /// and features here — prefer [`CacheManager::insert_with_features`]
+    /// when the pipeline already has both.
     pub fn insert(
         &mut self,
         graph: Graph,
@@ -92,15 +92,17 @@ impl CacheManager {
         base_cost: u64,
         now: u64,
     ) -> EntryId {
-        let features = self.index.features_of(&graph);
-        self.insert_with_features(graph, kind, answer, base_tests, base_cost, now, features)
+        let fp = gc_graph::hash::fingerprint(&graph);
+        let fv = self.index.features_of(&graph);
+        self.insert_with_features(graph, kind, answer, base_tests, base_cost, now, fp, fv)
     }
 
-    /// Insert a new entry whose feature vector was already extracted (by
-    /// [`gc_index::QueryIndex::features_of`] under this cache's config):
-    /// the admit stage passes the probe stage's extraction, keeping the
-    /// one-extraction-per-query invariant.
-    #[allow(clippy::too_many_arguments)] // mirrors `insert` + the precomputed vector
+    /// Insert a new entry whose WL `fingerprint` (the query's one
+    /// [`gc_graph::hash::fingerprint`]) and feature vector (by
+    /// [`gc_index::QueryIndex::features_of`] under this cache's config)
+    /// were already computed: the admit stage passes the query's key and the
+    /// probe stage's extraction, so each is derived once per query.
+    #[allow(clippy::too_many_arguments)] // mirrors `insert` + the two precomputed values
     pub fn insert_with_features(
         &mut self,
         graph: Graph,
@@ -109,9 +111,10 @@ impl CacheManager {
         base_tests: u64,
         base_cost: u64,
         now: u64,
+        fingerprint: u64,
         features: gc_index::FeatureVec,
     ) -> EntryId {
-        let fingerprint = gc_graph::hash::fingerprint(&graph);
+        debug_assert_eq!(fingerprint, gc_graph::hash::fingerprint(&graph));
         let profile = gc_iso::GraphProfile::new(&graph, None);
         let id = match self.free.pop() {
             Some(id) => id,
@@ -237,6 +240,7 @@ mod tests {
             4,
             10,
             0,
+            gc_graph::hash::fingerprint(&graph),
             fv,
         );
         assert_eq!(ida, idb);

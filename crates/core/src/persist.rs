@@ -146,6 +146,7 @@ macro_rules! for_each_persisted_counter {
         $cb!(hit_queries);
         $cb!(exact_hits);
         $cb!(memo_hits);
+        $cb!(exact_confirm_iso);
         $cb!(queries_with_sub_hits);
         $cb!(queries_with_super_hits);
         $cb!(sub_hits);
@@ -968,6 +969,7 @@ mod tests {
             hit_queries: 4,
             exact_hits: 2,
             memo_hits: 5,
+            exact_confirm_iso: 1,
             queries_with_sub_hits: 1,
             queries_with_super_hits: 1,
             sub_hits: 3,

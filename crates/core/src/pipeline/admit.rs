@@ -143,11 +143,11 @@ pub fn serve_exact(
 /// Admit the executed query immediately; run the batched replacement sweep
 /// when the admission window closes.
 ///
-/// `features` is the query's feature vector the probe stage already
-/// extracted (`PipelineCtx::features`, taken by the caller) — admission
-/// reuses it instead of re-enumerating the query's paths, so features are
-/// extracted exactly once per query. `None` falls back to extraction (warm
-/// starts, tests).
+/// `fingerprint` is the query's WL key, computed once at query entry, and
+/// `features` the feature vector the probe stage already extracted
+/// (`PipelineCtx::features`, taken by the caller) — admission reuses both
+/// instead of re-hashing the query and re-enumerating its paths. `None`
+/// features fall back to extraction (tests).
 #[allow(clippy::too_many_arguments)] // explicit state triple + query facts; a struct would just rename them
 pub fn run(
     cache: &mut CacheManager,
@@ -157,6 +157,7 @@ pub fn run(
     limits: AdmitLimits,
     query: &Graph,
     kind: QueryKind,
+    fingerprint: u64,
     features: Option<gc_index::FeatureVec>,
     answer: &BitSet,
     base_tests: u64,
@@ -166,18 +167,17 @@ pub fn run(
     if (base_tests as usize) < cfg.min_admit_tests {
         return AdmitOutcome { rejected: true, ..AdmitOutcome::default() };
     }
-    let id = match features {
-        Some(fv) => cache.insert_with_features(
-            query.clone(),
-            kind,
-            answer.clone(),
-            base_tests,
-            base_cost,
-            now,
-            fv,
-        ),
-        None => cache.insert(query.clone(), kind, answer.clone(), base_tests, base_cost, now),
-    };
+    let features = features.unwrap_or_else(|| cache.index().features_of(query));
+    let id = cache.insert_with_features(
+        query.clone(),
+        kind,
+        answer.clone(),
+        base_tests,
+        base_cost,
+        now,
+        fingerprint,
+        features,
+    );
     let bytes = cache.get(id).expect("just inserted").memory_bytes();
     policy.on_insert_sized(id, now, bytes);
     let mut evicted = Vec::new();
@@ -239,14 +239,16 @@ mod tests {
         labels: &[u32],
         now: u64,
     ) -> AdmitOutcome {
+        let query = g(labels, &[]);
         run(
             cache,
             policy,
             window,
             cfg,
             AdmitLimits::from_config(cfg),
-            &g(labels, &[]),
+            &query,
             QueryKind::Subgraph,
+            gc_graph::hash::fingerprint(&query),
             None,
             &BitSet::new(2),
             5,
@@ -282,6 +284,7 @@ mod tests {
             AdmitLimits::from_config(&cfg),
             &g(&[0], &[]),
             QueryKind::Subgraph,
+            gc_graph::hash::fingerprint(&g(&[0], &[])),
             None,
             &BitSet::new(2),
             5,

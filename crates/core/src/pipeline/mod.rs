@@ -202,24 +202,44 @@ impl<'q> PipelineCtx<'q> {
     }
 }
 
-/// Build the report for an exact-match hit (the fast path skips the
-/// pipeline entirely, Fig. 3's "traditional cache hit").
-pub fn exact_report(
+/// The tiers that serve a query whole, in front of the pipeline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FastTier {
+    /// A live cache entry matched exactly (Fig. 3's "traditional cache hit").
+    Exact,
+    /// The generation-versioned answer memo held the answer.
+    Memo,
+}
+
+impl FastTier {
+    /// `QueryTrace::outcome` label.
+    pub fn label(self) -> &'static str {
+        match self {
+            FastTier::Exact => "exact",
+            FastTier::Memo => "memo",
+        }
+    }
+}
+
+/// Build the report for a query `tier` served whole. No stage ran, so the
+/// four stage sets are empty over an empty universe — the answer is the
+/// only universe-sized value a hit produces.
+pub fn fast_report(
+    tier: FastTier,
     answer: BitSet,
     kind: QueryKind,
     base_tests: u64,
     elapsed: Duration,
 ) -> QueryReport {
-    let universe = answer.universe();
     QueryReport {
         answer,
-        cm_set: BitSet::new(universe),
-        definite_set: BitSet::new(universe),
-        verified_set: BitSet::new(universe),
-        survivors_set: BitSet::new(universe),
+        cm_set: BitSet::new(0),
+        definite_set: BitSet::new(0),
+        verified_set: BitSet::new(0),
+        survivors_set: BitSet::new(0),
         kind,
-        exact_hit: true,
-        memo_hit: false,
+        exact_hit: tier == FastTier::Exact,
+        memo_hit: tier == FastTier::Memo,
         filter_skipped: false,
         sub_hits: Vec::new(),
         super_hits: Vec::new(),
@@ -237,39 +257,21 @@ pub fn exact_report(
     }
 }
 
-/// The Statistics Monitor delta for an exact-match hit.
-pub fn exact_stats_delta(base_tests: u64, elapsed: Duration) -> GlobalStats {
-    GlobalStats {
-        queries: 1,
-        hit_queries: 1,
-        exact_hits: 1,
-        tests_saved: base_tests,
-        total_time: elapsed,
-        ..GlobalStats::default()
-    }
-}
-
-/// Build the report for an answer-memo hit: like [`exact_report`] the whole
-/// pipeline is skipped, but the answer came from the generation-versioned
-/// memo rather than a live cache entry.
-pub fn memo_report(
-    answer: BitSet,
-    kind: QueryKind,
+/// The Statistics Monitor delta for a query `tier` served whole;
+/// `confirm_steps` is what [`probe::find_exact`] / the memo reported for the
+/// hit's confirmation (non-zero: it took an isomorphism search).
+pub fn fast_stats_delta(
+    tier: FastTier,
     base_tests: u64,
+    confirm_steps: u64,
     elapsed: Duration,
-) -> QueryReport {
-    let mut r = exact_report(answer, kind, base_tests, elapsed);
-    r.exact_hit = false;
-    r.memo_hit = true;
-    r
-}
-
-/// The Statistics Monitor delta for an answer-memo hit.
-pub fn memo_stats_delta(base_tests: u64, elapsed: Duration) -> GlobalStats {
+) -> GlobalStats {
     GlobalStats {
         queries: 1,
         hit_queries: 1,
-        memo_hits: 1,
+        exact_hits: u64::from(tier == FastTier::Exact),
+        memo_hits: u64::from(tier == FastTier::Memo),
+        exact_confirm_iso: u64::from(confirm_steps > 0),
         tests_saved: base_tests,
         total_time: elapsed,
         ..GlobalStats::default()
@@ -315,32 +317,20 @@ mod tests {
     }
 
     #[test]
-    fn exact_report_shape() {
-        let answer = BitSet::from_indices(5, [2usize]);
-        let r = exact_report(answer, QueryKind::Subgraph, 9, Duration::ZERO);
-        assert!(r.exact_hit);
-        assert_eq!(r.cm_size, 9);
-        assert_eq!(r.sub_iso_tests, 0);
-        assert_eq!(r.answer.to_vec(), vec![2]);
-        let d = exact_stats_delta(9, Duration::ZERO);
-        assert_eq!(d.exact_hits, 1);
-        assert_eq!(d.tests_saved, 9);
-    }
-
-    #[test]
-    fn memo_report_shape() {
-        let answer = BitSet::from_indices(5, [2usize]);
-        let r = memo_report(answer, QueryKind::Supergraph, 9, Duration::ZERO);
-        assert!(r.memo_hit);
-        assert!(!r.exact_hit);
-        assert!(r.any_hit());
-        assert_eq!(r.cm_size, 9);
-        assert_eq!(r.sub_iso_tests, 0);
-        assert_eq!(r.probe_tests, 0);
-        assert_eq!(r.verify_steps, 0);
-        let d = memo_stats_delta(9, Duration::ZERO);
-        assert_eq!(d.memo_hits, 1);
-        assert_eq!(d.exact_hits, 0);
-        assert_eq!(d.tests_saved, 9);
+    fn fast_report_and_delta_shapes() {
+        for (tier, exact, memo) in [(FastTier::Exact, 1, 0), (FastTier::Memo, 0, 1)] {
+            let answer = BitSet::from_indices(5, [2usize]);
+            let r = fast_report(tier, answer, QueryKind::Supergraph, 9, Duration::ZERO);
+            assert_eq!((r.exact_hit, r.memo_hit), (exact == 1, memo == 1));
+            assert!(r.any_hit());
+            assert_eq!(r.cm_size, 9);
+            assert_eq!((r.sub_iso_tests, r.probe_tests, r.verify_steps), (0, 0, 0));
+            assert_eq!(r.answer.to_vec(), vec![2]);
+            assert_eq!(r.cm_set.universe(), 0, "no stage ran: nothing universe-sized but A");
+            let d = fast_stats_delta(tier, 9, 0, Duration::ZERO);
+            assert_eq!((d.exact_hits, d.memo_hits, d.exact_confirm_iso), (exact, memo, 0));
+            assert_eq!(d.tests_saved, 9);
+            assert_eq!(fast_stats_delta(tier, 9, 4, Duration::ZERO).exact_confirm_iso, 1);
+        }
     }
 }

@@ -17,6 +17,15 @@
 //! Method M's candidate set, and what it finds decides whether the filter
 //! has to run at all (see [`crate::pipeline::bound`]).
 //!
+//! In front of the stage sits [`find_exact`], the exact-match lookup both
+//! runtimes (and the admission-time duplicate check) share: the query's WL
+//! fingerprint picks the bucket, [`gc_iso::iso::confirm_isomorphic`]
+//! confirms — by comparing presentations when the query is a verbatim
+//! repeat, by a profiled search only for a renumbered isomorph. It still
+//! derives the fingerprint itself (allocation-free, ≈ 0.4 µs warm) in each
+//! lock section that calls it; taking the caller's key instead is the named
+//! follow-up in ROADMAP 2d.
+//!
 //! The stage snapshots (clones) each hit's answer set, and copies its
 //! recorded baseline, while the cache is borrowed, so everything downstream
 //! of probing works on owned data — this is what lets
@@ -130,12 +139,18 @@ impl CacheHits {
     }
 }
 
-/// Find the exact-match entry for `query`, if cached (same kind).
-pub fn find_exact(cache: &CacheManager, query: &Graph, kind: QueryKind) -> Option<EntryId> {
-    let fp = gc_graph::hash::fingerprint(query);
-    cache.fingerprint_bucket(fp).iter().copied().find(|&id| {
+/// Find the exact-match entry for `query`, if cached (same kind), in the
+/// bucket of its [`gc_graph::hash::fingerprint`]. Returns the entry and the
+/// steps its confirmation took ([`gc_iso::iso::confirm_isomorphic`]: `0` =
+/// equal presentation, no isomorphism search).
+pub fn find_exact(cache: &CacheManager, query: &Graph, kind: QueryKind) -> Option<(EntryId, u64)> {
+    let fingerprint = gc_graph::hash::fingerprint(query);
+    cache.fingerprint_bucket(fingerprint).iter().find_map(|&id| {
         let e = cache.get(id).expect("bucket holds live entries");
-        e.kind == kind && gc_iso::iso::are_isomorphic(&e.graph, query)
+        if e.kind != kind {
+            return None;
+        }
+        Some((id, gc_iso::iso::confirm_isomorphic(&e.graph, &e.profile, query)?))
     })
 }
 
@@ -145,7 +160,7 @@ pub fn find_exact(cache: &CacheManager, query: &Graph, kind: QueryKind) -> Optio
 /// itself; pipeline callers use [`probe_cases`] with the context's shared
 /// extraction and scratch.
 pub fn probe(cache: &CacheManager, cfg: &CacheConfig, query: &Graph, kind: QueryKind) -> CacheHits {
-    if let Some(exact) = find_exact(cache, query, kind) {
+    if let Some((exact, _)) = find_exact(cache, query, kind) {
         return CacheHits { exact: Some(exact), ..CacheHits::default() };
     }
     let qf = cache.index().features_of(query);
@@ -309,11 +324,88 @@ mod tests {
     fn exact_match_found_and_kind_respected() {
         let q = g(&[0, 1], &[(0, 1)]);
         let cm = cache_with(&[(q.clone(), QueryKind::Subgraph)]);
-        assert!(find_exact(&cm, &q, QueryKind::Subgraph).is_some());
+        assert_eq!(find_exact(&cm, &q, QueryKind::Subgraph), Some((0, 0)), "no search");
         assert!(find_exact(&cm, &q, QueryKind::Supergraph).is_none());
-        // A permuted isomorphic presentation still matches.
+        // A permuted isomorphic presentation still matches — by search.
         let q2 = g(&[1, 0], &[(0, 1)]);
-        assert!(find_exact(&cm, &q2, QueryKind::Subgraph).is_some());
+        assert!(find_exact(&cm, &q2, QueryKind::Subgraph).is_some_and(|(_, steps)| steps > 0));
+    }
+
+    /// `g` with vertex `i` renumbered `perm[i]`.
+    fn permuted(g: &Graph, perm: &[u32]) -> Graph {
+        let mut labels = vec![Label(0); perm.len()];
+        for v in g.vertices() {
+            labels[perm[v as usize] as usize] = g.label(v);
+        }
+        let edges: Vec<_> = g.edges().map(|(u, v)| (perm[u as usize], perm[v as usize])).collect();
+        graph_from_parts(&labels, &edges).unwrap()
+    }
+
+    #[test]
+    fn bucket_sharing_non_isomorph_is_not_an_exact_match() {
+        // 1-WL cannot tell a hexagon from two triangles (equal n, m, labels,
+        // degrees): same fingerprint, same bucket — the confirmation, not
+        // the presentation shortcut, keeps them apart.
+        let c6 = g(&[0; 6], &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
+        let two_c3 = g(&[0; 6], &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
+        let fp = gc_graph::hash::fingerprint(&c6);
+        assert_eq!(fp, gc_graph::hash::fingerprint(&two_c3));
+        let cm = cache_with(&[(c6.clone(), QueryKind::Subgraph)]);
+        assert_eq!(cm.fingerprint_bucket(fp), &[0]);
+        assert!(find_exact(&cm, &two_c3, QueryKind::Subgraph).is_none());
+        assert_eq!(find_exact(&cm, &c6, QueryKind::Subgraph), Some((0, 0)));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The entry table and the memo hit exactly when the reference
+        /// `are_isomorphic` says so, for the stored presentation (no
+        /// search), a random renumbering of it (by search, unless the
+        /// renumbering is an automorphism) and an unrelated query; never
+        /// across kinds.
+        #[test]
+        fn exact_and_memo_hit_iff_isomorphic(
+            seed in proptest::prelude::any::<u64>(),
+            edges in 2usize..12,
+            supergraph in proptest::prelude::any::<bool>(),
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let molecules = gc_workload::molecule_dataset(2, seed);
+            let stored = gc_workload::extract_query(&molecules[0], edges, &mut rng).unwrap();
+            let other = gc_workload::extract_query(&molecules[1], edges, &mut rng).unwrap();
+            let mut perm: Vec<u32> = (0..stored.vertex_count() as u32).collect();
+            for i in (1..perm.len()).rev() {
+                perm.swap(i, rng.gen_range(0..=i));
+            }
+            let renumbered = permuted(&stored, &perm);
+            let (kind, other_kind) = if supergraph {
+                (QueryKind::Supergraph, QueryKind::Subgraph)
+            } else {
+                (QueryKind::Subgraph, QueryKind::Supergraph)
+            };
+            let cm = cache_with(&[(stored.clone(), kind)]);
+            let memo = crate::memo::AnswerMemo::new(4);
+            let stored_fp = gc_graph::hash::fingerprint(&stored);
+            memo.store(stored_fp, &stored, kind, &BitSet::new(8), 8, 0);
+
+            for q in [&stored.clone(), &renumbered, &other] {
+                let fp = gc_graph::hash::fingerprint(q);
+                let want = gc_iso::iso::are_isomorphic(&stored, q);
+                let exact = find_exact(&cm, q, kind);
+                let memoized = memo.lookup(fp, q, kind, 0).map(|hit| hit.confirm_steps);
+                proptest::prop_assert_eq!(exact.is_some(), want);
+                proptest::prop_assert_eq!(exact.map(|(_, steps)| steps), memoized);
+                if let Some(steps) = memoized {
+                    proptest::prop_assert_eq!(fp, stored_fp);
+                    proptest::prop_assert_eq!(steps == 0, *q == stored);
+                }
+                proptest::prop_assert!(find_exact(&cm, q, other_kind).is_none());
+                proptest::prop_assert!(memo.lookup(fp, q, other_kind, 0).is_none());
+            }
+            proptest::prop_assert!(gc_iso::iso::are_isomorphic(&stored, &renumbered));
+        }
     }
 
     #[test]

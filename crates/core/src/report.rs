@@ -44,8 +44,9 @@ pub struct QueryReport {
     /// The candidate set the pipeline started from (Fig. 3(b)): Method M's
     /// `C_M`, or the hits' upper bound `U` when bounded
     /// ([`QueryReport::filter_skipped`]). Either way it contains the answer
-    /// and everything that was verified. Empty for exact and memo hits (no
-    /// stage ran on those fast paths).
+    /// and everything that was verified. On exact and memo hits no stage
+    /// ran: this and the three stage sets below are empty over an *empty
+    /// universe* (`universe() == 0`), so a hit allocates only its answer.
     pub cm_set: BitSet,
     /// `S` — definite answers contributed by hits (Fig. 3(c)).
     pub definite_set: BitSet,

@@ -15,7 +15,7 @@ use crate::memo::AnswerMemo;
 use crate::persist::{self, PersistHealth, RecoveryReport, RestoredEntry, StoreHealth};
 use crate::pipeline::admit::{self, AdmitLimits};
 use crate::pipeline::probe::ProbeScratch;
-use crate::pipeline::{self, bound, filter, probe, prune, verify, PipelineCtx};
+use crate::pipeline::{self, bound, filter, probe, prune, verify, FastTier, PipelineCtx};
 use crate::policy::ReplacementPolicy;
 use crate::report::{IndexHealth, QueryReport};
 use crate::stats::{GlobalStats, StatsMonitor};
@@ -26,7 +26,7 @@ use gc_graph::{BitSet, Graph, GraphId};
 use gc_method::{Dataset, Method, QueryKind};
 use gc_store::{CacheStore, LoadOutcome, SnapshotInfo};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Journaling state of an attached [`CacheStore`].
 struct StoreState {
@@ -168,22 +168,25 @@ impl GraphCache {
         let seq = self.telemetry.begin_query();
         let mut timing = QueryTiming::default();
         let generation = self.dataset.generation();
+        let (fp, key) = query_key(&self.telemetry, query, start);
+        let fast = FastPath {
+            telemetry: &self.telemetry,
+            stats: &self.stats,
+            seq,
+            start,
+            key,
+            request_id,
+            kind,
+            shard: 0,
+            generation,
+        };
 
         // ---- exact-match fast path (traditional cache hit) ---------------
-        if let Some(id) = probe::find_exact(&self.cache, query, kind) {
-            let report = self.serve_exact(id, kind, now, start);
-            finish_fast_path(
-                &self.telemetry,
-                seq,
-                start.elapsed(),
-                &timing,
-                request_id,
-                kind,
-                "exact",
-                0,
-                generation,
-                report.answer.count() as u64,
-            );
+        if let Some((id, confirm_steps)) = probe::find_exact(&self.cache, query, kind) {
+            let (answer, base_tests, _base_cost) =
+                admit::serve_exact(&mut self.cache, self.policy.as_mut(), id, now)
+                    .expect("exact hit is live in the sequential runtime");
+            let report = fast.finish(FastTier::Exact, &timing, answer, base_tests, confirm_steps);
             // Exact hits skip the journal hooks (nothing mutated), so an
             // exact-hit-only workload must still drive recovery probes.
             self.maybe_probe_persistence();
@@ -193,26 +196,13 @@ impl GraphCache {
         // ---- answer-memo fast path (generation-versioned) -----------------
         let memo_hit = {
             let _span = self.telemetry.span(PipelineStage::Memo, &mut timing);
-            self.memo.lookup(query, kind, generation)
+            self.memo.lookup(fp, query, kind, generation)
         };
         if let Some(hit) = memo_hit {
-            let elapsed = start.elapsed();
-            self.stats.add(&pipeline::memo_stats_delta(hit.base_tests, elapsed));
-            let answer_count = hit.answer.count() as u64;
-            finish_fast_path(
-                &self.telemetry,
-                seq,
-                elapsed,
-                &timing,
-                request_id,
-                kind,
-                "memo",
-                0,
-                generation,
-                answer_count,
-            );
+            let report =
+                fast.finish(FastTier::Memo, &timing, hit.answer, hit.base_tests, hit.confirm_steps);
             self.maybe_probe_persistence();
-            return pipeline::memo_report(hit.answer, kind, hit.base_tests, elapsed);
+            return report;
         }
 
         let mut ctx = PipelineCtx::new(query, kind, now, self.dataset.len());
@@ -262,6 +252,7 @@ impl GraphCache {
             AdmitLimits::from_config(&self.config),
             query,
             kind,
+            fp,
             ctx.features.take(), // the probe stage's extraction, reused
             &answer,
             ctx.pruned.cm_size as u64,
@@ -269,7 +260,7 @@ impl GraphCache {
             now,
         );
         let (base_tests, base_cost) = (ctx.pruned.cm_size as u64, ctx.verify_steps);
-        self.memo.store(query, kind, &answer, base_tests, generation);
+        self.memo.store(fp, query, kind, &answer, base_tests, generation);
         drop(admit_span);
 
         let elapsed = start.elapsed();
@@ -439,21 +430,6 @@ impl GraphCache {
             }
             Err(_) => health.probe_failed(self.config.persist_max_probes),
         }
-    }
-
-    fn serve_exact(
-        &mut self,
-        id: EntryId,
-        kind: QueryKind,
-        now: u64,
-        start: Instant,
-    ) -> QueryReport {
-        let (answer, base_tests, _base_cost) =
-            admit::serve_exact(&mut self.cache, self.policy.as_mut(), id, now)
-                .expect("exact hit is live in the sequential runtime");
-        let elapsed = start.elapsed();
-        self.stats.add(&pipeline::exact_stats_delta(base_tests, elapsed));
-        pipeline::exact_report(answer, kind, base_tests, elapsed)
     }
 
     // ---- persistence --------------------------------------------------------
@@ -839,47 +815,65 @@ pub(crate) fn kind_label(kind: QueryKind) -> &'static str {
     }
 }
 
-/// Observe a fast-path (exact/memo) query into the telemetry hub; the
-/// trace, when sampled or slow, carries the answer size and any memo-span
-/// time but no pipeline-stage counts (those stages never ran).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn finish_fast_path(
-    telemetry: &Telemetry,
-    seq: u64,
-    elapsed: std::time::Duration,
-    timing: &QueryTiming,
-    request_id: Option<&str>,
-    kind: QueryKind,
-    outcome: &'static str,
-    shard: u32,
-    generation: u64,
-    answer: u64,
-) {
-    telemetry.finish_query(seq, elapsed, |slow| QueryTrace {
-        seq,
-        request_id: request_id.map(str::to_owned),
-        kind: kind_label(kind).to_owned(),
-        outcome: outcome.to_owned(),
-        shard,
-        generation,
-        plan: String::new(),
-        total_us: elapsed.as_micros().min(u128::from(u64::MAX)) as u64,
-        probe_us: timing.us(PipelineStage::Probe),
-        bound_us: timing.us(PipelineStage::Bound),
-        filter_us: timing.us(PipelineStage::Filter),
-        prune_us: timing.us(PipelineStage::Prune),
-        verify_us: timing.us(PipelineStage::Verify),
-        admit_us: timing.us(PipelineStage::Admit),
-        memo_us: timing.us(PipelineStage::Memo),
-        cm_size: 0,
-        definite: 0,
-        to_verify: 0,
-        survivors: 0,
-        answer,
-        probe_tests: 0,
-        verify_steps: 0,
-        slow,
-    });
+/// The query's key — its WL fingerprint, shared by shard routing, the memo
+/// and admission ([`probe::find_exact`] still derives its own) — and the
+/// time since `start` it was ready at (observed as the `key` stage).
+pub(crate) fn query_key(telemetry: &Telemetry, query: &Graph, start: Instant) -> (u64, Duration) {
+    let fp = gc_graph::hash::fingerprint(query);
+    let key = start.elapsed();
+    telemetry.stage(PipelineStage::Key).observe(key);
+    (fp, key)
+}
+
+/// What both runtimes know about a query before any tier has answered it;
+/// closes the query when a tier in front of the pipeline serves it whole.
+pub(crate) struct FastPath<'a> {
+    pub telemetry: &'a Telemetry,
+    pub stats: &'a StatsMonitor,
+    pub seq: u64,
+    pub start: Instant,
+    /// [`query_key`]'s time: `start` → fingerprint ready.
+    pub key: Duration,
+    pub request_id: Option<&'a str>,
+    pub kind: QueryKind,
+    pub shard: u32,
+    pub generation: u64,
+}
+
+impl FastPath<'_> {
+    /// Publish the hit's statistics, observe it into the telemetry hub (an
+    /// exact hit also as the `exact` stage: key done → now) and build its
+    /// report around `answer`, the hit's one universe-sized value. The
+    /// trace, when sampled or slow, carries the answer size and any
+    /// memo-span time but no pipeline-stage counts (those stages never ran).
+    pub(crate) fn finish(
+        &self,
+        tier: FastTier,
+        timing: &QueryTiming,
+        answer: BitSet,
+        base_tests: u64,
+        confirm_steps: u64,
+    ) -> QueryReport {
+        let elapsed = self.start.elapsed();
+        self.stats.add(&pipeline::fast_stats_delta(tier, base_tests, confirm_steps, elapsed));
+        if tier == FastTier::Exact {
+            self.telemetry.stage(PipelineStage::Exact).observe(elapsed.saturating_sub(self.key));
+        }
+        self.telemetry.finish_query(self.seq, elapsed, |slow| QueryTrace {
+            seq: self.seq,
+            request_id: self.request_id.map(str::to_owned),
+            kind: kind_label(self.kind).to_owned(),
+            outcome: tier.label().to_owned(),
+            shard: self.shard,
+            generation: self.generation,
+            total_us: elapsed.as_micros().min(u128::from(u64::MAX)) as u64,
+            memo_us: timing.us(PipelineStage::Memo),
+            answer: answer.count() as u64,
+            slow,
+            ..QueryTrace::default()
+        });
+        pipeline::fast_report(tier, answer, self.kind, base_tests, elapsed)
+    }
 }
 
 /// Assemble a full-pipeline [`QueryTrace`] from the query's context.

@@ -50,10 +50,10 @@ use crate::memo::AnswerMemo;
 use crate::persist::{self, PersistHealth, RecoveryReport, RestoredEntry, StoreHealth};
 use crate::pipeline::admit::{self, AdmitLimits, AdmitOutcome};
 use crate::pipeline::probe::{CacheHits, HitSnapshot, ProbeScratch};
-use crate::pipeline::{self, bound, filter, probe, prune, verify, PipelineCtx};
+use crate::pipeline::{bound, filter, probe, prune, verify, FastTier, PipelineCtx};
 use crate::policy::ReplacementPolicy;
 use crate::report::{IndexHealth, QueryReport};
-use crate::runtime::{finish_fast_path, pipeline_trace};
+use crate::runtime::{pipeline_trace, query_key, FastPath};
 use crate::stats::{GlobalStats, StatsMonitor};
 use crate::telemetry::{PipelineStage, QueryTiming, Telemetry};
 use crate::window::WindowManager;
@@ -184,10 +184,10 @@ pub struct SharedGraphCache {
     /// Live dataset + filter overlay (see [`DataState`] for the locking
     /// protocol).
     data: RwLock<DataState>,
-    /// Generation-versioned exact answer memo; the mutex is held only for
-    /// the lookup/store instants (always under the `data` read lock, so a
-    /// memoized generation can never race a mutation).
-    memo: Mutex<AnswerMemo>,
+    /// Generation-versioned exact answer memo; its internal mutex is held
+    /// only for the lookup/store instants (always under the `data` read
+    /// lock, so a memoized generation can never race a mutation).
+    memo: AnswerMemo,
     method: Arc<dyn Method>,
     config: CacheConfig,
     /// Shared with the per-shard probe tasks fanned onto the worker pool
@@ -263,7 +263,7 @@ impl SharedGraphCache {
             cost: CostModel::new(&dataset),
             stats: StatsMonitor::new(),
             clock: AtomicU64::new(0),
-            memo: Mutex::new(AnswerMemo::new(config.memo_capacity)),
+            memo: AnswerMemo::new(config.memo_capacity),
             data: RwLock::new(DataState { overlay: BitSet::new(dataset.len()), dataset }),
             method,
             config,
@@ -317,10 +317,10 @@ impl SharedGraphCache {
     ) -> QueryReport {
         let start = Instant::now();
         let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let fp = gc_graph::hash::fingerprint(query);
-        let home = (fp % self.shards.len() as u64) as usize;
         let seq = self.telemetry.begin_query();
         let mut timing = QueryTiming::default();
+        let (fp, key) = query_key(&self.telemetry, query, start);
+        let home = (fp % self.shards.len() as u64) as usize;
 
         // Pin the dataset for the query's duration: mutations take this
         // lock exclusively, so everything below sees one generation. The
@@ -328,6 +328,17 @@ impl SharedGraphCache {
         // re-acquire the read lock; parking_lot locks are not reentrant).
         let data = self.data.read();
         let generation = data.dataset.generation();
+        let fast = FastPath {
+            telemetry: &self.telemetry,
+            stats: &self.stats,
+            seq,
+            start,
+            key,
+            request_id,
+            kind,
+            shard: home as u32,
+            generation,
+        };
 
         // ---- exact-match fast path: home shard only -----------------------
         // Cheap read-locked check first; only a hit pays for the write lock
@@ -336,20 +347,9 @@ impl SharedGraphCache {
         let maybe_exact =
             probe::find_exact(&self.shards[home].state.read().cache, query, kind).is_some();
         if maybe_exact {
-            if let Some(report) = self.serve_exact(home, query, kind, now, start) {
+            if let Some((answer, base_tests, steps)) = self.serve_exact(home, query, kind, now) {
                 drop(data);
-                finish_fast_path(
-                    &self.telemetry,
-                    seq,
-                    start.elapsed(),
-                    &timing,
-                    request_id,
-                    kind,
-                    "exact",
-                    home as u32,
-                    generation,
-                    report.answer.count() as u64,
-                );
+                let report = fast.finish(FastTier::Exact, &timing, answer, base_tests, steps);
                 // Exact hits skip the journal hooks (nothing mutated), so
                 // an exact-hit-only workload must still drive recovery
                 // probes.
@@ -361,27 +361,14 @@ impl SharedGraphCache {
         // ---- answer-memo fast path (generation-versioned) -----------------
         let memo_hit = {
             let _span = self.telemetry.span(PipelineStage::Memo, &mut timing);
-            self.memo.lock().lookup(query, kind, generation)
+            self.memo.lookup(fp, query, kind, generation)
         };
         if let Some(hit) = memo_hit {
             drop(data);
-            let elapsed = start.elapsed();
-            self.stats.add(&pipeline::memo_stats_delta(hit.base_tests, elapsed));
-            let answer_count = hit.answer.count() as u64;
-            finish_fast_path(
-                &self.telemetry,
-                seq,
-                elapsed,
-                &timing,
-                request_id,
-                kind,
-                "memo",
-                home as u32,
-                generation,
-                answer_count,
-            );
+            let report =
+                fast.finish(FastTier::Memo, &timing, hit.answer, hit.base_tests, hit.confirm_steps);
             self.maybe_probe_persistence();
-            return pipeline::memo_report(hit.answer, kind, hit.base_tests, elapsed);
+            return report;
         }
 
         // ---- staged pipeline ---------------------------------------------
@@ -499,6 +486,7 @@ impl SharedGraphCache {
                     self.limits[home],
                     query,
                     kind,
+                    fp,
                     ctx.features.take(), // the probe stage's extraction, reused
                     &answer,
                     ctx.pruned.cm_size as u64,
@@ -512,7 +500,7 @@ impl SharedGraphCache {
                 outcome
             }
         };
-        self.memo.lock().store(query, kind, &answer, ctx.pruned.cm_size as u64, generation);
+        self.memo.store(fp, query, kind, &answer, ctx.pruned.cm_size as u64, generation);
         drop(admit_span);
 
         let elapsed = start.elapsed();
@@ -810,28 +798,24 @@ impl SharedGraphCache {
         }
     }
 
-    /// Serve an exact hit from `home`; `None` if the entry vanished between
-    /// the read-locked check and this write section (caller falls back to
-    /// the full pipeline).
+    /// Credit and copy out an exact hit from `home` under its write lock:
+    /// `(answer, base_tests, confirmation steps)`. `None` if the entry
+    /// vanished between the read-locked check and this write section
+    /// (caller falls back to the full pipeline).
     fn serve_exact(
         &self,
         home: usize,
         query: &Graph,
         kind: QueryKind,
         now: u64,
-        start: Instant,
-    ) -> Option<QueryReport> {
+    ) -> Option<(BitSet, u64, u64)> {
         let shard = &self.shards[home];
         let mut state = shard.state.write();
-        let id = probe::find_exact(&state.cache, query, kind)?;
+        let (id, confirm_steps) = probe::find_exact(&state.cache, query, kind)?;
         let mut policy = shard.policy.lock();
         let (answer, base_tests, _base_cost) =
             admit::serve_exact(&mut state.cache, policy.as_mut(), id, now)?;
-        drop(policy);
-        drop(state);
-        let elapsed = start.elapsed();
-        self.stats.add(&pipeline::exact_stats_delta(base_tests, elapsed));
-        Some(pipeline::exact_report(answer, kind, base_tests, elapsed))
+        Some((answer, base_tests, confirm_steps))
     }
 
     // ---- durable state (snapshot + journal) -------------------------------
@@ -1165,7 +1149,7 @@ impl SharedGraphCache {
 
     /// Live answers in the generation-versioned memo (diagnostics).
     pub fn memo_len(&self) -> usize {
-        self.memo.lock().len()
+        self.memo.len()
     }
 
     /// Cache memory footprint across shards (entries + per-shard index).

@@ -27,6 +27,12 @@ pub struct GlobalStats {
     /// generation-versioned exact answer memo, bypassing the
     /// filter/probe/verify pipeline entirely.
     pub memo_hits: u64,
+    /// Exact and memo hits whose confirmation needed the isomorphism search
+    /// (the query was a differently numbered isomorph of the stored graph,
+    /// not a repeat of its presentation; see
+    /// [`gc_iso::iso::confirm_isomorphic`]). Near 0: clients re-send
+    /// queries verbatim and a hit is confirmed by comparing presentations.
+    pub exact_confirm_iso: u64,
     /// Queries with at least one sub-case hit (query ⊑ cached).
     pub queries_with_sub_hits: u64,
     /// Queries with at least one super-case hit (cached ⊑ query).
@@ -179,6 +185,7 @@ struct AtomicStats {
     hit_queries: AtomicU64,
     exact_hits: AtomicU64,
     memo_hits: AtomicU64,
+    exact_confirm_iso: AtomicU64,
     queries_with_sub_hits: AtomicU64,
     queries_with_super_hits: AtomicU64,
     sub_hits: AtomicU64,
@@ -213,6 +220,7 @@ macro_rules! for_each_counter {
         $macro_cb!(hit_queries);
         $macro_cb!(exact_hits);
         $macro_cb!(memo_hits);
+        $macro_cb!(exact_confirm_iso);
         $macro_cb!(queries_with_sub_hits);
         $macro_cb!(queries_with_super_hits);
         $macro_cb!(sub_hits);
@@ -318,6 +326,7 @@ mod tests {
             hit_queries: 2,
             exact_hits: 3,
             memo_hits: 17,
+            exact_confirm_iso: 19,
             queries_with_sub_hits: 4,
             queries_with_super_hits: 5,
             sub_hits: 6,

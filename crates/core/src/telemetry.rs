@@ -29,12 +29,13 @@ pub const BUCKETS: usize = 21;
 /// so any percentile estimated from the buckets is exact to within one
 /// power-of-two bucket — the reported bound is never more than 2× the
 /// true value's bucket floor. The exact maximum is tracked separately.
+/// The sum is kept in nanoseconds, so sub-microsecond observations (a memo
+/// lookup, an exact hit) still add up instead of each truncating to 0.
 #[derive(Debug, Default)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
     inf: AtomicU64,
-    sum_us: AtomicU64,
-    count: AtomicU64,
+    sum_ns: AtomicU64,
     max_us: AtomicU64,
 }
 
@@ -46,11 +47,16 @@ impl Histogram {
 
     /// Record one observation.
     pub fn observe(&self, d: Duration) {
-        self.observe_us(d.as_micros().min(u128::from(u64::MAX)) as u64);
+        self.observe_ns(d.as_nanos().min(u128::from(u64::MAX)) as u64);
     }
 
     /// Record one observation given directly in microseconds.
     pub fn observe_us(&self, us: u64) {
+        self.observe_ns(us.saturating_mul(1000));
+    }
+
+    fn observe_ns(&self, ns: u64) {
+        let us = ns / 1000;
         // Index of the first bucket whose bound 2^i exceeds `us`:
         // us == 0 → bucket 0 (< 1 µs); us in [2^(i-1), 2^i) → bucket i.
         let idx = (u64::BITS - us.leading_zeros()) as usize;
@@ -59,19 +65,25 @@ impl Histogram {
         } else {
             self.inf.fetch_add(1, Ordering::Relaxed);
         }
-        self.sum_us.fetch_add(us, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.max_us.fetch_max(us, Ordering::Relaxed);
+        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        // A plain load almost always settles it: one less locked
+        // read-modify-write per observation.
+        if us > self.max_us.load(Ordering::Relaxed) {
+            self.max_us.fetch_max(us, Ordering::Relaxed);
+        }
     }
 
-    /// Total observations.
+    /// Total observations — the buckets' total: an observation is two
+    /// atomic adds (its bucket, the sum), not three.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        let finite: u64 = self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum();
+        finite + self.inf.load(Ordering::Relaxed)
     }
 
-    /// Sum of all observations, microseconds.
+    /// Sum of all observations, whole microseconds (truncated once, from
+    /// the nanosecond total).
     pub fn sum_us(&self) -> u64 {
-        self.sum_us.load(Ordering::Relaxed)
+        self.sum_ns.load(Ordering::Relaxed) / 1000
     }
 
     /// Largest observation seen, microseconds (0 when empty).
@@ -86,11 +98,12 @@ impl Histogram {
         for (dst, src) in buckets.iter_mut().zip(self.buckets.iter()) {
             *dst = src.load(Ordering::Relaxed);
         }
+        let inf = self.inf.load(Ordering::Relaxed);
         HistogramSnapshot {
             buckets,
-            inf: self.inf.load(Ordering::Relaxed),
-            sum_us: self.sum_us(),
-            count: self.count(),
+            inf,
+            sum_ns: self.sum_ns.load(Ordering::Relaxed),
+            count: buckets.iter().sum::<u64>() + inf,
             max_us: self.max_us(),
         }
     }
@@ -116,7 +129,7 @@ impl Histogram {
         cumulative += self.inf.load(Ordering::Relaxed);
         out.push_str(&format!("{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {cumulative}\n"));
         out.push_str(&format!("{name}_sum{{{labels}}} {}\n", self.sum_us()));
-        out.push_str(&format!("{name}_count{{{labels}}} {}\n", self.count()));
+        out.push_str(&format!("{name}_count{{{labels}}} {cumulative}\n"));
     }
 }
 
@@ -128,8 +141,8 @@ pub struct HistogramSnapshot {
     pub buckets: [u64; BUCKETS],
     /// Observations ≥ 2^20 µs.
     pub inf: u64,
-    /// Sum of all observations, microseconds.
-    pub sum_us: u64,
+    /// Sum of all observations, nanoseconds.
+    pub sum_ns: u64,
     /// Total observations.
     pub count: u64,
     /// Largest observation, microseconds.
@@ -143,7 +156,7 @@ impl HistogramSnapshot {
             *dst += src;
         }
         self.inf += other.inf;
-        self.sum_us += other.sum_us;
+        self.sum_ns += other.sum_ns;
         self.count += other.count;
         self.max_us = self.max_us.max(other.max_us);
     }
@@ -176,13 +189,14 @@ impl HistogramSnapshot {
         if self.count == 0 {
             0.0
         } else {
-            self.sum_us as f64 / self.count as f64
+            self.sum_ns as f64 / 1000.0 / self.count as f64
         }
     }
 }
 
 /// The pipeline stages the cache times individually, in execution order,
-/// plus the answer-memo tier (timed on memo-hit fast paths).
+/// then the tiers in front of the pipeline: the answer memo, the query's
+/// key, and the exact-match hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PipelineStage {
     /// Cache probe: find sub/super hits in the index, snapshot answers.
@@ -201,12 +215,21 @@ pub enum PipelineStage {
     Admit,
     /// Answer-memo lookup (the pre-pipeline fast path).
     Memo,
+    /// Query entry until its WL fingerprint — the key of shard routing, the
+    /// memo and admission — is computed. Every query.
+    Key,
+    /// Key done until an exact-match hit is served: `find_exact` under the
+    /// read lock and again under the write lock (each derives the
+    /// fingerprint itself, then bucket lookup and confirmation), crediting,
+    /// the answer copy. Exact hits only, so `key + exact` is an exact hit's
+    /// whole time.
+    Exact,
 }
 
 impl PipelineStage {
     /// All stages, in pipeline order (a stage's position is its
     /// discriminant, see [`PipelineStage::index`]).
-    pub const ALL: [PipelineStage; 7] = [
+    pub const ALL: [PipelineStage; 9] = [
         PipelineStage::Probe,
         PipelineStage::Bound,
         PipelineStage::Filter,
@@ -214,6 +237,8 @@ impl PipelineStage {
         PipelineStage::Verify,
         PipelineStage::Admit,
         PipelineStage::Memo,
+        PipelineStage::Key,
+        PipelineStage::Exact,
     ];
 
     /// Position in [`PipelineStage::ALL`] and in per-stage arrays.
@@ -231,6 +256,8 @@ impl PipelineStage {
             PipelineStage::Verify => "verify",
             PipelineStage::Admit => "admit",
             PipelineStage::Memo => "memo",
+            PipelineStage::Key => "key",
+            PipelineStage::Exact => "exact",
         }
     }
 }
@@ -264,10 +291,10 @@ pub struct Span<'a> {
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        let us = self.start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        self.hist.observe_us(us);
+        let elapsed = self.start.elapsed();
+        self.hist.observe(elapsed);
         if let Some(slot) = self.slot.as_deref_mut() {
-            *slot += us;
+            *slot += elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
         }
     }
 }
@@ -588,6 +615,22 @@ mod tests {
     }
 
     #[test]
+    fn sub_microsecond_observations_add_up() {
+        // 0.3 µs each: bucket 0, max 0 µs — but 1000 of them are 300 µs,
+        // not the 0 a per-observation truncation to whole µs summed to.
+        let h = Histogram::default();
+        for _ in 0..1000 {
+            h.observe(Duration::from_nanos(300));
+        }
+        assert_eq!(h.sum_us(), 300);
+        assert!((h.snapshot().mean_us() - 0.3).abs() < 1e-9);
+        assert_eq!((h.snapshot().buckets[0], h.max_us()), (1000, 0));
+        let mut out = String::new();
+        h.render_prometheus(&mut out, "m", "");
+        assert!(out.contains("m_sum{} 300\n"));
+    }
+
+    #[test]
     fn unlabelled_render_has_no_stray_comma() {
         let h = Histogram::default();
         h.observe(Duration::from_micros(1));
@@ -623,7 +666,8 @@ mod tests {
         let mut m = a.snapshot();
         m.merge(&b.snapshot());
         assert_eq!(m.count, 3);
-        assert_eq!(m.sum_us, 906);
+        assert_eq!(m.sum_ns, 906_000);
+        assert!((m.mean_us() - 302.0).abs() < 1e-9);
         assert_eq!(m.max_us, 900);
         assert_eq!(m.buckets[2], 2); // two 3 µs observations
     }
@@ -631,7 +675,10 @@ mod tests {
     #[test]
     fn stage_labels_cover_all() {
         let labels: Vec<&str> = PipelineStage::ALL.iter().map(|s| s.label()).collect();
-        assert_eq!(labels, ["probe", "bound", "filter", "prune", "verify", "admit", "memo"]);
+        assert_eq!(
+            labels,
+            ["probe", "bound", "filter", "prune", "verify", "admit", "memo", "key", "exact"]
+        );
         for (i, stage) in PipelineStage::ALL.into_iter().enumerate() {
             assert_eq!(stage.index(), i, "ALL lists the stages in discriminant order");
         }
@@ -660,7 +707,10 @@ mod tests {
         let labels: Vec<&str> = t.labelled_stages().map(|(label, _)| label).collect();
         assert_eq!(
             labels,
-            ["probe", "bound", "filter", "prune", "verify", "admit", "memo", "mutate"]
+            [
+                "probe", "bound", "filter", "prune", "verify", "admit", "memo", "key", "exact",
+                "mutate"
+            ]
         );
         assert_eq!(t.labelled_stages().last().unwrap().1.count(), 1);
     }

@@ -402,6 +402,105 @@ fn cross_runtime_restore_shared_to_sequential() {
 
 // ---- property: restore(snapshot(cache)) ≡ cache ------------------------------
 
+/// A store directory written by the commit *before* the WL fingerprint
+/// moved to thread-local scratch (`write_store_fixture` below, run there).
+/// Entry buckets, the dataset fingerprint and the journaled delta all carry
+/// `gc_graph::hash::fingerprint` values, so restoring it warm is the
+/// end-to-end proof that the function still returns what it returned.
+const STORE_FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/store_v3");
+
+fn fixture_inputs() -> (Arc<Dataset>, Workload, gc_graph::Graph) {
+    let ds = dataset(14, 7);
+    let inserted = molecule_dataset(1, 99).remove(0);
+    (ds.clone(), workload(&ds, 36, 3), inserted)
+}
+
+/// Regenerates [`STORE_FIXTURE`] (snapshot + a journal tail holding
+/// admissions and one dataset delta). Only to pin a *new* format version:
+/// `cargo test -p gc-core --test warm_restart -- --ignored write_store_fixture`.
+#[test]
+#[ignore = "writes the committed fixture; run by hand at the commit to pin"]
+fn write_store_fixture() {
+    let (ds, w, inserted) = fixture_inputs();
+    let _ = std::fs::remove_dir_all(STORE_FIXTURE);
+    let cfg = CacheConfig { snapshot_interval: Some(8), ..config() };
+    let store = Arc::new(CacheStore::open(STORE_FIXTURE).unwrap());
+    let (mut gc, _) =
+        GraphCache::restore_from(ds, Box::new(SiMethod), PolicyKind::Hd.make(), cfg, store)
+            .unwrap();
+    for (i, wq) in w.queries.iter().enumerate() {
+        if i == 30 {
+            gc.insert_graph(inserted.clone());
+        }
+        gc.query(&wq.graph, wq.kind);
+    }
+    assert!(gc.attached_store().unwrap().journal_records() > 1, "snapshot + journal tail");
+    gc.attached_store().unwrap().sync().unwrap();
+}
+
+#[test]
+fn store_written_before_the_fingerprint_rewrite_restores_warm() {
+    assert_eq!(gc_store::FORMAT_VERSION, 3, "a new format needs a new fixture");
+    let (ds, w, inserted) = fixture_inputs();
+    for sharded in [false, true] {
+        // Restoring rotates the directory, so work on a copy.
+        let dir = tmpdir(if sharded { "fixture_shared" } else { "fixture_seq" });
+        std::fs::create_dir_all(&dir).unwrap();
+        for file in std::fs::read_dir(STORE_FIXTURE).unwrap() {
+            let file = file.unwrap();
+            std::fs::copy(file.path(), dir.join(file.file_name())).unwrap();
+        }
+        let store = Arc::new(CacheStore::open(&dir).unwrap());
+        let cfg = CacheConfig { snapshot_interval: Some(8), ..config() };
+        let mut live = Dataset::clone(&ds);
+        live.insert_graph(inserted.clone());
+        let check = |report: &gc_core::RecoveryReport, entries: usize, restored: &Dataset| {
+            assert!(report.warm, "fixture must restore warm: {:?}", report.cold_reason);
+            assert_eq!(report.journal_deltas, 1, "the journaled insert replays");
+            assert!(report.journal_admits > 0 && entries > 0);
+            assert_eq!(restored.content_fingerprint(), live.content_fingerprint());
+        };
+        // Every query of the writing session is answered exactly; the ones
+        // whose entries survived are exact hits found through their stored
+        // fingerprint buckets.
+        let mut exact_hits = 0;
+        let mut replay =
+            |query: &mut dyn FnMut(&gc_graph::Graph, QueryKind) -> gc_core::QueryReport| {
+                for wq in &w.queries {
+                    let r = query(&wq.graph, wq.kind);
+                    exact_hits += u32::from(r.exact_hit);
+                    let want = execute_base(&live, &SiMethod, Engine::Vf2, &wq.graph, wq.kind);
+                    assert_eq!(r.answer, want.answer);
+                }
+            };
+        if sharded {
+            let (gc, report) = SharedGraphCache::restore_from(
+                ds.clone(),
+                Arc::new(SiMethod),
+                || PolicyKind::Hd.make(),
+                cfg,
+                store,
+            )
+            .unwrap();
+            check(&report, gc.len(), &gc.dataset());
+            replay(&mut |q, kind| gc.query(q, kind));
+        } else {
+            let (mut gc, report) = GraphCache::restore_from(
+                ds.clone(),
+                Box::new(SiMethod),
+                PolicyKind::Hd.make(),
+                cfg,
+                store,
+            )
+            .unwrap();
+            check(&report, gc.len(), gc.dataset());
+            replay(&mut |q, kind| gc.query(q, kind));
+        }
+        assert!(exact_hits > 0, "restored entries must be found by fingerprint");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

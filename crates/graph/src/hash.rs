@@ -12,6 +12,10 @@
 //! collide, so exact-match lookups confirm with a proper isomorphism test
 //! (see `gc-iso`). This mirrors the canonical-labelling + verification split
 //! the papers describe.
+//!
+//! The cache computes exactly one [`fingerprint`] per query — it keys the
+//! entry table, the answer memo and admission alike — so the function runs
+//! on thread-local buffers and allocates nothing once warm.
 
 use crate::{Graph, VertexId};
 
@@ -48,18 +52,29 @@ pub fn hash_seq(values: impl IntoIterator<Item = u64>) -> u64 {
     acc
 }
 
-/// One WL refinement round: `colors[v] <- H(colors[v], sorted neighbour colors)`.
-fn wl_round(g: &Graph, colors: &[u64], next: &mut Vec<u64>, scratch: &mut Vec<u64>) {
-    next.clear();
-    for v in g.vertices() {
-        scratch.clear();
-        scratch.extend(g.neighbors(v).iter().map(|&w| colors[w as usize]));
-        scratch.sort_unstable();
-        let mut acc = splitmix64(colors[v as usize]);
-        for &c in scratch.iter() {
-            acc = mix(acc, c);
+/// Refine into `colors` (indexed by vertex) for `rounds` WL rounds:
+/// `colors[v] <- H(colors[v], sorted neighbour colors)`. `next` and `nbrs`
+/// are working buffers; all three are cleared first, so warm ones make the
+/// refinement allocation-free.
+fn wl_refine(
+    g: &Graph,
+    rounds: usize,
+    colors: &mut Vec<u64>,
+    next: &mut Vec<u64>,
+    nbrs: &mut Vec<u64>,
+) {
+    colors.clear();
+    colors.extend(g.vertices().map(|v| splitmix64(g.label(v).0 as u64 ^ 0xC0FFEE)));
+    for _ in 0..rounds {
+        next.clear();
+        for v in g.vertices() {
+            nbrs.clear();
+            nbrs.extend(g.neighbors(v).iter().map(|&w| colors[w as usize]));
+            nbrs.sort_unstable();
+            let acc = nbrs.iter().fold(splitmix64(colors[v as usize]), |acc, &c| mix(acc, c));
+            next.push(acc);
         }
-        next.push(acc);
+        std::mem::swap(colors, next);
     }
 }
 
@@ -70,26 +85,35 @@ pub fn wl_colors(g: &Graph) -> Vec<u64> {
 
 /// WL colours after a custom number of rounds.
 pub fn wl_colors_rounds(g: &Graph, rounds: usize) -> Vec<u64> {
-    let mut colors: Vec<u64> =
-        g.vertices().map(|v| splitmix64(g.label(v).0 as u64 ^ 0xC0FFEE)).collect();
-    let mut next = Vec::with_capacity(colors.len());
-    let mut scratch = Vec::new();
-    for _ in 0..rounds {
-        wl_round(g, &colors, &mut next, &mut scratch);
-        std::mem::swap(&mut colors, &mut next);
-    }
+    let mut colors = Vec::with_capacity(g.vertex_count());
+    wl_refine(g, rounds, &mut colors, &mut Vec::with_capacity(g.vertex_count()), &mut Vec::new());
     colors
 }
 
-/// Isomorphism-invariant 64-bit fingerprint of a graph.
+thread_local! {
+    /// [`fingerprint`]'s three working buffers (see [`wl_refine`]): the
+    /// cache fingerprints every query (an exact hit up to three times), on
+    /// whatever thread serves it, and must not pay three allocations each.
+    static WL_SCRATCH: std::cell::RefCell<[Vec<u64>; 3]> = const {
+        std::cell::RefCell::new([Vec::new(), Vec::new(), Vec::new()])
+    };
+}
+
+/// Isomorphism-invariant 64-bit fingerprint of a graph:
+/// `mix(mix(n, m), hash_seq(sorted wl_colors))`.
 ///
 /// Equal for isomorphic graphs; collisions between non-isomorphic graphs are
-/// possible (use an isomorphism test to confirm).
+/// possible (use an isomorphism test to confirm). The value is a stored
+/// format — cache entries, dataset fingerprints and journals carry it — so
+/// it must never change. Allocation-free on a warm thread.
 pub fn fingerprint(g: &Graph) -> u64 {
-    let mut colors = wl_colors(g);
-    colors.sort_unstable();
-    let header = mix(g.vertex_count() as u64, g.edge_count() as u64);
-    mix(header, hash_seq(colors))
+    WL_SCRATCH.with(|scratch| {
+        let [colors, next, nbrs] = &mut *scratch.borrow_mut();
+        wl_refine(g, WL_ROUNDS, colors, next, nbrs);
+        colors.sort_unstable();
+        let header = mix(g.vertex_count() as u64, g.edge_count() as u64);
+        mix(header, hash_seq(colors.iter().copied()))
+    })
 }
 
 /// A vertex ordering by (WL colour, degree, id) — deterministic across

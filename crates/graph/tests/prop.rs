@@ -100,9 +100,25 @@ proptest! {
         prop_assert!(s.may_embed_into(&s));
     }
 
+    /// The fingerprint is a stored value (entries, dataset fingerprints,
+    /// journals): it must equal the allocating definition it was written
+    /// with, whatever the thread-local scratch held before and on whichever
+    /// thread it runs.
     #[test]
-    fn fingerprint_deterministic(g in arb_graph(8, 3)) {
-        prop_assert_eq!(gc_graph::hash::fingerprint(&g), gc_graph::hash::fingerprint(&g.clone()));
+    fn fingerprint_equals_its_definition(
+        g in arb_graph(12, 3),
+        before in arb_graph(12, 3),
+    ) {
+        use gc_graph::hash::{fingerprint, hash_seq, mix, wl_colors};
+        let mut colors = wl_colors(&g);
+        colors.sort_unstable();
+        let header = mix(g.vertex_count() as u64, g.edge_count() as u64);
+        let want = mix(header, hash_seq(colors));
+        fingerprint(&before); // leaves another graph's colours in the scratch
+        prop_assert_eq!(fingerprint(&g), want);
+        prop_assert_eq!(fingerprint(&g.clone()), want);
+        let on_fresh_thread = std::thread::scope(|s| s.spawn(|| fingerprint(&g)).join());
+        prop_assert_eq!(on_fresh_thread.expect("fingerprint does not panic"), want);
     }
 
     #[test]

@@ -86,6 +86,9 @@ pub struct StatsResponse {
     pub exact_hits: u64,
     /// Answer-memo hits (pipeline bypassed entirely).
     pub memo_hits: u64,
+    /// Exact/memo hits confirmed by isomorphism search rather than by an
+    /// equal presentation (clients sending isomorphs, not repeats).
+    pub exact_confirm_iso: u64,
     /// Individual sub-case hits.
     pub sub_hits: u64,
     /// Individual super-case hits.
@@ -231,6 +234,7 @@ mod tests {
             hit_queries: 40,
             exact_hits: 10,
             memo_hits: 4,
+            exact_confirm_iso: 1,
             sub_hits: 5,
             super_hits: 3,
             tests_executed: 900,

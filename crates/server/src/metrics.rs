@@ -223,6 +223,12 @@ impl ServerMetrics {
         counter(&mut out, "gc_cache_exact_hits_total", "Exact-match hits.", cache_stats.exact_hits);
         counter(
             &mut out,
+            "gc_exact_confirm_iso_total",
+            "Exact/memo hits confirmed by isomorphism search, not by an equal presentation.",
+            cache_stats.exact_confirm_iso,
+        );
+        counter(
+            &mut out,
             "gc_cache_tests_executed_total",
             "Sub-iso tests against dataset graphs.",
             cache_stats.tests_executed,

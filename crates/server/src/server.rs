@@ -635,6 +635,7 @@ fn handle_stats(shared: &Shared) -> Response {
         hit_queries: s.hit_queries,
         exact_hits: s.exact_hits,
         memo_hits: s.memo_hits,
+        exact_confirm_iso: s.exact_confirm_iso,
         sub_hits: s.sub_hits,
         super_hits: s.super_hits,
         tests_executed: s.tests_executed,
@@ -876,19 +877,23 @@ mod tests {
             serde_json::from_str(&client.get("/stats").unwrap().body_text()).unwrap();
         assert_eq!(stats.slow_queries, 3);
         assert!(stats.traces_sampled >= 3);
-        assert_eq!(stats.stages.len(), 8);
+        assert_eq!(stats.stages.len(), 10);
         assert!(stats.stages.iter().any(|s| s.stage == "filter" && s.count > 0));
         assert!(stats.stages.iter().any(|s| s.stage == "bound" && s.count > 0));
         assert_eq!(stats.filter_skipped, 0, "one cold query, then exact hits: nothing to bound");
         assert_eq!(parsed.traces[0].plan, "", "an exact hit ran no plan");
         assert!(slow.traces.iter().any(|t| t.plan == "filter"));
         assert!(stats.stages.iter().any(|s| s.stage == "mutate" && s.count == 0));
+        assert!(stats.stages.iter().any(|s| s.stage == "key" && s.count == 3), "every query");
+        assert!(stats.stages.iter().any(|s| s.stage == "exact" && s.count == 2), "the two hits");
+        assert_eq!(stats.exact_confirm_iso, 0, "the repeats re-sent the same text");
 
         // /metrics exposes the pipeline histograms.
         let metrics = client.get("/metrics").unwrap().body_text();
         assert!(metrics.contains("gc_pipeline_stage_microseconds_bucket"));
         assert!(metrics.contains("gc_query_microseconds_count"));
         assert!(metrics.contains("gc_filter_skipped_total 0\n"));
+        assert!(metrics.contains("gc_exact_confirm_iso_total 0\n"));
 
         // Wrong method: still part of the routed surface.
         assert_eq!(client.post("/debug/traces", &[]).unwrap().status, 405);
