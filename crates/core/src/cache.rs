@@ -125,7 +125,7 @@ impl CacheManager {
         };
         self.index.insert_features(id, features);
         self.by_fingerprint.entry(fingerprint).or_default().push(id);
-        self.slots[id as usize] = Some(CacheEntry {
+        self.slots[id as usize] = Some(CacheEntry::new(
             id,
             graph,
             profile,
@@ -134,8 +134,8 @@ impl CacheManager {
             fingerprint,
             base_tests,
             base_cost,
-            stats: EntryStats { inserted_at: now, last_used: now, ..EntryStats::default() },
-        });
+            EntryStats { inserted_at: now, last_used: now, ..EntryStats::default() },
+        ));
         self.live += 1;
         id
     }

@@ -3,6 +3,7 @@
 use gc_graph::{BitSet, Graph};
 use gc_iso::GraphProfile;
 use gc_method::QueryKind;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a cache entry. Stable for the entry's lifetime; ids are
 /// reused after eviction (slab allocation) — dashboards show them as the
@@ -35,10 +36,45 @@ impl EntryStats {
     }
 }
 
+/// The served text of one version of an entry's answer set: its ids as
+/// [`BitSet::write_ids`] renders them, filled by the first reader that needs
+/// it (the HTTP server, on an exact hit) and shared by every later one.
+///
+/// An entry hands the slot out with each exact hit
+/// ([`crate::QueryReport::answer_text`]) and swaps in a fresh one whenever a
+/// dataset mutation changes the answer, so a slot only ever describes the
+/// answer it was handed out with: a report taken before a repair keeps the
+/// text of its own answer. The text lives and dies with its entry — it is
+/// not persisted, not exported and not counted in
+/// [`CacheEntry::memory_bytes`], so eviction decisions never see it.
+#[derive(Debug, Default)]
+pub struct AnswerText(OnceLock<Box<[u8]>>);
+
+impl AnswerText {
+    /// The rendered ids, rendering them from `answer` on first use.
+    /// `answer` must be the answer this slot was handed out with (the
+    /// report's own). Concurrent first callers render once; all see the
+    /// same bytes.
+    pub fn get_or_render(&self, answer: &BitSet) -> &[u8] {
+        self.0.get_or_init(|| {
+            let mut ids = Vec::new();
+            answer.write_ids(&mut ids);
+            ids.into_boxed_slice()
+        })
+    }
+
+    /// The rendered ids, if some reader has rendered them.
+    pub fn get(&self) -> Option<&[u8]> {
+        self.0.get().map(|ids| &ids[..])
+    }
+}
+
 /// A cached query: the query graph, its kind, and its full answer set.
 ///
 /// Serializable so cache contents can be exported and re-imported across
-/// sessions (warm starts); see [`crate::GraphCache::export_entries`].
+/// sessions (warm starts); see [`crate::GraphCache::export_entries`]. The
+/// answer is read through [`CacheEntry::answer`] and changed only by the
+/// repair methods, which keep its [`AnswerText`] slot in step.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct CacheEntry {
     /// Entry id (slab slot).
@@ -55,7 +91,11 @@ pub struct CacheEntry {
     /// Query kind the answer set corresponds to.
     pub kind: QueryKind,
     /// The exact answer set over the dataset universe.
-    pub answer: BitSet,
+    answer: BitSet,
+    /// The served text of `answer`'s current version (empty until first
+    /// served; never serialized).
+    #[serde(skip)]
+    text: Arc<AnswerText>,
     /// WL fingerprint of `graph` (exact-match bucket key).
     pub fingerprint: u64,
     /// `|C_M|` when this query was first executed — the number of sub-iso
@@ -68,6 +108,86 @@ pub struct CacheEntry {
 }
 
 impl CacheEntry {
+    /// An entry whose text slot starts empty.
+    #[allow(clippy::too_many_arguments)] // one argument per stored fact
+    pub(crate) fn new(
+        id: EntryId,
+        graph: Graph,
+        profile: GraphProfile,
+        kind: QueryKind,
+        answer: BitSet,
+        fingerprint: u64,
+        base_tests: u64,
+        base_cost: u64,
+        stats: EntryStats,
+    ) -> Self {
+        CacheEntry {
+            id,
+            graph,
+            profile,
+            kind,
+            answer,
+            text: Arc::default(),
+            fingerprint,
+            base_tests,
+            base_cost,
+            stats,
+        }
+    }
+
+    /// The exact answer set over the dataset universe.
+    pub fn answer(&self) -> &BitSet {
+        &self.answer
+    }
+
+    /// The shared text slot of the answer's current version — what an
+    /// exact hit hands out beside its copy of the answer (an `Arc` clone:
+    /// no allocation).
+    pub fn answer_text(&self) -> &Arc<AnswerText> {
+        &self.text
+    }
+
+    /// Repair: extend the answer's universe to `universe` (a dataset
+    /// insert). The ids do not change, so neither does the text.
+    pub(crate) fn grow_answer(&mut self, universe: usize) {
+        self.answer.grow(universe);
+    }
+
+    /// Repair: add dataset graph `gid` to the answer.
+    pub(crate) fn insert_answer(&mut self, gid: usize) {
+        if self.answer.insert(gid) {
+            self.new_text_version();
+        }
+    }
+
+    /// Repair: drop dataset graph `gid` from the answer.
+    pub(crate) fn remove_answer(&mut self, gid: usize) {
+        if self.answer.remove(gid) {
+            self.new_text_version();
+        }
+    }
+
+    /// Repair: restrict the answer to `live` (tombstones a restored entry's
+    /// record predates).
+    pub(crate) fn mask_answer(&mut self, live: &BitSet) {
+        let before = self.answer.count();
+        self.answer.intersect_with(live);
+        if self.answer.count() != before {
+            self.new_text_version();
+        }
+    }
+
+    /// The answer changed: the old slot stays with whoever holds it (it
+    /// still describes *their* answer) and the entry starts a fresh one.
+    /// Runs under the same write lock that changed the answer; an unshared
+    /// slot is just emptied in place.
+    fn new_text_version(&mut self) {
+        match Arc::get_mut(&mut self.text) {
+            Some(text) => *text = AnswerText::default(),
+            None => self.text = Arc::default(),
+        }
+    }
+
     /// Does the (freshly inserted) dataset graph `gid` belong in this
     /// entry's answer set? Cheap summary prefilter, then the exact
     /// containment test in the direction the entry's kind dictates — the
@@ -91,12 +211,16 @@ impl CacheEntry {
     }
 
     /// Approximate heap bytes held by this entry (graph + profile + answer
-    /// set), reported by the cache's memory accounting.
+    /// set), reported by the cache's memory accounting. The rendered
+    /// [`AnswerText`] is deliberately left out: these bytes drive
+    /// `max_bytes` eviction, which must not depend on which entries
+    /// happened to be served over HTTP.
     pub fn memory_bytes(&self) -> usize {
         self.graph.memory_bytes()
             + self.profile.memory_bytes()
             + self.answer.memory_bytes()
             + std::mem::size_of::<Self>()
+            - std::mem::size_of::<Arc<AnswerText>>() // the slot's pointer too
     }
 }
 
@@ -113,18 +237,80 @@ mod tests {
 
     #[test]
     fn memory_positive() {
-        let g = graph_from_parts(&[Label(0), Label(1)], &[(0, 1)]).unwrap();
-        let e = CacheEntry {
-            id: 0,
-            fingerprint: gc_graph::hash::fingerprint(&g),
-            profile: GraphProfile::new(&g, None),
-            graph: g,
-            kind: QueryKind::Subgraph,
-            answer: BitSet::new(10),
-            base_tests: 4,
-            base_cost: 100,
-            stats: EntryStats::default(),
-        };
+        let e = entry(BitSet::full(10));
         assert!(e.memory_bytes() > 0);
+        assert_eq!(e.answer_text().get_or_render(e.answer()), b"0,1,2,3,4,5,6,7,8,9");
+        assert_eq!(e.memory_bytes(), entry(BitSet::full(10)).memory_bytes(), "text is not counted");
+    }
+
+    fn entry(answer: BitSet) -> CacheEntry {
+        let g = graph_from_parts(&[Label(0), Label(1)], &[(0, 1)]).unwrap();
+        CacheEntry::new(
+            0,
+            g.clone(),
+            GraphProfile::new(&g, None),
+            QueryKind::Subgraph,
+            answer,
+            gc_graph::hash::fingerprint(&g),
+            4,
+            100,
+            EntryStats::default(),
+        )
+    }
+
+    #[test]
+    fn repairs_version_the_text_only_when_the_ids_change() {
+        let mut e = entry(BitSet::from_indices(10, [1usize, 4]));
+        assert_eq!(e.answer_text().get(), None, "nothing renders until a reader asks");
+        let served = Arc::clone(e.answer_text());
+        assert_eq!(served.get_or_render(e.answer()), b"1,4");
+
+        // No change to the ids: the rendered slot stays.
+        e.grow_answer(20);
+        e.insert_answer(4);
+        e.remove_answer(7);
+        e.mask_answer(&BitSet::full(20));
+        assert!(Arc::ptr_eq(e.answer_text(), &served));
+
+        // A changed answer gets a fresh slot; the held one keeps its text.
+        e.insert_answer(12);
+        assert!(!Arc::ptr_eq(e.answer_text(), &served));
+        assert_eq!(served.get(), Some(&b"1,4"[..]));
+        assert_eq!(e.answer_text().get_or_render(e.answer()), b"1,4,12");
+        drop(served);
+
+        // An unshared slot is emptied in place.
+        let slot = Arc::as_ptr(e.answer_text());
+        e.remove_answer(1);
+        assert_eq!(Arc::as_ptr(e.answer_text()), slot);
+        assert_eq!(e.answer_text().get(), None);
+        e.mask_answer(&BitSet::from_indices(20, [12usize]));
+        assert_eq!(e.answer_text().get_or_render(e.answer()), b"12");
+    }
+
+    #[test]
+    fn concurrent_first_renders_agree() {
+        let answer = BitSet::from_indices(100_000, (0..100_000).step_by(7));
+        let slot = AnswerText::default();
+        let texts: Vec<Vec<u8>> = std::thread::scope(|s| {
+            let handles: Vec<_> =
+                (0..2).map(|_| s.spawn(|| slot.get_or_render(&answer).to_vec())).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(texts[0], texts[1]);
+        let mut want = Vec::new();
+        answer.write_ids(&mut want);
+        assert_eq!(texts[0], want);
+    }
+
+    #[test]
+    fn serialized_entries_carry_no_text() {
+        let e = entry(BitSet::from_indices(10, [3usize]));
+        e.answer_text().get_or_render(e.answer());
+        let json = serde_json::to_string(&e).unwrap();
+        assert!(!json.contains("text"), "{json}");
+        let back: CacheEntry = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.answer(), e.answer());
+        assert_eq!(back.answer_text().get(), None, "a reloaded entry starts with an empty slot");
     }
 }

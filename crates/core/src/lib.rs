@@ -73,7 +73,7 @@ pub use parallel::{global_pool, verify_candidates, VerifyOutcome, VerifyPool};
 
 pub use cache::CacheManager;
 pub use config::CacheConfig;
-pub use entry::{CacheEntry, EntryId, EntryStats};
+pub use entry::{AnswerText, CacheEntry, EntryId, EntryStats};
 pub use persist::{
     CacheStore, FsyncPolicy, LoadOutcome, PersistHealth, RecoveryReport, SnapshotInfo, Snapshotter,
 };

@@ -109,7 +109,7 @@ pub(crate) fn entry_to_record(e: &CacheEntry) -> EntryRecord {
         orig_id: e.id,
         graph: e.graph.clone(),
         kind: e.kind,
-        answer: e.answer.iter().map(|i| i as u32).collect(),
+        answer: e.answer().iter().map(|i| i as u32).collect(),
         base_tests: e.base_tests,
         base_cost: e.base_cost,
         stats: EntryStatsRecord {

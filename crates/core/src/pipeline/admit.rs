@@ -16,13 +16,14 @@
 use crate::cache::CacheManager;
 use crate::config::CacheConfig;
 use crate::cost::CostModel;
-use crate::entry::EntryId;
+use crate::entry::{AnswerText, EntryId};
 use crate::pipeline::bound::gives_definite;
 use crate::pipeline::probe::{CacheHits, HitSnapshot, Relation};
 use crate::policy::{HitCredit, HitKind, ReplacementPolicy};
 use crate::window::WindowManager;
 use gc_graph::{BitSet, Graph};
 use gc_method::QueryKind;
+use std::sync::Arc;
 
 /// Capacity limits for one admission target (whole cache, or one shard).
 #[derive(Debug, Clone, Copy)]
@@ -114,8 +115,20 @@ pub fn credit_hits(
     }
 }
 
+/// What an exact hit hands out: a copy of the entry's answer, the entry's
+/// shared text slot for that answer version, and the tests it saved.
+#[derive(Debug)]
+pub struct ExactServe {
+    /// The entry's answer set (the hit's one allocation).
+    pub answer: BitSet,
+    /// The entry's [`AnswerText`] slot — an `Arc` clone, allocation-free.
+    pub text: Arc<AnswerText>,
+    /// The entry's recorded `|C_M|`: the tests the hit saved.
+    pub base_tests: u64,
+}
+
 /// Serve an exact-match hit: bump the entry's statistics, credit the policy,
-/// and return `(answer, base_tests, base_cost)`.
+/// and hand out its answer with its text slot.
 ///
 /// Returns `None` if the entry no longer exists (concurrent eviction
 /// between lookup and service) — the caller falls back to the full
@@ -125,19 +138,21 @@ pub fn serve_exact(
     policy: &mut dyn ReplacementPolicy,
     id: EntryId,
     now: u64,
-) -> Option<(BitSet, u64, u64)> {
+) -> Option<ExactServe> {
     let e = cache.get_mut(id)?;
     e.stats.exact_hits += 1;
     e.stats.last_used = now;
     e.stats.tests_saved += e.base_tests;
     e.stats.cost_saved += e.base_cost as f64;
-    let (answer, base_tests, base_cost) = (e.answer.clone(), e.base_tests, e.base_cost);
+    let (base_tests, base_cost) = (e.base_tests, e.base_cost);
+    let served =
+        ExactServe { answer: e.answer().clone(), text: Arc::clone(e.answer_text()), base_tests };
     policy.on_hit(
         id,
         &HitCredit { kind: HitKind::Exact, tests_saved: base_tests, cost_saved: base_cost as f64 },
         now,
     );
-    Some((answer, base_tests, base_cost))
+    Some(served)
 }
 
 /// Admit the executed query immediately; run the batched replacement sweep
@@ -308,14 +323,15 @@ mod tests {
             1,
         );
         policy.on_insert(id, 1);
-        let (answer, base_tests, base_cost) =
-            serve_exact(&mut cache, &mut policy, id, 5).expect("entry is live");
-        assert_eq!(answer.to_vec(), vec![1]);
-        assert_eq!((base_tests, base_cost), (7, 70));
+        let served = serve_exact(&mut cache, &mut policy, id, 5).expect("entry is live");
+        assert_eq!(served.answer.to_vec(), vec![1]);
+        assert_eq!(served.base_tests, 7);
         let e = cache.get(id).unwrap();
+        assert!(Arc::ptr_eq(&served.text, e.answer_text()), "the entry's own slot");
         assert_eq!(e.stats.exact_hits, 1);
         assert_eq!(e.stats.last_used, 5);
         assert_eq!(e.stats.tests_saved, 7);
+        assert_eq!(e.stats.cost_saved, 70.0);
         cache.remove(id);
         assert!(serve_exact(&mut cache, &mut policy, id, 6).is_none());
     }

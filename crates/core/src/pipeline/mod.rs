@@ -41,6 +41,7 @@ pub mod probe;
 pub mod prune;
 pub mod verify;
 
+use crate::entry::AnswerText;
 use crate::pipeline::admit::AdmitOutcome;
 use crate::pipeline::bound::Bound;
 use crate::pipeline::probe::{CacheHits, HitSnapshot, ProbeScratch};
@@ -50,6 +51,7 @@ use crate::stats::GlobalStats;
 use gc_graph::{BitSet, Graph};
 use gc_index::FeatureVec;
 use gc_method::QueryKind;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Carries one query through the pipeline stages.
@@ -177,6 +179,7 @@ impl<'q> PipelineCtx<'q> {
         debug_assert_eq!(answer, self.answer(), "caller must pass this ctx's own answer");
         QueryReport {
             answer,
+            answer_text: None,
             cm_set: self.cm,
             definite_set: self.pruned.definite,
             verified_set: self.pruned.to_verify,
@@ -223,16 +226,19 @@ impl FastTier {
 
 /// Build the report for a query `tier` served whole. No stage ran, so the
 /// four stage sets are empty over an empty universe — the answer is the
-/// only universe-sized value a hit produces.
+/// only universe-sized value a hit produces. `answer_text` is the serving
+/// entry's text slot on an exact hit ([`admit::ExactServe::text`]).
 pub fn fast_report(
     tier: FastTier,
     answer: BitSet,
+    answer_text: Option<Arc<AnswerText>>,
     kind: QueryKind,
     base_tests: u64,
     elapsed: Duration,
 ) -> QueryReport {
     QueryReport {
         answer,
+        answer_text,
         cm_set: BitSet::new(0),
         definite_set: BitSet::new(0),
         verified_set: BitSet::new(0),
@@ -320,7 +326,7 @@ mod tests {
     fn fast_report_and_delta_shapes() {
         for (tier, exact, memo) in [(FastTier::Exact, 1, 0), (FastTier::Memo, 0, 1)] {
             let answer = BitSet::from_indices(5, [2usize]);
-            let r = fast_report(tier, answer, QueryKind::Supergraph, 9, Duration::ZERO);
+            let r = fast_report(tier, answer, None, QueryKind::Supergraph, 9, Duration::ZERO);
             assert_eq!((r.exact_hit, r.memo_hit), (exact == 1, memo == 1));
             assert!(r.any_hit());
             assert_eq!(r.cm_size, 9);

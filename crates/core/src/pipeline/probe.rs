@@ -218,11 +218,11 @@ pub fn probe_cases(
     // For supergraph queries it contributes pruning -> prefer small answers.
     match kind {
         QueryKind::Subgraph => scratch.sub_ids.sort_unstable_by_key(|&id| {
-            std::cmp::Reverse(cache.get(id).map_or(0, |e| e.answer.count()))
+            std::cmp::Reverse(cache.get(id).map_or(0, |e| e.answer().count()))
         }),
         QueryKind::Supergraph => scratch
             .sub_ids
-            .sort_unstable_by_key(|&id| cache.get(id).map_or(usize::MAX, |e| e.answer.count())),
+            .sort_unstable_by_key(|&id| cache.get(id).map_or(usize::MAX, |e| e.answer().count())),
     }
     for &id in scratch.sub_ids.iter().take(cfg.max_sub_checks) {
         let e = cache.get(id).expect("candidate ids are live");
@@ -249,9 +249,9 @@ pub fn probe_cases(
     match kind {
         QueryKind::Subgraph => scratch
             .super_ids
-            .sort_unstable_by_key(|&id| cache.get(id).map_or(usize::MAX, |e| e.answer.count())),
+            .sort_unstable_by_key(|&id| cache.get(id).map_or(usize::MAX, |e| e.answer().count())),
         QueryKind::Supergraph => scratch.super_ids.sort_unstable_by_key(|&id| {
-            std::cmp::Reverse(cache.get(id).map_or(0, |e| e.answer.count()))
+            std::cmp::Reverse(cache.get(id).map_or(0, |e| e.answer().count()))
         }),
     }
     for &id in scratch.super_ids.iter().take(cfg.max_super_checks) {
@@ -275,7 +275,11 @@ pub fn snapshot_answers(cache: &CacheManager, hits: &CacheHits) -> Vec<HitSnapsh
     hits.iter()
         .map(|h| {
             let e = cache.get(h.entry).expect("hit ids are live under the borrow");
-            HitSnapshot { relation: h.relation, answer: e.answer.clone(), base_tests: e.base_tests }
+            HitSnapshot {
+                relation: h.relation,
+                answer: e.answer().clone(),
+                base_tests: e.base_tests,
+            }
         })
         .collect()
 }
@@ -477,7 +481,7 @@ mod tests {
         assert_eq!(snaps.len(), hits.count());
         for (hit, snap) in hits.iter().zip(&snaps) {
             assert_eq!(hit.relation, snap.relation);
-            assert_eq!(cm.get(hit.entry).unwrap().answer, snap.answer);
+            assert_eq!(cm.get(hit.entry).unwrap().answer(), &snap.answer);
             assert_eq!(snap.base_tests, 8);
         }
     }

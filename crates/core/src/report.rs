@@ -1,8 +1,9 @@
 //! Per-query reports for the Demonstrator.
 
-use crate::entry::EntryId;
+use crate::entry::{AnswerText, EntryId};
 use gc_graph::BitSet;
 use gc_method::QueryKind;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Point-in-time health gauges of the containment index's posting
@@ -41,6 +42,12 @@ impl IndexHealth {
 pub struct QueryReport {
     /// The exact answer set `A` (Fig. 3(h)).
     pub answer: BitSet,
+    /// On an exact hit, the serving entry's shared text slot for this very
+    /// answer version (an `Arc` clone — no allocation; `None` on every
+    /// other path). The HTTP server renders `answer` into it on first use
+    /// ([`AnswerText::get_or_render`]) and copies it on every later hit;
+    /// in-process callers can ignore it, nothing is rendered for them.
+    pub answer_text: Option<Arc<AnswerText>>,
     /// The candidate set the pipeline started from (Fig. 3(b)): Method M's
     /// `C_M`, or the hits' upper bound `U` when bounded
     /// ([`QueryReport::filter_skipped`]). Either way it contains the answer
@@ -153,6 +160,7 @@ mod tests {
     fn base_report() -> QueryReport {
         QueryReport {
             answer: BitSet::new(10),
+            answer_text: None,
             cm_set: BitSet::new(10),
             definite_set: BitSet::new(10),
             verified_set: BitSet::new(10),

@@ -10,7 +10,7 @@
 use crate::cache::CacheManager;
 use crate::config::CacheConfig;
 use crate::cost::CostModel;
-use crate::entry::{CacheEntry, EntryId};
+use crate::entry::{AnswerText, CacheEntry, EntryId};
 use crate::memo::AnswerMemo;
 use crate::persist::{self, PersistHealth, RecoveryReport, RestoredEntry, StoreHealth};
 use crate::pipeline::admit::{self, AdmitLimits};
@@ -183,10 +183,16 @@ impl GraphCache {
 
         // ---- exact-match fast path (traditional cache hit) ---------------
         if let Some((id, confirm_steps)) = probe::find_exact(&self.cache, query, kind) {
-            let (answer, base_tests, _base_cost) =
-                admit::serve_exact(&mut self.cache, self.policy.as_mut(), id, now)
-                    .expect("exact hit is live in the sequential runtime");
-            let report = fast.finish(FastTier::Exact, &timing, answer, base_tests, confirm_steps);
+            let served = admit::serve_exact(&mut self.cache, self.policy.as_mut(), id, now)
+                .expect("exact hit is live in the sequential runtime");
+            let report = fast.finish(
+                FastTier::Exact,
+                &timing,
+                served.answer,
+                Some(served.text),
+                served.base_tests,
+                confirm_steps,
+            );
             // Exact hits skip the journal hooks (nothing mutated), so an
             // exact-hit-only workload must still drive recovery probes.
             self.maybe_probe_persistence();
@@ -199,8 +205,14 @@ impl GraphCache {
             self.memo.lookup(fp, query, kind, generation)
         };
         if let Some(hit) = memo_hit {
-            let report =
-                fast.finish(FastTier::Memo, &timing, hit.answer, hit.base_tests, hit.confirm_steps);
+            let report = fast.finish(
+                FastTier::Memo,
+                &timing,
+                hit.answer,
+                None,
+                hit.base_tests,
+                hit.confirm_steps,
+            );
             self.maybe_probe_persistence();
             return report;
         }
@@ -354,9 +366,9 @@ impl GraphCache {
         let engine = self.config.engine;
         for id in self.cache.ids() {
             let entry = self.cache.get_mut(id).expect("listed id is live");
-            entry.answer.grow(universe);
+            entry.grow_answer(universe);
             if entry.answers_inserted(&dataset, gid, engine) {
-                entry.answer.insert(gid as usize);
+                entry.insert_answer(gid as usize);
             }
         }
         self.finish_mutation(start);
@@ -384,7 +396,7 @@ impl GraphCache {
         }
         for id in self.cache.ids() {
             let entry = self.cache.get_mut(id).expect("listed id is live");
-            entry.answer.remove(gid as usize);
+            entry.remove_answer(gid as usize);
         }
         self.finish_mutation(start);
         true
@@ -466,17 +478,18 @@ impl GraphCache {
         self.clock += 1;
         let now = self.clock;
         for e in entries {
-            if e.answer.universe() != self.dataset.len() {
+            if e.answer().universe() != self.dataset.len() {
                 return Err(format!(
                     "entry universe {} does not match dataset size {}",
-                    e.answer.universe(),
+                    e.answer().universe(),
                     self.dataset.len()
                 ));
             }
             if probe::find_exact(&self.cache, &e.graph, e.kind).is_some() {
                 continue;
             }
-            let id = self.cache.insert(e.graph, e.kind, e.answer, e.base_tests, e.base_cost, now);
+            let answer = e.answer().clone();
+            let id = self.cache.insert(e.graph, e.kind, answer, e.base_tests, e.base_cost, now);
             if let Some(slot) = self.cache.get_mut(id) {
                 slot.stats = e.stats;
             }
@@ -681,16 +694,16 @@ impl GraphCache {
         for id in self.cache.ids() {
             let entry = self.cache.get_mut(id).expect("listed id is live");
             if dataset.has_tombstones() {
-                entry.answer.intersect_with(dataset.live_mask());
+                entry.mask_answer(dataset.live_mask());
             }
             for &gid in &journal_inserted {
                 if !dataset.live_mask().contains(gid as usize) {
                     continue; // inserted then removed: stays masked out
                 }
                 if entry.answers_inserted(&dataset, gid, engine) {
-                    entry.answer.insert(gid as usize);
+                    entry.insert_answer(gid as usize);
                 } else {
-                    entry.answer.remove(gid as usize);
+                    entry.remove_answer(gid as usize);
                 }
             }
         }
@@ -843,7 +856,8 @@ pub(crate) struct FastPath<'a> {
 impl FastPath<'_> {
     /// Publish the hit's statistics, observe it into the telemetry hub (an
     /// exact hit also as the `exact` stage: key done → now) and build its
-    /// report around `answer`, the hit's one universe-sized value. The
+    /// report around `answer`, the hit's one universe-sized value, and —
+    /// on an exact hit — the entry's `answer_text` slot for it. The
     /// trace, when sampled or slow, carries the answer size and any
     /// memo-span time but no pipeline-stage counts (those stages never ran).
     pub(crate) fn finish(
@@ -851,6 +865,7 @@ impl FastPath<'_> {
         tier: FastTier,
         timing: &QueryTiming,
         answer: BitSet,
+        answer_text: Option<Arc<AnswerText>>,
         base_tests: u64,
         confirm_steps: u64,
     ) -> QueryReport {
@@ -872,7 +887,7 @@ impl FastPath<'_> {
             slow,
             ..QueryTrace::default()
         });
-        pipeline::fast_report(tier, answer, self.kind, base_tests, elapsed)
+        pipeline::fast_report(tier, answer, answer_text, self.kind, base_tests, elapsed)
     }
 }
 

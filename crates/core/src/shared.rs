@@ -347,9 +347,16 @@ impl SharedGraphCache {
         let maybe_exact =
             probe::find_exact(&self.shards[home].state.read().cache, query, kind).is_some();
         if maybe_exact {
-            if let Some((answer, base_tests, steps)) = self.serve_exact(home, query, kind, now) {
+            if let Some((served, steps)) = self.serve_exact(home, query, kind, now) {
                 drop(data);
-                let report = fast.finish(FastTier::Exact, &timing, answer, base_tests, steps);
+                let report = fast.finish(
+                    FastTier::Exact,
+                    &timing,
+                    served.answer,
+                    Some(served.text),
+                    served.base_tests,
+                    steps,
+                );
                 // Exact hits skip the journal hooks (nothing mutated), so
                 // an exact-hit-only workload must still drive recovery
                 // probes.
@@ -365,8 +372,14 @@ impl SharedGraphCache {
         };
         if let Some(hit) = memo_hit {
             drop(data);
-            let report =
-                fast.finish(FastTier::Memo, &timing, hit.answer, hit.base_tests, hit.confirm_steps);
+            let report = fast.finish(
+                FastTier::Memo,
+                &timing,
+                hit.answer,
+                None,
+                hit.base_tests,
+                hit.confirm_steps,
+            );
             self.maybe_probe_persistence();
             return report;
         }
@@ -709,9 +722,9 @@ impl SharedGraphCache {
             let mut state = shard.state.write();
             for id in state.cache.ids() {
                 let entry = state.cache.get_mut(id).expect("listed id is live");
-                entry.answer.grow(universe);
+                entry.grow_answer(universe);
                 if entry.answers_inserted(&data.dataset, gid, engine) {
-                    entry.answer.insert(gid as usize);
+                    entry.insert_answer(gid as usize);
                 }
             }
         }
@@ -745,7 +758,7 @@ impl SharedGraphCache {
             let mut state = shard.state.write();
             for id in state.cache.ids() {
                 let entry = state.cache.get_mut(id).expect("listed id is live");
-                entry.answer.remove(gid as usize);
+                entry.remove_answer(gid as usize);
             }
         }
         let directive = self.journal_dataset_delta(&data.dataset);
@@ -799,23 +812,22 @@ impl SharedGraphCache {
     }
 
     /// Credit and copy out an exact hit from `home` under its write lock:
-    /// `(answer, base_tests, confirmation steps)`. `None` if the entry
-    /// vanished between the read-locked check and this write section
-    /// (caller falls back to the full pipeline).
+    /// the served answer and text slot, and the confirmation steps. `None`
+    /// if the entry vanished between the read-locked check and this write
+    /// section (caller falls back to the full pipeline).
     fn serve_exact(
         &self,
         home: usize,
         query: &Graph,
         kind: QueryKind,
         now: u64,
-    ) -> Option<(BitSet, u64, u64)> {
+    ) -> Option<(admit::ExactServe, u64)> {
         let shard = &self.shards[home];
         let mut state = shard.state.write();
         let (id, confirm_steps) = probe::find_exact(&state.cache, query, kind)?;
         let mut policy = shard.policy.lock();
-        let (answer, base_tests, _base_cost) =
-            admit::serve_exact(&mut state.cache, policy.as_mut(), id, now)?;
-        Some((answer, base_tests, confirm_steps))
+        let served = admit::serve_exact(&mut state.cache, policy.as_mut(), id, now)?;
+        Some((served, confirm_steps))
     }
 
     // ---- durable state (snapshot + journal) -------------------------------
@@ -1022,16 +1034,16 @@ impl SharedGraphCache {
             for id in shard_state.cache.ids() {
                 let entry = shard_state.cache.get_mut(id).expect("listed id is live");
                 if dataset.has_tombstones() {
-                    entry.answer.intersect_with(dataset.live_mask());
+                    entry.mask_answer(dataset.live_mask());
                 }
                 for &gid in &journal_inserted {
                     if !dataset.live_mask().contains(gid as usize) {
                         continue; // inserted then removed: stays masked out
                     }
                     if entry.answers_inserted(&dataset, gid, engine) {
-                        entry.answer.insert(gid as usize);
+                        entry.insert_answer(gid as usize);
                     } else {
-                        entry.answer.remove(gid as usize);
+                        entry.remove_answer(gid as usize);
                     }
                 }
             }

@@ -17,13 +17,16 @@
 //! * a journal whose deltas were altered, dropped or reordered, and a
 //!   directory written by format version 2, restore cold;
 //! * a remove that does not apply (already removed, unknown id) returns
-//!   `false` without copying the dataset or panicking.
+//!   `false` without copying the dataset or panicking;
+//! * an exact hit's shared answer-text slot always describes the answer it
+//!   was handed out with, across in-place repairs.
 
 mod common;
 
 use common::assert_consistent;
 use gc_core::persist::{inspect_dir, CacheStore, RecoveryReport};
-use gc_core::{CacheConfig, GraphCache, PolicyKind, SharedGraphCache};
+use gc_core::{CacheConfig, GraphCache, PolicyKind, QueryReport, SharedGraphCache};
+use gc_graph::BitSet;
 use gc_method::{execute_base, Dataset, Engine, QueryKind, SiMethod};
 use gc_store::journal::{decode_journal, encode_header, encode_record, HEADER_LEN};
 use gc_store::{crc64, JournalOp, JournalRecord};
@@ -265,6 +268,76 @@ fn cached_entries_are_repaired_in_place_by_mutation() {
     assert!(!hit2.answer.contains(gid as usize), "removal must clear the cached bit");
     let want = execute_base(gc.dataset(), &SiMethod, Engine::Vf2, &q, QueryKind::Subgraph);
     assert_eq!(hit2.answer, want.answer);
+}
+
+/// An exact hit hands out its entry's text slot for that very answer: the
+/// slot renders the answer it came with; a repair that changes the ids
+/// swaps in a fresh slot while a slot held from before keeps its own text;
+/// a repair that leaves the ids alone keeps the rendered slot — in both
+/// runtimes.
+#[test]
+fn exact_hit_text_slot_follows_repairs() {
+    let ds = dataset(20, 321);
+    let mut rng = StdRng::seed_from_u64(4);
+    let q = extract_query(ds.graph(2), 5, &mut rng).unwrap();
+    let mut seq =
+        GraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, config()).unwrap();
+    let shared =
+        SharedGraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, config())
+            .unwrap();
+    let both = |seq: &mut GraphCache| {
+        [seq.query(&q, QueryKind::Subgraph), shared.query(&q, QueryKind::Subgraph)]
+    };
+    let ids = |answer: &BitSet| {
+        let mut text = Vec::new();
+        answer.write_ids(&mut text);
+        text
+    };
+    let slot = |r: &QueryReport| Arc::clone(r.answer_text.as_ref().expect("exact hits carry it"));
+
+    for cold in both(&mut seq) {
+        assert!(!cold.exact_hit && cold.answer_text.is_none(), "only exact hits carry a slot");
+    }
+    let first = both(&mut seq);
+    for hit in &first {
+        assert!(hit.exact_hit);
+        assert_eq!(slot(hit).get(), None, "in-process callers never render");
+        assert_eq!(slot(hit).get_or_render(&hit.answer), ids(&hit.answer));
+    }
+
+    // A duplicate of graph 2 joins the answer: fresh slot, held one intact.
+    let gid = seq.insert_graph(ds.graph(2).clone());
+    assert_eq!(shared.insert_graph(ds.graph(2).clone()), gid);
+    let grown = both(&mut seq);
+    for (before, after) in first.iter().zip(&grown) {
+        assert!(after.exact_hit && after.answer.contains(gid as usize));
+        assert!(!Arc::ptr_eq(&slot(before), &slot(after)), "a changed answer gets a fresh slot");
+        assert_eq!(
+            slot(before).get(),
+            Some(&ids(&before.answer)[..]),
+            "the held slot keeps its text"
+        );
+        assert_eq!(slot(after).get_or_render(&after.answer), ids(&after.answer));
+    }
+
+    // Removing a graph outside the answer leaves the ids, and the slot.
+    let outside = seq.dataset().live_mask().iter().find(|&g| !grown[0].answer.contains(g));
+    let outside = outside.expect("some graph is not in the answer") as u32;
+    assert!(seq.remove_graph(outside) && shared.remove_graph(outside));
+    for (before, after) in grown.iter().zip(&both(&mut seq)) {
+        assert!(Arc::ptr_eq(&slot(before), &slot(after)), "unchanged ids keep the rendered slot");
+        assert_eq!(slot(after).get(), Some(&ids(&after.answer)[..]));
+    }
+
+    // Removing the inserted graph shrinks the answer back: fresh slot again.
+    assert!(seq.remove_graph(gid) && shared.remove_graph(gid));
+    let want = execute_base(seq.dataset(), &SiMethod, Engine::Vf2, &q, QueryKind::Subgraph);
+    for (before, after) in grown.iter().zip(&both(&mut seq)) {
+        assert!(after.exact_hit && !Arc::ptr_eq(&slot(before), &slot(after)));
+        assert_eq!(after.answer, want.answer);
+        assert_eq!(slot(after).get_or_render(&after.answer), ids(&want.answer));
+        assert_eq!(ids(&after.answer), ids(&first[0].answer), "back to the first answer's ids");
+    }
 }
 
 #[test]

@@ -4,8 +4,9 @@
 //! heap allocation — the answer set handed back in the report — in both
 //! runtimes: the WL fingerprint runs on thread-local scratch, the
 //! confirmation is a presentation comparison, the policy credit and the
-//! statistics are in place, and the report's four stage sets are empty over
-//! an empty universe.
+//! statistics are in place, the report's four stage sets are empty over an
+//! empty universe, and an exact hit's answer-text slot is a reference-count
+//! bump (nothing is rendered in process).
 //!
 //! Same counting-allocator harness as `probe_alloc.rs`; its own binary so
 //! the `#[global_allocator]` stays out of the other integration tests.
@@ -99,6 +100,10 @@ fn pin_hits(mut query: impl FnMut(&Graph) -> QueryReport, queries: &[Graph], exa
         assert_eq!((report.exact_hit, report.memo_hit), (exact, !exact), "the repeat is a hit");
         assert_eq!(allocations, 1, "a warm hit allocates the returned answer and nothing else");
         assert!(report.answer.universe() > 0 && report.cm_set.universe() == 0);
+        assert_eq!(report.answer_text.is_some(), exact, "only an exact hit hands out its slot");
+        let (allocations, slot) = counted(|| report.answer_text.clone());
+        assert_eq!(allocations, 0, "cloning the text slot is a reference count");
+        assert!(slot.is_none_or(|text| text.get().is_none()), "in-process hits render nothing");
     }
 }
 

@@ -463,7 +463,9 @@ fn store_written_before_the_fingerprint_rewrite_restores_warm() {
         // Every query of the writing session is answered exactly; the ones
         // whose entries survived are exact hits found through their stored
         // fingerprint buckets.
-        let mut exact_hits = 0;
+        // A restored entry's text slot starts empty and renders the
+        // replayed (and delta-repaired) answer on first use.
+        let (mut exact_hits, mut empty_slots) = (0, 0);
         let mut replay =
             |query: &mut dyn FnMut(&gc_graph::Graph, QueryKind) -> gc_core::QueryReport| {
                 for wq in &w.queries {
@@ -471,6 +473,12 @@ fn store_written_before_the_fingerprint_rewrite_restores_warm() {
                     exact_hits += u32::from(r.exact_hit);
                     let want = execute_base(&live, &SiMethod, Engine::Vf2, &wq.graph, wq.kind);
                     assert_eq!(r.answer, want.answer);
+                    if let Some(text) = &r.answer_text {
+                        empty_slots += u32::from(text.get().is_none());
+                        let mut ids = Vec::new();
+                        want.answer.write_ids(&mut ids);
+                        assert_eq!(text.get_or_render(&r.answer), ids);
+                    }
                 }
             };
         if sharded {
@@ -497,6 +505,7 @@ fn store_written_before_the_fingerprint_rewrite_restores_warm() {
             replay(&mut |q, kind| gc.query(q, kind));
         }
         assert!(exact_hits > 0, "restored entries must be found by fingerprint");
+        assert!(empty_slots > 0, "restored entries carry no text");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

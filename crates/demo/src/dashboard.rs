@@ -148,7 +148,7 @@ pub fn developer_monitor(gc: &GraphCache, limit: usize) -> String {
                 e.id.to_string(),
                 e.kind.to_string(),
                 format!("{}v/{}e", e.graph.vertex_count(), e.graph.edge_count()),
-                e.answer.count().to_string(),
+                e.answer().count().to_string(),
                 e.stats.exact_hits.to_string(),
                 e.stats.sub_hits.to_string(),
                 e.stats.super_hits.to_string(),

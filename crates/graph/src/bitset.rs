@@ -256,6 +256,30 @@ impl BitSet {
         self.iter().collect()
     }
 
+    /// Append the members to `out` as comma-separated decimal ids,
+    /// ascending (`1,17,230`; nothing for an empty set) — the text of a JSON
+    /// id array without its brackets, byte-identical to the members joined
+    /// with `,`. Space for the widest id is reserved once up front; each id
+    /// is written two digits at a time from a lookup table, with no
+    /// per-id allocation and no `fmt` machinery.
+    pub fn write_ids(&self, out: &mut Vec<u8>) {
+        let n = self.count();
+        if n == 0 {
+            return;
+        }
+        let mut digits = [0u8; 20];
+        let widest = write_decimal(self.len as u64 - 1, &mut digits);
+        out.reserve(n * (widest.len() + 1));
+        let mut ids = self.iter();
+        if let Some(first) = ids.next() {
+            out.extend_from_slice(write_decimal(first as u64, &mut digits));
+        }
+        for id in ids {
+            out.push(b',');
+            out.extend_from_slice(write_decimal(id as u64, &mut digits));
+        }
+    }
+
     /// Approximate heap footprint in bytes (memory accounting).
     pub fn memory_bytes(&self) -> usize {
         self.blocks.len() * std::mem::size_of::<u64>()
@@ -274,6 +298,33 @@ impl BitSet {
             }
         }
     }
+}
+
+/// `"00" "01" … "99"`: two decimal digits per lookup.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
+/// Render `v` in decimal into the tail of `buf` and return the digits.
+fn write_decimal(mut v: u64, buf: &mut [u8; 20]) -> &[u8] {
+    let mut at = buf.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[v as usize * 2..v as usize * 2 + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + v as u8;
+    }
+    &buf[at..]
 }
 
 /// Iterator over the members of a [`BitSet`].
@@ -552,6 +603,22 @@ mod tests {
     fn grow_rejects_shrinking() {
         let mut s = BitSet::new(10);
         s.grow(9);
+    }
+
+    #[test]
+    fn write_ids_renders_every_digit_width() {
+        let mut buf = [0u8; 20];
+        for v in [0u64, 9, 10, 99, 100, 999, 1000, 12_345, 10u64.pow(19), u64::MAX] {
+            assert_eq!(write_decimal(v, &mut buf), v.to_string().as_bytes());
+        }
+        let members = [0usize, 7, 10, 99, 100, 1_000, 99_999, 1_000_000];
+        let mut out = Vec::new();
+        BitSet::from_indices(1_000_001, members).write_ids(&mut out);
+        assert_eq!(out, b"0,7,10,99,100,1000,99999,1000000");
+        let mut out = Vec::new();
+        BitSet::new(0).write_ids(&mut out);
+        BitSet::new(100).write_ids(&mut out);
+        assert!(out.is_empty(), "an empty set writes nothing");
     }
 
     #[test]

@@ -19,18 +19,36 @@
 //! * blank lines and `#`-comment lines are skipped.
 
 use crate::{Graph, GraphBuilder, GraphError, Label, Result};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::path::Path;
 
-/// Parse a whole dataset from a reader.
-pub fn read_dataset<R: Read>(reader: R) -> Result<Vec<Graph>> {
-    let reader = BufReader::new(reader);
+/// Parse a whole dataset from a reader: the input is read whole and handed
+/// to [`parse_dataset`], the one parser. Bytes that are not UTF-8 are
+/// reported on the line they occur in.
+pub fn read_dataset<R: Read>(mut reader: R) -> Result<Vec<Graph>> {
+    let mut bytes = Vec::new();
+    reader
+        .read_to_end(&mut bytes)
+        .map_err(|e| GraphError::Parse { line: 0, msg: e.to_string() })?;
+    match String::from_utf8(bytes) {
+        Ok(text) => parse_dataset(&text),
+        Err(e) => {
+            let valid = &e.as_bytes()[..e.utf8_error().valid_up_to()];
+            let line = 1 + valid.iter().filter(|&&b| b == b'\n').count();
+            Err(GraphError::Parse { line, msg: e.utf8_error().to_string() })
+        }
+    }
+}
+
+/// Parse a dataset from an in-memory string, line by line over borrowed
+/// slices (no per-line allocation) — the server decodes every `/query` body
+/// through here.
+pub fn parse_dataset(text: &str) -> Result<Vec<Graph>> {
     let mut graphs = Vec::new();
     let mut current: Option<GraphBuilder> = None;
 
-    for (idx, line) in reader.lines().enumerate() {
+    for (idx, line) in text.lines().enumerate() {
         let lineno = idx + 1;
-        let line = line.map_err(|e| GraphError::Parse { line: lineno, msg: e.to_string() })?;
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
@@ -91,11 +109,6 @@ pub fn read_dataset<R: Read>(reader: R) -> Result<Vec<Graph>> {
 fn parse_field<T: std::str::FromStr>(field: Option<&str>, line: usize, what: &str) -> Result<T> {
     let raw = field.ok_or_else(|| GraphError::Parse { line, msg: format!("missing {what}") })?;
     raw.parse().map_err(|_| GraphError::Parse { line, msg: format!("invalid {what}: {raw:?}") })
-}
-
-/// Parse a dataset from an in-memory string.
-pub fn parse_dataset(text: &str) -> Result<Vec<Graph>> {
-    read_dataset(text.as_bytes())
 }
 
 /// Load a dataset from a file path.
@@ -194,6 +207,15 @@ v 0 1
     fn duplicate_edge_reported_with_line() {
         let err = parse_dataset("t # 0\nv 0 0\nv 1 0\ne 0 1\ne 1 0\n").unwrap_err();
         assert!(matches!(err, GraphError::Parse { line: 5, .. }), "{err}");
+    }
+
+    #[test]
+    fn reader_and_str_share_one_parser() {
+        assert_eq!(read_dataset(SAMPLE.as_bytes()).unwrap(), parse_dataset(SAMPLE).unwrap());
+        let crlf = SAMPLE.replace('\n', "\r\n");
+        assert_eq!(read_dataset(crlf.as_bytes()).unwrap(), parse_dataset(SAMPLE).unwrap());
+        let err = read_dataset(&b"t # 0\nv 0 \xff\n"[..]).unwrap_err();
+        assert!(matches!(err, GraphError::Parse { line: 2, .. }), "{err}");
     }
 
     #[test]

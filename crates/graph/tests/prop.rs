@@ -68,6 +68,20 @@ proptest! {
     }
 
     #[test]
+    fn write_ids_is_the_members_joined_with_commas(
+        a in arb_bitset(200),
+        universe in 0usize..2_000_000,
+        ids in proptest::collection::vec(0usize..2_000_000, 0..40),
+    ) {
+        for set in [a, BitSet::from_indices(universe, ids.into_iter().filter(|&i| i < universe))] {
+            let joined: Vec<String> = set.iter().map(|i| i.to_string()).collect();
+            let mut out = b"prefix:".to_vec();
+            set.write_ids(&mut out);
+            prop_assert_eq!(String::from_utf8(out).unwrap(), format!("prefix:{}", joined.join(",")));
+        }
+    }
+
+    #[test]
     fn io_roundtrip(graphs in proptest::collection::vec(arb_graph(8, 4), 0..6)) {
         let text = gc_graph::io::dataset_to_string(&graphs);
         let back = gc_graph::io::parse_dataset(&text).unwrap();

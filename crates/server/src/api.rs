@@ -3,9 +3,14 @@
 //! The request body of `POST /query` is not JSON — it is the same t/v/e
 //! text format the rest of the system uses for graphs
 //! ([`gc_graph::io::parse_dataset`]), with the query kind selected by the
-//! `?kind=sub|super` query parameter. Responses are JSON via these types.
+//! `?kind=sub|super` query parameter. Responses are JSON via these types —
+//! except the `/query` reply itself, which the server writes straight into
+//! its output buffer ([`QueryReply::write_json`]) in exactly the bytes
+//! `serde_json` would produce for the equivalent [`QueryResponse`].
 
+use gc_graph::BitSet;
 use serde::{Deserialize, Serialize};
+use std::io::Write as _;
 
 /// `POST /query` success response: the exact answer set plus the
 /// Query-Journey anatomy and the server-side stage timings.
@@ -46,6 +51,90 @@ pub struct QueryResponse {
     /// served — the answer is exact — but operators should treat the
     /// latency SLO as missed).
     pub deadline_exceeded: bool,
+}
+
+/// The answer ids of a [`QueryReply`], in one of two forms.
+#[derive(Debug, Clone, Copy)]
+pub enum AnswerIds<'a> {
+    /// Already rendered by [`BitSet::write_ids`] — an exact hit's shared
+    /// [`gc_core::AnswerText`]: copied as is.
+    Rendered(&'a [u8]),
+    /// Rendered while the reply is written (memo and pipeline answers).
+    Set(&'a BitSet),
+}
+
+/// A `/query` success reply, borrowed from the report that produced it:
+/// the [`QueryResponse`] fields, without the owned id vector and strings.
+/// The server never builds a `QueryResponse`; it writes this.
+#[derive(Debug, Clone, Copy)]
+pub struct QueryReply<'a> {
+    /// See [`QueryResponse::answer`].
+    pub answer: AnswerIds<'a>,
+    /// See [`QueryResponse::kind`] (`"sub"` or `"super"`).
+    pub kind: &'static str,
+    /// See [`QueryResponse::exact_hit`].
+    pub exact_hit: bool,
+    /// See [`QueryResponse::memo_hit`].
+    pub memo_hit: bool,
+    /// See [`QueryResponse::plan`] (`""`, `"filter"` or `"bounded"`).
+    pub plan: &'static str,
+    /// See [`QueryResponse::cm_size`].
+    pub cm_size: usize,
+    /// See [`QueryResponse::definite`].
+    pub definite: usize,
+    /// See [`QueryResponse::verified`].
+    pub verified: usize,
+    /// See [`QueryResponse::sub_iso_tests`].
+    pub sub_iso_tests: u64,
+    /// See [`QueryResponse::probe_tests`].
+    pub probe_tests: u64,
+    /// See [`QueryResponse::queue_us`].
+    pub queue_us: u64,
+    /// See [`QueryResponse::parse_us`].
+    pub parse_us: u64,
+    /// See [`QueryResponse::execute_us`].
+    pub execute_us: u64,
+    /// See [`QueryResponse::deadline_exceeded`].
+    pub deadline_exceeded: bool,
+}
+
+impl QueryReply<'_> {
+    /// Append the reply's JSON to `out`: byte for byte what
+    /// `serde_json::to_string` gives for the equivalent [`QueryResponse`]
+    /// (same field order, compact), with no intermediate value tree and no
+    /// allocation of its own beyond growing `out`.
+    pub fn write_json(&self, out: &mut Vec<u8>) {
+        debug_assert!(
+            [self.kind, self.plan].iter().all(|s| !s.contains(['"', '\\']) && s.is_ascii()),
+            "kind and plan are fixed labels that need no escaping"
+        );
+        out.extend_from_slice(b"{\"answer\":[");
+        match self.answer {
+            AnswerIds::Rendered(ids) => out.extend_from_slice(ids),
+            AnswerIds::Set(set) => set.write_ids(out),
+        }
+        // Writing to a `Vec` cannot fail.
+        let _ = write!(
+            out,
+            "],\"kind\":\"{}\",\"exact_hit\":{},\"memo_hit\":{},\"plan\":\"{}\",\
+             \"cm_size\":{},\"definite\":{},\"verified\":{},\"sub_iso_tests\":{},\
+             \"probe_tests\":{},\"queue_us\":{},\"parse_us\":{},\"execute_us\":{},\
+             \"deadline_exceeded\":{}}}",
+            self.kind,
+            self.exact_hit,
+            self.memo_hit,
+            self.plan,
+            self.cm_size,
+            self.definite,
+            self.verified,
+            self.sub_iso_tests,
+            self.probe_tests,
+            self.queue_us,
+            self.parse_us,
+            self.execute_us,
+            self.deadline_exceeded,
+        );
+    }
 }
 
 /// `POST /mutate` success response. `op` echoes the applied operation
@@ -149,14 +238,18 @@ pub struct StatsResponse {
     pub slow_queries: u64,
     /// Per-stage latency summaries for the cache pipeline.
     pub stages: Vec<StageSummary>,
+    /// Per-stage latency summaries for the server's request lifecycle:
+    /// `queue`, `parse`, `execute`, `render`, `write`.
+    pub request_stages: Vec<StageSummary>,
 }
 
-/// Latency summary for one cache pipeline stage (from the stage's
-/// log2-µs histogram; percentiles are bucket upper bounds).
+/// Latency summary for one cache pipeline or request stage (from the
+/// stage's log2-µs histogram; percentiles are bucket upper bounds).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StageSummary {
-    /// Stage label: `probe`/`bound`/`filter`/`prune`/`verify`/`admit`/
-    /// `memo`, then `mutate`.
+    /// Stage label: a pipeline stage (`probe`/`bound`/`filter`/`prune`/
+    /// `verify`/`admit`/`memo`/`key`/`exact`, then `mutate`) or a request
+    /// stage (`queue`/`parse`/`execute`/`render`/`write`).
     pub stage: String,
     /// Observations recorded for this stage.
     pub count: u64,
@@ -269,6 +362,13 @@ mod tests {
                 p50_us: 64,
                 p90_us: 256,
                 p99_us: 2048,
+            }],
+            request_stages: vec![StageSummary {
+                stage: "render".into(),
+                count: 100,
+                p50_us: 2,
+                p90_us: 4,
+                p99_us: 64,
             }],
         };
         let json = serde_json::to_string(&s).unwrap();

@@ -9,6 +9,7 @@
 //! (it backs off when told `503`, rather than hammering).
 
 use crate::api::QueryResponse;
+use crate::http::push_header;
 use gc_core::telemetry::{Histogram, HistogramSnapshot};
 use gc_method::QueryKind;
 use gc_workload::Workload;
@@ -49,26 +50,18 @@ pub struct HttpClient {
     stream: Option<TcpStream>,
     /// Socket timeout for connect/read/write.
     pub timeout: Duration,
+    /// The outgoing request, rebuilt in place for every request.
+    send: Vec<u8>,
+    /// The incoming response (head and body), read in place.
+    recv: Vec<u8>,
 }
 
 impl HttpClient {
     /// Connect to `addr` (lazily re-connects after errors).
     pub fn connect(addr: SocketAddr) -> Result<Self, String> {
-        let mut client = HttpClient { addr, stream: None, timeout: Duration::from_secs(5) };
-        client.ensure_connected()?;
-        Ok(client)
-    }
-
-    fn ensure_connected(&mut self) -> Result<&mut TcpStream, String> {
-        if self.stream.is_none() {
-            let stream = TcpStream::connect_timeout(&self.addr, self.timeout)
-                .map_err(|e| format!("connect {}: {e}", self.addr))?;
-            stream.set_read_timeout(Some(self.timeout)).map_err(|e| e.to_string())?;
-            stream.set_write_timeout(Some(self.timeout)).map_err(|e| e.to_string())?;
-            let _ = stream.set_nodelay(true);
-            self.stream = Some(stream);
-        }
-        Ok(self.stream.as_mut().expect("just set"))
+        let timeout = Duration::from_secs(5);
+        let stream = Some(open_stream(addr, timeout)?);
+        Ok(HttpClient { addr, stream, timeout, send: Vec::new(), recv: Vec::new() })
     }
 
     /// `GET path`.
@@ -126,19 +119,27 @@ impl HttpClient {
         headers: &[(&str, &str)],
         body: &[u8],
     ) -> Result<ClientResponse, TransportError> {
-        let mut raw = format!("{method} {path} HTTP/1.1\r\nhost: gc\r\n").into_bytes();
-        for (k, v) in headers {
-            raw.extend_from_slice(format!("{k}: {v}\r\n").as_bytes());
+        let raw = &mut self.send;
+        raw.clear();
+        for part in [method, " ", path, " HTTP/1.1\r\nhost: gc\r\n"] {
+            raw.extend_from_slice(part.as_bytes());
         }
-        raw.extend_from_slice(format!("content-length: {}\r\n\r\n", body.len()).as_bytes());
+        for (k, v) in headers {
+            push_header(raw, k, v.as_bytes());
+        }
+        let _ = write!(raw, "content-length: {}\r\n\r\n", body.len());
         raw.extend_from_slice(body);
-        let stream = self.ensure_connected().map_err(TransportError::fresh)?;
+        if self.stream.is_none() {
+            self.stream =
+                Some(open_stream(self.addr, self.timeout).map_err(TransportError::fresh)?);
+        }
+        let stream = self.stream.as_mut().expect("just ensured");
         // A write error on a reused socket is the stale-keep-alive
         // signature: the server closed and cannot have seen the request.
         stream
-            .write_all(&raw)
+            .write_all(raw)
             .map_err(|e| TransportError { msg: format!("write: {e}"), stale_keepalive: true })?;
-        let response = read_response(stream)?;
+        let response = read_response(stream, &mut self.recv)?;
         // Honour the server's close decision (shed and error responses
         // close; the next request reconnects).
         if response.header("connection").is_some_and(|v| v.eq_ignore_ascii_case("close")) {
@@ -146,6 +147,16 @@ impl HttpClient {
         }
         Ok(response)
     }
+}
+
+/// Connect to `addr` with `timeout` on the connect and on every read/write.
+fn open_stream(addr: SocketAddr, timeout: Duration) -> Result<TcpStream, String> {
+    let stream =
+        TcpStream::connect_timeout(&addr, timeout).map_err(|e| format!("connect {addr}: {e}"))?;
+    stream.set_read_timeout(Some(timeout)).map_err(|e| e.to_string())?;
+    stream.set_write_timeout(Some(timeout)).map_err(|e| e.to_string())?;
+    let _ = stream.set_nodelay(true);
+    Ok(stream)
 }
 
 /// A transport-level request failure. `stale_keepalive` marks the two
@@ -164,9 +175,19 @@ impl TransportError {
     }
 }
 
-/// Read one `Content-Length`-framed response from `stream`.
-fn read_response(stream: &mut TcpStream) -> Result<ClientResponse, TransportError> {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
+/// Bytes asked of the socket per read while the head is incomplete.
+const HEAD_READ: usize = 8 * 1024;
+
+/// Read one `Content-Length`-framed response from `stream` into `buf`
+/// (cleared first; the client reuses it across requests): the head in
+/// reads of up to [`HEAD_READ`] bytes, then exactly the rest of the body.
+/// The returned body is an exactly sized copy — callers keep bodies (the
+/// benchmark samples them), so it must not carry the read buffer's slack.
+fn read_response(
+    stream: &mut TcpStream,
+    buf: &mut Vec<u8>,
+) -> Result<ClientResponse, TransportError> {
+    buf.clear();
     let head_end = loop {
         if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
             break pos + 4;
@@ -174,21 +195,24 @@ fn read_response(stream: &mut TcpStream) -> Result<ClientResponse, TransportErro
         if buf.len() > 64 * 1024 {
             return Err(TransportError::fresh("response head too large".into()));
         }
-        let mut chunk = [0u8; 4096];
-        match stream.read(&mut chunk) {
-            // A clean close (or reset) before the first response byte:
-            // the stale-keep-alive signature when the socket was reused.
+        let filled = buf.len();
+        buf.resize(filled + HEAD_READ, 0);
+        let read = stream.read(&mut buf[filled..]);
+        buf.truncate(filled + read.as_ref().map_or(0, |&n| n));
+        // A clean close (or reset) before the first response byte is the
+        // stale-keep-alive signature when the socket was reused.
+        match read {
             Ok(0) => {
                 return Err(TransportError {
                     msg: "connection closed mid-response".into(),
-                    stale_keepalive: buf.is_empty(),
+                    stale_keepalive: filled == 0,
                 })
             }
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(_) => {}
             Err(e) => {
                 return Err(TransportError {
                     msg: format!("read: {e}"),
-                    stale_keepalive: buf.is_empty(),
+                    stale_keepalive: filled == 0,
                 })
             }
         }
@@ -216,17 +240,18 @@ fn read_response(stream: &mut TcpStream) -> Result<ClientResponse, TransportErro
         headers.push((name, value));
     }
 
-    let mut body = buf[head_end..].to_vec();
-    while body.len() < content_length {
-        let mut chunk = [0u8; 4096];
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err(TransportError::fresh("connection closed mid-body".into())),
-            Ok(n) => body.extend_from_slice(&chunk[..n]),
-            Err(e) => return Err(TransportError::fresh(format!("read body: {e}"))),
+    let total = head_end + content_length;
+    if buf.len() < total {
+        let missing = (total - buf.len()) as u64;
+        stream
+            .take(missing)
+            .read_to_end(buf)
+            .map_err(|e| TransportError::fresh(format!("read body: {e}")))?;
+        if buf.len() < total {
+            return Err(TransportError::fresh("connection closed mid-body".into()));
         }
     }
-    body.truncate(content_length);
-    Ok(ClientResponse { status, headers, body })
+    Ok(ClientResponse { status, headers, body: buf[head_end..total].to_vec() })
 }
 
 // ---- backoff ---------------------------------------------------------------

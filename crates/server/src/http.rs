@@ -19,6 +19,8 @@
 //! `Transfer-Encoding` is rejected with `501`), CRLF line endings, and
 //! `Connection: close`/`keep-alive` semantics.
 
+use std::io::Write as _;
+
 /// Caps the parser enforces on an incoming request.
 #[derive(Debug, Clone, Copy)]
 pub struct HttpLimits {
@@ -307,21 +309,91 @@ impl Response {
     /// Serialize status line, headers, framing headers, and body.
     pub fn encode(&self, keep_alive: bool) -> Vec<u8> {
         let mut out = Vec::with_capacity(128 + self.body.len());
-        out.extend_from_slice(
-            format!("HTTP/1.1 {} {}\r\n", self.status, reason_phrase(self.status)).as_bytes(),
-        );
-        for (k, v) in &self.headers {
-            out.extend_from_slice(format!("{k}: {v}\r\n").as_bytes());
-        }
-        out.extend_from_slice(format!("content-length: {}\r\n", self.body.len()).as_bytes());
-        out.extend_from_slice(if keep_alive {
-            &b"connection: keep-alive\r\n"[..]
-        } else {
-            &b"connection: close\r\n"[..]
-        });
-        out.extend_from_slice(b"\r\n");
-        out.extend_from_slice(&self.body);
+        self.encode_into(&mut out, keep_alive);
         out
+    }
+
+    /// [`Response::encode`], appended to `out` — a buffer the caller reuses
+    /// across responses. Nothing is formatted into a temporary: names,
+    /// values and the body are copied in place.
+    pub fn encode_into(&self, out: &mut Vec<u8>, keep_alive: bool) {
+        push_status_line(out, self.status);
+        for (k, v) in &self.headers {
+            push_header(out, k, v.as_bytes());
+        }
+        let mut framing = [0u8; FRAMING_MAX];
+        out.extend_from_slice(framing_lines(self.body.len(), keep_alive, &mut framing));
+        out.extend_from_slice(&self.body);
+    }
+}
+
+/// `HTTP/1.1 <status> <reason>\r\n`.
+fn push_status_line(out: &mut Vec<u8>, status: u16) {
+    let _ = write!(out, "HTTP/1.1 {status} {}\r\n", reason_phrase(status));
+}
+
+/// `<name>: <value>\r\n`.
+pub(crate) fn push_header(out: &mut Vec<u8>, name: &str, value: &[u8]) {
+    out.extend_from_slice(name.as_bytes());
+    out.extend_from_slice(b": ");
+    out.extend_from_slice(value);
+    out.extend_from_slice(b"\r\n");
+}
+
+/// The widest [`framing_lines`] output.
+const FRAMING_MAX: usize =
+    "content-length: 18446744073709551615\r\nconnection: keep-alive\r\n\r\n".len();
+
+/// The lines that close every head — `content-length`, `connection` and
+/// the blank line — rendered into `buf`.
+fn framing_lines(body_len: usize, keep_alive: bool, buf: &mut [u8; FRAMING_MAX]) -> &[u8] {
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    let mut rest = &mut buf[..];
+    let _ = write!(rest, "content-length: {body_len}\r\nconnection: {connection}\r\n\r\n");
+    let written = FRAMING_MAX - rest.len();
+    &buf[..written]
+}
+
+/// A response written straight into a reused buffer, for a body whose
+/// length is only known once it has been written.
+///
+/// [`InPlace::begin`] writes the status line and headers and leaves a gap
+/// as wide as the widest framing lines; the caller appends the body; then
+/// [`InPlace::finish`] writes the framing lines into the end of the gap,
+/// right against the body, and slides the (short) head up to meet them.
+/// The response is the one contiguous slice `out[start..]` — one
+/// `write_all` — and the body is never copied.
+#[derive(Debug)]
+#[must_use = "an unfinished response has no framing"]
+pub struct InPlace {
+    head_len: usize,
+    body_start: usize,
+}
+
+impl InPlace {
+    /// Clear `out` and start a `status` response with `headers`; append
+    /// the body to `out` next.
+    pub fn begin(out: &mut Vec<u8>, status: u16, headers: &[(&str, &[u8])]) -> InPlace {
+        out.clear();
+        push_status_line(out, status);
+        for (name, value) in headers {
+            push_header(out, name, value);
+        }
+        let head_len = out.len();
+        out.resize(head_len + FRAMING_MAX, 0);
+        InPlace { head_len, body_start: out.len() }
+    }
+
+    /// Frame everything appended to `out` since [`InPlace::begin`] as the
+    /// body; returns the offset the response starts at.
+    pub fn finish(self, out: &mut [u8], keep_alive: bool) -> usize {
+        let mut buf = [0u8; FRAMING_MAX];
+        let framing = framing_lines(out.len() - self.body_start, keep_alive, &mut buf);
+        let framing_start = self.body_start - framing.len();
+        out[framing_start..self.body_start].copy_from_slice(framing);
+        let start = framing_start - self.head_len;
+        out.copy_within(..self.head_len, start);
+        start
     }
 }
 
@@ -433,6 +505,23 @@ mod tests {
     fn huge_declared_length_does_not_overflow() {
         let raw = b"POST / HTTP/1.1\r\ncontent-length: 18446744073709551615\r\n\r\n";
         assert_eq!(parse(raw), Parse::Error(ParseError::BodyTooLarge));
+    }
+
+    #[test]
+    fn in_place_response_equals_encoded_response() {
+        let mut out = b"stale bytes from the previous response".to_vec();
+        for (body, keep) in [(&b""[..], true), (&b"{\"answer\":[1,2]}"[..], false)] {
+            let resp = Response::json(200, String::from_utf8(body.to_vec()).unwrap())
+                .with_header("x-request-id", "r-1");
+            let pending = InPlace::begin(
+                &mut out,
+                200,
+                &[("content-type", b"application/json"), ("x-request-id", b"r-1")],
+            );
+            out.extend_from_slice(body);
+            let start = pending.finish(&mut out, keep);
+            assert_eq!(&out[start..], &resp.encode(keep)[..]);
+        }
     }
 
     #[test]

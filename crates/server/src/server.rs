@@ -33,14 +33,15 @@
 //! attached — so a subsequent warm restart serves exact answers
 //! immediately.
 
-use crate::api::{ErrorBody, QueryResponse, StageSummary, StatsResponse, TracesResponse};
-use crate::http::{parse_request, HttpLimits, Parse, Request, Response};
+use crate::api::{AnswerIds, ErrorBody, QueryReply, StageSummary, StatsResponse, TracesResponse};
+use crate::http::{parse_request, HttpLimits, InPlace, Parse, Request, Response};
 use crate::metrics::{ServerMetrics, Stage};
 use gc_core::persist::PersistHealth;
 use gc_core::{GlobalStats, SharedGraphCache};
 use gc_method::QueryKind;
 use gc_store::faults::FaultPlan;
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -291,8 +292,8 @@ fn generate_request_id() -> String {
 /// generated one otherwise. Every response carries one — including shed
 /// `503`s and timeout `408`/`504`s — so any observed failure can be
 /// joined against the slow-query log.
-fn request_id_for(req: &Request) -> String {
-    req.header("x-request-id").map(str::to_owned).unwrap_or_else(generate_request_id)
+fn request_id_for(req: &Request) -> Cow<'_, str> {
+    req.header("x-request-id").map_or_else(|| Cow::Owned(generate_request_id()), Cow::Borrowed)
 }
 
 /// Cache stats + serving gauges (shared by `/stats` and the handle).
@@ -393,6 +394,9 @@ fn handle_connection(mut stream: TcpStream, mut queue_wait: Duration, shared: &S
     let _ = stream.set_nodelay(true);
 
     let mut buf: Vec<u8> = Vec::with_capacity(4096);
+    // Every response on this connection is written into `out`, reused
+    // across its keep-alive requests and sent with one `write_all`.
+    let mut out: Vec<u8> = Vec::with_capacity(4096);
     let mut first_byte: Option<Instant> = None;
     loop {
         match parse_request(&buf, &cfg.limits) {
@@ -403,11 +407,21 @@ fn handle_connection(mut stream: TcpStream, mut queue_wait: Duration, shared: &S
                 // Queue wait counts against the *first* request only;
                 // later keep-alive requests never sat in the queue.
                 let waited = std::mem::take(&mut queue_wait);
-                let response = route(&request, waited, parse_time, shared)
-                    .with_header("x-request-id", request_id_for(&request));
+                let request_id = request_id_for(&request);
+                let reply = route(&request, &request_id, waited, parse_time, shared, &mut out);
                 let keep = request.keep_alive() && !shared.draining.load(Ordering::Relaxed);
+                let start = match reply {
+                    Reply::Written(pending) => pending.finish(&mut out, keep),
+                    Reply::Response(response) => {
+                        out.clear();
+                        response
+                            .with_header("x-request-id", request_id.into_owned())
+                            .encode_into(&mut out, keep);
+                        0
+                    }
+                };
                 let t0 = Instant::now();
-                if stream.write_all(&response.encode(keep)).is_err() {
+                if stream.write_all(&out[start..]).is_err() {
                     return;
                 }
                 shared.metrics.observe(Stage::Write, t0.elapsed());
@@ -471,10 +485,32 @@ fn answer_timeout(stream: &mut TcpStream, shared: &Shared) {
 
 // ---- routing ---------------------------------------------------------------
 
-fn route(req: &Request, queue_wait: Duration, parse_time: Duration, shared: &Shared) -> Response {
+/// What a routed request produced.
+enum Reply {
+    /// A response still to be framed: the connection adds `x-request-id`
+    /// and encodes it into its output buffer.
+    Response(Response),
+    /// A `/query` reply already written into the output buffer — headers
+    /// (`x-request-id` included) and body — awaiting only its framing.
+    Written(InPlace),
+}
+
+fn route(
+    req: &Request,
+    request_id: &str,
+    queue_wait: Duration,
+    parse_time: Duration,
+    shared: &Shared,
+    out: &mut Vec<u8>,
+) -> Reply {
     shared.metrics.requests_total.fetch_add(1, Ordering::Relaxed);
-    match (req.method.as_str(), req.path.as_str()) {
-        ("POST", "/query") => handle_query(req, queue_wait, parse_time, shared),
+    let response = match (req.method.as_str(), req.path.as_str()) {
+        ("POST", "/query") => {
+            match handle_query(req, request_id, queue_wait, parse_time, shared, out) {
+                Ok(written) => return Reply::Written(written),
+                Err(response) => response,
+            }
+        }
         ("POST", "/mutate") => handle_mutate(req, shared),
         ("GET", "/stats") => handle_stats(shared),
         ("GET", "/metrics") => {
@@ -495,7 +531,8 @@ fn route(req: &Request, queue_wait: Duration, parse_time: Duration, shared: &Sha
             | "/healthz" | "/readyz",
         ) => error_response(405, format!("method {} not allowed for {}", req.method, req.path)),
         _ => error_response(404, format!("no such endpoint: {}", req.path)),
-    }
+    };
+    Reply::Response(response)
 }
 
 fn error_response(status: u16, error: String) -> Response {
@@ -503,12 +540,22 @@ fn error_response(status: u16, error: String) -> Response {
     Response::json(status, serde_json::to_string(&body).unwrap_or_default())
 }
 
+/// `POST /query`: decode the t/v/e body, run the query, and write the reply
+/// straight into `out` — no [`crate::QueryResponse`] is built. An exact hit
+/// copies its entry's shared [`gc_core::AnswerText`] (rendered by the first
+/// request that needed it); memo and pipeline answers are rendered by
+/// [`gc_graph::BitSet::write_ids`] as they are written. The decode and the
+/// write-out are the `render` stage; the query alone is `execute`. A
+/// request that cannot be served comes back as an error response.
 fn handle_query(
     req: &Request,
+    request_id: &str,
     queue_wait: Duration,
     parse_time: Duration,
     shared: &Shared,
-) -> Response {
+    out: &mut Vec<u8>,
+) -> Result<InPlace, Response> {
+    let decode_start = Instant::now();
     // The effective deadline: the server default, tightened by the
     // client's X-Deadline-Ms if present.
     let mut deadline = shared.config.request_deadline;
@@ -518,30 +565,31 @@ fn handle_query(
     let consumed = queue_wait + parse_time;
     if consumed >= deadline {
         shared.metrics.requests_timed_out.fetch_add(1, Ordering::Relaxed);
-        return error_response(504, "deadline expired before execution".into());
+        return Err(error_response(504, "deadline expired before execution".into()));
     }
 
     let kind = match req.query_param("kind") {
         None | Some("sub") => QueryKind::Subgraph,
         Some("super") => QueryKind::Supergraph,
         Some(other) => {
-            return error_response(400, format!("unknown kind {other:?} (want sub|super)"))
+            return Err(error_response(400, format!("unknown kind {other:?} (want sub|super)")))
         }
     };
     let text = match std::str::from_utf8(&req.body) {
         Ok(t) => t,
-        Err(_) => return error_response(400, "query body is not UTF-8".into()),
+        Err(_) => return Err(error_response(400, "query body is not UTF-8".into())),
     };
     let graphs = match gc_graph::io::parse_dataset(text) {
         Ok(g) => g,
-        Err(e) => return error_response(400, format!("query body is not t/v/e: {e}")),
+        Err(e) => return Err(error_response(400, format!("query body is not t/v/e: {e}"))),
     };
     let [query] = graphs.as_slice() else {
-        return error_response(
+        return Err(error_response(
             400,
             format!("query body must contain exactly one graph, got {}", graphs.len()),
-        );
+        ));
     };
+    let decode = decode_start.elapsed();
 
     let t0 = Instant::now();
     let report = shared.cache.query_traced(query, kind, req.header("x-request-id"));
@@ -552,12 +600,22 @@ fn handle_query(
         shared.metrics.requests_timed_out.fetch_add(1, Ordering::Relaxed);
     }
 
-    let resp = QueryResponse {
-        answer: report.answer.to_vec(),
-        kind: kind.as_str().into(),
+    let write_start = Instant::now();
+    let tier: &[u8] = match (report.exact_hit, report.memo_hit) {
+        (true, _) => b"exact",
+        (_, true) => b"memo",
+        _ => b"pipeline",
+    };
+    let answer = match &report.answer_text {
+        Some(text) => AnswerIds::Rendered(text.get_or_render(&report.answer)),
+        None => AnswerIds::Set(&report.answer),
+    };
+    let reply = QueryReply {
+        answer,
+        kind: kind.as_str(),
         exact_hit: report.exact_hit,
         memo_hit: report.memo_hit,
-        plan: report.plan().into(),
+        plan: report.plan(),
         cm_size: report.cm_size,
         definite: report.definite,
         verified: report.verified,
@@ -568,10 +626,18 @@ fn handle_query(
         execute_us: execute.as_micros() as u64,
         deadline_exceeded,
     };
-    match serde_json::to_string(&resp) {
-        Ok(json) => Response::json(200, json),
-        Err(e) => error_response(500, format!("response serialization failed: {e}")),
-    }
+    let pending = InPlace::begin(
+        out,
+        200,
+        &[
+            ("content-type", b"application/json"),
+            ("x-gc-tier", tier),
+            ("x-request-id", request_id.as_bytes()),
+        ],
+    );
+    reply.write_json(out);
+    shared.metrics.observe(Stage::Render, decode + write_start.elapsed());
+    Ok(pending)
 }
 
 /// `POST /mutate?op=insert` (t/v/e body, exactly one graph) or
@@ -664,20 +730,25 @@ fn handle_stats(shared: &Shared) -> Response {
         pipeline_p99_us: s.pipeline_p99_us,
         traces_sampled: s.traces_sampled,
         slow_queries: s.slow_queries,
-        stages: telemetry
-            .labelled_stages()
-            .map(|(label, h)| StageSummary {
-                stage: label.into(),
-                count: h.count(),
-                p50_us: h.percentile_us(50.0),
-                p90_us: h.percentile_us(90.0),
-                p99_us: h.percentile_us(99.0),
-            })
+        stages: telemetry.labelled_stages().map(|(label, h)| stage_summary(label, h)).collect(),
+        request_stages: Stage::ALL
+            .iter()
+            .map(|&st| stage_summary(st.label(), shared.metrics.stage(st)))
             .collect(),
     };
     match serde_json::to_string(&resp) {
         Ok(json) => Response::json(200, json),
         Err(e) => error_response(500, format!("stats serialization failed: {e}")),
+    }
+}
+
+fn stage_summary(label: &str, h: &crate::metrics::Histogram) -> StageSummary {
+    StageSummary {
+        stage: label.into(),
+        count: h.count(),
+        p50_us: h.percentile_us(50.0),
+        p90_us: h.percentile_us(90.0),
+        p99_us: h.percentile_us(99.0),
     }
 }
 
@@ -713,6 +784,7 @@ fn handle_readyz(shared: &Shared) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::QueryResponse;
     use crate::client::HttpClient;
     use gc_core::{CacheConfig, PolicyKind};
     use gc_method::{Dataset, SiMethod};
@@ -887,6 +959,10 @@ mod tests {
         assert!(stats.stages.iter().any(|s| s.stage == "key" && s.count == 3), "every query");
         assert!(stats.stages.iter().any(|s| s.stage == "exact" && s.count == 2), "the two hits");
         assert_eq!(stats.exact_confirm_iso, 0, "the repeats re-sent the same text");
+        let labels: Vec<&str> = stats.request_stages.iter().map(|s| s.stage.as_str()).collect();
+        assert_eq!(labels, ["queue", "parse", "execute", "render", "write"]);
+        let render = stats.request_stages.iter().find(|s| s.stage == "render").unwrap();
+        assert_eq!(render.count, 3, "every /query decodes and writes its reply");
 
         // /metrics exposes the pipeline histograms.
         let metrics = client.get("/metrics").unwrap().body_text();
@@ -894,6 +970,7 @@ mod tests {
         assert!(metrics.contains("gc_query_microseconds_count"));
         assert!(metrics.contains("gc_filter_skipped_total 0\n"));
         assert!(metrics.contains("gc_exact_confirm_iso_total 0\n"));
+        assert!(metrics.contains("gc_request_stage_microseconds_count{stage=\"render\"} 3\n"));
 
         // Wrong method: still part of the routed surface.
         assert_eq!(client.post("/debug/traces", &[]).unwrap().status, 405);
@@ -1009,6 +1086,87 @@ mod tests {
             stats.stages.iter().any(|s| s.stage == "mutate" && s.count == 2),
             "the mutate stage times each applied mutation and skips the no-op"
         );
+        server.drain();
+    }
+
+    /// An exact hit over HTTP copies its entry's rendered text; a mutation
+    /// that changes the answer must never let a stale text out: the next
+    /// reply is still an exact hit, carrying the repaired answer — and every
+    /// reply is byte-identical to `serde_json`'s rendering of what it
+    /// parses to, with its serving tier in `x-gc-tier`.
+    #[test]
+    fn exact_hit_text_follows_repairs_over_http() {
+        let (server, dataset) = start_server(quick_config());
+        let mut client = HttpClient::connect(server.addr()).unwrap();
+        let query = dataset.graphs()[0].clone();
+        let body = gc_graph::io::dataset_to_string(std::slice::from_ref(&query));
+        let ask = |client: &mut HttpClient, tier: &str| -> QueryResponse {
+            let resp = client.post("/query?kind=sub", body.as_bytes()).unwrap();
+            assert_eq!(resp.status, 200);
+            assert_eq!(resp.header("x-gc-tier"), Some(tier));
+            let text = resp.body_text();
+            let parsed: QueryResponse = serde_json::from_str(&text).unwrap();
+            assert_eq!(serde_json::to_string(&parsed).unwrap(), text, "serde_json's exact bytes");
+            let dataset = server.cache().dataset();
+            let want = gc_method::execute_base(
+                &dataset,
+                &SiMethod,
+                gc_method::Engine::Vf2,
+                &query,
+                QueryKind::Subgraph,
+            );
+            assert_eq!(parsed.answer, want.answer.to_vec());
+            assert_eq!(parsed.exact_hit, tier == "exact");
+            parsed
+        };
+        let cold = ask(&mut client, "pipeline");
+        assert!(cold.answer.contains(&0), "graph 0 contains itself");
+        // Served twice: the first hit renders the entry's text, the second
+        // copies it.
+        for _ in 0..2 {
+            assert_eq!(ask(&mut client, "exact").answer, cold.answer);
+        }
+        let mutate = |client: &mut HttpClient, path: &str, body: &[u8]| {
+            let resp = client.post(path, body).unwrap();
+            assert_eq!(resp.status, 200);
+            serde_json::from_str::<crate::api::MutateResponse>(&resp.body_text()).unwrap()
+        };
+
+        // A duplicate of graph 0 joins the answer.
+        let ins = mutate(&mut client, "/mutate?op=insert", body.as_bytes());
+        let grown = ask(&mut client, "exact");
+        assert_eq!(grown.answer.last(), Some(&(ins.graph_id as usize)));
+        assert_eq!(ask(&mut client, "exact").answer, grown.answer);
+        // Removing it, then graph 0 itself, shrinks the answer twice.
+        mutate(&mut client, &format!("/mutate?op=remove&id={}", ins.graph_id), &[]);
+        assert_eq!(ask(&mut client, "exact").answer, cold.answer);
+        mutate(&mut client, "/mutate?op=remove&id=0", &[]);
+        let shrunk = ask(&mut client, "exact");
+        assert_eq!(shrunk.answer, cold.answer[1..]);
+        server.drain();
+    }
+
+    #[test]
+    fn memo_hits_are_named_in_the_tier_header() {
+        let dataset = Arc::new(Dataset::new(molecule_dataset(24, 42)));
+        let cache = SharedGraphCache::with_policy(
+            Arc::clone(&dataset),
+            Box::new(SiMethod),
+            PolicyKind::Hd,
+            // Nothing is admitted, so a repeat can only come from the memo.
+            CacheConfig { min_admit_tests: usize::MAX, ..CacheConfig::default() },
+        )
+        .unwrap();
+        let server = Server::start(Arc::new(cache), quick_config()).unwrap();
+        let mut client = HttpClient::connect(server.addr()).unwrap();
+        let body = gc_graph::io::dataset_to_string(std::slice::from_ref(&dataset.graphs()[3]));
+        for tier in ["pipeline", "memo"] {
+            let resp = client.post("/query?kind=super", body.as_bytes()).unwrap();
+            assert_eq!(resp.header("x-gc-tier"), Some(tier));
+            let parsed: QueryResponse = serde_json::from_str(&resp.body_text()).unwrap();
+            assert_eq!(parsed.memo_hit, tier == "memo");
+            assert_eq!(parsed.kind, "super");
+        }
         server.drain();
     }
 

@@ -8,7 +8,9 @@
 //! * structs with named fields;
 //! * newtype / tuple structs;
 //! * enums with unit, struct and tuple variants (externally tagged, like
-//!   upstream serde's default).
+//!   upstream serde's default);
+//! * `#[serde(skip)]` on a named field: left out when serializing, filled
+//!   with `Default::default()` when deserializing.
 //!
 //! Generics are intentionally unsupported; the derive panics with a clear
 //! message rather than generating wrong code.
@@ -18,8 +20,16 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 #[derive(Debug)]
 enum Shape {
     Unit,
-    Named(Vec<String>),
+    Named(Vec<Field>),
     Tuple(usize),
+}
+
+/// A named field; `skip` marks `#[serde(skip)]` (left out of the value
+/// tree, rebuilt with `Default::default()`).
+#[derive(Debug)]
+struct Field {
+    name: String,
+    skip: bool,
 }
 
 #[derive(Debug)]
@@ -58,20 +68,31 @@ fn skip_attrs_and_vis(tokens: &[TokenTree], mut i: usize) -> usize {
     }
 }
 
-/// Parse the fields of a braced group: named fields `a: T, b: U, ...`.
-/// Returns the field names in declaration order.
-fn parse_named_fields(group: &proc_macro::Group) -> Vec<String> {
+/// `true` if a field's leading attribute tokens include `#[serde(skip)]`.
+fn has_serde_skip(tokens: &[TokenTree]) -> bool {
+    tokens.iter().any(|t| {
+        let TokenTree::Group(g) = t else { return false };
+        let inner: Vec<String> = g.stream().into_iter().map(|t| t.to_string()).collect();
+        inner.len() == 2 && inner[0] == "serde" && inner[1] == "(skip)"
+    })
+}
+
+/// Parse the fields of a braced group: named fields `a: T, b: U, ...`, in
+/// declaration order.
+fn parse_named_fields(group: &proc_macro::Group) -> Vec<Field> {
     let tokens: Vec<TokenTree> = group.stream().into_iter().collect();
     let mut fields = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
+        let attrs_start = i;
         i = skip_attrs_and_vis(&tokens, i);
         let Some(TokenTree::Ident(name)) = tokens.get(i) else { break };
-        fields.push(name.to_string());
+        let skip = has_serde_skip(&tokens[attrs_start..i]);
+        fields.push(Field { name: name.to_string(), skip });
         i += 1;
         match tokens.get(i) {
             Some(TokenTree::Punct(p)) if p.as_char() == ':' => i += 1,
-            _ => panic!("serde shim derive: expected ':' after field {}", fields.last().unwrap()),
+            _ => panic!("serde shim derive: expected ':' after field {name}"),
         }
         // Skip the type: consume until a comma at angle-bracket depth 0.
         let mut depth = 0i32;
@@ -193,9 +214,9 @@ fn parse_item(input: TokenStream) -> Item {
     }
 }
 
-fn named_to_object(fields: &[String], access_prefix: &str) -> String {
+fn named_to_object(fields: &[Field], access_prefix: &str) -> String {
     let mut out = String::from("{ let mut __fields: Vec<(String, ::serde::Value)> = Vec::new(); ");
-    for f in fields {
+    for f in fields.iter().filter(|f| !f.skip).map(|f| &f.name) {
         out.push_str(&format!(
             "__fields.push(({f:?}.to_string(), ::serde::Serialize::to_value({access_prefix}{f}))); "
         ));
@@ -204,12 +225,16 @@ fn named_to_object(fields: &[String], access_prefix: &str) -> String {
     out
 }
 
-fn named_from_object(ty_or_variant: &str, fields: &[String], ctor: &str) -> String {
+fn named_from_object(ty_or_variant: &str, fields: &[Field], ctor: &str) -> String {
     let mut out = format!(
         "{{ let __obj = __v.as_object().ok_or_else(|| ::serde::DeError::new(\
          format!(\"expected object for {ty_or_variant}, got {{__v:?}}\")))?; Ok({ctor} {{ "
     );
-    for f in fields {
+    for Field { name: f, skip } in fields {
+        if *skip {
+            out.push_str(&format!("{f}: ::std::default::Default::default(), "));
+            continue;
+        }
         out.push_str(&format!(
             "{f}: ::serde::Deserialize::from_value(::serde::value::get_field(__obj, {f:?})\
              .ok_or_else(|| ::serde::DeError::new(\"missing field {ty_or_variant}.{f}\"))?)?, "
@@ -219,7 +244,7 @@ fn named_from_object(ty_or_variant: &str, fields: &[String], ctor: &str) -> Stri
     out
 }
 
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     let code = match &item {
@@ -249,7 +274,8 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                         "{name}::{vn} => ::serde::Value::String({vn:?}.to_string()),"
                     )),
                     Shape::Named(fields) => {
-                        let binds = fields.join(", ");
+                        let names: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+                        let binds = names.join(", ");
                         let obj = named_to_object(fields, "");
                         arms.push_str(&format!(
                             "{name}::{vn} {{ {binds} }} => ::serde::Value::Object(vec![\
@@ -284,7 +310,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     code.parse().expect("serde shim derive: generated Serialize impl must parse")
 }
 
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     let code = match &item {

@@ -10,6 +10,7 @@
 
 pub use serde::Value;
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 
 /// Serialization/parse error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,7 +47,9 @@ fn escape_into(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
@@ -55,12 +58,12 @@ fn escape_into(s: &str, out: &mut String) {
 
 fn write_float(f: f64, out: &mut String) {
     if f.is_finite() {
-        let text = format!("{f}");
-        out.push_str(&text);
+        let start = out.len();
+        let _ = write!(out, "{f}");
         // Keep the float/integer distinction in the text form so a
         // round-trip preserves Value::Float where it matters little but
         // costs nothing.
-        if !text.contains(['.', 'e', 'E']) {
+        if !out[start..].contains(['.', 'e', 'E']) {
             out.push_str(".0");
         }
     } else {
@@ -73,8 +76,14 @@ fn write_value(v: &Value, out: &mut String, indent: Option<usize>, level: usize)
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::UInt(u) => out.push_str(&u.to_string()),
-        Value::Int(i) => out.push_str(&i.to_string()),
+        // Numbers are formatted straight into `out`: no `String` per value
+        // (writing to a `String` cannot fail).
+        Value::UInt(u) => {
+            let _ = write!(out, "{u}");
+        }
+        Value::Int(i) => {
+            let _ = write!(out, "{i}");
+        }
         Value::Float(f) => write_float(*f, out),
         Value::String(s) => escape_into(s, out),
         Value::Array(items) => {
@@ -317,11 +326,11 @@ impl<'a> Parser<'a> {
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.error("invalid number"))?;
         if !is_float {
-            if let Some(stripped) = text.strip_prefix('-') {
-                if let Ok(u) = stripped.parse::<u64>() {
-                    if u <= i64::MAX as u64 {
-                        return Ok(Value::Int(-(u as i64)));
-                    }
+            if text.starts_with('-') {
+                // Parsed signed, so `i64::MIN` (whose magnitude is not an
+                // `i64`) stays an integer.
+                if let Ok(i) = text.parse::<i64>() {
+                    return Ok(Value::Int(i));
                 }
             } else if let Ok(u) = text.parse::<u64>() {
                 return Ok(Value::UInt(u));
@@ -371,6 +380,31 @@ mod tests {
             let s = to_string(&f).unwrap();
             let back: f64 = from_str(&s).unwrap();
             assert_eq!(back, f, "{s}");
+        }
+    }
+
+    #[test]
+    fn numbers_written_in_place_keep_their_bytes_and_roundtrip() {
+        for (v, text) in [
+            (Value::UInt(0), "0"),
+            (Value::UInt(u64::MAX), "18446744073709551615"),
+            (Value::Int(i64::MIN), "-9223372036854775808"),
+            (Value::Float(0.1), "0.1"),
+            (Value::Float(1e300), &format!("{}.0", 1e300)),
+            (Value::Float(-0.0), "-0.0"),
+            (Value::Float(70.0), "70.0"),
+            (Value::String("\u{1}".into()), "\"\\u0001\""),
+        ] {
+            let mut out = String::from("[");
+            write_value(&v, &mut out, None, 0);
+            assert_eq!(&out[1..], text);
+            let back: Value = Parser::new(&out[1..]).parse_value().unwrap();
+            match (&back, &v) {
+                (Value::Float(a), Value::Float(b)) => {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{text}")
+                }
+                _ => assert_eq!(back, v),
+            }
         }
     }
 
