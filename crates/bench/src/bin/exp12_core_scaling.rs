@@ -9,9 +9,9 @@
 //!    These are core-count-independent: they show what the dispatch buys
 //!    on this machine even when `available_parallelism` is 1.
 //! 2. **Core scaling** — `SharedGraphCache` throughput over a zipf
-//!    workload swept across shard counts and client threads (with the
-//!    batched per-shard probe fan-out engaged via `threads = clients`),
-//!    against the sequential `GraphCache` baseline. Every shared-mode
+//!    workload swept across shard counts and client threads (each query
+//!    runs whole on its client's thread), against the sequential
+//!    `GraphCache` baseline. Every shared-mode
 //!    answer is cross-checked bit-for-bit against the sequential replay;
 //!    any divergence aborts with a nonzero exit.
 //!
@@ -257,15 +257,8 @@ fn main() {
     ]];
     for &shards in shard_counts {
         for &clients in client_counts {
-            let config = CacheConfig {
-                capacity: 64,
-                window_size: 8,
-                shards,
-                // threads > 1 engages both the verify pool and the batched
-                // per-shard probe fan-out.
-                threads: clients.max(2).min(cores.max(2)),
-                ..CacheConfig::default()
-            };
+            let config =
+                CacheConfig { capacity: 64, window_size: 8, shards, ..CacheConfig::default() };
             let gc = SharedGraphCache::with_policy(
                 dataset.clone(),
                 Box::new(SiMethod),

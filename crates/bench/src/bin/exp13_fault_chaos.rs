@@ -4,8 +4,7 @@
 //! recovery) is only trustworthy if it holds under *adversarial* fault
 //! schedules, not just the happy path. This harness replays a Zipf
 //! workload while a deterministic [`gc_core::persist::FaultPlan`] injects
-//! faults at every persistence I/O site and into the worker pool, and
-//! gates the full contract:
+//! faults at every persistence I/O site, and gates the full contract:
 //!
 //! * **A — transient I/O errors**: `ErrOnce` at each journal/snapshot
 //!   site; the retry budget absorbs them and persistence stays healthy.
@@ -14,8 +13,6 @@
 //!   memory-only (every answer cross-checked against Method M alone).
 //! * **C — recovery**: the fault clears; a recovery probe cuts a fresh
 //!   snapshot, re-arms durability, and the directory restores warm.
-//! * **D — task panics**: injected worker-pool panics; lost probe/verify
-//!   chunks are redone inline and answers never change.
 //! * **E — crash + bounded loss**: under `FsyncPolicy::EveryN(n)`, a
 //!   simulated crash (journal truncated at any point at or past the last
 //!   fsync) recovers an exact record prefix and loses at most
@@ -51,8 +48,6 @@ struct Exp13Artifact {
     transient_sites_absorbed: usize,
     /// Injected faults that actually fired across all segments.
     faults_fired: usize,
-    /// Worker-pool tasks killed by injected panics (segment D).
-    task_panics_injected: usize,
     /// Recovery: snapshot generation before the outage and after re-arm.
     generation_before_outage: u64,
     generation_after_recovery: u64,
@@ -229,42 +224,6 @@ fn main() {
     drop(warm);
     let _ = std::fs::remove_dir_all(&dir_b);
 
-    // ---- segment D: injected worker-pool panics ---------------------------
-    // The sharded front-end routes shard probes and candidate verification
-    // through the process-wide pool (threads > 1, parallel_threshold 1
-    // forces dispatch); every lost chunk must be redone inline.
-    let gc = gc_core::SharedGraphCache::with_policy(
-        ds.clone(),
-        Box::new(SiMethod),
-        PolicyKind::Hd,
-        CacheConfig { threads: 4, shards: 4, parallel_threshold: 1, ..cfg.clone() },
-    )
-    .expect("valid config");
-    let plan = Arc::new(FaultPlan::seeded(13));
-    for _ in 0..64 {
-        plan.arm(FaultSite::Task, Failpoint::PanicAt { n: 3 });
-    }
-    // Injected panics are *expected* here; silence the default hook's
-    // backtrace spam for the duration of the segment.
-    std::panic::set_hook(Box::new(|_| {}));
-    gc_core::global_pool().set_fault_plan(Some(Arc::clone(&plan)));
-    for wq in &workload(&ds, seg_queries, 6).queries {
-        let got = gc.query(&wq.graph, wq.kind);
-        let want = execute_base(&ds, &SiMethod, Engine::Vf2, &wq.graph, wq.kind);
-        if got.answer != want.answer {
-            fail("segment D: answer diverged from Method M under injected task panics");
-        }
-        answers_cross_checked += 1;
-    }
-    gc_core::global_pool().set_fault_plan(None);
-    let _ = std::panic::take_hook();
-    let task_panics_injected = plan.fired();
-    if task_panics_injected == 0 {
-        fail("segment D: no task panic fired — segment is vacuous");
-    }
-    faults_fired += task_panics_injected;
-    drop(gc);
-
     // ---- segment E: crash + bounded loss under group commit ---------------
     // Build a journal of single-op appends under EveryN(n), then simulate a
     // crash at every byte the OS could have persisted (any cut at or past
@@ -377,11 +336,6 @@ fn main() {
             "retries, breaker never tripped".to_owned(),
         ],
         vec![
-            "task panics survived".to_owned(),
-            format!("{task_panics_injected}"),
-            "lost chunks redone inline".to_owned(),
-        ],
-        vec![
             "recovery".to_owned(),
             format!("gen {generation_before_outage} -> {generation_after_recovery}"),
             "fresh snapshot re-armed durability".to_owned(),
@@ -403,7 +357,6 @@ fn main() {
         availability,
         transient_sites_absorbed,
         faults_fired,
-        task_panics_injected,
         generation_before_outage,
         generation_after_recovery,
         fsync_every_n,

@@ -2,14 +2,13 @@
 //! §2 Demonstrator metrics).
 //!
 //! The kernel papers measure how GC's speedup responds to cache size,
-//! workload skew, and resource knobs. This harness sweeps:
+//! workload skew, and probing budgets. This harness sweeps:
 //!
 //! 1. cache capacity ∈ {25, 50, 100, 200, 400} at fixed skew;
 //! 2. workload skew ∈ {0.0, 0.6, 1.2, 1.8} at fixed capacity —
 //!    skew is where the up-to-40× regime lives: the more repetition and
 //!    containment structure, the larger the speedup;
-//! 3. verification threads ∈ {1, 2, 4} (resource-management ablation);
-//! 4. hit-check budget ∈ {4, 16, 64, 256} (DESIGN.md §6 ablation).
+//! 3. hit-check budget ∈ {4, 16, 64, 256} (DESIGN.md §6 ablation).
 
 use gc_bench::{print_table, run_base, run_cached, write_artifact};
 use gc_core::{CacheConfig, PolicyKind};
@@ -108,37 +107,9 @@ fn main() {
     println!("\nsweep 2: workload skew (capacity 100) — the up-to-40x regime grows with skew");
     print_table(&["zipf skew", "test-speedup", "time-speedup", "hit%"], &rows);
 
-    // --- sweep 3: verification threads ---------------------------------------
+    // --- sweep 3: hit-check budget -------------------------------------------
     let workload = Workload::generate(dataset.graphs(), &spec_with(1.2, n_queries.min(1000)));
     let base = run_base(&dataset, &FtvMethod::build(&dataset, 2), &workload);
-    let mut rows = Vec::new();
-    for threads in [1usize, 2, 4] {
-        let cfg = CacheConfig { capacity: 100, window_size: 10, threads, ..CacheConfig::default() };
-        let out = run_cached(
-            &dataset,
-            Box::new(FtvMethod::build(&dataset, 2)),
-            PolicyKind::Hd,
-            &cfg,
-            &workload,
-            &base,
-        );
-        rows.push(vec![
-            threads.to_string(),
-            format!("{:.3} ms", out.avg_time_s * 1e3),
-            format!("{:.2}x", out.time_speedup),
-        ]);
-        points.push(SweepPoint {
-            sweep: "threads".into(),
-            x: threads as f64,
-            test_speedup: out.test_speedup,
-            time_speedup: out.time_speedup,
-            hit_ratio: out.hit_ratio,
-        });
-    }
-    println!("\nsweep 3: verification threads (resource management)");
-    print_table(&["threads", "avg time/query", "time-speedup"], &rows);
-
-    // --- sweep 4: hit-check budget -------------------------------------------
     let mut rows = Vec::new();
     for checks in [4usize, 16, 64, 256] {
         let cfg = CacheConfig {
@@ -169,7 +140,7 @@ fn main() {
             hit_ratio: out.hit_ratio,
         });
     }
-    println!("\nsweep 4: hit-check budget (max sub/super candidates verified per query)");
+    println!("\nsweep 3: hit-check budget (max sub/super candidates verified per query)");
     print_table(&["budget", "test-speedup", "hit%"], &rows);
 
     match write_artifact("exp5_scalability", &points) {

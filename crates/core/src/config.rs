@@ -32,16 +32,10 @@ pub struct CacheConfig {
     pub index_tuning: IndexTuning,
     /// Verifier engine.
     pub engine: Engine,
-    /// Worker threads for candidate verification (1 = sequential).
-    pub threads: usize,
     /// Admission filter: only cache queries whose execution performed at
     /// least this many sub-iso tests (cheap queries cannot repay their cache
     /// slot).
     pub min_admit_tests: usize,
-    /// Minimum candidate-set size to dispatch verification to the worker
-    /// pool; smaller sets run inline (channel round-trips would outweigh
-    /// the work). Only relevant when `threads > 1`.
-    pub parallel_threshold: usize,
     /// Optional byte budget for the cache (entries + index). When set,
     /// replacement sweeps also evict until the footprint fits — the memory
     /// side of the kernel's "resource management (memory and threads)". The
@@ -50,8 +44,8 @@ pub struct CacheConfig {
     /// Shard count of the concurrent front-end
     /// ([`crate::SharedGraphCache`]): cache state is split into this many
     /// independently-locked shards (queries are routed by graph
-    /// fingerprint). More shards → less write contention, slightly more
-    /// probe fan-out. Ignored by the sequential [`crate::GraphCache`].
+    /// fingerprint). More shards → less write contention, a few more
+    /// shard probes per query. Ignored by the sequential [`crate::GraphCache`].
     /// Must be in `1..=256`.
     pub shards: usize,
     /// Persistence: automatically write a snapshot (and rotate the
@@ -107,9 +101,7 @@ impl Default for CacheConfig {
             feature_config: FeatureConfig::default(),
             index_tuning: IndexTuning::default(),
             engine: Engine::Vf2,
-            threads: 1,
             min_admit_tests: 1,
-            parallel_threshold: 8,
             max_bytes: None,
             shards: 8,
             snapshot_interval: None,
@@ -140,9 +132,6 @@ impl CacheConfig {
         }
         if self.probe_budget == 0 {
             return Err("probe_budget must be > 0".into());
-        }
-        if self.threads == 0 {
-            return Err("threads must be > 0".into());
         }
         if self.max_bytes == Some(0) {
             return Err("max_bytes must be > 0 when set".into());
@@ -187,7 +176,6 @@ mod tests {
     fn invalid_configs_rejected() {
         assert!(CacheConfig { capacity: 0, ..CacheConfig::default() }.validate().is_err());
         assert!(CacheConfig { window_size: 0, ..CacheConfig::default() }.validate().is_err());
-        assert!(CacheConfig { threads: 0, ..CacheConfig::default() }.validate().is_err());
         assert!(CacheConfig { probe_budget: 0, ..CacheConfig::default() }.validate().is_err());
         assert!(CacheConfig { shards: 0, ..CacheConfig::default() }.validate().is_err());
         assert!(CacheConfig { shards: 257, ..CacheConfig::default() }.validate().is_err());

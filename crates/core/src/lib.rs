@@ -10,15 +10,15 @@
 //!   [`pipeline::filter`] computes Method M's candidate set `C_M` when it
 //!   is; [`pipeline::prune`] reduces the candidate set to what still needs
 //!   a test; [`pipeline::verify`] runs exact sub-iso
-//!   testing (inline or pooled); [`pipeline::admit`] credits hits, admits
+//!   testing on the calling thread; [`pipeline::admit`] credits hits, admits
 //!   the query and runs the batched replacement sweep. A
 //!   [`pipeline::PipelineCtx`] carries one query through the stages;
 //! * [`GraphCache`] — the sequential Query Processing Runtime: a thin
 //!   `&mut self` composition of the stages over directly-owned state;
 //! * [`SharedGraphCache`] — the concurrent front-end: the same stages over
 //!   *sharded* state behind `parking_lot::RwLock`s, `&self` queries from
-//!   any number of threads, lock-free statistics, and verification batched
-//!   onto the process-wide [`parallel::global_pool`].
+//!   any number of threads and lock-free statistics. Each query runs on
+//!   its caller's thread; concurrency comes from concurrent callers.
 //!
 //! Supporting components:
 //!
@@ -57,7 +57,6 @@ mod config;
 mod cost;
 mod entry;
 mod memo;
-pub mod parallel;
 pub mod persist;
 pub mod pipeline;
 mod policy;
@@ -69,7 +68,6 @@ pub mod telemetry;
 pub mod window;
 
 pub use cost::CostModel;
-pub use parallel::{global_pool, verify_candidates, VerifyOutcome, VerifyPool};
 
 pub use cache::CacheManager;
 pub use config::CacheConfig;

@@ -237,7 +237,7 @@ mod tests {
         assert_eq!(ctx.cm.to_vec(), vec![1, 2]);
         crate::pipeline::prune::run(&mut ctx);
         assert!(ctx.pruned.to_verify.is_empty(), "nothing left to verify");
-        assert_eq!(ctx.pruned.definite.to_vec(), vec![1, 2]);
+        assert_eq!(ctx.bound.definite.to_vec(), vec![1, 2]);
         assert_eq!((ctx.pruned.cm_size, ctx.pruned.saved), (3, 3));
     }
 

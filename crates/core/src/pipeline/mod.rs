@@ -18,14 +18,14 @@
 //!   (lock-free);
 //! * [`prune`] — the reduced verification set `C = (candidates ∩ U) ∖ S`
 //!   (pure);
-//! * [`verify`] — exact sub-iso testing of `C`, inline or on a worker pool
+//! * [`verify`] — exact sub-iso testing of `C` on the calling thread
 //!   (lock-free);
 //! * [`admit`] — hit crediting, admission, batched replacement (write
 //!   access to cache state).
 //!
 //! A [`PipelineCtx`] carries one query through the stages, accumulating each
 //! stage's product. The stages take their dependencies (cache manager,
-//! policy, pools) as explicit arguments rather than through `GraphCache`, so
+//! policy, scratch) as explicit arguments rather than through `GraphCache`, so
 //! the same stage code serves both front-ends:
 //!
 //! * [`crate::GraphCache`] — sequential composition, `&mut self`, state
@@ -83,11 +83,11 @@ pub struct PipelineCtx<'q> {
     /// shared by the sub-probe, the super-probe (on every shard) and
     /// admission (`None` until probed; taken by the admit stage).
     pub features: Option<FeatureVec>,
-    /// Reusable probe-stage buffers (candidate selection, utility
-    /// ordering, verifier search state). Owned by the runtime — the
-    /// sequential cache keeps one instance and the concurrent front-end
+    /// Reusable probe- and verify-stage buffers (candidate selection,
+    /// utility ordering, verifier search state). Owned by the runtime —
+    /// the sequential cache keeps one instance and the concurrent front-end
     /// one per thread — and swapped into the context for the query's
-    /// lifetime, so the probe stage allocates nothing in steady state.
+    /// lifetime, so neither stage's loop allocates in steady state.
     pub probe_scratch: ProbeScratch,
     /// Probe stage product: verified cache hits.
     pub hits: CacheHits,
@@ -98,7 +98,8 @@ pub struct PipelineCtx<'q> {
     pub hit_answers: Vec<HitSnapshot>,
     /// Bound stage product: definite answers `S` and upper bound `U`.
     pub bound: Bound,
-    /// Prune stage product: definite answers `S` and reduced set `C`.
+    /// Prune stage product: the reduced set `C` (the definite answers `S`
+    /// stay in `bound`).
     pub pruned: Pruned,
     /// Verify stage product: verification survivors `R`.
     pub survivors: BitSet,
@@ -135,7 +136,7 @@ impl<'q> PipelineCtx<'q> {
     /// The final answer `A = R ∪ S` (Fig. 3(h)).
     pub fn answer(&self) -> BitSet {
         let mut answer = self.survivors.clone();
-        answer.union_with(&self.pruned.definite);
+        answer.union_with(&self.bound.definite);
         answer
     }
 
@@ -174,14 +175,14 @@ impl<'q> PipelineCtx<'q> {
         elapsed: Duration,
     ) -> QueryReport {
         let verified_count = self.pruned.to_verify.count();
-        let definite_count = self.pruned.definite.count();
+        let definite_count = self.bound.definite.count();
         let survivors_count = self.survivors.count();
         debug_assert_eq!(answer, self.answer(), "caller must pass this ctx's own answer");
         QueryReport {
             answer,
             answer_text: None,
             cm_set: self.cm,
-            definite_set: self.pruned.definite,
+            definite_set: self.bound.definite,
             verified_set: self.pruned.to_verify,
             survivors_set: self.survivors,
             kind: self.kind,
@@ -294,12 +295,9 @@ mod tests {
         let q = graph_from_parts(&[Label(0)], &[]).unwrap();
         let mut ctx = PipelineCtx::new(&q, QueryKind::Subgraph, 1, 8);
         ctx.cm = BitSet::from_indices(8, [0usize, 1, 2, 3]);
-        ctx.pruned = Pruned {
-            definite: BitSet::from_indices(8, [3usize]),
-            to_verify: BitSet::from_indices(8, [0usize, 1]),
-            cm_size: 4,
-            saved: 2,
-        };
+        ctx.bound.definite = BitSet::from_indices(8, [3usize]);
+        ctx.pruned =
+            Pruned { to_verify: BitSet::from_indices(8, [0usize, 1]), cm_size: 4, saved: 2 };
         ctx.survivors = BitSet::from_indices(8, [1usize]);
         ctx.verify_steps = 42;
         assert_eq!(ctx.answer().to_vec(), vec![1, 3]);

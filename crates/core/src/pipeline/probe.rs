@@ -41,13 +41,14 @@ use gc_index::CandScratch;
 use gc_iso::{Found, GraphProfile, ProfileRef, VerifyCtx, VfScratch};
 use gc_method::QueryKind;
 
-/// Reusable probe-stage state: the containment-index probe buffers, the
-/// filtered + utility-ordered candidate lists, and the verifier scratch for
-/// the budgeted confirmation tests. Lives in [`PipelineCtx::probe_scratch`]
-/// but is *owned* by the runtime (the sequential cache keeps one, the
-/// concurrent front-end one per thread) and swapped into each query's
-/// context, so the steady-state candidate-selection path allocates nothing
-/// (pinned by `tests/probe_alloc.rs`).
+/// Reusable per-query state: the containment-index probe buffers, the
+/// filtered + utility-ordered candidate lists, and the verifier scratch
+/// shared by the probe stage's budgeted confirmation tests and the verify
+/// stage's candidate tests. Lives in [`PipelineCtx::probe_scratch`] but is
+/// *owned* by the runtime (the sequential cache keeps one, the concurrent
+/// front-end one per thread) and swapped into each query's context, so the
+/// steady-state candidate-selection and verification loops allocate
+/// nothing (pinned by `tests/probe_alloc.rs`).
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     /// Sub/super containment probe state (shared with `gc_index`).
@@ -56,8 +57,9 @@ pub struct ProbeScratch {
     sub_ids: Vec<EntryId>,
     /// Kind-filtered, utility-sorted super-case candidates.
     super_ids: Vec<EntryId>,
-    /// Verifier search state reused across all confirmation tests.
-    vf: VfScratch,
+    /// Verifier search state reused across every confirmation and
+    /// candidate test the owning thread runs.
+    pub(crate) vf: VfScratch,
 }
 
 impl ProbeScratch {

@@ -22,11 +22,10 @@ use crate::pipeline::bound::Bound;
 use crate::pipeline::PipelineCtx;
 use gc_graph::BitSet;
 
-/// Result of pruning the candidate set with cache hits.
+/// Result of pruning the candidate set with cache hits. The definite
+/// answers `S` it removed stay in [`Bound::definite`].
 #[derive(Debug, Clone)]
 pub struct Pruned {
-    /// `S` — definite answers (never verified).
-    pub definite: BitSet,
     /// `C` — the reduced set that still needs verification.
     pub to_verify: BitSet,
     /// Method M's baseline tests for this query: `|C_M|` on the filter
@@ -40,12 +39,7 @@ pub struct Pruned {
 impl Pruned {
     /// Identity pruning over an empty candidate set (ctx initial state).
     pub fn empty(universe: usize) -> Self {
-        Pruned {
-            definite: BitSet::new(universe),
-            to_verify: BitSet::new(universe),
-            cm_size: 0,
-            saved: 0,
-        }
+        Pruned { to_verify: BitSet::new(universe), cm_size: 0, saved: 0 }
     }
 }
 
@@ -59,7 +53,7 @@ pub fn prune(cm: &BitSet, bound: &Bound, cm_size: usize) -> Pruned {
     to_verify.intersect_with(&bound.upper);
     to_verify.difference_with(&bound.definite);
     let saved = cm_size - to_verify.count();
-    Pruned { definite: bound.definite.clone(), to_verify, cm_size, saved }
+    Pruned { to_verify, cm_size, saved }
 }
 
 /// Run the prune stage over the bound and candidate set in `ctx`.
@@ -81,8 +75,8 @@ mod tests {
     }
 
     /// Prune `cm` (Method M's own candidate set) with `hits` over a fully
-    /// live universe.
-    fn pruned(cm: &BitSet, hits: &[(Relation, &[usize])], kind: QueryKind) -> Pruned {
+    /// live universe; returns the bound's definite answers `S` beside it.
+    fn pruned(cm: &BitSet, hits: &[(Relation, &[usize])], kind: QueryKind) -> (BitSet, Pruned) {
         let snapshots: Vec<HitSnapshot> = hits
             .iter()
             .map(|&(relation, idx)| HitSnapshot {
@@ -91,14 +85,16 @@ mod tests {
                 base_tests: cm.universe() as u64,
             })
             .collect();
-        prune(cm, &bound(&BitSet::full(cm.universe()), &snapshots, kind), cm.count())
+        let b = bound(&BitSet::full(cm.universe()), &snapshots, kind);
+        let p = prune(cm, &b, cm.count());
+        (b.definite, p)
     }
 
     #[test]
     fn subgraph_query_sub_case_gives_definite() {
         let cm = bs(10, &[0, 1, 2, 3, 4]);
-        let p = pruned(&cm, &[(Relation::QueryInCached, &[2, 3])], QueryKind::Subgraph);
-        assert_eq!(p.definite.to_vec(), vec![2, 3]);
+        let (definite, p) = pruned(&cm, &[(Relation::QueryInCached, &[2, 3])], QueryKind::Subgraph);
+        assert_eq!(definite.to_vec(), vec![2, 3]);
         assert_eq!(p.to_verify.to_vec(), vec![0, 1, 4]);
         assert_eq!(p.cm_size, 5);
         assert_eq!(p.saved, 2);
@@ -107,8 +103,9 @@ mod tests {
     #[test]
     fn subgraph_query_super_case_prunes() {
         let cm = bs(10, &[0, 1, 2, 3, 4]);
-        let p = pruned(&cm, &[(Relation::CachedInQuery, &[1, 2, 7])], QueryKind::Subgraph);
-        assert!(p.definite.is_empty());
+        let (definite, p) =
+            pruned(&cm, &[(Relation::CachedInQuery, &[1, 2, 7])], QueryKind::Subgraph);
+        assert!(definite.is_empty());
         assert_eq!(p.to_verify.to_vec(), vec![1, 2]);
         assert_eq!(p.saved, 3);
     }
@@ -118,12 +115,12 @@ mod tests {
         // Mimic the Query Journey: C_M of 5, one sub hit delivering {4},
         // one super hit keeping {0, 1, 4}.
         let cm = bs(8, &[0, 1, 2, 3, 4]);
-        let p = pruned(
+        let (definite, p) = pruned(
             &cm,
             &[(Relation::QueryInCached, &[4]), (Relation::CachedInQuery, &[0, 1, 4, 6])],
             QueryKind::Subgraph,
         );
-        assert_eq!(p.definite.to_vec(), vec![4]);
+        assert_eq!(definite.to_vec(), vec![4]);
         assert_eq!(p.to_verify.to_vec(), vec![0, 1]);
         assert_eq!(p.saved, 3);
     }
@@ -132,31 +129,35 @@ mod tests {
     fn supergraph_query_roles_flip() {
         let cm = bs(10, &[0, 1, 2, 3]);
         // cached ⊑ query gives definite answers for supergraph queries.
-        let p = pruned(&cm, &[(Relation::CachedInQuery, &[1, 2])], QueryKind::Supergraph);
-        assert_eq!(p.definite.to_vec(), vec![1, 2]);
+        let (definite, p) =
+            pruned(&cm, &[(Relation::CachedInQuery, &[1, 2])], QueryKind::Supergraph);
+        assert_eq!(definite.to_vec(), vec![1, 2]);
         // query ⊑ cached prunes.
-        let p2 = pruned(&cm, &[(Relation::QueryInCached, &[1, 2])], QueryKind::Supergraph);
-        assert!(p2.definite.is_empty());
-        assert_eq!(p2.to_verify.to_vec(), vec![1, 2]);
+        assert_eq!(p.to_verify.to_vec(), vec![0, 3]);
+        let (definite, p) =
+            pruned(&cm, &[(Relation::QueryInCached, &[1, 2])], QueryKind::Supergraph);
+        assert!(definite.is_empty());
+        assert_eq!(p.to_verify.to_vec(), vec![1, 2]);
     }
 
     #[test]
     fn no_hits_is_identity() {
         let cm = bs(6, &[0, 3, 5]);
-        let p = pruned(&cm, &[], QueryKind::Subgraph);
+        let (definite, p) = pruned(&cm, &[], QueryKind::Subgraph);
         assert_eq!(p.to_verify, cm);
-        assert!(p.definite.is_empty());
+        assert!(definite.is_empty());
         assert_eq!(p.saved, 0);
     }
 
     #[test]
     fn multiple_pruning_hits_intersect() {
         let cm = bs(10, &[0, 1, 2, 3, 4, 5]);
-        let p = pruned(
+        let (definite, p) = pruned(
             &cm,
             &[(Relation::CachedInQuery, &[0, 1, 2, 3]), (Relation::CachedInQuery, &[2, 3, 4])],
             QueryKind::Subgraph,
         );
+        assert!(definite.is_empty());
         assert_eq!(p.to_verify.to_vec(), vec![2, 3]);
         assert_eq!(p.saved, 4);
     }
@@ -164,12 +165,12 @@ mod tests {
     #[test]
     fn multiple_definite_hits_union() {
         let cm = bs(10, &[0, 1, 2, 3, 4, 5]);
-        let p = pruned(
+        let (definite, p) = pruned(
             &cm,
             &[(Relation::QueryInCached, &[0]), (Relation::QueryInCached, &[4, 5])],
             QueryKind::Subgraph,
         );
-        assert_eq!(p.definite.to_vec(), vec![0, 4, 5]);
+        assert_eq!(definite.to_vec(), vec![0, 4, 5]);
         assert_eq!(p.to_verify.to_vec(), vec![1, 2, 3]);
     }
 

@@ -2,56 +2,51 @@
 //! `C` (Fig. 3(g)).
 //!
 //! The expensive stage. Builds the query's [`QueryProfile`] **once**, then
-//! dispatches to a [`VerifyPool`] when the candidate set is big enough to
-//! amortize the hand-off (the sequential runtime uses its per-instance pool;
-//! [`crate::SharedGraphCache`] passes the process-wide
-//! [`crate::parallel::global_pool`], batching verification work from all
-//! concurrent queries onto one CPU-sized worker set), and runs inline
-//! otherwise. Either way each worker reuses a thread-local
-//! [`gc_method::VfScratch`], so the per-candidate loop is allocation-free.
-//! Also feeds the observed per-graph verification costs into the
-//! [`CostModel`] that PINC/HD rank by.
+//! tests every candidate in ascending graph-id order on the calling thread,
+//! through the verifier scratch the thread's
+//! [`crate::pipeline::probe::ProbeScratch`] already carries — the
+//! per-candidate loop neither sets up nor allocates once that scratch is
+//! warm (pinned by `tests/probe_alloc.rs`). A query never fans out: the
+//! cache's parallelism comes from concurrent queries, each on its own
+//! client thread. Also feeds the observed per-graph verification costs
+//! into the [`CostModel`] that PINC/HD rank by.
 
-use crate::config::CacheConfig;
 use crate::cost::CostModel;
-use crate::parallel::{self, VerifyPool};
 use crate::pipeline::PipelineCtx;
-use gc_method::{Dataset, QueryProfile};
-use std::sync::Arc;
+use gc_method::{Dataset, Engine, QueryProfile};
 
-/// Run verification for the reduced set in `ctx`, storing survivors `R`,
-/// the verifier step count, and the per-graph step counts.
-///
-/// `pool`: worker pool to consider; the stage still runs inline when the
-/// candidate count is below `cfg.parallel_threshold` (channel round-trips
-/// would outweigh the work).
-pub fn run(
-    ctx: &mut PipelineCtx<'_>,
-    dataset: &Arc<Dataset>,
-    cfg: &CacheConfig,
-    pool: Option<&VerifyPool>,
-) {
-    if ctx.pruned.to_verify.is_empty() {
+/// Verify the reduced set `C` in `ctx` with `engine`: survivors `R` go into
+/// `ctx.survivors`, the total steps into `ctx.verify_steps`, and one
+/// `(gid, steps)` per candidate, ascending by gid, into `ctx.verify_costs`.
+pub fn run(ctx: &mut PipelineCtx<'_>, dataset: &Dataset, engine: Engine) {
+    let PipelineCtx {
+        query,
+        kind,
+        pruned,
+        probe_scratch,
+        survivors,
+        verify_steps,
+        verify_costs,
+        ..
+    } = ctx;
+    let candidates = &pruned.to_verify;
+    if candidates.is_empty() {
         // Fully answered by hits/pruning (the cache's best case): skip the
         // per-query profile construction entirely.
         return;
     }
-    let profile = QueryProfile::new(dataset, ctx.query, ctx.kind);
-    let use_pool = pool.filter(|_| ctx.pruned.to_verify.count() >= cfg.parallel_threshold);
-    let outcome = match use_pool {
-        Some(pool) => pool.verify(dataset, cfg.engine, &profile, ctx.query, &ctx.pruned.to_verify),
-        None => parallel::verify_candidates(
-            dataset,
-            cfg.engine,
-            &profile,
-            ctx.query,
-            &ctx.pruned.to_verify,
-            1,
-        ),
-    };
-    ctx.survivors = outcome.survivors;
-    ctx.verify_steps = outcome.steps;
-    ctx.verify_costs = outcome.costs;
+    debug_assert_eq!(survivors.universe(), dataset.len(), "ctx built over this dataset");
+    let profile = QueryProfile::new(dataset, query, *kind);
+    verify_costs.reserve(candidates.count());
+    for gid in candidates.ones() {
+        let (ok, steps) =
+            engine.verify_candidate(dataset, &profile, query, gid as u32, &mut probe_scratch.vf);
+        *verify_steps += steps;
+        verify_costs.push((gid, steps));
+        if ok {
+            survivors.insert(gid);
+        }
+    }
 }
 
 /// Feed the cost model with this query's observations: each verified graph
@@ -68,61 +63,132 @@ pub fn observe_costs(ctx: &PipelineCtx<'_>, cost: &CostModel) {
 mod tests {
     use super::*;
     use crate::pipeline::prune::Pruned;
-    use gc_graph::{graph_from_parts, BitSet, Label};
+    use gc_graph::{graph_from_parts, BitSet, Graph, Label};
     use gc_method::QueryKind;
 
-    fn g(labels: &[u32], edges: &[(u32, u32)]) -> gc_graph::Graph {
+    fn g(labels: &[u32], edges: &[(u32, u32)]) -> Graph {
         let ls: Vec<Label> = labels.iter().map(|&l| Label(l)).collect();
         graph_from_parts(&ls, edges).unwrap()
     }
 
-    fn dataset() -> Arc<Dataset> {
-        Arc::new(Dataset::new(vec![
+    fn dataset() -> Dataset {
+        Dataset::new(vec![
             g(&[0, 1, 2], &[(0, 1), (1, 2)]),
             g(&[0, 1, 0], &[(0, 1), (1, 2), (0, 2)]),
             g(&[3, 3], &[(0, 1)]),
             g(&[0, 1], &[(0, 1)]),
-        ]))
+            g(&[1, 0, 1], &[(0, 1), (1, 2)]),
+        ])
+    }
+
+    /// Run the stage for `q` over the candidates `c`; returns the context.
+    fn verified<'q>(ds: &Dataset, q: &'q Graph, kind: QueryKind, c: BitSet) -> PipelineCtx<'q> {
+        let mut ctx = PipelineCtx::new(q, kind, 1, ds.len());
+        ctx.pruned = Pruned { cm_size: c.count(), to_verify: c, saved: 0 };
+        run(&mut ctx, ds, Engine::Vf2);
+        ctx
     }
 
     #[test]
-    fn inline_and_pooled_agree() {
+    fn one_cost_per_candidate_ascending_by_gid() {
         let ds = dataset();
         let q = g(&[0, 1], &[(0, 1)]);
-        let cfg = CacheConfig { parallel_threshold: 0, ..CacheConfig::default() };
-        let pool = VerifyPool::new(2);
+        let ctx = verified(&ds, &q, QueryKind::Subgraph, ds.all_graphs());
+        assert_eq!(ctx.survivors.to_vec(), vec![0, 1, 3, 4]);
+        assert_eq!(ctx.verify_costs.len(), 5, "one cost entry per verified candidate");
+        assert_eq!(ctx.verify_costs.iter().map(|&(_, s)| s).sum::<u64>(), ctx.verify_steps);
+        assert!(ctx.verify_costs.windows(2).all(|w| w[0].0 < w[1].0), "costs sorted by gid");
+    }
 
-        let mut inline_ctx = PipelineCtx::new(&q, QueryKind::Subgraph, 1, ds.len());
-        inline_ctx.pruned = Pruned {
-            to_verify: ds.all_graphs(),
-            definite: BitSet::new(ds.len()),
-            cm_size: ds.len(),
-            saved: 0,
-        };
-        let mut pooled_ctx = PipelineCtx::new(&q, QueryKind::Subgraph, 1, ds.len());
-        pooled_ctx.pruned = inline_ctx.pruned.clone();
+    #[test]
+    fn respects_candidate_subset() {
+        let ds = dataset();
+        let q = g(&[0, 1], &[(0, 1)]);
+        let only = BitSet::from_indices(ds.len(), [2usize, 3]);
+        let ctx = verified(&ds, &q, QueryKind::Subgraph, only);
+        assert_eq!(ctx.survivors.to_vec(), vec![3]);
+        assert_eq!(ctx.verify_costs.iter().map(|&(gid, _)| gid).collect::<Vec<_>>(), vec![2, 3]);
+    }
 
-        run(&mut inline_ctx, &ds, &cfg, None);
-        run(&mut pooled_ctx, &ds, &cfg, Some(&pool));
-        assert_eq!(inline_ctx.survivors, pooled_ctx.survivors);
-        assert_eq!(inline_ctx.verify_steps, pooled_ctx.verify_steps);
-        assert_eq!(inline_ctx.verify_costs, pooled_ctx.verify_costs);
-        assert_eq!(inline_ctx.survivors.to_vec(), vec![0, 1, 3]);
+    #[test]
+    fn empty_candidates() {
+        let ds = dataset();
+        let q = g(&[0, 1], &[(0, 1)]);
+        let none = verified(&ds, &q, QueryKind::Subgraph, ds.empty_set());
+        assert!(none.survivors.is_empty());
+        assert_eq!(none.verify_steps, 0);
+        assert!(none.verify_costs.is_empty());
+    }
+
+    #[test]
+    fn singleton_candidates() {
+        let ds = dataset();
+        let q = g(&[0, 1], &[(0, 1)]);
+        let hit = verified(&ds, &q, QueryKind::Subgraph, BitSet::from_indices(ds.len(), [3usize]));
+        assert_eq!(hit.survivors.to_vec(), vec![3]);
+        assert_eq!(hit.verify_costs.len(), 1);
+        assert_eq!(hit.verify_costs[0], (3, hit.verify_steps));
+        let miss = verified(&ds, &q, QueryKind::Subgraph, BitSet::from_indices(ds.len(), [2usize]));
+        assert!(miss.survivors.is_empty());
+        assert_eq!(miss.verify_costs.len(), 1, "a failed test still reports its cost");
+    }
+
+    #[test]
+    fn survivors_match_reference_subiso() {
+        // The stage's answer equals a from-scratch VF2 test of every graph,
+        // in both directions, with no scratch or profile shared.
+        let ds = dataset();
+        let queries =
+            [g(&[0, 1], &[(0, 1)]), g(&[3], &[]), g(&[0, 1, 2, 0], &[(0, 1), (1, 2), (0, 3)])];
+        for (qi, q) in queries.iter().enumerate() {
+            for kind in [QueryKind::Subgraph, QueryKind::Supergraph] {
+                let ctx = verified(&ds, q, kind, ds.all_graphs());
+                let want: Vec<usize> = (0..ds.len())
+                    .filter(|&gid| {
+                        let data = &ds.graphs()[gid];
+                        match kind {
+                            QueryKind::Subgraph => gc_iso::is_subgraph(q, data),
+                            QueryKind::Supergraph => gc_iso::is_subgraph(data, q),
+                        }
+                    })
+                    .collect();
+                assert_eq!(ctx.survivors.to_vec(), want, "{kind:?} answer for query {qi}");
+            }
+        }
+    }
+
+    #[test]
+    fn supergraph_direction() {
+        let ds = dataset();
+        let q = g(&[0, 1, 2, 0], &[(0, 1), (1, 2), (0, 3)]);
+        let ctx = verified(&ds, &q, QueryKind::Supergraph, ds.all_graphs());
+        assert_eq!(ctx.survivors.to_vec(), vec![0, 3]);
+    }
+
+    #[test]
+    fn warm_scratch_survives_many_queries() {
+        // One scratch carried from query to query, as a runtime carries it:
+        // differently shaped queries never see each other's search state.
+        let ds = dataset();
+        let (q1, q2) = (g(&[0, 1], &[(0, 1)]), g(&[3], &[]));
+        let mut scratch = crate::pipeline::probe::ProbeScratch::new();
+        for _ in 0..50 {
+            for (q, want) in [(&q1, vec![0, 1, 3, 4]), (&q2, vec![2])] {
+                let mut ctx = PipelineCtx::new(q, QueryKind::Subgraph, 1, ds.len());
+                ctx.pruned.to_verify = ds.all_graphs();
+                std::mem::swap(&mut ctx.probe_scratch, &mut scratch);
+                run(&mut ctx, &ds, Engine::Vf2);
+                std::mem::swap(&mut ctx.probe_scratch, &mut scratch);
+                assert_eq!(ctx.survivors.to_vec(), want);
+            }
+        }
     }
 
     #[test]
     fn costs_observed_per_graph() {
         let ds = dataset();
         let q = g(&[0, 1], &[(0, 1)]);
-        let cfg = CacheConfig::default();
-        let mut ctx = PipelineCtx::new(&q, QueryKind::Subgraph, 1, ds.len());
-        ctx.pruned = Pruned {
-            to_verify: BitSet::from_indices(ds.len(), [0usize, 1]),
-            definite: BitSet::new(ds.len()),
-            cm_size: 2,
-            saved: 0,
-        };
-        run(&mut ctx, &ds, &cfg, None);
+        let ctx = verified(&ds, &q, QueryKind::Subgraph, BitSet::from_indices(ds.len(), [0, 1]));
         assert!(ctx.verify_steps > 0);
         assert_eq!(ctx.verify_costs.len(), 2);
         let cost = CostModel::new(&ds);
@@ -146,15 +212,7 @@ mod tests {
         // non-zero costs for the graphs that did cost something.
         let ds = dataset();
         let q = g(&[3], &[]); // single vertex: trivially cheap tests
-        let cfg = CacheConfig::default();
-        let mut ctx = PipelineCtx::new(&q, QueryKind::Subgraph, 1, ds.len());
-        ctx.pruned = Pruned {
-            to_verify: ds.all_graphs(),
-            definite: BitSet::new(ds.len()),
-            cm_size: ds.len(),
-            saved: 0,
-        };
-        run(&mut ctx, &ds, &cfg, None);
+        let ctx = verified(&ds, &q, QueryKind::Subgraph, ds.all_graphs());
         let cost = CostModel::new(&ds);
         observe_costs(&ctx, &cost);
         // Graph 2 ([3,3]) matches label 3 and costs at least one step.

@@ -79,9 +79,8 @@ pub struct GraphCache {
     /// Generation-versioned exact answer memo: repeats of a query on an
     /// unmutated dataset skip filter/probe/verify entirely.
     memo: AnswerMemo,
-    pool: Option<crate::parallel::VerifyPool>,
-    /// Probe-stage buffers reused across queries (swapped into each
-    /// query's [`PipelineCtx`]).
+    /// Probe- and verify-stage buffers reused across queries (swapped into
+    /// each query's [`PipelineCtx`]).
     probe_scratch: ProbeScratch,
     clock: u64,
     /// Attached persistence store (admissions/evictions journaled,
@@ -102,7 +101,6 @@ impl GraphCache {
         config: CacheConfig,
     ) -> Result<Self, String> {
         config.validate()?;
-        let pool = (config.threads > 1).then(|| crate::parallel::VerifyPool::new(config.threads));
         let telemetry = Telemetry::from_config(&config);
         Ok(GraphCache {
             cache: CacheManager::with_tuning(config.feature_config, config.index_tuning),
@@ -116,7 +114,6 @@ impl GraphCache {
             method,
             policy,
             config,
-            pool,
             probe_scratch: ProbeScratch::new(),
             clock: 0,
             store: None,
@@ -239,7 +236,7 @@ impl GraphCache {
         }
         {
             let _span = self.telemetry.span(PipelineStage::Verify, &mut timing);
-            verify::run(&mut ctx, &self.dataset, &self.config, self.pool.as_ref());
+            verify::run(&mut ctx, &self.dataset, self.config.engine);
         }
         verify::observe_costs(&ctx, &self.cost);
 
@@ -922,7 +919,7 @@ pub(crate) fn pipeline_trace(
         admit_us: timing.us(PipelineStage::Admit),
         memo_us: timing.us(PipelineStage::Memo),
         cm_size: ctx.pruned.cm_size as u64,
-        definite: ctx.pruned.definite.count() as u64,
+        definite: ctx.bound.definite.count() as u64,
         to_verify: ctx.pruned.to_verify.count() as u64,
         survivors: ctx.survivors.count() as u64,
         answer: answer.count() as u64,

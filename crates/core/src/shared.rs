@@ -18,10 +18,11 @@
 //! * **lock-free accounting** — [`StatsMonitor`] and [`CostModel`] are
 //!   atomics-based, so statistics and cost observations never serialize
 //!   queries;
-//! * **shared verification** — heavyweight candidate verification is
-//!   dispatched to the process-wide [`crate::parallel::global_pool`], which
-//!   batches work from all concurrent queries onto one CPU-sized worker
-//!   set.
+//! * **one query, one thread** — every stage of a query, shard probes and
+//!   candidate verification included, runs on the caller's thread with
+//!   that thread's scratch; the cores are occupied by concurrent callers
+//!   (the server's workers, `gc run --clients N`), not by fanning one
+//!   query out.
 //!
 //! ## Correctness under concurrency
 //!
@@ -49,7 +50,7 @@ use crate::entry::EntryId;
 use crate::memo::AnswerMemo;
 use crate::persist::{self, PersistHealth, RecoveryReport, RestoredEntry, StoreHealth};
 use crate::pipeline::admit::{self, AdmitLimits, AdmitOutcome};
-use crate::pipeline::probe::{CacheHits, HitSnapshot, ProbeScratch};
+use crate::pipeline::probe::{CacheHits, ProbeScratch};
 use crate::pipeline::{bound, filter, probe, prune, verify, FastTier, PipelineCtx};
 use crate::policy::ReplacementPolicy;
 use crate::report::{IndexHealth, QueryReport};
@@ -67,10 +68,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 thread_local! {
-    /// Per-thread probe-stage buffers: `query` is `&self` (any number of
-    /// client threads), so the reusable candidate-selection and verifier
-    /// scratch is swapped from here into each query's [`PipelineCtx`] and
-    /// back, and every shard probe of one query shares it.
+    /// Per-thread query buffers: `query` is `&self` (any number of client
+    /// threads), so the reusable candidate-selection and verifier scratch
+    /// is swapped from here into each query's [`PipelineCtx`] and back;
+    /// every shard probe and every candidate test of one query shares it.
     static PROBE_SCRATCH: std::cell::RefCell<ProbeScratch> =
         std::cell::RefCell::new(ProbeScratch::new());
 }
@@ -83,44 +84,6 @@ const LOCAL_MASK: EntryId = (1 << LOCAL_BITS) - 1;
 /// One shard's probe result: `(shard index, shard-local hits, range of the
 /// hits' answer snapshots inside `PipelineCtx::hit_answers`)`.
 type ShardProbe = (usize, CacheHits, std::ops::Range<usize>);
-
-/// One shard's raw probe output: shard-local hits plus the answer
-/// snapshots taken under the shard's read lock (not yet merged into a
-/// query's context).
-type ShardHits = (CacheHits, Vec<HitSnapshot>);
-
-/// Everything a fanned-out shard-probe task needs, bundled once per query
-/// behind an `Arc` so the per-shard closures are `'static` (the worker
-/// pool outlives the query's borrows).
-struct ProbeBatch {
-    query: Graph,
-    kind: QueryKind,
-    config: CacheConfig,
-    qf: gc_index::FeatureVec,
-    profile: gc_iso::GraphProfile,
-}
-
-/// Probe one shard under its read lock using this thread's
-/// [`PROBE_SCRATCH`], snapshotting hit answers while the lock is held.
-/// Runs on pool workers (each has its own thread-local scratch) and as the
-/// caller-side fallback when a task is lost.
-fn probe_one_shard(shard: &Shard, batch: &ProbeBatch) -> ShardHits {
-    let state = shard.state.read();
-    let hits = PROBE_SCRATCH.with(|s| {
-        probe::probe_cases(
-            &state.cache,
-            &batch.config,
-            &batch.query,
-            batch.kind,
-            &batch.qf,
-            batch.profile.as_ref(),
-            &mut s.borrow_mut(),
-        )
-    });
-    let answers =
-        if hits.count() == 0 { Vec::new() } else { probe::snapshot_answers(&state.cache, &hits) };
-    (hits, answers)
-}
 
 /// State a shard protects with one RwLock: entries + admission window.
 struct ShardState {
@@ -190,10 +153,7 @@ pub struct SharedGraphCache {
     memo: AnswerMemo,
     method: Arc<dyn Method>,
     config: CacheConfig,
-    /// Shared with the per-shard probe tasks fanned onto the worker pool
-    /// (`Arc` makes those closures `'static`); everything else reaches the
-    /// shards through `&self` as before.
-    shards: Arc<Vec<Shard>>,
+    shards: Vec<Shard>,
     /// Per-shard admission limits; entry capacities sum to exactly
     /// `config.capacity` (base + 1 for the first `capacity % shards`
     /// shards), so the shared cache retains no more entries than the
@@ -269,7 +229,7 @@ impl SharedGraphCache {
             config,
             telemetry,
             plan: bound::Plan::Auto,
-            shards: Arc::new(shards),
+            shards,
             limits,
             policy_name,
             store: None,
@@ -401,40 +361,32 @@ impl SharedGraphCache {
         // the lock is held (one clone per hit, straight into the context),
         // then merge shard-local hits into the context with encoded ids.
         // Per-shard hits are kept aside with their snapshot's range inside
-        // `ctx.hit_answers` for the crediting write sections below. With
-        // `threads > 1` and more than one shard, the probes fan out onto
-        // the process-wide worker pool so the shard read sections overlap;
-        // results are merged back *in shard order*, so the context — and
-        // therefore the answer — is identical to the sequential walk.
+        // `ctx.hit_answers` for the crediting write sections below.
         let mut per_shard: Vec<ShardProbe> = Vec::new();
         {
             let _span = self.telemetry.span(PipelineStage::Probe, &mut timing);
-            if self.config.threads > 1 && self.shards.len() > 1 {
-                self.probe_shards_parallel(query, kind, &q_profile, &mut ctx, &mut per_shard);
-            } else {
-                for (si, shard) in self.shards.iter().enumerate() {
-                    let state = shard.state.read();
-                    let qf = ctx.features.as_ref().expect("just set");
-                    let hits = probe::probe_cases(
-                        &state.cache,
-                        &self.config,
-                        query,
-                        kind,
-                        qf,
-                        q_profile.as_ref(),
-                        &mut ctx.probe_scratch,
-                    );
-                    if hits.count() == 0 {
-                        ctx.hits.probe_tests += hits.probe_tests;
-                        ctx.hits.probe_steps += hits.probe_steps;
-                        continue;
-                    }
-                    let range_start = ctx.hit_answers.len();
-                    ctx.hit_answers.extend(probe::snapshot_answers(&state.cache, &hits));
-                    drop(state);
-                    ctx.hits.merge(encode_hits(si, &hits));
-                    per_shard.push((si, hits, range_start..ctx.hit_answers.len()));
+            for (si, shard) in self.shards.iter().enumerate() {
+                let state = shard.state.read();
+                let qf = ctx.features.as_ref().expect("just set");
+                let hits = probe::probe_cases(
+                    &state.cache,
+                    &self.config,
+                    query,
+                    kind,
+                    qf,
+                    q_profile.as_ref(),
+                    &mut ctx.probe_scratch,
+                );
+                if hits.count() == 0 {
+                    ctx.hits.probe_tests += hits.probe_tests;
+                    ctx.hits.probe_steps += hits.probe_steps;
+                    continue;
                 }
+                let range_start = ctx.hit_answers.len();
+                ctx.hit_answers.extend(probe::snapshot_answers(&state.cache, &hits));
+                drop(state);
+                ctx.hits.merge(encode_hits(si, &hits));
+                per_shard.push((si, hits, range_start..ctx.hit_answers.len()));
             }
         }
 
@@ -452,10 +404,9 @@ impl SharedGraphCache {
             let _span = self.telemetry.span(PipelineStage::Prune, &mut timing);
             prune::run(&mut ctx);
         }
-        let pool = (self.config.threads > 1).then(crate::parallel::global_pool);
         {
             let _span = self.telemetry.span(PipelineStage::Verify, &mut timing);
-            verify::run(&mut ctx, &data.dataset, &self.config, pool);
+            verify::run(&mut ctx, &data.dataset, self.config.engine);
         }
         verify::observe_costs(&ctx, &self.cost);
 
@@ -555,87 +506,6 @@ impl SharedGraphCache {
 
         PROBE_SCRATCH.with(|s| std::mem::swap(&mut ctx.probe_scratch, &mut s.borrow_mut()));
         ctx.into_report(answer, outcome, elapsed)
-    }
-
-    /// Batched probe: fan one task per shard (minus shard 0) onto
-    /// [`crate::parallel::global_pool`] so shard read sections overlap,
-    /// probe shard 0 inline on the caller's thread (with the query's warm
-    /// scratch) meanwhile, then merge all results into the context *in
-    /// shard order* — the deterministic merge makes the hits, stats, and
-    /// answer identical to the sequential shard walk. A shard whose task is
-    /// lost (worker panic, pool shutdown) is re-probed inline, so no
-    /// shard's hits are ever dropped. Deadlock-free by construction: probe
-    /// tasks take only shard *read* locks and never wait on other pool
-    /// work.
-    fn probe_shards_parallel(
-        &self,
-        query: &Graph,
-        kind: QueryKind,
-        q_profile: &gc_iso::GraphProfile,
-        ctx: &mut PipelineCtx,
-        per_shard: &mut Vec<ShardProbe>,
-    ) {
-        let pool = crate::parallel::global_pool();
-        let batch = Arc::new(ProbeBatch {
-            query: query.clone(),
-            kind,
-            config: self.config.clone(),
-            qf: ctx.features.clone().expect("just set"),
-            profile: q_profile.clone(),
-        });
-        let (tx, rx) = std::sync::mpsc::channel::<(usize, ShardHits)>();
-        let mut submitted = 0usize;
-        for si in 1..self.shards.len() {
-            let batch = Arc::clone(&batch);
-            let shards = Arc::clone(&self.shards);
-            let tx = tx.clone();
-            submitted += usize::from(pool.submit(Box::new(move || {
-                let _ = tx.send((si, probe_one_shard(&shards[si], &batch)));
-            })));
-        }
-        drop(tx);
-
-        let mut results: Vec<Option<ShardHits>> = (0..self.shards.len()).map(|_| None).collect();
-        {
-            let shard = &self.shards[0];
-            let state = shard.state.read();
-            let qf = ctx.features.as_ref().expect("just set");
-            let hits = probe::probe_cases(
-                &state.cache,
-                &self.config,
-                query,
-                kind,
-                qf,
-                q_profile.as_ref(),
-                &mut ctx.probe_scratch,
-            );
-            let answers = if hits.count() == 0 {
-                Vec::new()
-            } else {
-                probe::snapshot_answers(&state.cache, &hits)
-            };
-            results[0] = Some((hits, answers));
-        }
-        for _ in 0..submitted {
-            // A recv error means a task panicked and dropped its sender
-            // without replying; the merge below re-probes whatever is
-            // missing inline.
-            let Ok((si, reply)) = rx.recv() else { break };
-            results[si] = Some(reply);
-        }
-
-        for (si, slot) in results.into_iter().enumerate() {
-            let (hits, answers) = slot.unwrap_or_else(|| probe_one_shard(&self.shards[si], &batch));
-            if hits.count() == 0 {
-                ctx.hits.probe_tests += hits.probe_tests;
-                ctx.hits.probe_steps += hits.probe_steps;
-                continue;
-            }
-            let range_start = ctx.hit_answers.len();
-            ctx.hit_answers.extend(answers);
-            ctx.hits.merge(encode_hits(si, &hits));
-            per_shard.push((si, hits, range_start..ctx.hit_answers.len()));
-        }
     }
 
     /// Append this query's admission/evictions to the attached journal and

@@ -105,26 +105,6 @@ fn correctness_supergraph_queries() {
 }
 
 #[test]
-fn correctness_parallel_verification() {
-    let dataset = Arc::new(Dataset::new(molecule_dataset(30, 404)));
-    let spec = WorkloadSpec {
-        n_queries: 30,
-        pool_size: 12,
-        kind: WorkloadKind::Uniform,
-        seed: 17,
-        ..WorkloadSpec::default()
-    };
-    check_workload(
-        dataset.clone(),
-        Box::new(SiMethod),
-        &SiMethod,
-        PolicyKind::Lru,
-        CacheConfig { threads: 4, capacity: 10, window_size: 3, ..CacheConfig::default() },
-        &spec,
-    );
-}
-
-#[test]
 fn exact_hits_on_repeats() {
     let dataset = Arc::new(Dataset::new(molecule_dataset(20, 505)));
     let spec = WorkloadSpec {

@@ -1,34 +1,21 @@
 //! Fault-injected integration tests: the cache under deterministic I/O
-//! errors, torn writes, and injected worker-task panics.
+//! errors and torn writes.
 //!
 //! The invariant under test is GraphCache's central one — answers are
 //! *exactly* those of Method M alone — extended with the durability
-//! contract of this PR: under any injected fault the cache may get slower
-//! or colder (degraded persistence, inline re-verification), but never
-//! wrong, and persistence re-arms itself once the fault clears.
+//! contract: under any injected fault the cache may get slower or colder
+//! (degraded persistence), but never wrong, and persistence re-arms itself
+//! once the fault clears.
 //!
-//! The tests share the process-wide verify pool (`gc_core::global_pool`)
-//! and its fault hook, so they serialize on a static mutex.
+//! Each test arms its own plan on its own store, so they run in parallel.
 
 use gc_core::persist::{Failpoint, FaultPlan, FaultSite};
 use gc_core::{CacheConfig, GraphCache, PersistHealth, PolicyKind, SharedGraphCache};
 use gc_method::{execute_base, Dataset, Engine, SiMethod};
 use gc_workload::{molecule_dataset, Workload, WorkloadKind, WorkloadSpec};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Serializes the tests in this file: they share the global verify pool's
-/// fault hook (and injected panics are whole-process noise).
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    // A previous test's assert failure poisons the lock but leaves the
-    // pool usable; each test starts by clearing the fault hook anyway.
-    let guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    gc_core::global_pool().set_fault_plan(None);
-    guard
-}
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gc_faults_{tag}_{}", std::process::id()));
@@ -61,50 +48,7 @@ fn assert_exact_shared(gc: &SharedGraphCache, ds: &Arc<Dataset>, w: &Workload) {
 }
 
 #[test]
-fn injected_task_panics_never_change_answers() {
-    let _guard = serial();
-    let ds = dataset();
-    let w = workload(&ds, 40, 3);
-
-    // threads > 1 routes candidate verification and shard probes through
-    // the global pool; parallel_threshold 1 forces dispatch even for tiny
-    // candidate sets so the injection actually lands on pool tasks.
-    let cfg = CacheConfig {
-        capacity: 16,
-        window_size: 2,
-        threads: 4,
-        shards: 4,
-        parallel_threshold: 1,
-        min_admit_tests: 0,
-        ..CacheConfig::default()
-    };
-    let gc =
-        SharedGraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, cfg).unwrap();
-
-    // Every pool task panics: all shard probes and verify chunks are lost
-    // and redone inline by the submitting thread.
-    let plan = Arc::new(FaultPlan::seeded(11));
-    plan.arm(FaultSite::Task, Failpoint::ErrAfter { n: 0 });
-    gc_core::global_pool().set_fault_plan(Some(plan.clone()));
-    assert_exact_shared(&gc, &ds, &w);
-    assert!(plan.fired() > 0, "the task injection never fired — test is vacuous");
-
-    // Intermittent panics: only some tasks die.
-    let plan = Arc::new(FaultPlan::seeded(12));
-    for _ in 0..8 {
-        plan.arm(FaultSite::Task, Failpoint::PanicAt { n: 5 });
-    }
-    gc_core::global_pool().set_fault_plan(Some(plan.clone()));
-    assert_exact_shared(&gc, &ds, &workload(&ds, 40, 4));
-    assert!(plan.fired() > 0, "the intermittent injection never fired");
-
-    gc_core::global_pool().set_fault_plan(None);
-    assert_exact_shared(&gc, &ds, &workload(&ds, 10, 5));
-}
-
-#[test]
 fn persistent_append_failure_degrades_then_recovers() {
-    let _guard = serial();
     let ds = dataset();
     let dir = tmpdir("degrade");
     let cfg = CacheConfig {
@@ -180,7 +124,6 @@ fn persistent_append_failure_degrades_then_recovers() {
 
 #[test]
 fn exhausted_probe_budget_disables_persistence() {
-    let _guard = serial();
     let ds = dataset();
     let dir = tmpdir("disable");
     let cfg = CacheConfig {
@@ -220,7 +163,6 @@ fn exhausted_probe_budget_disables_persistence() {
 
 #[test]
 fn shared_cache_degrades_and_recovers() {
-    let _guard = serial();
     let ds = dataset();
     let dir = tmpdir("shared_degrade");
     let cfg = CacheConfig {

@@ -7,7 +7,11 @@
 //! candidates but no hits (verified hits append to the returned
 //! `CacheHits`, which is a per-query product, not scratch).
 //!
-//! Also pins the filter stage's overlay handling: once graphs have been
+//! Also pins the verify stage: with the thread's scratch warm, testing
+//! `|C|` candidates allocates the query's profile and the `costs` vector,
+//! reserved to `|C|` up front — the same count for 4 candidates as for 40.
+//!
+//! And pins the filter stage's overlay handling: once graphs have been
 //! inserted behind an immutable method index, [`gc_core::pipeline::filter`]
 //! unions the overlay into `C_M` in place — a query over a mutated dataset
 //! allocates exactly what the same query over a pristine one does.
@@ -17,12 +21,13 @@
 //! integration tests.
 
 use gc_core::pipeline::probe::{probe_cases, ProbeScratch};
-use gc_core::pipeline::{filter, PipelineCtx};
+use gc_core::pipeline::{filter, verify, PipelineCtx};
 use gc_core::{CacheConfig, CacheManager};
 use gc_graph::{graph_from_parts, BitSet, Graph, Label};
 use gc_index::FeatureConfig;
 use gc_iso::GraphProfile;
-use gc_method::{Dataset, QueryKind, SiMethod};
+use gc_method::{Dataset, Engine, QueryKind, QueryProfile, SiMethod};
+use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -187,4 +192,36 @@ fn filter_overlay_union_adds_no_allocation() {
     let (mutated, cm) = filter_allocations(&dataset.all_graphs());
     assert_eq!(cm.count(), 3);
     assert_eq!(mutated, pristine, "a non-empty overlay must not cost the filter an allocation");
+}
+
+#[test]
+fn warm_verify_stage_allocates_a_constant() {
+    let molecules = gc_workload::molecule_dataset(40, 11);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    let query = gc_workload::extract_query(&molecules[0], 4, &mut rng).unwrap();
+    let dataset = Dataset::new(molecules);
+    let mut scratch = ProbeScratch::new();
+    let mut verify_allocations = |candidates: BitSet| {
+        let mut ctx = PipelineCtx::new(&query, QueryKind::Subgraph, 1, dataset.len());
+        ctx.pruned.to_verify = candidates;
+        std::mem::swap(&mut ctx.probe_scratch, &mut scratch);
+        let before = allocations_on_this_thread();
+        verify::run(&mut ctx, &dataset, Engine::Vf2);
+        let spent = allocations_on_this_thread() - before;
+        std::mem::swap(&mut ctx.probe_scratch, &mut scratch);
+        assert!(ctx.survivors.contains(0), "the query was cut from graph 0");
+        (spent, ctx.verify_costs.len())
+    };
+    // Warm-up grows the verifier scratch to the largest pair it will see.
+    verify_allocations(dataset.all_graphs());
+
+    let before = allocations_on_this_thread();
+    drop(QueryProfile::new(&dataset, &query, QueryKind::Subgraph));
+    let profile = allocations_on_this_thread() - before;
+    let (small, tested) = verify_allocations(BitSet::from_indices(dataset.len(), 0..4));
+    assert_eq!(tested, 4);
+    let (large, tested) = verify_allocations(dataset.all_graphs());
+    assert_eq!(tested, 40);
+    assert_eq!(small, profile + 1, "the profile, then one reservation for costs");
+    assert_eq!(large, small, "a warm verify stage allocates nothing per candidate");
 }

@@ -6,11 +6,11 @@
 //! gc generate --out ds.tve [--count 100] [--seed 42] [--model molecules|er|ba]
 //! gc run      --dataset ds.tve [--queries 300] [--workload zipf|uniform|drift]
 //!             [--policy HD] [--capacity 50] [--feature-size 2] [--dev]
-//!             [--clients 8] [--check]   # N>1: concurrent SharedGraphCache mode
+//!             [--clients 8] [--check]   # N>1: N client threads, one SharedGraphCache
 //!             [--snapshot-dir state/]   # warm-restart + journal + snapshot
 //!             [--server 127.0.0.1:7411] # client mode: POST the workload to
 //!                                       # a running `gc serve` over HTTP
-//! gc serve    --dataset ds.tve [--addr 127.0.0.1:7411] [--workers 4]
+//! gc serve    --dataset ds.tve [--addr 127.0.0.1:7411] [--workers 4]   # one query per worker
 //!             [--queue-depth 64] [--deadline-ms 5000] [--snapshot-dir state/]
 //!             [--duration-secs S]       # omitted: serve until Enter/EOF
 //! gc save     --dataset ds.tve --snapshot-dir state/   # run + persist
@@ -200,12 +200,7 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
         let policy: PolicyKind =
             flags.get("policy").map(|p| p.parse()).transpose()?.unwrap_or(PolicyKind::Hd);
         let feature_size: usize = get(flags, "feature-size", 2);
-        let config = CacheConfig {
-            // With worker threads available, shard probes fan out and
-            // verification parallelizes.
-            threads: clients,
-            ..cache_config(flags)
-        };
+        let config = cache_config(flags);
         let make_method =
             || -> Box<dyn gc_method::Method> { Box::new(FtvMethod::build(&dataset, feature_size)) };
         let check = flags.contains_key("check");
@@ -326,11 +321,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         flags.get("policy").map(|p| p.parse()).transpose()?.unwrap_or(PolicyKind::Hd);
     let feature_size: usize = get(flags, "feature-size", 2);
     let workers: usize = get(flags, "workers", 4);
-    let config = CacheConfig {
-        // Shard probes and verification fan out across the worker pool.
-        threads: get(flags, "threads", workers),
-        ..cache_config(flags)
-    };
+    let config = cache_config(flags);
     let method = FtvMethod::build(&dataset, feature_size);
     let cache = match flags.get("snapshot-dir") {
         Some(dir) => {
@@ -776,7 +767,7 @@ const USAGE: &str =
   gc generate --out ds.tve [--count N] [--seed S] [--model molecules|er|ba]
   gc run      --dataset ds.tve [--queries N] [--workload zipf|uniform|drift]
               [--policy LRU|POP|PIN|PINC|HD] [--capacity N] [--feature-size L] [--dev]
-              [--clients N] [--check]   (N>1: concurrent SharedGraphCache mode)
+              [--clients N] [--check]   (N>1: N client threads, one SharedGraphCache)
               [--server HOST:PORT]      (client mode: POST the workload to a
                running `gc serve`; --check cross-checks every HTTP answer)
               [--snapshot-dir DIR [--snapshot-interval N] [--journal-max-bytes B]

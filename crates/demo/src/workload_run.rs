@@ -427,7 +427,6 @@ mod tests {
             capacity: 8,
             window_size: 2,
             shards: 4,
-            threads: 4,
             min_admit_tests: 0,
             ..CacheConfig::default()
         };

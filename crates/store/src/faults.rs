@@ -4,7 +4,7 @@
 //! [`FaultSite`]. Production code consults the plan (if one is installed)
 //! at each instrumented I/O site via [`FaultPlan::on_op`] and acts on the
 //! returned [`FaultAction`] — returning an injected error, writing a
-//! deliberately short or torn prefix, sleeping, or panicking. With no plan
+//! deliberately short or torn prefix, or sleeping. With no plan
 //! installed every site is a no-op, so the instrumentation costs one
 //! mutex-guarded `Option` clone per I/O call on the cold persistence path
 //! and nothing on the query hot path.
@@ -38,9 +38,6 @@ pub enum FaultSite {
     DirSync,
     /// The atomic snapshot rename (the rotation commit point).
     Rename,
-    /// A worker-pool task in `gc-core` (verify chunk / shard probe) —
-    /// consulted by the pool's task wrapper, not by the store.
-    Task,
 }
 
 impl FaultSite {
@@ -53,7 +50,6 @@ impl FaultSite {
             FaultSite::JournalSync => "journal_sync",
             FaultSite::DirSync => "dir_sync",
             FaultSite::Rename => "rename",
-            FaultSite::Task => "task",
         }
     }
 }
@@ -84,12 +80,6 @@ pub enum Failpoint {
         /// Injected latency per op.
         millis: u64,
     },
-    /// Let `n` ops through, then panic on the next one. Disarms after
-    /// firing (the panic is expected to be confined by `catch_unwind`).
-    PanicAt {
-        /// Ops to let through before panicking.
-        n: u64,
-    },
 }
 
 impl Failpoint {
@@ -100,7 +90,6 @@ impl Failpoint {
             Failpoint::ShortWrite { .. } => "short_write",
             Failpoint::TornRecord => "torn_record",
             Failpoint::SlowIo { .. } => "slow_io",
-            Failpoint::PanicAt { .. } => "panic_at",
         }
     }
 }
@@ -119,14 +108,12 @@ pub enum FaultAction {
     },
     /// Cut the write strictly inside its final record, then fail the op.
     TornRecord,
-    /// Panic at the call site (the site's message names the injection).
-    Panic,
 }
 
 struct Armed {
     point: Failpoint,
     /// Ops seen by this failpoint while it sat at the front of its queue
-    /// (drives `ErrAfter`/`PanicAt` countdowns).
+    /// (drives the `ErrAfter` countdown).
     seen: u64,
 }
 
@@ -262,15 +249,6 @@ impl FaultPlan {
                     sleep_ms = Some(millis);
                     FaultAction::Proceed
                 }
-                Failpoint::PanicAt { n } => {
-                    if front.seen < n {
-                        front.seen += 1;
-                        FaultAction::Proceed
-                    } else {
-                        pop = true;
-                        FaultAction::Panic
-                    }
-                }
             };
             let fires = !matches!(action, FaultAction::Proceed) || sleep_ms.is_some();
             if fires {
@@ -347,16 +325,6 @@ mod tests {
                 (FaultSite::JournalAppend, "torn_record"),
             ]
         );
-    }
-
-    #[test]
-    fn panic_at_counts_down() {
-        let plan = FaultPlan::new();
-        plan.arm(FaultSite::Task, Failpoint::PanicAt { n: 2 });
-        assert!(matches!(plan.on_op(FaultSite::Task), FaultAction::Proceed));
-        assert!(matches!(plan.on_op(FaultSite::Task), FaultAction::Proceed));
-        assert!(matches!(plan.on_op(FaultSite::Task), FaultAction::Panic));
-        assert!(matches!(plan.on_op(FaultSite::Task), FaultAction::Proceed));
     }
 
     #[test]

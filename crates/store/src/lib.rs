@@ -41,8 +41,8 @@
 //!
 //! [`FsyncPolicy`] adds group-commit fsync with a documented bounded-loss
 //! guarantee, [`faults`] provides the deterministic failpoint layer
-//! threaded through every store I/O site (and `gc-core`'s worker pool),
-//! and [`doctor`] is the forensic walk behind the `gc doctor` CLI.
+//! threaded through every store I/O site, and [`doctor`] is the forensic
+//! walk behind the `gc doctor` CLI.
 //!
 //! This crate depends only on `gc-graph` and `gc-method` (graph and
 //! query-kind types); the kernel wiring — `GraphCache::{snapshot_to,

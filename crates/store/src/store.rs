@@ -274,17 +274,9 @@ impl CacheStore {
     }
 
     /// Consult the installed fault plan (if any) for one op at `site`.
-    /// Panics here on an injected [`FaultAction::Panic`] so the panic
-    /// message names the site.
     fn fault(&self, site: FaultSite) -> FaultAction {
         let plan = self.faults.lock().expect("fault plan slot").clone();
-        match plan {
-            None => FaultAction::Proceed,
-            Some(plan) => match plan.on_op(site) {
-                FaultAction::Panic => panic!("injected panic at store site {}", site.name()),
-                action => action,
-            },
-        }
+        plan.map_or(FaultAction::Proceed, |plan| plan.on_op(site))
     }
 
     /// The common case: sites that either proceed or fail whole (partial
@@ -297,7 +289,6 @@ impl CacheStore {
             FaultAction::ShortWrite { .. } | FaultAction::TornRecord => {
                 Err(io::Error::other(format!("injected write fault at {}", site.name())))
             }
-            FaultAction::Panic => unreachable!("handled in fault()"),
         }
     }
 
@@ -371,7 +362,6 @@ impl CacheStore {
                 let _ = f.write_all(&image[..image.len() * 3 / 4]);
                 return Err(io::Error::other("injected torn snapshot write"));
             }
-            FaultAction::Panic => unreachable!("handled in fault()"),
         }
         let mut f = File::create(&tmp)?;
         f.write_all(&image)?;
@@ -490,7 +480,6 @@ impl CacheStore {
                 active.dirty = true;
                 return Err(io::Error::other("injected torn journal record"));
             }
-            FaultAction::Panic => unreachable!("handled in fault()"),
         }
         if let Err(e) = active.file.write_all(&buf) {
             // Position unknown after a real short write: repair lazily on

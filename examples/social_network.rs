@@ -54,7 +54,7 @@ fn main() {
         dataset.clone(),
         Box::new(SiMethod),
         PolicyKind::Hd,
-        CacheConfig { capacity: 60, window_size: 8, threads: 2, ..CacheConfig::default() },
+        CacheConfig { capacity: 60, window_size: 8, ..CacheConfig::default() },
     )
     .expect("valid config");
     for wq in &workload.queries {

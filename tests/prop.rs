@@ -144,84 +144,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_probe_matches_sequential_walk(
-        dataset_seed in any::<u64>(),
-        workload_seed in any::<u64>(),
-        policy_idx in 0usize..5,
-        shards in 2usize..6,
-        skew_tenths in 5usize..18,
-    ) {
-        // With `threads > 1` and multiple shards, probes fan out per shard
-        // onto the worker pool; the merged answers must still be exactly
-        // the sequential `GraphCache` replay's, under concurrent clients
-        // contending for the same pool.
-        const THREADS: usize = 4;
-        let policy = PolicyKind::all()[policy_idx];
-        let dataset = Arc::new(Dataset::new(molecule_dataset(10, dataset_seed)));
-        let spec = WorkloadSpec {
-            n_queries: 32,
-            pool_size: 12,
-            kind: WorkloadKind::Zipf { skew: skew_tenths as f64 / 10.0 },
-            seed: workload_seed,
-            min_edges: 2,
-            max_edges: 8,
-            supergraph_fraction: 0.25,
-        };
-        let workload = Workload::generate(dataset.graphs(), &spec);
-        let config = CacheConfig {
-            capacity: 8,
-            window_size: 2,
-            shards,
-            threads: 4,
-            min_admit_tests: 0,
-            ..CacheConfig::default()
-        };
-
-        let mut seq = GraphCache::with_policy(
-            dataset.clone(),
-            Box::new(SiMethod),
-            policy,
-            CacheConfig { threads: 1, ..config.clone() },
-        ).unwrap();
-        let expected: Vec<BitSet> = workload
-            .queries
-            .iter()
-            .map(|wq| seq.query(&wq.graph, wq.kind).answer)
-            .collect();
-
-        let shared = SharedGraphCache::with_policy(
-            dataset.clone(),
-            Box::new(SiMethod),
-            policy,
-            config,
-        ).unwrap();
-        let mismatches: usize = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..THREADS)
-                .map(|t| {
-                    let shared = &shared;
-                    let workload = &workload;
-                    let expected = &expected;
-                    scope.spawn(move || {
-                        let mut bad = 0usize;
-                        for (i, wq) in workload.queries.iter().enumerate() {
-                            if i % THREADS != t {
-                                continue;
-                            }
-                            if shared.query(&wq.graph, wq.kind).answer != expected[i] {
-                                bad += 1;
-                            }
-                        }
-                        bad
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("client panicked")).sum()
-        });
-        prop_assert_eq!(mismatches, 0, "policy {} shards {}", policy, shards);
-        prop_assert_eq!(shared.stats().queries as usize, workload.len());
-    }
-
-    #[test]
     fn ftv_cache_matches_si_cache(
         dataset_graphs in proptest::collection::vec(arb_graph(7, 2), 3..8),
         queries in proptest::collection::vec(arb_graph(4, 2), 1..15),
