@@ -118,7 +118,8 @@ fn session(
 }
 
 fn entry_signature(gc: &GraphCache) -> Vec<(u64, QueryKind)> {
-    let mut sig: Vec<_> = gc.cache().iter().map(|e| (e.fingerprint, e.kind)).collect();
+    let mut sig = Vec::new();
+    gc.for_each_shard(|_, cm| sig.extend(cm.iter().map(|e| (e.fingerprint, e.kind))));
     sig.sort_unstable_by_key(|&(fp, k)| (fp, k as u8));
     sig
 }
@@ -276,7 +277,8 @@ fn main() {
     let snapshot_bytes = std::fs::metadata(snapshot_file(&dir)).map(|m| m.len()).unwrap_or(0);
 
     // Zero recomputed admissions: every restored entry is an exact hit.
-    let restored: Vec<_> = warm.cache().iter().map(|e| (e.graph.clone(), e.kind)).collect();
+    let mut restored = Vec::new();
+    warm.for_each_shard(|_, cm| restored.extend(cm.iter().map(|e| (e.graph.clone(), e.kind))));
     let mut zero_recompute_entries = 0usize;
     for (graph, kind) in restored {
         let r = warm.query(&graph, kind);

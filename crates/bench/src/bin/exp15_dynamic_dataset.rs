@@ -135,12 +135,12 @@ fn main() {
                     asked[rng.gen_range(0..asked.len())].clone()
                 } else {
                     let kind = if k % 2 == 0 { QueryKind::Subgraph } else { QueryKind::Supergraph };
-                    let q = live_query(gc.dataset(), &mut rng);
+                    let q = live_query(&gc.dataset(), &mut rng);
                     asked.push((q.clone(), kind));
                     (q, kind)
                 };
                 let r = gc.query(&q, kind);
-                let want = execute_base(gc.dataset(), &SiMethod, Engine::Vf2, &q, kind);
+                let want = execute_base(&gc.dataset(), &SiMethod, Engine::Vf2, &q, kind);
                 if r.answer != want.answer {
                     fail(&format!(
                         "step {step}: answer diverged from Method M on the mutated dataset \
@@ -253,7 +253,7 @@ fn main() {
     let final_fp = a.dataset().content_fingerprint();
     let want_answers: Vec<_> = probes
         .iter()
-        .map(|(q, kind)| execute_base(a.dataset(), &SiMethod, Engine::Vf2, q, *kind).answer)
+        .map(|(q, kind)| execute_base(&a.dataset(), &SiMethod, Engine::Vf2, q, *kind).answer)
         .collect();
     a.attached_store().expect("store attached").sync().expect("sync journal");
     drop(a); // crash: deltas never made it into a snapshot

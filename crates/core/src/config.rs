@@ -41,19 +41,19 @@ pub struct CacheConfig {
     /// side of the kernel's "resource management (memory and threads)". The
     /// entry-count `capacity` still applies independently.
     pub max_bytes: Option<usize>,
-    /// Shard count of the concurrent front-end
-    /// ([`crate::SharedGraphCache`]): cache state is split into this many
-    /// independently-locked shards (queries are routed by graph
+    /// Shard count of [`crate::SharedGraphCache`]: cache state is split into
+    /// this many independently-locked shards (queries are routed by graph
     /// fingerprint). More shards → less write contention, a few more
-    /// shard probes per query. Ignored by the sequential [`crate::GraphCache`].
+    /// shard probes per query. [`crate::GraphCache`] is one shard.
     /// Must be in `1..=256`.
     pub shards: usize,
     /// Persistence: automatically write a snapshot (and rotate the
     /// journal) after this many admissions, when a
     /// [`gc_store::CacheStore`] is attached. `None` disables the
     /// admission-count trigger (snapshots then happen only on explicit
-    /// [`crate::GraphCache::snapshot_to`] calls, the journal-size trigger,
-    /// or a [`crate::persist::Snapshotter`]). Must be > 0 when set.
+    /// [`crate::SharedGraphCache::snapshot_now`] /
+    /// [`crate::SharedGraphCache::snapshot_to`] calls, the journal-size
+    /// trigger, or a [`crate::persist::Snapshotter`]). Must be > 0 when set.
     pub snapshot_interval: Option<u64>,
     /// Persistence: automatically snapshot once the append-only journal
     /// exceeds this many bytes, bounding both journal replay time and the

@@ -7,9 +7,9 @@
 //! (`n + m`) before the first observation — larger graphs cost more to
 //! verify, which is exactly the signal PINC exploits and PIN ignores.
 //!
-//! Estimates live in atomics so observation needs only `&self`: the
-//! sequential runtime and the concurrent [`crate::SharedGraphCache`] share
-//! one implementation. Under concurrent observation the EWMA update is a
+//! Estimates live in atomics so observation needs only `&self`, from any
+//! of [`crate::SharedGraphCache`]'s client threads. Under concurrent
+//! observation the EWMA update is a
 //! load/compute/store and two racing updates may drop one sample — benign
 //! for a smoothed heuristic that only ranks eviction candidates, and worth
 //! not paying a lock for on every verified candidate.

@@ -1,7 +1,7 @@
 //! Cached query entries.
 
 use gc_graph::{BitSet, Graph};
-use gc_iso::GraphProfile;
+use gc_iso::{GraphProfile, VerifyCtx, VfScratch};
 use gc_method::QueryKind;
 use std::sync::{Arc, OnceLock};
 
@@ -71,10 +71,8 @@ impl AnswerText {
 
 /// A cached query: the query graph, its kind, and its full answer set.
 ///
-/// Serializable so cache contents can be exported and re-imported across
-/// sessions (warm starts); see [`crate::GraphCache::export_entries`]. The
-/// answer is read through [`CacheEntry::answer`] and changed only by the
-/// repair methods, which keep its [`AnswerText`] slot in step.
+/// The answer is read through [`CacheEntry::answer`] and changed only by
+/// the repair methods, which keep its [`AnswerText`] slot in step.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct CacheEntry {
     /// Entry id (slab slot).
@@ -190,24 +188,33 @@ impl CacheEntry {
 
     /// Does the (freshly inserted) dataset graph `gid` belong in this
     /// entry's answer set? Cheap summary prefilter, then the exact
-    /// containment test in the direction the entry's kind dictates — the
-    /// answer-repair primitive of live dataset mutation.
+    /// containment test in the direction the entry's kind dictates, over
+    /// the entry's stored profile and the dataset's, with the caller's
+    /// verifier scratch — the answer-repair primitive of live dataset
+    /// mutation.
     pub(crate) fn answers_inserted(
         &self,
         dataset: &gc_method::Dataset,
         gid: gc_graph::GraphId,
         engine: gc_method::Engine,
+        scratch: &mut VfScratch,
     ) -> bool {
-        match self.kind {
+        let (graph, profile) = (dataset.graph(gid), dataset.profile(gid));
+        let ctx = match self.kind {
             QueryKind::Subgraph => {
-                self.profile.summary.may_embed_into(dataset.summary(gid))
-                    && engine.verify(&self.graph, dataset.graph(gid)).0
+                if !self.profile.summary.may_embed_into(dataset.summary(gid)) {
+                    return false;
+                }
+                VerifyCtx::new(&self.graph, self.profile.as_ref(), graph, profile)
             }
             QueryKind::Supergraph => {
-                dataset.summary(gid).may_embed_into(&self.profile.summary)
-                    && engine.verify(dataset.graph(gid), &self.graph).0
+                if !dataset.summary(gid).may_embed_into(&self.profile.summary) {
+                    return false;
+                }
+                VerifyCtx::new(graph, profile, &self.graph, self.profile.as_ref())
             }
-        }
+        };
+        engine.verify_ctx(&ctx, None, scratch).0.is_yes()
     }
 
     /// Approximate heap bytes held by this entry (graph + profile + answer
@@ -301,6 +308,57 @@ mod tests {
         let mut want = Vec::new();
         answer.write_ids(&mut want);
         assert_eq!(texts[0], want);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Repair through the stored profiles decides exactly what a
+        /// from-scratch `engine.verify` decides, in the direction each kind
+        /// dictates: molecules and fragments cut from them, as entries and
+        /// as dataset graphs, so both directions see hits and misses.
+        #[test]
+        fn answers_inserted_matches_from_scratch_verify(
+            seed in proptest::prelude::any::<u64>(),
+            edges in 2usize..9,
+            ullmann in proptest::prelude::any::<bool>(),
+        ) {
+            use gc_method::{Dataset, Engine};
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let molecules = gc_workload::molecule_dataset(3, seed);
+            let mut graphs = molecules.clone();
+            for m in &molecules {
+                graphs.extend(gc_workload::extract_query(m, edges, &mut rng));
+            }
+            let dataset = Dataset::new(graphs.clone());
+            let engine = if ullmann { Engine::Ullmann } else { Engine::Vf2 };
+            let mut scratch = VfScratch::new();
+            for g in &graphs {
+                for kind in [QueryKind::Subgraph, QueryKind::Supergraph] {
+                    let e = CacheEntry::new(
+                        0,
+                        g.clone(),
+                        GraphProfile::new(g, None),
+                        kind,
+                        BitSet::new(dataset.len()),
+                        gc_graph::hash::fingerprint(g),
+                        0,
+                        0,
+                        EntryStats::default(),
+                    );
+                    for gid in 0..dataset.len() as gc_graph::GraphId {
+                        let t = dataset.graph(gid);
+                        let want = match kind {
+                            QueryKind::Subgraph => engine.verify(g, t).0,
+                            QueryKind::Supergraph => engine.verify(t, g).0,
+                        };
+                        let got = e.answers_inserted(&dataset, gid, engine, &mut scratch);
+                        proptest::prop_assert_eq!(got, want, "{:?} gid {}", kind, gid);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # gc-core — the GraphCache kernel
 //!
 //! This crate implements the paper's Kernel subsystem (Fig. 1) as a
-//! **staged query pipeline** with two front-ends:
+//! **staged query pipeline** run by one Query Processing Runtime:
 //!
 //! * [`pipeline`] — the six explicit stages every query passes through
 //!   (Fig. 3): [`pipeline::probe`] finds sub-case / super-case cache hits;
@@ -13,12 +13,13 @@
 //!   testing on the calling thread; [`pipeline::admit`] credits hits, admits
 //!   the query and runs the batched replacement sweep. A
 //!   [`pipeline::PipelineCtx`] carries one query through the stages;
-//! * [`GraphCache`] — the sequential Query Processing Runtime: a thin
-//!   `&mut self` composition of the stages over directly-owned state;
-//! * [`SharedGraphCache`] — the concurrent front-end: the same stages over
-//!   *sharded* state behind `parking_lot::RwLock`s, `&self` queries from
-//!   any number of threads and lock-free statistics. Each query runs on
-//!   its caller's thread; concurrency comes from concurrent callers.
+//! * [`SharedGraphCache`] — the runtime: the stages over *sharded* state
+//!   behind `parking_lot::RwLock`s, `&self` queries from any number of
+//!   threads and lock-free statistics, plus dataset mutation with in-place
+//!   answer repair, snapshots and restores. Each query runs on its
+//!   caller's thread; concurrency comes from concurrent callers;
+//! * [`GraphCache`] — the same runtime with one shard, owned through
+//!   `&mut self` (the type the examples and experiments drive).
 //!
 //! Supporting components:
 //!
@@ -35,10 +36,10 @@
 //! * [`CostModel`] — atomic per-graph verification-cost EWMA feeding the
 //!   cost-aware policies;
 //! * [`persist`] — durable cache state: snapshot + journal persistence
-//!   over [`gc_store`] ([`GraphCache::snapshot_to`] /
-//!   [`GraphCache::restore_from`], journal hooks in the admit stage, a
-//!   periodic [`Snapshotter`] for [`SharedGraphCache`]), so warm hit
-//!   ratios survive restarts and deploys.
+//!   over [`gc_store`] ([`SharedGraphCache::snapshot_to`] /
+//!   [`SharedGraphCache::restore_from`], journal hooks after admission, a
+//!   periodic [`Snapshotter`]), so warm hit ratios survive restarts and
+//!   deploys.
 //!
 //! ## Correctness
 //!
@@ -75,7 +76,7 @@ pub use entry::{AnswerText, CacheEntry, EntryId, EntryStats};
 pub use persist::{
     CacheStore, FsyncPolicy, LoadOutcome, PersistHealth, RecoveryReport, SnapshotInfo, Snapshotter,
 };
-pub use pipeline::probe::{find_exact, probe, CacheHits, Hit, Relation};
+pub use pipeline::probe::{find_exact, CacheHits, Hit, Relation};
 pub use pipeline::prune::{prune, Pruned};
 pub use pipeline::PipelineCtx;
 pub use policy::{HitCredit, HitKind, Policy, PolicyKind, ReplacementPolicy};
@@ -88,15 +89,3 @@ pub use telemetry::{
 
 mod runtime;
 pub use runtime::GraphCache;
-
-/// Backwards-compatible alias of the probe stage's hit-detection module
-/// (pre-pipeline layout); prefer [`pipeline::probe`].
-pub mod hits {
-    pub use crate::pipeline::probe::{find_exact, probe, CacheHits, Hit, Relation};
-}
-
-/// Backwards-compatible alias of the prune stage (pre-pipeline layout);
-/// prefer [`pipeline::prune`].
-pub mod pruner {
-    pub use crate::pipeline::prune::{prune, Pruned};
-}

@@ -4,7 +4,7 @@
 //! The on-disk formats live in [`gc_store`]; this module converts between
 //! the kernel's live types ([`CacheEntry`], [`GlobalStats`],
 //! [`crate::CostModel`]) and the store's portable records, and implements
-//! the *replay* algorithm both runtimes share:
+//! the *replay* algorithm of a restore:
 //!
 //! 1. every snapshot entry is re-admitted through the cache's **normal
 //!    insert path** (features, fingerprints, profiles and indexes are all
@@ -16,7 +16,7 @@
 //!    journal's originating id maps to. Replay is *order-tolerant*: an
 //!    eviction whose target never appeared is skipped and a duplicate
 //!    admission (exact match already cached) is skipped — both can occur
-//!    under the sharded front-end's relaxed append ordering, and both are
+//!    under concurrent clients' relaxed append ordering, and both are
 //!    sound because every record carries a complete verified answer set;
 //! 3. the caller enforces capacity with a final replacement sweep and
 //!    immediately rotates the store, so the new process's journal is never
@@ -198,8 +198,8 @@ pub(crate) fn stats_from_records(records: &[(String, u64)]) -> GlobalStats {
 // ---- snapshot assembly -------------------------------------------------------
 
 /// Assemble a [`SnapshotDoc`] from runtime state. `entries` must yield every
-/// live entry (the sharded front-end passes encoded ids via the entries it
-/// clones under per-shard read locks).
+/// live entry (the runtime passes records carrying shard-encoded ids,
+/// cloned under per-shard read locks).
 pub(crate) fn build_doc<'a>(
     dataset: &Dataset,
     stats: &GlobalStats,
@@ -250,25 +250,18 @@ pub(crate) struct ReplayCounts {
     pub max_now: u64,
 }
 
-/// Where replayed records land: the sequential runtime's `(cache, policy)`
-/// pair or one write-locked shard per entry of the concurrent front-end.
-pub(crate) trait ReplayTarget {
-    /// Re-admit one entry through the normal insert path; returns the key
-    /// evictions reference it by (`None` = skipped, e.g. an exact
-    /// duplicate).
-    fn insert(&mut self, entry: RestoredEntry) -> Option<u32>;
-    /// Remove a previously inserted key.
-    fn evict(&mut self, key: u32);
-}
-
-/// Replay `state` into `target`.
+/// Replay `state` through the runtime's callbacks: `insert` re-admits one
+/// entry through the normal insert path and returns the key evictions
+/// reference it by (`None` = skipped, e.g. an exact duplicate); `evict`
+/// removes a previously inserted key.
 ///
-/// The originating-id → key map lives here so both runtimes share the
-/// order-tolerant semantics documented on the module.
+/// The originating-id → key map lives here, beside the order-tolerant
+/// semantics documented on the module.
 pub(crate) fn replay(
     state: &RecoveredState,
     universe: usize,
-    target: &mut dyn ReplayTarget,
+    mut insert: impl FnMut(RestoredEntry) -> Option<u32>,
+    mut evict: impl FnMut(u32),
 ) -> ReplayCounts {
     let mut counts = ReplayCounts { max_now: state.doc.clock, ..ReplayCounts::default() };
     let mut id_map: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
@@ -285,7 +278,7 @@ pub(crate) fn replay(
             base_cost: rec.base_cost,
             stats: record_to_stats(&rec.stats),
         };
-        if let Some(key) = target.insert(restored) {
+        if let Some(key) = insert(restored) {
             id_map.insert(rec.orig_id, key);
         }
     }
@@ -302,7 +295,7 @@ pub(crate) fn replay(
                     base_cost: *base_cost,
                     stats: EntryStats { inserted_at: *now, last_used: *now, ..Default::default() },
                 };
-                if let Some(key) = target.insert(restored) {
+                if let Some(key) = insert(restored) {
                     id_map.insert(*orig_id, key);
                 }
             }
@@ -313,7 +306,7 @@ pub(crate) fn replay(
                 // was never inserted, or its admission record trailed the
                 // eviction under the sharded append ordering).
                 if let Some(key) = id_map.remove(orig_id) {
-                    target.evict(key);
+                    evict(key);
                 }
             }
             // Dataset deltas were already folded into the dataset by
@@ -342,8 +335,7 @@ pub(crate) fn replay(
 /// - `Disabled` — the configured probe budget
 ///   ([`crate::CacheConfig::persist_max_probes`]) was exhausted;
 ///   persistence stays off until a manual
-///   [`crate::GraphCache::snapshot_now`] (or the shared equivalent)
-///   succeeds.
+///   [`crate::SharedGraphCache::snapshot_now`] succeeds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PersistHealth {
     /// Durability active.
@@ -387,7 +379,7 @@ struct ProbeState {
     backoff: Duration,
 }
 
-/// Shared health bookkeeping both runtimes consult on their journal path.
+/// Health bookkeeping the runtime consults on its journal path.
 /// Counters are atomics (read on every `stats()` call); probe scheduling
 /// sits behind a mutex touched only while degraded.
 pub(crate) struct StoreHealth {
@@ -522,9 +514,9 @@ pub(crate) fn due_for_rotation(
         || cfg.journal_max_bytes.is_some_and(|b| journal_bytes >= b)
 }
 
-/// Append one query's admission/evictions to `store` (shared by both
-/// runtimes' journal hooks), tracking `health`, and report what follow-up
-/// the runtime owes.
+/// Append one query's admission/evictions to `store` (the runtime's
+/// journal hook), tracking `health`, and report what follow-up the runtime
+/// owes.
 ///
 /// Persistence failures never fail the query — answers come from memory
 /// and stay exact. A failed append retries up to
@@ -536,7 +528,7 @@ pub(crate) fn due_for_rotation(
 ///
 /// `admits_since_snapshot` is the caller's post-increment counter value;
 /// entry ids are journaled exactly as the caller reports them
-/// (shard-encoded for the concurrent front-end).
+/// (shard-encoded).
 #[allow(clippy::too_many_arguments)] // mirrors the admit stage's query facts
 pub(crate) fn journal_outcome(
     store: &CacheStore,
@@ -636,8 +628,7 @@ pub(crate) struct ResolvedDataset {
 }
 
 /// Reconstruct the dataset a recovered snapshot + journal describe,
-/// starting from the dataset the caller booted with (shared by both
-/// runtimes' restores).
+/// starting from the dataset the caller booted with.
 ///
 /// Accepts `base` in either of two states: *pristine* (generation 0) with
 /// the snapshot's recorded base fingerprint — the snapshot's own op log is

@@ -1,15 +1,14 @@
 //! Stage 6 — **Admit**: hit crediting, admission and the batched
 //! replacement sweep (Statistics Manager + Window Manager).
 //!
-//! The only stage that *mutates* cache state, so it is where the sharded
-//! front-end takes its short write sections. Everything here operates on an
-//! explicit `(CacheManager, ReplacementPolicy, WindowManager)` triple rather
-//! than on `GraphCache` fields: the sequential runtime passes its own, the
-//! sharded front-end passes one shard's, under that shard's write lock.
+//! The only stage that *mutates* cache state, so it is where the runtime
+//! takes its short write sections. Everything here operates on an explicit
+//! `(CacheManager, ReplacementPolicy, WindowManager)` triple: one shard's,
+//! under that shard's write lock.
 //!
-//! Unlike the pre-pipeline runtime, crediting tolerates hit entries that
-//! died between probing and crediting (a concurrent eviction): the credit is
-//! simply dropped. Sequentially this cannot happen; concurrently it is the
+//! Crediting tolerates hit entries that died between probing and crediting
+//! (a concurrent eviction): the credit is simply dropped. With one client
+//! this cannot happen; concurrently it is the
 //! correct degradation (the hit's *answers* were already snapshotted, so
 //! correctness is unaffected — only a utility update is lost).
 
@@ -25,20 +24,13 @@ use gc_graph::{BitSet, Graph};
 use gc_method::QueryKind;
 use std::sync::Arc;
 
-/// Capacity limits for one admission target (whole cache, or one shard).
+/// Capacity limits of one admission target: one shard.
 #[derive(Debug, Clone, Copy)]
 pub struct AdmitLimits {
     /// Maximum entries.
     pub capacity: usize,
     /// Optional byte budget (entries + index).
     pub max_bytes: Option<usize>,
-}
-
-impl AdmitLimits {
-    /// Limits of an unsharded cache, straight from its config.
-    pub fn from_config(cfg: &CacheConfig) -> Self {
-        AdmitLimits { capacity: cfg.capacity, max_bytes: cfg.max_bytes }
-    }
 }
 
 /// Outcome of the admit stage.
@@ -260,7 +252,7 @@ mod tests {
             policy,
             window,
             cfg,
-            AdmitLimits::from_config(cfg),
+            AdmitLimits { capacity: cfg.capacity, max_bytes: cfg.max_bytes },
             &query,
             QueryKind::Subgraph,
             gc_graph::hash::fingerprint(&query),
@@ -296,7 +288,7 @@ mod tests {
             &mut policy,
             &mut window,
             &cfg,
-            AdmitLimits::from_config(&cfg),
+            AdmitLimits { capacity: cfg.capacity, max_bytes: cfg.max_bytes },
             &g(&[0], &[]),
             QueryKind::Subgraph,
             gc_graph::hash::fingerprint(&g(&[0], &[])),

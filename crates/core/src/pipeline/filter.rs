@@ -37,7 +37,7 @@ pub fn run(ctx: &mut PipelineCtx<'_>, method: &dyn Method, dataset: &Dataset, ov
         // Method index predates later inserts: widen to the live universe.
         cm.grow(dataset.len());
     }
-    // In place: both runtimes grow the overlay with the dataset, so the
+    // In place: the runtime grows the overlay with the dataset, so the
     // universes agree and no per-query copy of the overlay is needed.
     cm.union_with(overlay);
     if dataset.has_tombstones() {

@@ -25,14 +25,12 @@
 //!
 //! A [`PipelineCtx`] carries one query through the stages, accumulating each
 //! stage's product. The stages take their dependencies (cache manager,
-//! policy, scratch) as explicit arguments rather than through `GraphCache`, so
-//! the same stage code serves both front-ends:
-//!
-//! * [`crate::GraphCache`] — sequential composition, `&mut self`, state
-//!   borrowed directly;
-//! * [`crate::SharedGraphCache`] — concurrent composition, `&self`, cache
-//!   state sharded behind `parking_lot::RwLock` with probes under read
-//!   locks and admission under short write sections.
+//! policy, scratch) as explicit arguments; [`crate::SharedGraphCache`]
+//! composes them over cache state sharded behind `parking_lot::RwLock`,
+//! probing under read locks and admitting under short write sections
+//! ([`crate::GraphCache`] is the same composition with one shard). In
+//! front of the stages sit the query's key (`query_key`) and the tiers
+//! that serve a query whole ([`FastTier`], closed by `FastPath`).
 
 pub mod admit;
 pub mod bound;
@@ -47,7 +45,8 @@ use crate::pipeline::bound::Bound;
 use crate::pipeline::probe::{CacheHits, HitSnapshot, ProbeScratch};
 use crate::pipeline::prune::Pruned;
 use crate::report::QueryReport;
-use crate::stats::GlobalStats;
+use crate::stats::{GlobalStats, StatsMonitor};
+use crate::telemetry::{PipelineStage, QueryTiming, QueryTrace, Telemetry};
 use gc_graph::{BitSet, Graph};
 use gc_index::FeatureVec;
 use gc_method::QueryKind;
@@ -84,17 +83,16 @@ pub struct PipelineCtx<'q> {
     /// admission (`None` until probed; taken by the admit stage).
     pub features: Option<FeatureVec>,
     /// Reusable probe- and verify-stage buffers (candidate selection,
-    /// utility ordering, verifier search state). Owned by the runtime —
-    /// the sequential cache keeps one instance and the concurrent front-end
-    /// one per thread — and swapped into the context for the query's
-    /// lifetime, so neither stage's loop allocates in steady state.
+    /// utility ordering, verifier search state). Owned by the runtime, one
+    /// per thread, and swapped into the context for the query's lifetime,
+    /// so neither stage's loop allocates in steady state.
     pub probe_scratch: ProbeScratch,
     /// Probe stage product: verified cache hits.
     pub hits: CacheHits,
-    /// Probe stage product: answer snapshots aligned with `hits.iter()`
-    /// order in the sequential runtime (the sharded front-end stores them
-    /// in probe-discovery order; only [`bound`], which is
-    /// order-insensitive, consumes them from the context).
+    /// Probe stage product: answer snapshots in probe-discovery order
+    /// (shard by shard, each shard's in `CacheHits::iter` order; only
+    /// [`bound`], which is order-insensitive, consumes them from the
+    /// context).
     pub hit_answers: Vec<HitSnapshot>,
     /// Bound stage product: definite answers `S` and upper bound `U`.
     pub bound: Bound,
@@ -282,6 +280,118 @@ pub fn fast_stats_delta(
         tests_saved: base_tests,
         total_time: elapsed,
         ..GlobalStats::default()
+    }
+}
+
+/// `"sub"` / `"super"` trace label for a query kind.
+pub(crate) fn kind_label(kind: QueryKind) -> &'static str {
+    match kind {
+        QueryKind::Subgraph => "sub",
+        QueryKind::Supergraph => "super",
+    }
+}
+
+/// The query's key — its WL fingerprint, shared by shard routing, the memo
+/// and admission ([`probe::find_exact`] still derives its own) — and the
+/// time since `start` it was ready at (observed as the `key` stage).
+pub(crate) fn query_key(telemetry: &Telemetry, query: &Graph, start: Instant) -> (u64, Duration) {
+    let fp = gc_graph::hash::fingerprint(query);
+    let key = start.elapsed();
+    telemetry.stage(PipelineStage::Key).observe(key);
+    (fp, key)
+}
+
+/// What the runtime knows about a query before any tier has answered it;
+/// closes the query when a tier in front of the pipeline serves it whole.
+pub(crate) struct FastPath<'a> {
+    pub telemetry: &'a Telemetry,
+    pub stats: &'a StatsMonitor,
+    pub seq: u64,
+    pub start: Instant,
+    /// [`query_key`]'s time: `start` → fingerprint ready.
+    pub key: Duration,
+    pub request_id: Option<&'a str>,
+    pub kind: QueryKind,
+    pub shard: u32,
+    pub generation: u64,
+}
+
+impl FastPath<'_> {
+    /// Publish the hit's statistics, observe it into the telemetry hub (an
+    /// exact hit also as the `exact` stage: key done → now) and build its
+    /// report around `answer`, the hit's one universe-sized value, and —
+    /// on an exact hit — the entry's `answer_text` slot for it. The
+    /// trace, when sampled or slow, carries the answer size and any
+    /// memo-span time but no pipeline-stage counts (those stages never ran).
+    pub(crate) fn finish(
+        &self,
+        tier: FastTier,
+        timing: &QueryTiming,
+        answer: BitSet,
+        answer_text: Option<Arc<AnswerText>>,
+        base_tests: u64,
+        confirm_steps: u64,
+    ) -> QueryReport {
+        let elapsed = self.start.elapsed();
+        self.stats.add(&fast_stats_delta(tier, base_tests, confirm_steps, elapsed));
+        if tier == FastTier::Exact {
+            self.telemetry.stage(PipelineStage::Exact).observe(elapsed.saturating_sub(self.key));
+        }
+        self.telemetry.finish_query(self.seq, elapsed, |slow| QueryTrace {
+            seq: self.seq,
+            request_id: self.request_id.map(str::to_owned),
+            kind: kind_label(self.kind).to_owned(),
+            outcome: tier.label().to_owned(),
+            shard: self.shard,
+            generation: self.generation,
+            total_us: elapsed.as_micros().min(u128::from(u64::MAX)) as u64,
+            memo_us: timing.us(PipelineStage::Memo),
+            answer: answer.count() as u64,
+            slow,
+            ..QueryTrace::default()
+        });
+        fast_report(tier, answer, answer_text, self.kind, base_tests, elapsed)
+    }
+}
+
+/// Assemble a full-pipeline [`QueryTrace`] from the query's context.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn pipeline_trace(
+    seq: u64,
+    elapsed: std::time::Duration,
+    timing: &QueryTiming,
+    request_id: Option<&str>,
+    kind: QueryKind,
+    shard: u32,
+    generation: u64,
+    ctx: &PipelineCtx<'_>,
+    answer: &BitSet,
+    slow: bool,
+) -> QueryTrace {
+    QueryTrace {
+        seq,
+        request_id: request_id.map(str::to_owned),
+        kind: kind_label(kind).to_owned(),
+        outcome: "pipeline".to_owned(),
+        shard,
+        generation,
+        plan: crate::report::plan_label(ctx.filter_skipped).to_owned(),
+        total_us: elapsed.as_micros().min(u128::from(u64::MAX)) as u64,
+        probe_us: timing.us(PipelineStage::Probe),
+        bound_us: timing.us(PipelineStage::Bound),
+        filter_us: timing.us(PipelineStage::Filter),
+        prune_us: timing.us(PipelineStage::Prune),
+        verify_us: timing.us(PipelineStage::Verify),
+        admit_us: timing.us(PipelineStage::Admit),
+        memo_us: timing.us(PipelineStage::Memo),
+        cm_size: ctx.pruned.cm_size as u64,
+        definite: ctx.bound.definite.count() as u64,
+        to_verify: ctx.pruned.to_verify.count() as u64,
+        survivors: ctx.survivors.count() as u64,
+        answer: answer.count() as u64,
+        probe_tests: ctx.hits.probe_tests,
+        verify_steps: ctx.verify_steps,
+        slow,
     }
 }
 

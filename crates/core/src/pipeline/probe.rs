@@ -17,14 +17,14 @@
 //! Method M's candidate set, and what it finds decides whether the filter
 //! has to run at all (see [`crate::pipeline::bound`]).
 //!
-//! In front of the stage sits [`find_exact`], the exact-match lookup both
-//! runtimes (and the admission-time duplicate check) share: the query's WL
-//! fingerprint picks the bucket, [`gc_iso::iso::confirm_isomorphic`]
-//! confirms — by comparing presentations when the query is a verbatim
-//! repeat, by a profiled search only for a renumbered isomorph. It still
-//! derives the fingerprint itself (allocation-free, ≈ 0.4 µs warm) in each
-//! lock section that calls it; taking the caller's key instead is the named
-//! follow-up in ROADMAP 2d.
+//! In front of the stage sits [`find_exact`], the exact-match lookup the
+//! runtime's exact tier, admission-time duplicate check and restore replay
+//! share: the query's WL fingerprint picks the bucket,
+//! [`gc_iso::iso::confirm_isomorphic`] confirms — by comparing
+//! presentations when the query is a verbatim repeat, by a profiled search
+//! only for a renumbered isomorph. It still derives the fingerprint itself
+//! (allocation-free, ≈ 0.4 µs warm) in each lock section that calls it;
+//! taking the caller's key instead is the named follow-up in ROADMAP 3a.
 //!
 //! The stage snapshots (clones) each hit's answer set, and copies its
 //! recorded baseline, while the cache is borrowed, so everything downstream
@@ -35,20 +35,19 @@
 use crate::cache::CacheManager;
 use crate::config::CacheConfig;
 use crate::entry::EntryId;
-use crate::pipeline::PipelineCtx;
 use gc_graph::{BitSet, Graph};
 use gc_index::CandScratch;
-use gc_iso::{Found, GraphProfile, ProfileRef, VerifyCtx, VfScratch};
+use gc_iso::{Found, ProfileRef, VerifyCtx, VfScratch};
 use gc_method::QueryKind;
 
 /// Reusable per-query state: the containment-index probe buffers, the
 /// filtered + utility-ordered candidate lists, and the verifier scratch
-/// shared by the probe stage's budgeted confirmation tests and the verify
-/// stage's candidate tests. Lives in [`PipelineCtx::probe_scratch`] but is
-/// *owned* by the runtime (the sequential cache keeps one, the concurrent
-/// front-end one per thread) and swapped into each query's context, so the
-/// steady-state candidate-selection and verification loops allocate
-/// nothing (pinned by `tests/probe_alloc.rs`).
+/// shared by the probe stage's budgeted confirmation tests, the verify
+/// stage's candidate tests and answer repair. Lives in
+/// [`crate::PipelineCtx::probe_scratch`] but is *owned* by the runtime (one
+/// per thread) and swapped into each query's context, so the steady-state
+/// candidate-selection and verification loops allocate nothing (pinned by
+/// `tests/probe_alloc.rs`).
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     /// Sub/super containment probe state (shared with `gc_index`).
@@ -156,21 +155,6 @@ pub fn find_exact(cache: &CacheManager, query: &Graph, kind: QueryKind) -> Optio
     })
 }
 
-/// Probe the cache for sub-case and super-case hits of `query`, exact-match
-/// check included (the sequential entry point; kept for tests and
-/// dashboards). Extracts the query features and builds the query profile
-/// itself; pipeline callers use [`probe_cases`] with the context's shared
-/// extraction and scratch.
-pub fn probe(cache: &CacheManager, cfg: &CacheConfig, query: &Graph, kind: QueryKind) -> CacheHits {
-    if let Some((exact, _)) = find_exact(cache, query, kind) {
-        return CacheHits { exact: Some(exact), ..CacheHits::default() };
-    }
-    let qf = cache.index().features_of(query);
-    let q_profile = GraphProfile::new(query, None);
-    let mut scratch = ProbeScratch::new();
-    probe_cases(cache, cfg, query, kind, &qf, q_profile.as_ref(), &mut scratch)
-}
-
 /// Probe for sub/super-case hits only (no exact-match check).
 ///
 /// Candidates come from the containment [`gc_index::QueryIndex`]; each is
@@ -182,8 +166,8 @@ pub fn probe(cache: &CacheManager, cfg: &CacheConfig, query: &Graph, kind: Query
 /// For supergraph queries the utility direction flips with the semantics;
 /// ordering is adjusted accordingly.
 ///
-/// The sharded front-end calls this per shard (exact hits can only live in
-/// the query's fingerprint home shard, which is checked separately), passing
+/// The runtime calls this per shard (exact hits can only live in the
+/// query's fingerprint home shard, which is checked separately), passing
 /// the **same** query feature vector `qf`, query profile and scratch to
 /// every shard — features and the verification profile are computed once
 /// per query, not once per shard. `qf` must come from
@@ -286,32 +270,24 @@ pub fn snapshot_answers(cache: &CacheManager, hits: &CacheHits) -> Vec<HitSnapsh
         .collect()
 }
 
-/// Run the probe stage over a single (unsharded) cache manager: extract the
-/// query's features **once** into the context (admission reuses them),
-/// build the query profile once, find hits through the context's reusable
-/// [`ProbeScratch`] and snapshot their answers into `ctx`.
-pub fn run(ctx: &mut PipelineCtx<'_>, cache: &CacheManager, cfg: &CacheConfig) {
-    debug_assert_eq!(
-        cache.index().config(),
-        &cfg.feature_config,
-        "cache index and config must agree on feature extraction"
-    );
-    if ctx.features.is_none() {
-        ctx.features = Some(cache.index().features_of(ctx.query));
-    }
-    let q_profile = GraphProfile::new(ctx.query, None);
-    let PipelineCtx { query, kind, features, probe_scratch, .. } = ctx;
-    let qf = features.as_ref().expect("just set");
-    let hits = probe_cases(cache, cfg, query, *kind, qf, q_profile.as_ref(), probe_scratch);
-    ctx.hit_answers = snapshot_answers(cache, &hits);
-    ctx.hits = hits;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gc_graph::{graph_from_parts, BitSet, Label};
     use gc_index::FeatureConfig;
+    use gc_iso::GraphProfile;
+
+    /// Exact match first, then the sub/super cases with features and the
+    /// query profile built here — one cache manager probed whole.
+    fn probe(cache: &CacheManager, cfg: &CacheConfig, query: &Graph, kind: QueryKind) -> CacheHits {
+        if let Some((exact, _)) = find_exact(cache, query, kind) {
+            return CacheHits { exact: Some(exact), ..CacheHits::default() };
+        }
+        let qf = cache.index().features_of(query);
+        let q_profile = GraphProfile::new(query, None);
+        let mut scratch = ProbeScratch::new();
+        probe_cases(cache, cfg, query, kind, &qf, q_profile.as_ref(), &mut scratch)
+    }
 
     fn g(labels: &[u32], edges: &[(u32, u32)]) -> Graph {
         let ls: Vec<Label> = labels.iter().map(|&l| Label(l)).collect();

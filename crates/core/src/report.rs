@@ -10,7 +10,6 @@ use std::time::Duration;
 /// directory — the compaction signals of the tombstoned directory
 /// maintenance (PR 4), surfaced here so dashboards and operators never
 /// need to poke `gc_index` directly. Read via
-/// [`crate::GraphCache::index_health`] /
 /// [`crate::SharedGraphCache::index_health`]; also mirrored into the
 /// gauge fields of [`crate::GlobalStats`] snapshots.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -1,9 +1,10 @@
-//! The concurrent, sharded front-end: [`SharedGraphCache`].
+//! The Query Processing Runtime: [`SharedGraphCache`].
 //!
-//! [`crate::GraphCache`] is exclusively borrowed per query (`&mut self`),
-//! which caps a deployment at one in-flight query per cache. This front-end
-//! serves the same staged pipeline through `&self` so any number of client
-//! threads can query one cache concurrently:
+//! This is the one runtime. Queries, dataset mutations with their in-place
+//! answer repair, snapshots and restores are implemented here once;
+//! [`crate::GraphCache`] is this runtime with one shard behind `&mut self`.
+//! Queries take `&self`, so any number of client threads can query one
+//! cache concurrently:
 //!
 //! * **sharding** — cache state is split into [`CacheConfig::shards`]
 //!   independent shards, each `(CacheManager, WindowManager)` behind a
@@ -33,8 +34,8 @@
 //! a read lock, each of which is itself an exact answer set. Entries
 //! evicted between probing and crediting merely lose a utility update
 //! (credits are dropped for dead entries; see [`crate::pipeline::admit`]).
-//! The answer-set equivalence with the sequential runtime is
-//! property-tested in `tests/prop.rs` across all bundled policies.
+//! The answer-set equivalence of concurrent clients with a one-client
+//! replay is property-tested in `tests/prop.rs` across all bundled policies.
 //!
 //! ## Entry-id namespaces
 //!
@@ -42,6 +43,8 @@
 //! ([`QueryReport::sub_hits`], evictions, …) are *encoded* as
 //! `shard << 24 | local` so they stay unique cache-wide; use
 //! [`SharedGraphCache::decode_entry_id`] to recover the shard and local id.
+//! Shard 0's encoding is the identity, so a one-shard cache reports plain
+//! slab ids.
 
 use crate::cache::CacheManager;
 use crate::config::CacheConfig;
@@ -52,9 +55,9 @@ use crate::persist::{self, PersistHealth, RecoveryReport, RestoredEntry, StoreHe
 use crate::pipeline::admit::{self, AdmitLimits, AdmitOutcome};
 use crate::pipeline::probe::{CacheHits, ProbeScratch};
 use crate::pipeline::{bound, filter, probe, prune, verify, FastTier, PipelineCtx};
+use crate::pipeline::{pipeline_trace, query_key, FastPath};
 use crate::policy::ReplacementPolicy;
 use crate::report::{IndexHealth, QueryReport};
-use crate::runtime::{pipeline_trace, query_key, FastPath};
 use crate::stats::{GlobalStats, StatsMonitor};
 use crate::telemetry::{PipelineStage, QueryTiming, Telemetry};
 use crate::window::WindowManager;
@@ -116,8 +119,8 @@ struct Shard {
     policy: Mutex<Box<dyn ReplacementPolicy>>,
 }
 
-/// A concurrently-usable GraphCache: same pipeline, `&self` queries,
-/// byte-identical answers to the sequential runtime.
+/// The GraphCache runtime: the staged pipeline over sharded state, `&self`
+/// queries from any number of threads.
 ///
 /// ```
 /// use gc_core::{CacheConfig, PolicyKind, SharedGraphCache};
@@ -156,10 +159,9 @@ pub struct SharedGraphCache {
     shards: Vec<Shard>,
     /// Per-shard admission limits; entry capacities sum to exactly
     /// `config.capacity` (base + 1 for the first `capacity % shards`
-    /// shards), so the shared cache retains no more entries than the
-    /// sequential runtime would. Shards with capacity 0 (when
-    /// `capacity < shards`) still admit within a window but are emptied by
-    /// every sweep.
+    /// shards), so N shards retain no more entries than one would. Shards
+    /// with capacity 0 (when `capacity < shards`) still admit within a
+    /// window but are emptied by every sweep.
     limits: Vec<AdmitLimits>,
     stats: StatsMonitor,
     cost: CostModel,
@@ -185,13 +187,13 @@ pub struct SharedGraphCache {
 }
 
 impl SharedGraphCache {
-    /// Create a shared cache; `make_policy` builds one replacement-policy
-    /// instance per shard (each shard replaces independently over its own
-    /// entries).
+    /// Create a cache; `make_policy` is called once per shard and builds
+    /// that shard's replacement-policy instance (each shard replaces
+    /// independently over its own entries).
     pub fn new(
         dataset: Arc<Dataset>,
         method: Arc<dyn Method>,
-        make_policy: impl Fn() -> Box<dyn ReplacementPolicy>,
+        mut make_policy: impl FnMut() -> Box<dyn ReplacementPolicy>,
         config: CacheConfig,
     ) -> Result<Self, String> {
         config.validate()?;
@@ -260,7 +262,7 @@ impl SharedGraphCache {
 
     /// Process one query through the staged pipeline; callable from any
     /// number of threads concurrently. Returns the exact answer set plus
-    /// the Query-Journey anatomy, like the sequential runtime.
+    /// the Query-Journey anatomy (Fig. 3).
     pub fn query(&self, query: &Graph, kind: QueryKind) -> QueryReport {
         self.query_traced(query, kind, None)
     }
@@ -488,8 +490,7 @@ impl SharedGraphCache {
         drop(data);
 
         // ---- journaling: outside every shard lock, after the latency
-        // measurement (same boundary as the sequential runtime, so store
-        // IO never skews sequential-vs-sharded timing comparisons).
+        // measurement (so store IO never skews the query's timing).
         // Appends happen after the write sections release, so the store's
         // internal mutex can never participate in a lock-order inversion
         // with shard locks. Cross-query append reordering is tolerated by
@@ -570,12 +571,13 @@ impl SharedGraphCache {
     /// lock, which waits out every in-flight query and blocks new ones, so
     /// the repair below is atomic with respect to queries.
     ///
-    /// Repairs mirror the sequential runtime: the method index is offered
-    /// the graph (the filter overlay covers methods that decline), every
-    /// cached answer set re-verifies the new graph where its summary
-    /// prefilter admits it, the answer memo invalidates via the generation
-    /// bump, and the delta is journaled — inside the write lock, so deltas
-    /// always land in generation order.
+    /// Everything derived from the dataset is repaired in place: the method
+    /// index is offered the graph (the filter overlay covers methods that
+    /// decline — see [`gc_method::Method::on_insert_graph`]), every cached
+    /// answer set re-verifies the new graph where its summary prefilter
+    /// admits it, the answer memo invalidates via the generation bump, and
+    /// the delta is journaled — inside the write lock, so deltas always
+    /// land in generation order.
     pub fn insert_graph(&self, g: Graph) -> GraphId {
         let mut data = self.data.write();
         let span = self.telemetry.mutate_span();
@@ -588,16 +590,19 @@ impl SharedGraphCache {
             data.overlay.insert(gid as usize);
         }
         let engine = self.config.engine;
-        for shard in self.shards.iter() {
-            let mut state = shard.state.write();
-            for id in state.cache.ids() {
-                let entry = state.cache.get_mut(id).expect("listed id is live");
-                entry.grow_answer(universe);
-                if entry.answers_inserted(&data.dataset, gid, engine) {
-                    entry.insert_answer(gid as usize);
+        PROBE_SCRATCH.with(|s| {
+            let vf = &mut s.borrow_mut().vf;
+            for shard in self.shards.iter() {
+                let mut state = shard.state.write();
+                for id in state.cache.ids() {
+                    let entry = state.cache.get_mut(id).expect("listed id is live");
+                    entry.grow_answer(universe);
+                    if entry.answers_inserted(&data.dataset, gid, engine, vf) {
+                        entry.insert_answer(gid as usize);
+                    }
                 }
             }
-        }
+        });
         let directive = self.journal_dataset_delta(&data.dataset);
         drop(data);
         drop(span);
@@ -608,7 +613,9 @@ impl SharedGraphCache {
     /// Tombstone a data graph; returns `false` if `gid` was already removed
     /// or never existed. Same quiescing discipline as
     /// [`Self::insert_graph`]; the graph is cleared from every shard's
-    /// cached answer sets.
+    /// cached answer sets, the method index is told
+    /// ([`gc_method::Method::on_remove_graph`]), the memo invalidates via
+    /// the generation bump, and the delta is journaled.
     pub fn remove_graph(&self, gid: GraphId) -> bool {
         let mut data = self.data.write();
         // Decided on the shared handle: `make_mut` deep-copies the dataset
@@ -716,21 +723,8 @@ impl SharedGraphCache {
         self.snapshot_now().map(|info| info.expect("store just attached"))
     }
 
-    /// Snapshot the whole cache to the attached store, quiescing **one
-    /// shard at a time**: each shard's entries are captured under its read
-    /// lock while queries on every other shard proceed untouched.
-    ///
-    /// The union is a *fuzzy* cut, not a single instant's: an admission
-    /// racing the rotation (mutated in its shard after that shard's
-    /// capture, journal append discarded by the rotation) can be absent
-    /// from both the snapshot and the surviving journal. This is
-    /// warmth-only — every captured entry is a self-contained verified
-    /// answer set, replay tolerates the overlaps, and a lost in-flight
-    /// admission is simply re-executed after a restart. The sequential
-    /// runtime's exact `restore(snapshot(cache)) ≡ cache` guarantee
-    /// applies to the sharded front-end only when rotation does not race
-    /// queries (shutdown snapshots, or a [`crate::Snapshotter`] tick in a
-    /// quiet period); a linearizable concurrent cut is a ROADMAP item.
+    /// Snapshot the whole cache to the attached store (see
+    /// [`Self::snapshot_to`]), resetting the auto-snapshot counter.
     ///
     /// Returns `Ok(None)` when no store is attached or another thread's
     /// snapshot is already in flight (single-flight).
@@ -739,33 +733,7 @@ impl SharedGraphCache {
         if self.snapshotting.swap(true, Ordering::Acquire) {
             return Ok(None);
         }
-        let result = {
-            // Dataset read lock FIRST (the cache-wide lock order), held
-            // across the rotation: a mutation arriving mid-snapshot waits
-            // on the write lock, so its delta lands in the *new* journal —
-            // never silently dropped by the rotation — and the captured
-            // doc is one consistent dataset generation.
-            let data = self.data.read();
-            let mut entries: Vec<EntryRecord> = Vec::new();
-            for (si, shard) in self.shards.iter().enumerate() {
-                let state = shard.state.read();
-                for e in state.cache.iter() {
-                    let mut rec = persist::entry_to_record(e);
-                    rec.orig_id = encode_entry_id(si, e.id);
-                    entries.push(rec);
-                }
-            }
-            let doc = persist::build_doc(
-                &data.dataset,
-                &self.stats.snapshot(),
-                &self.cost,
-                self.clock.load(Ordering::Relaxed),
-                0, // per-shard window pending is not persisted (resets on restart)
-                self.policy_name,
-                entries.into_iter(),
-            );
-            store.rotate(&doc).map_err(|e| format!("snapshot failed: {e}"))
-        };
+        let result = self.snapshot_to(store);
         if result.is_ok() {
             // Reset only on success: after a failed rotation (e.g. disk
             // full) the next admission retries instead of waiting out a
@@ -774,6 +742,58 @@ impl SharedGraphCache {
         }
         self.snapshotting.store(false, Ordering::Release);
         result.map(Some)
+    }
+
+    /// Write a full snapshot of this cache into `store`, rotating its
+    /// journal, quiescing **one shard at a time**: each shard's entries are
+    /// captured under its read lock while queries on every other shard
+    /// proceed untouched.
+    ///
+    /// With one shard, or when rotation does not race queries (shutdown
+    /// snapshots, a [`crate::Snapshotter`] tick in a quiet period),
+    /// `restore(snapshot(cache)) ≡ cache` exactly, the admission window's
+    /// phase included. Otherwise the union is a *fuzzy* cut, not a single
+    /// instant's: an admission racing the rotation (mutated in its shard
+    /// after that shard's capture, journal append discarded by the
+    /// rotation) can be absent from both the snapshot and the surviving
+    /// journal. This is warmth-only — every captured entry is a
+    /// self-contained verified answer set, replay tolerates the overlaps,
+    /// and a lost in-flight admission is simply re-executed after a
+    /// restart; a linearizable concurrent cut is a ROADMAP item.
+    pub fn snapshot_to(&self, store: &CacheStore) -> Result<SnapshotInfo, String> {
+        // Dataset read lock FIRST (the cache-wide lock order), held across
+        // the rotation: a mutation arriving mid-snapshot waits on the write
+        // lock, so its delta lands in the *new* journal — never silently
+        // dropped by the rotation — and the captured doc is one consistent
+        // dataset generation.
+        let data = self.data.read();
+        let mut entries: Vec<EntryRecord> = Vec::new();
+        let mut window_pending = 0;
+        for (si, shard) in self.shards.iter().enumerate() {
+            let state = shard.state.read();
+            window_pending += state.window.pending();
+            for e in state.cache.iter() {
+                let mut rec = persist::entry_to_record(e);
+                rec.orig_id = encode_entry_id(si, e.id);
+                entries.push(rec);
+            }
+        }
+        let doc = persist::build_doc(
+            &data.dataset,
+            &self.stats.snapshot(),
+            &self.cost,
+            self.clock.load(Ordering::Relaxed),
+            u32::try_from(window_pending).unwrap_or(u32::MAX),
+            self.policy_name,
+            entries.into_iter(),
+        );
+        store.rotate(&doc).map_err(|e| format!("snapshot failed: {e}"))
+    }
+
+    /// Detach the persistence store (journaling stops; on-disk state stays
+    /// at the last snapshot + journal).
+    pub fn detach_store(&mut self) -> Option<Arc<CacheStore>> {
+        self.store.take()
     }
 
     /// The attached persistence store, if any.
@@ -788,16 +808,22 @@ impl SharedGraphCache {
         self.store.as_ref().map(|_| self.health.health())
     }
 
-    /// Build a shared cache and warm-restart it from `store`: replay
-    /// snapshot then journal (each restored entry routed to its home shard
-    /// by fingerprint and re-admitted through the normal insert path),
-    /// attach the store, and write a fresh snapshot. Fail-closed like
-    /// [`crate::GraphCache::restore_from`]: anything invalid yields a cold
-    /// cache plus the reason in the [`RecoveryReport`].
+    /// Build a cache and warm-restart it from `store`: replay snapshot then
+    /// journal (each restored entry routed to its home shard by fingerprint
+    /// and re-admitted through the normal insert path), attach the store,
+    /// and write a fresh snapshot so the new process journals against its
+    /// own entry-id namespace.
+    ///
+    /// Recovery is **fail-closed**: corrupt, truncated or torn files — and
+    /// a snapshot taken over a different dataset — yield a *cold* (empty
+    /// but fully functional) cache with the reason in the
+    /// [`RecoveryReport`]; answers are never wrong, restarts only lose
+    /// warmth. `Err` is reserved for an invalid `config` or an IO failure
+    /// writing the fresh snapshot.
     pub fn restore_from(
         dataset: Arc<Dataset>,
         method: Arc<dyn Method>,
-        make_policy: impl Fn() -> Box<dyn ReplacementPolicy>,
+        make_policy: impl FnMut() -> Box<dyn ReplacementPolicy>,
         config: CacheConfig,
         store: Arc<CacheStore>,
     ) -> Result<(Self, RecoveryReport), String> {
@@ -813,9 +839,10 @@ impl SharedGraphCache {
             LoadOutcome::Cold { reason } => return RecoveryReport::cold(reason),
             LoadOutcome::Warm(state) => state,
         };
-        // Resolve the dataset the persisted state describes *first* (see
-        // the sequential runtime): snapshot ops + journal deltas, each
-        // fingerprint-validated, then replay entries at the final universe.
+        // Resolve the dataset the persisted state describes *first*: the
+        // snapshot's recorded ops and every journaled delta are re-applied
+        // (each validated by fingerprint), and all entry replay below runs
+        // against the final universe.
         let base = Arc::clone(&self.data.get_mut().dataset);
         let resolved = match persist::resolve_dataset(&state, &base) {
             Ok(resolved) => resolved,
@@ -830,54 +857,55 @@ impl SharedGraphCache {
             data.dataset = Arc::clone(&dataset);
         }
 
-        struct ShardedTarget<'a> {
-            shards: &'a [Shard],
-            now_hint: u64,
-        }
-        impl persist::ReplayTarget for ShardedTarget<'_> {
-            fn insert(&mut self, e: RestoredEntry) -> Option<u32> {
-                let fp = gc_graph::hash::fingerprint(&e.graph);
-                let home = (fp % self.shards.len() as u64) as usize;
-                let shard = &self.shards[home];
-                let mut state = shard.state.write();
-                if probe::find_exact(&state.cache, &e.graph, e.kind).is_some() {
-                    return None; // order-tolerant duplicate skip
-                }
-                let stats = e.stats.clone();
-                let id = state.cache.insert(
-                    e.graph,
-                    e.kind,
-                    e.answer,
-                    e.base_tests,
-                    e.base_cost,
-                    stats.inserted_at,
-                );
-                let slot = state.cache.get_mut(id).expect("just inserted");
-                slot.stats = e.stats;
-                let bytes = state.cache.get(id).expect("just inserted").memory_bytes();
-                shard.policy.lock().on_restore(id, &stats, bytes, self.now_hint);
-                Some(encode_entry_id(home, id))
+        // Each restored entry goes to its home shard by fingerprint.
+        let now_hint = state.doc.clock;
+        let insert = |e: RestoredEntry| {
+            let fp = gc_graph::hash::fingerprint(&e.graph);
+            let home = (fp % self.shards.len() as u64) as usize;
+            let shard = &self.shards[home];
+            let mut state = shard.state.write();
+            if probe::find_exact(&state.cache, &e.graph, e.kind).is_some() {
+                return None; // order-tolerant duplicate skip
             }
-
-            fn evict(&mut self, key: u32) {
-                let (si, local) = SharedGraphCache::decode_entry_id(key);
-                let shard = &self.shards[si];
-                let mut state = shard.state.write();
-                if state.cache.remove(local).is_some() {
-                    shard.policy.lock().on_evict(local);
-                }
+            let stats = e.stats.clone();
+            let id = state.cache.insert(
+                e.graph,
+                e.kind,
+                e.answer,
+                e.base_tests,
+                e.base_cost,
+                stats.inserted_at,
+            );
+            let slot = state.cache.get_mut(id).expect("just inserted");
+            slot.stats = e.stats;
+            let bytes = state.cache.get(id).expect("just inserted").memory_bytes();
+            shard.policy.lock().on_restore(id, &stats, bytes, now_hint);
+            Some(encode_entry_id(home, id))
+        };
+        let evict = |key| {
+            let (si, local) = SharedGraphCache::decode_entry_id(key);
+            let shard = &self.shards[si];
+            let mut state = shard.state.write();
+            if state.cache.remove(local).is_some() {
+                shard.policy.lock().on_evict(local);
             }
-        }
-
+        };
         let snapshot_entries = state.doc.entries.len();
-        let mut target = ShardedTarget { shards: &self.shards, now_hint: state.doc.clock };
-        let counts = persist::replay(&state, dataset.len(), &mut target);
+        let counts = persist::replay(&state, dataset.len(), insert, evict);
         self.clock.store(counts.max_now, Ordering::Relaxed);
 
-        // Enforce each shard's capacity share, allowing the legitimate
-        // in-window transient (`+ window_size - 1`) so a same-config
-        // restore reproduces the snapshotted state; only smaller restoring
-        // configs (or different shard routing) trigger a trim.
+        // Enforce each shard's capacity share. A shard legitimately rests
+        // at up to `capacity + window_size - 1` entries between replacement
+        // sweeps, so a same-config restore reproduces the snapshotted state
+        // exactly; only a smaller restoring config (or different shard
+        // routing) triggers a trim, down to capacity like a window-close
+        // sweep would.
+        //
+        // The window resumes its phase: the snapshot's pending admissions
+        // plus one per journaled admission, dealt evenly over the shards —
+        // with one shard, exactly where the snapshotted window stood.
+        let pending = state.doc.window_pending as usize + counts.journal_admits;
+        let n_shards = self.shards.len();
         for (si, shard) in self.shards.iter().enumerate() {
             let mut shard_state = shard.state.write();
             let mut policy = shard.policy.lock();
@@ -890,34 +918,41 @@ impl SharedGraphCache {
                     }
                 }
             }
+            let share = pending / n_shards + usize::from(si < pending % n_shards);
+            shard_state.window.restore_pending(share);
         }
         self.stats.add(&persist::stats_from_records(&state.doc.stats));
         for (gid, &(est, observed)) in state.doc.cost.iter().enumerate() {
             self.cost.restore_estimate(gid, est, observed);
         }
 
-        // Repair replayed answers against mutations their records predate
-        // (same post-pass as the sequential runtime, per shard).
+        // Repair replayed answers against mutations their records predate:
+        // tombstoned graphs are masked out, and each journal-inserted graph
+        // is re-verified per entry (idempotent — records written after the
+        // delta already carry the right bit).
         let engine = self.config.engine;
-        for shard in self.shards.iter() {
-            let mut shard_state = shard.state.write();
-            for id in shard_state.cache.ids() {
-                let entry = shard_state.cache.get_mut(id).expect("listed id is live");
-                if dataset.has_tombstones() {
-                    entry.mask_answer(dataset.live_mask());
-                }
-                for &gid in &journal_inserted {
-                    if !dataset.live_mask().contains(gid as usize) {
-                        continue; // inserted then removed: stays masked out
+        PROBE_SCRATCH.with(|s| {
+            let vf = &mut s.borrow_mut().vf;
+            for shard in self.shards.iter() {
+                let mut shard_state = shard.state.write();
+                for id in shard_state.cache.ids() {
+                    let entry = shard_state.cache.get_mut(id).expect("listed id is live");
+                    if dataset.has_tombstones() {
+                        entry.mask_answer(dataset.live_mask());
                     }
-                    if entry.answers_inserted(&dataset, gid, engine) {
-                        entry.insert_answer(gid as usize);
-                    } else {
-                        entry.remove_answer(gid as usize);
+                    for &gid in &journal_inserted {
+                        if !dataset.live_mask().contains(gid as usize) {
+                            continue; // inserted then removed: stays masked out
+                        }
+                        if entry.answers_inserted(&dataset, gid, engine, vf) {
+                            entry.insert_answer(gid as usize);
+                        } else {
+                            entry.remove_answer(gid as usize);
+                        }
                     }
                 }
             }
-        }
+        });
 
         RecoveryReport {
             warm: true,
@@ -1039,6 +1074,11 @@ impl SharedGraphCache {
         self.shards.iter().map(|s| s.state.read().cache.memory_bytes()).sum()
     }
 
+    /// Method M's index footprint, for Experiment II.
+    pub fn method_index_bytes(&self) -> usize {
+        self.method.index_memory_bytes()
+    }
+
     /// Split an encoded entry id from a [`QueryReport`] into
     /// `(shard, local_id)`.
     pub fn decode_entry_id(id: EntryId) -> (usize, EntryId) {
@@ -1096,6 +1136,7 @@ mod tests {
             .unwrap()
     }
 
+    /// Eight shards against `GraphCache`'s one.
     #[test]
     fn answers_match_sequential_and_repeats_hit_exactly() {
         let ds = dataset();
@@ -1166,7 +1207,7 @@ mod tests {
         }
         // Per-shard capacity is 4/2 = 2; window 1 sweeps on every
         // admission, so the resting total never exceeds the configured
-        // capacity — same bound as the sequential runtime.
+        // capacity — same bound as one shard.
         assert!(gc.len() <= 4, "len {} exceeds configured capacity", gc.len());
         assert!(gc.stats().evicted > 0);
     }

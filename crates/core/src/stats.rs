@@ -69,7 +69,7 @@ pub struct GlobalStats {
     pub total_time: Duration,
     /// Index-health *gauge* (not a counter): distinct live feature hashes
     /// in the containment index's posting directory. Populated at snapshot
-    /// time by [`crate::GraphCache::stats`] / [`crate::SharedGraphCache::stats`];
+    /// time by [`crate::SharedGraphCache::stats`];
     /// always 0 in per-query deltas and ignored by [`StatsMonitor::add`].
     pub distinct_features: u64,
     /// Index-health *gauge*: tombstoned (evicted, not yet compacted) slots

@@ -312,7 +312,7 @@ pub struct QueryTrace {
     pub kind: String,
     /// How the answer was produced: `"exact"`, `"memo"`, or `"pipeline"`.
     pub outcome: String,
-    /// Home shard (0 for the sequential cache).
+    /// Home shard (always 0 for a [`crate::GraphCache`]).
     pub shard: u32,
     /// Dataset generation the query executed against.
     pub generation: u64,

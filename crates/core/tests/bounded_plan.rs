@@ -2,16 +2,16 @@
 //!
 //! * Over random datasets × {SI, Sig, FTV} × both query kinds × interleaved
 //!   `insert_graph`/`remove_graph`, with the bounded plan forced on for every
-//!   query, forced off, and chosen per query, every answer of every runtime
-//!   equals Method M alone on the dataset *as mutated so far* — the filter
-//!   overlay and tombstones included — and the report invariants
+//!   query, forced off, and chosen per query, every answer at 1 and 3
+//!   shards equals Method M alone on the dataset *as mutated so far* — the
+//!   filter overlay and tombstones included — and the report invariants
 //!   (`C ⊆ cm_set`, `A ⊆ cm_set`, `|C| ≤ cm_size`) hold on both plans.
-//! * The plan is a function of the stream: the sequential runtime and the
-//!   1- and 8-shard runtimes publish identical counters on one stream, and a
-//!   second run repeats them exactly (no clock reading enters the decision).
+//! * The plan is a function of the stream: 1 and 8 shards publish identical
+//!   counters on one stream, and a second run repeats them exactly (no
+//!   clock reading enters the decision).
 
 use gc_core::pipeline::bound::Plan;
-use gc_core::{CacheConfig, GlobalStats, GraphCache, PolicyKind, QueryReport, SharedGraphCache};
+use gc_core::{CacheConfig, GlobalStats, PolicyKind, SharedGraphCache};
 use gc_graph::{BitSet, Graph, GraphId};
 use gc_method::{execute_base, Dataset, Engine, FtvMethod, Method, QueryKind, SiMethod, SigMethod};
 use gc_workload::{molecule_dataset, nested_chain};
@@ -75,81 +75,43 @@ fn method(idx: usize, dataset: &Dataset) -> Box<dyn Method> {
     }
 }
 
-/// The two front-ends behind one face, so one stream drives both.
-enum Runtime {
-    Sequential(Box<GraphCache>),
-    Sharded(Box<SharedGraphCache>),
+fn build(base: &[Graph], method_idx: usize, shards: usize, plan: Plan) -> SharedGraphCache {
+    let dataset = Arc::new(Dataset::new(base.to_vec()));
+    let method = method(method_idx, &dataset);
+    // Room for every query and no probe cap that binds: what the cache
+    // holds, and so what each query finds, is then the same however the
+    // entries are spread over shards.
+    let config = CacheConfig {
+        capacity: 4096,
+        window_size: 3,
+        max_sub_checks: 4096,
+        max_super_checks: 4096,
+        shards,
+        ..CacheConfig::default()
+    };
+    let gc = SharedGraphCache::new(dataset, Arc::from(method), || PolicyKind::Hd.make(), config);
+    gc.unwrap().with_plan(plan)
 }
 
-impl Runtime {
-    /// `shards == 0` builds the sequential runtime.
-    fn build(base: &[Graph], method_idx: usize, shards: usize, plan: Plan) -> Runtime {
-        let dataset = Arc::new(Dataset::new(base.to_vec()));
-        let method = method(method_idx, &dataset);
-        // Room for every query and no probe cap that binds: what the cache
-        // holds, and so what each query finds, is then the same however the
-        // entries are spread over shards.
-        let config = CacheConfig {
-            capacity: 4096,
-            window_size: 3,
-            max_sub_checks: 4096,
-            max_super_checks: 4096,
-            shards: shards.max(1),
-            ..CacheConfig::default()
-        };
-        if shards == 0 {
-            let gc = GraphCache::new(dataset, method, PolicyKind::Hd.make(), config);
-            Runtime::Sequential(Box::new(gc.unwrap().with_plan(plan)))
-        } else {
-            let gc =
-                SharedGraphCache::new(dataset, Arc::from(method), || PolicyKind::Hd.make(), config);
-            Runtime::Sharded(Box::new(gc.unwrap().with_plan(plan)))
-        }
-    }
-
-    fn query(&mut self, q: &Graph, kind: QueryKind) -> QueryReport {
-        match self {
-            Runtime::Sequential(gc) => gc.query(q, kind),
-            Runtime::Sharded(gc) => gc.query(q, kind),
-        }
-    }
-
-    fn insert(&mut self, g: Graph) -> GraphId {
-        match self {
-            Runtime::Sequential(gc) => gc.insert_graph(g),
-            Runtime::Sharded(gc) => gc.insert_graph(g),
-        }
-    }
-
-    fn remove(&mut self, gid: GraphId) -> bool {
-        match self {
-            Runtime::Sequential(gc) => gc.remove_graph(gid),
-            Runtime::Sharded(gc) => gc.remove_graph(gid),
-        }
-    }
-
-    /// The published counters with the one clock-derived field cleared.
-    fn counts(&self) -> GlobalStats {
-        let monitor = match self {
-            Runtime::Sequential(gc) => gc.monitor(),
-            Runtime::Sharded(gc) => gc.monitor(),
-        };
-        GlobalStats { total_time: Duration::ZERO, ..monitor.snapshot() }
-    }
+/// The published counters with the one clock-derived field cleared.
+fn counts(gc: &SharedGraphCache) -> GlobalStats {
+    GlobalStats { total_time: Duration::ZERO, ..gc.monitor().snapshot() }
 }
 
-/// Drive `ops` through `rt`, checking every answer and report invariant;
+/// Drive `ops` through `gc`, checking every answer and report invariant;
 /// returns how many queries ran the staged pipeline.
-fn drive(rt: &mut Runtime, ops: &[Op], plan: Plan, what: &str) -> u64 {
+fn drive(gc: &SharedGraphCache, ops: &[Op], plan: Plan, what: &str) -> u64 {
     let mut pipeline_queries = 0;
     for (i, op) in ops.iter().enumerate() {
         match op {
             Op::Insert(g) => {
-                rt.insert(g.clone());
+                gc.insert_graph(g.clone());
             }
-            Op::Remove(gid) => assert!(rt.remove(*gid), "{what}: op {i} removes a live graph"),
+            Op::Remove(gid) => {
+                assert!(gc.remove_graph(*gid), "{what}: op {i} removes a live graph")
+            }
             Op::Query(q, kind, want) => {
-                let r = rt.query(q, *kind);
+                let r = gc.query(q, *kind);
                 assert_eq!(&r.answer, want, "{what}: op {i} ({kind:?}) differs from Method M");
                 if r.exact_hit || r.memo_hit {
                     continue;
@@ -182,11 +144,11 @@ proptest! {
         let base = molecule_dataset(14, seed);
         let ops = stream(&base, 48, seed);
         for plan in [Plan::ForceBounded, Plan::ForceFilter, Plan::Auto] {
-            for shards in [0, 1, 3] {
+            for shards in [1, 3] {
                 let what = format!("method {method_idx} {plan:?} shards {shards} seed {seed}");
-                let mut rt = Runtime::build(&base, method_idx, shards, plan);
-                let pipeline_queries = drive(&mut rt, &ops, plan, &what);
-                let skipped = rt.counts().filter_skipped;
+                let gc = build(&base, method_idx, shards, plan);
+                let pipeline_queries = drive(&gc, &ops, plan, &what);
+                let skipped = counts(&gc).filter_skipped;
                 match plan {
                     Plan::ForceBounded => prop_assert_eq!(skipped, pipeline_queries),
                     Plan::ForceFilter => prop_assert_eq!(skipped, 0),
@@ -203,19 +165,18 @@ fn counts_are_a_function_of_the_stream() {
     let base = molecule_dataset(240, 19);
     let ops = stream(&base, 160, 19);
     let run = |shards: usize| {
-        let mut rt = Runtime::build(&base, 2, shards, Plan::Auto);
-        let pipeline_queries = drive(&mut rt, &ops, Plan::Auto, &format!("shards {shards}"));
-        (rt.counts(), pipeline_queries)
+        let gc = build(&base, 2, shards, Plan::Auto);
+        let pipeline_queries = drive(&gc, &ops, Plan::Auto, &format!("shards {shards}"));
+        (counts(&gc), pipeline_queries)
     };
-    let (sequential, pipeline_queries) = run(0);
+    let (one, pipeline_queries) = run(1);
     assert!(
-        0 < sequential.filter_skipped && sequential.filter_skipped < pipeline_queries,
+        0 < one.filter_skipped && one.filter_skipped < pipeline_queries,
         "the stream must take both plans, got {} of {pipeline_queries} bounded",
-        sequential.filter_skipped
+        one.filter_skipped
     );
-    assert!(sequential.sub_hits > 0 && sequential.super_hits > 0);
-    assert_eq!(run(1).0, sequential, "1 shard vs sequential");
+    assert!(one.sub_hits > 0 && one.super_hits > 0);
     let sharded = run(8).0;
-    assert_eq!(sharded, sequential, "8 shards vs sequential");
+    assert_eq!(sharded, one, "8 shards vs 1");
     assert_eq!(run(8).0, sharded, "the same stream twice");
 }

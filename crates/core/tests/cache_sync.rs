@@ -88,7 +88,7 @@ fn eviction_sweeps_leave_no_stale_bucket_ids() {
         .unwrap();
         for wq in &workload.queries {
             gc.query(&wq.graph, wq.kind);
-            assert_consistent(gc.cache());
+            gc.for_each_shard(|_, cm| assert_consistent(cm));
         }
         assert!(gc.stats().evicted > 0, "policy {policy} must have evicted");
     }
@@ -119,7 +119,7 @@ fn byte_budget_eviction_loop_stays_consistent() {
     .unwrap();
     for wq in &workload.queries {
         gc.query(&wq.graph, wq.kind);
-        assert_consistent(gc.cache());
+        gc.for_each_shard(|_, cm| assert_consistent(cm));
     }
     assert!(gc.stats().evicted > 0);
 }

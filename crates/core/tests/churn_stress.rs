@@ -57,7 +57,7 @@ fn zipf_eviction_churn_keeps_sequential_cache_consistent() {
                 .unwrap();
         for wq in &workload.queries {
             gc.query(&wq.graph, wq.kind);
-            assert_consistent(gc.cache());
+            gc.for_each_shard(|_, cm| assert_consistent(cm));
         }
         let stats = gc.stats();
         assert!(stats.evicted > 0, "policy {policy} must have evicted");
@@ -140,10 +140,10 @@ fn repeat_heavy_churn_recycles_slots_without_desync() {
     for (i, wq) in workload.queries.iter().enumerate() {
         gc.query(&wq.graph, wq.kind);
         if i % 10 == 0 {
-            assert_consistent(gc.cache());
+            gc.for_each_shard(|_, cm| assert_consistent(cm));
         }
     }
-    assert_consistent(gc.cache());
+    gc.for_each_shard(|_, cm| assert_consistent(cm));
     let stats = gc.stats();
     assert!(stats.exact_hits > 0, "tiny pool must produce exact hits");
     assert!(stats.evicted > 0, "tiny capacity must produce evictions");

@@ -6,7 +6,7 @@
 //!   answers Method M alone would compute on the dataset *as mutated so
 //!   far*, and a cold cache rebuilt on the final dataset agrees with the
 //!   mutated-in-place cache (property test over random interleavings);
-//! * sequential and sharded runtimes answer identically under the same
+//! * one shard (`GraphCache`) and four answer identically under the same
 //!   mutation script;
 //! * a memo hit performs **zero** probe/verify work and the memo is
 //!   invalidated wholesale by any dataset mutation (generation bump);
@@ -49,6 +49,15 @@ fn dataset(n: usize, seed: u64) -> Arc<Dataset> {
 
 fn config() -> CacheConfig {
     CacheConfig { capacity: 16, window_size: 2, ..CacheConfig::default() }
+}
+
+/// Warm-restart a one-shard SI/HD cache over `ds` from `store`.
+fn restore(
+    ds: Arc<Dataset>,
+    cfg: CacheConfig,
+    store: Arc<CacheStore>,
+) -> (GraphCache, RecoveryReport) {
+    GraphCache::restore_from(ds, Box::new(SiMethod), PolicyKind::Hd.make(), cfg, store).unwrap()
 }
 
 /// One step of an interleaved mutation/query script.
@@ -113,9 +122,9 @@ fn drive_sequential(
                 }
             }
             Step::Query(kind) => {
-                let q = live_query(gc.dataset(), &mut rng);
+                let q = live_query(&gc.dataset(), &mut rng);
                 let r = gc.query(&q, *kind);
-                let want = execute_base(gc.dataset(), &SiMethod, Engine::Vf2, &q, *kind);
+                let want = execute_base(&gc.dataset(), &SiMethod, Engine::Vf2, &q, *kind);
                 assert_eq!(r.answer, want.answer, "answer must match Method M on current dataset");
                 if r.memo_hit {
                     assert_eq!(r.sub_iso_tests, 0, "memo hit must run zero sub-iso tests");
@@ -143,10 +152,10 @@ proptest! {
         let steps = script(60, seed);
         let issued = drive_sequential(&mut gc, &steps, seed);
         prop_assert!(gc.dataset().generation() > 0, "script must mutate");
-        assert_consistent(gc.cache());
+        gc.for_each_shard(|_, cm| assert_consistent(cm));
 
         // Cold rebuild on the final dataset: same answers for every query.
-        let final_ds = Arc::new(gc.dataset().clone());
+        let final_ds = gc.dataset();
         let mut cold =
             GraphCache::with_policy(final_ds, Box::new(SiMethod), PolicyKind::Hd, config())
                 .unwrap();
@@ -158,6 +167,7 @@ proptest! {
     }
 }
 
+/// `GraphCache` (one shard) against four shards over one mutation script.
 #[test]
 fn sequential_and_sharded_answer_identically_under_mutation() {
     let ds = dataset(16, 77);
@@ -169,32 +179,28 @@ fn sequential_and_sharded_answer_identically_under_mutation() {
         SharedGraphCache::new(ds, Arc::new(SiMethod), || PolicyKind::Hd.make(), cfg).unwrap();
 
     let steps = script(80, 99);
-    let mut rng_a = StdRng::seed_from_u64(7);
-    let mut rng_b = StdRng::seed_from_u64(7);
-    let mut pool_a = insert_pool(steps.len(), 0xabc).into_iter();
-    let mut pool_b = insert_pool(steps.len(), 0xabc).into_iter();
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut pool = insert_pool(steps.len(), 0xabc).into_iter();
     for step in &steps {
         match step {
             Step::Insert => {
-                let a = seq.insert_graph(pool_a.next().unwrap());
-                let b = shared.insert_graph(pool_b.next().unwrap());
-                assert_eq!(a, b, "both runtimes must assign the same graph id");
+                let g = pool.next().unwrap();
+                let a = seq.insert_graph(g.clone());
+                assert_eq!(a, shared.insert_graph(g), "both must assign the same graph id");
             }
             Step::Remove => {
                 if seq.dataset().live_count() > 4 {
                     let live: Vec<_> = seq.dataset().live_mask().iter().collect();
-                    let victim = live[rng_a.gen_range(0..live.len())] as u32;
-                    let _ = rng_b.gen_range(0..live.len());
+                    let victim = live[rng.gen_range(0..live.len())] as u32;
                     assert!(seq.remove_graph(victim));
                     assert!(shared.remove_graph(victim));
                 }
             }
             Step::Query(kind) => {
-                let q = live_query(seq.dataset(), &mut rng_a);
-                let _ = live_query(&shared.dataset(), &mut rng_b);
+                let q = live_query(&seq.dataset(), &mut rng);
                 let ra = seq.query(&q, *kind);
                 let rb = shared.query(&q, *kind);
-                assert_eq!(ra.answer, rb.answer, "runtimes disagree under mutation");
+                assert_eq!(ra.answer, rb.answer, "1 and 4 shards disagree under mutation");
             }
         }
     }
@@ -240,7 +246,7 @@ fn memo_hit_is_zero_work_and_generation_invalidated() {
         after.answer.contains(inserted as usize),
         "the re-executed answer must see the inserted duplicate graph"
     );
-    let want = execute_base(gc.dataset(), &SiMethod, Engine::Vf2, &q, QueryKind::Subgraph);
+    let want = execute_base(&gc.dataset(), &SiMethod, Engine::Vf2, &q, QueryKind::Subgraph);
     assert_eq!(after.answer, want.answer);
 }
 
@@ -266,28 +272,21 @@ fn cached_entries_are_repaired_in_place_by_mutation() {
     let hit2 = gc.query(&q, QueryKind::Subgraph);
     assert!(hit2.exact_hit);
     assert!(!hit2.answer.contains(gid as usize), "removal must clear the cached bit");
-    let want = execute_base(gc.dataset(), &SiMethod, Engine::Vf2, &q, QueryKind::Subgraph);
+    let want = execute_base(&gc.dataset(), &SiMethod, Engine::Vf2, &q, QueryKind::Subgraph);
     assert_eq!(hit2.answer, want.answer);
 }
 
 /// An exact hit hands out its entry's text slot for that very answer: the
 /// slot renders the answer it came with; a repair that changes the ids
 /// swaps in a fresh slot while a slot held from before keeps its own text;
-/// a repair that leaves the ids alone keeps the rendered slot — in both
-/// runtimes.
+/// a repair that leaves the ids alone keeps the rendered slot.
 #[test]
 fn exact_hit_text_slot_follows_repairs() {
     let ds = dataset(20, 321);
     let mut rng = StdRng::seed_from_u64(4);
     let q = extract_query(ds.graph(2), 5, &mut rng).unwrap();
-    let mut seq =
+    let mut gc =
         GraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, config()).unwrap();
-    let shared =
-        SharedGraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, config())
-            .unwrap();
-    let both = |seq: &mut GraphCache| {
-        [seq.query(&q, QueryKind::Subgraph), shared.query(&q, QueryKind::Subgraph)]
-    };
     let ids = |answer: &BitSet| {
         let mut text = Vec::new();
         answer.write_ids(&mut text);
@@ -295,49 +294,36 @@ fn exact_hit_text_slot_follows_repairs() {
     };
     let slot = |r: &QueryReport| Arc::clone(r.answer_text.as_ref().expect("exact hits carry it"));
 
-    for cold in both(&mut seq) {
-        assert!(!cold.exact_hit && cold.answer_text.is_none(), "only exact hits carry a slot");
-    }
-    let first = both(&mut seq);
-    for hit in &first {
-        assert!(hit.exact_hit);
-        assert_eq!(slot(hit).get(), None, "in-process callers never render");
-        assert_eq!(slot(hit).get_or_render(&hit.answer), ids(&hit.answer));
-    }
+    let cold = gc.query(&q, QueryKind::Subgraph);
+    assert!(!cold.exact_hit && cold.answer_text.is_none(), "only exact hits carry a slot");
+    let first = gc.query(&q, QueryKind::Subgraph);
+    assert!(first.exact_hit);
+    assert_eq!(slot(&first).get(), None, "in-process callers never render");
+    assert_eq!(slot(&first).get_or_render(&first.answer), ids(&first.answer));
 
     // A duplicate of graph 2 joins the answer: fresh slot, held one intact.
-    let gid = seq.insert_graph(ds.graph(2).clone());
-    assert_eq!(shared.insert_graph(ds.graph(2).clone()), gid);
-    let grown = both(&mut seq);
-    for (before, after) in first.iter().zip(&grown) {
-        assert!(after.exact_hit && after.answer.contains(gid as usize));
-        assert!(!Arc::ptr_eq(&slot(before), &slot(after)), "a changed answer gets a fresh slot");
-        assert_eq!(
-            slot(before).get(),
-            Some(&ids(&before.answer)[..]),
-            "the held slot keeps its text"
-        );
-        assert_eq!(slot(after).get_or_render(&after.answer), ids(&after.answer));
-    }
+    let gid = gc.insert_graph(ds.graph(2).clone());
+    let grown = gc.query(&q, QueryKind::Subgraph);
+    assert!(grown.exact_hit && grown.answer.contains(gid as usize));
+    assert!(!Arc::ptr_eq(&slot(&first), &slot(&grown)), "a changed answer gets a fresh slot");
+    assert_eq!(slot(&first).get(), Some(&ids(&first.answer)[..]), "the held slot keeps its text");
+    assert_eq!(slot(&grown).get_or_render(&grown.answer), ids(&grown.answer));
 
     // Removing a graph outside the answer leaves the ids, and the slot.
-    let outside = seq.dataset().live_mask().iter().find(|&g| !grown[0].answer.contains(g));
-    let outside = outside.expect("some graph is not in the answer") as u32;
-    assert!(seq.remove_graph(outside) && shared.remove_graph(outside));
-    for (before, after) in grown.iter().zip(&both(&mut seq)) {
-        assert!(Arc::ptr_eq(&slot(before), &slot(after)), "unchanged ids keep the rendered slot");
-        assert_eq!(slot(after).get(), Some(&ids(&after.answer)[..]));
-    }
+    let outside = gc.dataset().live_mask().iter().find(|&g| !grown.answer.contains(g));
+    assert!(gc.remove_graph(outside.expect("some graph is not in the answer") as u32));
+    let same = gc.query(&q, QueryKind::Subgraph);
+    assert!(Arc::ptr_eq(&slot(&grown), &slot(&same)), "unchanged ids keep the rendered slot");
+    assert_eq!(slot(&same).get(), Some(&ids(&same.answer)[..]));
 
     // Removing the inserted graph shrinks the answer back: fresh slot again.
-    assert!(seq.remove_graph(gid) && shared.remove_graph(gid));
-    let want = execute_base(seq.dataset(), &SiMethod, Engine::Vf2, &q, QueryKind::Subgraph);
-    for (before, after) in grown.iter().zip(&both(&mut seq)) {
-        assert!(after.exact_hit && !Arc::ptr_eq(&slot(before), &slot(after)));
-        assert_eq!(after.answer, want.answer);
-        assert_eq!(slot(after).get_or_render(&after.answer), ids(&want.answer));
-        assert_eq!(ids(&after.answer), ids(&first[0].answer), "back to the first answer's ids");
-    }
+    assert!(gc.remove_graph(gid));
+    let want = execute_base(&gc.dataset(), &SiMethod, Engine::Vf2, &q, QueryKind::Subgraph);
+    let shrunk = gc.query(&q, QueryKind::Subgraph);
+    assert!(shrunk.exact_hit && !Arc::ptr_eq(&slot(&grown), &slot(&shrunk)));
+    assert_eq!(shrunk.answer, want.answer);
+    assert_eq!(slot(&shrunk).get_or_render(&shrunk.answer), ids(&want.answer));
+    assert_eq!(ids(&shrunk.answer), ids(&first.answer), "back to the first answer's ids");
 }
 
 #[test]
@@ -349,14 +335,7 @@ fn warm_restart_replays_journaled_dataset_deltas() {
     // Session A: snapshot first (pristine dataset), then mutate — the
     // mutations live only in the journal as dataset deltas.
     let store = Arc::new(CacheStore::open(&dir).unwrap());
-    let (mut a, _) = GraphCache::restore_from(
-        base.clone(),
-        Box::new(SiMethod),
-        PolicyKind::Hd.make(),
-        cfg.clone(),
-        store,
-    )
-    .unwrap();
+    let (mut a, _) = restore(base.clone(), cfg.clone(), store);
     let mut rng = StdRng::seed_from_u64(12);
     let q = extract_query(base.graph(3), 5, &mut rng).unwrap();
     a.query(&q, QueryKind::Subgraph);
@@ -369,7 +348,7 @@ fn warm_restart_replays_journaled_dataset_deltas() {
     assert!(a.remove_graph(0), "graph 0 must be removable");
     let final_gen = a.dataset().generation();
     let final_fp = a.dataset().content_fingerprint();
-    let want = execute_base(a.dataset(), &SiMethod, Engine::Vf2, &q, QueryKind::Subgraph);
+    let want = execute_base(&a.dataset(), &SiMethod, Engine::Vf2, &q, QueryKind::Subgraph);
     let final_answer = a.query(&q, QueryKind::Subgraph).answer;
     assert_eq!(final_answer, want.answer);
     a.attached_store().unwrap().sync().unwrap();
@@ -379,9 +358,7 @@ fn warm_restart_replays_journaled_dataset_deltas() {
     // replayed from the journal, and restored entries repaired to the
     // final universe.
     let store = Arc::new(CacheStore::open(&dir).unwrap());
-    let (mut b, report) =
-        GraphCache::restore_from(base, Box::new(SiMethod), PolicyKind::Hd.make(), cfg, store)
-            .unwrap();
+    let (mut b, report) = restore(base, cfg, store);
     assert!(report.warm, "delta-bearing store must restore warm: {:?}", report.cold_reason);
     assert!(report.journal_deltas >= 4, "all four mutations must replay as journal deltas");
     assert_eq!(b.dataset().generation(), final_gen);
@@ -398,14 +375,7 @@ fn restore_accepts_already_mutated_base_dataset() {
     let base = dataset(14, 777);
     let dir = tmpdir("mutated_base");
     let store = Arc::new(CacheStore::open(&dir).unwrap());
-    let (mut a, _) = GraphCache::restore_from(
-        base.clone(),
-        Box::new(SiMethod),
-        PolicyKind::Hd.make(),
-        config(),
-        store,
-    )
-    .unwrap();
+    let (mut a, _) = restore(base.clone(), config(), store);
     let mut rng = StdRng::seed_from_u64(2);
     let q = extract_query(base.graph(1), 5, &mut rng).unwrap();
     a.query(&q, QueryKind::Subgraph);
@@ -413,21 +383,14 @@ fn restore_accepts_already_mutated_base_dataset() {
         a.insert_graph(g);
     }
     a.snapshot_now().unwrap();
-    let mutated = Arc::new(a.dataset().clone());
+    let mutated = a.dataset();
     let answer = a.query(&q, QueryKind::Subgraph).answer;
     drop(a);
 
     // Restoring with the already-mutated dataset (e.g. the caller replayed
     // its own op log) must also work — no double-application of ops.
     let store = Arc::new(CacheStore::open(&dir).unwrap());
-    let (mut b, report) = GraphCache::restore_from(
-        mutated.clone(),
-        Box::new(SiMethod),
-        PolicyKind::Hd.make(),
-        config(),
-        store,
-    )
-    .unwrap();
+    let (mut b, report) = restore(mutated.clone(), config(), store);
     assert!(report.warm, "mutated base matching the snapshot must restore warm");
     assert_eq!(b.dataset().content_fingerprint(), mutated.content_fingerprint());
     assert_eq!(b.query(&q, QueryKind::Subgraph).answer, answer);
@@ -528,14 +491,7 @@ fn dir_with_four_deltas(tag: &str) -> (Arc<Dataset>, PathBuf) {
     let base = dataset(12, 606);
     let dir = tmpdir(tag);
     let store = Arc::new(CacheStore::open(&dir).unwrap());
-    let (mut a, _) = GraphCache::restore_from(
-        base.clone(),
-        Box::new(SiMethod),
-        PolicyKind::Hd.make(),
-        config(),
-        store,
-    )
-    .unwrap();
+    let (mut a, _) = restore(base.clone(), config(), store);
     for g in molecule_dataset(3, 909) {
         a.insert_graph(g);
     }
@@ -546,9 +502,7 @@ fn dir_with_four_deltas(tag: &str) -> (Arc<Dataset>, PathBuf) {
 
 fn restore_report(base: Arc<Dataset>, dir: &Path) -> RecoveryReport {
     let store = Arc::new(CacheStore::open(dir).unwrap());
-    GraphCache::restore_from(base, Box::new(SiMethod), PolicyKind::Hd.make(), config(), store)
-        .unwrap()
-        .1
+    restore(base, config(), store).1
 }
 
 fn journal_path(dir: &Path) -> PathBuf {
@@ -664,37 +618,29 @@ fn shared_dataset_with_a_tombstone() -> Arc<Dataset> {
     Arc::new(d)
 }
 
+fn cache_over(ds: &Arc<Dataset>) -> GraphCache {
+    GraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, config()).unwrap()
+}
+
 #[test]
 fn removing_an_already_removed_graph_does_not_copy_the_dataset() {
     let ds = shared_dataset_with_a_tombstone();
-    let mut seq =
-        GraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, config()).unwrap();
-    assert!(!seq.remove_graph(2));
-    assert!(std::ptr::eq(seq.dataset(), &*ds), "a no-op remove must not copy the dataset");
-
-    let shared =
-        SharedGraphCache::new(ds.clone(), Arc::new(SiMethod), || PolicyKind::Hd.make(), config())
-            .unwrap();
-    assert!(!shared.remove_graph(2));
-    assert!(Arc::ptr_eq(&shared.dataset(), &ds), "a no-op remove must not copy the dataset");
-    assert_eq!(shared.dataset().generation(), 1);
-    assert_eq!(shared.telemetry().mutate().count(), 0, "only applied mutations are timed");
+    let mut gc = cache_over(&ds);
+    assert!(!gc.remove_graph(2));
+    assert!(Arc::ptr_eq(&gc.dataset(), &ds), "a no-op remove must not copy the dataset");
+    assert_eq!(gc.dataset().generation(), 1);
+    assert_eq!(gc.telemetry().mutate().count(), 0, "only applied mutations are timed");
 }
 
 #[test]
 fn removing_an_unknown_graph_id_returns_false() {
     let ds = shared_dataset_with_a_tombstone();
-    let mut seq =
-        GraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, config()).unwrap();
-    let shared =
-        SharedGraphCache::new(ds.clone(), Arc::new(SiMethod), || PolicyKind::Hd.make(), config())
-            .unwrap();
+    let mut gc = cache_over(&ds);
     for gid in [ds.len() as u32, u32::MAX] {
-        assert!(!seq.remove_graph(gid));
-        assert!(!shared.remove_graph(gid));
+        assert!(!gc.remove_graph(gid));
     }
-    assert_eq!(seq.dataset().generation(), 1);
+    assert_eq!(gc.dataset().generation(), 1);
     // The write lock was released, not poisoned: the cache still mutates.
-    assert!(shared.remove_graph(0));
-    assert_eq!(shared.telemetry().mutate().count(), 1);
+    assert!(gc.remove_graph(0));
+    assert_eq!(gc.telemetry().mutate().count(), 1);
 }

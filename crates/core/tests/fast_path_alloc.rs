@@ -1,8 +1,9 @@
 //! Alloc-count pin for the path most requests take: a repeated query served
 //! by the exact-match entry table or the answer memo. With the trace sampler
 //! off, a warm hit on an **identical presentation** performs exactly **one**
-//! heap allocation — the answer set handed back in the report — in both
-//! runtimes: the WL fingerprint runs on thread-local scratch, the
+//! heap allocation — the answer set handed back in the report — at one
+//! shard (what `GraphCache` runs) and at eight: the WL fingerprint runs on
+//! thread-local scratch, the
 //! confirmation is a presentation comparison, the policy credit and the
 //! statistics are in place, the report's four stage sets are empty over an
 //! empty universe, and an exact hit's answer-text slot is a reference-count
@@ -11,7 +12,7 @@
 //! Same counting-allocator harness as `probe_alloc.rs`; its own binary so
 //! the `#[global_allocator]` stays out of the other integration tests.
 
-use gc_core::{CacheConfig, GraphCache, PolicyKind, QueryReport, SharedGraphCache};
+use gc_core::{CacheConfig, PolicyKind, QueryReport, SharedGraphCache};
 use gc_graph::Graph;
 use gc_method::{Dataset, QueryKind, SiMethod};
 use gc_workload::{extract_query, molecule_dataset};
@@ -110,28 +111,18 @@ fn pin_hits(mut query: impl FnMut(&Graph) -> QueryReport, queries: &[Graph], exa
 #[test]
 fn warm_hits_allocate_only_the_returned_answer() {
     let (dataset, queries) = fixture();
-    for exact in [true, false] {
-        let mut seq = GraphCache::with_policy(
+    for (exact, shards) in [(true, 1), (false, 1), (true, 8), (false, 8)] {
+        let gc = SharedGraphCache::with_policy(
             dataset.clone(),
             Box::new(SiMethod),
             PolicyKind::Hd,
-            config(exact),
+            CacheConfig { shards, ..config(exact) },
         )
         .unwrap();
-        pin_hits(|q| seq.query(q, QueryKind::Subgraph), &queries, exact);
-        let stats = seq.stats();
+        pin_hits(|q| gc.query(q, QueryKind::Subgraph), &queries, exact);
+        let stats = gc.stats();
         assert_eq!(stats.exact_confirm_iso, 0, "identical presentations: no isomorphism search");
         assert_eq!(stats.exact_hits + stats.memo_hits, 2 * queries.len() as u64);
-
-        let shared = SharedGraphCache::with_policy(
-            dataset.clone(),
-            Box::new(SiMethod),
-            PolicyKind::Hd,
-            config(exact),
-        )
-        .unwrap();
-        pin_hits(|q| shared.query(q, QueryKind::Subgraph), &queries, exact);
-        assert_eq!(shared.stats().exact_confirm_iso, 0);
     }
 }
 

@@ -39,7 +39,7 @@ fn workload(ds: &Arc<Dataset>, n: usize, seed: u64) -> Workload {
 }
 
 /// Run `w` through `gc`, asserting every answer equals Method M alone.
-fn assert_exact_shared(gc: &SharedGraphCache, ds: &Arc<Dataset>, w: &Workload) {
+fn assert_exact(gc: &SharedGraphCache, ds: &Arc<Dataset>, w: &Workload) {
     for wq in &w.queries {
         let got = gc.query(&wq.graph, wq.kind);
         let want = execute_base(ds, &SiMethod, Engine::Vf2, &wq.graph, wq.kind);
@@ -54,13 +54,14 @@ fn persistent_append_failure_degrades_then_recovers() {
     let cfg = CacheConfig {
         capacity: 16,
         window_size: 2,
+        shards: 4,
         min_admit_tests: 0,
         persist_retries: 1,
         ..CacheConfig::default()
     };
     let store = Arc::new(gc_core::CacheStore::open(&dir).unwrap());
     let mut gc =
-        GraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, cfg).unwrap();
+        SharedGraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, cfg).unwrap();
     gc.attach_store(Arc::clone(&store)).unwrap();
     assert_eq!(gc.persist_health(), Some(PersistHealth::Healthy));
     let healthy_generation = store.generation();
@@ -70,12 +71,7 @@ fn persistent_append_failure_degrades_then_recovers() {
     plan.arm(FaultSite::JournalAppend, Failpoint::ErrAfter { n: 0 });
     store.set_fault_plan(Some(plan.clone()));
 
-    let w = workload(&ds, 30, 9);
-    for wq in &w.queries {
-        let got = gc.query(&wq.graph, wq.kind);
-        let want = execute_base(&ds, &SiMethod, Engine::Vf2, &wq.graph, wq.kind);
-        assert_eq!(got.answer, want.answer, "degraded cache must stay exact");
-    }
+    assert_exact(&gc, &ds, &workload(&ds, 30, 9));
     assert_eq!(
         gc.persist_health(),
         Some(PersistHealth::Degraded),
@@ -94,9 +90,7 @@ fn persistent_append_failure_degrades_then_recovers() {
     let probe_queries = workload(&ds, 4, 10);
     while gc.persist_health() != Some(PersistHealth::Healthy) {
         assert!(Instant::now() < deadline, "recovery probe never re-armed persistence");
-        for wq in &probe_queries.queries {
-            gc.query(&wq.graph, wq.kind);
-        }
+        assert_exact(&gc, &ds, &probe_queries);
         std::thread::sleep(Duration::from_millis(10));
     }
     assert!(
@@ -150,47 +144,9 @@ fn exhausted_probe_budget_disables_persistence() {
     let deadline = Instant::now() + Duration::from_secs(10);
     while gc.persist_health() != Some(PersistHealth::Disabled) {
         assert!(Instant::now() < deadline, "probe budget never exhausted");
-        for wq in &w.queries {
-            let got = gc.query(&wq.graph, wq.kind);
-            let want = execute_base(&ds, &SiMethod, Engine::Vf2, &wq.graph, wq.kind);
-            assert_eq!(got.answer, want.answer, "disabled-persistence cache must stay exact");
-        }
+        assert_exact(&gc, &ds, &w);
         std::thread::sleep(Duration::from_millis(10));
     }
     assert_eq!(gc.stats().persist_health, "disabled");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn shared_cache_degrades_and_recovers() {
-    let ds = dataset();
-    let dir = tmpdir("shared_degrade");
-    let cfg = CacheConfig {
-        capacity: 16,
-        window_size: 2,
-        shards: 4,
-        min_admit_tests: 0,
-        persist_retries: 1,
-        ..CacheConfig::default()
-    };
-    let store = Arc::new(gc_core::CacheStore::open(&dir).unwrap());
-    let mut gc =
-        SharedGraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, cfg).unwrap();
-    gc.attach_store(Arc::clone(&store)).unwrap();
-
-    let plan = Arc::new(FaultPlan::seeded(41));
-    plan.arm(FaultSite::JournalAppend, Failpoint::ErrAfter { n: 0 });
-    store.set_fault_plan(Some(plan));
-    assert_exact_shared(&gc, &ds, &workload(&ds, 30, 17));
-    assert_eq!(gc.persist_health(), Some(PersistHealth::Degraded));
-
-    store.set_fault_plan(None);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let probe_queries = workload(&ds, 4, 18);
-    while gc.persist_health() != Some(PersistHealth::Healthy) {
-        assert!(Instant::now() < deadline, "shared recovery probe never re-armed persistence");
-        assert_exact_shared(&gc, &ds, &probe_queries);
-        std::thread::sleep(Duration::from_millis(10));
-    }
     let _ = std::fs::remove_dir_all(&dir);
 }

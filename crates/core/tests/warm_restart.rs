@@ -8,11 +8,14 @@
 //!   journaled admissions/evictions), with **zero recomputed admissions**;
 //! * bit-flipped, truncated and mid-record-torn snapshot/journal files are
 //!   rejected and fall back to a *cold but correct* start;
-//! * cross-runtime restores (sequential ⇄ sharded) work, because the
-//!   on-disk format is decoupled from the in-memory layout.
+//! * restores across shard counts work, because the on-disk format is
+//!   decoupled from the in-memory layout, and a restore into a smaller
+//!   cache trims it;
+//! * a restore resumes the admission window's phase.
 
-use gc_core::persist::CacheStore;
+use gc_core::persist::{CacheStore, RecoveryReport};
 use gc_core::{CacheConfig, GraphCache, PolicyKind, SharedGraphCache};
+use gc_graph::Graph;
 use gc_method::{execute_base, Dataset, Engine, QueryKind, SiMethod};
 use gc_workload::{molecule_dataset, Workload, WorkloadKind, WorkloadSpec};
 use proptest::prelude::*;
@@ -48,21 +51,35 @@ fn session(ds: &Arc<Dataset>, cfg: CacheConfig) -> GraphCache {
     GraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, cfg).unwrap()
 }
 
-/// Multiset of (fingerprint, kind) over a sequential cache's live entries —
-/// the state signature restores are checked against.
-fn entry_signature(gc: &GraphCache) -> Vec<(u64, QueryKind)> {
-    let mut sig: Vec<_> = gc.cache().iter().map(|e| (e.fingerprint, e.kind)).collect();
-    sig.sort_unstable_by_key(|&(fp, k)| (fp, k as u8));
-    sig
+fn open(dir: &Path) -> Arc<CacheStore> {
+    Arc::new(CacheStore::open(dir).unwrap())
 }
 
-fn shared_signature(gc: &SharedGraphCache) -> Vec<(u64, QueryKind)> {
+/// Warm-restart a [`session`]-shaped cache over `ds` from `store`.
+fn restore(
+    ds: Arc<Dataset>,
+    cfg: CacheConfig,
+    store: Arc<CacheStore>,
+) -> (GraphCache, RecoveryReport) {
+    GraphCache::restore_from(ds, Box::new(SiMethod), PolicyKind::Hd.make(), cfg, store).unwrap()
+}
+
+/// Multiset of (fingerprint, kind) over a cache's live entries, across its
+/// shards — the state signature restores are checked against.
+fn entry_signature(gc: &SharedGraphCache) -> Vec<(u64, QueryKind)> {
     let mut sig = Vec::new();
     gc.for_each_shard(|_, cm| {
         sig.extend(cm.iter().map(|e| (e.fingerprint, e.kind)));
     });
     sig.sort_unstable_by_key(|&(fp, k)| (fp, k as u8));
     sig
+}
+
+/// The cached (query, kind) pairs, shard by shard.
+fn cached_queries(gc: &SharedGraphCache) -> Vec<(Graph, QueryKind)> {
+    let mut cached = Vec::new();
+    gc.for_each_shard(|_, cm| cached.extend(cm.iter().map(|e| (e.graph.clone(), e.kind))));
+    cached
 }
 
 #[test]
@@ -74,15 +91,8 @@ fn snapshot_plus_journal_reconstructs_exact_state() {
     // Session A: persistence attached from the start, auto-snapshot every 16
     // admissions so the final state is snapshot + a journal tail.
     let cfg = CacheConfig { snapshot_interval: Some(16), ..config() };
-    let store = Arc::new(CacheStore::open(&dir).unwrap());
-    let (mut a, first) = GraphCache::restore_from(
-        ds.clone(),
-        Box::new(SiMethod),
-        PolicyKind::Hd.make(),
-        cfg.clone(),
-        store,
-    )
-    .unwrap();
+    let store = open(&dir);
+    let (mut a, first) = restore(ds.clone(), cfg.clone(), store);
     assert!(!first.warm, "fresh directory must start cold");
     for wq in &w.queries {
         a.query(&wq.graph, wq.kind);
@@ -97,10 +107,8 @@ fn snapshot_plus_journal_reconstructs_exact_state() {
     drop(a);
 
     // Session B: warm restart.
-    let store = Arc::new(CacheStore::open(&dir).unwrap());
-    let (mut b, report) =
-        GraphCache::restore_from(ds.clone(), Box::new(SiMethod), PolicyKind::Hd.make(), cfg, store)
-            .unwrap();
+    let store = open(&dir);
+    let (mut b, report) = restore(ds.clone(), cfg, store);
     assert!(report.warm, "valid store must restore warm: {:?}", report.cold_reason);
     assert!(report.journal_admits > 0, "the journal tail must have been replayed");
     assert_eq!(entry_signature(&b), a_sig, "restored entry set must match the crashed session");
@@ -113,8 +121,7 @@ fn snapshot_plus_journal_reconstructs_exact_state() {
 
     // Zero recomputed admissions: every entry that was live at the crash is
     // an exact hit now, served without re-execution or re-admission.
-    let cached: Vec<_> = b.cache().iter().map(|e| (e.graph.clone(), e.kind)).collect();
-    for (graph, kind) in cached {
+    for (graph, kind) in cached_queries(&b) {
         let r = b.query(&graph, kind);
         assert!(r.exact_hit, "restored entry must serve an exact hit");
         assert!(r.admitted.is_none(), "exact hits must not re-admit");
@@ -130,7 +137,7 @@ fn warm_and_cold_answers_are_identical() {
     let probe = workload(&ds, 40, 77);
     let dir = tmpdir("equivalence");
 
-    let store = Arc::new(CacheStore::open(&dir).unwrap());
+    let store = open(&dir);
     let mut a = session(&ds, config());
     for wq in &warmup.queries {
         a.query(&wq.graph, wq.kind);
@@ -138,14 +145,7 @@ fn warm_and_cold_answers_are_identical() {
     a.snapshot_to(&store).unwrap();
     drop(a);
 
-    let (mut warm, report) = GraphCache::restore_from(
-        ds.clone(),
-        Box::new(SiMethod),
-        PolicyKind::Hd.make(),
-        config(),
-        Arc::new(CacheStore::open(&dir).unwrap()),
-    )
-    .unwrap();
+    let (mut warm, report) = restore(ds.clone(), config(), open(&dir));
     assert!(report.warm);
     let mut cold = session(&ds, config());
 
@@ -178,7 +178,7 @@ fn journal_path(dir: &Path) -> PathBuf {
 /// Build a store directory with a snapshot and a non-empty journal tail.
 fn persisted_dir(tag: &str, ds: &Arc<Dataset>) -> PathBuf {
     let dir = tmpdir(tag);
-    let store = Arc::new(CacheStore::open(&dir).unwrap());
+    let store = open(&dir);
     let mut gc = session(ds, config());
     let w = workload(ds, 60, 3);
     for wq in w.queries.iter().take(30) {
@@ -195,14 +195,7 @@ fn persisted_dir(tag: &str, ds: &Arc<Dataset>) -> PathBuf {
 
 /// Restore from `dir` and assert a cold-but-correct start.
 fn assert_cold_but_correct(dir: &Path, ds: &Arc<Dataset>, what: &str) {
-    let (mut gc, report) = GraphCache::restore_from(
-        ds.clone(),
-        Box::new(SiMethod),
-        PolicyKind::Hd.make(),
-        config(),
-        Arc::new(CacheStore::open(dir).unwrap()),
-    )
-    .unwrap();
+    let (mut gc, report) = restore(ds.clone(), config(), open(dir));
     assert!(!report.warm, "{what}: corruption must fail closed to a cold start");
     assert!(report.cold_reason.is_some(), "{what}: reason must be reported");
     assert!(gc.is_empty(), "{what}: cold cache must be empty");
@@ -223,14 +216,7 @@ fn corrupted_files_fall_back_to_cold_start() {
     // Baseline: the directory restores warm before corruption.
     {
         let dir = persisted_dir("baseline", &ds);
-        let (_, report) = GraphCache::restore_from(
-            ds.clone(),
-            Box::new(SiMethod),
-            PolicyKind::Hd.make(),
-            config(),
-            Arc::new(CacheStore::open(&dir).unwrap()),
-        )
-        .unwrap();
+        let (_, report) = restore(ds.clone(), config(), open(&dir));
         assert!(report.warm, "sanity: uncorrupted dir restores warm");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -279,14 +265,7 @@ fn corrupted_files_fall_back_to_cold_start() {
     let path = journal_path(&dir);
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-    let (mut gc, report) = GraphCache::restore_from(
-        ds.clone(),
-        Box::new(SiMethod),
-        PolicyKind::Hd.make(),
-        config(),
-        Arc::new(CacheStore::open(&dir).unwrap()),
-    )
-    .unwrap();
+    let (mut gc, report) = restore(ds.clone(), config(), open(&dir));
     assert!(report.warm, "a torn tail keeps the intact journal prefix");
     assert!(report.journal_torn_bytes > 0, "the dropped tail is reported");
     let q = &workload(&ds, 5, 1).queries[0];
@@ -317,7 +296,7 @@ fn shared_cache_snapshots_and_restores() {
     let dir = tmpdir("shared");
     let cfg = CacheConfig { shards: 4, ..config() };
 
-    let store = Arc::new(CacheStore::open(&dir).unwrap());
+    let store = open(&dir);
     let mut a =
         SharedGraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, cfg.clone())
             .unwrap();
@@ -335,7 +314,7 @@ fn shared_cache_snapshots_and_restores() {
             });
         }
     });
-    let a_sig = shared_signature(&a);
+    let a_sig = entry_signature(&a);
     store.sync().unwrap();
     drop(a);
 
@@ -345,58 +324,106 @@ fn shared_cache_snapshots_and_restores() {
         Arc::new(SiMethod),
         || PolicyKind::Hd.make(),
         cfg.clone(),
-        Arc::new(CacheStore::open(&dir).unwrap()),
+        open(&dir),
     )
     .unwrap();
     assert!(report.warm, "shared restore must be warm: {:?}", report.cold_reason);
-    assert_eq!(shared_signature(&b), a_sig, "restored shard union must match");
+    assert_eq!(entry_signature(&b), a_sig, "restored shard union must match");
 
     // Restored entries serve exact hits with exact answers.
-    let mut checked = 0;
-    let mut to_check = Vec::new();
-    b.for_each_shard(|_, cm| {
-        to_check.extend(cm.iter().take(3).map(|e| (e.graph.clone(), e.kind)));
-    });
+    let to_check = cached_queries(&b);
+    assert!(!to_check.is_empty());
     for (graph, kind) in to_check {
         let r = b.query(&graph, kind);
         assert!(r.exact_hit);
         assert_eq!(r.answer, execute_base(&ds, &SiMethod, Engine::Vf2, &graph, kind).answer);
-        checked += 1;
     }
-    assert!(checked > 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn cross_runtime_restore_shared_to_sequential() {
-    // The on-disk format is runtime-agnostic: a store written by the
-    // sharded front-end restores into the sequential runtime (and keeps
-    // its entries), because replay goes through the normal insert paths.
+    // The on-disk format knows nothing of shards: a store written by four
+    // shards restores into one (and keeps its entries), because replay
+    // goes through the normal insert paths.
     let ds = dataset(24, 51);
     let w = workload(&ds, 60, 23);
     let dir = tmpdir("cross");
     let cfg = CacheConfig { shards: 4, ..config() };
 
-    let store = Arc::new(CacheStore::open(&dir).unwrap());
+    let store = open(&dir);
     let mut shared =
         SharedGraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, cfg).unwrap();
     for wq in &w.queries {
         shared.query(&wq.graph, wq.kind);
     }
     shared.attach_store(store).unwrap();
-    let shared_sig = shared_signature(&shared);
+    let shared_sig = entry_signature(&shared);
     drop(shared);
 
-    let (seq, report) = GraphCache::restore_from(
-        ds.clone(),
-        Box::new(SiMethod),
-        PolicyKind::Hd.make(),
-        config(),
-        Arc::new(CacheStore::open(&dir).unwrap()),
-    )
-    .unwrap();
+    let (seq, report) = restore(ds.clone(), config(), open(&dir));
     assert!(report.warm);
     assert_eq!(entry_signature(&seq), shared_sig);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn restore_into_a_smaller_cache_trims_it() {
+    let ds = dataset(26, 61);
+    let dir = tmpdir("trim");
+    let mut a = session(&ds, config());
+    for wq in &workload(&ds, 80, 29).queries {
+        a.query(&wq.graph, wq.kind);
+    }
+    assert!(a.len() > 3, "the snapshot must hold more than the smaller cache");
+    a.snapshot_to(&open(&dir)).unwrap();
+
+    let small = CacheConfig { capacity: 3, window_size: 1, ..config() };
+    let (mut b, report) = restore(ds.clone(), small, open(&dir));
+    assert!(report.warm);
+    assert!(b.len() <= 3, "restored {} entries into a capacity-3 cache", b.len());
+    assert_eq!(report.entries_restored, b.len());
+    for (graph, kind) in cached_queries(&a) {
+        let r = b.query(&graph, kind);
+        assert_eq!(r.answer, execute_base(&ds, &SiMethod, Engine::Vf2, &graph, kind).answer);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A restore resumes the admission window where the snapshot left it: the
+/// original and the restored cache then sweep — and evict — at the same
+/// queries. The snapshot is cut mid-window and before any eviction, so both
+/// caches hold the same entries in the same slots and report the same ids.
+#[test]
+fn restore_resumes_the_admission_window() {
+    let ds = dataset(26, 71);
+    let w = workload(&ds, 120, 31);
+    let dir = tmpdir("window");
+    // No memo: the original's would serve repeats the restored cache
+    // re-executes (and re-admits).
+    let cfg = CacheConfig { capacity: 8, window_size: 4, memo_capacity: 0, ..config() };
+    let mut a = session(&ds, cfg.clone());
+    let mut queries = w.queries.iter();
+    for wq in queries.by_ref() {
+        a.query(&wq.graph, wq.kind);
+        if a.stats().admitted == 6 {
+            break;
+        }
+    }
+    let stats = a.stats();
+    assert_eq!((stats.admitted, stats.evicted), (6, 0), "mid-window, nothing evicted yet");
+    a.snapshot_to(&open(&dir)).unwrap();
+
+    let (mut b, report) = restore(ds.clone(), cfg, open(&dir));
+    assert!(report.warm);
+    let mut evictions = 0;
+    for (i, wq) in queries.enumerate() {
+        let (ra, rb) = (a.query(&wq.graph, wq.kind), b.query(&wq.graph, wq.kind));
+        assert_eq!(ra.answer, rb.answer);
+        assert_eq!(ra.evicted, rb.evicted, "continuation query {i} evicts differently");
+        evictions += ra.evicted.len();
+    }
+    assert!(evictions > 0, "the continuation must sweep");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -424,10 +451,8 @@ fn write_store_fixture() {
     let (ds, w, inserted) = fixture_inputs();
     let _ = std::fs::remove_dir_all(STORE_FIXTURE);
     let cfg = CacheConfig { snapshot_interval: Some(8), ..config() };
-    let store = Arc::new(CacheStore::open(STORE_FIXTURE).unwrap());
-    let (mut gc, _) =
-        GraphCache::restore_from(ds, Box::new(SiMethod), PolicyKind::Hd.make(), cfg, store)
-            .unwrap();
+    let store = open(Path::new(STORE_FIXTURE));
+    let (mut gc, _) = restore(ds, cfg, store);
     for (i, wq) in w.queries.iter().enumerate() {
         if i == 30 {
             gc.insert_graph(inserted.clone());
@@ -442,72 +467,43 @@ fn write_store_fixture() {
 fn store_written_before_the_fingerprint_rewrite_restores_warm() {
     assert_eq!(gc_store::FORMAT_VERSION, 3, "a new format needs a new fixture");
     let (ds, w, inserted) = fixture_inputs();
-    for sharded in [false, true] {
-        // Restoring rotates the directory, so work on a copy.
-        let dir = tmpdir(if sharded { "fixture_shared" } else { "fixture_seq" });
-        std::fs::create_dir_all(&dir).unwrap();
-        for file in std::fs::read_dir(STORE_FIXTURE).unwrap() {
-            let file = file.unwrap();
-            std::fs::copy(file.path(), dir.join(file.file_name())).unwrap();
-        }
-        let store = Arc::new(CacheStore::open(&dir).unwrap());
-        let cfg = CacheConfig { snapshot_interval: Some(8), ..config() };
-        let mut live = Dataset::clone(&ds);
-        live.insert_graph(inserted.clone());
-        let check = |report: &gc_core::RecoveryReport, entries: usize, restored: &Dataset| {
-            assert!(report.warm, "fixture must restore warm: {:?}", report.cold_reason);
-            assert_eq!(report.journal_deltas, 1, "the journaled insert replays");
-            assert!(report.journal_admits > 0 && entries > 0);
-            assert_eq!(restored.content_fingerprint(), live.content_fingerprint());
-        };
-        // Every query of the writing session is answered exactly; the ones
-        // whose entries survived are exact hits found through their stored
-        // fingerprint buckets.
-        // A restored entry's text slot starts empty and renders the
-        // replayed (and delta-repaired) answer on first use.
-        let (mut exact_hits, mut empty_slots) = (0, 0);
-        let mut replay =
-            |query: &mut dyn FnMut(&gc_graph::Graph, QueryKind) -> gc_core::QueryReport| {
-                for wq in &w.queries {
-                    let r = query(&wq.graph, wq.kind);
-                    exact_hits += u32::from(r.exact_hit);
-                    let want = execute_base(&live, &SiMethod, Engine::Vf2, &wq.graph, wq.kind);
-                    assert_eq!(r.answer, want.answer);
-                    if let Some(text) = &r.answer_text {
-                        empty_slots += u32::from(text.get().is_none());
-                        let mut ids = Vec::new();
-                        want.answer.write_ids(&mut ids);
-                        assert_eq!(text.get_or_render(&r.answer), ids);
-                    }
-                }
-            };
-        if sharded {
-            let (gc, report) = SharedGraphCache::restore_from(
-                ds.clone(),
-                Arc::new(SiMethod),
-                || PolicyKind::Hd.make(),
-                cfg,
-                store,
-            )
-            .unwrap();
-            check(&report, gc.len(), &gc.dataset());
-            replay(&mut |q, kind| gc.query(q, kind));
-        } else {
-            let (mut gc, report) = GraphCache::restore_from(
-                ds.clone(),
-                Box::new(SiMethod),
-                PolicyKind::Hd.make(),
-                cfg,
-                store,
-            )
-            .unwrap();
-            check(&report, gc.len(), gc.dataset());
-            replay(&mut |q, kind| gc.query(q, kind));
-        }
-        assert!(exact_hits > 0, "restored entries must be found by fingerprint");
-        assert!(empty_slots > 0, "restored entries carry no text");
-        let _ = std::fs::remove_dir_all(&dir);
+    // Restoring rotates the directory, so work on a copy.
+    let dir = tmpdir("fixture");
+    std::fs::create_dir_all(&dir).unwrap();
+    for file in std::fs::read_dir(STORE_FIXTURE).unwrap() {
+        let file = file.unwrap();
+        std::fs::copy(file.path(), dir.join(file.file_name())).unwrap();
     }
+    let store = open(&dir);
+    let cfg = CacheConfig { snapshot_interval: Some(8), ..config() };
+    let mut live = Dataset::clone(&ds);
+    live.insert_graph(inserted);
+    let (mut gc, report) = restore(ds, cfg, store);
+    assert!(report.warm, "fixture must restore warm: {:?}", report.cold_reason);
+    assert_eq!(report.journal_deltas, 1, "the journaled insert replays");
+    assert!(report.journal_admits > 0 && !gc.is_empty());
+    assert_eq!(gc.dataset().content_fingerprint(), live.content_fingerprint());
+
+    // Every query of the writing session is answered exactly; the ones
+    // whose entries survived are exact hits found through their stored
+    // fingerprint buckets. A restored entry's text slot starts empty and
+    // renders the replayed (and delta-repaired) answer on first use.
+    let (mut exact_hits, mut empty_slots) = (0, 0);
+    for wq in &w.queries {
+        let r = gc.query(&wq.graph, wq.kind);
+        exact_hits += u32::from(r.exact_hit);
+        let want = execute_base(&live, &SiMethod, Engine::Vf2, &wq.graph, wq.kind);
+        assert_eq!(r.answer, want.answer);
+        if let Some(text) = &r.answer_text {
+            empty_slots += u32::from(text.get().is_none());
+            let mut ids = Vec::new();
+            want.answer.write_ids(&mut ids);
+            assert_eq!(text.get_or_render(&r.answer), ids);
+        }
+    }
+    assert!(exact_hits > 0, "restored entries must be found by fingerprint");
+    assert!(empty_slots > 0, "restored entries carry no text");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 proptest! {
@@ -529,24 +525,17 @@ proptest! {
         for wq in &w.queries {
             a.query(&wq.graph, wq.kind);
         }
-        let store = Arc::new(CacheStore::open(&dir).unwrap());
+        let store = open(&dir);
         a.snapshot_to(&store).unwrap();
 
-        let (mut b, report) = GraphCache::restore_from(
-            ds.clone(),
-            Box::new(SiMethod),
-            PolicyKind::Hd.make(),
-            cfg,
-            store,
-        ).unwrap();
+        let (mut b, report) = restore(ds.clone(), cfg, store);
         prop_assert!(report.warm);
         prop_assert_eq!(report.entries_restored, a.len());
         prop_assert_eq!(entry_signature(&b), entry_signature(&a));
 
         // Every cached entry answers exactly, as an exact hit, without
         // re-admission — and identically to the pre-restart cache.
-        let cached: Vec<_> = a.cache().iter().map(|e| (e.graph.clone(), e.kind)).collect();
-        for (graph, kind) in cached {
+        for (graph, kind) in cached_queries(&a) {
             let ra = a.query(&graph, kind);
             let rb = b.query(&graph, kind);
             prop_assert!(rb.exact_hit);

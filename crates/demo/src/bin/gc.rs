@@ -162,8 +162,8 @@ fn build_persistent_cache(
     )
 }
 
-fn finish_snapshot(gc: &mut GraphCache) -> Result<(), String> {
-    let info = gc.snapshot_now()?;
+fn finish_snapshot(gc: &GraphCache) -> Result<(), String> {
+    let info = gc.snapshot_now()?.ok_or("no store attached")?;
     println!(
         "[Persistence] snapshot generation {} written: {} entries, {} KiB",
         info.generation,
@@ -254,7 +254,7 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
         println!("{}", developer_monitor(&gc, get(flags, "top", 15)));
     }
     if snapshot_dir.is_some() {
-        finish_snapshot(&mut gc)?;
+        finish_snapshot(&gc)?;
     }
     Ok(())
 }
@@ -365,10 +365,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     println!(
         "{}",
-        render_end_user_monitor(
-            &DeploymentInfo::of_shared(server.cache()),
-            &server.serving_stats()
-        )
+        render_end_user_monitor(&DeploymentInfo::of(server.cache()), &server.serving_stats())
     );
     let report = server.drain();
     println!(
@@ -516,7 +513,7 @@ fn cmd_mutate(flags: &HashMap<String, String>) -> Result<(), String> {
             let r = gc.query(&q, QueryKind::Subgraph);
             if check {
                 let base = gc_method::execute_base(
-                    gc.dataset(),
+                    &gc.dataset(),
                     &gc_method::SiMethod,
                     gc_method::Engine::Vf2,
                     &q,

@@ -3,15 +3,15 @@
 //! The paper's Dashboard Manager (Fig. 1) serves two audiences: end-users
 //! get digested performance panels (Sub-Iso Testing, Query Time, Cache
 //! Replacement); developers get introspection into the cache's internals.
-//! Both render here as plain text from a live [`GraphCache`].
+//! Both render here as plain text from a live [`SharedGraphCache`] (a
+//! `GraphCache` derefs to one).
 
 use crate::ascii;
-use gc_core::{GlobalStats, GraphCache, SharedGraphCache};
+use gc_core::{GlobalStats, SharedGraphCache};
 
 /// Deployment facts the End-User Monitor renders alongside the
-/// statistics — extracted so the panel can be drawn for any runtime
-/// (sequential cache, shared cache, or a served cache whose stats carry
-/// the serving gauges).
+/// statistics — extracted so the panel can also be drawn for a served
+/// cache whose stats carry the serving gauges.
 #[derive(Debug, Clone)]
 pub struct DeploymentInfo {
     /// Base method name.
@@ -29,20 +29,8 @@ pub struct DeploymentInfo {
 }
 
 impl DeploymentInfo {
-    /// Deployment facts of a sequential cache.
-    pub fn of(gc: &GraphCache) -> Self {
-        DeploymentInfo {
-            method: gc.method_name(),
-            policy: gc.policy_name(),
-            entries: gc.len(),
-            capacity: gc.config().capacity,
-            window_size: gc.config().window_size,
-            memory_bytes: gc.memory_bytes(),
-        }
-    }
-
-    /// Deployment facts of a shared (concurrent) cache.
-    pub fn of_shared(gc: &SharedGraphCache) -> Self {
+    /// Deployment facts of a cache.
+    pub fn of(gc: &SharedGraphCache) -> Self {
         DeploymentInfo {
             method: gc.method_name(),
             policy: gc.policy_name(),
@@ -57,7 +45,7 @@ impl DeploymentInfo {
 /// End-User Monitor: the three Demonstrator panels (paper §2) — sub-iso
 /// testing, query time, and cache replacement — from the cache's global
 /// statistics.
-pub fn end_user_monitor(gc: &GraphCache) -> String {
+pub fn end_user_monitor(gc: &SharedGraphCache) -> String {
     render_end_user_monitor(&DeploymentInfo::of(gc), &gc.stats())
 }
 
@@ -137,14 +125,11 @@ pub fn render_end_user_monitor(info: &DeploymentInfo, s: &GlobalStats) -> String
 
 /// Developer Monitor: per-entry utility table (the data the replacement
 /// policies rank by), top `limit` entries by total hits.
-pub fn developer_monitor(gc: &GraphCache, limit: usize) -> String {
-    let mut entries: Vec<_> = gc.cache().iter().collect();
-    entries.sort_by_key(|e| std::cmp::Reverse(e.stats.total_hits()));
-    let rows: Vec<Vec<String>> = entries
-        .iter()
-        .take(limit)
-        .map(|e| {
-            vec![
+pub fn developer_monitor(gc: &SharedGraphCache, limit: usize) -> String {
+    let mut entries: Vec<(u64, Vec<String>)> = Vec::new();
+    gc.for_each_shard(|_, cm| {
+        entries.extend(cm.iter().map(|e| {
+            let row = vec![
                 e.id.to_string(),
                 e.kind.to_string(),
                 format!("{}v/{}e", e.graph.vertex_count(), e.graph.edge_count()),
@@ -155,9 +140,12 @@ pub fn developer_monitor(gc: &GraphCache, limit: usize) -> String {
                 e.stats.tests_saved.to_string(),
                 format!("{:.0}", e.stats.cost_saved),
                 e.stats.last_used.to_string(),
-            ]
-        })
-        .collect();
+            ];
+            (e.stats.total_hits(), row)
+        }));
+    });
+    entries.sort_by_key(|(hits, _)| std::cmp::Reverse(*hits));
+    let rows: Vec<Vec<String>> = entries.into_iter().take(limit).map(|(_, row)| row).collect();
     let mut out = String::new();
     out.push_str("=== Developer Monitor: cached entries by utility ===\n");
     out.push_str(&ascii::table(
@@ -186,7 +174,7 @@ pub fn developer_monitor(gc: &GraphCache, limit: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gc_core::{CacheConfig, PolicyKind};
+    use gc_core::{CacheConfig, GraphCache, PolicyKind};
     use gc_method::{Dataset, QueryKind, SiMethod};
     use gc_workload::{molecule_dataset, Workload, WorkloadKind, WorkloadSpec};
     use std::sync::Arc;

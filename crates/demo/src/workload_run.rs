@@ -99,10 +99,12 @@ pub fn run_workload_comparison(
             let stats = gc.stats();
             let gc_avg_tests = stats.avg_tests_per_query();
             let gc_avg_time = stats.avg_time_per_query();
+            let mut resident = Vec::new();
+            gc.for_each_shard(|_, cm| resident.extend(cm.ids()));
             PolicyOutcome {
                 policy,
                 evicted,
-                resident: gc.cache().ids(),
+                resident,
                 hit_timeline,
                 hit_pct_timeline,
                 test_speedup: if gc_avg_tests > 0.0 {

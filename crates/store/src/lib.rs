@@ -45,9 +45,9 @@
 //! walk behind the `gc doctor` CLI.
 //!
 //! This crate depends only on `gc-graph` and `gc-method` (graph and
-//! query-kind types); the kernel wiring — `GraphCache::{snapshot_to,
+//! query-kind types); the kernel wiring — `SharedGraphCache::{snapshot_to,
 //! restore_from}`, journal hooks in admit/evict, the periodic snapshotter
-//! for `SharedGraphCache` — lives in `gc-core::persist`.
+//! — lives in `gc-core::persist`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -16,9 +16,10 @@
 //!   (SI and FTV base methods);
 //! * [`core`] ([`gc_core`]) — the GraphCache kernel: the staged query
 //!   pipeline (filter → probe → prune → verify → admit), replacement
-//!   policies (LRU/POP/PIN/PINC/HD), window manager, the sequential
-//!   [`GraphCache`](prelude::GraphCache) runtime and the concurrent sharded
-//!   [`SharedGraphCache`](prelude::SharedGraphCache) front-end;
+//!   policies (LRU/POP/PIN/PINC/HD), window manager, and the one runtime:
+//!   the concurrent sharded [`SharedGraphCache`](prelude::SharedGraphCache),
+//!   owned as a one-shard [`GraphCache`](prelude::GraphCache) by
+//!   single-client code;
 //! * [`workload`] ([`gc_workload`]) — dataset generators and workload
 //!   synthesizers;
 //! * [`demo`] ([`gc_demo`]) — the text Demonstrator (Query Journey /
