@@ -54,14 +54,13 @@ fn persistent_append_failure_degrades_then_recovers() {
     let cfg = CacheConfig {
         capacity: 16,
         window_size: 2,
-        shards: 4,
         min_admit_tests: 0,
         persist_retries: 1,
         ..CacheConfig::default()
     };
     let store = Arc::new(gc_core::CacheStore::open(&dir).unwrap());
     let mut gc =
-        SharedGraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, cfg).unwrap();
+        GraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, cfg).unwrap();
     gc.attach_store(Arc::clone(&store)).unwrap();
     assert_eq!(gc.persist_health(), Some(PersistHealth::Healthy));
     let healthy_generation = store.generation();
@@ -148,5 +147,39 @@ fn exhausted_probe_budget_disables_persistence() {
         std::thread::sleep(Duration::from_millis(10));
     }
     assert_eq!(gc.stats().persist_health, "disabled");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn shared_cache_degrades_and_recovers() {
+    let ds = dataset();
+    let dir = tmpdir("shared_degrade");
+    let cfg = CacheConfig {
+        capacity: 16,
+        window_size: 2,
+        shards: 4,
+        min_admit_tests: 0,
+        persist_retries: 1,
+        ..CacheConfig::default()
+    };
+    let store = Arc::new(gc_core::CacheStore::open(&dir).unwrap());
+    let mut gc =
+        SharedGraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, cfg).unwrap();
+    gc.attach_store(Arc::clone(&store)).unwrap();
+
+    let plan = Arc::new(FaultPlan::seeded(41));
+    plan.arm(FaultSite::JournalAppend, Failpoint::ErrAfter { n: 0 });
+    store.set_fault_plan(Some(plan));
+    assert_exact(&gc, &ds, &workload(&ds, 30, 17));
+    assert_eq!(gc.persist_health(), Some(PersistHealth::Degraded));
+
+    store.set_fault_plan(None);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let probe_queries = workload(&ds, 4, 18);
+    while gc.persist_health() != Some(PersistHealth::Healthy) {
+        assert!(Instant::now() < deadline, "shared recovery probe never re-armed persistence");
+        assert_exact(&gc, &ds, &probe_queries);
+        std::thread::sleep(Duration::from_millis(10));
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
