@@ -1,7 +1,6 @@
 //! Cache configuration.
 
 use gc_index::{FeatureConfig, IndexTuning};
-use gc_method::Engine;
 use gc_store::FsyncPolicy;
 
 /// Tunables of a [`crate::GraphCache`] instance.
@@ -30,8 +29,6 @@ pub struct CacheConfig {
     /// cutoff of the k-way sub-case merge and the tombstone-compaction
     /// threshold of the posting directory (see [`gc_index::IndexTuning`]).
     pub index_tuning: IndexTuning,
-    /// Verifier engine.
-    pub engine: Engine,
     /// Admission filter: only cache queries whose execution performed at
     /// least this many sub-iso tests (cheap queries cannot repay their cache
     /// slot).
@@ -100,7 +97,6 @@ impl Default for CacheConfig {
             probe_budget: 100_000,
             feature_config: FeatureConfig::default(),
             index_tuning: IndexTuning::default(),
-            engine: Engine::Vf2,
             min_admit_tests: 1,
             max_bytes: None,
             shards: 8,

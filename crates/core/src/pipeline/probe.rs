@@ -38,7 +38,7 @@ use crate::entry::EntryId;
 use gc_graph::{BitSet, Graph};
 use gc_index::CandScratch;
 use gc_iso::{Found, ProfileRef, VerifyCtx, VfScratch};
-use gc_method::QueryKind;
+use gc_method::{Engine, QueryKind};
 
 /// Reusable per-query state: the containment-index probe buffers, the
 /// filtered + utility-ordered candidate lists, and the verifier scratch
@@ -214,7 +214,7 @@ pub fn probe_cases(
         let e = cache.get(id).expect("candidate ids are live");
         hits.probe_tests += 1;
         let ctx = VerifyCtx::new(query, q_profile, &e.graph, e.profile.as_ref());
-        let (found, stats) = cfg.engine.verify_ctx(&ctx, Some(cfg.probe_budget), &mut scratch.vf);
+        let (found, stats) = Engine::Vf2.verify_ctx(&ctx, Some(cfg.probe_budget), &mut scratch.vf);
         hits.probe_steps += stats.steps;
         if found == Found::Yes {
             hits.sub.push(id);
@@ -246,7 +246,7 @@ pub fn probe_cases(
         // The entry is the pattern here; its admission-time profile carries
         // the search order.
         let ctx = VerifyCtx::new(&e.graph, e.profile.as_ref(), query, q_profile);
-        let (found, stats) = cfg.engine.verify_ctx(&ctx, Some(cfg.probe_budget), &mut scratch.vf);
+        let (found, stats) = Engine::Vf2.verify_ctx(&ctx, Some(cfg.probe_budget), &mut scratch.vf);
         hits.probe_steps += stats.steps;
         if found == Found::Yes {
             hits.super_.push(id);

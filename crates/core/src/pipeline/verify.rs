@@ -15,10 +15,10 @@ use crate::cost::CostModel;
 use crate::pipeline::PipelineCtx;
 use gc_method::{Dataset, Engine, QueryProfile};
 
-/// Verify the reduced set `C` in `ctx` with `engine`: survivors `R` go into
+/// Verify the reduced set `C` in `ctx` with VF2: survivors `R` go into
 /// `ctx.survivors`, the total steps into `ctx.verify_steps`, and one
 /// `(gid, steps)` per candidate, ascending by gid, into `ctx.verify_costs`.
-pub fn run(ctx: &mut PipelineCtx<'_>, dataset: &Dataset, engine: Engine) {
+pub fn run(ctx: &mut PipelineCtx<'_>, dataset: &Dataset) {
     let PipelineCtx {
         query,
         kind,
@@ -39,8 +39,13 @@ pub fn run(ctx: &mut PipelineCtx<'_>, dataset: &Dataset, engine: Engine) {
     let profile = QueryProfile::new(dataset, query, *kind);
     verify_costs.reserve(candidates.count());
     for gid in candidates.ones() {
-        let (ok, steps) =
-            engine.verify_candidate(dataset, &profile, query, gid as u32, &mut probe_scratch.vf);
+        let (ok, steps) = Engine::Vf2.verify_candidate(
+            dataset,
+            &profile,
+            query,
+            gid as u32,
+            &mut probe_scratch.vf,
+        );
         *verify_steps += steps;
         verify_costs.push((gid, steps));
         if ok {
@@ -85,7 +90,7 @@ mod tests {
     fn verified<'q>(ds: &Dataset, q: &'q Graph, kind: QueryKind, c: BitSet) -> PipelineCtx<'q> {
         let mut ctx = PipelineCtx::new(q, kind, 1, ds.len());
         ctx.pruned = Pruned { cm_size: c.count(), to_verify: c, saved: 0 };
-        run(&mut ctx, ds, Engine::Vf2);
+        run(&mut ctx, ds);
         ctx
     }
 
@@ -177,7 +182,7 @@ mod tests {
                 let mut ctx = PipelineCtx::new(q, QueryKind::Subgraph, 1, ds.len());
                 ctx.pruned.to_verify = ds.all_graphs();
                 std::mem::swap(&mut ctx.probe_scratch, &mut scratch);
-                run(&mut ctx, &ds, Engine::Vf2);
+                run(&mut ctx, &ds);
                 std::mem::swap(&mut ctx.probe_scratch, &mut scratch);
                 assert_eq!(ctx.survivors.to_vec(), want);
             }

@@ -63,7 +63,7 @@ use crate::telemetry::{PipelineStage, QueryTiming, Telemetry};
 use crate::window::WindowManager;
 use crate::PolicyKind;
 use gc_graph::{BitSet, Graph, GraphId};
-use gc_method::{Dataset, Method, QueryKind};
+use gc_method::{Dataset, Engine, Method, QueryKind};
 use gc_store::{CacheStore, EntryRecord, LoadOutcome, SnapshotInfo};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -408,7 +408,7 @@ impl SharedGraphCache {
         }
         {
             let _span = self.telemetry.span(PipelineStage::Verify, &mut timing);
-            verify::run(&mut ctx, &data.dataset, self.config.engine);
+            verify::run(&mut ctx, &data.dataset);
         }
         verify::observe_costs(&ctx, &self.cost);
 
@@ -589,7 +589,6 @@ impl SharedGraphCache {
         if !self.method.on_insert_graph(&data.dataset, gid) {
             data.overlay.insert(gid as usize);
         }
-        let engine = self.config.engine;
         PROBE_SCRATCH.with(|s| {
             let vf = &mut s.borrow_mut().vf;
             for shard in self.shards.iter() {
@@ -597,7 +596,7 @@ impl SharedGraphCache {
                 for id in state.cache.ids() {
                     let entry = state.cache.get_mut(id).expect("listed id is live");
                     entry.grow_answer(universe);
-                    if entry.answers_inserted(&data.dataset, gid, engine, vf) {
+                    if entry.answers_inserted(&data.dataset, gid, Engine::Vf2, vf) {
                         entry.insert_answer(gid as usize);
                     }
                 }
@@ -930,7 +929,6 @@ impl SharedGraphCache {
         // tombstoned graphs are masked out, and each journal-inserted graph
         // is re-verified per entry (idempotent — records written after the
         // delta already carry the right bit).
-        let engine = self.config.engine;
         PROBE_SCRATCH.with(|s| {
             let vf = &mut s.borrow_mut().vf;
             for shard in self.shards.iter() {
@@ -944,7 +942,7 @@ impl SharedGraphCache {
                         if !dataset.live_mask().contains(gid as usize) {
                             continue; // inserted then removed: stays masked out
                         }
-                        if entry.answers_inserted(&dataset, gid, engine, vf) {
+                        if entry.answers_inserted(&dataset, gid, Engine::Vf2, vf) {
                             entry.insert_answer(gid as usize);
                         } else {
                             entry.remove_answer(gid as usize);

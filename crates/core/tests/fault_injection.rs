@@ -48,6 +48,48 @@ fn assert_exact(gc: &SharedGraphCache, ds: &Arc<Dataset>, w: &Workload) {
 }
 
 #[test]
+fn transient_append_faults_are_absorbed_by_retries() {
+    let ds = dataset();
+    let dir = tmpdir("transient");
+    let cfg = CacheConfig {
+        capacity: 16,
+        window_size: 2,
+        min_admit_tests: 0,
+        persist_retries: 2,
+        ..CacheConfig::default()
+    };
+    let store = Arc::new(gc_core::CacheStore::open(&dir).unwrap());
+    let mut gc =
+        GraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, cfg).unwrap();
+    gc.attach_store(Arc::clone(&store)).unwrap();
+
+    // Each transient fault costs one attempt; the retry budget (2) must
+    // absorb it without tripping the breaker.
+    let plan = Arc::new(FaultPlan::seeded(11));
+    for point in [
+        Failpoint::ErrOnce,
+        Failpoint::SlowIo { millis: 2 },
+        Failpoint::ErrOnce,
+        Failpoint::ErrOnce,
+    ] {
+        plan.arm(FaultSite::JournalAppend, point);
+    }
+    store.set_fault_plan(Some(Arc::clone(&plan)));
+
+    assert_exact(&gc, &ds, &workload(&ds, 30, 5));
+    assert!(
+        plan.fired_log().iter().any(|&(_, point)| point == "err_once"),
+        "no transient error fired: the test is vacuous"
+    );
+    assert_eq!(
+        gc.persist_health(),
+        Some(PersistHealth::Healthy),
+        "transient faults within the retry budget must not degrade persistence"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn persistent_append_failure_degrades_then_recovers() {
     let ds = dataset();
     let dir = tmpdir("degrade");

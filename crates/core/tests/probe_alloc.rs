@@ -26,7 +26,7 @@ use gc_core::{CacheConfig, CacheManager};
 use gc_graph::{graph_from_parts, BitSet, Graph, Label};
 use gc_index::FeatureConfig;
 use gc_iso::GraphProfile;
-use gc_method::{Dataset, Engine, QueryKind, QueryProfile, SiMethod};
+use gc_method::{Dataset, QueryKind, QueryProfile, SiMethod};
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -206,7 +206,7 @@ fn warm_verify_stage_allocates_a_constant() {
         ctx.pruned.to_verify = candidates;
         std::mem::swap(&mut ctx.probe_scratch, &mut scratch);
         let before = allocations_on_this_thread();
-        verify::run(&mut ctx, &dataset, Engine::Vf2);
+        verify::run(&mut ctx, &dataset);
         let spent = allocations_on_this_thread() - before;
         std::mem::swap(&mut ctx.probe_scratch, &mut scratch);
         assert!(ctx.survivors.contains(0), "the query was cut from graph 0");

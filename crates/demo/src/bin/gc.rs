@@ -69,8 +69,24 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
     flags
 }
 
-fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default: T) -> T {
-    flags.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
+/// `--key`'s value parsed as `T`, `None` when the flag is absent. A value
+/// that does not parse is an error naming the flag, never a silent default.
+fn opt<T: std::str::FromStr>(
+    flags: &HashMap<String, String>,
+    key: &str,
+) -> Result<Option<T>, String> {
+    flags
+        .get(key)
+        .map(|v| v.parse().map_err(|_| format!("--{key}: invalid value {v:?}")))
+        .transpose()
+}
+
+fn get<T: std::str::FromStr>(
+    flags: &HashMap<String, String>,
+    key: &str,
+    default: T,
+) -> Result<T, String> {
+    Ok(opt(flags, key)?.unwrap_or(default))
 }
 
 fn load_dataset(flags: &HashMap<String, String>) -> Result<Arc<Dataset>, String> {
@@ -93,8 +109,8 @@ fn workload_kind(name: &str) -> Result<WorkloadKind, String> {
 
 fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
     let out = flags.get("out").ok_or("missing --out <file.tve>")?;
-    let count: usize = get(flags, "count", 100);
-    let seed: u64 = get(flags, "seed", 42);
+    let count: usize = get(flags, "count", 100)?;
+    let seed: u64 = get(flags, "seed", 42)?;
     let model = flags.get("model").map(String::as_str).unwrap_or("molecules");
     let graphs = match model {
         "molecules" => molecule_dataset(count, seed),
@@ -107,24 +123,24 @@ fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cache_config(flags: &HashMap<String, String>) -> CacheConfig {
+fn cache_config(flags: &HashMap<String, String>) -> Result<CacheConfig, String> {
     // Group-commit fsync policy: --fsync-every N / --fsync-interval-ms M
     // (mutually exclusive; the per-count bound wins when both are given).
-    let fsync_policy = if let Some(n) = flags.get("fsync-every").and_then(|v| v.parse().ok()) {
+    let fsync_policy = if let Some(n) = opt(flags, "fsync-every")? {
         gc_core::FsyncPolicy::EveryN(n)
-    } else if let Some(ms) = flags.get("fsync-interval-ms").and_then(|v| v.parse().ok()) {
+    } else if let Some(ms) = opt(flags, "fsync-interval-ms")? {
         gc_core::FsyncPolicy::IntervalMs(ms)
     } else {
         gc_core::FsyncPolicy::Never
     };
-    CacheConfig {
-        capacity: get(flags, "capacity", 50),
-        window_size: get(flags, "window", 10),
-        snapshot_interval: flags.get("snapshot-interval").and_then(|v| v.parse().ok()),
-        journal_max_bytes: flags.get("journal-max-bytes").and_then(|v| v.parse().ok()),
+    Ok(CacheConfig {
+        capacity: get(flags, "capacity", 50)?,
+        window_size: get(flags, "window", 10)?,
+        snapshot_interval: opt(flags, "snapshot-interval")?,
+        journal_max_bytes: opt(flags, "journal-max-bytes")?,
         fsync_policy,
         ..CacheConfig::default()
-    }
+    })
 }
 
 fn build_cache(
@@ -133,12 +149,12 @@ fn build_cache(
 ) -> Result<GraphCache, String> {
     let policy: PolicyKind =
         flags.get("policy").map(|p| p.parse()).transpose()?.unwrap_or(PolicyKind::Hd);
-    let feature_size: usize = get(flags, "feature-size", 2);
+    let feature_size: usize = get(flags, "feature-size", 2)?;
     GraphCache::with_policy(
         dataset.clone(),
         Box::new(FtvMethod::build(dataset, feature_size)),
         policy,
-        cache_config(flags),
+        cache_config(flags)?,
     )
 }
 
@@ -151,13 +167,13 @@ fn build_persistent_cache(
 ) -> Result<(GraphCache, RecoveryReport), String> {
     let policy: PolicyKind =
         flags.get("policy").map(|p| p.parse()).transpose()?.unwrap_or(PolicyKind::Hd);
-    let feature_size: usize = get(flags, "feature-size", 2);
+    let feature_size: usize = get(flags, "feature-size", 2)?;
     let store = Arc::new(CacheStore::open(dir).map_err(|e| format!("{dir}: {e}"))?);
     GraphCache::restore_from(
         dataset.clone(),
         Box::new(FtvMethod::build(dataset, feature_size)),
         policy.make(),
-        cache_config(flags),
+        cache_config(flags)?,
         store,
     )
 }
@@ -176,10 +192,10 @@ fn finish_snapshot(gc: &GraphCache) -> Result<(), String> {
 fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
     let dataset = load_dataset(flags)?;
     let spec = WorkloadSpec {
-        n_queries: get(flags, "queries", 300),
-        pool_size: get(flags, "pool", 100),
+        n_queries: get(flags, "queries", 300)?,
+        pool_size: get(flags, "pool", 100)?,
         kind: workload_kind(flags.get("workload").map(String::as_str).unwrap_or("zipf"))?,
-        seed: get(flags, "seed", 7),
+        seed: get(flags, "seed", 7)?,
         ..WorkloadSpec::default()
     };
     let workload = Workload::generate(dataset.graphs(), &spec);
@@ -195,12 +211,12 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
     // SharedGraphCache (optionally cross-checking answers with --check;
     // `--snapshot-dir` warm-restarts the shared cache and journals the
     // session, exactly like the sequential mode).
-    let clients: usize = get(flags, "clients", 1);
+    let clients: usize = get(flags, "clients", 1)?;
     if clients > 1 {
         let policy: PolicyKind =
             flags.get("policy").map(|p| p.parse()).transpose()?.unwrap_or(PolicyKind::Hd);
-        let feature_size: usize = get(flags, "feature-size", 2);
-        let config = cache_config(flags);
+        let feature_size: usize = get(flags, "feature-size", 2)?;
+        let config = cache_config(flags)?;
         let make_method =
             || -> Box<dyn gc_method::Method> { Box::new(FtvMethod::build(&dataset, feature_size)) };
         let check = flags.contains_key("check");
@@ -251,7 +267,7 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     println!("{}", end_user_monitor(&gc));
     if flags.contains_key("dev") {
-        println!("{}", developer_monitor(&gc, get(flags, "top", 15)));
+        println!("{}", developer_monitor(&gc, get(flags, "top", 15)?));
     }
     if snapshot_dir.is_some() {
         finish_snapshot(&gc)?;
@@ -276,7 +292,7 @@ fn cmd_load(flags: &HashMap<String, String>) -> Result<(), String> {
     let (gc, recovery) = build_persistent_cache(&dataset, flags, dir)?;
     println!("[Persistence] {}", recovery.describe());
     println!("{}", end_user_monitor(&gc));
-    println!("{}", developer_monitor(&gc, get(flags, "top", 15)));
+    println!("{}", developer_monitor(&gc, get(flags, "top", 15)?));
     if !recovery.warm {
         return Err(recovery.cold_reason.unwrap_or_else(|| "cold start".into()));
     }
@@ -319,9 +335,9 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let dataset = load_dataset(flags)?;
     let policy: PolicyKind =
         flags.get("policy").map(|p| p.parse()).transpose()?.unwrap_or(PolicyKind::Hd);
-    let feature_size: usize = get(flags, "feature-size", 2);
-    let workers: usize = get(flags, "workers", 4);
-    let config = cache_config(flags);
+    let feature_size: usize = get(flags, "feature-size", 2)?;
+    let workers: usize = get(flags, "workers", 4)?;
+    let config = cache_config(flags)?;
     let method = FtvMethod::build(&dataset, feature_size);
     let cache = match flags.get("snapshot-dir") {
         Some(dir) => {
@@ -343,8 +359,8 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         ServerConfig {
             addr: flags.get("addr").cloned().unwrap_or_else(|| "127.0.0.1:7411".into()),
             workers,
-            queue_depth: get(flags, "queue-depth", 64),
-            request_deadline: std::time::Duration::from_millis(get(flags, "deadline-ms", 5_000)),
+            queue_depth: get(flags, "queue-depth", 64)?,
+            request_deadline: std::time::Duration::from_millis(get(flags, "deadline-ms", 5_000)?),
             ..ServerConfig::default()
         },
     )?;
@@ -353,7 +369,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         "  POST /query?kind=sub|super (t/v/e body)  GET /stats /metrics /healthz /readyz \
          /debug/traces /debug/slow"
     );
-    match flags.get("duration-secs").and_then(|v| v.parse::<u64>().ok()) {
+    match opt::<u64>(flags, "duration-secs")? {
         Some(secs) => {
             println!("serving for {secs}s, then draining");
             std::thread::sleep(std::time::Duration::from_secs(secs));
@@ -398,7 +414,7 @@ fn run_against_server(
     let addr = addr.trim_start_matches("http://");
     let addr: std::net::SocketAddr = addr.parse().map_err(|e| format!("--server {addr}: {e}"))?;
     let check = flags.contains_key("check");
-    let feature_size: usize = get(flags, "feature-size", 2);
+    let feature_size: usize = get(flags, "feature-size", 2)?;
     let method = check.then(|| FtvMethod::build(dataset, feature_size));
     let mut client = HttpClient::connect(addr)?;
     let (mut ok, mut exact_hits, mut shed, mut failed, mut checked) =
@@ -482,11 +498,11 @@ fn run_against_server(
 /// mutations are POSTed to a running `gc serve` via `/mutate` instead.
 fn cmd_mutate(flags: &HashMap<String, String>) -> Result<(), String> {
     let dataset = load_dataset(flags)?;
-    let rounds: usize = get(flags, "rounds", 5);
-    let inserts: usize = get(flags, "inserts", 3);
-    let removes: usize = get(flags, "removes", 2);
-    let queries: usize = get(flags, "queries", 40);
-    let seed: u64 = get(flags, "seed", 7);
+    let rounds: usize = get(flags, "rounds", 5)?;
+    let inserts: usize = get(flags, "inserts", 3)?;
+    let removes: usize = get(flags, "removes", 2)?;
+    let queries: usize = get(flags, "queries", 40)?;
+    let seed: u64 = get(flags, "seed", 7)?;
 
     if let Some(addr) = flags.get("server") {
         return mutate_against_server(addr, &dataset, rounds, inserts, removes, queries, seed);
@@ -627,8 +643,8 @@ fn cmd_top(flags: &HashMap<String, String>) -> Result<(), String> {
     let addr = flags.get("server").cloned().unwrap_or_else(|| "127.0.0.1:7411".into());
     let addr = addr.trim_start_matches("http://");
     let addr: std::net::SocketAddr = addr.parse().map_err(|e| format!("--server {addr}: {e}"))?;
-    let interval = std::time::Duration::from_millis(get(flags, "interval-ms", 1000));
-    let iterations: u64 = get(flags, "iterations", 0);
+    let interval = std::time::Duration::from_millis(get(flags, "interval-ms", 1000)?);
+    let iterations: u64 = get(flags, "iterations", 0)?;
     let mut client = HttpClient::connect(addr)?;
     let mut tick = 0u64;
     loop {
@@ -716,7 +732,7 @@ fn cmd_top(flags: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_journey(flags: &HashMap<String, String>) -> Result<(), String> {
     let dataset = load_dataset(flags)?;
     let mut gc = build_cache(&dataset, flags)?;
-    let seed: u64 = get(flags, "seed", 7);
+    let seed: u64 = get(flags, "seed", 7)?;
     let mut rng = StdRng::seed_from_u64(seed);
     let chain = nested_chain(dataset.graph(0), &[3, 5, 8, 12], &mut rng);
     if chain.len() < 4 {
@@ -735,17 +751,17 @@ fn cmd_journey(flags: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
     let dataset = load_dataset(flags)?;
     let spec = WorkloadSpec {
-        n_queries: get(flags, "queries", 300),
-        pool_size: get(flags, "pool", 150),
+        n_queries: get(flags, "queries", 300)?,
+        pool_size: get(flags, "pool", 150)?,
         kind: workload_kind(flags.get("workload").map(String::as_str).unwrap_or("zipf"))?,
-        seed: get(flags, "seed", 7),
+        seed: get(flags, "seed", 7)?,
         ..WorkloadSpec::default()
     };
     let workload = Workload::generate(dataset.graphs(), &spec);
-    let feature_size: usize = get(flags, "feature-size", 2);
+    let feature_size: usize = get(flags, "feature-size", 2)?;
     let config = CacheConfig {
-        capacity: get(flags, "capacity", 25),
-        window_size: get(flags, "window", 10),
+        capacity: get(flags, "capacity", 25)?,
+        window_size: get(flags, "window", 10)?,
         ..CacheConfig::default()
     };
     let cmp = run_workload_comparison(
@@ -836,5 +852,39 @@ fn main() -> ExitCode {
             eprintln!("gc: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn flags(pairs: &[(&str, &str)]) -> HashMap<String, String> {
+        pairs.iter().map(|&(k, v)| (k.to_string(), v.to_string())).collect()
+    }
+
+    #[test]
+    fn malformed_numeric_flags_are_errors_naming_the_flag() {
+        let err = get::<usize>(&flags(&[("count", "3O")]), "count", 100).unwrap_err();
+        assert!(err.contains("--count") && err.contains("3O"), "{err}");
+        for key in ["fsync-every", "fsync-interval-ms", "snapshot-interval", "journal-max-bytes"] {
+            let err = cache_config(&flags(&[(key, "x")])).unwrap_err();
+            assert!(err.contains(&format!("--{key}")) && err.contains("\"x\""), "{err}");
+        }
+        let err = cmd_generate(&flags(&[("out", "unused.tve"), ("count", "3O")])).unwrap_err();
+        assert!(err.contains("--count"), "{err}");
+    }
+
+    #[test]
+    fn absent_flags_default_and_good_values_parse() {
+        assert_eq!(get(&flags(&[]), "count", 100), Ok(100));
+        assert_eq!(get(&flags(&[("count", "30")]), "count", 100), Ok(30));
+        let cfg =
+            cache_config(&flags(&[("fsync-every", "8"), ("snapshot-interval", "5")])).unwrap();
+        assert_eq!(cfg.fsync_policy, gc_core::FsyncPolicy::EveryN(8));
+        assert_eq!(cfg.snapshot_interval, Some(5));
+        assert_eq!(cfg.journal_max_bytes, None);
+        let cfg = cache_config(&flags(&[])).unwrap();
+        assert_eq!(cfg.fsync_policy, gc_core::FsyncPolicy::Never);
     }
 }

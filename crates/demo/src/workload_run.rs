@@ -16,7 +16,7 @@ use gc_core::{
     CacheConfig, CacheStore, EntryId, GlobalStats, GraphCache, PolicyKind, RecoveryReport,
     SharedGraphCache, SnapshotInfo,
 };
-use gc_method::{execute_base, Dataset, Method};
+use gc_method::{execute_base, Dataset, Engine, Method};
 use gc_workload::Workload;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -71,7 +71,7 @@ pub fn run_workload_comparison(
     let mut base_tests = 0u64;
     let mut base_time = Duration::ZERO;
     for wq in &workload.queries {
-        let run = execute_base(dataset, base_method.as_ref(), config.engine, &wq.graph, wq.kind);
+        let run = execute_base(dataset, base_method.as_ref(), Engine::Vf2, &wq.graph, wq.kind);
         base_tests += run.sub_iso_tests as u64;
         base_time += run.elapsed;
     }

@@ -50,8 +50,8 @@
 //! and the k-way
 //! sub-case merge switches per step between two-pointer and galloping
 //! intersection ([`merge`]) when posting-list lengths are skewed. The
-//! knobs live in [`IndexTuning`]; `exp10_index_churn` races the tiers
-//! under an interleaved admit/evict/probe schedule.
+//! knobs live in [`IndexTuning`]; `tests/prop.rs` holds the tombstoned
+//! directory equal to an eager one under interleaved admit/evict/probe.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,11 +2,9 @@
 //!
 //! These are the pre-arena/pre-flat-postings data structures, kept as
 //! *executable specifications*: the property tests in `tests/prop.rs` assert
-//! the production structures compute identical candidate sets, and the
-//! `exp9_filter_frontend` benchmark measures the production front-end
-//! against them (answer-cross-checked on every query). They are **not** on
-//! any hot path — do not optimize them; their value is being obviously
-//! equivalent to the documented semantics.
+//! the production structures compute identical candidate sets. They are
+//! **not** on any hot path — do not optimize them; their value is being
+//! obviously equivalent to the documented semantics.
 
 use crate::extract::{enumerate_label_paths, feature_hash, FeatureConfig, FeatureVec};
 use crate::query_index::EntryId;
@@ -163,8 +161,8 @@ impl RefQueryIndex {
 /// pre-tombstone implementation of [`crate::QueryIndex`]: every insertion
 /// of a new feature hash pays a `Vec::insert` memmove over the whole
 /// directory and every drained posting list pays the matching
-/// `Vec::remove`. Kept as the *old tier* of `exp10_index_churn` and as the
-/// "eager directory" side of the tombstone-equivalence property tests.
+/// `Vec::remove`. Kept as the "eager directory" side of the
+/// tombstone-equivalence property tests.
 #[derive(Debug)]
 pub struct EagerQueryIndex {
     cfg: FeatureConfig,

@@ -135,9 +135,9 @@ impl Server {
     }
 
     /// [`Server::start`], additionally installing `fault_plan` on the
-    /// cache's attached store for the server's lifetime — the chaos
-    /// harness injects store faults through the same lifecycle a real
-    /// deployment would wire them through. The plan is cleared during
+    /// cache's attached store for the server's lifetime — fault tests
+    /// inject store faults through the same lifecycle a real deployment
+    /// would wire them through. The plan is cleared during
     /// [`Server::drain`] so the final snapshot is taken fault-free.
     pub fn start_with_faults(
         cache: Arc<SharedGraphCache>,
@@ -1287,5 +1287,165 @@ mod tests {
         let resp = client.post("/query", body.as_bytes()).unwrap();
         assert_eq!(resp.status, 200);
         server.drain();
+    }
+
+    fn tmpdir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("gc_server_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A cache over `dataset` that admits every executed query, with a
+    /// store in `dir` attached.
+    fn admitting_cache(dataset: &Arc<Dataset>, dir: &std::path::Path) -> SharedGraphCache {
+        let cfg = CacheConfig {
+            capacity: 16,
+            window_size: 2,
+            min_admit_tests: 0,
+            persist_retries: 0,
+            ..CacheConfig::default()
+        };
+        let mut cache = SharedGraphCache::with_policy(
+            Arc::clone(dataset),
+            Box::new(SiMethod),
+            PolicyKind::Hd,
+            cfg,
+        )
+        .unwrap();
+        cache.attach_store(Arc::new(gc_core::CacheStore::open(dir).unwrap())).unwrap();
+        cache
+    }
+
+    /// POST `n` Zipf queries (seeded) to `addr` and assert every answer
+    /// equals Method M's on `dataset`.
+    fn assert_exact_over_http(addr: SocketAddr, dataset: &Dataset, n: usize, seed: u64) {
+        use gc_workload::{Workload, WorkloadKind, WorkloadSpec};
+        let spec = WorkloadSpec {
+            n_queries: n,
+            pool_size: 12,
+            kind: WorkloadKind::Zipf { skew: 1.1 },
+            seed,
+            ..WorkloadSpec::default()
+        };
+        let mut client = HttpClient::connect(addr).unwrap();
+        for wq in &Workload::generate(dataset.graphs(), &spec).queries {
+            let body = gc_graph::io::dataset_to_string(std::slice::from_ref(&wq.graph));
+            let path = match wq.kind {
+                QueryKind::Subgraph => "/query?kind=sub",
+                QueryKind::Supergraph => "/query?kind=super",
+            };
+            let resp = client.post(path, body.as_bytes()).unwrap();
+            assert_eq!(resp.status, 200, "{}", resp.body_text());
+            let got: QueryResponse = serde_json::from_str(&resp.body_text()).unwrap();
+            let want = gc_method::execute_base(
+                dataset,
+                &SiMethod,
+                gc_method::Engine::Vf2,
+                &wq.graph,
+                wq.kind,
+            );
+            assert_eq!(got.answer, want.answer.to_vec(), "HTTP answer diverged from Method M");
+        }
+    }
+
+    #[test]
+    fn hostile_clients_leave_the_server_exact() {
+        let mut cfg = quick_config();
+        cfg.read_timeout = Duration::from_millis(100);
+        // Room for every hostile connection below, so none of them is shed
+        // and the checked queries queue behind them instead.
+        cfg.queue_depth = 64;
+        let (server, dataset) = start_server(cfg);
+        let addr = server.addr();
+
+        // Protocol garbage: every connection gets an error status, never a
+        // hang or a 200.
+        let garbage: [&[u8]; 4] = [
+            b"\x00\xffnot http at all\r\n\r\n",
+            b"GET \x7f HTTP/1.1\r\n\r\n",
+            b"POST /query HTTP/9.9\r\n\r\n",
+            &[0xAA; 512],
+        ];
+        for junk in garbage {
+            let mut s = TcpStream::connect(addr).unwrap();
+            let _ = s.write_all(junk);
+            s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+            let mut out = Vec::new();
+            let _ = s.read_to_end(&mut out);
+            let text = String::from_utf8_lossy(&out);
+            assert!(
+                text.starts_with("HTTP/1.1 4") || text.starts_with("HTTP/1.1 5"),
+                "garbage {junk:?} got no error status: {text:?}"
+            );
+        }
+        assert!(server.metrics().parse_errors.load(Ordering::Relaxed) > 0);
+
+        // A body cut off mid-way, then connect/close churn with no request.
+        for _ in 0..4 {
+            let mut s = TcpStream::connect(addr).unwrap();
+            let _ = s.write_all(
+                b"POST /query?kind=sub HTTP/1.1\r\ncontent-length: 500\r\n\r\nt # 0\nv 0 0\n",
+            );
+        }
+        for _ in 0..20 {
+            drop(TcpStream::connect(addr).unwrap());
+        }
+
+        assert_exact_over_http(addr, &dataset, 12, 4);
+        assert!(!server.drain().forced, "hostile clients must not wedge a worker");
+    }
+
+    #[test]
+    fn store_faults_degrade_visibly_while_answers_stay_exact() {
+        let dataset = Arc::new(Dataset::new(molecule_dataset(24, 42)));
+        let dir = tmpdir("faults");
+        let cache = admitting_cache(&dataset, &dir);
+        let plan = Arc::new(FaultPlan::seeded(14));
+        plan.arm(gc_store::FaultSite::JournalAppend, gc_store::Failpoint::ErrAfter { n: 0 });
+        plan.arm(gc_store::FaultSite::SnapshotWrite, gc_store::Failpoint::ErrAfter { n: 0 });
+        let server =
+            Server::start_with_faults(Arc::new(cache), quick_config(), Some(Arc::clone(&plan)))
+                .unwrap();
+
+        assert_exact_over_http(server.addr(), &dataset, 20, 6);
+        assert!(plan.fired() > 0, "no store fault fired: the test is vacuous");
+        let mut client = HttpClient::connect(server.addr()).unwrap();
+        let stats: StatsResponse =
+            serde_json::from_str(&client.get("/stats").unwrap().body_text()).unwrap();
+        assert_eq!(stats.persist_health, "degraded");
+        assert!(stats.persist_errors > 0, "a total outage must count errors");
+        // Degraded still serves exact answers, so it stays ready, but says so.
+        let ready = client.get("/readyz").unwrap();
+        assert_eq!(ready.status, 200);
+        assert!(ready.body_text().contains("degraded"), "{:?}", ready.body_text());
+        server.drain();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn drain_snapshot_restarts_warm_and_exact() {
+        let dataset = Arc::new(Dataset::new(molecule_dataset(24, 42)));
+        let dir = tmpdir("restart");
+        let server =
+            Server::start(Arc::new(admitting_cache(&dataset, &dir)), quick_config()).unwrap();
+        assert_exact_over_http(server.addr(), &dataset, 20, 7);
+        let report = server.drain();
+        assert!(!report.forced);
+        assert!(report.snapshot_generation.is_some(), "drain must cut a final snapshot");
+
+        let (restored, recovery) = SharedGraphCache::restore_from(
+            Arc::clone(&dataset),
+            Arc::new(SiMethod),
+            || PolicyKind::Hd.make(),
+            CacheConfig { capacity: 16, window_size: 2, ..CacheConfig::default() },
+            Arc::new(gc_core::CacheStore::open(&dir).unwrap()),
+        )
+        .unwrap();
+        assert!(recovery.warm, "{}", recovery.describe());
+        assert!(!restored.is_empty(), "the drained entries come back");
+        let reborn = Server::start(Arc::new(restored), quick_config()).unwrap();
+        assert_exact_over_http(reborn.addr(), &dataset, 20, 8);
+        assert!(!reborn.drain().forced);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

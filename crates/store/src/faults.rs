@@ -9,7 +9,7 @@
 //! mutex-guarded `Option` clone per I/O call on the cold persistence path
 //! and nothing on the query hot path.
 //!
-//! Plans are seedable ([`FaultPlan::seeded`]): the chaos harness derives
+//! Plans are seedable ([`FaultPlan::seeded`]): a fault test derives
 //! every "random" choice (which op to kill, where to cut a record) from
 //! the plan's own xorshift stream, so a failing run replays exactly from
 //! its seed.
@@ -155,7 +155,7 @@ impl FaultPlan {
     }
 
     /// An empty plan whose [`FaultPlan::next_u64`] stream derives from
-    /// `seed` — the chaos harness's only randomness source.
+    /// `seed` — a fault test's only randomness source.
     pub fn seeded(seed: u64) -> Self {
         FaultPlan {
             inner: Mutex::new(PlanInner {

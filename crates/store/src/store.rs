@@ -193,7 +193,7 @@ impl ActiveJournal {
 pub struct CacheStore {
     dir: PathBuf,
     inner: Mutex<Inner>,
-    /// Installed fault plan (tests/chaos harness only; `None` in
+    /// Installed fault plan (fault tests only; `None` in
     /// production). Kept outside `inner` so arming faults never contends
     /// with I/O.
     faults: Mutex<Option<Arc<FaultPlan>>>,

@@ -6,12 +6,20 @@ use rand::rngs::StdRng;
 use std::sync::Arc;
 
 fn molecule_cache(n_graphs: usize, seed: u64, capacity: usize) -> (Arc<Dataset>, GraphCache) {
+    molecule_cache_with(n_graphs, seed, CacheConfig { capacity, ..CacheConfig::default() })
+}
+
+fn molecule_cache_with(
+    n_graphs: usize,
+    seed: u64,
+    config: CacheConfig,
+) -> (Arc<Dataset>, GraphCache) {
     let dataset = Arc::new(Dataset::new(molecule_dataset(n_graphs, seed)));
     let gc = GraphCache::with_policy(
         dataset.clone(),
         Box::new(FtvMethod::build(&dataset, 2)),
         PolicyKind::Hd,
-        CacheConfig { capacity, window_size: 5, ..CacheConfig::default() },
+        CacheConfig { window_size: 5, ..config },
     )
     .expect("valid config");
     (dataset, gc)
@@ -39,7 +47,9 @@ fn cached_answers_match_base_method_end_to_end() {
 
 #[test]
 fn pipeline_invariants_hold_on_every_query() {
-    let (dataset, mut gc) = molecule_cache(30, 2002, 12);
+    // Every query traced, so the trace accounting is checked on each one.
+    let config = CacheConfig { capacity: 12, trace_sample_rate: 1.0, ..CacheConfig::default() };
+    let (dataset, mut gc) = molecule_cache_with(30, 2002, config);
     let spec = WorkloadSpec {
         n_queries: 60,
         pool_size: 20,
@@ -66,6 +76,27 @@ fn pipeline_invariants_hold_on_every_query() {
         assert_eq!(a, r.answer, "A = R ∪ S");
         assert!(r.answer.is_subset(&r.cm_set), "A ⊆ C_M (sound filter, sound bound)");
         assert_eq!(r.verified as u64, r.sub_iso_tests);
+    }
+
+    // The same identities as each query's trace records them.
+    let traces = gc.telemetry().recent_traces(workload.len());
+    assert_eq!(traces.len(), workload.len(), "rate 1.0 traces every query");
+    for t in &traces {
+        // Stage spans close before the end-to-end clock is read; only µs
+        // truncation separates their sum from the total.
+        assert!(t.stage_sum_us() <= t.total_us + 2, "trace {}: stages exceed total", t.seq);
+        if t.outcome == "pipeline" {
+            assert_eq!(t.answer, t.definite + t.survivors, "trace {}: A = S + R", t.seq);
+            assert!(t.survivors <= t.to_verify, "trace {}: |R| ≤ |C|", t.seq);
+            assert!(t.to_verify <= t.cm_size, "trace {}: |C| ≤ |C_M|", t.seq);
+        } else {
+            assert_eq!(
+                (t.cm_size, t.to_verify),
+                (0, 0),
+                "trace {}: a fast path ran no stage",
+                t.seq
+            );
+        }
     }
 }
 
