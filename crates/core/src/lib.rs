@@ -76,7 +76,7 @@ pub use entry::{AnswerText, CacheEntry, EntryId, EntryStats};
 pub use persist::{
     CacheStore, FsyncPolicy, LoadOutcome, PersistHealth, RecoveryReport, SnapshotInfo, Snapshotter,
 };
-pub use pipeline::probe::{find_exact, CacheHits, Hit, Relation};
+pub use pipeline::probe::{CacheHits, Hit, Relation};
 pub use pipeline::prune::{prune, Pruned};
 pub use pipeline::PipelineCtx;
 pub use policy::{HitCredit, HitKind, Policy, PolicyKind, ReplacementPolicy};

@@ -291,9 +291,9 @@ pub(crate) fn kind_label(kind: QueryKind) -> &'static str {
     }
 }
 
-/// The query's key — its WL fingerprint, shared by shard routing, the memo
-/// and admission ([`probe::find_exact`] still derives its own) — and the
-/// time since `start` it was ready at (observed as the `key` stage).
+/// The query's key — its WL fingerprint, computed once per query and
+/// shared by shard routing, [`probe::find_exact`], the memo and admission —
+/// and the time since `start` it was ready at (observed as the `key` stage).
 pub(crate) fn query_key(telemetry: &Telemetry, query: &Graph, start: Instant) -> (u64, Duration) {
     let fp = gc_graph::hash::fingerprint(query);
     let key = start.elapsed();

@@ -19,12 +19,11 @@
 //!
 //! In front of the stage sits [`find_exact`], the exact-match lookup the
 //! runtime's exact tier, admission-time duplicate check and restore replay
-//! share: the query's WL fingerprint picks the bucket,
+//! share: the caller's key picks the bucket,
 //! [`gc_iso::iso::confirm_isomorphic`] confirms — by comparing
 //! presentations when the query is a verbatim repeat, by a profiled search
-//! only for a renumbered isomorph. It still derives the fingerprint itself
-//! (allocation-free, ≈ 0.4 µs warm) in each lock section that calls it;
-//! taking the caller's key instead is the named follow-up in ROADMAP 3a.
+//! only for a renumbered isomorph. The key is the query's WL fingerprint,
+//! computed once per query by the caller; a wrong key can only miss.
 //!
 //! The stage snapshots (clones) each hit's answer set, and copies its
 //! recorded baseline, while the cache is borrowed, so everything downstream
@@ -141,12 +140,18 @@ impl CacheHits {
 }
 
 /// Find the exact-match entry for `query`, if cached (same kind), in the
-/// bucket of its [`gc_graph::hash::fingerprint`]. Returns the entry and the
-/// steps its confirmation took ([`gc_iso::iso::confirm_isomorphic`]: `0` =
-/// equal presentation, no isomorphism search).
-pub fn find_exact(cache: &CacheManager, query: &Graph, kind: QueryKind) -> Option<(EntryId, u64)> {
-    let fingerprint = gc_graph::hash::fingerprint(query);
-    cache.fingerprint_bucket(fingerprint).iter().find_map(|&id| {
+/// bucket of `key`, the query's [`gc_graph::hash::fingerprint`] (any other
+/// key only misses: an isomorph of `query` is stored under that one).
+/// Returns the entry and the steps its confirmation took
+/// ([`gc_iso::iso::confirm_isomorphic`]: `0` = equal presentation, no
+/// isomorphism search).
+pub fn find_exact(
+    cache: &CacheManager,
+    key: u64,
+    query: &Graph,
+    kind: QueryKind,
+) -> Option<(EntryId, u64)> {
+    cache.fingerprint_bucket(key).iter().find_map(|&id| {
         let e = cache.get(id).expect("bucket holds live entries");
         if e.kind != kind {
             return None;
@@ -172,7 +177,7 @@ pub fn find_exact(cache: &CacheManager, query: &Graph, kind: QueryKind) -> Optio
 /// every shard — features and the verification profile are computed once
 /// per query, not once per shard. `qf` must come from
 /// [`gc_index::QueryIndex::features_of`] under the cache's feature config;
-/// `q_profile` from [`GraphProfile::new`] on the same query.
+/// `q_profile` from [`gc_iso::GraphProfile::new`] on the same query.
 ///
 /// With a warm `scratch`, candidate selection and utility ordering perform
 /// zero heap allocations (only verified hits append to the returned
@@ -280,13 +285,18 @@ mod tests {
     /// Exact match first, then the sub/super cases with features and the
     /// query profile built here — one cache manager probed whole.
     fn probe(cache: &CacheManager, cfg: &CacheConfig, query: &Graph, kind: QueryKind) -> CacheHits {
-        if let Some((exact, _)) = find_exact(cache, query, kind) {
+        if let Some((exact, _)) = exact(cache, query, kind) {
             return CacheHits { exact: Some(exact), ..CacheHits::default() };
         }
         let qf = cache.index().features_of(query);
         let q_profile = GraphProfile::new(query, None);
         let mut scratch = ProbeScratch::new();
         probe_cases(cache, cfg, query, kind, &qf, q_profile.as_ref(), &mut scratch)
+    }
+
+    /// [`find_exact`] under the query's own fingerprint.
+    fn exact(cache: &CacheManager, query: &Graph, kind: QueryKind) -> Option<(EntryId, u64)> {
+        find_exact(cache, gc_graph::hash::fingerprint(query), query, kind)
     }
 
     fn g(labels: &[u32], edges: &[(u32, u32)]) -> Graph {
@@ -306,11 +316,11 @@ mod tests {
     fn exact_match_found_and_kind_respected() {
         let q = g(&[0, 1], &[(0, 1)]);
         let cm = cache_with(&[(q.clone(), QueryKind::Subgraph)]);
-        assert_eq!(find_exact(&cm, &q, QueryKind::Subgraph), Some((0, 0)), "no search");
-        assert!(find_exact(&cm, &q, QueryKind::Supergraph).is_none());
+        assert_eq!(exact(&cm, &q, QueryKind::Subgraph), Some((0, 0)), "no search");
+        assert!(exact(&cm, &q, QueryKind::Supergraph).is_none());
         // A permuted isomorphic presentation still matches — by search.
         let q2 = g(&[1, 0], &[(0, 1)]);
-        assert!(find_exact(&cm, &q2, QueryKind::Subgraph).is_some_and(|(_, steps)| steps > 0));
+        assert!(exact(&cm, &q2, QueryKind::Subgraph).is_some_and(|(_, steps)| steps > 0));
     }
 
     /// `g` with vertex `i` renumbered `perm[i]`.
@@ -334,8 +344,8 @@ mod tests {
         assert_eq!(fp, gc_graph::hash::fingerprint(&two_c3));
         let cm = cache_with(&[(c6.clone(), QueryKind::Subgraph)]);
         assert_eq!(cm.fingerprint_bucket(fp), &[0]);
-        assert!(find_exact(&cm, &two_c3, QueryKind::Subgraph).is_none());
-        assert_eq!(find_exact(&cm, &c6, QueryKind::Subgraph), Some((0, 0)));
+        assert!(exact(&cm, &two_c3, QueryKind::Subgraph).is_none());
+        assert_eq!(exact(&cm, &c6, QueryKind::Subgraph), Some((0, 0)));
     }
 
     proptest::proptest! {
@@ -345,12 +355,14 @@ mod tests {
         /// `are_isomorphic` says so, for the stored presentation (no
         /// search), a random renumbering of it (by search, unless the
         /// renumbering is an automorphism) and an unrelated query; never
-        /// across kinds.
+        /// across kinds, and never for the stored presentation looked up
+        /// under a key other than its fingerprint.
         #[test]
         fn exact_and_memo_hit_iff_isomorphic(
             seed in proptest::prelude::any::<u64>(),
             edges in 2usize..12,
             supergraph in proptest::prelude::any::<bool>(),
+            key_error in 1u64..=u64::MAX,
         ) {
             use rand::{Rng, SeedableRng};
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -372,19 +384,25 @@ mod tests {
             let stored_fp = gc_graph::hash::fingerprint(&stored);
             memo.store(stored_fp, &stored, kind, &BitSet::new(8), 8, 0);
 
-            for q in [&stored.clone(), &renumbered, &other] {
-                let fp = gc_graph::hash::fingerprint(q);
-                let want = gc_iso::iso::are_isomorphic(&stored, q);
-                let exact = find_exact(&cm, q, kind);
-                let memoized = memo.lookup(fp, q, kind, 0).map(|hit| hit.confirm_steps);
+            let stored_copy = stored.clone();
+            let fp = gc_graph::hash::fingerprint;
+            for (q, key) in [
+                (&stored_copy, stored_fp),
+                (&renumbered, fp(&renumbered)),
+                (&other, fp(&other)),
+                (&stored_copy, stored_fp ^ key_error),
+            ] {
+                let want = key == fp(q) && gc_iso::iso::are_isomorphic(&stored, q);
+                let exact = find_exact(&cm, key, q, kind);
+                let memoized = memo.lookup(key, q, kind, 0).map(|hit| hit.confirm_steps);
                 proptest::prop_assert_eq!(exact.is_some(), want);
                 proptest::prop_assert_eq!(exact.map(|(_, steps)| steps), memoized);
                 if let Some(steps) = memoized {
-                    proptest::prop_assert_eq!(fp, stored_fp);
+                    proptest::prop_assert_eq!(key, stored_fp);
                     proptest::prop_assert_eq!(steps == 0, *q == stored);
                 }
-                proptest::prop_assert!(find_exact(&cm, q, other_kind).is_none());
-                proptest::prop_assert!(memo.lookup(fp, q, other_kind, 0).is_none());
+                proptest::prop_assert!(find_exact(&cm, key, q, other_kind).is_none());
+                proptest::prop_assert!(memo.lookup(key, q, other_kind, 0).is_none());
             }
             proptest::prop_assert!(gc_iso::iso::are_isomorphic(&stored, &renumbered));
         }

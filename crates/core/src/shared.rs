@@ -307,9 +307,9 @@ impl SharedGraphCache {
         // (where the entry is re-located — it may have been evicted, or its
         // slot reused, between the two locks).
         let maybe_exact =
-            probe::find_exact(&self.shards[home].state.read().cache, query, kind).is_some();
+            probe::find_exact(&self.shards[home].state.read().cache, fp, query, kind).is_some();
         if maybe_exact {
-            if let Some((served, steps)) = self.serve_exact(home, query, kind, now) {
+            if let Some((served, steps)) = self.serve_exact(home, fp, query, kind, now) {
                 drop(data);
                 let report = fast.finish(
                     FastTier::Exact,
@@ -439,7 +439,7 @@ impl SharedGraphCache {
             let mut state = shard.state.write();
             // A concurrent query for an isomorphic graph may have admitted
             // it while we were verifying; don't store a duplicate.
-            if probe::find_exact(&state.cache, query, kind).is_some() {
+            if probe::find_exact(&state.cache, fp, query, kind).is_some() {
                 AdmitOutcome::default()
             } else {
                 let mut policy = shard.policy.lock();
@@ -687,20 +687,22 @@ impl SharedGraphCache {
         }
     }
 
-    /// Credit and copy out an exact hit from `home` under its write lock:
-    /// the served answer and text slot, and the confirmation steps. `None`
-    /// if the entry vanished between the read-locked check and this write
-    /// section (caller falls back to the full pipeline).
+    /// Credit and copy out the exact hit for `query` (WL fingerprint `key`)
+    /// from `home` under its write lock: the served answer and text slot,
+    /// and the confirmation steps. `None` if the entry vanished between the
+    /// read-locked check and this write section (caller falls back to the
+    /// full pipeline).
     fn serve_exact(
         &self,
         home: usize,
+        key: u64,
         query: &Graph,
         kind: QueryKind,
         now: u64,
     ) -> Option<(admit::ExactServe, u64)> {
         let shard = &self.shards[home];
         let mut state = shard.state.write();
-        let (id, confirm_steps) = probe::find_exact(&state.cache, query, kind)?;
+        let (id, confirm_steps) = probe::find_exact(&state.cache, key, query, kind)?;
         let mut policy = shard.policy.lock();
         let served = admit::serve_exact(&mut state.cache, policy.as_mut(), id, now)?;
         Some((served, confirm_steps))
@@ -863,17 +865,20 @@ impl SharedGraphCache {
             let home = (fp % self.shards.len() as u64) as usize;
             let shard = &self.shards[home];
             let mut state = shard.state.write();
-            if probe::find_exact(&state.cache, &e.graph, e.kind).is_some() {
+            if probe::find_exact(&state.cache, fp, &e.graph, e.kind).is_some() {
                 return None; // order-tolerant duplicate skip
             }
             let stats = e.stats.clone();
-            let id = state.cache.insert(
+            let features = state.cache.index().features_of(&e.graph);
+            let id = state.cache.insert_with_features(
                 e.graph,
                 e.kind,
                 e.answer,
                 e.base_tests,
                 e.base_cost,
                 stats.inserted_at,
+                fp,
+                features,
             );
             let slot = state.cache.get_mut(id).expect("just inserted");
             slot.stats = e.stats;

@@ -215,14 +215,13 @@ pub enum PipelineStage {
     Admit,
     /// Answer-memo lookup (the pre-pipeline fast path).
     Memo,
-    /// Query entry until its WL fingerprint — the key of shard routing, the
-    /// memo and admission — is computed. Every query.
+    /// Query entry until its WL fingerprint — the one key of shard routing,
+    /// the exact and memo tiers and admission — is computed. Every query.
     Key,
     /// Key done until an exact-match hit is served: `find_exact` under the
-    /// read lock and again under the write lock (each derives the
-    /// fingerprint itself, then bucket lookup and confirmation), crediting,
-    /// the answer copy. Exact hits only, so `key + exact` is an exact hit's
-    /// whole time.
+    /// read lock and again under the write lock (bucket lookup under the
+    /// query's key, then confirmation), crediting, the answer copy. Exact
+    /// hits only, so `key + exact` is an exact hit's whole time.
     Exact,
 }
 

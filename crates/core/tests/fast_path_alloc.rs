@@ -2,8 +2,9 @@
 //! by the exact-match entry table or the answer memo. With the trace sampler
 //! off, a warm hit on an **identical presentation** performs exactly **one**
 //! heap allocation — the answer set handed back in the report — at one
-//! shard (what `GraphCache` runs) and at eight: the WL fingerprint runs on
-//! thread-local scratch, the
+//! shard (what `GraphCache` runs) and at eight: the query's one WL
+//! fingerprint runs on thread-local scratch and keys both the read- and the
+//! write-locked lookup, the
 //! confirmation is a presentation comparison, the policy credit and the
 //! statistics are in place, the report's four stage sets are empty over an
 //! empty universe, and an exact hit's answer-text slot is a reference-count

@@ -92,8 +92,8 @@ pub fn wl_colors_rounds(g: &Graph, rounds: usize) -> Vec<u64> {
 
 thread_local! {
     /// [`fingerprint`]'s three working buffers (see [`wl_refine`]): the
-    /// cache fingerprints every query (an exact hit up to three times), on
-    /// whatever thread serves it, and must not pay three allocations each.
+    /// cache fingerprints every query once, on whatever thread serves it,
+    /// and must not pay three allocations each.
     static WL_SCRATCH: std::cell::RefCell<[Vec<u64>; 3]> = const {
         std::cell::RefCell::new([Vec::new(), Vec::new(), Vec::new()])
     };

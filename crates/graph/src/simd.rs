@@ -400,8 +400,8 @@ const PAIR_SCAN_MAX_RATIO: usize = 256;
 
 /// Whether the AVX2 pair block-scan is live on this machine *and* expected
 /// to win on these lengths — the window between the two-pointer crossover
-/// ([`PAIR_SCAN_MIN_RATIO`]) and the galloping crossover
-/// ([`PAIR_SCAN_MAX_RATIO`]). Adaptive merges use this to route the
+/// (`PAIR_SCAN_MIN_RATIO`, 8×) and the galloping crossover
+/// (`PAIR_SCAN_MAX_RATIO`, 256×). Adaptive merges use this to route the
 /// middle-skew shapes here instead of galloping.
 #[inline]
 pub fn pair_scan_wins(cur_len: usize, list_len: usize) -> bool {
@@ -420,7 +420,7 @@ pub fn pair_scan_wins(cur_len: usize, list_len: usize) -> bool {
 
 /// Dispatched [`scalar::intersect_pairs`]: SIMD posting-pair block-scan on
 /// AVX2 machines when the list is the much longer side (see
-/// [`PAIR_SCAN_MIN_RATIO`]), the portable linear merge elsewhere.
+/// `PAIR_SCAN_MIN_RATIO`), the portable linear merge elsewhere.
 #[inline]
 pub fn intersect_pairs(cur: &[u32], list: &[(u32, u32)], need: u32, out: &mut Vec<u32>) {
     #[cfg(target_arch = "x86_64")]

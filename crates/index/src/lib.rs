@@ -36,8 +36,8 @@
 //! [`TreeScratch`], and [`PathTrie`] is a contiguous arena intersected
 //! word-parallel into a caller-owned bitset via a [`TrieScratch`]. After
 //! warm-up the whole probe path performs zero heap allocations
-//! (`tests/alloc_free.rs`); the [`reference`] module keeps the previous
-//! materializing/HashMap/eager implementations as executable
+//! (`tests/alloc_free.rs`); the [`reference`](mod@reference) module keeps
+//! the previous materializing/HashMap/eager implementations as executable
 //! specifications.
 //!
 //! ## Maintenance discipline

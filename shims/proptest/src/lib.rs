@@ -214,7 +214,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use rand::Rng;
 
-    /// Sizes accepted by [`vec`]: a fixed length or a length range.
+    /// Sizes accepted by [`vec()`]: a fixed length or a length range.
     pub trait SizeRange {
         /// Draw a concrete length.
         fn pick(&self, rng: &mut TestRng) -> usize;
@@ -244,7 +244,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S, Z> {
         element: S,
         size: Z,
