@@ -1,15 +1,20 @@
 //! Cache Manager: storage of cached queries and their lookup structures.
 
 use crate::entry::{CacheEntry, EntryId, EntryStats};
+use crate::memo::AnswerRows;
 use gc_graph::{BitSet, Graph};
 use gc_index::{FeatureConfig, IndexTuning, QueryIndex};
+use gc_iso::GraphProfile;
 use gc_method::QueryKind;
 use std::collections::HashMap;
 
 /// Owns the cached entries, the WL-fingerprint table (exact-match hits) and
 /// the containment [`QueryIndex`] (sub/super-case hits).
 ///
-/// Entry ids are slab slots: dense, reused after eviction.
+/// Entry ids are slab slots: dense, reused after eviction. Beside the
+/// entries it keeps **answer-only rows** (evicted entries, queries
+/// admission rejected; `memo.rs` holds them) by fingerprint, in a FIFO the
+/// caller bounds; only [`crate::pipeline::probe::find_exact`] sees them.
 #[derive(Debug)]
 pub struct CacheManager {
     slots: Vec<Option<CacheEntry>>,
@@ -17,6 +22,7 @@ pub struct CacheManager {
     by_fingerprint: HashMap<u64, Vec<EntryId>>,
     index: QueryIndex,
     live: usize,
+    rows: AnswerRows,
 }
 
 impl CacheManager {
@@ -36,6 +42,7 @@ impl CacheManager {
             by_fingerprint: HashMap::new(),
             index: QueryIndex::with_tuning(cfg, tuning),
             live: 0,
+            rows: AnswerRows::default(),
         }
     }
 
@@ -47,6 +54,11 @@ impl CacheManager {
     /// `true` iff no entries are cached.
     pub fn is_empty(&self) -> bool {
         self.live == 0
+    }
+
+    /// Number of answer-only rows.
+    pub fn row_count(&self) -> usize {
+        self.rows.len()
     }
 
     /// Access an entry; `None` for evicted/unknown ids.
@@ -80,9 +92,19 @@ impl CacheManager {
         self.by_fingerprint.get(&fp).map_or(&[], Vec::as_slice)
     }
 
-    /// Insert a new entry; returns its id. Computes the entry's fingerprint
-    /// and features here — prefer [`CacheManager::insert_with_features`]
-    /// when the pipeline already has both.
+    /// Everything stored under fingerprint `fp`: the entries, then the
+    /// answer-only rows (marked `true`), whose map is only looked up once
+    /// the entries are exhausted — an entry hit pays one hash lookup.
+    pub(crate) fn exact_bucket(&self, fp: u64) -> impl Iterator<Item = (&CacheEntry, bool)> {
+        let entries = self.fingerprint_bucket(fp).iter();
+        let entries = entries.map(|&id| (self.get(id).expect("bucket holds live entries"), false));
+        let rows = std::iter::once(fp).flat_map(|fp| self.rows.bucket(fp));
+        entries.chain(rows.map(|row| (row, true)))
+    }
+
+    /// Insert a new entry; returns its id. Computes the entry's fingerprint,
+    /// profile and features here — prefer [`Self::insert_with_features`]
+    /// when the pipeline already has them.
     pub fn insert(
         &mut self,
         graph: Graph,
@@ -93,19 +115,21 @@ impl CacheManager {
         now: u64,
     ) -> EntryId {
         let fp = gc_graph::hash::fingerprint(&graph);
+        let profile = GraphProfile::new(&graph, None);
         let fv = self.index.features_of(&graph);
-        self.insert_with_features(graph, kind, answer, base_tests, base_cost, now, fp, fv)
+        self.insert_with_features(graph, profile, kind, answer, base_tests, base_cost, now, fp, fv)
     }
 
-    /// Insert a new entry whose WL `fingerprint` (the query's one
-    /// [`gc_graph::hash::fingerprint`]) and feature vector (by
-    /// [`gc_index::QueryIndex::features_of`] under this cache's config)
-    /// were already computed: the admit stage passes the query's key and the
-    /// probe stage's extraction, so each is derived once per query.
-    #[allow(clippy::too_many_arguments)] // mirrors `insert` + the two precomputed values
+    /// Insert a new entry whose `profile` ([`GraphProfile::new`], no label
+    /// frequencies), WL `fingerprint` and feature vector (by
+    /// [`gc_index::QueryIndex::features_of`] under this cache's config) were
+    /// already computed: the admit stage passes the query's own, so each is
+    /// derived once per query.
+    #[allow(clippy::too_many_arguments)] // mirrors `insert` + the three precomputed values
     pub fn insert_with_features(
         &mut self,
         graph: Graph,
+        profile: GraphProfile,
         kind: QueryKind,
         answer: BitSet,
         base_tests: u64,
@@ -115,7 +139,7 @@ impl CacheManager {
         features: gc_index::FeatureVec,
     ) -> EntryId {
         debug_assert_eq!(fingerprint, gc_graph::hash::fingerprint(&graph));
-        let profile = gc_iso::GraphProfile::new(&graph, None);
+        self.rows.free_dropped();
         let id = match self.free.pop() {
             Some(id) => id,
             None => {
@@ -153,6 +177,26 @@ impl CacheManager {
             }
         }
         Some(entry)
+    }
+
+    /// Evict entry `id` by demoting it to an answer-only row (see
+    /// [`Self::push_row`]); `false` if it is not a live entry.
+    pub(crate) fn demote(&mut self, id: EntryId, bound: usize) -> bool {
+        let Some(entry) = self.remove(id) else { return false };
+        self.push_row(entry, bound);
+        true
+    }
+
+    /// Store `row` as an answer-only row, keeping the newest `bound` rows
+    /// (`0` stores nothing).
+    pub(crate) fn push_row(&mut self, row: CacheEntry, bound: usize) {
+        self.rows.push(row, bound);
+    }
+
+    /// Drop every answer-only row. They are freed by the next admission,
+    /// not here: a mutation calls this on every shard under its locks.
+    pub(crate) fn clear_rows(&mut self) {
+        self.rows.clear();
     }
 
     /// Approximate heap bytes of all cached entries plus lookup structures —
@@ -235,6 +279,7 @@ mod tests {
         let fv = b.index().features_of(&graph);
         let idb = b.insert_with_features(
             graph.clone(),
+            GraphProfile::new(&graph, None),
             QueryKind::Subgraph,
             BitSet::new(4),
             4,
@@ -259,5 +304,28 @@ mod tests {
         assert_eq!(cm.iter().count(), 2);
         assert_eq!(cm.ids().len(), 2);
         assert!(cm.memory_bytes() > 0);
+    }
+
+    #[test]
+    fn rows_are_bounded_and_invisible_to_the_entry_views() {
+        let mut cm = CacheManager::new(FeatureConfig::default());
+        let ids: Vec<EntryId> = (0..4).map(|l| insert_simple(&mut cm, &[l])).collect();
+        let qf = cm.index().features_of(&g(&[0], &[]));
+        assert!(cm.demote(ids[0], 2) && !cm.demote(ids[0], 2), "a row is no entry");
+        assert!(cm.index().super_case_candidates(&qf).is_empty(), "no postings");
+        assert!(cm.get(ids[0]).is_none() && !cm.ids().contains(&ids[0]));
+        assert_eq!((cm.len(), cm.iter().count(), cm.row_count()), (3, 3, 1));
+        let rows = |cm: &CacheManager, l: u32| {
+            let fp = gc_graph::hash::fingerprint(&g(&[l], &[]));
+            cm.exact_bucket(fp).filter(|&(_, row)| row).count()
+        };
+        assert_eq!(rows(&cm, 0), 1);
+        // The FIFO keeps the newest rows; bound 0 stores nothing.
+        assert!(cm.demote(ids[1], 2) && cm.demote(ids[2], 2) && cm.demote(ids[3], 0));
+        assert_eq!([0, 1, 2, 3].map(|l| rows(&cm, l)), [0, 1, 1, 0]);
+        assert_eq!((cm.len(), cm.row_count()), (0, 2));
+        cm.clear_rows();
+        assert_eq!([1, 2].map(|l| rows(&cm, l)), [0, 0]);
+        assert_eq!(cm.row_count(), 0);
     }
 }

@@ -72,10 +72,10 @@ pub struct CacheConfig {
     /// before persistence gives up and goes
     /// [`crate::persist::PersistHealth::Disabled`]. Must be > 0.
     pub persist_max_probes: u32,
-    /// Exact answer memo capacity: complete answer sets of this many
-    /// recently executed queries are retained (keyed by canonical query
-    /// hash, versioned by the dataset generation) and served without
-    /// touching the filter/probe/verify pipeline. 0 disables the memo.
+    /// Answer-only rows, split over the shards like `capacity`; 0 stores
+    /// none. An evicted entry, or a query admission rejected, keeps its
+    /// answer as a row that serves exact repeats (memo hits) until newer
+    /// rows push it out or a dataset mutation drops every row.
     pub memo_capacity: usize,
     /// Telemetry: fraction of queries whose full [`crate::QueryTrace`] is
     /// captured into the trace ring (rounded to an every-Nth-query

@@ -38,14 +38,14 @@ impl EntryStats {
 
 /// The served text of one version of an entry's answer set: its ids as
 /// [`BitSet::write_ids`] renders them, filled by the first reader that needs
-/// it (the HTTP server, on an exact hit) and shared by every later one.
+/// it (the HTTP server) and shared by every later one.
 ///
-/// An entry hands the slot out with each exact hit
-/// ([`crate::QueryReport::answer_text`]) and swaps in a fresh one whenever a
-/// dataset mutation changes the answer, so a slot only ever describes the
-/// answer it was handed out with: a report taken before a repair keeps the
-/// text of its own answer. The text lives and dies with its entry — it is
-/// not persisted, not exported and not counted in
+/// An entry hands the slot out with each exact hit, and as an answer-only
+/// row with each memo hit ([`crate::QueryReport::answer_text`]); it swaps
+/// in a fresh one whenever a dataset mutation changes the answer, so a slot
+/// only ever describes the answer it was handed out with: a report taken
+/// before a repair keeps the text of its own answer. The text lives and
+/// dies with its entry or row — it is not persisted, not exported and not counted in
 /// [`CacheEntry::memory_bytes`], so eviction decisions never see it.
 #[derive(Debug, Default)]
 pub struct AnswerText(OnceLock<Box<[u8]>>);

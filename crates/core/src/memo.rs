@@ -1,292 +1,179 @@
-//! Generation-versioned exact answer memo.
+//! Answer-only rows: the exact-answer tier behind the cached entries.
 //!
-//! A bounded map from canonical query hash (the query's WL fingerprint,
-//! computed at query entry and passed in, mixed with the query kind) to a
-//! complete, verified answer set, stamped with the
-//! [`gc_method::Dataset`] generation it was computed against. Sitting in
-//! front of the containment probe, it serves repeat queries that the
-//! fingerprint table cannot: queries the admission filter rejected, queries
-//! evicted by replacement, and queries whose entries never existed — the
-//! memo remembers *answers*, not cache entries, so it costs no index slots
-//! and never competes with the replacement policy.
+//! A row is a [`CacheEntry`] without index postings or policy state — an
+//! entry the replacement sweep evicted, or a query the admission filter
+//! rejected — kept by WL fingerprint so a repeat (or an isomorph) of it is
+//! answered without running Method M. Each [`crate::CacheManager`] owns one
+//! [`AnswerRows`]; only [`crate::pipeline::probe::find_exact`] reads it,
+//! after the entry bucket missed, and confirms a row by
+//! [`gc_iso::iso::confirm_isomorphic`] exactly as it confirms an entry, so
+//! a fingerprint collision cannot leak a wrong answer.
 //!
 //! ## Correctness
 //!
-//! A memo answer is only served when its recorded dataset generation equals
-//! the live dataset's — any insert or remove bumps the generation, which
-//! invalidates the **entire** memo in O(1) (stale slots are dropped lazily
-//! on the next lookup/store). A hit is confirmed with
-//! [`gc_iso::iso::confirm_isomorphic`] — the entry table's primitive: equal
-//! presentation, else a profiled isomorphism search — so fingerprint
-//! collisions cannot leak a wrong answer. Within a generation
-//! the dataset is immutable, hence a memoized answer set is exactly the
-//! answer Method M alone would produce: the memo is sound by construction.
+//! Rows are exact without a generation stamp: every dataset mutation drops
+//! every row under the runtime's locks (see
+//! [`crate::SharedGraphCache::insert_graph`]), so a row is only ever served
+//! against the dataset generation it was computed on. Dropped rows are
+//! freed by the shard's next admission, not by the mutation.
 
-use gc_graph::{BitSet, Graph};
-use gc_iso::GraphProfile;
-use gc_method::QueryKind;
-use parking_lot::Mutex;
+use crate::entry::CacheEntry;
 use std::collections::{HashMap, VecDeque};
 
-/// One memoized answer.
-#[derive(Debug, Clone)]
-pub(crate) struct MemoHit {
-    /// The complete answer set (current-universe bitset).
-    pub answer: BitSet,
-    /// `|C_M|` of the original execution (tests an exact repeat saves).
-    pub base_tests: u64,
-    /// Steps the hit's confirmation took
-    /// ([`gc_iso::iso::confirm_isomorphic`]; 0 = equal presentation).
-    pub confirm_steps: u64,
-}
-
-#[derive(Debug)]
-struct MemoSlot {
-    graph: Graph,
-    /// Full profile of `graph`, built at [`AnswerMemo::store`] so a lookup
-    /// that must search (an isomorph, not a repeat) does no pattern set-up.
-    profile: GraphProfile,
-    kind: QueryKind,
-    answer: BitSet,
-    base_tests: u64,
-}
-
-impl MemoSlot {
-    /// Confirmation steps if this slot answers `query` under `kind`.
-    fn confirm(&self, query: &Graph, kind: QueryKind) -> Option<u64> {
-        if self.kind != kind {
-            return None;
-        }
-        gc_iso::iso::confirm_isomorphic(&self.graph, &self.profile, query)
-    }
-}
-
-/// Bounded, generation-versioned answer memo (see module docs). Shared by
-/// reference: the one lock every query's memo access goes through lives in
-/// here, is never taken by a disabled memo, and is held for a hash probe
-/// plus — on a repeat — one presentation comparison and the answer copy.
-#[derive(Debug)]
-pub(crate) struct AnswerMemo {
-    /// Maximum stored answers (0 = memo disabled).
-    capacity: usize,
-    state: Mutex<MemoState>,
-}
-
+/// Answer-only rows by fingerprint, in one FIFO the caller bounds (see
+/// module docs). A row's `id` is stale.
 #[derive(Debug, Default)]
-struct MemoState {
-    /// Keyed by `mix(fingerprint, kind)`; collisions resolved by exact
-    /// isomorphism on the stored graph.
-    map: HashMap<u64, Vec<MemoSlot>>,
-    /// Insertion order for FIFO bounding (keys may repeat across
-    /// generations; eviction tolerates misses).
+pub(crate) struct AnswerRows {
+    rows: HashMap<u64, Vec<CacheEntry>>,
+    /// The rows' fingerprints, oldest first.
     order: VecDeque<u64>,
-    /// Dataset generation the stored answers are valid for.
-    generation: u64,
-    /// Live slot count (order may hold stale keys).
-    len: usize,
+    /// Rows the last [`Self::clear`] dropped, freed by [`Self::free_dropped`].
+    dropped: HashMap<u64, Vec<CacheEntry>>,
 }
 
-/// The memo's map key for a query with WL `fingerprint`.
-fn memo_key(fingerprint: u64, kind: QueryKind) -> u64 {
-    let tag = match kind {
-        QueryKind::Subgraph => 0x5355_4251,   // "SUBQ"
-        QueryKind::Supergraph => 0x5355_5051, // "SUPQ"
-    };
-    gc_graph::hash::mix(fingerprint, tag)
-}
-
-impl MemoState {
-    /// Drop everything if the memo was computed against an older dataset
-    /// generation — the O(1)-invalidation contract (one comparison per
-    /// lookup; the actual clear is amortized over the stale entries).
-    fn sync_generation(&mut self, generation: u64) {
-        if self.generation != generation {
-            self.map.clear();
-            self.order.clear();
-            self.len = 0;
-            self.generation = generation;
-        }
-    }
-}
-
-impl AnswerMemo {
-    pub(crate) fn new(capacity: usize) -> Self {
-        AnswerMemo { capacity, state: Mutex::default() }
+impl AnswerRows {
+    /// Number of rows.
+    pub(crate) fn len(&self) -> usize {
+        self.order.len()
     }
 
-    /// Look up the exact answer for `query` (WL `fingerprint`) at dataset
-    /// `generation`.
-    pub(crate) fn lookup(
-        &self,
-        fingerprint: u64,
-        query: &Graph,
-        kind: QueryKind,
-        generation: u64,
-    ) -> Option<MemoHit> {
-        if self.capacity == 0 {
-            return None;
-        }
-        let mut state = self.state.lock();
-        state.sync_generation(generation);
-        state.map.get(&memo_key(fingerprint, kind))?.iter().find_map(|s| {
-            let confirm_steps = s.confirm(query, kind)?;
-            Some(MemoHit { answer: s.answer.clone(), base_tests: s.base_tests, confirm_steps })
-        })
+    /// The rows stored under fingerprint `fp`, oldest first.
+    pub(crate) fn bucket(&self, fp: u64) -> impl Iterator<Item = &CacheEntry> {
+        self.rows.get(&fp).into_iter().flatten()
     }
 
-    /// Store a freshly executed query's exact answer at `generation`.
-    pub(crate) fn store(
-        &self,
-        fingerprint: u64,
-        query: &Graph,
-        kind: QueryKind,
-        answer: &BitSet,
-        base_tests: u64,
-        generation: u64,
-    ) {
-        if self.capacity == 0 {
+    /// Store `row`, keeping the newest `bound` rows (`0` stores nothing).
+    pub(crate) fn push(&mut self, row: CacheEntry, bound: usize) {
+        if bound == 0 {
             return;
         }
-        // Built before the lock; wasted only on the rare duplicate store.
-        let profile = GraphProfile::new(query, None);
-        let mut guard = self.state.lock();
-        let state = &mut *guard;
-        state.sync_generation(generation);
-        let key = memo_key(fingerprint, kind);
-        let holds_query = |s: &MemoSlot| s.confirm(query, kind).is_some();
-        if state.map.get(&key).is_some_and(|slots| slots.iter().any(holds_query)) {
-            return; // already memoized this generation
-        }
-        while state.len >= self.capacity {
-            let Some(old_key) = state.order.pop_front() else { break };
-            if let Some(slots) = state.map.get_mut(&old_key) {
-                if !slots.is_empty() {
-                    slots.remove(0);
-                    state.len -= 1;
-                }
-                if slots.is_empty() {
-                    state.map.remove(&old_key);
-                }
+        self.order.push_back(row.fingerprint);
+        self.rows.entry(row.fingerprint).or_default().push(row);
+        while self.order.len() > bound {
+            let fp = self.order.pop_front().expect("more rows than the bound");
+            let bucket = self.rows.get_mut(&fp).expect("every listed row is stored");
+            bucket.remove(0); // a bucket's rows are in FIFO order too
+            if bucket.is_empty() {
+                self.rows.remove(&fp);
             }
         }
-        state.map.entry(key).or_default().push(MemoSlot {
-            graph: query.clone(),
-            profile,
-            kind,
-            answer: answer.clone(),
-            base_tests,
-        });
-        state.order.push_back(key);
-        state.len += 1;
     }
 
-    /// Live memoized answers (diagnostics).
-    pub(crate) fn len(&self) -> usize {
-        self.state.lock().len
+    /// Drop every row; their memory is kept until [`Self::free_dropped`].
+    pub(crate) fn clear(&mut self) {
+        self.order.clear();
+        self.dropped = std::mem::take(&mut self.rows);
+    }
+
+    /// Free the rows the last [`Self::clear`] dropped.
+    pub(crate) fn free_dropped(&mut self) {
+        self.dropped.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::pipeline::probe::find_exact;
+    use crate::pipeline::FastTier;
+    use crate::{CacheConfig, CacheManager, PolicyKind, SharedGraphCache};
     use gc_graph::hash::fingerprint;
-    use gc_graph::{graph_from_parts, Label};
+    use gc_graph::{graph_from_parts, BitSet, Graph, Label};
+    use gc_index::FeatureConfig;
+    use gc_method::{Dataset, QueryKind, SiMethod};
+    use std::sync::Arc;
 
     fn g(labels: &[u32], edges: &[(u32, u32)]) -> Graph {
         let ls: Vec<Label> = labels.iter().map(|&l| Label(l)).collect();
         graph_from_parts(&ls, edges).unwrap()
     }
 
-    fn lookup(memo: &AnswerMemo, q: &Graph, kind: QueryKind, generation: u64) -> Option<MemoHit> {
-        memo.lookup(fingerprint(q), q, kind, generation)
+    /// Store `q` as a subgraph-query row with `answer` and `base_tests`.
+    fn store(cm: &mut CacheManager, q: &Graph, answer: &BitSet, base_tests: u64) {
+        let id = cm.insert(q.clone(), QueryKind::Subgraph, answer.clone(), base_tests, 1, 0);
+        assert!(cm.demote(id, 4));
     }
 
-    fn store(memo: &AnswerMemo, q: &Graph, answer: &BitSet, base_tests: u64, generation: u64) {
-        memo.store(fingerprint(q), q, QueryKind::Subgraph, answer, base_tests, generation);
+    /// A row's answer, `base_tests` and confirmation steps for `q`.
+    fn lookup(cm: &CacheManager, q: &Graph, kind: QueryKind) -> Option<(BitSet, u64, u64)> {
+        let (row, tier, steps) = find_exact(cm, fingerprint(q), q, kind)?;
+        assert_eq!(tier, FastTier::Memo, "only rows are stored here");
+        Some((row.answer().clone(), row.base_tests, steps))
+    }
+
+    /// A cache whose admission filter rejects every query, so each executed
+    /// query is stored as a row.
+    fn rejecting_cache(graphs: Vec<Graph>) -> SharedGraphCache {
+        let config = CacheConfig { min_admit_tests: usize::MAX, ..CacheConfig::default() };
+        let ds = Arc::new(Dataset::new(graphs));
+        SharedGraphCache::with_policy(ds, Box::new(SiMethod), PolicyKind::Hd, config).unwrap()
     }
 
     #[test]
     fn memoizes_and_confirms_isomorphism() {
-        let memo = AnswerMemo::new(4);
+        let mut cm = CacheManager::new(FeatureConfig::default());
         let q = g(&[0, 1], &[(0, 1)]);
         let answer = BitSet::from_indices(4, [1usize, 3]);
-        assert!(lookup(&memo, &q, QueryKind::Subgraph, 0).is_none());
-        store(&memo, &q, &answer, 7, 0);
+        assert!(lookup(&cm, &q, QueryKind::Subgraph).is_none());
+        store(&mut cm, &q, &answer, 7);
         // The identical presentation hits without an isomorphism search …
-        let hit = lookup(&memo, &q.clone(), QueryKind::Subgraph, 0).expect("memo hit");
-        assert_eq!((hit.answer, hit.base_tests, hit.confirm_steps), (answer.clone(), 7, 0));
+        assert_eq!(lookup(&cm, &q.clone(), QueryKind::Subgraph), Some((answer.clone(), 7, 0)));
         // … an isomorphic relabeling of the same query hits through one.
         let q_iso = g(&[1, 0], &[(0, 1)]);
-        let hit = lookup(&memo, &q_iso, QueryKind::Subgraph, 0).expect("memo hit");
-        assert_eq!(hit.answer, answer);
-        assert!(hit.confirm_steps > 0, "a different presentation is confirmed by search");
+        let (hit, _, steps) = lookup(&cm, &q_iso, QueryKind::Subgraph).expect("row hit");
+        assert_eq!(hit, answer);
+        assert!(steps > 0, "a different presentation is confirmed by search");
         // Other kind misses.
-        assert!(lookup(&memo, &q, QueryKind::Supergraph, 0).is_none());
+        assert!(lookup(&cm, &q, QueryKind::Supergraph).is_none());
     }
 
     #[test]
     fn fingerprint_collisions_are_confirmed_apart() {
         // 1-WL gives a hexagon and two triangles the same fingerprint, so
-        // they share a bucket; only the stored one may hit.
+        // their rows share a bucket; only the stored one may hit.
         let c6 = g(&[0; 6], &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
         let two_c3 = g(&[0; 6], &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
         assert_eq!(fingerprint(&c6), fingerprint(&two_c3));
-        let memo = AnswerMemo::new(4);
-        store(&memo, &c6, &BitSet::from_indices(2, [0usize]), 2, 0);
-        assert!(lookup(&memo, &two_c3, QueryKind::Subgraph, 0).is_none());
-        store(&memo, &two_c3, &BitSet::from_indices(2, [1usize]), 2, 0);
-        assert_eq!(memo.len(), 2, "not a duplicate of the hexagon");
-        assert_eq!(lookup(&memo, &two_c3, QueryKind::Subgraph, 0).unwrap().answer.to_vec(), [1]);
-        assert_eq!(lookup(&memo, &c6, QueryKind::Subgraph, 0).unwrap().answer.to_vec(), [0]);
+        let mut cm = CacheManager::new(FeatureConfig::default());
+        store(&mut cm, &c6, &BitSet::from_indices(2, [0usize]), 2);
+        assert!(lookup(&cm, &two_c3, QueryKind::Subgraph).is_none());
+        store(&mut cm, &two_c3, &BitSet::from_indices(2, [1usize]), 2);
+        assert_eq!(cm.row_count(), 2, "not a duplicate of the hexagon");
+        assert_eq!(lookup(&cm, &two_c3, QueryKind::Subgraph).unwrap().0.to_vec(), [1]);
+        assert_eq!(lookup(&cm, &c6, QueryKind::Subgraph).unwrap().0.to_vec(), [0]);
     }
 
     #[test]
     fn generation_bump_invalidates_everything() {
-        let memo = AnswerMemo::new(4);
-        let q = g(&[0], &[]);
-        store(&memo, &q, &BitSet::from_indices(2, [0usize]), 2, 0);
-        assert!(lookup(&memo, &q, QueryKind::Subgraph, 0).is_some());
-        assert!(lookup(&memo, &q, QueryKind::Subgraph, 1).is_none(), "new generation misses");
-        assert_eq!(memo.len(), 0, "stale slots dropped");
-    }
-
-    #[test]
-    fn capacity_bounds_and_zero_disables() {
-        let memo = AnswerMemo::new(2);
-        for i in 0..5u32 {
-            store(&memo, &g(&[i], &[]), &BitSet::new(1), 1, 0);
-        }
-        assert!(memo.len() <= 2);
-        // The newest entries survive FIFO eviction.
-        assert!(lookup(&memo, &g(&[4], &[]), QueryKind::Subgraph, 0).is_some());
-        assert!(lookup(&memo, &g(&[0], &[]), QueryKind::Subgraph, 0).is_none());
-    }
-
-    #[test]
-    fn disabled_memo_never_takes_the_lock() {
-        let off = AnswerMemo::new(0);
-        let q = g(&[0], &[]);
-        // Held for the whole test: a lookup or store that locked would
-        // never return, so a second thread reports back through a channel.
-        let held = off.state.lock();
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                store(&off, &q, &BitSet::new(1), 1, 0);
-                tx.send(lookup(&off, &q, QueryKind::Subgraph, 0).is_none()).unwrap();
-            });
-            let missed = rx.recv_timeout(std::time::Duration::from_secs(20));
-            drop(held); // lets a (wrongly) blocked thread finish, so the scope can join
-            assert_eq!(missed, Ok(true), "a disabled memo answered without the lock");
-        });
-        assert_eq!(off.len(), 0);
+        let gc = rejecting_cache(vec![g(&[0, 1], &[(0, 1)]), g(&[2], &[])]);
+        let (q, kind) = (g(&[0], &[]), QueryKind::Subgraph);
+        assert!(!gc.query(&q, kind).memo_hit);
+        assert!(!gc.query(&g(&[2], &[]), kind).memo_hit);
+        assert_eq!((gc.len(), gc.memo_len()), (0, 2), "rejected queries are stored as rows");
+        assert!(gc.query(&q, kind).memo_hit);
+        // A mutation moves the dataset to a new generation and drops every
+        // row, so the repeat is executed against the new dataset.
+        let generation = gc.dataset().generation();
+        let gid = gc.insert_graph(g(&[0], &[]));
+        assert!(gc.dataset().generation() > generation);
+        assert_eq!(gc.memo_len(), 0, "every row dropped");
+        let again = gc.query(&q, kind);
+        assert!(!again.memo_hit, "the new generation misses");
+        assert_eq!(again.answer.to_vec(), [0, gid as usize]);
+        assert!(gc.query(&q, kind).memo_hit, "and stores a row of the new generation");
+        assert!(gc.remove_graph(gid));
+        assert_eq!(gc.memo_len(), 0, "a removal drops every row too");
     }
 
     #[test]
     fn duplicate_store_is_idempotent() {
-        let memo = AnswerMemo::new(4);
-        store(&memo, &g(&[0, 1], &[(0, 1)]), &BitSet::new(2), 1, 0);
-        store(&memo, &g(&[1, 0], &[(0, 1)]), &BitSet::new(2), 1, 0);
-        assert_eq!(memo.len(), 1, "isomorphic duplicate not stored twice");
+        let gc = rejecting_cache(vec![g(&[0, 1], &[(0, 1)]), g(&[1, 0, 1], &[(0, 1), (1, 2)])]);
+        let kind = QueryKind::Subgraph;
+        let first = gc.query(&g(&[0, 1], &[(0, 1)]), kind);
+        assert!(!first.memo_hit);
+        // An isomorph is answered by the stored row, not stored again.
+        let iso = gc.query(&g(&[1, 0], &[(0, 1)]), kind);
+        assert!(iso.memo_hit);
+        assert_eq!(iso.answer, first.answer);
+        assert_eq!(gc.memo_len(), 1, "isomorphic duplicate not stored twice");
     }
 }

@@ -7,20 +7,21 @@
 //! under that shard's write lock.
 //!
 //! Crediting tolerates hit entries that died between probing and crediting
-//! (a concurrent eviction): the credit is simply dropped. With one client
-//! this cannot happen; concurrently it is the
-//! correct degradation (the hit's *answers* were already snapshotted, so
-//! correctness is unaffected — only a utility update is lost).
+//! (a concurrent eviction, even one that demoted the entry to a row): the
+//! credit is simply dropped and the policy never hears of it. With one client
+//! this cannot happen; concurrently it is the correct degradation (the hit's
+//! *answers* were already snapshotted, so only a utility update is lost).
 
 use crate::cache::CacheManager;
 use crate::config::CacheConfig;
 use crate::cost::CostModel;
-use crate::entry::{AnswerText, EntryId};
+use crate::entry::{AnswerText, CacheEntry, EntryId, EntryStats};
 use crate::pipeline::bound::gives_definite;
 use crate::pipeline::probe::{CacheHits, HitSnapshot, Relation};
 use crate::policy::{HitCredit, HitKind, ReplacementPolicy};
 use crate::window::WindowManager;
 use gc_graph::{BitSet, Graph};
+use gc_iso::GraphProfile;
 use gc_method::QueryKind;
 use std::sync::Arc;
 
@@ -31,6 +32,8 @@ pub struct AdmitLimits {
     pub capacity: usize,
     /// Optional byte budget (entries + index).
     pub max_bytes: Option<usize>,
+    /// Maximum answer-only rows.
+    pub rows: usize,
 }
 
 /// Outcome of the admit stage.
@@ -107,22 +110,34 @@ pub fn credit_hits(
     }
 }
 
-/// What an exact hit hands out: a copy of the entry's answer, the entry's
-/// shared text slot for that answer version, and the tests it saved.
+/// What an exact hit — on a resident entry or an answer-only row — hands
+/// out: a copy of the answer, the shared text slot for that answer version,
+/// and the tests it saved.
 #[derive(Debug)]
 pub struct ExactServe {
-    /// The entry's answer set (the hit's one allocation).
+    /// The answer set (the hit's one allocation).
     pub answer: BitSet,
-    /// The entry's [`AnswerText`] slot — an `Arc` clone, allocation-free.
+    /// The [`AnswerText`] slot — an `Arc` clone, allocation-free.
     pub text: Arc<AnswerText>,
-    /// The entry's recorded `|C_M|`: the tests the hit saved.
+    /// The recorded `|C_M|`: the tests the hit saved.
     pub base_tests: u64,
+}
+
+impl ExactServe {
+    /// Copy out what `e` hands out.
+    pub fn of(e: &CacheEntry) -> Self {
+        ExactServe {
+            answer: e.answer().clone(),
+            text: Arc::clone(e.answer_text()),
+            base_tests: e.base_tests,
+        }
+    }
 }
 
 /// Serve an exact-match hit: bump the entry's statistics, credit the policy,
 /// and hand out its answer with its text slot.
 ///
-/// Returns `None` if the entry no longer exists (concurrent eviction
+/// Returns `None` if the entry is no longer resident (concurrent eviction
 /// between lookup and service) — the caller falls back to the full
 /// pipeline.
 pub fn serve_exact(
@@ -137,8 +152,7 @@ pub fn serve_exact(
     e.stats.tests_saved += e.base_tests;
     e.stats.cost_saved += e.base_cost as f64;
     let (base_tests, base_cost) = (e.base_tests, e.base_cost);
-    let served =
-        ExactServe { answer: e.answer().clone(), text: Arc::clone(e.answer_text()), base_tests };
+    let served = ExactServe::of(e);
     policy.on_hit(
         id,
         &HitCredit { kind: HitKind::Exact, tests_saved: base_tests, cost_saved: base_cost as f64 },
@@ -148,13 +162,14 @@ pub fn serve_exact(
 }
 
 /// Admit the executed query immediately; run the batched replacement sweep
-/// when the admission window closes.
+/// when the admission window closes. Its victims, and a query the
+/// admission filter rejects, become answer-only rows (see
+/// [`CacheManager`]).
 ///
 /// `fingerprint` is the query's WL key, computed once at query entry, and
-/// `features` the feature vector the probe stage already extracted
-/// (`PipelineCtx::features`, taken by the caller) — admission reuses both
-/// instead of re-hashing the query and re-enumerating its paths. `None`
-/// features fall back to extraction (tests).
+/// `features` and `profile` the ones the probe stage built (taken from the
+/// `PipelineCtx` by the caller) — admission moves them into the entry or
+/// row instead of re-deriving them. `None` computes them (tests).
 #[allow(clippy::too_many_arguments)] // explicit state triple + query facts; a struct would just rename them
 pub fn run(
     cache: &mut CacheManager,
@@ -166,17 +181,33 @@ pub fn run(
     kind: QueryKind,
     fingerprint: u64,
     features: Option<gc_index::FeatureVec>,
+    profile: Option<GraphProfile>,
     answer: &BitSet,
     base_tests: u64,
     base_cost: u64,
     now: u64,
 ) -> AdmitOutcome {
+    let profile = profile.unwrap_or_else(|| GraphProfile::new(query, None));
     if (base_tests as usize) < cfg.min_admit_tests {
+        let (graph, answer, stats) = (query.clone(), answer.clone(), EntryStats::default());
+        let row = CacheEntry::new(
+            0,
+            graph,
+            profile,
+            kind,
+            answer,
+            fingerprint,
+            base_tests,
+            base_cost,
+            stats,
+        );
+        cache.push_row(row, limits.rows);
         return AdmitOutcome { rejected: true, ..AdmitOutcome::default() };
     }
     let features = features.unwrap_or_else(|| cache.index().features_of(query));
     let id = cache.insert_with_features(
         query.clone(),
+        profile,
         kind,
         answer.clone(),
         base_tests,
@@ -192,7 +223,7 @@ pub fn run(
         let excess = cache.len().saturating_sub(limits.capacity);
         if excess > 0 {
             for victim in policy.victims(excess) {
-                if cache.remove(victim).is_some() {
+                if cache.demote(victim, limits.rows) {
                     policy.on_evict(victim);
                     evicted.push(victim);
                 }
@@ -204,7 +235,7 @@ pub fn run(
         if let Some(max_bytes) = limits.max_bytes {
             while cache.len() > 1 && cache.memory_bytes() > max_bytes {
                 let Some(victim) = policy.victims(1).first().copied() else { break };
-                if cache.remove(victim).is_some() {
+                if cache.demote(victim, limits.rows) {
                     policy.on_evict(victim);
                     evicted.push(victim);
                 } else {
@@ -252,10 +283,11 @@ mod tests {
             policy,
             window,
             cfg,
-            AdmitLimits { capacity: cfg.capacity, max_bytes: cfg.max_bytes },
+            AdmitLimits { capacity: cfg.capacity, max_bytes: cfg.max_bytes, rows: 0 },
             &query,
             QueryKind::Subgraph,
             gc_graph::hash::fingerprint(&query),
+            None,
             None,
             &BitSet::new(2),
             5,
@@ -288,10 +320,11 @@ mod tests {
             &mut policy,
             &mut window,
             &cfg,
-            AdmitLimits { capacity: cfg.capacity, max_bytes: cfg.max_bytes },
+            AdmitLimits { capacity: cfg.capacity, max_bytes: cfg.max_bytes, rows: 0 },
             &g(&[0], &[]),
             QueryKind::Subgraph,
             gc_graph::hash::fingerprint(&g(&[0], &[])),
+            None,
             None,
             &BitSet::new(2),
             5,
@@ -333,16 +366,18 @@ mod tests {
         let (mut cache, mut policy, _, _, cost) = setup();
         let live = cache.insert(g(&[0], &[]), QueryKind::Subgraph, BitSet::new(2), 1, 1, 1);
         let dead = cache.insert(g(&[1], &[]), QueryKind::Subgraph, BitSet::new(2), 1, 1, 1);
+        let demoted = cache.insert(g(&[2], &[]), QueryKind::Subgraph, BitSet::new(2), 1, 1, 1);
         policy.on_insert(live, 1);
-        policy.on_insert(dead, 1);
+        // Both die after probing; the policy forgets them at eviction.
         cache.remove(dead);
-        let hits = CacheHits { sub: vec![live, dead], ..CacheHits::default() };
+        assert!(cache.demote(demoted, 4));
+        let hits = CacheHits { sub: vec![live, dead, demoted], ..CacheHits::default() };
         let snap = |gid: usize| HitSnapshot {
             relation: Relation::QueryInCached,
             answer: BitSet::from_indices(2, [gid]),
             base_tests: 1,
         };
-        let answers = vec![snap(0), snap(1)];
+        let answers = vec![snap(0), snap(1), snap(0)];
         let cm = BitSet::from_indices(2, [0usize, 1]);
         credit_hits(
             &mut cache,
@@ -359,6 +394,10 @@ mod tests {
         assert_eq!(e.stats.sub_hits, 1);
         assert_eq!(e.stats.last_used, 9);
         assert_eq!(e.stats.tests_saved, 1, "definite sub hit saves |answer ∩ cm|");
+        let fp = gc_graph::hash::fingerprint(&g(&[2], &[]));
+        let (row, _) = cache.exact_bucket(fp).next().expect("the row keeps its bucket");
+        assert_eq!(row.stats, EntryStats { inserted_at: 1, last_used: 1, ..EntryStats::default() });
+        assert_eq!(policy.victims(3), vec![live], "the policy never hears of a dead hit");
     }
 
     #[test]

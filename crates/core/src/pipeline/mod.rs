@@ -29,8 +29,9 @@
 //! composes them over cache state sharded behind `parking_lot::RwLock`,
 //! probing under read locks and admitting under short write sections
 //! ([`crate::GraphCache`] is the same composition with one shard). In
-//! front of the stages sit the query's key (`query_key`) and the tiers
-//! that serve a query whole ([`FastTier`], closed by `FastPath`).
+//! front of the stages sit the query's key (`query_key`) and the exact
+//! tier, which serves a query whole from a resident entry or an
+//! answer-only row ([`FastTier`], closed by `FastPath`).
 
 pub mod admit;
 pub mod bound;
@@ -39,8 +40,7 @@ pub mod probe;
 pub mod prune;
 pub mod verify;
 
-use crate::entry::AnswerText;
-use crate::pipeline::admit::AdmitOutcome;
+use crate::pipeline::admit::{AdmitOutcome, ExactServe};
 use crate::pipeline::bound::Bound;
 use crate::pipeline::probe::{CacheHits, HitSnapshot, ProbeScratch};
 use crate::pipeline::prune::Pruned;
@@ -49,8 +49,8 @@ use crate::stats::{GlobalStats, StatsMonitor};
 use crate::telemetry::{PipelineStage, QueryTiming, QueryTrace, Telemetry};
 use gc_graph::{BitSet, Graph};
 use gc_index::FeatureVec;
+use gc_iso::GraphProfile;
 use gc_method::QueryKind;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Carries one query through the pipeline stages.
@@ -82,6 +82,9 @@ pub struct PipelineCtx<'q> {
     /// shared by the sub-probe, the super-probe (on every shard) and
     /// admission (`None` until probed; taken by the admit stage).
     pub features: Option<FeatureVec>,
+    /// The query's verification profile, built once beside `features` and
+    /// likewise shared by every probe and taken by the admit stage.
+    pub profile: Option<GraphProfile>,
     /// Reusable probe- and verify-stage buffers (candidate selection,
     /// utility ordering, verifier search state). Owned by the runtime, one
     /// per thread, and swapped into the context for the query's lifetime,
@@ -120,6 +123,7 @@ impl<'q> PipelineCtx<'q> {
             cm: BitSet::new(universe),
             filter_skipped: false,
             features: None,
+            profile: None,
             probe_scratch: ProbeScratch::default(),
             hits: CacheHits::default(),
             hit_answers: Vec::new(),
@@ -204,12 +208,13 @@ impl<'q> PipelineCtx<'q> {
     }
 }
 
-/// The tiers that serve a query whole, in front of the pipeline.
+/// What served a query whole in front of the pipeline: the exact tier
+/// (Fig. 3's "traditional cache hit") holds entries and answer-only rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FastTier {
-    /// A live cache entry matched exactly (Fig. 3's "traditional cache hit").
+    /// A live cache entry matched exactly.
     Exact,
-    /// The generation-versioned answer memo held the answer.
+    /// An answer-only row matched (a memo hit).
     Memo,
 }
 
@@ -225,19 +230,18 @@ impl FastTier {
 
 /// Build the report for a query `tier` served whole. No stage ran, so the
 /// four stage sets are empty over an empty universe — the answer is the
-/// only universe-sized value a hit produces. `answer_text` is the serving
-/// entry's text slot on an exact hit ([`admit::ExactServe::text`]).
+/// only universe-sized value a hit produces, handed out with the serving
+/// entry's or row's text slot.
 pub fn fast_report(
     tier: FastTier,
-    answer: BitSet,
-    answer_text: Option<Arc<AnswerText>>,
+    served: ExactServe,
     kind: QueryKind,
-    base_tests: u64,
     elapsed: Duration,
 ) -> QueryReport {
+    let ExactServe { answer, text, base_tests } = served;
     QueryReport {
         answer,
-        answer_text,
+        answer_text: Some(text),
         cm_set: BitSet::new(0),
         definite_set: BitSet::new(0),
         verified_set: BitSet::new(0),
@@ -263,8 +267,8 @@ pub fn fast_report(
 }
 
 /// The Statistics Monitor delta for a query `tier` served whole;
-/// `confirm_steps` is what [`probe::find_exact`] / the memo reported for the
-/// hit's confirmation (non-zero: it took an isomorphism search).
+/// `confirm_steps` is what [`probe::find_exact`] reported for the hit's
+/// confirmation (non-zero: it took an isomorphism search).
 pub fn fast_stats_delta(
     tier: FastTier,
     base_tests: u64,
@@ -292,7 +296,7 @@ pub(crate) fn kind_label(kind: QueryKind) -> &'static str {
 }
 
 /// The query's key — its WL fingerprint, computed once per query and
-/// shared by shard routing, [`probe::find_exact`], the memo and admission —
+/// shared by shard routing, [`probe::find_exact`] and admission —
 /// and the time since `start` it was ready at (observed as the `key` stage).
 pub(crate) fn query_key(telemetry: &Telemetry, query: &Graph, start: Instant) -> (u64, Duration) {
     let fp = gc_graph::hash::fingerprint(query);
@@ -317,26 +321,19 @@ pub(crate) struct FastPath<'a> {
 }
 
 impl FastPath<'_> {
-    /// Publish the hit's statistics, observe it into the telemetry hub (an
-    /// exact hit also as the `exact` stage: key done → now) and build its
-    /// report around `answer`, the hit's one universe-sized value, and —
-    /// on an exact hit — the entry's `answer_text` slot for it. The
-    /// trace, when sampled or slow, carries the answer size and any
-    /// memo-span time but no pipeline-stage counts (those stages never ran).
+    /// Publish the hit's statistics, observe it into the telemetry hub
+    /// (also as the `exact` stage: key done → now) and build its report
+    /// around what the hit `served`. The trace, when sampled or slow,
+    /// carries the answer size but no stage counts (no stage ran).
     pub(crate) fn finish(
         &self,
         tier: FastTier,
-        timing: &QueryTiming,
-        answer: BitSet,
-        answer_text: Option<Arc<AnswerText>>,
-        base_tests: u64,
+        served: ExactServe,
         confirm_steps: u64,
     ) -> QueryReport {
         let elapsed = self.start.elapsed();
-        self.stats.add(&fast_stats_delta(tier, base_tests, confirm_steps, elapsed));
-        if tier == FastTier::Exact {
-            self.telemetry.stage(PipelineStage::Exact).observe(elapsed.saturating_sub(self.key));
-        }
+        self.stats.add(&fast_stats_delta(tier, served.base_tests, confirm_steps, elapsed));
+        self.telemetry.stage(PipelineStage::Exact).observe(elapsed.saturating_sub(self.key));
         self.telemetry.finish_query(self.seq, elapsed, |slow| QueryTrace {
             seq: self.seq,
             request_id: self.request_id.map(str::to_owned),
@@ -345,12 +342,11 @@ impl FastPath<'_> {
             shard: self.shard,
             generation: self.generation,
             total_us: elapsed.as_micros().min(u128::from(u64::MAX)) as u64,
-            memo_us: timing.us(PipelineStage::Memo),
-            answer: answer.count() as u64,
+            answer: served.answer.count() as u64,
             slow,
             ..QueryTrace::default()
         });
-        fast_report(tier, answer, answer_text, self.kind, base_tests, elapsed)
+        fast_report(tier, served, self.kind, elapsed)
     }
 }
 
@@ -383,7 +379,6 @@ pub(crate) fn pipeline_trace(
         prune_us: timing.us(PipelineStage::Prune),
         verify_us: timing.us(PipelineStage::Verify),
         admit_us: timing.us(PipelineStage::Admit),
-        memo_us: timing.us(PipelineStage::Memo),
         cm_size: ctx.pruned.cm_size as u64,
         definite: ctx.bound.definite.count() as u64,
         to_verify: ctx.pruned.to_verify.count() as u64,
@@ -433,8 +428,11 @@ mod tests {
     #[test]
     fn fast_report_and_delta_shapes() {
         for (tier, exact, memo) in [(FastTier::Exact, 1, 0), (FastTier::Memo, 0, 1)] {
+            let text = std::sync::Arc::default();
             let answer = BitSet::from_indices(5, [2usize]);
-            let r = fast_report(tier, answer, None, QueryKind::Supergraph, 9, Duration::ZERO);
+            let served = ExactServe { answer, text, base_tests: 9 };
+            let r = fast_report(tier, served, QueryKind::Supergraph, Duration::ZERO);
+            assert!(r.answer_text.is_some(), "every fast hit hands out its text slot");
             assert_eq!((r.exact_hit, r.memo_hit), (exact == 1, memo == 1));
             assert!(r.any_hit());
             assert_eq!(r.cm_size, 9);

@@ -19,7 +19,8 @@
 //!
 //! In front of the stage sits [`find_exact`], the exact-match lookup the
 //! runtime's exact tier, admission-time duplicate check and restore replay
-//! share: the caller's key picks the bucket,
+//! share. It is the one reader of answer-only rows (see
+//! [`CacheManager`]): the caller's key picks the bucket,
 //! [`gc_iso::iso::confirm_isomorphic`] confirms — by comparing
 //! presentations when the query is a verbatim repeat, by a profiled search
 //! only for a renumbered isomorph. The key is the query's WL fingerprint,
@@ -33,7 +34,8 @@
 
 use crate::cache::CacheManager;
 use crate::config::CacheConfig;
-use crate::entry::EntryId;
+use crate::entry::{CacheEntry, EntryId};
+use crate::pipeline::FastTier;
 use gc_graph::{BitSet, Graph};
 use gc_index::CandScratch;
 use gc_iso::{Found, ProfileRef, VerifyCtx, VfScratch};
@@ -139,24 +141,25 @@ impl CacheHits {
     }
 }
 
-/// Find the exact-match entry for `query`, if cached (same kind), in the
-/// bucket of `key`, the query's [`gc_graph::hash::fingerprint`] (any other
-/// key only misses: an isomorph of `query` is stored under that one).
-/// Returns the entry and the steps its confirmation took
+/// Find the exact match for `query` (same kind) in the bucket of `key`, the
+/// query's [`gc_graph::hash::fingerprint`] (any other key only misses: an
+/// isomorph of `query` is stored under that one). Returns the matching
+/// entry — [`FastTier::Exact`] — or answer-only row — [`FastTier::Memo`],
+/// whose `id` is stale — and the steps its confirmation took
 /// ([`gc_iso::iso::confirm_isomorphic`]: `0` = equal presentation, no
 /// isomorphism search).
-pub fn find_exact(
-    cache: &CacheManager,
+pub fn find_exact<'c>(
+    cache: &'c CacheManager,
     key: u64,
     query: &Graph,
     kind: QueryKind,
-) -> Option<(EntryId, u64)> {
-    cache.fingerprint_bucket(key).iter().find_map(|&id| {
-        let e = cache.get(id).expect("bucket holds live entries");
+) -> Option<(&'c CacheEntry, FastTier, u64)> {
+    cache.exact_bucket(key).find_map(|(e, row)| {
         if e.kind != kind {
             return None;
         }
-        Some((id, gc_iso::iso::confirm_isomorphic(&e.graph, &e.profile, query)?))
+        let steps = gc_iso::iso::confirm_isomorphic(&e.graph, &e.profile, query)?;
+        Some((e, if row { FastTier::Memo } else { FastTier::Exact }, steps))
     })
 }
 
@@ -285,8 +288,8 @@ mod tests {
     /// Exact match first, then the sub/super cases with features and the
     /// query profile built here — one cache manager probed whole.
     fn probe(cache: &CacheManager, cfg: &CacheConfig, query: &Graph, kind: QueryKind) -> CacheHits {
-        if let Some((exact, _)) = exact(cache, query, kind) {
-            return CacheHits { exact: Some(exact), ..CacheHits::default() };
+        if let Some((e, ..)) = find_exact(cache, gc_graph::hash::fingerprint(query), query, kind) {
+            return CacheHits { exact: Some(e.id), ..CacheHits::default() };
         }
         let qf = cache.index().features_of(query);
         let q_profile = GraphProfile::new(query, None);
@@ -294,9 +297,9 @@ mod tests {
         probe_cases(cache, cfg, query, kind, &qf, q_profile.as_ref(), &mut scratch)
     }
 
-    /// [`find_exact`] under the query's own fingerprint.
-    fn exact(cache: &CacheManager, query: &Graph, kind: QueryKind) -> Option<(EntryId, u64)> {
-        find_exact(cache, gc_graph::hash::fingerprint(query), query, kind)
+    /// [`find_exact`] under the query's own fingerprint: tier and steps.
+    fn exact(cache: &CacheManager, query: &Graph, kind: QueryKind) -> Option<(FastTier, u64)> {
+        find_exact(cache, gc_graph::hash::fingerprint(query), query, kind).map(|(_, t, s)| (t, s))
     }
 
     fn g(labels: &[u32], edges: &[(u32, u32)]) -> Graph {
@@ -316,11 +319,11 @@ mod tests {
     fn exact_match_found_and_kind_respected() {
         let q = g(&[0, 1], &[(0, 1)]);
         let cm = cache_with(&[(q.clone(), QueryKind::Subgraph)]);
-        assert_eq!(exact(&cm, &q, QueryKind::Subgraph), Some((0, 0)), "no search");
+        assert_eq!(exact(&cm, &q, QueryKind::Subgraph), Some((FastTier::Exact, 0)), "no search");
         assert!(exact(&cm, &q, QueryKind::Supergraph).is_none());
         // A permuted isomorphic presentation still matches — by search.
         let q2 = g(&[1, 0], &[(0, 1)]);
-        assert!(exact(&cm, &q2, QueryKind::Subgraph).is_some_and(|(_, steps)| steps > 0));
+        assert!(exact(&cm, &q2, QueryKind::Subgraph).is_some_and(|(.., steps)| steps > 0));
     }
 
     /// `g` with vertex `i` renumbered `perm[i]`.
@@ -337,23 +340,33 @@ mod tests {
     fn bucket_sharing_non_isomorph_is_not_an_exact_match() {
         // 1-WL cannot tell a hexagon from two triangles (equal n, m, labels,
         // degrees): same fingerprint, same bucket — the confirmation, not
-        // the presentation shortcut, keeps them apart.
+        // the presentation shortcut, keeps them apart — for an answer-only
+        // row in the bucket as for a resident entry.
         let c6 = g(&[0; 6], &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
         let two_c3 = g(&[0; 6], &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
         let fp = gc_graph::hash::fingerprint(&c6);
         assert_eq!(fp, gc_graph::hash::fingerprint(&two_c3));
-        let cm = cache_with(&[(c6.clone(), QueryKind::Subgraph)]);
+        let sub = QueryKind::Subgraph;
+        let mut cm = cache_with(&[(c6.clone(), sub)]);
         assert_eq!(cm.fingerprint_bucket(fp), &[0]);
-        assert!(exact(&cm, &two_c3, QueryKind::Subgraph).is_none());
-        assert_eq!(exact(&cm, &c6, QueryKind::Subgraph), Some((0, 0)));
+        assert!(exact(&cm, &two_c3, sub).is_none());
+        assert_eq!(exact(&cm, &c6, sub), Some((FastTier::Exact, 0)));
+        // The hexagon demoted to a row: still only the hexagon matches.
+        assert!(cm.demote(0, 4));
+        assert!(exact(&cm, &two_c3, sub).is_none());
+        assert_eq!(exact(&cm, &c6, sub), Some((FastTier::Memo, 0)));
+        // Two triangles admitted beside the row: each finds its own.
+        cm.insert(two_c3.clone(), sub, BitSet::new(8), 8, 100, 0);
+        assert_eq!(exact(&cm, &two_c3, sub), Some((FastTier::Exact, 0)));
+        assert_eq!(exact(&cm, &c6, sub), Some((FastTier::Memo, 0)));
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
 
-        /// The entry table and the memo hit exactly when the reference
-        /// `are_isomorphic` says so, for the stored presentation (no
-        /// search), a random renumbering of it (by search, unless the
+        /// A resident entry and an answer-only row hit exactly when the
+        /// reference `are_isomorphic` says so, for the stored presentation
+        /// (no search), a random renumbering of it (by search, unless the
         /// renumbering is an automorphism) and an unrelated query; never
         /// across kinds, and never for the stored presentation looked up
         /// under a key other than its fingerprint.
@@ -380,9 +393,9 @@ mod tests {
                 (QueryKind::Subgraph, QueryKind::Supergraph)
             };
             let cm = cache_with(&[(stored.clone(), kind)]);
-            let memo = crate::memo::AnswerMemo::new(4);
             let stored_fp = gc_graph::hash::fingerprint(&stored);
-            memo.store(stored_fp, &stored, kind, &BitSet::new(8), 8, 0);
+            let mut rows = cache_with(&[(stored.clone(), kind)]);
+            assert!(rows.demote(0, 4));
 
             let stored_copy = stored.clone();
             let fp = gc_graph::hash::fingerprint;
@@ -393,16 +406,18 @@ mod tests {
                 (&stored_copy, stored_fp ^ key_error),
             ] {
                 let want = key == fp(q) && gc_iso::iso::are_isomorphic(&stored, q);
-                let exact = find_exact(&cm, key, q, kind);
-                let memoized = memo.lookup(key, q, kind, 0).map(|hit| hit.confirm_steps);
+                let exact = find_exact(&cm, key, q, kind).map(|(_, tier, steps)| (tier, steps));
+                let row = find_exact(&rows, key, q, kind).map(|(_, tier, steps)| (tier, steps));
                 proptest::prop_assert_eq!(exact.is_some(), want);
-                proptest::prop_assert_eq!(exact.map(|(_, steps)| steps), memoized);
-                if let Some(steps) = memoized {
+                proptest::prop_assert_eq!(exact.map(|(_, steps)| steps), row.map(|(_, steps)| steps));
+                proptest::prop_assert!(exact.is_none_or(|(tier, _)| tier == FastTier::Exact));
+                proptest::prop_assert!(row.is_none_or(|(tier, _)| tier == FastTier::Memo));
+                if let Some((_, steps)) = row {
                     proptest::prop_assert_eq!(key, stored_fp);
                     proptest::prop_assert_eq!(steps == 0, *q == stored);
                 }
                 proptest::prop_assert!(find_exact(&cm, key, q, other_kind).is_none());
-                proptest::prop_assert!(memo.lookup(key, q, other_kind, 0).is_none());
+                proptest::prop_assert!(find_exact(&rows, key, q, other_kind).is_none());
             }
             proptest::prop_assert!(gc_iso::iso::are_isomorphic(&stored, &renumbered));
         }

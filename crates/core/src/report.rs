@@ -41,9 +41,9 @@ impl IndexHealth {
 pub struct QueryReport {
     /// The exact answer set `A` (Fig. 3(h)).
     pub answer: BitSet,
-    /// On an exact hit, the serving entry's shared text slot for this very
-    /// answer version (an `Arc` clone — no allocation; `None` on every
-    /// other path). The HTTP server renders `answer` into it on first use
+    /// On an exact or memo hit, the serving entry's or row's shared text
+    /// slot for this very answer version (an `Arc` clone — no allocation;
+    /// `None` on the pipeline). The HTTP server renders `answer` into it on first use
     /// ([`AnswerText::get_or_render`]) and copies it on every later hit;
     /// in-process callers can ignore it, nothing is rendered for them.
     pub answer_text: Option<Arc<AnswerText>>,
@@ -64,8 +64,8 @@ pub struct QueryReport {
     pub kind: QueryKind,
     /// `true` when an exact-match hit served the query outright.
     pub exact_hit: bool,
-    /// `true` when the generation-versioned answer memo served the query
-    /// (no cache entry involved; filter/probe/verify all skipped).
+    /// `true` when an answer-only row (an evicted entry, or a query
+    /// admission rejected) served the query, without credit or any stage.
     pub memo_hit: bool,
     /// `true` when the pipeline took the bounded plan: the cache hits
     /// already fenced the answer, so Method M's filter never ran and

@@ -10,11 +10,11 @@
 //!   independent shards, each `(CacheManager, WindowManager)` behind a
 //!   `parking_lot::RwLock` plus its own replacement-policy instance behind a
 //!   `Mutex`. A query graph's WL fingerprint picks its *home shard*
-//!   (admission and exact-match lookups touch only that shard; fingerprints
-//!   are isomorphism-invariant, so an exact duplicate always routes home);
+//!   (admission and exact-match lookups, rows included, touch only that
+//!   shard; fingerprints are isomorphism-invariant, so a duplicate routes home);
 //! * **read-mostly probing** — the probe / bound / filter / prune / verify
-//!   stages take only shard *read* locks (and hold them just long enough to
-//!   snapshot hit answers); write locks are taken for the two short
+//!   stages and answer-only row hits take only shard *read* locks (held
+//!   just long enough to copy answers); write locks are taken for the short
 //!   sections that mutate state: hit crediting and admission/eviction;
 //! * **lock-free accounting** — [`StatsMonitor`] and [`CostModel`] are
 //!   atomics-based, so statistics and cost observations never serialize
@@ -50,7 +50,6 @@ use crate::cache::CacheManager;
 use crate::config::CacheConfig;
 use crate::cost::CostModel;
 use crate::entry::EntryId;
-use crate::memo::AnswerMemo;
 use crate::persist::{self, PersistHealth, RecoveryReport, RestoredEntry, StoreHealth};
 use crate::pipeline::admit::{self, AdmitLimits, AdmitOutcome};
 use crate::pipeline::probe::{CacheHits, ProbeScratch};
@@ -150,10 +149,6 @@ pub struct SharedGraphCache {
     /// Live dataset + filter overlay (see [`DataState`] for the locking
     /// protocol).
     data: RwLock<DataState>,
-    /// Generation-versioned exact answer memo; its internal mutex is held
-    /// only for the lookup/store instants (always under the `data` read
-    /// lock, so a memoized generation can never race a mutation).
-    memo: AnswerMemo,
     method: Arc<dyn Method>,
     config: CacheConfig,
     shards: Vec<Shard>,
@@ -161,7 +156,8 @@ pub struct SharedGraphCache {
     /// `config.capacity` (base + 1 for the first `capacity % shards`
     /// shards), so N shards retain no more entries than one would. Shards
     /// with capacity 0 (when `capacity < shards`) still admit within a
-    /// window but are emptied by every sweep.
+    /// window but are emptied by every sweep. `config.memo_capacity`
+    /// answer-only rows are split the same way.
     limits: Vec<AdmitLimits>,
     stats: StatsMonitor,
     cost: CostModel,
@@ -213,11 +209,14 @@ impl SharedGraphCache {
             })
             .collect::<Vec<_>>();
         let policy_name = shards[0].policy.lock().name();
-        let (base, extra) = (config.capacity / config.shards, config.capacity % config.shards);
+        let share = |total: usize, si: usize| {
+            total / config.shards + usize::from(si < total % config.shards)
+        };
         let limits = (0..config.shards)
             .map(|si| AdmitLimits {
-                capacity: base + usize::from(si < extra),
+                capacity: share(config.capacity, si),
                 max_bytes: config.max_bytes.map(|b| (b / config.shards).max(1)),
+                rows: share(config.memo_capacity, si),
             })
             .collect();
         let telemetry = Telemetry::from_config(&config);
@@ -225,7 +224,6 @@ impl SharedGraphCache {
             cost: CostModel::new(&dataset),
             stats: StatsMonitor::new(),
             clock: AtomicU64::new(0),
-            memo: AnswerMemo::new(config.memo_capacity),
             data: RwLock::new(DataState { overlay: BitSet::new(dataset.len()), dataset }),
             method,
             config,
@@ -280,7 +278,6 @@ impl SharedGraphCache {
         let start = Instant::now();
         let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let seq = self.telemetry.begin_query();
-        let mut timing = QueryTiming::default();
         let (fp, key) = query_key(&self.telemetry, query, start);
         let home = (fp % self.shards.len() as u64) as usize;
 
@@ -302,62 +299,46 @@ impl SharedGraphCache {
             generation,
         };
 
-        // ---- exact-match fast path: home shard only -----------------------
-        // Cheap read-locked check first; only a hit pays for the write lock
-        // (where the entry is re-located — it may have been evicted, or its
-        // slot reused, between the two locks).
-        let maybe_exact =
-            probe::find_exact(&self.shards[home].state.read().cache, fp, query, kind).is_some();
-        if maybe_exact {
-            if let Some((served, steps)) = self.serve_exact(home, fp, query, kind, now) {
-                drop(data);
-                let report = fast.finish(
-                    FastTier::Exact,
-                    &timing,
-                    served.answer,
-                    Some(served.text),
-                    served.base_tests,
-                    steps,
-                );
-                // Exact hits skip the journal hooks (nothing mutated), so
-                // an exact-hit-only workload must still drive recovery
-                // probes.
-                self.maybe_probe_persistence();
-                return report;
+        // ---- exact tier: home shard only ---------------------------------
+        // One read-locked lookup. An answer-only row is served under it (a
+        // copy of its answer and text slot, no credit); an entry is credited,
+        // so it pays for the write lock.
+        let hit = {
+            let state = self.shards[home].state.read();
+            match probe::find_exact(&state.cache, fp, query, kind) {
+                Some((row, FastTier::Memo, steps)) => {
+                    Some((FastTier::Memo, admit::ExactServe::of(row), steps))
+                }
+                Some(_) => {
+                    drop(state);
+                    let served = self.serve_exact(home, fp, query, kind, now);
+                    served.map(|(served, steps)| (FastTier::Exact, served, steps))
+                }
+                None => None,
             }
-        }
-
-        // ---- answer-memo fast path (generation-versioned) -----------------
-        let memo_hit = {
-            let _span = self.telemetry.span(PipelineStage::Memo, &mut timing);
-            self.memo.lookup(fp, query, kind, generation)
         };
-        if let Some(hit) = memo_hit {
+        if let Some((tier, served, steps)) = hit {
             drop(data);
-            let report = fast.finish(
-                FastTier::Memo,
-                &timing,
-                hit.answer,
-                None,
-                hit.base_tests,
-                hit.confirm_steps,
-            );
+            let report = fast.finish(tier, served, steps);
+            // Exact hits skip the journal hooks (nothing mutated), so an
+            // exact-hit-only workload must still drive recovery probes.
             self.maybe_probe_persistence();
             return report;
         }
 
         // ---- staged pipeline ---------------------------------------------
+        let mut timing = QueryTiming::default();
         let mut ctx = PipelineCtx::new(query, kind, now, data.dataset.len());
         // Borrow this thread's warm probe buffers for the query's lifetime
         // (returned before the context is consumed below).
         PROBE_SCRATCH.with(|s| std::mem::swap(&mut ctx.probe_scratch, &mut s.borrow_mut()));
 
         // The query's features and verification profile are computed once
-        // here — every shard's sub/super probe shares them (and admission
-        // below reuses the features), instead of each of the N shards
-        // re-deriving both.
+        // here — every shard's sub/super probe shares them, and admission
+        // below moves them into the entry or row, instead of each of the N
+        // shards and admission re-deriving both.
         ctx.features = Some(gc_index::feature_vec(query, &self.config.feature_config));
-        let q_profile = gc_iso::GraphProfile::new(query, None);
+        ctx.profile = Some(gc_iso::GraphProfile::new(query, None));
 
         // Probe every shard under its read lock; snapshot hit answers while
         // the lock is held (one clone per hit, straight into the context),
@@ -370,6 +351,7 @@ impl SharedGraphCache {
             for (si, shard) in self.shards.iter().enumerate() {
                 let state = shard.state.read();
                 let qf = ctx.features.as_ref().expect("just set");
+                let q_profile = ctx.profile.as_ref().expect("just set");
                 let hits = probe::probe_cases(
                     &state.cache,
                     &self.config,
@@ -438,7 +420,8 @@ impl SharedGraphCache {
             let shard = &self.shards[home];
             let mut state = shard.state.write();
             // A concurrent query for an isomorphic graph may have admitted
-            // it while we were verifying; don't store a duplicate.
+            // it (or stored its row) while we were verifying; don't store a
+            // duplicate.
             if probe::find_exact(&state.cache, fp, query, kind).is_some() {
                 AdmitOutcome::default()
             } else {
@@ -454,6 +437,7 @@ impl SharedGraphCache {
                     kind,
                     fp,
                     ctx.features.take(), // the probe stage's extraction, reused
+                    ctx.profile.take(),
                     &answer,
                     ctx.pruned.cm_size as u64,
                     ctx.verify_steps,
@@ -466,7 +450,6 @@ impl SharedGraphCache {
                 outcome
             }
         };
-        self.memo.store(fp, query, kind, &answer, ctx.pruned.cm_size as u64, generation);
         drop(admit_span);
 
         let elapsed = start.elapsed();
@@ -575,9 +558,18 @@ impl SharedGraphCache {
     /// index is offered the graph (the filter overlay covers methods that
     /// decline — see [`gc_method::Method::on_insert_graph`]), every cached
     /// answer set re-verifies the new graph where its summary prefilter
-    /// admits it, the answer memo invalidates via the generation bump, and
-    /// the delta is journaled — inside the write lock, so deltas always
-    /// land in generation order.
+    /// admits it, every answer-only row is dropped, and the delta is
+    /// journaled — inside the write lock, so deltas always land in
+    /// generation order.
+    ///
+    /// Dropping the rows here is what keeps them exact without a
+    /// generation stamp: a query stores its row during admission, under
+    /// the shard write lock *and* the `data` read lock it has held since
+    /// entry, so every row in a shard was computed against the current
+    /// generation, and a row computed against an older one can never land
+    /// after this mutation (which holds the `data` write lock while it
+    /// clears each shard under that shard's write lock). The rows are freed
+    /// by each shard's next admission, not by the mutation.
     pub fn insert_graph(&self, g: Graph) -> GraphId {
         let mut data = self.data.write();
         let span = self.telemetry.mutate_span();
@@ -593,6 +585,7 @@ impl SharedGraphCache {
             let vf = &mut s.borrow_mut().vf;
             for shard in self.shards.iter() {
                 let mut state = shard.state.write();
+                state.cache.clear_rows();
                 for id in state.cache.ids() {
                     let entry = state.cache.get_mut(id).expect("listed id is live");
                     entry.grow_answer(universe);
@@ -613,8 +606,9 @@ impl SharedGraphCache {
     /// or never existed. Same quiescing discipline as
     /// [`Self::insert_graph`]; the graph is cleared from every shard's
     /// cached answer sets, the method index is told
-    /// ([`gc_method::Method::on_remove_graph`]), the memo invalidates via
-    /// the generation bump, and the delta is journaled.
+    /// ([`gc_method::Method::on_remove_graph`]), every answer-only row is
+    /// dropped (see [`Self::insert_graph`] for why that keeps them exact),
+    /// and the delta is journaled.
     pub fn remove_graph(&self, gid: GraphId) -> bool {
         let mut data = self.data.write();
         // Decided on the shared handle: `make_mut` deep-copies the dataset
@@ -632,6 +626,7 @@ impl SharedGraphCache {
         }
         for shard in self.shards.iter() {
             let mut state = shard.state.write();
+            state.cache.clear_rows();
             for id in state.cache.ids() {
                 let entry = state.cache.get_mut(id).expect("listed id is live");
                 entry.remove_answer(gid as usize);
@@ -688,10 +683,9 @@ impl SharedGraphCache {
     }
 
     /// Credit and copy out the exact hit for `query` (WL fingerprint `key`)
-    /// from `home` under its write lock: the served answer and text slot,
-    /// and the confirmation steps. `None` if the entry vanished between the
-    /// read-locked check and this write section (caller falls back to the
-    /// full pipeline).
+    /// from `home` under its write lock, where it is looked up again: `None`
+    /// if the entry was evicted (or demoted to a row) since the read-locked
+    /// check (caller falls back to the full pipeline).
     fn serve_exact(
         &self,
         home: usize,
@@ -702,7 +696,10 @@ impl SharedGraphCache {
     ) -> Option<(admit::ExactServe, u64)> {
         let shard = &self.shards[home];
         let mut state = shard.state.write();
-        let (id, confirm_steps) = probe::find_exact(&state.cache, key, query, kind)?;
+        let (id, confirm_steps) = match probe::find_exact(&state.cache, key, query, kind)? {
+            (e, FastTier::Exact, steps) => (e.id, steps),
+            (_, FastTier::Memo, _) => return None, // a row's id is stale
+        };
         let mut policy = shard.policy.lock();
         let served = admit::serve_exact(&mut state.cache, policy.as_mut(), id, now)?;
         Some((served, confirm_steps))
@@ -870,8 +867,10 @@ impl SharedGraphCache {
             }
             let stats = e.stats.clone();
             let features = state.cache.index().features_of(&e.graph);
+            let profile = gc_iso::GraphProfile::new(&e.graph, None);
             let id = state.cache.insert_with_features(
                 e.graph,
+                profile,
                 e.kind,
                 e.answer,
                 e.base_tests,
@@ -1067,9 +1066,10 @@ impl SharedGraphCache {
         Arc::clone(&self.data.read().dataset)
     }
 
-    /// Live answers in the generation-versioned memo (diagnostics).
+    /// Answer-only rows across shards (diagnostics): evicted entries and
+    /// queries admission rejected, each serving exact repeats as a memo hit.
     pub fn memo_len(&self) -> usize {
-        self.memo.len()
+        self.shards.iter().map(|s| s.state.read().cache.row_count()).sum()
     }
 
     /// Cache memory footprint across shards (entries + per-shard index).

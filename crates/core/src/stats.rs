@@ -23,8 +23,8 @@ pub struct GlobalStats {
     pub hit_queries: u64,
     /// Exact-match hits.
     pub exact_hits: u64,
-    /// Answer-memo hits: repeat queries served from the
-    /// generation-versioned exact answer memo, bypassing the
+    /// Memo hits: repeat queries served by an answer-only row (an evicted
+    /// entry, or a query admission rejected), bypassing the
     /// filter/probe/verify pipeline entirely.
     pub memo_hits: u64,
     /// Exact and memo hits whose confirmation needed the isomorphism search

@@ -29,8 +29,8 @@ pub const BUCKETS: usize = 21;
 /// so any percentile estimated from the buckets is exact to within one
 /// power-of-two bucket — the reported bound is never more than 2× the
 /// true value's bucket floor. The exact maximum is tracked separately.
-/// The sum is kept in nanoseconds, so sub-microsecond observations (a memo
-/// lookup, an exact hit) still add up instead of each truncating to 0.
+/// The sum is kept in nanoseconds, so sub-microsecond observations (a key,
+/// an exact hit) still add up instead of each truncating to 0.
 #[derive(Debug, Default)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
@@ -195,8 +195,8 @@ impl HistogramSnapshot {
 }
 
 /// The pipeline stages the cache times individually, in execution order,
-/// then the tiers in front of the pipeline: the answer memo, the query's
-/// key, and the exact-match hit.
+/// then what runs in front of the pipeline: the query's key and the
+/// exact-match hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PipelineStage {
     /// Cache probe: find sub/super hits in the index, snapshot answers.
@@ -211,31 +211,29 @@ pub enum PipelineStage {
     Prune,
     /// Verification of surviving candidates (sub-iso tests).
     Verify,
-    /// Hit crediting, window admission, and memo store.
+    /// Hit crediting, window admission (or an answer-only row), the sweep.
     Admit,
-    /// Answer-memo lookup (the pre-pipeline fast path).
-    Memo,
     /// Query entry until its WL fingerprint — the one key of shard routing,
-    /// the exact and memo tiers and admission — is computed. Every query.
+    /// the exact tier and admission — is computed. Every query.
     Key,
     /// Key done until an exact-match hit is served: `find_exact` under the
-    /// read lock and again under the write lock (bucket lookup under the
-    /// query's key, then confirmation), crediting, the answer copy. Exact
-    /// hits only, so `key + exact` is an exact hit's whole time.
+    /// read lock (bucket lookup under the query's key, then confirmation),
+    /// the answer copy and, for an entry, the same under the write lock
+    /// with crediting. Exact and memo hits only: `key + exact` is their
+    /// whole time.
     Exact,
 }
 
 impl PipelineStage {
     /// All stages, in pipeline order (a stage's position is its
     /// discriminant, see [`PipelineStage::index`]).
-    pub const ALL: [PipelineStage; 9] = [
+    pub const ALL: [PipelineStage; 8] = [
         PipelineStage::Probe,
         PipelineStage::Bound,
         PipelineStage::Filter,
         PipelineStage::Prune,
         PipelineStage::Verify,
         PipelineStage::Admit,
-        PipelineStage::Memo,
         PipelineStage::Key,
         PipelineStage::Exact,
     ];
@@ -254,7 +252,6 @@ impl PipelineStage {
             PipelineStage::Prune => "prune",
             PipelineStage::Verify => "verify",
             PipelineStage::Admit => "admit",
-            PipelineStage::Memo => "memo",
             PipelineStage::Key => "key",
             PipelineStage::Exact => "exact",
         }
@@ -331,11 +328,9 @@ pub struct QueryTrace {
     pub prune_us: u64,
     /// Verify-stage time, microseconds.
     pub verify_us: u64,
-    /// Admit-stage time (crediting + window admission + memo store),
+    /// Admit-stage time (crediting + admission + replacement sweep),
     /// microseconds.
     pub admit_us: u64,
-    /// Memo-lookup time, microseconds.
-    pub memo_us: u64,
     /// Method M baseline tests: `|C_M|` out of the filter stage, or its
     /// upper bound on the bounded plan.
     pub cm_size: u64,
@@ -368,7 +363,6 @@ impl QueryTrace {
             + self.prune_us
             + self.verify_us
             + self.admit_us
-            + self.memo_us
     }
 }
 
@@ -583,7 +577,6 @@ mod tests {
             prune_us: 3,
             verify_us: 4,
             admit_us: 0,
-            memo_us: 0,
             cm_size: 5,
             definite: 1,
             to_verify: 3,
@@ -676,7 +669,7 @@ mod tests {
         let labels: Vec<&str> = PipelineStage::ALL.iter().map(|s| s.label()).collect();
         assert_eq!(
             labels,
-            ["probe", "bound", "filter", "prune", "verify", "admit", "memo", "key", "exact"]
+            ["probe", "bound", "filter", "prune", "verify", "admit", "key", "exact"]
         );
         for (i, stage) in PipelineStage::ALL.into_iter().enumerate() {
             assert_eq!(stage.index(), i, "ALL lists the stages in discriminant order");
@@ -706,10 +699,7 @@ mod tests {
         let labels: Vec<&str> = t.labelled_stages().map(|(label, _)| label).collect();
         assert_eq!(
             labels,
-            [
-                "probe", "bound", "filter", "prune", "verify", "admit", "memo", "key", "exact",
-                "mutate"
-            ]
+            ["probe", "bound", "filter", "prune", "verify", "admit", "key", "exact", "mutate"]
         );
         assert_eq!(t.labelled_stages().last().unwrap().1.count(), 1);
     }

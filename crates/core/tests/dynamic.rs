@@ -1,4 +1,4 @@
-//! Live dataset mutation + answer memo: the dynamic-dataset contract.
+//! Live dataset mutation + answer-only rows: the dynamic-dataset contract.
 //!
 //! Covers:
 //!
@@ -8,8 +8,8 @@
 //!   mutated-in-place cache (property test over random interleavings);
 //! * one shard (`GraphCache`) and four answer identically under the same
 //!   mutation script;
-//! * a memo hit performs **zero** probe/verify work and the memo is
-//!   invalidated wholesale by any dataset mutation (generation bump);
+//! * a memo hit (an answer-only row) performs **zero** probe/verify work,
+//!   and every row is dropped by any dataset mutation;
 //! * mutations racing a snapshot neither deadlock nor lose their delta —
 //!   every journaled delta is recoverable (warm restart replays it);
 //! * warm restarts replay dataset deltas from the journal on top of the
@@ -211,8 +211,8 @@ fn sequential_and_sharded_answer_identically_under_mutation() {
 #[test]
 fn memo_hit_is_zero_work_and_generation_invalidated() {
     let ds = dataset(20, 123);
-    // Tiny cache: entries evict fast, so repeats miss the exact-match table
-    // and fall through to the memo.
+    // Tiny cache: entries evict fast, so a repeat finds its evicted entry
+    // demoted to an answer-only row.
     let cfg = CacheConfig { capacity: 2, window_size: 1, ..CacheConfig::default() };
     let mut gc =
         GraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Lru, cfg).unwrap();
@@ -227,21 +227,22 @@ fn memo_hit_is_zero_work_and_generation_invalidated() {
         let filler = extract_query(ds.graph(gid), 5, &mut rng).unwrap();
         gc.query(&filler, QueryKind::Subgraph);
     }
-    assert!(gc.memo_len() > 0, "executed queries must land in the memo");
+    assert!(gc.memo_len() > 0, "evicted entries must be kept as answer-only rows");
 
     let repeat = gc.query(&q, QueryKind::Subgraph);
     assert!(!repeat.exact_hit, "entry must have been evicted");
-    assert!(repeat.memo_hit, "evicted repeat must be served by the answer memo");
+    assert!(repeat.memo_hit, "evicted repeat must be served by its answer-only row");
     assert_eq!(repeat.sub_iso_tests, 0);
     assert_eq!(repeat.probe_tests, 0);
     assert_eq!(repeat.verify_steps, 0);
     assert_eq!(repeat.answer, first.answer);
     assert_eq!(gc.stats().memo_hits, 1);
 
-    // A mutation bumps the generation: the whole memo is invalid at once.
+    // A mutation drops every row at once.
     let inserted = gc.insert_graph(ds.graph(1).clone());
+    assert_eq!(gc.memo_len(), 0);
     let after = gc.query(&q, QueryKind::Subgraph);
-    assert!(!after.memo_hit, "mutation must invalidate the memo");
+    assert!(!after.memo_hit, "mutation must invalidate every row");
     assert!(
         after.answer.contains(inserted as usize),
         "the re-executed answer must see the inserted duplicate graph"

@@ -399,8 +399,8 @@ fn restore_resumes_the_admission_window() {
     let ds = dataset(26, 71);
     let w = workload(&ds, 120, 31);
     let dir = tmpdir("window");
-    // No memo: the original's would serve repeats the restored cache
-    // re-executes (and re-admits).
+    // No answer-only rows (they are not persisted): the original's would
+    // serve repeats the restored cache re-executes (and re-admits).
     let cfg = CacheConfig { capacity: 8, window_size: 4, memo_capacity: 0, ..config() };
     let mut a = session(&ds, cfg.clone());
     let mut queries = w.queries.iter();

@@ -492,8 +492,8 @@ fn run_against_server(
 
 /// `gc mutate`: the dynamic-dataset demo — rounds of interleaved
 /// queries, inserts, and removes against one live cache, showing the
-/// generation counter, in-place answer repair, and the answer memo at
-/// work. With `--check`, every answer is cross-checked against Method M
+/// generation counter, in-place answer repair, and the answer-only rows
+/// (memo hits) at work. With `--check`, every answer is cross-checked against Method M
 /// alone on the dataset *as mutated so far*. With `--server ADDR`, the
 /// mutations are POSTed to a running `gc serve` via `/mutate` instead.
 fn cmd_mutate(flags: &HashMap<String, String>) -> Result<(), String> {
@@ -517,7 +517,7 @@ fn cmd_mutate(flags: &HashMap<String, String>) -> Result<(), String> {
 
     println!("=== Dynamic Dataset Demo ===");
     println!(
-        "round | generation | live graphs | memo entries | memo hits | hit ratio | avg tests/query"
+        "round | generation | live graphs | answer-only rows | memo hits | hit ratio | avg tests/query"
     );
     for round in 0..rounds {
         for _ in 0..queries {
@@ -555,7 +555,7 @@ fn cmd_mutate(flags: &HashMap<String, String>) -> Result<(), String> {
         }
         let s = gc.stats();
         println!(
-            "{round:>5} | {:>10} | {:>11} | {:>12} | {:>9} | {:>8.1}% | {:>15.1}",
+            "{round:>5} | {:>10} | {:>11} | {:>16} | {:>9} | {:>8.1}% | {:>15.1}",
             s.dataset_generation,
             s.dataset_live_graphs,
             gc.memo_len(),

@@ -13,8 +13,8 @@
 //! (see `gc-iso`). This mirrors the canonical-labelling + verification split
 //! the papers describe.
 //!
-//! The cache computes exactly one [`fingerprint`] per query — it keys the
-//! entry table, the answer memo and admission alike — so the function runs
+//! The cache computes exactly one [`fingerprint`] per query — it keys shard
+//! routing, the exact-match lookup and admission alike — so the function runs
 //! on thread-local buffers and allocates nothing once warm.
 
 use crate::{Graph, VertexId};

@@ -253,9 +253,8 @@ impl Dataset {
         self.dead > 0
     }
 
-    /// Mutation counter: 0 at load, +1 per insert/remove. Versions the
-    /// exact-answer memo (any bump invalidates all memoized answers in
-    /// O(1)) and orders journaled deltas.
+    /// Mutation counter: 0 at load, +1 per insert/remove. Stamps query
+    /// traces and snapshots and orders journaled deltas.
     pub fn generation(&self) -> u64 {
         self.generation
     }

@@ -22,8 +22,8 @@ pub struct QueryResponse {
     pub kind: String,
     /// `true` when an exact-match hit served the query outright.
     pub exact_hit: bool,
-    /// `true` when the generation-versioned answer memo served the query
-    /// without running the pipeline (zero probe/verify work).
+    /// `true` when an answer-only row (an evicted entry, or a query
+    /// admission rejected) served the query with zero probe/verify work.
     pub memo_hit: bool,
     /// Which plan produced the candidate set: `"filter"` (the base
     /// method's filter ran) or `"bounded"` (the cache hits already fenced
@@ -56,10 +56,10 @@ pub struct QueryResponse {
 /// The answer ids of a [`QueryReply`], in one of two forms.
 #[derive(Debug, Clone, Copy)]
 pub enum AnswerIds<'a> {
-    /// Already rendered by [`BitSet::write_ids`] — an exact hit's shared
-    /// [`gc_core::AnswerText`]: copied as is.
+    /// Already rendered by [`BitSet::write_ids`] — an exact or memo hit's
+    /// shared [`gc_core::AnswerText`]: copied as is.
     Rendered(&'a [u8]),
-    /// Rendered while the reply is written (memo and pipeline answers).
+    /// Rendered while the reply is written (pipeline answers).
     Set(&'a BitSet),
 }
 
@@ -173,7 +173,7 @@ pub struct StatsResponse {
     pub hit_queries: u64,
     /// Exact-match hits.
     pub exact_hits: u64,
-    /// Answer-memo hits (pipeline bypassed entirely).
+    /// Memo hits: served by an answer-only row, pipeline bypassed.
     pub memo_hits: u64,
     /// Exact/memo hits confirmed by isomorphism search rather than by an
     /// equal presentation (clients sending isomorphs, not repeats).
@@ -248,7 +248,7 @@ pub struct StatsResponse {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StageSummary {
     /// Stage label: a pipeline stage (`probe`/`bound`/`filter`/`prune`/
-    /// `verify`/`admit`/`memo`/`key`/`exact`, then `mutate`) or a request
+    /// `verify`/`admit`/`key`/`exact`, then `mutate`) or a request
     /// stage (`queue`/`parse`/`execute`/`render`/`write`).
     pub stage: String,
     /// Observations recorded for this stage.

@@ -541,12 +541,13 @@ fn error_response(status: u16, error: String) -> Response {
 }
 
 /// `POST /query`: decode the t/v/e body, run the query, and write the reply
-/// straight into `out` — no [`crate::QueryResponse`] is built. An exact hit
-/// copies its entry's shared [`gc_core::AnswerText`] (rendered by the first
-/// request that needed it); memo and pipeline answers are rendered by
-/// [`gc_graph::BitSet::write_ids`] as they are written. The decode and the
-/// write-out are the `render` stage; the query alone is `execute`. A
-/// request that cannot be served comes back as an error response.
+/// straight into `out` — no [`crate::QueryResponse`] is built. An exact or
+/// memo hit copies its entry's or row's shared [`gc_core::AnswerText`]
+/// (rendered by the first request that needed it); pipeline answers are
+/// rendered by [`gc_graph::BitSet::write_ids`] as they are written. The
+/// decode and the write-out are the `render` stage; the query alone is
+/// `execute`. A request that cannot be served comes back as an error
+/// response.
 fn handle_query(
     req: &Request,
     request_id: &str,
@@ -642,8 +643,8 @@ fn handle_query(
 
 /// `POST /mutate?op=insert` (t/v/e body, exactly one graph) or
 /// `POST /mutate?op=remove&id=N`. Mutations are serialized by the cache's
-/// dataset lock, repair every cached answer set, invalidate the answer
-/// memo via the generation bump, and journal one dataset delta each.
+/// dataset lock, repair every cached answer set, drop every answer-only
+/// row, and journal one dataset delta each.
 fn handle_mutate(req: &Request, shared: &Shared) -> Response {
     match req.query_param("op") {
         Some("insert") => {
@@ -949,7 +950,7 @@ mod tests {
             serde_json::from_str(&client.get("/stats").unwrap().body_text()).unwrap();
         assert_eq!(stats.slow_queries, 3);
         assert!(stats.traces_sampled >= 3);
-        assert_eq!(stats.stages.len(), 10);
+        assert_eq!(stats.stages.len(), 9, "eight pipeline stages, then mutate");
         assert!(stats.stages.iter().any(|s| s.stage == "filter" && s.count > 0));
         assert!(stats.stages.iter().any(|s| s.stage == "bound" && s.count > 0));
         assert_eq!(stats.filter_skipped, 0, "one cold query, then exact hits: nothing to bound");
@@ -1153,20 +1154,32 @@ mod tests {
             Arc::clone(&dataset),
             Box::new(SiMethod),
             PolicyKind::Hd,
-            // Nothing is admitted, so a repeat can only come from the memo.
+            // Nothing is admitted: the query is stored as an answer-only row,
+            // so a repeat can only be a memo hit.
             CacheConfig { min_admit_tests: usize::MAX, ..CacheConfig::default() },
         )
         .unwrap();
-        let server = Server::start(Arc::new(cache), quick_config()).unwrap();
+        let cache = Arc::new(cache);
+        let server = Server::start(Arc::clone(&cache), quick_config()).unwrap();
         let mut client = HttpClient::connect(server.addr()).unwrap();
-        let body = gc_graph::io::dataset_to_string(std::slice::from_ref(&dataset.graphs()[3]));
-        for tier in ["pipeline", "memo"] {
+        let query = &dataset.graphs()[3];
+        let body = gc_graph::io::dataset_to_string(std::slice::from_ref(query));
+        for tier in ["pipeline", "memo", "memo"] {
             let resp = client.post("/query?kind=super", body.as_bytes()).unwrap();
             assert_eq!(resp.header("x-gc-tier"), Some(tier));
             let parsed: QueryResponse = serde_json::from_str(&resp.body_text()).unwrap();
             assert_eq!(parsed.memo_hit, tier == "memo");
             assert_eq!(parsed.kind, "super");
         }
+        // The memo hits share the row's one text slot, rendered by the
+        // first of them and kept.
+        let a = cache.query(query, QueryKind::Supergraph);
+        let b = cache.query(query, QueryKind::Supergraph);
+        let (ta, tb) = (a.answer_text.unwrap(), b.answer_text.unwrap());
+        assert!(a.memo_hit && b.memo_hit && Arc::ptr_eq(&ta, &tb));
+        let mut ids = Vec::new();
+        a.answer.write_ids(&mut ids);
+        assert_eq!(ta.get(), Some(&ids[..]), "rendered over HTTP and kept");
         server.drain();
     }
 

@@ -61,7 +61,7 @@ fn pipeline_invariants_hold_on_every_query() {
     for wq in &workload.queries {
         let r = gc.query(&wq.graph, wq.kind);
         if r.exact_hit || r.memo_hit {
-            // Served whole from the fingerprint table / answer memo: the
+            // Served whole by an entry / answer-only row: the
             // staged pipeline (whose algebra this checks) never ran.
             continue;
         }
