@@ -46,21 +46,23 @@ pub struct CacheConfig {
     pub shards: usize,
     /// Persistence: automatically write a snapshot (and rotate the
     /// journal) after this many admissions, when a
-    /// [`gc_store::CacheStore`] is attached. `None` disables the
-    /// admission-count trigger (snapshots then happen only on explicit
+    /// [`gc_store::CacheStore`] is attached. Entries reach disk only
+    /// through snapshots, so this bounds the warmth a crash loses: at most
+    /// this many admissions. `None` disables the admission-count trigger
+    /// (snapshots then happen only on explicit
     /// [`crate::SharedGraphCache::snapshot_now`] /
     /// [`crate::SharedGraphCache::snapshot_to`] calls, the journal-size
     /// trigger, or a [`crate::persist::Snapshotter`]). Must be > 0 when set.
     pub snapshot_interval: Option<u64>,
-    /// Persistence: automatically snapshot once the append-only journal
-    /// exceeds this many bytes, bounding both journal replay time and the
-    /// disk footprint between snapshots. `None` disables the size trigger.
-    /// Must be > 0 when set.
+    /// Persistence: automatically snapshot once the journal's dataset
+    /// deltas exceed this many bytes, bounding both delta replay time and
+    /// the disk footprint between snapshots. `None` disables the size
+    /// trigger. Must be > 0 when set.
     pub journal_max_bytes: Option<u64>,
     /// Persistence: group-commit fsync policy applied to journal appends
-    /// when a store is attached (see [`FsyncPolicy`] for the bounded-loss
-    /// guarantee of each variant). `EveryN`/`IntervalMs` arguments must
-    /// be > 0.
+    /// (dataset deltas) when a store is attached (see [`FsyncPolicy`] for
+    /// the bounded-loss guarantee of each variant, counted in delta
+    /// records). `EveryN`/`IntervalMs` arguments must be > 0.
     pub fsync_policy: FsyncPolicy,
     /// Persistence: how many times a failed journal append is retried
     /// (with capped exponential backoff) before the persistence circuit

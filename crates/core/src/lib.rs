@@ -37,7 +37,7 @@
 //!   cost-aware policies;
 //! * [`persist`] — durable cache state: snapshot + journal persistence
 //!   over [`gc_store`] ([`SharedGraphCache::snapshot_to`] /
-//!   [`SharedGraphCache::restore_from`], journal hooks after admission, a
+//!   [`SharedGraphCache::restore_from`], a dataset-delta journal, a
 //!   periodic [`Snapshotter`]), so warm hit ratios survive restarts and
 //!   deploys.
 //!

@@ -1,26 +1,24 @@
 //! Kernel-side persistence wiring: snapshot construction, fail-closed
-//! recovery replay, and the periodic snapshotter.
+//! recovery, the dataset-delta append, and the periodic snapshotter.
 //!
 //! The on-disk formats live in [`gc_store`]; this module converts between
 //! the kernel's live types ([`CacheEntry`], [`GlobalStats`],
-//! [`crate::CostModel`]) and the store's portable records, and implements
-//! the *replay* algorithm of a restore:
+//! [`crate::CostModel`]) and the store's portable records. The journal
+//! carries dataset mutations only, so a restore is:
 //!
-//! 1. every snapshot entry is re-admitted through the cache's **normal
-//!    insert path** (features, fingerprints, profiles and indexes are all
+//! 1. `resolve_dataset`: the snapshot's dataset, with every journaled
+//!    delta re-applied in order, each validated by fingerprint;
+//! 2. every snapshot entry re-inserted through the cache's **normal insert
+//!    path** (features, fingerprints, profiles and indexes are all
 //!    recomputed — the on-disk format knows nothing about index layout),
-//!    its accumulated statistics restored, and the replacement policy
-//!    warmed via [`crate::ReplacementPolicy::on_restore`];
-//! 2. journal records are applied in append order: admissions insert like
-//!    snapshot entries (fresh statistics), evictions remove the entry the
-//!    journal's originating id maps to. Replay is *order-tolerant*: an
-//!    eviction whose target never appeared is skipped and a duplicate
-//!    admission (exact match already cached) is skipped — both can occur
-//!    under concurrent clients' relaxed append ordering, and both are
-//!    sound because every record carries a complete verified answer set;
-//! 3. the caller enforces capacity with a final replacement sweep and
-//!    immediately rotates the store, so the new process's journal is never
-//!    entangled with the old process's entry-id namespace.
+//!    its statistics restored and the replacement policy warmed via
+//!    [`crate::ReplacementPolicy::on_restore`]; its answer is then
+//!    repaired against the deltas it predates;
+//! 3. a capacity sweep, then an immediate rotation of the store.
+//!
+//! An admission after the last snapshot is not on disk: the restored cache
+//! is as warm as that snapshot, and the lost entry costs tests, never a
+//! wrong answer.
 //!
 //! Anything invalid — checksum or framing failures, a dataset mismatch —
 //! degrades to a cold start ([`RecoveryReport::warm`] = false, reason
@@ -42,7 +40,7 @@ pub use gc_store::{
 /// What a restart recovered, for logs and dashboards.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
-    /// `true` when snapshot + journal were valid and replayed; `false` for
+    /// `true` when snapshot + journal were valid and restored; `false` for
     /// a cold start.
     pub warm: bool,
     /// Why the start was cold (missing files on first boot, or the
@@ -52,13 +50,12 @@ pub struct RecoveryReport {
     pub generation: u64,
     /// Entries in the snapshot.
     pub snapshot_entries: usize,
-    /// Admissions replayed from the journal.
-    pub journal_admits: usize,
-    /// Evictions replayed from the journal.
-    pub journal_evicts: usize,
     /// Dataset mutations (inserts/removes) replayed from the journal.
     pub journal_deltas: usize,
-    /// Live entries after replay and the capacity sweep.
+    /// Legacy admit/evict records in the journal, skipped (see
+    /// [`gc_store::journal`]).
+    pub journal_legacy_skipped: usize,
+    /// Live entries after the restore and the capacity sweep.
     pub entries_restored: usize,
     /// Restored logical clock.
     pub clock: u64,
@@ -81,18 +78,17 @@ impl RecoveryReport {
             } else {
                 String::new()
             };
-            let deltas = if self.journal_deltas > 0 {
-                format!(", {} dataset delta(s)", self.journal_deltas)
+            let skipped = if self.journal_legacy_skipped > 0 {
+                format!(", {} legacy admit/evict records skipped", self.journal_legacy_skipped)
             } else {
                 String::new()
             };
             format!(
-                "warm restart: {} entries restored (snapshot {} + journal {} admits / {} \
-                 evicts{deltas}), generation {}, clock {}{torn}",
+                "warm restart: {} entries restored (snapshot {}), {} dataset delta(s) \
+                 replayed{skipped}, generation {}, clock {}{torn}",
                 self.entries_restored,
                 self.snapshot_entries,
-                self.journal_admits,
-                self.journal_evicts,
+                self.journal_deltas,
                 self.generation,
                 self.clock
             )
@@ -229,94 +225,6 @@ pub(crate) fn build_doc<'a>(
     }
 }
 
-// ---- replay ------------------------------------------------------------------
-
-/// A restorable entry handed to the runtime's insert callback.
-pub(crate) struct RestoredEntry {
-    pub graph: gc_graph::Graph,
-    pub kind: gc_method::QueryKind,
-    pub answer: gc_graph::BitSet,
-    pub base_tests: u64,
-    pub base_cost: u64,
-    pub stats: EntryStats,
-}
-
-/// Replay tallies the caller folds into its [`RecoveryReport`].
-#[derive(Debug, Default)]
-pub(crate) struct ReplayCounts {
-    pub journal_admits: usize,
-    pub journal_evicts: usize,
-    /// Highest logical time seen anywhere in the recovered state.
-    pub max_now: u64,
-}
-
-/// Replay `state` through the runtime's callbacks: `insert` re-admits one
-/// entry through the normal insert path and returns the key evictions
-/// reference it by (`None` = skipped, e.g. an exact duplicate); `evict`
-/// removes a previously inserted key.
-///
-/// The originating-id → key map lives here, beside the order-tolerant
-/// semantics documented on the module.
-pub(crate) fn replay(
-    state: &RecoveredState,
-    universe: usize,
-    mut insert: impl FnMut(RestoredEntry) -> Option<u32>,
-    mut evict: impl FnMut(u32),
-) -> ReplayCounts {
-    let mut counts = ReplayCounts { max_now: state.doc.clock, ..ReplayCounts::default() };
-    let mut id_map: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-    let make_answer = |indices: &[u32]| {
-        gc_graph::BitSet::from_indices(universe, indices.iter().map(|&i| i as usize))
-    };
-    for rec in &state.doc.entries {
-        counts.max_now = counts.max_now.max(rec.stats.last_used).max(rec.stats.inserted_at);
-        let restored = RestoredEntry {
-            graph: rec.graph.clone(),
-            kind: rec.kind,
-            answer: make_answer(&rec.answer),
-            base_tests: rec.base_tests,
-            base_cost: rec.base_cost,
-            stats: record_to_stats(&rec.stats),
-        };
-        if let Some(key) = insert(restored) {
-            id_map.insert(rec.orig_id, key);
-        }
-    }
-    for rec in &state.journal {
-        match rec {
-            JournalRecord::Admit { orig_id, now, kind, base_tests, base_cost, graph, answer } => {
-                counts.max_now = counts.max_now.max(*now);
-                counts.journal_admits += 1;
-                let restored = RestoredEntry {
-                    graph: graph.clone(),
-                    kind: *kind,
-                    answer: make_answer(answer),
-                    base_tests: *base_tests,
-                    base_cost: *base_cost,
-                    stats: EntryStats { inserted_at: *now, last_used: *now, ..Default::default() },
-                };
-                if let Some(key) = insert(restored) {
-                    id_map.insert(*orig_id, key);
-                }
-            }
-            JournalRecord::Evict { orig_id, now } => {
-                counts.max_now = counts.max_now.max(*now);
-                counts.journal_evicts += 1;
-                // Order tolerance: unknown targets are skipped (the entry
-                // was never inserted, or its admission record trailed the
-                // eviction under the sharded append ordering).
-                if let Some(key) = id_map.remove(orig_id) {
-                    evict(key);
-                }
-            }
-            // Dataset deltas were already folded into the dataset by
-            // [`resolve_dataset`] before entry replay began.
-            JournalRecord::DatasetDelta { .. } => {}
-        }
-    }
-    counts
-}
-
 // ---- persistence health (circuit breaker) ------------------------------------
 
 /// Circuit-breaker state of an attached [`CacheStore`].
@@ -363,7 +271,7 @@ const HEALTH_DISABLED: u8 = 2;
 
 /// First retry delay for a failed append (doubles per attempt).
 const RETRY_BASE: Duration = Duration::from_micros(500);
-/// Retry delay cap — keeps the worst-case stall on the query path small.
+/// Retry delay cap — keeps the worst-case stall of a mutation small.
 const RETRY_CAP: Duration = Duration::from_millis(8);
 /// First recovery-probe delay after tripping to degraded.
 const PROBE_BASE: Duration = Duration::from_millis(25);
@@ -379,7 +287,7 @@ struct ProbeState {
     backoff: Duration,
 }
 
-/// Health bookkeeping the runtime consults on its journal path.
+/// Health bookkeeping the runtime consults on its persistence paths.
 /// Counters are atomics (read on every `stats()` call); probe scheduling
 /// sits behind a mutex touched only while degraded.
 pub(crate) struct StoreHealth {
@@ -489,9 +397,9 @@ impl StoreHealth {
     }
 }
 
-/// What the runtime must do after [`journal_outcome`]: nothing, cut the
-/// scheduled auto-snapshot, or attempt a recovery snapshot (reporting the
-/// result back via [`StoreHealth::mark_recovered`] /
+/// What the runtime must do after [`journal_dataset_delta`]: nothing, cut
+/// the scheduled auto-snapshot, or attempt a recovery snapshot (reporting
+/// the result back via [`StoreHealth::mark_recovered`] /
 /// [`StoreHealth::probe_failed`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PersistDirective {
@@ -504,7 +412,8 @@ pub(crate) enum PersistDirective {
 }
 
 /// `true` when an auto-snapshot should run: the admission-count interval
-/// or the journal byte threshold was reached (whichever knob is set).
+/// or the journal's delta-byte threshold was reached (whichever knob is
+/// set).
 pub(crate) fn due_for_rotation(
     cfg: &crate::config::CacheConfig,
     admits_since: u64,
@@ -512,106 +421,6 @@ pub(crate) fn due_for_rotation(
 ) -> bool {
     cfg.snapshot_interval.is_some_and(|n| admits_since >= n)
         || cfg.journal_max_bytes.is_some_and(|b| journal_bytes >= b)
-}
-
-/// Append one query's admission/evictions to `store` (the runtime's
-/// journal hook), tracking `health`, and report what follow-up the runtime
-/// owes.
-///
-/// Persistence failures never fail the query — answers come from memory
-/// and stay exact. A failed append retries up to
-/// [`crate::CacheConfig::persist_retries`] times with capped exponential
-/// backoff (the store truncates torn partial writes before each retry, so
-/// retries are sound); past the budget the breaker trips to
-/// [`PersistHealth::Degraded`] and subsequent mutations are only counted
-/// ([`StoreHealth::buffered`]) until a recovery probe succeeds.
-///
-/// `admits_since_snapshot` is the caller's post-increment counter value;
-/// entry ids are journaled exactly as the caller reports them
-/// (shard-encoded).
-#[allow(clippy::too_many_arguments)] // mirrors the admit stage's query facts
-pub(crate) fn journal_outcome(
-    store: &CacheStore,
-    health: &StoreHealth,
-    cfg: &crate::config::CacheConfig,
-    admits_since_snapshot: u64,
-    query: &gc_graph::Graph,
-    kind: gc_method::QueryKind,
-    answer: &gc_graph::BitSet,
-    base_tests: u64,
-    base_cost: u64,
-    now: u64,
-    admitted: Option<u32>,
-    evicted: &[u32],
-) -> PersistDirective {
-    let n_ops = admitted.is_some() as u64 + evicted.len() as u64;
-    match health.health() {
-        PersistHealth::Disabled => {
-            if n_ops > 0 {
-                health.note_buffered(n_ops);
-            }
-            return PersistDirective::Nothing;
-        }
-        PersistHealth::Degraded => {
-            if n_ops > 0 {
-                health.note_buffered(n_ops);
-            }
-            return if health.probe_due() {
-                PersistDirective::Probe
-            } else {
-                PersistDirective::Nothing
-            };
-        }
-        PersistHealth::Healthy => {}
-    }
-    if n_ops == 0 {
-        return PersistDirective::Nothing;
-    }
-    let answer_idx: Option<Vec<u32>> = admitted.map(|_| answer.iter().map(|i| i as u32).collect());
-    let mut ops: Vec<gc_store::JournalOp<'_>> = Vec::new();
-    if let Some(id) = admitted {
-        ops.push(gc_store::JournalOp::Admit {
-            orig_id: id,
-            now,
-            kind,
-            base_tests,
-            base_cost,
-            graph: query,
-            answer: answer_idx.as_deref().expect("just built"),
-        });
-    }
-    for &id in evicted {
-        ops.push(gc_store::JournalOp::Evict { orig_id: id, now });
-    }
-    let mut delay = RETRY_BASE;
-    let mut attempt: u32 = 0;
-    loop {
-        match store.append(&ops) {
-            Ok(_) => {
-                return if due_for_rotation(cfg, admits_since_snapshot, store.journal_bytes()) {
-                    PersistDirective::Rotate
-                } else {
-                    PersistDirective::Nothing
-                };
-            }
-            Err(e) => {
-                health.note_error();
-                if attempt >= cfg.persist_retries {
-                    eprintln!(
-                        "graphcache: journal append failed after {} attempt(s) ({e}); \
-                         persistence degraded, serving memory-only while probing for recovery",
-                        attempt + 1
-                    );
-                    health.trip_degraded();
-                    health.note_buffered(n_ops);
-                    return PersistDirective::Nothing;
-                }
-                attempt += 1;
-                std::thread::sleep(delay);
-                delay = (delay * 2).min(RETRY_CAP);
-            }
-        }
-    }
 }
 
 /// The dataset state a warm restart must serve: the caller's base dataset
@@ -635,7 +444,7 @@ pub(crate) struct ResolvedDataset {
 /// re-applied on top — or *already mutated* to exactly the snapshot's
 /// resulting state. Every journaled delta is then applied in order, each
 /// validated against its recorded post-mutation fingerprint. Any mismatch
-/// fails closed to a cold start: replaying cache entries against the wrong
+/// fails closed to a cold start: restoring cache entries against the wrong
 /// dataset would serve wrong answers, which corruption must never do.
 pub(crate) fn resolve_dataset(
     state: &RecoveredState,
@@ -671,11 +480,7 @@ pub(crate) fn resolve_dataset(
         ));
     }
     let mut journal_inserted = Vec::new();
-    let mut journal_deltas = 0usize;
-    for rec in &state.journal {
-        let JournalRecord::DatasetDelta { generation, resulting_fingerprint, op } = rec else {
-            continue;
-        };
+    for JournalRecord { generation, resulting_fingerprint, op } in &state.journal {
         if *generation != dataset.generation() + 1 {
             return cold(format!(
                 "journal dataset delta out of order (generation {} after {})",
@@ -693,9 +498,8 @@ pub(crate) fn resolve_dataset(
         if inserted {
             journal_inserted.push(dataset.len() as gc_graph::GraphId - 1);
         }
-        journal_deltas += 1;
     }
-    Ok(ResolvedDataset { dataset, journal_inserted, journal_deltas })
+    Ok(ResolvedDataset { dataset, journal_inserted, journal_deltas: state.journal.len() })
 }
 
 /// Re-offer every inserted graph in `dataset`'s op log to the method's
@@ -730,10 +534,17 @@ pub(crate) fn rebuild_method_overlay(
 }
 
 /// Append one dataset mutation (the last op in `dataset`'s log) to
-/// `store`, with the same health/retry/backoff discipline as
-/// [`journal_outcome`]. A delta lost while degraded is safe for the same
-/// reason lost admissions are: the recovery snapshot captures the complete
-/// mutated dataset, subsuming every unjournaled op.
+/// `store`, tracking `health`, and report what follow-up the runtime owes.
+///
+/// Persistence failures never fail the mutation — answers come from memory
+/// and stay exact. A failed append retries up to
+/// [`crate::CacheConfig::persist_retries`] times with capped exponential
+/// backoff (the store truncates torn partial writes before each retry, so
+/// retries are sound); past the budget the breaker trips to
+/// [`PersistHealth::Degraded`] and later mutations are only counted
+/// ([`StoreHealth::buffered`]) until a recovery probe succeeds. A delta
+/// lost while degraded is safe: the recovery snapshot captures the
+/// complete mutated dataset, subsuming every unjournaled op.
 pub(crate) fn journal_dataset_delta(
     store: &CacheStore,
     health: &StoreHealth,
@@ -759,7 +570,7 @@ pub(crate) fn journal_dataset_delta(
     let Some(op) = dataset.ops().last() else {
         return PersistDirective::Nothing;
     };
-    let ops = [gc_store::JournalOp::DatasetDelta {
+    let ops = [gc_store::JournalOp {
         generation: dataset.generation(),
         resulting_fingerprint: dataset.content_fingerprint(),
         op,

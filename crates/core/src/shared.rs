@@ -50,7 +50,7 @@ use crate::cache::CacheManager;
 use crate::config::CacheConfig;
 use crate::cost::CostModel;
 use crate::entry::EntryId;
-use crate::persist::{self, PersistHealth, RecoveryReport, RestoredEntry, StoreHealth};
+use crate::persist::{self, PersistHealth, RecoveryReport, StoreHealth};
 use crate::pipeline::admit::{self, AdmitLimits, AdmitOutcome};
 use crate::pipeline::probe::{CacheHits, ProbeScratch};
 use crate::pipeline::{bound, filter, probe, prune, verify, FastTier, PipelineCtx};
@@ -163,8 +163,8 @@ pub struct SharedGraphCache {
     cost: CostModel,
     clock: AtomicU64,
     policy_name: &'static str,
-    /// Attached persistence store (admissions/evictions journaled,
-    /// auto-snapshots per the config's persistence knobs).
+    /// Attached persistence store (dataset mutations journaled, entries
+    /// snapshotted per the config's persistence knobs).
     store: Option<Arc<CacheStore>>,
     /// Admissions since the last rotation (auto-snapshot trigger input).
     admits_since_snapshot: AtomicU64,
@@ -320,8 +320,6 @@ impl SharedGraphCache {
         if let Some((tier, served, steps)) = hit {
             drop(data);
             let report = fast.finish(tier, served, steps);
-            // Exact hits skip the journal hooks (nothing mutated), so an
-            // exact-hit-only workload must still drive recovery probes.
             self.maybe_probe_persistence();
             return report;
         }
@@ -468,71 +466,34 @@ impl SharedGraphCache {
                 slow,
             )
         });
-        // Release the dataset before journaling: a due rotation snapshots,
-        // and snapshots re-acquire the data read lock.
+        // Release the dataset first: a due rotation snapshots, and
+        // snapshots re-acquire the data read lock.
         drop(data);
-
-        // ---- journaling: outside every shard lock, after the latency
-        // measurement (so store IO never skews the query's timing).
-        // Appends happen after the write sections release, so the store's
-        // internal mutex can never participate in a lock-order inversion
-        // with shard locks. Cross-query append reordering is tolerated by
-        // replay (see `persist`).
-        self.journal_outcome(
-            query,
-            kind,
-            &answer,
-            ctx.pruned.cm_size as u64,
-            ctx.verify_steps,
-            now,
-            &outcome,
-        );
+        if outcome.admitted.is_some() {
+            self.count_admission();
+        }
+        self.maybe_probe_persistence();
 
         PROBE_SCRATCH.with(|s| std::mem::swap(&mut ctx.probe_scratch, &mut s.borrow_mut()));
         ctx.into_report(answer, outcome, elapsed)
     }
 
-    /// Append this query's admission/evictions to the attached journal and
-    /// run the auto-snapshot triggers. Persistence failures are reported to
-    /// stderr and never fail the query. Ids are journaled in their
-    /// shard-encoded form; replay decodes them back to a shard + slot.
-    #[allow(clippy::too_many_arguments)] // mirrors the admit stage's query facts
-    fn journal_outcome(
-        &self,
-        query: &Graph,
-        kind: QueryKind,
-        answer: &gc_graph::BitSet,
-        base_tests: u64,
-        base_cost: u64,
-        now: u64,
-        outcome: &AdmitOutcome,
-    ) {
+    /// Count one admission toward the auto-snapshot trigger and snapshot
+    /// when it is due. An entry reaches disk only through a snapshot, so
+    /// this is the only store work an admission does. Must be called
+    /// without holding the `data` lock or any shard lock.
+    fn count_admission(&self) {
         let Some(store) = self.store.as_ref() else { return };
-        let admits_since = if outcome.admitted.is_some() {
-            self.admits_since_snapshot.fetch_add(1, Ordering::Relaxed) + 1
-        } else {
-            self.admits_since_snapshot.load(Ordering::Relaxed)
-        };
-        let directive = persist::journal_outcome(
-            store,
-            &self.health,
-            &self.config,
-            admits_since,
-            query,
-            kind,
-            answer,
-            base_tests,
-            base_cost,
-            now,
-            outcome.admitted,
-            &outcome.evicted,
-        );
-        self.dispatch_directive(directive);
+        let admits_since = self.admits_since_snapshot.fetch_add(1, Ordering::Relaxed) + 1;
+        if self.health.health() == PersistHealth::Healthy
+            && persist::due_for_rotation(&self.config, admits_since, store.journal_bytes())
+        {
+            self.dispatch_directive(persist::PersistDirective::Rotate);
+        }
     }
 
-    /// Act on a journal append's follow-up. Must be called without holding
-    /// the `data` lock or any shard lock: both snapshot paths re-acquire
-    /// them.
+    /// Act on a persistence follow-up. Must be called without holding the
+    /// `data` lock or any shard lock: both snapshot paths re-acquire them.
     fn dispatch_directive(&self, directive: persist::PersistDirective) {
         match directive {
             persist::PersistDirective::Nothing => {}
@@ -659,7 +620,9 @@ impl SharedGraphCache {
     /// While [`PersistHealth::Degraded`] and a recovery probe is due, try
     /// to cut a fresh full snapshot: success re-arms durability (the
     /// snapshot subsumes every buffered mutation), failure backs the probe
-    /// off — until the probe budget disables persistence.
+    /// off — until the probe budget disables persistence. Every query
+    /// calls it, exact hits included: mutations, the only appends, may be
+    /// rare, so query traffic is what re-arms durability.
     fn maybe_probe_persistence(&self) {
         if self.store.is_none()
             || self.health.health() != PersistHealth::Degraded
@@ -709,8 +672,9 @@ impl SharedGraphCache {
 
     /// Attach a persistence store: writes an initial snapshot of the
     /// current state (establishing the journal's base), then journals
-    /// every admission/eviction and honours the config's
+    /// every dataset mutation and honours the config's
     /// `snapshot_interval` / `journal_max_bytes` auto-snapshot knobs.
+    /// Entries reach the store only through snapshots.
     ///
     /// Takes `&mut self`, so attach before sharing the cache behind an
     /// `Arc` (construction-time wiring, like the policy).
@@ -750,14 +714,11 @@ impl SharedGraphCache {
     /// With one shard, or when rotation does not race queries (shutdown
     /// snapshots, a [`crate::Snapshotter`] tick in a quiet period),
     /// `restore(snapshot(cache)) ≡ cache` exactly, the admission window's
-    /// phase included. Otherwise the union is a *fuzzy* cut, not a single
-    /// instant's: an admission racing the rotation (mutated in its shard
-    /// after that shard's capture, journal append discarded by the
-    /// rotation) can be absent from both the snapshot and the surviving
-    /// journal. This is warmth-only — every captured entry is a
-    /// self-contained verified answer set, replay tolerates the overlaps,
-    /// and a lost in-flight admission is simply re-executed after a
-    /// restart; a linearizable concurrent cut is a ROADMAP item.
+    /// phase included. Otherwise the union is a *fuzzy* cut: an admission
+    /// made in a shard after that shard's capture is just not in the
+    /// snapshot, exactly like an admission after the last rotation. Every
+    /// captured entry is a self-contained verified answer set, so this
+    /// costs warmth only.
     pub fn snapshot_to(&self, store: &CacheStore) -> Result<SnapshotInfo, String> {
         // Dataset read lock FIRST (the cache-wide lock order), held across
         // the rotation: a mutation arriving mid-snapshot waits on the write
@@ -806,11 +767,11 @@ impl SharedGraphCache {
         self.store.as_ref().map(|_| self.health.health())
     }
 
-    /// Build a cache and warm-restart it from `store`: replay snapshot then
-    /// journal (each restored entry routed to its home shard by fingerprint
-    /// and re-admitted through the normal insert path), attach the store,
-    /// and write a fresh snapshot so the new process journals against its
-    /// own entry-id namespace.
+    /// Build a cache and warm-restart it from `store`: apply the journal's
+    /// dataset deltas to the snapshot's dataset, re-insert the snapshot's
+    /// entries (each routed to its home shard by fingerprint, through the
+    /// normal insert path), attach the store, and write a fresh snapshot.
+    /// Entries admitted after the last snapshot are not restored.
     ///
     /// Recovery is **fail-closed**: corrupt, truncated or torn files — and
     /// a snapshot taken over a different dataset — yield a *cold* (empty
@@ -831,7 +792,7 @@ impl SharedGraphCache {
         Ok((gc, report))
     }
 
-    /// Replay `store`'s recovered state into this (fresh) cache.
+    /// Restore `store`'s recovered state into this (fresh) cache.
     fn restore_state(&mut self, store: &CacheStore) -> RecoveryReport {
         let state = match store.load() {
             LoadOutcome::Cold { reason } => return RecoveryReport::cold(reason),
@@ -839,8 +800,8 @@ impl SharedGraphCache {
         };
         // Resolve the dataset the persisted state describes *first*: the
         // snapshot's recorded ops and every journaled delta are re-applied
-        // (each validated by fingerprint), and all entry replay below runs
-        // against the final universe.
+        // (each validated by fingerprint), and every entry below is
+        // inserted against the final universe.
         let base = Arc::clone(&self.data.get_mut().dataset);
         let resolved = match persist::resolve_dataset(&state, &base) {
             Ok(resolved) => resolved,
@@ -855,47 +816,41 @@ impl SharedGraphCache {
             data.dataset = Arc::clone(&dataset);
         }
 
-        // Each restored entry goes to its home shard by fingerprint.
-        let now_hint = state.doc.clock;
-        let insert = |e: RestoredEntry| {
-            let fp = gc_graph::hash::fingerprint(&e.graph);
+        // Each snapshot entry goes to its home shard by fingerprint. A
+        // snapshot is input from outside the program, so a duplicate is
+        // skipped rather than trusted.
+        let mut clock = state.doc.clock;
+        for rec in &state.doc.entries {
+            clock = clock.max(rec.stats.last_used).max(rec.stats.inserted_at);
+            let fp = gc_graph::hash::fingerprint(&rec.graph);
             let home = (fp % self.shards.len() as u64) as usize;
             let shard = &self.shards[home];
-            let mut state = shard.state.write();
-            if probe::find_exact(&state.cache, fp, &e.graph, e.kind).is_some() {
-                return None; // order-tolerant duplicate skip
+            let mut shard_state = shard.state.write();
+            if probe::find_exact(&shard_state.cache, fp, &rec.graph, rec.kind).is_some() {
+                continue;
             }
-            let stats = e.stats.clone();
-            let features = state.cache.index().features_of(&e.graph);
-            let profile = gc_iso::GraphProfile::new(&e.graph, None);
-            let id = state.cache.insert_with_features(
-                e.graph,
+            let answer =
+                BitSet::from_indices(dataset.len(), rec.answer.iter().map(|&i| i as usize));
+            let stats = persist::record_to_stats(&rec.stats);
+            let features = shard_state.cache.index().features_of(&rec.graph);
+            let profile = gc_iso::GraphProfile::new(&rec.graph, None);
+            let id = shard_state.cache.insert_with_features(
+                rec.graph.clone(),
                 profile,
-                e.kind,
-                e.answer,
-                e.base_tests,
-                e.base_cost,
+                rec.kind,
+                answer,
+                rec.base_tests,
+                rec.base_cost,
                 stats.inserted_at,
                 fp,
                 features,
             );
-            let slot = state.cache.get_mut(id).expect("just inserted");
-            slot.stats = e.stats;
-            let bytes = state.cache.get(id).expect("just inserted").memory_bytes();
-            shard.policy.lock().on_restore(id, &stats, bytes, now_hint);
-            Some(encode_entry_id(home, id))
-        };
-        let evict = |key| {
-            let (si, local) = SharedGraphCache::decode_entry_id(key);
-            let shard = &self.shards[si];
-            let mut state = shard.state.write();
-            if state.cache.remove(local).is_some() {
-                shard.policy.lock().on_evict(local);
-            }
-        };
-        let snapshot_entries = state.doc.entries.len();
-        let counts = persist::replay(&state, dataset.len(), insert, evict);
-        self.clock.store(counts.max_now, Ordering::Relaxed);
+            let entry = shard_state.cache.get_mut(id).expect("just inserted");
+            entry.stats = stats.clone();
+            let bytes = entry.memory_bytes();
+            shard.policy.lock().on_restore(id, &stats, bytes, state.doc.clock);
+        }
+        self.clock.store(clock, Ordering::Relaxed);
 
         // Enforce each shard's capacity share. A shard legitimately rests
         // at up to `capacity + window_size - 1` entries between replacement
@@ -904,10 +859,10 @@ impl SharedGraphCache {
         // routing) triggers a trim, down to capacity like a window-close
         // sweep would.
         //
-        // The window resumes its phase: the snapshot's pending admissions
-        // plus one per journaled admission, dealt evenly over the shards —
-        // with one shard, exactly where the snapshotted window stood.
-        let pending = state.doc.window_pending as usize + counts.journal_admits;
+        // The window resumes its phase: the snapshot's pending admissions,
+        // dealt evenly over the shards — with one shard, exactly where the
+        // snapshotted window stood.
+        let pending = state.doc.window_pending as usize;
         let n_shards = self.shards.len();
         for (si, shard) in self.shards.iter().enumerate() {
             let mut shard_state = shard.state.write();
@@ -929,10 +884,9 @@ impl SharedGraphCache {
             self.cost.restore_estimate(gid, est, observed);
         }
 
-        // Repair replayed answers against mutations their records predate:
-        // tombstoned graphs are masked out, and each journal-inserted graph
-        // is re-verified per entry (idempotent — records written after the
-        // delta already carry the right bit).
+        // Repair restored answers against the mutations the snapshot
+        // predates: tombstoned graphs are masked out, and each
+        // journal-inserted graph is re-verified per entry.
         PROBE_SCRATCH.with(|s| {
             let vf = &mut s.borrow_mut().vf;
             for shard in self.shards.iter() {
@@ -960,13 +914,12 @@ impl SharedGraphCache {
             warm: true,
             cold_reason: None,
             generation: state.generation,
-            snapshot_entries,
-            journal_admits: counts.journal_admits,
-            journal_evicts: counts.journal_evicts,
+            snapshot_entries: state.doc.entries.len(),
             journal_deltas,
+            journal_legacy_skipped: state.legacy_records,
             journal_torn_bytes: state.torn_tail_bytes,
             entries_restored: self.len(),
-            clock: counts.max_now,
+            clock,
         }
     }
 

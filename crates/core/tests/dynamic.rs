@@ -525,12 +525,7 @@ fn altered_dropped_or_reordered_deltas_restore_cold() {
     let cases: [(&str, Edit, &str); 3] = [
         (
             "flipped",
-            |recs| match &mut recs[1] {
-                JournalRecord::DatasetDelta { resulting_fingerprint, .. } => {
-                    *resulting_fingerprint ^= 1
-                }
-                other => panic!("expected a delta, got {other:?}"),
-            },
+            |recs| recs[1].resulting_fingerprint ^= 1,
             "journal dataset delta fingerprint mismatch at generation 2",
         ),
         (
@@ -551,11 +546,8 @@ fn altered_dropped_or_reordered_deltas_restore_cold() {
         assert_eq!(records.len(), 4, "{tag}: the journal holds the four deltas and nothing else");
         edit(&mut records);
         let mut bytes = encode_header(&header);
-        for rec in &records {
-            let JournalRecord::DatasetDelta { generation, resulting_fingerprint, op } = rec else {
-                panic!("expected a delta, got {rec:?}");
-            };
-            bytes.extend(encode_record(&JournalOp::DatasetDelta {
+        for JournalRecord { generation, resulting_fingerprint, op } in &records {
+            bytes.extend(encode_record(&JournalOp {
                 generation: *generation,
                 resulting_fingerprint: *resulting_fingerprint,
                 op,

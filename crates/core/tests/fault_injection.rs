@@ -7,6 +7,8 @@
 //! (degraded persistence), but never wrong, and persistence re-arms itself
 //! once the fault clears.
 //!
+//! The journal holds dataset mutations only, so the faults are driven by
+//! `insert_graph`/`remove_graph`; query traffic drives the recovery probes.
 //! Each test arms its own plan on its own store, so they run in parallel.
 
 use gc_core::persist::{Failpoint, FaultPlan, FaultSite};
@@ -38,12 +40,22 @@ fn workload(ds: &Arc<Dataset>, n: usize, seed: u64) -> Workload {
     Workload::generate(ds.graphs(), &spec)
 }
 
-/// Run `w` through `gc`, asserting every answer equals Method M alone.
-fn assert_exact(gc: &SharedGraphCache, ds: &Arc<Dataset>, w: &Workload) {
+/// Run `w` through `gc`, asserting every answer equals Method M alone on
+/// the cache's live dataset.
+fn assert_exact(gc: &SharedGraphCache, w: &Workload) {
+    let ds = gc.dataset();
     for wq in &w.queries {
         let got = gc.query(&wq.graph, wq.kind);
-        let want = execute_base(ds, &SiMethod, Engine::Vf2, &wq.graph, wq.kind);
+        let want = execute_base(&ds, &SiMethod, Engine::Vf2, &wq.graph, wq.kind);
         assert_eq!(got.answer, want.answer, "answer diverged under injected faults");
+    }
+}
+
+/// `rounds` insert/remove pairs: two journal appends each.
+fn mutate(gc: &SharedGraphCache, rounds: u64) {
+    for round in 0..rounds {
+        let gid = gc.insert_graph(molecule_dataset(1, 100 + round).remove(0));
+        assert!(gc.remove_graph(gid));
     }
 }
 
@@ -63,8 +75,8 @@ fn transient_append_faults_are_absorbed_by_retries() {
         GraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, cfg).unwrap();
     gc.attach_store(Arc::clone(&store)).unwrap();
 
-    // Each transient fault costs one attempt; the retry budget (2) must
-    // absorb it without tripping the breaker.
+    // Each transient fault costs one append attempt; the retry budget (2)
+    // must absorb it without tripping the breaker.
     let plan = Arc::new(FaultPlan::seeded(11));
     for point in [
         Failpoint::ErrOnce,
@@ -76,7 +88,9 @@ fn transient_append_faults_are_absorbed_by_retries() {
     }
     store.set_fault_plan(Some(Arc::clone(&plan)));
 
-    assert_exact(&gc, &ds, &workload(&ds, 30, 5));
+    mutate(&gc, 3);
+    assert_eq!(store.journal_records(), 6, "every mutation reached the journal");
+    assert_exact(&gc, &workload(&ds, 30, 5));
     assert!(
         plan.fired_log().iter().any(|&(_, point)| point == "err_once"),
         "no transient error fired: the test is vacuous"
@@ -112,7 +126,8 @@ fn persistent_append_failure_degrades_then_recovers() {
     plan.arm(FaultSite::JournalAppend, Failpoint::ErrAfter { n: 0 });
     store.set_fault_plan(Some(plan.clone()));
 
-    assert_exact(&gc, &ds, &workload(&ds, 30, 9));
+    mutate(&gc, 2);
+    assert_exact(&gc, &workload(&ds, 30, 9));
     assert_eq!(
         gc.persist_health(),
         Some(PersistHealth::Degraded),
@@ -131,7 +146,7 @@ fn persistent_append_failure_degrades_then_recovers() {
     let probe_queries = workload(&ds, 4, 10);
     while gc.persist_health() != Some(PersistHealth::Healthy) {
         assert!(Instant::now() < deadline, "recovery probe never re-armed persistence");
-        assert_exact(&gc, &ds, &probe_queries);
+        assert_exact(&gc, &probe_queries);
         std::thread::sleep(Duration::from_millis(10));
     }
     assert!(
@@ -174,18 +189,21 @@ fn exhausted_probe_budget_disables_persistence() {
         GraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, cfg).unwrap();
     gc.attach_store(Arc::clone(&store)).unwrap();
 
-    // Appends AND snapshots fail persistently: the breaker trips, then
-    // every recovery probe fails until the probe budget is exhausted.
+    // Appends AND snapshots fail persistently: a mutation trips the
+    // breaker, then every recovery probe fails until the probe budget is
+    // exhausted.
     let plan = Arc::new(FaultPlan::seeded(31));
     plan.arm(FaultSite::JournalAppend, Failpoint::ErrAfter { n: 0 });
     plan.arm(FaultSite::SnapshotWrite, Failpoint::ErrAfter { n: 0 });
     store.set_fault_plan(Some(plan));
 
+    mutate(&gc, 1);
+    assert_eq!(gc.persist_health(), Some(PersistHealth::Degraded));
     let w = workload(&ds, 8, 13);
     let deadline = Instant::now() + Duration::from_secs(10);
     while gc.persist_health() != Some(PersistHealth::Disabled) {
         assert!(Instant::now() < deadline, "probe budget never exhausted");
-        assert_exact(&gc, &ds, &w);
+        assert_exact(&gc, &w);
         std::thread::sleep(Duration::from_millis(10));
     }
     assert_eq!(gc.stats().persist_health, "disabled");
@@ -212,7 +230,8 @@ fn shared_cache_degrades_and_recovers() {
     let plan = Arc::new(FaultPlan::seeded(41));
     plan.arm(FaultSite::JournalAppend, Failpoint::ErrAfter { n: 0 });
     store.set_fault_plan(Some(plan));
-    assert_exact(&gc, &ds, &workload(&ds, 30, 17));
+    mutate(&gc, 2);
+    assert_exact(&gc, &workload(&ds, 30, 17));
     assert_eq!(gc.persist_health(), Some(PersistHealth::Degraded));
 
     store.set_fault_plan(None);
@@ -220,7 +239,7 @@ fn shared_cache_degrades_and_recovers() {
     let probe_queries = workload(&ds, 4, 18);
     while gc.persist_health() != Some(PersistHealth::Healthy) {
         assert!(Instant::now() < deadline, "shared recovery probe never re-armed persistence");
-        assert_exact(&gc, &ds, &probe_queries);
+        assert_exact(&gc, &probe_queries);
         std::thread::sleep(Duration::from_millis(10));
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -4,8 +4,8 @@
 //!
 //! * `restore(snapshot(cache)) ≡ cache` — answers and warmth — under
 //!   randomized workloads (property test);
-//! * journal replay reconstructs the exact live entry set (snapshot +
-//!   journaled admissions/evictions), with **zero recomputed admissions**;
+//! * a crash restores exactly the last snapshot's entries plus every
+//!   journaled dataset delta, and every answer stays exact;
 //! * bit-flipped, truncated and mid-record-torn snapshot/journal files are
 //!   rejected and fall back to a *cold but correct* start;
 //! * restores across shard counts work, because the on-disk format is
@@ -82,50 +82,72 @@ fn cached_queries(gc: &SharedGraphCache) -> Vec<(Graph, QueryKind)> {
     cached
 }
 
+/// The loss bound: the journal carries only the dataset, so a crash keeps
+/// every mutation but only the entries of the last rotation.
 #[test]
-fn snapshot_plus_journal_reconstructs_exact_state() {
+fn crash_restores_the_last_snapshot_plus_every_delta() {
     let ds = dataset(30, 11);
-    let w = workload(&ds, 120, 5);
-    let dir = tmpdir("reconstruct");
+    let spec = WorkloadSpec {
+        n_queries: 150,
+        pool_size: 60,
+        kind: WorkloadKind::Zipf { skew: 0.8 },
+        seed: 5,
+        ..WorkloadSpec::default()
+    };
+    let w = Workload::generate(ds.graphs(), &spec);
+    let extra = molecule_dataset(2, 99);
+    let dir = tmpdir("crash");
 
-    // Session A: persistence attached from the start, auto-snapshot every 16
-    // admissions so the final state is snapshot + a journal tail.
+    // Session A: auto-snapshot every 16 admissions. Record the entry set
+    // each time the store's generation bumps: that is what the rotation
+    // wrote.
     let cfg = CacheConfig { snapshot_interval: Some(16), ..config() };
-    let store = open(&dir);
-    let (mut a, first) = restore(ds.clone(), cfg.clone(), store);
+    let (mut a, first) = restore(ds.clone(), cfg.clone(), open(&dir));
     assert!(!first.warm, "fresh directory must start cold");
-    for wq in &w.queries {
+    let mut generation = a.attached_store().unwrap().generation();
+    let mut at_rotation = entry_signature(&a);
+    let mut rotations = 0;
+    for (i, wq) in w.queries.iter().enumerate() {
+        if i == 40 {
+            a.insert_graph(extra[0].clone()); // before a rotation: in its snapshot
+        }
         a.query(&wq.graph, wq.kind);
+        let now = a.attached_store().unwrap().generation();
+        if now != generation {
+            (generation, at_rotation) = (now, entry_signature(&a));
+            rotations += 1;
+        }
     }
-    let a_sig = entry_signature(&a);
-    let a_stats = a.stats();
-    assert!(a.attached_store().unwrap().journal_records() > 0, "journal tail must be non-empty");
-    // Simulate a crash: drop A without a final snapshot. The OS buffers are
-    // per-process, so flush the journal file first (a real deployment
-    // fsyncs on its own cadence).
+    assert!(rotations >= 2, "the stream must rotate more than once, got {rotations}");
+    assert_ne!(entry_signature(&a), at_rotation, "admissions after the last rotation");
+
+    // Mutate after the last rotation, then crash: no final snapshot, the
+    // journal flushed as a group commit would have.
+    a.insert_graph(extra[1].clone());
+    assert!(a.remove_graph(3));
+    let after_rotation = 2;
+    assert_eq!(a.attached_store().unwrap().generation(), generation, "no rotation since");
+    assert_eq!(a.attached_store().unwrap().journal_records(), after_rotation);
+    let final_dataset = a.dataset();
     a.attached_store().unwrap().sync().unwrap();
     drop(a);
 
-    // Session B: warm restart.
-    let store = open(&dir);
-    let (mut b, report) = restore(ds.clone(), cfg, store);
+    // Session B: the last rotation's entries, every delta, exact answers.
+    let (mut b, report) = restore(ds.clone(), cfg, open(&dir));
     assert!(report.warm, "valid store must restore warm: {:?}", report.cold_reason);
-    assert!(report.journal_admits > 0, "the journal tail must have been replayed");
-    assert_eq!(entry_signature(&b), a_sig, "restored entry set must match the crashed session");
-
-    // Warm statistics carried over (as of the last auto-snapshot — the
-    // journal carries state, not per-query counters).
-    let b_stats = b.stats();
-    assert!(b_stats.queries > 0, "restored statistics must be warm");
-    assert!(b_stats.queries <= a_stats.queries);
-
-    // Zero recomputed admissions: every entry that was live at the crash is
-    // an exact hit now, served without re-execution or re-admission.
+    assert_eq!(entry_signature(&b), at_rotation, "restored entries = the last rotation's");
+    assert_eq!(report.journal_deltas as u64, after_rotation);
+    assert_eq!(b.dataset().content_fingerprint(), final_dataset.content_fingerprint());
+    let on_final = |graph: &Graph, kind| {
+        execute_base(&final_dataset, &SiMethod, Engine::Vf2, graph, kind).answer
+    };
     for (graph, kind) in cached_queries(&b) {
         let r = b.query(&graph, kind);
         assert!(r.exact_hit, "restored entry must serve an exact hit");
-        assert!(r.admitted.is_none(), "exact hits must not re-admit");
-        assert_eq!(r.answer, execute_base(&ds, &SiMethod, Engine::Vf2, &graph, kind).answer);
+        assert_eq!(r.answer, on_final(&graph, kind));
+    }
+    for wq in &w.queries {
+        assert_eq!(b.query(&wq.graph, wq.kind).answer, on_final(&wq.graph, wq.kind));
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -175,7 +197,7 @@ fn journal_path(dir: &Path) -> PathBuf {
         .expect("journal file present")
 }
 
-/// Build a store directory with a snapshot and a non-empty journal tail.
+/// Build a store directory with a snapshot and a one-delta journal tail.
 fn persisted_dir(tag: &str, ds: &Arc<Dataset>) -> PathBuf {
     let dir = tmpdir(tag);
     let store = open(&dir);
@@ -186,9 +208,10 @@ fn persisted_dir(tag: &str, ds: &Arc<Dataset>) -> PathBuf {
     }
     gc.attach_store(store).unwrap(); // snapshot of the first 30 queries
     for wq in w.queries.iter().skip(30) {
-        gc.query(&wq.graph, wq.kind); // journaled tail
+        gc.query(&wq.graph, wq.kind);
     }
-    assert!(gc.attached_store().unwrap().journal_records() > 0);
+    gc.insert_graph(molecule_dataset(1, 99).remove(0)); // the journal tail
+    assert_eq!(gc.attached_store().unwrap().journal_records(), 1);
     gc.attached_store().unwrap().sync().unwrap();
     dir
 }
@@ -260,7 +283,8 @@ fn corrupted_files_fall_back_to_cold_start() {
     // Mid-record tear: cut the journal a few bytes into its last record.
     // A torn *tail* is the signature of a crash mid-append, not of
     // corruption — recovery keeps the intact prefix (warm) and reports
-    // the dropped bytes, instead of failing closed to cold.
+    // the dropped bytes, instead of failing closed to cold. The torn
+    // record is the insert, so the restored dataset is the base one.
     let dir = persisted_dir("jrnl_tear", &ds);
     let path = journal_path(&dir);
     let bytes = std::fs::read(&path).unwrap();
@@ -302,7 +326,7 @@ fn shared_cache_snapshots_and_restores() {
             .unwrap();
     a.attach_store(Arc::clone(&store)).unwrap();
     let a = Arc::new(a);
-    // Hammer from several threads while journaling.
+    // Hammer from several threads, rotations racing the queries.
     std::thread::scope(|scope| {
         for t in 0..4 {
             let a = Arc::clone(&a);
@@ -314,11 +338,12 @@ fn shared_cache_snapshots_and_restores() {
             });
         }
     });
+    // Entries reach the store only through a snapshot.
+    a.snapshot_now().unwrap().expect("store attached, no snapshot in flight");
     let a_sig = entry_signature(&a);
-    store.sync().unwrap();
     drop(a);
 
-    // Restore into a new shared cache (crash semantics: snapshot + journal).
+    // Restore into a new shared cache.
     let (b, report) = SharedGraphCache::restore_from(
         ds.clone(),
         Arc::new(SiMethod),
@@ -442,8 +467,10 @@ fn fixture_inputs() -> (Arc<Dataset>, Workload, gc_graph::Graph) {
     (ds.clone(), workload(&ds, 36, 3), inserted)
 }
 
-/// Regenerates [`STORE_FIXTURE`] (snapshot + a journal tail holding
-/// admissions and one dataset delta). Only to pin a *new* format version:
+/// Regenerates [`STORE_FIXTURE`] (snapshot + a journal tail holding one
+/// dataset delta). The committed fixture predates the dataset-only journal,
+/// so its tail also holds five legacy admission records, which restore
+/// skips; a regenerated one holds none. Only to pin a *new* format version:
 /// `cargo test -p gc-core --test warm_restart -- --ignored write_store_fixture`.
 #[test]
 #[ignore = "writes the committed fixture; run by hand at the commit to pin"]
@@ -459,7 +486,7 @@ fn write_store_fixture() {
         }
         gc.query(&wq.graph, wq.kind);
     }
-    assert!(gc.attached_store().unwrap().journal_records() > 1, "snapshot + journal tail");
+    assert!(gc.attached_store().unwrap().journal_records() > 0, "snapshot + journal tail");
     gc.attached_store().unwrap().sync().unwrap();
 }
 
@@ -481,13 +508,15 @@ fn store_written_before_the_fingerprint_rewrite_restores_warm() {
     let (mut gc, report) = restore(ds, cfg, store);
     assert!(report.warm, "fixture must restore warm: {:?}", report.cold_reason);
     assert_eq!(report.journal_deltas, 1, "the journaled insert replays");
-    assert!(report.journal_admits > 0 && !gc.is_empty());
+    assert_eq!(report.journal_legacy_skipped, 5, "the legacy admission records are skipped");
+    assert_eq!((report.snapshot_entries, report.entries_restored), (8, 8));
+    assert_eq!(gc.len(), 8, "exactly the snapshot's entries");
     assert_eq!(gc.dataset().content_fingerprint(), live.content_fingerprint());
 
     // Every query of the writing session is answered exactly; the ones
-    // whose entries survived are exact hits found through their stored
-    // fingerprint buckets. A restored entry's text slot starts empty and
-    // renders the replayed (and delta-repaired) answer on first use.
+    // whose entries are in the snapshot are exact hits found through their
+    // stored fingerprint buckets. A restored entry's text slot starts empty
+    // and renders the restored (and delta-repaired) answer on first use.
     let (mut exact_hits, mut empty_slots) = (0, 0);
     for wq in &w.queries {
         let r = gc.query(&wq.graph, wq.kind);

@@ -24,8 +24,8 @@
 //!
 //! With `--snapshot-dir`, `run` restores the cache from the directory's
 //! snapshot + journal (cold on first use or after corruption — recovery is
-//! fail-closed), journals this run's admissions/evictions, and writes a
-//! fresh snapshot at exit, so consecutive runs keep their warm hit ratio.
+//! fail-closed), journals this run's dataset mutations, and writes a fresh
+//! snapshot at exit, so consecutive runs keep their warm hit ratio.
 //! This composes with `--clients N`: the shared cache is warm-restarted
 //! (entries re-routed to their home shards) before the client threads
 //! start, and the closing snapshot is taken after they join.

@@ -265,9 +265,9 @@ pub fn run_multi_client(
 }
 
 /// [`run_multi_client`] with persistence threaded through: the shared
-/// cache is warm-restarted from `store` (snapshot + journal replay, each
-/// entry re-routed to its home shard), the workload runs as usual with the
-/// session journaled, and a closing snapshot is rotated in. Returns the
+/// cache is warm-restarted from `store` (the snapshot's entries, each
+/// re-routed to its home shard, over the journal's dataset), the workload
+/// runs as usual, and a closing snapshot is rotated in. Returns the
 /// run, the recovery report, and the closing snapshot's info.
 #[allow(clippy::too_many_arguments)] // run_multi_client's surface + the store
 pub fn run_multi_client_persistent(

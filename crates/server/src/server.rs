@@ -1420,9 +1420,18 @@ mod tests {
             Server::start_with_faults(Arc::new(cache), quick_config(), Some(Arc::clone(&plan)))
                 .unwrap();
 
-        assert_exact_over_http(server.addr(), &dataset, 20, 6);
-        assert!(plan.fired() > 0, "no store fault fired: the test is vacuous");
+        // The journal holds dataset mutations only: an insert and its
+        // remove are the appends that fail. Answers then equal the
+        // unmutated dataset's again.
         let mut client = HttpClient::connect(server.addr()).unwrap();
+        let body = gc_graph::io::dataset_to_string(std::slice::from_ref(&dataset.graphs()[0]));
+        let resp = client.post("/mutate?op=insert", body.as_bytes()).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body_text());
+        let id = dataset.len();
+        let resp = client.post(&format!("/mutate?op=remove&id={id}"), &[]).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body_text());
+        assert!(plan.fired() > 0, "no store fault fired: the test is vacuous");
+        assert_exact_over_http(server.addr(), &dataset, 20, 6);
         let stats: StatsResponse =
             serde_json::from_str(&client.get("/stats").unwrap().body_text()).unwrap();
         assert_eq!(stats.persist_health, "degraded");

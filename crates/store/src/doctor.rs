@@ -12,7 +12,7 @@
 //! mid-append — all survivable by design) from *corruption* (checksum or
 //! framing damage in the files a restore depends on).
 
-use crate::journal::{decode_journal_tolerant, JournalRecord};
+use crate::journal::decode_journal_tolerant;
 use crate::snapshot::decode_snapshot;
 use serde::Serialize;
 use std::fs;
@@ -47,11 +47,8 @@ pub struct JournalFileReport {
     pub header_generation: Option<u64>,
     /// Complete, checksum-valid records.
     pub records: usize,
-    /// Admissions among them.
-    pub admits: usize,
-    /// Evictions among them.
-    pub evicts: usize,
-    /// Dataset deltas (insert/remove mutations) among them.
+    /// Dataset deltas (insert/remove mutations) among them; the rest are
+    /// legacy admit/evict records, which restore skips.
     pub deltas: usize,
     /// Bytes of an incomplete trailing frame (crash mid-append).
     pub torn_tail_bytes: usize,
@@ -78,8 +75,8 @@ pub enum RestoreVerdict {
         generation: u64,
         /// Entries restored from the snapshot.
         entries: usize,
-        /// Journal records replayed on top.
-        journal_records: usize,
+        /// Dataset deltas applied on top.
+        journal_deltas: usize,
         /// Torn trailing bytes dropped during replay (0 = clean).
         torn_tail_bytes: usize,
     },
@@ -131,10 +128,14 @@ impl DoctorReport {
             let status = match &j.error {
                 Some(e) => format!("INVALID — {e}"),
                 None => {
-                    let mut s = format!(
-                        "ok — {} records ({} admits, {} evicts, {} deltas)",
-                        j.records, j.admits, j.evicts, j.deltas
-                    );
+                    let mut s = format!("ok — {} records ({} deltas", j.records, j.deltas);
+                    let legacy = j.records - j.deltas;
+                    if legacy > 0 {
+                        s.push_str(&format!(
+                            ", {legacy} legacy admit/evict records, skipped on restore"
+                        ));
+                    }
+                    s.push(')');
                     if j.torn_tail_bytes > 0 {
                         s.push_str(&format!(", torn tail {} bytes", j.torn_tail_bytes));
                     }
@@ -150,9 +151,9 @@ impl DoctorReport {
             RestoreVerdict::ColdBenign { reason } => {
                 out.push_str(&format!("restore             : cold start (benign): {reason}\n"))
             }
-            RestoreVerdict::Warm { generation, entries, journal_records, torn_tail_bytes } => {
+            RestoreVerdict::Warm { generation, entries, journal_deltas, torn_tail_bytes } => {
                 out.push_str(&format!(
-                    "restore             : warm — generation {generation}, {entries} entries + {journal_records} journal records",
+                    "restore             : warm — generation {generation}, {entries} entries + {journal_deltas} dataset deltas",
                 ));
                 if *torn_tail_bytes > 0 {
                     out.push_str(&format!(" (dropping a {torn_tail_bytes}-byte torn tail)"));
@@ -174,8 +175,6 @@ fn inspect_journal(path: &Path, name: &str, name_generation: u64) -> JournalFile
         name_generation,
         header_generation: None,
         records: 0,
-        admits: 0,
-        evicts: 0,
         deltas: 0,
         torn_tail_bytes: 0,
         stale: false,
@@ -190,17 +189,12 @@ fn inspect_journal(path: &Path, name: &str, name_generation: u64) -> JournalFile
     };
     report.bytes = bytes.len() as u64;
     match decode_journal_tolerant(&bytes) {
-        Ok((header, records, torn)) => {
+        Ok(journal) => {
+            let header = journal.header;
             report.header_generation = Some(header.generation);
-            report.records = records.len();
-            report.torn_tail_bytes = torn;
-            for rec in &records {
-                match rec {
-                    JournalRecord::Admit { .. } => report.admits += 1,
-                    JournalRecord::Evict { .. } => report.evicts += 1,
-                    JournalRecord::DatasetDelta { .. } => report.deltas += 1,
-                }
-            }
+            report.deltas = journal.records.len();
+            report.records = report.deltas + journal.legacy_records;
+            report.torn_tail_bytes = journal.torn_tail_bytes;
             if header.generation != name_generation {
                 report.error = Some(format!(
                     "generation chain broken: file name says {name_generation}, header says {}",
@@ -294,7 +288,7 @@ pub fn inspect_dir(dir: impl AsRef<Path>) -> io::Result<DoctorReport> {
                         None => RestoreVerdict::Warm {
                             generation,
                             entries: s.entries,
-                            journal_records: j.records,
+                            journal_deltas: j.deltas,
                             torn_tail_bytes: j.torn_tail_bytes,
                         },
                     },
@@ -313,7 +307,7 @@ mod tests {
     use crate::store::CacheStore;
     use crate::JournalOp;
     use gc_graph::{graph_from_parts, Label};
-    use gc_method::QueryKind;
+    use gc_method::DatasetOp;
     use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -333,19 +327,12 @@ mod tests {
             ..SnapshotDoc::default()
         };
         store.rotate(&doc).unwrap();
-        let g = graph_from_parts(&[Label(0)], &[]).unwrap();
-        store
-            .append(&[JournalOp::Admit {
-                orig_id: 0,
-                now: 1,
-                kind: QueryKind::Subgraph,
-                base_tests: 1,
-                base_cost: 1,
-                graph: &g,
-                answer: &[0],
-            }])
-            .unwrap();
-        store.append(&[JournalOp::Evict { orig_id: 0, now: 2 }]).unwrap();
+        let insert = DatasetOp::Insert(graph_from_parts(&[Label(0)], &[]).unwrap());
+        for (generation, op) in [(1, &insert), (2, &DatasetOp::Remove(4))] {
+            store
+                .append(&[JournalOp { generation, resulting_fingerprint: 7 + generation, op }])
+                .unwrap();
+        }
         store.sync().unwrap();
         dir
     }
@@ -365,9 +352,9 @@ mod tests {
         let report = inspect_dir(&dir).unwrap();
         assert!(report.healthy());
         match report.verdict {
-            RestoreVerdict::Warm { generation, journal_records, torn_tail_bytes, .. } => {
+            RestoreVerdict::Warm { generation, journal_deltas, torn_tail_bytes, .. } => {
                 assert_eq!(generation, 1);
-                assert_eq!(journal_records, 2);
+                assert_eq!(journal_deltas, 2);
                 assert_eq!(torn_tail_bytes, 0);
             }
             other => panic!("expected warm, got {other:?}"),
@@ -398,8 +385,8 @@ mod tests {
         let report = inspect_dir(&dir).unwrap();
         assert!(report.healthy());
         match report.verdict {
-            RestoreVerdict::Warm { journal_records, torn_tail_bytes, .. } => {
-                assert_eq!(journal_records, 1, "torn last record dropped");
+            RestoreVerdict::Warm { journal_deltas, torn_tail_bytes, .. } => {
+                assert_eq!(journal_deltas, 1, "torn last record dropped");
                 assert!(torn_tail_bytes > 0);
             }
             other => panic!("expected warm with torn tail, got {other:?}"),

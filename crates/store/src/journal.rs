@@ -1,9 +1,11 @@
-//! The append-only admission/eviction journal.
+//! The append-only dataset journal.
 //!
-//! Between snapshots, every admission and eviction is appended as one
-//! length-prefixed, CRC-guarded record, so `snapshot + journal replay`
-//! always reconstructs the cache state without re-executing (or
-//! re-verifying) a single query. Each journal file belongs to exactly one
+//! Between snapshots, every dataset mutation (a live insert or remove of a
+//! data graph) is appended as one length-prefixed, CRC-guarded record. The
+//! journal carries the dataset and nothing else: every cached answer is a
+//! function of the dataset, so the ops are what must survive a crash, while
+//! cache entries reach disk only through a snapshot — a lost entry costs
+//! warmth, never correctness. Each journal file belongs to exactly one
 //! snapshot generation — the file is named `journal-<gen>.gcj` and its
 //! header repeats the generation, the dataset fingerprint and the universe,
 //! so a journal can never be replayed over the wrong base.
@@ -28,14 +30,20 @@
 //! keeping the valid prefix. [`decode_journal`] stays strict and rejects
 //! even that. The journal never risks a wrong answer — at worst it costs
 //! warmth.
+//!
+//! ## Legacy admission records
+//!
+//! Files of this format version written by earlier builds also hold one
+//! record per cache admission and eviction (tags 1 and 2). They still
+//! restore. Such a frame is length-framed and CRC-checked like any other,
+//! so a flipped bit inside it still rejects the journal; only then is its
+//! payload skipped, unparsed. The entry it described is warmth, which the
+//! snapshot carries or not, and no answer depends on it. Any other unknown
+//! tag still rejects the journal.
 
-use crate::snapshot::{
-    get_answer, get_dataset_op, get_graph, get_kind, put_answer, put_dataset_op, put_graph,
-    put_kind,
-};
+use crate::snapshot::{get_dataset_op, put_dataset_op};
 use crate::wire::{crc64, ByteReader, ByteWriter, WireError, WireResult};
-use gc_graph::Graph;
-use gc_method::{DatasetOp, QueryKind};
+use gc_method::DatasetOp;
 
 /// Magic prefix of journal files.
 pub const JOURNAL_MAGIC: &[u8; 8] = b"GCJRNL01";
@@ -51,88 +59,49 @@ pub struct JournalHeader {
     pub universe: u64,
 }
 
-/// A cache mutation to append, borrowing the runtime's data (no clones on
-/// the admission path). The owned reader-side twin is [`JournalRecord`].
+/// A dataset mutation (live insert/remove of a data graph) to append,
+/// borrowing the runtime's op. Replay applies the op to the base dataset
+/// and validates the resulting fingerprint, so a journal can never mutate
+/// the wrong dataset state. An `Insert` grows the running answer universe
+/// for all later records in the file. The owned reader-side twin is
+/// [`JournalRecord`].
 #[derive(Debug, Clone, Copy)]
-pub enum JournalOp<'a> {
-    /// An entry was admitted.
-    Admit {
-        /// Entry id in the originating cache (shard-encoded when sharded).
-        orig_id: u32,
-        /// Logical admission time.
-        now: u64,
-        /// Query kind.
-        kind: QueryKind,
-        /// `|C_M|` of the executed query.
-        base_tests: u64,
-        /// Verifier steps of the executed query.
-        base_cost: u64,
-        /// The admitted query graph.
-        graph: &'a Graph,
-        /// Sorted member indices of the exact answer set.
-        answer: &'a [u32],
-    },
-    /// An entry was evicted.
-    Evict {
-        /// Entry id in the originating cache.
-        orig_id: u32,
-        /// Logical eviction time.
-        now: u64,
-    },
-    /// The dataset itself mutated (live insert/remove of a data graph).
-    /// Replay applies the op to the base dataset and validates the
-    /// resulting fingerprint, so a journal can never mutate the wrong
-    /// dataset state. An `Insert` grows the running answer universe for
-    /// all later records in the file.
-    DatasetDelta {
-        /// Dataset generation *after* this mutation.
-        generation: u64,
-        /// `Dataset::content_fingerprint()` after this mutation.
-        resulting_fingerprint: u64,
-        /// The mutation.
-        op: &'a DatasetOp,
-    },
+pub struct JournalOp<'a> {
+    /// Dataset generation *after* this mutation.
+    pub generation: u64,
+    /// `Dataset::content_fingerprint()` after this mutation.
+    pub resulting_fingerprint: u64,
+    /// The mutation.
+    pub op: &'a DatasetOp,
 }
 
-/// An owned, decoded journal record.
+/// An owned, decoded dataset mutation (see [`JournalOp`]).
 #[derive(Debug, Clone)]
-pub enum JournalRecord {
-    /// An entry was admitted.
-    Admit {
-        /// Entry id in the originating cache.
-        orig_id: u32,
-        /// Logical admission time.
-        now: u64,
-        /// Query kind.
-        kind: QueryKind,
-        /// `|C_M|` of the executed query.
-        base_tests: u64,
-        /// Verifier steps of the executed query.
-        base_cost: u64,
-        /// The admitted query graph.
-        graph: Graph,
-        /// Sorted member indices of the exact answer set.
-        answer: Vec<u32>,
-    },
-    /// An entry was evicted.
-    Evict {
-        /// Entry id in the originating cache.
-        orig_id: u32,
-        /// Logical eviction time.
-        now: u64,
-    },
-    /// The dataset itself mutated (see [`JournalOp::DatasetDelta`]).
-    DatasetDelta {
-        /// Dataset generation *after* this mutation.
-        generation: u64,
-        /// `Dataset::content_fingerprint()` after this mutation.
-        resulting_fingerprint: u64,
-        /// The mutation.
-        op: DatasetOp,
-    },
+pub struct JournalRecord {
+    /// Dataset generation *after* this mutation.
+    pub generation: u64,
+    /// `Dataset::content_fingerprint()` after this mutation.
+    pub resulting_fingerprint: u64,
+    /// The mutation.
+    pub op: DatasetOp,
 }
 
+/// A journal as [`decode_journal_tolerant`] read it.
+#[derive(Debug)]
+pub struct DecodedJournal {
+    /// The validated header.
+    pub header: JournalHeader,
+    /// Every complete dataset mutation, in append order.
+    pub records: Vec<JournalRecord>,
+    /// Legacy admit/evict frames, checksummed and then skipped.
+    pub legacy_records: usize,
+    /// Bytes of an incomplete trailing frame that were dropped.
+    pub torn_tail_bytes: usize,
+}
+
+/// Tag of a legacy admission frame (see the module docs).
 const TAG_ADMIT: u8 = 1;
+/// Tag of a legacy eviction frame (see the module docs).
 const TAG_EVICT: u8 = 2;
 const TAG_DELTA: u8 = 3;
 
@@ -155,66 +124,38 @@ pub const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8 + 8;
 /// Encode one framed record (`len ‖ crc ‖ payload`).
 pub fn encode_record(op: &JournalOp<'_>) -> Vec<u8> {
     let mut payload = ByteWriter::new();
-    match *op {
-        JournalOp::Admit { orig_id, now, kind, base_tests, base_cost, graph, answer } => {
-            payload.put_u8(TAG_ADMIT);
-            payload.put_u32(orig_id);
-            payload.put_u64(now);
-            put_kind(&mut payload, kind);
-            payload.put_u64(base_tests);
-            payload.put_u64(base_cost);
-            put_graph(&mut payload, graph);
-            put_answer(&mut payload, answer);
-        }
-        JournalOp::Evict { orig_id, now } => {
-            payload.put_u8(TAG_EVICT);
-            payload.put_u32(orig_id);
-            payload.put_u64(now);
-        }
-        JournalOp::DatasetDelta { generation, resulting_fingerprint, op } => {
-            payload.put_u8(TAG_DELTA);
-            payload.put_u64(generation);
-            payload.put_u64(resulting_fingerprint);
-            put_dataset_op(&mut payload, op);
-        }
-    }
+    payload.put_u8(TAG_DELTA);
+    payload.put_u64(op.generation);
+    payload.put_u64(op.resulting_fingerprint);
+    put_dataset_op(&mut payload, op.op);
+    frame(payload.as_bytes())
+}
+
+fn frame(payload: &[u8]) -> Vec<u8> {
     let mut frame = ByteWriter::new();
     frame.put_u32(payload.len() as u32);
-    frame.put_u64(crc64(payload.as_bytes()));
-    frame.put_raw(payload.as_bytes());
+    frame.put_u64(crc64(payload));
+    frame.put_raw(payload);
     frame.into_bytes()
 }
 
-fn decode_payload(payload: &[u8], universe: u64) -> WireResult<JournalRecord> {
+/// Decode one checksummed payload; `None` is a legacy frame, skipped.
+fn decode_payload(payload: &[u8], universe: u64) -> WireResult<Option<JournalRecord>> {
     let mut r = ByteReader::new(payload);
     let rec = match r.get_u8()? {
-        TAG_ADMIT => {
-            let orig_id = r.get_u32()?;
-            let now = r.get_u64()?;
-            let kind = get_kind(&mut r)?;
-            let base_tests = r.get_u64()?;
-            let base_cost = r.get_u64()?;
-            let graph = get_graph(&mut r)?;
-            let answer = get_answer(&mut r, universe)?;
-            JournalRecord::Admit { orig_id, now, kind, base_tests, base_cost, graph, answer }
-        }
-        TAG_EVICT => JournalRecord::Evict { orig_id: r.get_u32()?, now: r.get_u64()? },
-        TAG_DELTA => {
-            let generation = r.get_u64()?;
-            let resulting_fingerprint = r.get_u64()?;
-            let op = get_dataset_op(&mut r, universe)?;
-            JournalRecord::DatasetDelta { generation, resulting_fingerprint, op }
-        }
+        TAG_ADMIT | TAG_EVICT => return Ok(None),
+        TAG_DELTA => JournalRecord {
+            generation: r.get_u64()?,
+            resulting_fingerprint: r.get_u64()?,
+            op: get_dataset_op(&mut r, universe)?,
+        },
         other => return Err(WireError::new(format!("unknown journal record tag {other}"))),
     };
     r.expect_end()?;
-    Ok(rec)
+    Ok(Some(rec))
 }
 
-fn walk_journal(
-    bytes: &[u8],
-    tolerate_tail: bool,
-) -> WireResult<(JournalHeader, Vec<JournalRecord>, usize)> {
+fn walk_journal(bytes: &[u8], tolerate_tail: bool) -> WireResult<DecodedJournal> {
     let mut r = ByteReader::new(bytes);
     if r.get_raw(8)? != JOURNAL_MAGIC {
         return Err(WireError::new("bad journal magic"));
@@ -233,17 +174,18 @@ fn walk_journal(
         return Err(WireError::new("journal header checksum mismatch"));
     }
 
-    let mut records = Vec::new();
-    // The answer universe *runs* across the file: a dataset-delta insert
-    // grows the dataset, so admissions appended after it may legitimately
-    // carry answer indices beyond the header's (rotation-time) universe.
-    // Validating each record against the universe as of its position keeps
-    // the bound exact in both directions.
+    let mut journal =
+        DecodedJournal { header, records: Vec::new(), legacy_records: 0, torn_tail_bytes: 0 };
+    // The answer universe *runs* across the file: an insert grows the
+    // dataset, so a later remove may legitimately name a graph beyond the
+    // header's (rotation-time) universe. Validating each record against the
+    // universe as of its position keeps the bound exact in both directions.
     let mut universe = header.universe;
     while r.remaining() != 0 {
         if r.remaining() < 12 {
             if tolerate_tail {
-                return Ok((header, records, r.remaining()));
+                journal.torn_tail_bytes = r.remaining();
+                return Ok(journal);
             }
             return Err(WireError::new(format!(
                 "torn journal record: {} bytes of frame header",
@@ -258,7 +200,8 @@ fn walk_journal(
         let crc = r.get_u64()?;
         if r.remaining() < len {
             if tolerate_tail {
-                return Ok((header, records, before_frame));
+                journal.torn_tail_bytes = before_frame;
+                return Ok(journal);
             }
             return Err(WireError::new(format!(
                 "torn journal record: payload wants {len} bytes, {} remain",
@@ -269,16 +212,18 @@ fn walk_journal(
         if crc64(payload) != crc {
             return Err(WireError::new(format!(
                 "journal record {} checksum mismatch",
-                records.len()
+                journal.records.len() + journal.legacy_records
             )));
         }
-        let rec = decode_payload(payload, universe)?;
-        if let JournalRecord::DatasetDelta { op: DatasetOp::Insert(_), .. } = &rec {
-            universe += 1;
+        match decode_payload(payload, universe)? {
+            None => journal.legacy_records += 1,
+            Some(rec) => {
+                universe += u64::from(matches!(rec.op, DatasetOp::Insert(_)));
+                journal.records.push(rec);
+            }
         }
-        records.push(rec);
     }
-    Ok((header, records, 0))
+    Ok(journal)
 }
 
 /// Decode a complete journal file: header plus every record, strictly.
@@ -286,8 +231,8 @@ fn walk_journal(
 /// corruption-suite contract); recovery uses
 /// [`decode_journal_tolerant`] instead.
 pub fn decode_journal(bytes: &[u8]) -> WireResult<(JournalHeader, Vec<JournalRecord>)> {
-    let (header, records, _) = walk_journal(bytes, false)?;
-    Ok((header, records))
+    let journal = walk_journal(bytes, false)?;
+    Ok((journal.header, journal.records))
 }
 
 /// Decode a journal, tolerating a torn tail.
@@ -302,35 +247,60 @@ pub fn decode_journal(bytes: &[u8]) -> WireResult<(JournalHeader, Vec<JournalRec
 /// bad header, a checksum mismatch on a **complete** frame, or a payload
 /// that fails to decode is corruption (not a tear) and rejects the whole
 /// journal.
-pub fn decode_journal_tolerant(
-    bytes: &[u8],
-) -> WireResult<(JournalHeader, Vec<JournalRecord>, usize)> {
+pub fn decode_journal_tolerant(bytes: &[u8]) -> WireResult<DecodedJournal> {
     walk_journal(bytes, true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::{put_answer, put_graph, put_kind};
     use gc_graph::{graph_from_parts, Label};
+    use gc_method::QueryKind;
 
     fn header() -> JournalHeader {
         JournalHeader { generation: 4, dataset_fingerprint: 0xFEED, universe: 6 }
     }
 
+    fn delta(generation: u64, op: &DatasetOp) -> Vec<u8> {
+        encode_record(&JournalOp { generation, resulting_fingerprint: 0xAB00 + generation, op })
+    }
+
+    fn insert_op() -> DatasetOp {
+        DatasetOp::Insert(graph_from_parts(&[Label(0), Label(1)], &[(0, 1)]).unwrap())
+    }
+
+    /// Header, an insert delta and a remove delta.
+    fn sample_records() -> [Vec<u8>; 3] {
+        [encode_header(&header()), delta(1, &insert_op()), delta(2, &DatasetOp::Remove(2))]
+    }
+
     fn sample_file() -> Vec<u8> {
+        sample_records().concat()
+    }
+
+    /// An admission frame as earlier builds wrote it.
+    fn legacy_admit() -> Vec<u8> {
         let g = graph_from_parts(&[Label(0), Label(1)], &[(0, 1)]).unwrap();
-        let mut bytes = encode_header(&header());
-        bytes.extend(encode_record(&JournalOp::Admit {
-            orig_id: 3,
-            now: 11,
-            kind: QueryKind::Subgraph,
-            base_tests: 5,
-            base_cost: 50,
-            graph: &g,
-            answer: &[0, 2, 5],
-        }));
-        bytes.extend(encode_record(&JournalOp::Evict { orig_id: 1, now: 12 }));
-        bytes
+        let mut payload = ByteWriter::new();
+        payload.put_u8(TAG_ADMIT);
+        payload.put_u32(3); // originating entry id
+        payload.put_u64(11); // logical time
+        put_kind(&mut payload, QueryKind::Subgraph);
+        payload.put_u64(5); // base tests
+        payload.put_u64(50); // base cost
+        put_graph(&mut payload, &g);
+        put_answer(&mut payload, &[0, 2, 5]);
+        frame(payload.as_bytes())
+    }
+
+    /// An eviction frame as earlier builds wrote it.
+    fn legacy_evict() -> Vec<u8> {
+        let mut payload = ByteWriter::new();
+        payload.put_u8(TAG_EVICT);
+        payload.put_u32(1);
+        payload.put_u64(12);
+        frame(payload.as_bytes())
     }
 
     #[test]
@@ -339,97 +309,60 @@ mod tests {
         let (h, records) = decode_journal(&bytes).unwrap();
         assert_eq!(h, header());
         assert_eq!(records.len(), 2);
-        match &records[0] {
-            JournalRecord::Admit { orig_id, now, base_tests, answer, graph, .. } => {
-                assert_eq!((*orig_id, *now, *base_tests), (3, 11, 5));
-                assert_eq!(answer, &[0, 2, 5]);
-                assert_eq!(graph.vertex_count(), 2);
-            }
-            other => panic!("expected admit, got {other:?}"),
+        assert_eq!((records[0].generation, records[0].resulting_fingerprint), (1, 0xAB01));
+        assert_eq!(records[0].op, insert_op());
+        assert_eq!((records[1].generation, records[1].op.clone()), (2, DatasetOp::Remove(2)));
+
+        // A file with legacy admit and evict frames around a delta decodes
+        // to the delta alone, and counts what it skipped.
+        let admit = legacy_admit();
+        let head = encode_header(&header());
+        let legacy: Vec<u8> =
+            [head.clone(), admit.clone(), delta(1, &insert_op()), legacy_evict()].concat();
+        let (_, records) = decode_journal(&legacy).unwrap();
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].op, insert_op());
+        let decoded = decode_journal_tolerant(&legacy).unwrap();
+        assert_eq!((decoded.records.len(), decoded.legacy_records), (1, 2));
+
+        // Skipped is not unchecked: a flipped bit inside the admit frame's
+        // payload still rejects the journal.
+        for byte in head.len() + 12..head.len() + admit.len() {
+            let mut bad = legacy.clone();
+            bad[byte] ^= 0x04;
+            assert!(decode_journal(&bad).is_err(), "flip at legacy byte {byte} accepted");
+            assert!(decode_journal_tolerant(&bad).is_err(), "flip at legacy byte {byte} accepted");
         }
-        match &records[1] {
-            JournalRecord::Evict { orig_id, now } => assert_eq!((*orig_id, *now), (1, 12)),
-            other => panic!("expected evict, got {other:?}"),
-        }
+
+        // An unknown tag is not legacy: it rejects.
+        let mut unknown = ByteWriter::new();
+        unknown.put_u8(9);
+        let bytes = [head, frame(unknown.as_bytes())].concat();
+        assert!(decode_journal(&bytes).is_err());
     }
 
     #[test]
     fn dataset_delta_roundtrip_and_running_universe() {
         // Header universe 6; an Insert delta grows the running universe to
-        // 7, so a later Admit whose answer includes index 6 (the inserted
-        // graph) must decode — and a Remove delta naming that id validates
-        // against the *running* universe, not the header's.
-        let g = graph_from_parts(&[Label(0), Label(1)], &[(0, 1)]).unwrap();
+        // 7, so a later Remove delta naming the inserted graph (index 6)
+        // validates against the *running* universe, not the header's.
         let new_graph = graph_from_parts(&[Label(9)], &[]).unwrap();
         let ins = DatasetOp::Insert(new_graph.clone());
-        let rem = DatasetOp::Remove(6);
         let mut bytes = encode_header(&header());
-        bytes.extend(encode_record(&JournalOp::DatasetDelta {
-            generation: 1,
-            resulting_fingerprint: 0xABCD,
-            op: &ins,
-        }));
-        bytes.extend(encode_record(&JournalOp::Admit {
-            orig_id: 7,
-            now: 20,
-            kind: QueryKind::Subgraph,
-            base_tests: 5,
-            base_cost: 50,
-            graph: &g,
-            answer: &[1, 6],
-        }));
-        bytes.extend(encode_record(&JournalOp::DatasetDelta {
-            generation: 2,
-            resulting_fingerprint: 0xDCBA,
-            op: &rem,
-        }));
+        bytes.extend(delta(1, &ins));
+        bytes.extend(delta(2, &DatasetOp::Remove(6)));
         let (h, records) = decode_journal(&bytes).unwrap();
         assert_eq!(h, header());
-        assert_eq!(records.len(), 3);
-        match &records[0] {
-            JournalRecord::DatasetDelta { generation, resulting_fingerprint, op } => {
-                assert_eq!((*generation, *resulting_fingerprint), (1, 0xABCD));
-                assert_eq!(op, &DatasetOp::Insert(new_graph));
-            }
-            other => panic!("expected delta, got {other:?}"),
-        }
-        match &records[1] {
-            JournalRecord::Admit { answer, .. } => assert_eq!(answer, &[1, 6]),
-            other => panic!("expected admit, got {other:?}"),
-        }
-        match &records[2] {
-            JournalRecord::DatasetDelta { op, .. } => assert_eq!(op, &DatasetOp::Remove(6)),
-            other => panic!("expected delta, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn admit_beyond_running_universe_rejected() {
-        // Without a preceding Insert delta, an answer index equal to the
-        // header universe is out of bounds and must reject the journal.
-        let g = graph_from_parts(&[Label(0), Label(1)], &[(0, 1)]).unwrap();
-        let mut bytes = encode_header(&header());
-        bytes.extend(encode_record(&JournalOp::Admit {
-            orig_id: 7,
-            now: 20,
-            kind: QueryKind::Subgraph,
-            base_tests: 5,
-            base_cost: 50,
-            graph: &g,
-            answer: &[6],
-        }));
-        assert!(decode_journal(&bytes).is_err());
+        assert_eq!(records.len(), 2);
+        assert_eq!((records[0].generation, records[0].resulting_fingerprint), (1, 0xAB01));
+        assert_eq!(records[0].op, DatasetOp::Insert(new_graph));
+        assert_eq!(records[1].op, DatasetOp::Remove(6));
     }
 
     #[test]
     fn remove_delta_beyond_running_universe_rejected() {
-        let rem = DatasetOp::Remove(6);
         let mut bytes = encode_header(&header());
-        bytes.extend(encode_record(&JournalOp::DatasetDelta {
-            generation: 1,
-            resulting_fingerprint: 0,
-            op: &rem,
-        }));
+        bytes.extend(delta(1, &DatasetOp::Remove(6)));
         assert!(decode_journal(&bytes).is_err());
     }
 
@@ -446,18 +379,7 @@ mod tests {
         // indistinguishable from "fewer appends" and decodes as a valid
         // *shorter* journal (a sound earlier state). Every other cut —
         // inside the header or inside a record — must be rejected.
-        let g = graph_from_parts(&[Label(0), Label(1)], &[(0, 1)]).unwrap();
-        let head = encode_header(&header());
-        let rec1 = encode_record(&JournalOp::Admit {
-            orig_id: 3,
-            now: 11,
-            kind: QueryKind::Subgraph,
-            base_tests: 5,
-            base_cost: 50,
-            graph: &g,
-            answer: &[0, 2, 5],
-        });
-        let rec2 = encode_record(&JournalOp::Evict { orig_id: 1, now: 12 });
+        let [head, rec1, rec2] = sample_records();
         let boundaries =
             [head.len(), head.len() + rec1.len(), head.len() + rec1.len() + rec2.len()];
         let bytes: Vec<u8> = [head, rec1, rec2].concat();
@@ -509,29 +431,18 @@ mod tests {
         // either lands on a record boundary (no tail) or strictly inside
         // the last frame (tail = the cut-off bytes). Either way the valid
         // prefix must come back intact.
-        let g = graph_from_parts(&[Label(0), Label(1)], &[(0, 1)]).unwrap();
-        let head = encode_header(&header());
-        let rec1 = encode_record(&JournalOp::Admit {
-            orig_id: 3,
-            now: 11,
-            kind: QueryKind::Subgraph,
-            base_tests: 5,
-            base_cost: 50,
-            graph: &g,
-            answer: &[0, 2, 5],
-        });
-        let rec2 = encode_record(&JournalOp::Evict { orig_id: 1, now: 12 });
+        let [head, rec1, rec2] = sample_records();
         let boundaries =
             [head.len(), head.len() + rec1.len(), head.len() + rec1.len() + rec2.len()];
         let bytes: Vec<u8> = [head, rec1, rec2].concat();
         for cut in boundaries[0]..=bytes.len() {
-            let (h, records, torn) =
+            let decoded =
                 decode_journal_tolerant(&bytes[..cut]).expect("tail cut at {cut} tolerated");
-            assert_eq!(h, header());
+            assert_eq!(decoded.header, header());
             let complete = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
-            assert_eq!(records.len(), complete, "cut at {cut}");
+            assert_eq!(decoded.records.len(), complete, "cut at {cut}");
             let last_boundary = boundaries[complete];
-            assert_eq!(torn, cut - last_boundary, "cut at {cut}");
+            assert_eq!(decoded.torn_tail_bytes, cut - last_boundary, "cut at {cut}");
         }
     }
 
@@ -548,9 +459,9 @@ mod tests {
                 // A flip in the final frame's length field can turn it
                 // into an overrun, which legitimately reads as a tear —
                 // then the record must have been dropped, never accepted.
-                Ok((_, records, torn)) => {
-                    assert!(torn > 0, "flip at byte {byte} accepted with no tail");
-                    assert!(records.len() < 2, "flip at byte {byte} kept a corrupt record");
+                Ok(decoded) => {
+                    assert!(decoded.torn_tail_bytes > 0, "flip at byte {byte} accepted");
+                    assert!(decoded.records.len() < 2, "flip at byte {byte} kept a bad record");
                 }
             }
         }

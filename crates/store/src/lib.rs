@@ -10,13 +10,17 @@
 //!   of the cache: entries (query graph, kind, exact answer set, base
 //!   costs, accumulated statistics), global statistics, the learned
 //!   cost-model estimates, and window/clock state;
-//! * [`journal`] — an append-only admission/eviction log between
+//! * [`journal`] — an append-only log of dataset mutations between
 //!   snapshots, each record length-prefixed and CRC-guarded;
 //! * [`store`] — the [`CacheStore`] directory pairing one snapshot with
 //!   its journal, with crash-safe atomic rotation.
 //!
-//! A restarted cache replays *snapshot then journal* and resumes with its
-//! warm hit ratio — no admitted query is ever re-executed or re-verified.
+//! The journal carries the dataset only. Every cached answer is a function
+//! of the dataset, so its ops are what must survive a crash; the entries
+//! are warmth, and reach disk only through a snapshot. A restarted cache
+//! applies the journal's deltas to the snapshot's dataset, re-inserts the
+//! snapshot's entries, and resumes as warm as that snapshot was; an entry
+//! admitted after it is lost and costs tests, never a wrong answer.
 //!
 //! ## What is deliberately not persisted
 //!
@@ -34,8 +38,9 @@
 //! frame (exactly what a crash mid-append leaves): recovery drops the torn
 //! tail and keeps the intact prefix. The kernel's central invariant
 //! (answers exactly equal Method M alone) is preserved by construction:
-//! every persisted entry is a previously verified exact answer set, and
-//! anything that fails validation is discarded wholesale.
+//! every persisted entry is a previously verified exact answer set, every
+//! delta is checked against its recorded dataset fingerprint, and anything
+//! that fails validation is discarded wholesale.
 //!
 //! ## Durability and fault testing
 //!
@@ -46,8 +51,8 @@
 //!
 //! This crate depends only on `gc-graph` and `gc-method` (graph and
 //! query-kind types); the kernel wiring — `SharedGraphCache::{snapshot_to,
-//! restore_from}`, journal hooks in admit/evict, the periodic snapshotter
-//! — lives in `gc-core::persist`.
+//! restore_from}`, the delta append in `insert_graph`/`remove_graph`, the
+//! periodic snapshotter — lives in `gc-core::persist`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -70,8 +70,8 @@ pub struct EntryStatsRecord {
 #[derive(Debug, Clone)]
 pub struct EntryRecord {
     /// The entry's id in the *originating* cache (shard-encoded for the
-    /// concurrent front-end). Only used to connect journal evictions to
-    /// their admissions during replay; restored entries get fresh ids.
+    /// concurrent front-end), for forensics only: restored entries get
+    /// fresh ids.
     pub orig_id: u32,
     /// The cached query graph.
     pub graph: Graph,

@@ -35,7 +35,8 @@
 
 use crate::faults::{FaultAction, FaultPlan, FaultSite};
 use crate::journal::{
-    decode_journal_tolerant, encode_header, encode_record, JournalHeader, JournalOp, JournalRecord,
+    decode_journal_tolerant, encode_header, encode_record, DecodedJournal, JournalHeader,
+    JournalOp, JournalRecord,
 };
 use crate::snapshot::{decode_snapshot, encode_snapshot, SnapshotDoc};
 use std::fs::{self, File, OpenOptions};
@@ -71,9 +72,9 @@ fn sync_dir(dir: &Path) -> io::Result<()> {
 ///   every record since the last rotation or explicit
 ///   [`CacheStore::sync`].
 /// - `EveryN(n)` — at most `n - 1 + B` records, where `B` is the largest
-///   single append batch (one query's admission + evictions): the sync
-///   countdown can sit at `n - 1`, and the batch that crosses it can be
-///   lost wholesale if power fails before its group commit completes.
+///   single append batch (one dataset mutation): the sync countdown can sit
+///   at `n - 1`, and the batch that crosses it can be lost wholesale if
+///   power fails before its group commit completes.
 /// - `IntervalMs(ms)` — every record older than `ms` milliseconds (plus
 ///   the in-flight batch) is durable.
 ///
@@ -114,7 +115,8 @@ pub enum LoadOutcome {
         reason: String,
     },
     /// A valid snapshot (and its journal's records, possibly empty) —
-    /// replay `doc` then `journal` to resume warm.
+    /// apply `journal` to `doc`'s dataset and insert `doc`'s entries to
+    /// resume warm.
     Warm(Box<RecoveredState>),
 }
 
@@ -125,8 +127,11 @@ pub struct RecoveredState {
     pub doc: SnapshotDoc,
     /// Generation of the snapshot/journal pair.
     pub generation: u64,
-    /// Journal records appended after the snapshot, in append order.
+    /// Dataset mutations appended after the snapshot, in append order.
     pub journal: Vec<JournalRecord>,
+    /// Legacy admit/evict records in the journal, skipped (see
+    /// [`crate::journal`]).
+    pub legacy_records: usize,
     /// Bytes of an incomplete trailing frame (a crash mid-append) that
     /// were dropped during recovery. Zero for a cleanly closed journal.
     pub torn_tail_bytes: usize,
@@ -318,10 +323,11 @@ impl CacheStore {
         // Tolerant of exactly one anomaly: an incomplete trailing frame
         // (a crash mid-append) is dropped and reported; anything else —
         // bit flips, mid-file framing damage — still fails closed.
-        let (header, journal, torn_tail_bytes) = match decode_journal_tolerant(&journal_bytes) {
-            Ok(v) => v,
-            Err(e) => return LoadOutcome::Cold { reason: format!("journal rejected: {e}") },
-        };
+        let DecodedJournal { header, records: journal, legacy_records, torn_tail_bytes } =
+            match decode_journal_tolerant(&journal_bytes) {
+                Ok(v) => v,
+                Err(e) => return LoadOutcome::Cold { reason: format!("journal rejected: {e}") },
+            };
         let expected = JournalHeader {
             generation,
             dataset_fingerprint: doc.dataset_fingerprint,
@@ -332,7 +338,13 @@ impl CacheStore {
                 reason: format!("journal header {header:?} does not match snapshot {expected:?}"),
             };
         }
-        LoadOutcome::Warm(Box::new(RecoveredState { doc, generation, journal, torn_tail_bytes }))
+        LoadOutcome::Warm(Box::new(RecoveredState {
+            doc,
+            generation,
+            journal,
+            legacy_records,
+            torn_tail_bytes,
+        }))
     }
 
     /// Durably write `doc` as the next generation's snapshot and open a
@@ -441,8 +453,8 @@ impl CacheStore {
     /// a failed *write* truncates the file back to the last record
     /// boundary before the next attempt, so a torn partial batch never
     /// survives mid-file; a failed *fsync* leaves the batch written, so a
-    /// retry may duplicate it — replay is duplicate-tolerant (a re-admit
-    /// of a present entry and an evict of an absent one are both skipped).
+    /// retry may duplicate it — a duplicated delta fails replay's
+    /// generation check, which restores cold, never wrong.
     pub fn append(&self, ops: &[JournalOp<'_>]) -> io::Result<u64> {
         if ops.is_empty() {
             return Ok(self.journal_bytes());
@@ -555,7 +567,7 @@ impl CacheStore {
 mod tests {
     use super::*;
     use gc_graph::{graph_from_parts, Label};
-    use gc_method::QueryKind;
+    use gc_method::DatasetOp;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("gc_store_test_{tag}_{}", std::process::id()));
@@ -588,19 +600,9 @@ mod tests {
         let info = store.rotate(&doc_with(4, 0xAB)).unwrap();
         assert_eq!(info.generation, 1);
 
-        let g = graph_from_parts(&[Label(1)], &[]).unwrap();
-        store
-            .append(&[JournalOp::Admit {
-                orig_id: 0,
-                now: 1,
-                kind: QueryKind::Subgraph,
-                base_tests: 2,
-                base_cost: 3,
-                graph: &g,
-                answer: &[1, 3],
-            }])
-            .unwrap();
-        store.append(&[JournalOp::Evict { orig_id: 0, now: 2 }]).unwrap();
+        let insert = DatasetOp::Insert(graph_from_parts(&[Label(1)], &[]).unwrap());
+        store.append(&[delta_op(&insert, 0)]).unwrap();
+        store.append(&[delta_op(&DatasetOp::Remove(4), 1)]).unwrap();
         store.sync().unwrap();
         assert_eq!(store.journal_records(), 2);
 
@@ -611,6 +613,8 @@ mod tests {
                 assert_eq!(state.generation, 1);
                 assert_eq!(state.doc.universe, 4);
                 assert_eq!(state.journal.len(), 2);
+                assert_eq!(state.journal[0].op, insert);
+                assert_eq!(state.journal[1].op, DatasetOp::Remove(4));
             }
             LoadOutcome::Cold { reason } => panic!("expected warm, got cold: {reason}"),
         }
@@ -624,7 +628,7 @@ mod tests {
     fn append_without_rotation_errors() {
         let dir = tmpdir("norot");
         let store = CacheStore::open(&dir).unwrap();
-        assert!(store.append(&[JournalOp::Evict { orig_id: 0, now: 0 }]).is_err());
+        assert!(store.append(&[delta_op(&DatasetOp::Remove(0), 0)]).is_err());
         assert!(store.append(&[]).is_ok(), "empty append is a no-op");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -648,18 +652,8 @@ mod tests {
         let dir = tmpdir("corrupt_jrnl");
         let store = CacheStore::open(&dir).unwrap();
         store.rotate(&doc_with(2, 1)).unwrap();
-        let g = graph_from_parts(&[Label(0)], &[]).unwrap();
-        store
-            .append(&[JournalOp::Admit {
-                orig_id: 0,
-                now: 1,
-                kind: QueryKind::Subgraph,
-                base_tests: 1,
-                base_cost: 1,
-                graph: &g,
-                answer: &[0],
-            }])
-            .unwrap();
+        let insert = DatasetOp::Insert(graph_from_parts(&[Label(0)], &[]).unwrap());
+        store.append(&[delta_op(&insert, 0)]).unwrap();
         store.sync().unwrap();
         let path = dir.join(journal_file(1));
         let mut bytes = fs::read(&path).unwrap();
@@ -692,26 +686,21 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    fn admit_op(g: &gc_graph::Graph, i: u32) -> JournalOp<'_> {
-        JournalOp::Admit {
-            orig_id: i,
-            now: i as u64 + 1,
-            kind: QueryKind::Subgraph,
-            base_tests: 1,
-            base_cost: 1,
-            graph: g,
-            answer: &[0],
-        }
+    /// The `i`-th (0-based) mutation since the snapshot.
+    fn delta_op(op: &DatasetOp, i: u32) -> JournalOp<'_> {
+        JournalOp { generation: i as u64 + 1, resulting_fingerprint: 0xF0 + i as u64, op }
     }
+
+    /// Removes are the smallest deltas; graph 0 is live in every test doc.
+    const REMOVE: DatasetOp = DatasetOp::Remove(0);
 
     #[test]
     fn torn_tail_is_dropped_not_fatal() {
         let dir = tmpdir("torn_tail");
         let store = CacheStore::open(&dir).unwrap();
         store.rotate(&doc_with(2, 1)).unwrap();
-        let g = graph_from_parts(&[Label(0)], &[]).unwrap();
         for i in 0..3 {
-            store.append(&[admit_op(&g, i)]).unwrap();
+            store.append(&[delta_op(&REMOVE, i)]).unwrap();
         }
         store.sync().unwrap();
         // Simulate a crash mid-append: cut the file inside the last record.
@@ -746,10 +735,9 @@ mod tests {
         let store = CacheStore::open(&dir).unwrap();
         store.set_fsync_policy(FsyncPolicy::EveryN(4));
         store.rotate(&doc_with(2, 1)).unwrap();
-        let g = graph_from_parts(&[Label(0)], &[]).unwrap();
         let total = 25u32;
         for i in 0..total {
-            store.append(&[admit_op(&g, i)]).unwrap();
+            store.append(&[delta_op(&REMOVE, i)]).unwrap();
         }
         // 25 single-record batches under EveryN(4): 24 synced, 1 pending.
         assert_eq!(store.journal_synced_records(), 24);
@@ -770,12 +758,7 @@ mod tests {
                     assert!(n >= synced_records, "cut {cut}: lost synced records");
                     assert!(total as u64 - n <= bound, "cut {cut}: lost more than bound");
                     for (i, rec) in state.journal.iter().enumerate() {
-                        match rec {
-                            JournalRecord::Admit { orig_id, .. } => {
-                                assert_eq!(*orig_id, i as u32, "cut {cut}: not a prefix")
-                            }
-                            other => panic!("cut {cut}: unexpected record {other:?}"),
-                        }
+                        assert_eq!(rec.generation, i as u64 + 1, "cut {cut}: not a prefix");
                     }
                 }
                 LoadOutcome::Cold { reason } => panic!("cut {cut}: went cold: {reason}"),
@@ -790,9 +773,8 @@ mod tests {
         let store = CacheStore::open(&dir).unwrap();
         store.set_fsync_policy(FsyncPolicy::IntervalMs(1));
         store.rotate(&doc_with(2, 1)).unwrap();
-        let g = graph_from_parts(&[Label(0)], &[]).unwrap();
         std::thread::sleep(std::time::Duration::from_millis(3));
-        store.append(&[admit_op(&g, 0)]).unwrap();
+        store.append(&[delta_op(&REMOVE, 0)]).unwrap();
         assert_eq!(store.journal_synced_records(), 1, "elapsed interval forces group commit");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -803,25 +785,24 @@ mod tests {
         let dir = tmpdir("faulty_append");
         let store = CacheStore::open(&dir).unwrap();
         store.rotate(&doc_with(2, 1)).unwrap();
-        let g = graph_from_parts(&[Label(0)], &[]).unwrap();
         let plan = Arc::new(FaultPlan::seeded(7));
         store.set_fault_plan(Some(plan.clone()));
 
         // A transient error: nothing written, retry succeeds.
         plan.arm(FaultSite::JournalAppend, Failpoint::ErrOnce);
-        assert!(store.append(&[admit_op(&g, 0)]).is_err());
-        store.append(&[admit_op(&g, 0)]).unwrap();
+        assert!(store.append(&[delta_op(&REMOVE, 0)]).is_err());
+        store.append(&[delta_op(&REMOVE, 0)]).unwrap();
 
         // A torn record: partial bytes hit the file, the next append
         // truncates them away before writing.
         plan.arm(FaultSite::JournalAppend, Failpoint::TornRecord);
-        assert!(store.append(&[admit_op(&g, 1)]).is_err());
-        store.append(&[admit_op(&g, 1)]).unwrap();
+        assert!(store.append(&[delta_op(&REMOVE, 1)]).is_err());
+        store.append(&[delta_op(&REMOVE, 1)]).unwrap();
 
         // A short write: same repair path.
         plan.arm(FaultSite::JournalAppend, Failpoint::ShortWrite { keep: 2 });
-        assert!(store.append(&[admit_op(&g, 2)]).is_err());
-        store.append(&[admit_op(&g, 2)]).unwrap();
+        assert!(store.append(&[delta_op(&REMOVE, 2)]).is_err());
+        store.append(&[delta_op(&REMOVE, 2)]).unwrap();
 
         store.sync().unwrap();
         assert_eq!(plan.fired(), 3);
@@ -877,7 +858,7 @@ mod tests {
         let dir = tmpdir("reset");
         let store = CacheStore::open(&dir).unwrap();
         store.rotate(&doc_with(1, 1)).unwrap();
-        store.append(&[JournalOp::Evict { orig_id: 9, now: 1 }]).unwrap();
+        store.append(&[delta_op(&REMOVE, 0)]).unwrap();
         assert_eq!(store.journal_records(), 1);
         store.rotate(&doc_with(1, 1)).unwrap();
         assert_eq!(store.journal_records(), 0);

@@ -3,7 +3,7 @@
 //! tears) are always rejected — the fail-closed recovery contract.
 
 use gc_graph::{graph_from_parts, Graph, Label};
-use gc_method::QueryKind;
+use gc_method::{DatasetOp, QueryKind};
 use gc_store::journal::{decode_journal, encode_header, encode_record};
 use gc_store::snapshot::{decode_snapshot, encode_snapshot};
 use gc_store::{EntryRecord, EntryStatsRecord, JournalHeader, JournalOp, SnapshotDoc};
@@ -108,25 +108,17 @@ fn journal_image(doc: &SnapshotDoc, records: usize, seed: u64) -> (Vec<u8>, Vec<
         dataset_fingerprint: doc.dataset_fingerprint,
         universe: doc.universe,
     };
-    let g = graph_from_parts(&[Label(0), Label(1)], &[(0, 1)]).unwrap();
+    let insert = DatasetOp::Insert(graph_from_parts(&[Label(0), Label(1)], &[(0, 1)]).unwrap());
+    let remove = DatasetOp::Remove((seed % UNIVERSE) as u32);
     let mut bytes = encode_header(&header);
     let mut boundaries = vec![bytes.len()];
     for i in 0..records {
-        let rec = if (seed + i as u64).is_multiple_of(3) {
-            encode_record(&JournalOp::Evict { orig_id: i as u32, now: seed + i as u64 })
-        } else {
-            let answer = [0u32, 1 + (seed % (UNIVERSE - 1)) as u32];
-            encode_record(&JournalOp::Admit {
-                orig_id: i as u32,
-                now: seed + i as u64,
-                kind: QueryKind::Subgraph,
-                base_tests: seed,
-                base_cost: seed * 2,
-                graph: &g,
-                answer: &answer,
-            })
-        };
-        bytes.extend(rec);
+        let op = if (seed + i as u64).is_multiple_of(3) { &remove } else { &insert };
+        bytes.extend(encode_record(&JournalOp {
+            generation: i as u64 + 1,
+            resulting_fingerprint: seed + i as u64,
+            op,
+        }));
         boundaries.push(bytes.len());
     }
     (bytes, boundaries)
