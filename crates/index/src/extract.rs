@@ -415,7 +415,7 @@ impl FeatureVec {
     /// `true` iff `self`'s counts dominate `other`'s on every feature of
     /// `other` (i.e. `other` may be contained in `self`).
     pub fn dominates(&self, other: &FeatureVec) -> bool {
-        other.items.iter().all(|&(h, c)| self.count(h) >= c)
+        crate::fit::dominated(&other.items, &self.items)
     }
 
     /// Approximate heap bytes (for index-size accounting).

@@ -25,6 +25,16 @@
 //! sub-iso verification downstream) but never drop a true one. This is
 //! property-tested against the VF2 engine.
 //!
+//! Every "which indexed graphs can be contained in this query" probe
+//! ([`PathTrie::super_candidates_into`],
+//! [`QueryIndex::super_case_candidates_into`],
+//! [`TreeIndex::super_candidates_into`]) shares one fit test: each indexed
+//! graph keeps its feature total and a one-word feature mask, and only a
+//! graph whose total and mask fit inside the query's has the count
+//! identity `Σ min(cnt_G, cnt_q) = total(G)` confirmed exactly. The probe
+//! costs one signature read per indexed graph plus the survivors'
+//! confirmation; no posting list is scanned whole.
+//!
 //! ## Allocation discipline
 //!
 //! The per-query front-end (extraction + index lookups) is the hot path of
@@ -58,6 +68,7 @@
 
 mod directory;
 mod extract;
+mod fit;
 pub mod merge;
 mod query_index;
 pub mod reference;

@@ -33,7 +33,7 @@
 /// First index in `keys[lo..]` (keys ascending under `key`) whose key is
 /// `>= target`, found by exponential search from `lo`.
 #[inline]
-fn gallop_to<T>(items: &[T], lo: usize, target: u32, key: impl Fn(&T) -> u32) -> usize {
+pub(crate) fn gallop_to<T>(items: &[T], lo: usize, target: u32, key: impl Fn(&T) -> u32) -> usize {
     let mut step = 1usize;
     let mut hi = lo;
     // Widen until the key at `hi` passes the target (or the slice ends).

@@ -12,8 +12,7 @@
 //!   least `g`'s count;
 //! * **super-case candidates** — cached entries `h` *possibly contained in*
 //!   `g` (`h ⊑ g`): every feature of `h` must appear in `g` with at least
-//!   `h`'s count, checked without touching `h`'s features via the
-//!   `Σ min(cnt_h(f), cnt_g(f)) = total(h)` identity over `g`'s features.
+//!   `h`'s count (`Σ min(cnt_h(f), cnt_g(f)) = total(h)`).
 //!
 //! Both are sound overapproximations; the processors verify candidates with
 //! the SI engine.
@@ -28,20 +27,24 @@
 //! new/drained hash.
 //! Sub-case candidacy is a k-way sorted intersection (most selective list
 //! first; each step picks two-pointer or galloping by length skew, see
-//! [`crate::merge`]); super-case candidacy accumulates the Σmin identity
-//! into a dense per-entry counter array. All per-probe state lives in a
-//! caller-owned [`CandScratch`], so the steady-state probe path performs
+//! [`crate::merge`]). Super-case candidacy reads no postings: each live
+//! entry's [fit signature](crate::fit) — its feature total and a one-word
+//! feature mask, set at insert — must fit inside the query's, and only
+//! then is the entry's own sorted feature list merge-walked against the
+//! query's. All per-probe state lives in a caller-owned [`CandScratch`],
+//! so the steady-state probe path performs
 //! **zero heap allocations** (pinned by `tests/alloc_free.rs`) and is
 //! property-tested equal to both the HashMap reference
 //! ([`crate::reference::RefQueryIndex`]) and the eager-directory reference
 //! ([`crate::reference::EagerQueryIndex`]).
 //!
 //! Entry ids are expected to be *slab-dense* (the cache manager reuses
-//! evicted slots), since the dense slot table and counter scratch are sized
-//! by the maximum live id.
+//! evicted slots), since the dense slot table is sized by the maximum live
+//! id.
 
 use crate::directory::{IndexTuning, PostingDir};
 use crate::extract::{feature_vec, FeatureConfig, FeatureVec, FeaturesRef};
+use crate::fit;
 use crate::merge;
 use gc_graph::Graph;
 
@@ -51,9 +54,10 @@ pub type EntryId = u32;
 #[derive(Debug)]
 struct Slot {
     features: FeatureVec,
-    /// Cached `features.total_count()` (the Σmin identity's right-hand
-    /// side; recomputing it per probe would rescan the items).
+    /// Cached `features.total_count()` and the features' mask: the entry's
+    /// fit signature.
     total: u64,
+    mask: u64,
 }
 
 /// Reusable probe state for [`QueryIndex::sub_case_candidates_into`] /
@@ -68,8 +72,6 @@ pub struct CandScratch {
     /// `(directory slot, required count)` per query feature, sorted most
     /// selective first.
     lists: Vec<(u32, u32)>,
-    /// Dense Σmin accumulators, indexed by entry id.
-    matched: Vec<u64>,
 }
 
 impl CandScratch {
@@ -190,7 +192,8 @@ impl QueryIndex {
             self.slots.resize_with(id as usize + 1, || None);
         }
         let total = fv.total_count();
-        self.slots[id as usize] = Some(Slot { features: fv, total });
+        let mask = fit::mask(fv.items().iter().map(|&(h, _)| h));
+        self.slots[id as usize] = Some(Slot { features: fv, total, mask });
         self.live += 1;
     }
 
@@ -207,34 +210,23 @@ impl QueryIndex {
         }
     }
 
-    /// Merge `unfiltered` (sorted) with the sorted candidate run in `cur`
-    /// into `out` (all three disjoint-id sorted sequences).
-    fn merge_with_unfiltered(&self, cur: &[EntryId], out: &mut Vec<EntryId>) {
-        out.clear();
-        let (mut i, mut j) = (0, 0);
-        while i < self.unfiltered.len() && j < cur.len() {
-            if self.unfiltered[i] < cur[j] {
-                out.push(self.unfiltered[i]);
-                i += 1;
-            } else {
-                out.push(cur[j]);
-                j += 1;
-            }
+    /// Add the (always-candidate) unfiltered entries to the ascending,
+    /// disjoint candidate run `out`, keeping it ascending.
+    fn add_unfiltered(&self, out: &mut Vec<EntryId>) {
+        if !self.unfiltered.is_empty() {
+            out.extend_from_slice(&self.unfiltered);
+            out.sort_unstable();
         }
-        out.extend_from_slice(&self.unfiltered[i..]);
-        out.extend_from_slice(&cur[j..]);
     }
 
     /// Every indexed entry (unfiltered ∪ live slots), ascending, into
     /// `scratch` (the unfilterable-query fallback).
     fn all_entries_into(&self, scratch: &mut CandScratch) {
-        scratch.cur.clear();
-        scratch.cur.extend(
+        scratch.out.clear();
+        scratch.out.extend(
             self.slots.iter().enumerate().filter_map(|(id, s)| s.as_ref().map(|_| id as EntryId)),
         );
-        let cur = std::mem::take(&mut scratch.cur);
-        self.merge_with_unfiltered(&cur, &mut scratch.out);
-        scratch.cur = cur;
+        self.add_unfiltered(&mut scratch.out);
     }
 
     /// Cached entries that may *contain* the query (`g ⊑ h` candidates),
@@ -280,42 +272,37 @@ impl QueryIndex {
             );
             std::mem::swap(&mut scratch.cur, &mut scratch.next);
         }
-        let cur = std::mem::take(&mut scratch.cur);
-        self.merge_with_unfiltered(&cur, &mut scratch.out);
-        scratch.cur = cur;
+        scratch.out.clear();
+        scratch.out.extend_from_slice(&scratch.cur);
+        self.add_unfiltered(&mut scratch.out);
     }
 
     /// Cached entries possibly *contained in* the query (`h ⊑ g`
     /// candidates), written to `scratch`. Allocation-free once the scratch
     /// is warm.
+    ///
+    /// Cost: per live entry, a total cut and a one-word mask test against
+    /// the query's; only an entry passing both has its feature list
+    /// merge-walked against the query's. No posting list is read.
     pub fn super_case_candidates_into(&self, f: FeaturesRef<'_>, scratch: &mut CandScratch) {
         if f.truncated() {
             self.all_entries_into(scratch);
             return;
         }
-        // matched[e] = Σ_{f ∈ qf} min(cnt_e(f), cnt_q(f)); e qualifies iff
-        // matched[e] == total(e). Entries with no features (empty graphs)
-        // qualify trivially.
-        scratch.matched.clear();
-        scratch.matched.resize(self.slots.len(), 0);
-        for &(h, qc) in f.items() {
-            if let Some(slot) = self.dir.find(h) {
-                for &(e, c) in self.dir.list(slot) {
-                    scratch.matched[e as usize] += c.min(qc) as u64;
-                }
-            }
-        }
-        scratch.cur.clear();
+        // Entries with no features (empty graphs) qualify trivially.
+        let q_total = f.total_count();
+        let q_mask = fit::mask(f.items().iter().map(|&(h, _)| h));
+        scratch.out.clear();
         for (id, slot) in self.slots.iter().enumerate() {
             if let Some(s) = slot {
-                if s.total == 0 || scratch.matched[id] == s.total {
-                    scratch.cur.push(id as EntryId);
+                if fit::fits(s.total, s.mask, q_total, q_mask)
+                    && fit::dominated(s.features.items(), f.items())
+                {
+                    scratch.out.push(id as EntryId);
                 }
             }
         }
-        let cur = std::mem::take(&mut scratch.cur);
-        self.merge_with_unfiltered(&cur, &mut scratch.out);
-        scratch.cur = cur;
+        self.add_unfiltered(&mut scratch.out);
     }
 
     /// Cached entries that may *contain* the query (`g ⊑ h` candidates),

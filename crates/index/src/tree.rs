@@ -21,8 +21,12 @@
 //! canonical-subtree hashes live in the churn-proof tombstoned
 //! [`crate::directory`] (so graphs can be inserted and removed at traffic
 //! rates), posting lists are sorted by graph id and intersected
-//! word-parallel into a caller-owned bitset, and all per-probe state —
-//! including the subtree enumeration itself — lives in a reusable
+//! word-parallel into a caller-owned bitset for subgraph queries, while
+//! supergraph queries read no postings: each graph's
+//! [fit signature](crate::fit) (code total and one-word code mask) must fit
+//! inside the query's before its own code list is merge-walked against the
+//! query's. All per-probe state — including the subtree enumeration
+//! itself — lives in a reusable
 //! [`TreeScratch`], making the steady-state probe path **zero-allocation**
 //! (pinned by `tests/alloc_free.rs`).
 //!
@@ -39,6 +43,7 @@
 //! under interleaved insert/remove/probe schedules.
 
 use crate::directory::{IndexTuning, PostingDir};
+use crate::fit;
 use gc_graph::hash::{hash_seq, mix};
 use gc_graph::{BitSet, Graph, GraphId, VertexId};
 use std::collections::{HashMap, HashSet};
@@ -226,8 +231,6 @@ pub struct TreeScratch {
     // --- probe state ------------------------------------------------------
     /// `(directory slot, required count)`, sorted most selective first.
     req: Vec<(u32, u32)>,
-    /// Dense Σmin accumulators, indexed by graph id.
-    matched: Vec<u64>,
 }
 
 impl TreeScratch {
@@ -530,8 +533,10 @@ impl TreeScratch {
 struct TreeSlot {
     /// The graph's aggregated `(code, count)` items (needed for removal).
     items: Vec<(u64, u32)>,
-    /// Total code occurrences (Σmin identity right-hand side).
+    /// Total code occurrences and the codes' mask: the graph's fit
+    /// signature.
     total: u64,
+    mask: u64,
 }
 
 /// Tree-feature FTV index: canonical-subtree hash → per-graph counts, on
@@ -638,7 +643,8 @@ impl TreeIndex {
         if self.slots.len() <= gid as usize {
             self.slots.resize_with(gid as usize + 1, || None);
         }
-        self.slots[gid as usize] = Some(TreeSlot { items: scratch.items.clone(), total });
+        let mask = fit::mask(scratch.items.iter().map(|&(code, _)| code));
+        self.slots[gid as usize] = Some(TreeSlot { items: scratch.items.clone(), total, mask });
         self.live += 1;
     }
 
@@ -708,9 +714,14 @@ impl TreeIndex {
         }
     }
 
-    /// Candidate set for a supergraph query into `out`, via the Σmin
-    /// identity. Sound overapproximation of the graphs possibly contained
+    /// Candidate set for a supergraph query into `out`: graphs whose every
+    /// subtree code occurs in `query` at least as often (the Σmin
+    /// identity). Sound overapproximation of the graphs possibly contained
     /// in `query`. Allocation-free once `scratch` and `out` are warm.
+    ///
+    /// Cost: per live graph, a total cut and a one-word mask test against
+    /// the query's; only a graph passing both has its code list
+    /// merge-walked against the query's. No posting list is read.
     pub fn super_candidates_into(
         &self,
         query: &Graph,
@@ -722,19 +733,14 @@ impl TreeIndex {
             out.set_all();
             return;
         }
-        scratch.matched.clear();
-        scratch.matched.resize(self.slots.len(), 0);
-        for &(code, qc) in &scratch.items {
-            if let Some(slot) = self.dir.find(code) {
-                for &(gid, c) in self.dir.list(slot) {
-                    scratch.matched[gid as usize] += c.min(qc) as u64;
-                }
-            }
-        }
+        let q_total = scratch.items.iter().map(|&(_, qc)| qc as u64).sum();
+        let q_mask = fit::mask(scratch.items.iter().map(|&(code, _)| code));
         out.clear();
         for (gid, slot) in self.slots.iter().enumerate() {
             if let Some(s) = slot {
-                if s.total == 0 || scratch.matched[gid] == s.total {
+                if fit::fits(s.total, s.mask, q_total, q_mask)
+                    && fit::dominated(&s.items, &scratch.items)
+                {
                     out.insert(gid);
                 }
             }

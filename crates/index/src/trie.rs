@@ -2,8 +2,11 @@
 //!
 //! Each node of the trie corresponds to a label sequence (the path from the
 //! root); a node stores a posting list `(graph_id, occurrence_count)` sorted
-//! by graph id. Filtering walks the trie once per query feature and
-//! intersects the graphs whose counts dominate the query's.
+//! by graph id. Subgraph filtering walks the trie once per query feature and
+//! intersects the graphs whose counts dominate the query's. Supergraph
+//! filtering reads each graph's [fit signature](crate::fit) — its path total
+//! and a one-word mask of its trie nodes — and looks up postings only for
+//! the few graphs that pass it.
 //!
 //! ## Arena layout
 //!
@@ -20,13 +23,17 @@
 //! never materialized, and candidate intersection goes word-parallel
 //! straight into the caller's [`BitSet`] via
 //! [`BitSet::intersect_with_sorted`] — the filter allocates nothing per
-//! feature. Reusable state lives in [`TrieScratch`].
+//! feature. Reusable state lives in [`TrieScratch`]; its survivor buffer
+//! grows to the largest number of graphs that ever passed one query's fit
+//! test.
 //!
 //! Its [`memory_bytes`](PathTrie::memory_bytes) drives the space side of the
 //! paper's Experiment II. Equivalence with the pointer-chasing
 //! implementation is pinned against [`crate::reference::RefPathTrie`].
 
 use crate::extract::{stream_label_paths, FeatureConfig, PathSink};
+use crate::fit;
+use crate::merge::gallop_to;
 use gc_graph::{BitSet, Graph, GraphId, Label};
 
 /// Sentinel for "the current path has left the trie" on the walk stack.
@@ -53,8 +60,9 @@ pub struct TrieScratch {
     nodes: Vec<u32>,
     /// Aggregated `(node, required count)`.
     merged: Vec<(u32, u32)>,
-    /// Dense Σmin accumulators, indexed by graph id.
-    matched: Vec<u64>,
+    /// Graphs that passed the supergraph probe's fit test, ascending, each
+    /// with the part of its path total the query has not yet covered.
+    survivors: Vec<(GraphId, u64)>,
 }
 
 impl TrieScratch {
@@ -104,9 +112,10 @@ impl PathSink for WalkSink<'_> {
 pub struct PathTrie {
     cfg: FeatureConfig,
     dataset_size: usize,
-    /// Per-graph total path-occurrence counts (for supergraph-query
-    /// filtering via the Σmin identity).
+    /// Per-graph total path-occurrence counts and trie-node masks: the
+    /// [fit signatures](crate::fit) of the supergraph filter.
     totals: Vec<u64>,
+    masks: Vec<u64>,
     /// Graphs whose path enumeration was truncated; they are always
     /// candidates (soundness over filtering power).
     unfiltered: Vec<GraphId>,
@@ -201,10 +210,15 @@ impl PathTrie {
         let mut child_labels = Vec::with_capacity(nc as usize);
         let mut child_nodes = Vec::with_capacity(nc as usize);
         let mut postings = Vec::with_capacity(np as usize);
-        for n in nodes {
+        let mut masks = vec![0u64; dataset.len()];
+        for (id, n) in nodes.into_iter().enumerate() {
             for (l, c) in n.children {
                 child_labels.push(l);
                 child_nodes.push(c);
+            }
+            let bit = fit::key_bit(id as u64);
+            for &(gid, _) in &n.postings {
+                masks[gid as usize] |= bit;
             }
             postings.extend(n.postings);
         }
@@ -213,6 +227,7 @@ impl PathTrie {
             cfg,
             dataset_size: dataset.len(),
             totals,
+            masks,
             unfiltered,
             child_labels,
             child_nodes,
@@ -356,6 +371,11 @@ impl PathTrie {
     /// count, checked via `Σ_f∈query min(cnt_G(f), cnt_q(f)) == total(G)` so
     /// the graphs' feature sets never need re-enumeration.
     ///
+    /// Cost: one pass over the graphs' fit signatures (path total ≤ the
+    /// query's, trie-node mask ⊆ the query's), then, per query trie node, a
+    /// galloping lookup of each survivor in its postings. No posting list is
+    /// scanned whole.
+    ///
     /// Sound: the true answer set (`{G : G ⊑ q}`) is a subset of the
     /// result. Allocation-free once `scratch` and `out` are warm.
     pub fn super_candidates_into(
@@ -371,17 +391,32 @@ impl PathTrie {
             return;
         }
         Self::aggregate_required(scratch);
-        scratch.matched.clear();
-        scratch.matched.resize(self.dataset_size, 0);
+        let q_total = scratch.merged.iter().map(|&(_, qc)| qc as u64).sum();
+        let q_mask = fit::mask(scratch.merged.iter().map(|&(n, _)| n as u64));
+        scratch.survivors.clear();
+        for (gid, (&total, &mask)) in self.totals.iter().zip(&self.masks).enumerate() {
+            if fit::fits(total, mask, q_total, q_mask) {
+                scratch.survivors.push((gid as GraphId, total));
+            }
+        }
+        // Σmin on the survivors: each query node takes min(c, qc) off the
+        // uncovered rest of every survivor it posts.
         for &(n, qc) in &scratch.merged {
-            for &(gid, c) in self.node_postings(n) {
-                scratch.matched[gid as usize] += c.min(qc) as u64;
+            let posts = self.node_postings(n);
+            let mut at = 0;
+            for (gid, rest) in scratch.survivors.iter_mut() {
+                at = gallop_to(posts, at, *gid, |&(g, _)| g);
+                match posts.get(at) {
+                    Some(&(g, c)) if g == *gid => *rest -= c.min(qc) as u64,
+                    Some(_) => {}
+                    None => break,
+                }
             }
         }
         out.clear();
-        for (gid, (&m, &t)) in scratch.matched.iter().zip(&self.totals).enumerate() {
-            if m == t {
-                out.insert(gid);
+        for &(gid, rest) in &scratch.survivors {
+            if rest == 0 {
+                out.insert(gid as usize);
             }
         }
         for &g in &self.unfiltered {
@@ -415,6 +450,7 @@ impl PathTrie {
             + self.post_start.capacity() * std::mem::size_of::<u32>()
             + self.unfiltered.capacity() * std::mem::size_of::<GraphId>()
             + self.totals.capacity() * std::mem::size_of::<u64>()
+            + self.masks.capacity() * std::mem::size_of::<u64>()
     }
 }
 

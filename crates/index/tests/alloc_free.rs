@@ -6,8 +6,10 @@
 //! queries must perform zero allocations across the whole probe path —
 //! streaming feature extraction ([`ExtractScratch`]), both containment
 //! probes of the flat-postings [`QueryIndex`] ([`CandScratch`]) and both
-//! directions of the arena [`PathTrie`] filter ([`TrieScratch`] + a reused
-//! candidate bitset).
+//! directions of the arena [`PathTrie`] and [`TreeIndex`] filters
+//! ([`TrieScratch`], [`TreeScratch`] + a reused candidate bitset). Every
+//! supergraph probe returns candidates on some fixture query, so the pass
+//! reaches the exact confirmation behind each probe's fit test.
 //!
 //! This is an integration test (its own binary) so the `#[global_allocator]`
 //! cannot interfere with the library's unit tests, and so the crate-level
@@ -77,6 +79,17 @@ struct Fixture {
     queries: Vec<Graph>,
 }
 
+/// The disjoint union of `graphs`: it contains each of them.
+fn disjoint_union(graphs: &[Graph]) -> Graph {
+    let (mut labels, mut edges) = (Vec::new(), Vec::new());
+    for g in graphs {
+        let base = labels.len() as u32;
+        labels.extend_from_slice(g.labels());
+        edges.extend(g.edges().map(|(u, v)| (base + u, base + v)));
+    }
+    graph_from_parts(&labels, &edges).unwrap()
+}
+
 fn fixture() -> Fixture {
     let cfg = FeatureConfig::with_max_len(3);
     // Dataset of 70 mixed rings/chains: the universe crosses a bitset word
@@ -96,6 +109,10 @@ fn fixture() -> Fixture {
         ring_with_tail(5, 5, 3),
         graph_from_parts(&[Label(0), Label(1)], &[(0, 1)]).unwrap(),
         graph_from_parts(&[Label(9)], &[]).unwrap(), // feature missing everywhere
+        // Contains every dataset graph (and so every cached query): each
+        // graph passes every supergraph fit test, and the trie's survivor
+        // buffer reaches its ceiling, the dataset size.
+        disjoint_union(&dataset),
     ];
     Fixture { trie, tree, index, queries }
 }
@@ -120,26 +137,30 @@ impl Scratches {
     }
 }
 
+/// Candidates one sweep returned, per probe: query-index sub and super,
+/// trie sub and super, tree sub and super.
+type Touched = [usize; 6];
+
 /// One steady-state probe pass: extraction once per query, both query-index
 /// probes on the shared extraction, both trie filter directions, both
 /// tree-feature filter directions.
-fn sweep(fx: &Fixture, s: &mut Scratches) -> usize {
-    let mut touched = 0usize;
+fn sweep(fx: &Fixture, s: &mut Scratches) -> Touched {
+    let mut touched = [0usize; 6];
     for q in &fx.queries {
         let cfg = *fx.index.config();
         let features = s.extract.extract(q, &cfg);
         fx.index.sub_case_candidates_into(features, &mut s.cand);
-        touched += s.cand.candidates().len();
+        touched[0] += s.cand.candidates().len();
         fx.index.super_case_candidates_into(features, &mut s.cand);
-        touched += s.cand.candidates().len();
+        touched[1] += s.cand.candidates().len();
         fx.trie.candidates_into(q, &mut s.trie, &mut s.cm);
-        touched += s.cm.count();
+        touched[2] += s.cm.count();
         fx.trie.super_candidates_into(q, &mut s.trie, &mut s.cm);
-        touched += s.cm.count();
+        touched[3] += s.cm.count();
         fx.tree.candidates_into(q, &mut s.tree, &mut s.cm);
-        touched += s.cm.count();
+        touched[4] += s.cm.count();
         fx.tree.super_candidates_into(q, &mut s.tree, &mut s.cm);
-        touched += s.cm.count();
+        touched[5] += s.cm.count();
     }
     touched
 }
@@ -151,7 +172,9 @@ fn steady_state_probe_path_is_allocation_free() {
 
     // Warm-up: grows every scratch buffer to its high-water mark.
     let warm = sweep(&fx, &mut s);
-    assert!(warm > 0, "the sweep must do real filtering work");
+    for (probe, name) in [(1, "query-index"), (3, "trie"), (5, "tree")] {
+        assert!(warm[probe] > 0, "no fixture query has a {name} supergraph candidate");
+    }
 
     // Measured pass: identical work, zero allocations.
     let before = allocations_on_this_thread();
@@ -180,6 +203,11 @@ fn scratch_growth_happens_only_at_the_high_water_mark() {
     fx.index.super_case_candidates_into(features, &mut s.cand);
     fx.trie.candidates_into(largest, &mut s.trie, &mut s.cm);
     fx.trie.super_candidates_into(largest, &mut s.trie, &mut s.cm);
+    // The trie's survivor buffer grows with the number of graphs that pass
+    // the fit test, not with the query's size. The largest query contains
+    // every dataset graph, so every graph survives and the buffer reaches
+    // its ceiling.
+    assert_eq!(s.cm.count(), fx.trie.dataset_size(), "every graph must survive the warm-up");
     fx.tree.candidates_into(largest, &mut s.tree, &mut s.cm);
     fx.tree.super_candidates_into(largest, &mut s.tree, &mut s.cm);
 
@@ -187,12 +215,16 @@ fn scratch_growth_happens_only_at_the_high_water_mark() {
     let smallest = &fx.queries[4]; // the single-vertex query
     let features = s.extract.extract(smallest, &cfg);
     fx.index.sub_case_candidates_into(features, &mut s.cand);
-    let features = s.extract.extract(smallest, &cfg);
-    fx.index.super_case_candidates_into(features, &mut s.cand);
     fx.trie.candidates_into(smallest, &mut s.trie, &mut s.cm);
-    fx.trie.super_candidates_into(smallest, &mut s.trie, &mut s.cm);
     fx.tree.candidates_into(smallest, &mut s.tree, &mut s.cm);
-    fx.tree.super_candidates_into(smallest, &mut s.tree, &mut s.cm);
+    // Every query's supergraph probes fit the warmed scratch, including
+    // those whose survivors are confirmed.
+    for q in &fx.queries {
+        let features = s.extract.extract(q, &cfg);
+        fx.index.super_case_candidates_into(features, &mut s.cand);
+        fx.trie.super_candidates_into(q, &mut s.trie, &mut s.cm);
+        fx.tree.super_candidates_into(q, &mut s.tree, &mut s.cm);
+    }
     let after = allocations_on_this_thread();
     assert_eq!(after - before, 0, "smaller queries must fit the warmed scratch");
 }

@@ -475,3 +475,202 @@ fn query_index_compaction_boundary_keeps_candidates_exact() {
     assert!(crossed, "removals never crossed a compaction boundary");
     assert_eq!(flat.len(), 8);
 }
+
+// ---------------------------------------------------------------------------
+// The supergraph probes' fit test (total cut, one-word mask, then exact
+// confirmation) on datasets where it has survivors: cuts of the query, the
+// query itself (total equal to the query's), near misses and random graphs,
+// over an alphabet with more than 64 keys so mask bits collide.
+// ---------------------------------------------------------------------------
+
+/// A graph from labels and an edge list (self-loops and repeats dropped).
+fn graph_of(labels: &[u32], edges: &[(u32, u32)]) -> Graph {
+    let labels: Vec<Label> = labels.iter().map(|&l| Label(l)).collect();
+    let mut es: Vec<(u32, u32)> =
+        edges.iter().filter(|&&(u, v)| u != v).map(|&(u, v)| (u.min(v), u.max(v))).collect();
+    es.sort_unstable();
+    es.dedup();
+    gc_graph::graph_from_parts(&labels, &es).unwrap()
+}
+
+fn parts(g: &Graph) -> (Vec<u32>, Vec<(u32, u32)>) {
+    (g.labels().iter().map(|l| l.0).collect(), g.edges().collect())
+}
+
+/// A connected query: a random tree plus a few chords.
+fn fit_query(rng: &mut proptest::TestRng) -> Graph {
+    use proptest::rand::Rng;
+    let n = rng.gen_range(4u32..=9);
+    let labels: Vec<u32> = (0..n).map(|_| rng.gen_range(0u32..12)).collect();
+    let mut edges: Vec<(u32, u32)> = (1..n).map(|v| (rng.gen_range(0..v), v)).collect();
+    for _ in 0..rng.gen_range(0..3) {
+        edges.push((rng.gen_range(0..n), rng.gen_range(0..n)));
+    }
+    graph_of(&labels, &edges)
+}
+
+/// A subgraph of `g`: each vertex and each surviving edge kept with
+/// probability 3/4.
+fn cut_of(g: &Graph, rng: &mut proptest::TestRng) -> (Vec<u32>, Vec<(u32, u32)>) {
+    use proptest::rand::Rng;
+    let (labels, edges) = parts(g);
+    // keep[v]: v's id in the cut, if kept.
+    let (mut keep, mut kept) = (Vec::new(), Vec::new());
+    for &l in &labels {
+        if rng.gen_range(0u32..4) == 0 {
+            keep.push(None);
+        } else {
+            keep.push(Some(kept.len() as u32));
+            kept.push(l);
+        }
+    }
+    let kept_edges = edges
+        .iter()
+        .filter_map(|&(u, v)| Some((keep[u as usize]?, keep[v as usize]?)))
+        .filter(|_| rng.gen_range(0u32..4) != 0)
+        .collect();
+    (kept, kept_edges)
+}
+
+/// The dataset of one case, in shuffled order: the query, three cuts, a cut
+/// plus one isolated copy of a query label (often one too many), the query
+/// one edge (or one pendant vertex) larger, and three random graphs.
+fn fit_dataset(query: &Graph, rng: &mut proptest::TestRng) -> Vec<Graph> {
+    use proptest::rand::Rng;
+    let (labels, edges) = parts(query);
+    let mut ds = vec![query.clone()];
+    for _ in 0..3 {
+        let (l, e) = cut_of(query, rng);
+        ds.push(graph_of(&l, &e));
+    }
+    let (mut l, e) = cut_of(query, rng);
+    l.push(labels[rng.gen_range(0..labels.len())]);
+    ds.push(graph_of(&l, &e));
+    let n = labels.len() as u32;
+    let chord = (0..n)
+        .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+        .find(|&(u, v)| !query.has_edge(u, v) && rng.gen_range(0u32..2) == 0);
+    let (mut l, mut e) = (labels.clone(), edges.clone());
+    match chord {
+        Some(c) => e.push(c),
+        None => {
+            l.push(rng.gen_range(0u32..12));
+            e.push((rng.gen_range(0..n), n));
+        }
+    }
+    ds.push(graph_of(&l, &e));
+    for _ in 0..3 {
+        ds.push(arb_graph(8, 11).generate(rng));
+    }
+    for i in (1..ds.len()).rev() {
+        ds.swap(i, rng.gen_range(0..=i));
+    }
+    ds
+}
+
+fn multiset<K: Ord>(keys: impl IntoIterator<Item = K>) -> std::collections::BTreeMap<K, u32> {
+    let mut m = std::collections::BTreeMap::new();
+    for k in keys {
+        *m.entry(k).or_insert(0) += 1;
+    }
+    m
+}
+
+/// Brute-force Σmin over the key multisets `keys_of`: the ids of `dataset`
+/// with `Σ_k min(cnt_G(k), cnt_q(k)) == total(G)`, and whether some graph
+/// whose total fits inside the query's is rejected (a near miss the total
+/// cut cannot settle).
+fn brute_super<K: Ord>(
+    dataset: &[Graph],
+    query: &Graph,
+    keys_of: impl Fn(&Graph) -> Vec<K>,
+) -> (Vec<usize>, bool) {
+    let q = multiset(keys_of(query));
+    let q_total: u64 = q.values().map(|&c| c as u64).sum();
+    let (mut answer, mut near_miss) = (Vec::new(), false);
+    for (i, g) in dataset.iter().enumerate() {
+        let entry = multiset(keys_of(g));
+        let total: u64 = entry.values().map(|&c| c as u64).sum();
+        let covered: u64 =
+            entry.iter().map(|(k, &c)| c.min(q.get(k).copied().unwrap_or(0)) as u64).sum();
+        if covered == total {
+            answer.push(i);
+        } else {
+            near_miss |= total <= q_total;
+        }
+    }
+    (answer, near_miss)
+}
+
+#[test]
+fn super_probes_match_sigma_min_where_the_fit_test_has_survivors() {
+    use proptest::rand::{Rng, SeedableRng};
+    const CASES: usize = 160;
+    let mut rng = proptest::TestRng::seed_from_u64(proptest::seed_for("fit_test_survivors"));
+    // Per index (trie, query index, tree index): cases with a non-empty
+    // answer, cases with a near miss, cases over 64 distinct keys.
+    let (mut answered, mut near, mut wide) = ([0usize; 3], [0usize; 3], [0usize; 3]);
+    for case in 1..=CASES {
+        let query = fit_query(&mut rng);
+        let dataset = fit_dataset(&query, &mut rng);
+        let cfg = FeatureConfig::with_max_len(rng.gen_range(2usize..=3));
+        let tcfg = gc_index::TreeConfig::with_max_edges(rng.gen_range(2usize..=3));
+        let mut tally = |i: usize, (answer, near_miss): &(Vec<usize>, bool), keys: usize| {
+            answered[i] += usize::from(!answer.is_empty());
+            near[i] += usize::from(*near_miss);
+            wide[i] += usize::from(keys > 64);
+        };
+
+        let trie = PathTrie::build(&dataset, cfg);
+        let brute = brute_super(&dataset, &query, |g| gc_index::enumerate_label_paths(g, &cfg).0);
+        let got = trie.super_candidates(&query);
+        assert_eq!(got.to_vec(), brute.0, "case {case}: trie super filter != Σmin");
+        assert_eq!(
+            got,
+            gc_index::reference::RefPathTrie::build(&dataset, cfg).super_candidates(&query),
+            "case {case}: trie super filter != reference"
+        );
+        tally(0, &brute, trie.node_count() - 1);
+
+        let mut qi = QueryIndex::new(cfg);
+        let mut reference = gc_index::reference::RefQueryIndex::new(cfg);
+        for (id, g) in dataset.iter().enumerate() {
+            qi.insert(id as u32, g);
+            reference.insert(id as u32, g);
+        }
+        let qf = qi.features_of(&query);
+        let brute = brute_super(&dataset, &query, |g| {
+            let fv = gc_index::feature_vec(g, &cfg);
+            fv.items().iter().flat_map(|&(h, c)| std::iter::repeat_n(h, c as usize)).collect()
+        });
+        let got = qi.super_case_candidates(&qf);
+        assert_eq!(
+            got.iter().map(|&e| e as usize).collect::<Vec<_>>(),
+            brute.0,
+            "case {case}: query-index super probe != Σmin"
+        );
+        assert_eq!(
+            got,
+            reference.super_case_candidates(&qf),
+            "case {case}: query-index super probe != reference"
+        );
+        tally(1, &brute, qi.distinct_features());
+
+        let tree = gc_index::TreeIndex::build(&dataset, tcfg);
+        let brute = brute_super(&dataset, &query, |g| gc_index::enumerate_tree_codes(g, &tcfg).0);
+        let got = tree.super_candidates(&query);
+        assert_eq!(got.to_vec(), brute.0, "case {case}: tree super filter != Σmin");
+        assert_eq!(
+            got,
+            gc_index::reference::RefTreeIndex::build(&dataset, tcfg).super_candidates(&query),
+            "case {case}: tree super filter != reference"
+        );
+        tally(2, &brute, tree.distinct_features());
+    }
+    for (i, name) in ["trie", "query index", "tree index"].iter().enumerate() {
+        // The query itself is in every dataset.
+        assert_eq!(answered[i], CASES, "{name}: a case had an empty answer");
+        assert!(near[i] * 2 >= CASES, "{name}: too few cases have a near miss");
+        assert!(wide[i] * 8 >= CASES, "{name}: too few cases exceed 64 keys");
+    }
+}

@@ -72,8 +72,9 @@ impl Method for FtvMethod {
 
     fn on_insert_graph(&self, _dataset: &Dataset, _gid: gc_graph::GraphId) -> bool {
         // The arena trie is frozen at build time; the runtime force-includes
-        // inserted graphs as candidates instead (sound, one extra
-        // verification per query until a rebuild).
+        // inserted graphs as candidates instead (sound, but until a rebuild
+        // every inserted graph is one extra candidate on every filtered
+        // query, subgraph and supergraph alike).
         false
     }
 }
