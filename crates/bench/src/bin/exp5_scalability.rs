@@ -8,7 +8,8 @@
 //! 2. workload skew ∈ {0.0, 0.6, 1.2, 1.8} at fixed capacity —
 //!    skew is where the up-to-40× regime lives: the more repetition and
 //!    containment structure, the larger the speedup;
-//! 3. hit-check budget ∈ {4, 16, 64, 256} (DESIGN.md §6 ablation).
+//! 3. hit-check cap ([`CacheConfig::max_hit_checks`], per direction)
+//!    ∈ {4, 16, 64, 256}.
 
 use gc_bench::{print_table, run_base, run_cached, write_artifact};
 use gc_core::{CacheConfig, PolicyKind};
@@ -107,7 +108,7 @@ fn main() {
     println!("\nsweep 2: workload skew (capacity 100) — the up-to-40x regime grows with skew");
     print_table(&["zipf skew", "test-speedup", "time-speedup", "hit%"], &rows);
 
-    // --- sweep 3: hit-check budget -------------------------------------------
+    // --- sweep 3: hit-check cap ----------------------------------------------
     let workload = Workload::generate(dataset.graphs(), &spec_with(1.2, n_queries.min(1000)));
     let base = run_base(&dataset, &FtvMethod::build(&dataset, 2), &workload);
     let mut rows = Vec::new();
@@ -115,8 +116,7 @@ fn main() {
         let cfg = CacheConfig {
             capacity: 100,
             window_size: 10,
-            max_sub_checks: checks,
-            max_super_checks: checks,
+            max_hit_checks: checks,
             ..CacheConfig::default()
         };
         let out = run_cached(
@@ -140,8 +140,8 @@ fn main() {
             hit_ratio: out.hit_ratio,
         });
     }
-    println!("\nsweep 3: hit-check budget (max sub/super candidates verified per query)");
-    print_table(&["budget", "test-speedup", "hit%"], &rows);
+    println!("\nsweep 3: hit-check cap (max candidates verified per query, each direction)");
+    print_table(&["cap", "test-speedup", "hit%"], &rows);
 
     match write_artifact("exp5_scalability", &points) {
         Ok(p) => println!("\nartifact: {}", p.display()),

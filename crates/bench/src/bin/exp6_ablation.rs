@@ -1,4 +1,4 @@
-//! Experiment VI (extension): ablation of GC's design choices (DESIGN.md §6).
+//! Experiment VI (extension): ablation of GC's design choices.
 //!
 //! The paper leaves several mechanisms unspecified; this harness quantifies
 //! the choices made by this reproduction:

@@ -115,7 +115,7 @@ fn aggregate(
 }
 
 /// Write a JSON artefact under `bench_results/` (created on demand); the
-/// experiments record their measurements so EXPERIMENTS.md is regenerable.
+/// experiments record their measurements there beside the printed table.
 pub fn write_artifact<T: Serialize>(name: &str, value: &T) -> std::io::Result<std::path::PathBuf> {
     let dir = std::path::Path::new("bench_results");
     std::fs::create_dir_all(dir)?;

@@ -3,7 +3,7 @@
 use crate::entry::{CacheEntry, EntryId, EntryStats};
 use crate::memo::AnswerRows;
 use gc_graph::{BitSet, Graph};
-use gc_index::{FeatureConfig, IndexTuning, QueryIndex};
+use gc_index::{FeatureConfig, QueryIndex};
 use gc_iso::GraphProfile;
 use gc_method::QueryKind;
 use std::collections::HashMap;
@@ -26,21 +26,14 @@ pub struct CacheManager {
 }
 
 impl CacheManager {
-    /// New empty cache whose query index uses `cfg` (default maintenance
-    /// tuning).
+    /// New empty cache whose query index extracts features under `cfg`;
+    /// the runtime's shards use `FeatureConfig::default()`.
     pub fn new(cfg: FeatureConfig) -> Self {
-        Self::with_tuning(cfg, IndexTuning::default())
-    }
-
-    /// New empty cache with explicit index maintenance tuning (see
-    /// [`gc_index::IndexTuning`]); the runtimes pass
-    /// [`crate::CacheConfig::index_tuning`] here.
-    pub fn with_tuning(cfg: FeatureConfig, tuning: IndexTuning) -> Self {
         CacheManager {
             slots: Vec::new(),
             free: Vec::new(),
             by_fingerprint: HashMap::new(),
-            index: QueryIndex::with_tuning(cfg, tuning),
+            index: QueryIndex::new(cfg),
             live: 0,
             rows: AnswerRows::default(),
         }

@@ -1,13 +1,16 @@
 //! Cache configuration.
 
-use gc_index::{FeatureConfig, IndexTuning};
 use gc_store::FsyncPolicy;
 
 /// Tunables of a [`crate::GraphCache`] instance.
 ///
 /// Defaults follow the demo deployment (paper §3: cache of 50 executed
 /// queries, window batches of 10) with budgets sized so cache probing can
-/// never dominate query time.
+/// never dominate query time. What no deployment varies is a constant, not
+/// a field: the per-test probe step budget
+/// ([`crate::pipeline::probe::PROBE_BUDGET`]), the 1 024 answer-only rows,
+/// the query index's `FeatureConfig::default()` and its maintenance
+/// thresholds ([`gc_index::COMPACT_TOMBSTONE_PCT`]).
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
     /// Maximum number of cached queries.
@@ -15,20 +18,9 @@ pub struct CacheConfig {
     /// Admission window size: executed queries are buffered and admitted in
     /// batches of this many (Window Manager).
     pub window_size: usize,
-    /// Maximum sub-case hit candidates to *verify* per query (budget knob of
-    /// DESIGN.md §6).
-    pub max_sub_checks: usize,
-    /// Maximum super-case hit candidates to verify per query.
-    pub max_super_checks: usize,
-    /// Step budget per hit-candidate verification; exceeding it counts as
-    /// "no hit" (sound — only savings are lost).
-    pub probe_budget: u64,
-    /// Feature configuration of the query index (containment probes).
-    pub feature_config: FeatureConfig,
-    /// Maintenance/merge tuning of the containment index: the galloping
-    /// cutoff of the k-way sub-case merge and the tombstone-compaction
-    /// threshold of the posting directory (see [`gc_index::IndexTuning`]).
-    pub index_tuning: IndexTuning,
+    /// Maximum hit candidates to *verify* per query in each direction: at
+    /// most this many sub-case and this many super-case tests.
+    pub max_hit_checks: usize,
     /// Admission filter: only cache queries whose execution performed at
     /// least this many sub-iso tests (cheap queries cannot repay their cache
     /// slot).
@@ -74,11 +66,6 @@ pub struct CacheConfig {
     /// before persistence gives up and goes
     /// [`crate::persist::PersistHealth::Disabled`]. Must be > 0.
     pub persist_max_probes: u32,
-    /// Answer-only rows, split over the shards like `capacity`; 0 stores
-    /// none. An evicted entry, or a query admission rejected, keeps its
-    /// answer as a row that serves exact repeats (memo hits) until newer
-    /// rows push it out or a dataset mutation drops every row.
-    pub memo_capacity: usize,
     /// Telemetry: fraction of queries whose full [`crate::QueryTrace`] is
     /// captured into the trace ring (rounded to an every-Nth-query
     /// sampler). 0 disables sampling entirely — the query path then does
@@ -94,11 +81,7 @@ impl Default for CacheConfig {
         CacheConfig {
             capacity: 50,
             window_size: 10,
-            max_sub_checks: 64,
-            max_super_checks: 64,
-            probe_budget: 100_000,
-            feature_config: FeatureConfig::default(),
-            index_tuning: IndexTuning::default(),
+            max_hit_checks: 64,
             min_admit_tests: 1,
             max_bytes: None,
             shards: 8,
@@ -107,7 +90,6 @@ impl Default for CacheConfig {
             fsync_policy: FsyncPolicy::Never,
             persist_retries: 3,
             persist_max_probes: 16,
-            memo_capacity: 1024,
             trace_sample_rate: 0.01,
             slow_query_threshold: std::time::Duration::from_millis(100),
         }
@@ -127,9 +109,6 @@ impl CacheConfig {
         }
         if self.window_size == 0 {
             return Err("window_size must be > 0".into());
-        }
-        if self.probe_budget == 0 {
-            return Err("probe_budget must be > 0".into());
         }
         if self.max_bytes == Some(0) {
             return Err("max_bytes must be > 0 when set".into());
@@ -156,7 +135,6 @@ impl CacheConfig {
         if !self.trace_sample_rate.is_finite() || !(0.0..=1.0).contains(&self.trace_sample_rate) {
             return Err("trace_sample_rate must be finite and in 0.0..=1.0".into());
         }
-        self.index_tuning.validate()?;
         Ok(())
     }
 }
@@ -174,7 +152,6 @@ mod tests {
     fn invalid_configs_rejected() {
         assert!(CacheConfig { capacity: 0, ..CacheConfig::default() }.validate().is_err());
         assert!(CacheConfig { window_size: 0, ..CacheConfig::default() }.validate().is_err());
-        assert!(CacheConfig { probe_budget: 0, ..CacheConfig::default() }.validate().is_err());
         assert!(CacheConfig { shards: 0, ..CacheConfig::default() }.validate().is_err());
         assert!(CacheConfig { shards: 257, ..CacheConfig::default() }.validate().is_err());
         assert!(CacheConfig { shards: 256, ..CacheConfig::default() }.validate().is_ok());
@@ -217,10 +194,6 @@ mod tests {
         assert!(CacheConfig { trace_sample_rate: 1.0, ..CacheConfig::default() }
             .validate()
             .is_ok());
-        let bad_tuning = IndexTuning { gallop_cutoff: 0, ..IndexTuning::default() };
-        assert!(CacheConfig { index_tuning: bad_tuning, ..CacheConfig::default() }
-            .validate()
-            .is_err());
     }
 
     #[test]

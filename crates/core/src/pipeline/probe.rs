@@ -163,14 +163,18 @@ pub fn find_exact<'c>(
     })
 }
 
+/// Step budget of one hit-candidate verification; a test that exhausts it
+/// counts as "no hit" (sound — only savings are lost).
+pub const PROBE_BUDGET: u64 = 100_000;
+
 /// Probe for sub/super-case hits only (no exact-match check).
 ///
 /// Candidates come from the containment [`gc_index::QueryIndex`]; each is
 /// confirmed with a budgeted sub-iso test. Verification order favours the
 /// most *useful* entries first (largest answer sets for sub-case hits —
 /// they yield more definite answers for subgraph queries; smallest answer
-/// sets for super-case hits — they prune more), so the per-query check caps
-/// (`max_sub_checks` / `max_super_checks`) spend their budget where it pays.
+/// sets for super-case hits — they prune more), so the per-direction check
+/// cap ([`CacheConfig::max_hit_checks`]) spends its budget where it pays.
 /// For supergraph queries the utility direction flips with the semantics;
 /// ordering is adjusted accordingly.
 ///
@@ -218,11 +222,11 @@ pub fn probe_cases(
             .sub_ids
             .sort_unstable_by_key(|&id| cache.get(id).map_or(usize::MAX, |e| e.answer().count())),
     }
-    for &id in scratch.sub_ids.iter().take(cfg.max_sub_checks) {
+    for &id in scratch.sub_ids.iter().take(cfg.max_hit_checks) {
         let e = cache.get(id).expect("candidate ids are live");
         hits.probe_tests += 1;
         let ctx = VerifyCtx::new(query, q_profile, &e.graph, e.profile.as_ref());
-        let (found, stats) = Engine::Vf2.verify_ctx(&ctx, Some(cfg.probe_budget), &mut scratch.vf);
+        let (found, stats) = Engine::Vf2.verify_ctx(&ctx, Some(PROBE_BUDGET), &mut scratch.vf);
         hits.probe_steps += stats.steps;
         if found == Found::Yes {
             hits.sub.push(id);
@@ -248,13 +252,13 @@ pub fn probe_cases(
             std::cmp::Reverse(cache.get(id).map_or(0, |e| e.answer().count()))
         }),
     }
-    for &id in scratch.super_ids.iter().take(cfg.max_super_checks) {
+    for &id in scratch.super_ids.iter().take(cfg.max_hit_checks) {
         let e = cache.get(id).expect("candidate ids are live");
         hits.probe_tests += 1;
         // The entry is the pattern here; its admission-time profile carries
         // the search order.
         let ctx = VerifyCtx::new(&e.graph, e.profile.as_ref(), query, q_profile);
-        let (found, stats) = Engine::Vf2.verify_ctx(&ctx, Some(cfg.probe_budget), &mut scratch.vf);
+        let (found, stats) = Engine::Vf2.verify_ctx(&ctx, Some(PROBE_BUDGET), &mut scratch.vf);
         hits.probe_steps += stats.steps;
         if found == Found::Yes {
             hits.super_.push(id);
@@ -464,7 +468,7 @@ mod tests {
         for _ in 0..10 {
             entries.push((g(&[0, 1], &[(0, 1)]), QueryKind::Subgraph));
         }
-        // 10 identical cached edges; cap super checks at 3.
+        // 10 identical cached edges, each inside the query; cap checks at 3.
         let cm = {
             let mut cm = CacheManager::new(FeatureConfig::with_max_len(2));
             for (graph, kind) in &entries {
@@ -473,10 +477,13 @@ mod tests {
             cm
         };
         let q = g(&[0, 1, 0], &[(0, 1), (1, 2)]);
-        let cfg = CacheConfig { max_super_checks: 3, max_sub_checks: 2, ..CacheConfig::default() };
+        let cfg = CacheConfig { max_hit_checks: 3, ..CacheConfig::default() };
         let hits = probe(&cm, &cfg, &q, QueryKind::Subgraph);
-        assert!(hits.super_.len() <= 3);
-        assert!(hits.probe_tests <= 5);
+        assert_eq!(hits.super_.len(), 3, "the cap takes exactly 3 of 10 super-case hits");
+        // No edge contains the 3-vertex query: the sub direction has
+        // nothing to test.
+        assert!(hits.sub.is_empty());
+        assert_eq!(hits.probe_tests, 3);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   use a rank-sum blend: each entry's eviction score is the sum of its
 //!   rank under PIN and its rank under PINC (ties broken by recency). This
 //!   is scale-free, workload-adaptive, and reproduces the paper's takeaway
-//!   ("HD is best or on par") in Experiment I; see DESIGN.md §6 for the
-//!   ablation.
+//!   ("HD is best or on par") in Experiment I; `exp6_ablation` sets it
+//!   against an arithmetic-mean variant.
 //!
 //! The [`ReplacementPolicy`] trait mirrors the developer API of the paper's
 //! Fig. 2(d): `on_hit` is `updateCacheStaInfo`, `victims` is

@@ -11,7 +11,7 @@
 //!   inflation term so long-idle entries age out;
 //! * [`HdArithPolicy`] — an arithmetic-mean variant of HD (normalised
 //!   PIN + PINC), the main ablation against the bundled rank-sum HD
-//!   (DESIGN.md §6);
+//!   (`exp6_ablation`);
 //! * [`RandomPolicy`] — seeded random eviction, the control baseline every
 //!   informed policy must beat.
 

@@ -22,9 +22,8 @@ pub struct IndexHealth {
 
 impl IndexHealth {
     /// Tombstoned fraction of the directory (0.0 when empty). Lazy
-    /// compaction keeps this below the configured
-    /// `compact_tombstone_pct`; a persistently high value means the
-    /// threshold is too permissive for the workload's churn.
+    /// compaction keeps this below [`gc_index::COMPACT_TOMBSTONE_PCT`]
+    /// percent once [`gc_index::COMPACT_MIN`] slots are tombstoned.
     pub fn tombstone_ratio(&self) -> f64 {
         let total = self.distinct_features + self.tombstoned_slots;
         if total == 0 {

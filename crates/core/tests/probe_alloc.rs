@@ -80,9 +80,8 @@ fn steady_state_probe_stage_is_allocation_free() {
     // no cycle, so the entries are *candidates* in the sub direction yet
     // every confirmation test fails — the pass exercises candidate
     // selection, utility ordering and verification without producing hits.
-    let cfg =
-        CacheConfig { feature_config: FeatureConfig::with_max_len(1), ..CacheConfig::default() };
-    let mut cache = CacheManager::with_tuning(cfg.feature_config, cfg.index_tuning);
+    let cfg = CacheConfig::default();
+    let mut cache = CacheManager::new(FeatureConfig::with_max_len(1));
     for (i, chain) in [
         g(&[0, 1, 2, 0, 2], &[(0, 1), (1, 2), (2, 3), (3, 4)]),
         g(&[2, 0, 1, 2, 0], &[(0, 1), (1, 2), (2, 3), (3, 4)]),
@@ -140,7 +139,7 @@ fn probe_ordering_is_deterministic_across_scratch_reuse() {
     // scratch must return identical hit lists (ordering buffers are fully
     // reset per pass).
     let cfg = CacheConfig::default();
-    let mut cache = CacheManager::with_tuning(cfg.feature_config, cfg.index_tuning);
+    let mut cache = CacheManager::new(FeatureConfig::default());
     let edge = g(&[0, 1], &[(0, 1)]);
     let square = g(&[0, 1, 0, 1], &[(0, 1), (1, 2), (2, 3), (3, 0)]);
     cache.insert(edge, QueryKind::Subgraph, BitSet::from_indices(8, [1usize]), 8, 100, 0);

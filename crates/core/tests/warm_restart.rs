@@ -424,9 +424,7 @@ fn restore_resumes_the_admission_window() {
     let ds = dataset(26, 71);
     let w = workload(&ds, 120, 31);
     let dir = tmpdir("window");
-    // No answer-only rows (they are not persisted): the original's would
-    // serve repeats the restored cache re-executes (and re-admits).
-    let cfg = CacheConfig { capacity: 8, window_size: 4, memo_capacity: 0, ..config() };
+    let cfg = CacheConfig { capacity: 8, window_size: 4, ..config() };
     let mut a = session(&ds, cfg.clone());
     let mut queries = w.queries.iter();
     for wq in queries.by_ref() {
@@ -437,6 +435,12 @@ fn restore_resumes_the_admission_window() {
     }
     let stats = a.stats();
     assert_eq!((stats.admitted, stats.evicted), (6, 0), "mid-window, nothing evicted yet");
+    // Answer-only rows are not persisted. Nothing has been evicted or
+    // rejected yet, so the original holds none the restored cache lacks;
+    // from here both demote, store and serve the same rows.
+    let mut rows = 0;
+    a.for_each_shard(|_, cm| rows += cm.row_count());
+    assert_eq!(rows, 0, "the snapshot must not drop rows the original serves");
     a.snapshot_to(&open(&dir)).unwrap();
 
     let (mut b, report) = restore(ds.clone(), cfg, open(&dir));

@@ -220,7 +220,6 @@ mod tests {
         // delta-default empty string.
         assert!(
             txt.contains("kernel dispatch        : avx2")
-                || txt.contains("kernel dispatch        : sse2")
                 || txt.contains("kernel dispatch        : scalar"),
             "{txt}"
         );

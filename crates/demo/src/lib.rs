@@ -2,7 +2,7 @@
 //!
 //! The paper's Demonstrator and Dashboard Manager subsystems (Fig. 1) are a
 //! web UI; this crate reproduces their *quantitative* content as plain-text
-//! dashboards (DESIGN.md §4):
+//! dashboards:
 //!
 //! * [`journey`] — Scenario I, *The Query Journey* (Fig. 3): the anatomy of
 //!   one query's trip through GC, panel by panel (`H`, `C_M`, `S`, `S'`,

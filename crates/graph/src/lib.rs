@@ -18,7 +18,7 @@
 //! The paper (GC, VLDB'18) targets undirected graphs with labels on vertices
 //! only; that is exactly what [`Graph`] models. Edge labels and direction are
 //! noted by the paper as straightforward generalisations and are out of scope
-//! here (see DESIGN.md).
+//! here.
 
 // `deny` rather than `forbid`: the one sanctioned exception is the
 // runtime-dispatched kernel module, which opts back in with a scoped

@@ -3,21 +3,19 @@
 //! Every filter, prune, and probe stage bottoms out in a handful of flat
 //! loops: bitwise AND/OR/ANDNOT over `u64` blocks, population counts, and
 //! sorted posting-list intersection. This module compiles each of them
-//! three ways and picks the widest one the running CPU supports, **once**,
-//! via [`std::arch::is_x86_feature_detected!`]:
+//! two ways and picks one for the running CPU, **once**, via
+//! [`std::arch::is_x86_feature_detected!`]:
 //!
 //! * `"avx2"` — 256-bit vectors + hardware `POPCNT` (the AND/OR/count
 //!   loops autovectorize to `vpand`/`vpor`/nibble-LUT popcount; the
 //!   posting merge uses explicit AVX2 intrinsics);
-//! * `"sse2"` — baseline x86-64 vectors with hardware `POPCNT` (the big
-//!   win over portable code, whose `count_ones` lowers to a ~12-op SWAR
-//!   sequence without the feature);
-//! * `"scalar"` — the portable reference in [`scalar`], always compiled,
-//!   the only tier off x86-64.
+//! * `"scalar"` — the portable reference in [`scalar`], always compiled:
+//!   every CPU without AVX2, and the only tier off x86-64.
 //!
 //! The dispatched entry points are drop-in equal to their [`scalar`]
 //! counterparts; the equivalence is property-tested across word-boundary
-//! sizes in `tests/prop.rs` and raced in `gc-bench/benches/bitset_kernels.rs`.
+//! sizes in `tests/prop.rs`, and gcbench times them as
+//! `graph.bitset_ns_per_kword` and `graph.intersect_pairs_ns_per_elem`.
 //! [`kernel_name`] exposes the chosen tier so deployments can observe
 //! which code path is live (surfaced as `GlobalStats::kernel_dispatch`).
 //!
@@ -31,8 +29,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 
 const UNKNOWN: u8 = 0;
 const SCALAR: u8 = 1;
-const SSE2: u8 = 2;
-const AVX2: u8 = 3;
+const AVX2: u8 = 2;
 
 /// Tier chosen at first use; `UNKNOWN` until then. Relaxed is enough: the
 /// stored value is a pure function of the CPU, so racing initializers
@@ -54,8 +51,6 @@ fn detect() -> u8 {
         && std::arch::is_x86_feature_detected!("popcnt")
     {
         AVX2
-    } else if std::arch::is_x86_feature_detected!("popcnt") {
-        SSE2
     } else {
         SCALAR
     };
@@ -65,13 +60,12 @@ fn detect() -> u8 {
     l
 }
 
-/// Name of the dispatched kernel tier: `"avx2"`, `"sse2"`, or `"scalar"`.
+/// Name of the dispatched kernel tier: `"avx2"` or `"scalar"`.
 ///
 /// Detection runs on first call and is cached for the process lifetime.
 pub fn kernel_name() -> &'static str {
     match level() {
         AVX2 => "avx2",
-        SSE2 => "sse2",
         _ => "scalar",
     }
 }
@@ -198,21 +192,11 @@ mod x86 {
     use std::arch::x86_64::*;
 
     // The word kernels reuse the scalar bodies verbatim; `#[target_feature]`
-    // makes LLVM recompile them with POPCNT / 256-bit vectors enabled.
-
-    #[target_feature(enable = "popcnt")]
-    pub fn and_words_popcnt(a: &mut [u64], b: &[u64]) {
-        scalar::and_words(a, b)
-    }
+    // makes LLVM recompile them with POPCNT and 256-bit vectors enabled.
 
     #[target_feature(enable = "avx2", enable = "popcnt")]
     pub fn and_words_avx2(a: &mut [u64], b: &[u64]) {
         scalar::and_words(a, b)
-    }
-
-    #[target_feature(enable = "popcnt")]
-    pub fn or_words_popcnt(a: &mut [u64], b: &[u64]) {
-        scalar::or_words(a, b)
     }
 
     #[target_feature(enable = "avx2", enable = "popcnt")]
@@ -220,19 +204,9 @@ mod x86 {
         scalar::or_words(a, b)
     }
 
-    #[target_feature(enable = "popcnt")]
-    pub fn andnot_words_popcnt(a: &mut [u64], b: &[u64]) {
-        scalar::andnot_words(a, b)
-    }
-
     #[target_feature(enable = "avx2", enable = "popcnt")]
     pub fn andnot_words_avx2(a: &mut [u64], b: &[u64]) {
         scalar::andnot_words(a, b)
-    }
-
-    #[target_feature(enable = "popcnt")]
-    pub fn popcount_words_popcnt(a: &[u64]) -> usize {
-        scalar::popcount_words(a)
     }
 
     #[target_feature(enable = "avx2", enable = "popcnt")]
@@ -240,29 +214,14 @@ mod x86 {
         scalar::popcount_words(a)
     }
 
-    #[target_feature(enable = "popcnt")]
-    pub fn and_popcount_words_popcnt(a: &[u64], b: &[u64]) -> usize {
-        scalar::and_popcount_words(a, b)
-    }
-
     #[target_feature(enable = "avx2", enable = "popcnt")]
     pub fn and_popcount_words_avx2(a: &[u64], b: &[u64]) -> usize {
         scalar::and_popcount_words(a, b)
     }
 
-    #[target_feature(enable = "popcnt")]
-    pub fn andnot_popcount_words_popcnt(a: &[u64], b: &[u64]) -> usize {
-        scalar::andnot_popcount_words(a, b)
-    }
-
     #[target_feature(enable = "avx2", enable = "popcnt")]
     pub fn andnot_popcount_words_avx2(a: &[u64], b: &[u64]) -> usize {
         scalar::andnot_popcount_words(a, b)
-    }
-
-    #[target_feature(enable = "popcnt")]
-    pub fn intersect_postings_popcnt(blocks: &mut [u64], postings: &[(u32, u32)], need: u32) {
-        scalar::intersect_postings(blocks, postings, need)
     }
 
     #[target_feature(enable = "avx2", enable = "popcnt")]
@@ -325,19 +284,17 @@ mod x86 {
 }
 
 macro_rules! dispatched {
-    ($(#[$doc:meta])* fn $name:ident / $avx2:ident / $popcnt:ident
+    ($(#[$doc:meta])* fn $name:ident / $avx2:ident
         ( $($arg:ident : $ty:ty),* ) $(-> $ret:ty)?) => {
         $(#[$doc])*
         #[inline]
         pub fn $name($($arg: $ty),*) $(-> $ret)? {
             #[cfg(target_arch = "x86_64")]
-            match level() {
-                // SAFETY: `level()` only reports a tier after
-                // `is_x86_feature_detected!` confirmed its features on this
-                // CPU at runtime.
-                AVX2 => return unsafe { x86::$avx2($($arg),*) },
-                SSE2 => return unsafe { x86::$popcnt($($arg),*) },
-                _ => {}
+            if level() == AVX2 {
+                // SAFETY: `level()` only reports AVX2 after
+                // `is_x86_feature_detected!` confirmed avx2 and popcnt on
+                // this CPU at runtime.
+                return unsafe { x86::$avx2($($arg),*) };
             }
             scalar::$name($($arg),*)
         }
@@ -346,42 +303,42 @@ macro_rules! dispatched {
 
 dispatched! {
     /// Dispatched [`scalar::and_words`]: `a[i] &= b[i]`.
-    fn and_words / and_words_avx2 / and_words_popcnt (a: &mut [u64], b: &[u64])
+    fn and_words / and_words_avx2 (a: &mut [u64], b: &[u64])
 }
 
 dispatched! {
     /// Dispatched [`scalar::or_words`]: `a[i] |= b[i]`.
-    fn or_words / or_words_avx2 / or_words_popcnt (a: &mut [u64], b: &[u64])
+    fn or_words / or_words_avx2 (a: &mut [u64], b: &[u64])
 }
 
 dispatched! {
     /// Dispatched [`scalar::andnot_words`]: `a[i] &= !b[i]`.
-    fn andnot_words / andnot_words_avx2 / andnot_words_popcnt (a: &mut [u64], b: &[u64])
+    fn andnot_words / andnot_words_avx2 (a: &mut [u64], b: &[u64])
 }
 
 dispatched! {
     /// Dispatched [`scalar::popcount_words`]: total set bits.
-    fn popcount_words / popcount_words_avx2 / popcount_words_popcnt (a: &[u64]) -> usize
+    fn popcount_words / popcount_words_avx2 (a: &[u64]) -> usize
 }
 
 dispatched! {
     /// Dispatched [`scalar::and_popcount_words`]: `|a ∩ b|` without
     /// materializing the intersection.
-    fn and_popcount_words / and_popcount_words_avx2 / and_popcount_words_popcnt
+    fn and_popcount_words / and_popcount_words_avx2
         (a: &[u64], b: &[u64]) -> usize
 }
 
 dispatched! {
     /// Dispatched [`scalar::andnot_popcount_words`]: `|a \ b|` without
     /// materializing the difference.
-    fn andnot_popcount_words / andnot_popcount_words_avx2 / andnot_popcount_words_popcnt
+    fn andnot_popcount_words / andnot_popcount_words_avx2
         (a: &[u64], b: &[u64]) -> usize
 }
 
 dispatched! {
     /// Dispatched [`scalar::intersect_postings`]: chunked sorted-posting
     /// intersection straight into bitset blocks.
-    fn intersect_postings / intersect_postings_avx2 / intersect_postings_popcnt
+    fn intersect_postings / intersect_postings_avx2
         (blocks: &mut [u64], postings: &[(u32, u32)], need: u32)
 }
 
@@ -438,7 +395,7 @@ mod tests {
     #[test]
     fn kernel_name_is_stable_and_valid() {
         let name = kernel_name();
-        assert!(["avx2", "sse2", "scalar"].contains(&name), "unexpected tier {name}");
+        assert!(["avx2", "scalar"].contains(&name), "unexpected tier {name}");
         assert_eq!(kernel_name(), name, "detection must be cached");
     }
 

@@ -13,9 +13,9 @@
 //! * **tombstoned slots** — removal never compacts the directory. A slot
 //!   whose posting list drains empty becomes a *tombstone*: its hash stays
 //!   in place (so binary search still works) but lookups treat it as
-//!   absent. When tombstones reach [`IndexTuning::compact_tombstone_pct`]
-//!   percent of all slots, one O(n) compaction sweep reclaims them —
-//!   amortized O(1) per removal.
+//!   absent. When tombstones reach [`COMPACT_TOMBSTONE_PCT`] percent of
+//!   all slots (and at least [`COMPACT_MIN`]), one O(n) compaction sweep
+//!   reclaims them — amortized O(1) per removal.
 //! * **batched append-and-merge** — insertion of a new hash goes into a
 //!   small sorted *tail* run (bounded by `max(16, main/16)` slots), kept
 //!   disjoint from the sorted *main* run. Lookups binary-search both runs
@@ -30,45 +30,14 @@
 //! Equivalence with the eager directory is property-tested in
 //! `tests/prop.rs` against [`crate::reference::EagerQueryIndex`].
 
-/// Tuning knobs of the dynamic posting indexes ([`crate::QueryIndex`],
-/// [`crate::TreeIndex`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IndexTuning {
-    /// Posting-list length ratio (longer/shorter) at or above which one
-    /// step of the k-way sub-case merge switches from two-pointer scanning
-    /// to a galloping (exponential-search) intersection over the longer
-    /// list. `1` gallops always; large values effectively disable it. See
-    /// [`crate::merge`].
-    pub gallop_cutoff: usize,
-    /// Compact the posting directory when tombstoned slots reach this
-    /// percentage of all directory slots (1..=100).
-    pub compact_tombstone_pct: usize,
-}
+/// Compact the posting directory when tombstoned slots reach this
+/// percentage of all directory slots.
+pub const COMPACT_TOMBSTONE_PCT: usize = 50;
 
-impl Default for IndexTuning {
-    fn default() -> Self {
-        IndexTuning { gallop_cutoff: 8, compact_tombstone_pct: 50 }
-    }
-}
-
-impl IndexTuning {
-    /// Compaction never triggers below this many tombstones, regardless of
-    /// [`IndexTuning::compact_tombstone_pct`] (tiny directories are cheap
-    /// to scan anyway). Exposed so health checks can assert the real
-    /// trigger.
-    pub const COMPACT_MIN: usize = 8;
-
-    /// Validate invariants.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.gallop_cutoff == 0 {
-            return Err("gallop_cutoff must be >= 1".into());
-        }
-        if self.compact_tombstone_pct == 0 || self.compact_tombstone_pct > 100 {
-            return Err("compact_tombstone_pct must be in 1..=100".into());
-        }
-        Ok(())
-    }
-}
+/// Compaction never triggers below this many tombstones, whatever their
+/// share (tiny directories are cheap to scan anyway). Public so health
+/// checks can assert the real trigger.
+pub const COMPACT_MIN: usize = 8;
 
 /// One posting: `(id, count)` — entry id for the query index, graph id for
 /// the tree index.
@@ -91,14 +60,9 @@ pub(crate) struct PostingDir {
     tail: Vec<u64>,
     tail_posts: Vec<Vec<Posting>>,
     tombstones: usize,
-    compact_pct: usize,
 }
 
 impl PostingDir {
-    pub(crate) fn new(tuning: &IndexTuning) -> Self {
-        PostingDir { compact_pct: tuning.compact_tombstone_pct, ..PostingDir::default() }
-    }
-
     /// Opaque slot index of a *live* `hash`, usable with
     /// [`PostingDir::list`] until the next mutation.
     #[inline]
@@ -178,8 +142,8 @@ impl PostingDir {
             if list.is_empty() {
                 self.tombstones += 1;
                 let total = self.main.len() + self.tail.len();
-                if self.tombstones >= IndexTuning::COMPACT_MIN
-                    && self.tombstones * 100 >= self.compact_pct * total
+                if self.tombstones >= COMPACT_MIN
+                    && self.tombstones * 100 >= COMPACT_TOMBSTONE_PCT * total
                 {
                     self.rebuild();
                 }
@@ -243,17 +207,13 @@ impl PostingDir {
 mod tests {
     use super::*;
 
-    fn dir() -> PostingDir {
-        PostingDir::new(&IndexTuning::default())
-    }
-
     fn cands(d: &PostingDir, hash: u64) -> Vec<Posting> {
         d.find(hash).map(|s| d.list(s).to_vec()).unwrap_or_default()
     }
 
     #[test]
     fn insert_lookup_remove_roundtrip() {
-        let mut d = dir();
+        let mut d = PostingDir::default();
         d.insert_posting(10, 1, 2);
         d.insert_posting(10, 0, 1);
         d.insert_posting(99, 7, 4);
@@ -270,7 +230,7 @@ mod tests {
 
     #[test]
     fn tombstone_revival_reuses_slot() {
-        let mut d = dir();
+        let mut d = PostingDir::default();
         d.insert_posting(42, 1, 1);
         d.remove_posting(42, 1);
         assert_eq!(d.tombstoned_slots(), 1);
@@ -281,7 +241,7 @@ mod tests {
 
     #[test]
     fn tail_merges_at_bound_and_lookups_survive() {
-        let mut d = dir();
+        let mut d = PostingDir::default();
         // Enough distinct hashes to force several tail merges.
         for h in 0..200u64 {
             d.insert_posting(h * 17 % 199, h as u32, 1);
@@ -294,7 +254,7 @@ mod tests {
 
     #[test]
     fn compaction_triggers_exactly_at_threshold() {
-        let mut d = dir();
+        let mut d = PostingDir::default();
         // 16 live slots in one run; threshold is 50% with a floor of 8
         // tombstones, so the 8th drain must compact and the 7th must not.
         for h in 0..16u64 {
@@ -315,7 +275,7 @@ mod tests {
 
     #[test]
     fn removing_unknown_is_noop() {
-        let mut d = dir();
+        let mut d = PostingDir::default();
         d.insert_posting(5, 1, 1);
         d.remove_posting(6, 1);
         d.remove_posting(5, 9);
@@ -325,7 +285,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "ids are unique")]
     fn duplicate_posting_panics() {
-        let mut d = dir();
+        let mut d = PostingDir::default();
         d.insert_posting(5, 1, 1);
         d.insert_posting(5, 1, 2);
     }

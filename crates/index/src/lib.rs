@@ -59,9 +59,11 @@
 //! memmoves at most the small tail run instead of the whole directory),
 //! and the k-way
 //! sub-case merge switches per step between two-pointer and galloping
-//! intersection ([`merge`]) when posting-list lengths are skewed. The
-//! knobs live in [`IndexTuning`]; `tests/prop.rs` holds the tombstoned
-//! directory equal to an eager one under interleaved admit/evict/probe.
+//! intersection ([`merge`]) when posting-list lengths are skewed. Both
+//! thresholds are constants: compaction at [`COMPACT_TOMBSTONE_PCT`] percent
+//! tombstoned slots (never below [`COMPACT_MIN`]), galloping at a length
+//! ratio of 8. `tests/prop.rs` holds the tombstoned directory equal to an
+//! eager one under interleaved admit/evict/probe.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -75,7 +77,7 @@ pub mod reference;
 mod tree;
 mod trie;
 
-pub use directory::IndexTuning;
+pub use directory::{COMPACT_MIN, COMPACT_TOMBSTONE_PCT};
 pub use extract::{
     enumerate_label_paths, feature_hash, feature_vec, stream_label_paths, ExtractScratch,
     FeatureConfig, FeatureVec, FeaturesRef, PathSink,

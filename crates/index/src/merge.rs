@@ -18,17 +18,19 @@
 //! against 8 posting ids per step on AVX2 machines (runtime-dispatched,
 //! portable fallback identical to [`intersect_two_pointer`]).
 //!
-//! [`intersect_adaptive`] picks per step by the length ratio against
-//! [`crate::IndexTuning::gallop_cutoff`]: galloping for wildly skewed
+//! [`intersect_adaptive`] picks per step by the length ratio against a
+//! cutoff (the indexes pass `GALLOP_CUTOFF`, 8): galloping for wildly skewed
 //! lengths, the dispatched SIMD merge otherwise — except the middle-skew
 //! band where the AVX2 block-scan outruns exponential search
 //! ([`gc_graph::simd::pair_scan_wins`]), which stays SIMD. The kernels are
 //! cross-checked on adversarial skews in this module's tests and under
-//! randomized inputs in `tests/prop.rs` (`gallop_matches_two_pointer`),
-//! and raced in `gc-bench/benches/merge.rs`; all of them write the same
-//! result:
-//! sorted ids `e ∈ cur` with a posting `(e, c)` in `list` where
-//! `c >= need`.
+//! randomized inputs in `tests/prop.rs` (`gallop_matches_two_pointer`);
+//! all of them write the same result: sorted ids `e ∈ cur` with a
+//! posting `(e, c)` in `list` where `c >= need`.
+
+/// Length ratio (longer/shorter) at or above which one step of the
+/// indexes' k-way sub-case merge gallops (see [`intersect_adaptive`]).
+pub(crate) const GALLOP_CUTOFF: usize = 8;
 
 /// First index in `keys[lo..]` (keys ascending under `key`) whose key is
 /// `>= target`, found by exponential search from `lo`.

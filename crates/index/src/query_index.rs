@@ -42,7 +42,7 @@
 //! evicted slots), since the dense slot table is sized by the maximum live
 //! id.
 
-use crate::directory::{IndexTuning, PostingDir};
+use crate::directory::PostingDir;
 use crate::extract::{feature_vec, FeatureConfig, FeatureVec, FeaturesRef};
 use crate::fit;
 use crate::merge;
@@ -91,7 +91,6 @@ impl CandScratch {
 #[derive(Debug)]
 pub struct QueryIndex {
     cfg: FeatureConfig,
-    tuning: IndexTuning,
     /// Tombstoned sorted hash directory over posting lists.
     dir: PostingDir,
     /// Dense slot table indexed by entry id.
@@ -103,18 +102,11 @@ pub struct QueryIndex {
 }
 
 impl QueryIndex {
-    /// New empty index with feature config `cfg` and default tuning.
+    /// New empty index with feature config `cfg`.
     pub fn new(cfg: FeatureConfig) -> Self {
-        Self::with_tuning(cfg, IndexTuning::default())
-    }
-
-    /// New empty index with explicit [`IndexTuning`] (gallop cutoff,
-    /// compaction threshold).
-    pub fn with_tuning(cfg: FeatureConfig, tuning: IndexTuning) -> Self {
         QueryIndex {
             cfg,
-            dir: PostingDir::new(&tuning),
-            tuning,
+            dir: PostingDir::default(),
             slots: Vec::new(),
             live: 0,
             unfiltered: Vec::new(),
@@ -124,11 +116,6 @@ impl QueryIndex {
     /// The feature configuration.
     pub fn config(&self) -> &FeatureConfig {
         &self.cfg
-    }
-
-    /// The active tuning knobs.
-    pub fn tuning(&self) -> &IndexTuning {
-        &self.tuning
     }
 
     /// Number of indexed entries.
@@ -147,7 +134,8 @@ impl QueryIndex {
     }
 
     /// Number of tombstoned directory slots awaiting compaction
-    /// (diagnostics; bounded by the tuning's tombstone percentage).
+    /// (diagnostics; bounded by [`crate::COMPACT_TOMBSTONE_PCT`] of the
+    /// slots once there are [`crate::COMPACT_MIN`] of them).
     pub fn tombstoned_slots(&self) -> usize {
         self.dir.tombstoned_slots()
     }
@@ -267,7 +255,7 @@ impl QueryIndex {
                 &scratch.cur,
                 self.dir.list(slot),
                 qc,
-                self.tuning.gallop_cutoff,
+                merge::GALLOP_CUTOFF,
                 &mut scratch.next,
             );
             std::mem::swap(&mut scratch.cur, &mut scratch.next);
@@ -515,28 +503,6 @@ mod tests {
             let qf = qi.features_of(&make(round));
             assert!(qi.sub_case_candidates(&qf).contains(&(round % 8)));
             assert!(qi.super_case_candidates(&qf).contains(&(round % 8)));
-        }
-    }
-
-    #[test]
-    fn gallop_tuning_changes_no_answers() {
-        let (qi_default, cached) = idx();
-        for cutoff in [1usize, 2, usize::MAX] {
-            let mut qi = QueryIndex::with_tuning(
-                FeatureConfig::with_max_len(2),
-                IndexTuning { gallop_cutoff: cutoff, ..IndexTuning::default() },
-            );
-            for (i, c) in cached.iter().enumerate() {
-                qi.insert(i as EntryId, c);
-            }
-            for q in &cached {
-                let qf = qi.features_of(q);
-                assert_eq!(
-                    qi.sub_case_candidates(&qf),
-                    qi_default.sub_case_candidates(&qf),
-                    "cutoff {cutoff} changed sub-case answers"
-                );
-            }
         }
     }
 }

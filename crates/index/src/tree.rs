@@ -42,7 +42,7 @@
 //! index against [`crate::reference::RefTreeIndex`] is property-tested
 //! under interleaved insert/remove/probe schedules.
 
-use crate::directory::{IndexTuning, PostingDir};
+use crate::directory::PostingDir;
 use crate::fit;
 use gc_graph::hash::{hash_seq, mix};
 use gc_graph::{BitSet, Graph, GraphId, VertexId};
@@ -557,16 +557,11 @@ pub struct TreeIndex {
 }
 
 impl TreeIndex {
-    /// New empty index with default tuning.
+    /// New empty index.
     pub fn new(cfg: TreeConfig) -> Self {
-        Self::with_tuning(cfg, IndexTuning::default())
-    }
-
-    /// New empty index with explicit [`IndexTuning`].
-    pub fn with_tuning(cfg: TreeConfig, tuning: IndexTuning) -> Self {
         TreeIndex {
             cfg,
-            dir: PostingDir::new(&tuning),
+            dir: PostingDir::default(),
             slots: Vec::new(),
             live: 0,
             dataset_size: 0,

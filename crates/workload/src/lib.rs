@@ -4,7 +4,7 @@
 //! synthetic datasets, with >6M queries "generated from graphs in the
 //! dataset following established principles" (§3). Neither the NCI molecules
 //! nor the authors' query logs are redistributable here, so this crate
-//! provides faithful synthetic substitutes (see DESIGN.md §4):
+//! provides faithful synthetic substitutes:
 //!
 //! * [`molecules`] — molecule-like labelled graphs (sparse, tree-plus-rings,
 //!   skewed atom-label distribution) standing in for AIDS;

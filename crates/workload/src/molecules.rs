@@ -13,7 +13,7 @@
 //!
 //! The cache's behaviour depends on sparsity, label skew, and the
 //! containment structure of queries — all preserved here; absolute NCI
-//! chemistry is not required (DESIGN.md §4).
+//! chemistry is not required.
 
 use gc_graph::{Graph, GraphBuilder, Label, VertexId};
 use rand::rngs::StdRng;

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 fn main() {
     // A dataset of 100 molecule-like graphs (the demo deployment uses 100
-    // AIDS molecules; see DESIGN.md §4 for the substitution).
+    // AIDS molecules; `gc_workload::molecules` documents the substitution).
     let dataset = Arc::new(Dataset::new(molecule_dataset(100, 2018)));
     println!(
         "dataset: {} graphs, avg {:.1} vertices",

@@ -70,7 +70,7 @@ pub mod prelude {
     };
     pub use gc_demo::{run_multi_client, run_query_journey, run_workload_comparison};
     pub use gc_graph::{BitSet, Graph, GraphBuilder, Label};
-    pub use gc_index::{FeatureConfig, IndexTuning};
+    pub use gc_index::FeatureConfig;
     pub use gc_iso::{is_subgraph, Matcher};
     pub use gc_method::{execute_base, Dataset, Engine, FtvMethod, Method, QueryKind, SiMethod};
     pub use gc_workload::{
