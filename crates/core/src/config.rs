@@ -40,32 +40,26 @@ pub struct CacheConfig {
     /// journal) after this many admissions, when a
     /// [`gc_store::CacheStore`] is attached. Entries reach disk only
     /// through snapshots, so this bounds the warmth a crash loses: at most
-    /// this many admissions. `None` disables the admission-count trigger
-    /// (snapshots then happen only on explicit
+    /// this many admissions. The admission that crosses the interval cuts
+    /// the snapshot; a failed one resets the count too, so a dead disk is
+    /// retried once per interval. `None` disables the admission-count
+    /// trigger (snapshots then happen only on explicit
     /// [`crate::SharedGraphCache::snapshot_now`] /
     /// [`crate::SharedGraphCache::snapshot_to`] calls, the journal-size
-    /// trigger, or a [`crate::persist::Snapshotter`]). Must be > 0 when set.
+    /// trigger, or to catch up after a failed delta append). Must be > 0
+    /// when set.
     pub snapshot_interval: Option<u64>,
     /// Persistence: automatically snapshot once the journal's dataset
     /// deltas exceed this many bytes, bounding both delta replay time and
-    /// the disk footprint between snapshots. `None` disables the size
-    /// trigger. Must be > 0 when set.
+    /// the disk footprint between snapshots. Checked by each mutation
+    /// after its append, the only thing that grows the journal. `None`
+    /// disables the size trigger. Must be > 0 when set.
     pub journal_max_bytes: Option<u64>,
     /// Persistence: group-commit fsync policy applied to journal appends
     /// (dataset deltas) when a store is attached (see [`FsyncPolicy`] for
     /// the bounded-loss guarantee of each variant, counted in delta
     /// records). `EveryN`/`IntervalMs` arguments must be > 0.
     pub fsync_policy: FsyncPolicy,
-    /// Persistence: how many times a failed journal append is retried
-    /// (with capped exponential backoff) before the persistence circuit
-    /// breaker trips to [`crate::persist::PersistHealth::Degraded`].
-    /// 0 means "no retries: degrade on the first failure".
-    pub persist_retries: u32,
-    /// Persistence: how many consecutive failed recovery probes (each one
-    /// an attempt to cut a fresh snapshot while degraded) are allowed
-    /// before persistence gives up and goes
-    /// [`crate::persist::PersistHealth::Disabled`]. Must be > 0.
-    pub persist_max_probes: u32,
     /// Telemetry: fraction of queries whose full [`crate::QueryTrace`] is
     /// captured into the trace ring (rounded to an every-Nth-query
     /// sampler). 0 disables sampling entirely — the query path then does
@@ -88,8 +82,6 @@ impl Default for CacheConfig {
             snapshot_interval: None,
             journal_max_bytes: None,
             fsync_policy: FsyncPolicy::Never,
-            persist_retries: 3,
-            persist_max_probes: 16,
             trace_sample_rate: 0.01,
             slow_query_threshold: std::time::Duration::from_millis(100),
         }
@@ -128,9 +120,6 @@ impl CacheConfig {
                 return Err("fsync_policy IntervalMs(ms) needs ms > 0".into())
             }
             _ => {}
-        }
-        if self.persist_max_probes == 0 {
-            return Err("persist_max_probes must be > 0".into());
         }
         if !self.trace_sample_rate.is_finite() || !(0.0..=1.0).contains(&self.trace_sample_rate) {
             return Err("trace_sample_rate must be finite and in 0.0..=1.0".into());
@@ -176,9 +165,6 @@ mod tests {
         assert!(CacheConfig { fsync_policy: FsyncPolicy::EveryN(8), ..CacheConfig::default() }
             .validate()
             .is_ok());
-        assert!(CacheConfig { persist_max_probes: 0, ..CacheConfig::default() }
-            .validate()
-            .is_err());
         assert!(CacheConfig { trace_sample_rate: -0.1, ..CacheConfig::default() }
             .validate()
             .is_err());

@@ -37,9 +37,9 @@
 //!   cost-aware policies;
 //! * [`persist`] — durable cache state: snapshot + journal persistence
 //!   over [`gc_store`] ([`SharedGraphCache::snapshot_to`] /
-//!   [`SharedGraphCache::restore_from`], a dataset-delta journal, a
-//!   periodic [`Snapshotter`]), so warm hit ratios survive restarts and
-//!   deploys.
+//!   [`SharedGraphCache::restore_from`], a dataset-delta journal, and a
+//!   catch-up snapshot after a failed write), so warm hit ratios survive
+//!   restarts and deploys.
 //!
 //! ## Correctness
 //!
@@ -74,7 +74,7 @@ pub use cache::CacheManager;
 pub use config::CacheConfig;
 pub use entry::{AnswerText, CacheEntry, EntryId, EntryStats};
 pub use persist::{
-    CacheStore, FsyncPolicy, LoadOutcome, PersistHealth, RecoveryReport, SnapshotInfo, Snapshotter,
+    CacheStore, FsyncPolicy, LoadOutcome, PersistHealth, RecoveryReport, SnapshotInfo,
 };
 pub use pipeline::probe::{CacheHits, Hit, Relation};
 pub use pipeline::prune::{prune, Pruned};

@@ -1,5 +1,5 @@
 //! Kernel-side persistence wiring: snapshot construction, fail-closed
-//! recovery, the dataset-delta append, and the periodic snapshotter.
+//! recovery, and the store's [`PersistHealth`].
 //!
 //! The on-disk formats live in [`gc_store`]; this module converts between
 //! the kernel's live types ([`CacheEntry`], [`GlobalStats`],
@@ -25,12 +25,10 @@
 //! attached). Corruption costs warmth, never correctness.
 
 use crate::entry::{CacheEntry, EntryStats};
-use crate::stats::GlobalStats;
+use crate::stats::{for_each_counter, GlobalStats};
 use gc_method::Dataset;
 use gc_store::{EntryRecord, EntryStatsRecord, JournalRecord, RecoveredState, SnapshotDoc};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 pub use gc_store::{
     inspect_dir, CacheStore, DoctorReport, Failpoint, FaultPlan, FaultSite, FsyncPolicy,
@@ -132,33 +130,11 @@ pub(crate) fn record_to_stats(r: &EntryStatsRecord) -> EntryStats {
     }
 }
 
-/// Counter names persisted in snapshots. Self-describing: a restore reads
-/// known names and ignores unknown ones, so adding counters never
-/// invalidates old snapshots. The index-health gauges are deliberately
-/// absent — they are recomputed from the rebuilt index.
-macro_rules! for_each_persisted_counter {
-    ($cb:ident) => {
-        $cb!(queries);
-        $cb!(hit_queries);
-        $cb!(exact_hits);
-        $cb!(memo_hits);
-        $cb!(exact_confirm_iso);
-        $cb!(queries_with_sub_hits);
-        $cb!(queries_with_super_hits);
-        $cb!(sub_hits);
-        $cb!(super_hits);
-        $cb!(tests_executed);
-        $cb!(probe_tests);
-        $cb!(tests_saved);
-        $cb!(filter_skipped);
-        $cb!(verify_steps);
-        $cb!(probe_steps);
-        $cb!(admitted);
-        $cb!(evicted);
-        $cb!(admission_rejected);
-    };
-}
-
+/// The statistics counters as named snapshot records. Self-describing: a
+/// restore reads known names and ignores unknown ones, so adding counters
+/// never invalidates old snapshots. Gauges (index health, persistence,
+/// serving, telemetry) are not counters and are not persisted — they are
+/// recomputed or per-run.
 pub(crate) fn stats_to_records(s: &GlobalStats) -> Vec<(String, u64)> {
     let mut out = Vec::new();
     macro_rules! push_field {
@@ -166,7 +142,7 @@ pub(crate) fn stats_to_records(s: &GlobalStats) -> Vec<(String, u64)> {
             out.push((stringify!($f).to_string(), s.$f));
         };
     }
-    for_each_persisted_counter!(push_field);
+    for_each_counter!(push_field);
     out.push(("total_time_nanos".to_string(), s.total_time.as_nanos() as u64));
     out
 }
@@ -182,7 +158,7 @@ pub(crate) fn stats_from_records(records: &[(String, u64)]) -> GlobalStats {
                 }
             };
         }
-        for_each_persisted_counter!(match_field);
+        for_each_counter!(match_field);
         if name == "total_time_nanos" {
             s.total_time = Duration::from_nanos(*value);
         }
@@ -225,33 +201,25 @@ pub(crate) fn build_doc<'a>(
     }
 }
 
-// ---- persistence health (circuit breaker) ------------------------------------
+// ---- persistence health ------------------------------------------------------
 
-/// Circuit-breaker state of an attached [`CacheStore`].
+/// Durability state of an attached [`CacheStore`].
 ///
-/// Store failures never fail a query — the cache's answers come from
-/// memory and stay exact no matter what the disk does. The breaker only
-/// governs *durability*:
+/// Store failures never fail a query or a mutation — the cache's answers
+/// come from memory and stay exact no matter what the disk does. Health
+/// only says whether a restart would come back with the live dataset:
 ///
-/// - `Healthy` — appends and rotations flow normally.
-/// - `Degraded` — the store is down (appends failed past their retry
-///   budget, or a rotation failed). Mutations are counted but not
-///   persisted; a recovery probe periodically tries to cut a fresh full
-///   snapshot, which — because a snapshot captures the complete live
-///   state — subsumes everything that went unjournaled and restores
-///   durability in one step.
-/// - `Disabled` — the configured probe budget
-///   ([`crate::CacheConfig::persist_max_probes`]) was exhausted;
-///   persistence stays off until a manual
-///   [`crate::SharedGraphCache::snapshot_now`] succeeds.
+/// - `Healthy` — every applied mutation is in the snapshot or the journal.
+/// - `Degraded` — a delta append failed, so some applied mutation is in
+///   neither. Later mutations skip the append and each one tries a
+///   catch-up snapshot instead; the first that lands captures the whole
+///   live dataset and makes the store `Healthy` again.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PersistHealth {
     /// Durability active.
     Healthy,
-    /// Store down; serving memory-only while probing for recovery.
+    /// Behind the live dataset until the next snapshot lands.
     Degraded,
-    /// Probe budget exhausted; manual re-arm required.
-    Disabled,
 }
 
 impl PersistHealth {
@@ -260,167 +228,8 @@ impl PersistHealth {
         match self {
             PersistHealth::Healthy => "healthy",
             PersistHealth::Degraded => "degraded",
-            PersistHealth::Disabled => "disabled",
         }
     }
-}
-
-const HEALTH_HEALTHY: u8 = 0;
-const HEALTH_DEGRADED: u8 = 1;
-const HEALTH_DISABLED: u8 = 2;
-
-/// First retry delay for a failed append (doubles per attempt).
-const RETRY_BASE: Duration = Duration::from_micros(500);
-/// Retry delay cap — keeps the worst-case stall of a mutation small.
-const RETRY_CAP: Duration = Duration::from_millis(8);
-/// First recovery-probe delay after tripping to degraded.
-const PROBE_BASE: Duration = Duration::from_millis(25);
-/// Probe delay cap.
-const PROBE_CAP: Duration = Duration::from_secs(2);
-
-struct ProbeState {
-    /// Consecutive failed probes since the trip.
-    failed: u32,
-    /// When the next probe may run (None = not scheduled).
-    next_at: Option<Instant>,
-    /// Current backoff step.
-    backoff: Duration,
-}
-
-/// Health bookkeeping the runtime consults on its persistence paths.
-/// Counters are atomics (read on every `stats()` call); probe scheduling
-/// sits behind a mutex touched only while degraded.
-pub(crate) struct StoreHealth {
-    state: AtomicU8,
-    errors: AtomicU64,
-    buffered: AtomicU64,
-    probe: Mutex<ProbeState>,
-}
-
-impl std::fmt::Debug for StoreHealth {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StoreHealth")
-            .field("health", &self.health().as_str())
-            .field("errors", &self.errors())
-            .field("buffered", &self.buffered())
-            .finish()
-    }
-}
-
-impl StoreHealth {
-    pub(crate) fn new() -> Self {
-        StoreHealth {
-            state: AtomicU8::new(HEALTH_HEALTHY),
-            errors: AtomicU64::new(0),
-            buffered: AtomicU64::new(0),
-            probe: Mutex::new(ProbeState { failed: 0, next_at: None, backoff: PROBE_BASE }),
-        }
-    }
-
-    pub(crate) fn health(&self) -> PersistHealth {
-        match self.state.load(Ordering::Acquire) {
-            HEALTH_HEALTHY => PersistHealth::Healthy,
-            HEALTH_DEGRADED => PersistHealth::Degraded,
-            _ => PersistHealth::Disabled,
-        }
-    }
-
-    /// Total failed store operations (appends, rotations, probes).
-    pub(crate) fn errors(&self) -> u64 {
-        self.errors.load(Ordering::Relaxed)
-    }
-
-    /// Records accepted while degraded/disabled (not persisted; the
-    /// recovery snapshot subsumes them).
-    pub(crate) fn buffered(&self) -> u64 {
-        self.buffered.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn note_error(&self) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_buffered(&self, n: u64) {
-        self.buffered.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Trip to degraded (unless already disabled) and schedule the first
-    /// recovery probe.
-    pub(crate) fn trip_degraded(&self) {
-        let _ = self.state.compare_exchange(
-            HEALTH_HEALTHY,
-            HEALTH_DEGRADED,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        );
-        let mut probe = self.probe.lock().expect("probe lock");
-        if probe.next_at.is_none() {
-            probe.failed = 0;
-            probe.backoff = PROBE_BASE;
-            probe.next_at = Some(Instant::now() + PROBE_BASE);
-        }
-    }
-
-    /// While degraded: is a recovery probe due? (Does not consume the
-    /// deadline — the probe's outcome reschedules or clears it.)
-    pub(crate) fn probe_due(&self) -> bool {
-        if self.health() != PersistHealth::Degraded {
-            return false;
-        }
-        let probe = self.probe.lock().expect("probe lock");
-        probe.next_at.is_some_and(|at| Instant::now() >= at)
-    }
-
-    /// A probe failed: back off, and give up (disable) past `max_probes`.
-    pub(crate) fn probe_failed(&self, max_probes: u32) {
-        self.note_error();
-        let mut probe = self.probe.lock().expect("probe lock");
-        probe.failed += 1;
-        if probe.failed >= max_probes {
-            self.state.store(HEALTH_DISABLED, Ordering::Release);
-            probe.next_at = None;
-        } else {
-            probe.backoff = (probe.backoff * 2).min(PROBE_CAP);
-            probe.next_at = Some(Instant::now() + probe.backoff);
-        }
-    }
-
-    /// Durability is re-established (a fresh full snapshot landed):
-    /// everything unpersisted is subsumed, so the buffered count resets.
-    pub(crate) fn mark_recovered(&self) {
-        self.state.store(HEALTH_HEALTHY, Ordering::Release);
-        self.buffered.store(0, Ordering::Relaxed);
-        let mut probe = self.probe.lock().expect("probe lock");
-        probe.failed = 0;
-        probe.backoff = PROBE_BASE;
-        probe.next_at = None;
-    }
-}
-
-/// What the runtime must do after [`journal_dataset_delta`]: nothing, cut
-/// the scheduled auto-snapshot, or attempt a recovery snapshot (reporting
-/// the result back via [`StoreHealth::mark_recovered`] /
-/// [`StoreHealth::probe_failed`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PersistDirective {
-    /// No follow-up.
-    Nothing,
-    /// A healthy auto-snapshot rotation is due.
-    Rotate,
-    /// Degraded and the probe deadline passed: try a recovery snapshot.
-    Probe,
-}
-
-/// `true` when an auto-snapshot should run: the admission-count interval
-/// or the journal's delta-byte threshold was reached (whichever knob is
-/// set).
-pub(crate) fn due_for_rotation(
-    cfg: &crate::config::CacheConfig,
-    admits_since: u64,
-    journal_bytes: u64,
-) -> bool {
-    cfg.snapshot_interval.is_some_and(|n| admits_since >= n)
-        || cfg.journal_max_bytes.is_some_and(|b| journal_bytes >= b)
 }
 
 /// The dataset state a warm restart must serve: the caller's base dataset
@@ -531,233 +340,6 @@ pub(crate) fn rebuild_method_overlay(
         }
     }
     overlay
-}
-
-/// Append one dataset mutation (the last op in `dataset`'s log) to
-/// `store`, tracking `health`, and report what follow-up the runtime owes.
-///
-/// Persistence failures never fail the mutation — answers come from memory
-/// and stay exact. A failed append retries up to
-/// [`crate::CacheConfig::persist_retries`] times with capped exponential
-/// backoff (the store truncates torn partial writes before each retry, so
-/// retries are sound); past the budget the breaker trips to
-/// [`PersistHealth::Degraded`] and later mutations are only counted
-/// ([`StoreHealth::buffered`]) until a recovery probe succeeds. A delta
-/// lost while degraded is safe: the recovery snapshot captures the
-/// complete mutated dataset, subsuming every unjournaled op.
-pub(crate) fn journal_dataset_delta(
-    store: &CacheStore,
-    health: &StoreHealth,
-    cfg: &crate::config::CacheConfig,
-    admits_since_snapshot: u64,
-    dataset: &Dataset,
-) -> PersistDirective {
-    match health.health() {
-        PersistHealth::Disabled => {
-            health.note_buffered(1);
-            return PersistDirective::Nothing;
-        }
-        PersistHealth::Degraded => {
-            health.note_buffered(1);
-            return if health.probe_due() {
-                PersistDirective::Probe
-            } else {
-                PersistDirective::Nothing
-            };
-        }
-        PersistHealth::Healthy => {}
-    }
-    let Some(op) = dataset.ops().last() else {
-        return PersistDirective::Nothing;
-    };
-    let ops = [gc_store::JournalOp {
-        generation: dataset.generation(),
-        resulting_fingerprint: dataset.content_fingerprint(),
-        op,
-    }];
-    let mut delay = RETRY_BASE;
-    let mut attempt: u32 = 0;
-    loop {
-        match store.append(&ops) {
-            Ok(_) => {
-                return if due_for_rotation(cfg, admits_since_snapshot, store.journal_bytes()) {
-                    PersistDirective::Rotate
-                } else {
-                    PersistDirective::Nothing
-                };
-            }
-            Err(e) => {
-                health.note_error();
-                if attempt >= cfg.persist_retries {
-                    eprintln!(
-                        "graphcache: dataset delta append failed after {} attempt(s) ({e}); \
-                         persistence degraded, serving memory-only while probing for recovery",
-                        attempt + 1
-                    );
-                    health.trip_degraded();
-                    health.note_buffered(1);
-                    return PersistDirective::Nothing;
-                }
-                attempt += 1;
-                std::thread::sleep(delay);
-                delay = (delay * 2).min(RETRY_CAP);
-            }
-        }
-    }
-}
-
-// ---- periodic snapshotter ----------------------------------------------------
-
-struct SnapshotterShared {
-    stop: Mutex<bool>,
-    wake: Condvar,
-    /// Set by the worker as its last act; `shutdown` waits on it with a
-    /// bounded timeout so a wedged tick can never hang process exit.
-    done: Mutex<bool>,
-    done_wake: Condvar,
-}
-
-/// How long `shutdown` waits for the worker's final tick before detaching
-/// it (a tick stalled this long means pathologically slow I/O; blocking
-/// exit on it helps nobody — the store's atomic rotation keeps whatever
-/// state was last committed consistent).
-const SNAPSHOTTER_JOIN_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// A background thread that periodically snapshots a
-/// [`crate::SharedGraphCache`] to its attached store, quiescing one shard
-/// at a time (each shard is captured under its read lock; queries on other
-/// shards proceed untouched).
-///
-/// ```no_run
-/// # use gc_core::{CacheConfig, PolicyKind, SharedGraphCache};
-/// # use gc_core::persist::{CacheStore, Snapshotter};
-/// # use gc_method::{Dataset, SiMethod};
-/// # use std::sync::Arc;
-/// # let dataset = Arc::new(Dataset::new(vec![]));
-/// let store = Arc::new(CacheStore::open("/var/lib/graphcache").unwrap());
-/// let mut gc = SharedGraphCache::with_policy(
-///     dataset, Box::new(SiMethod), PolicyKind::Hd, CacheConfig::default()).unwrap();
-/// gc.attach_store(Arc::clone(&store)).unwrap();
-/// let gc = Arc::new(gc);
-/// let snapshotter = Snapshotter::spawn(Arc::clone(&gc), std::time::Duration::from_secs(30));
-/// // ... serve traffic ...
-/// snapshotter.stop(); // final snapshot happens on the next rotation
-/// ```
-#[derive(Debug)]
-pub struct Snapshotter {
-    shared: Arc<SnapshotterShared>,
-    handle: Option<std::thread::JoinHandle<()>>,
-    /// Ticks that failed (IO errors); for tests and health checks.
-    failures: Arc<AtomicBool>,
-    /// Kept for the final best-effort journal sync at shutdown.
-    cache: Arc<crate::SharedGraphCache>,
-}
-
-impl std::fmt::Debug for SnapshotterShared {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SnapshotterShared").finish()
-    }
-}
-
-impl Snapshotter {
-    /// Spawn a snapshotter ticking every `interval`. Each tick calls
-    /// [`crate::SharedGraphCache::snapshot_now`]; ticks while no store is
-    /// attached are no-ops.
-    pub fn spawn(cache: Arc<crate::SharedGraphCache>, interval: Duration) -> Self {
-        let shared = Arc::new(SnapshotterShared {
-            stop: Mutex::new(false),
-            wake: Condvar::new(),
-            done: Mutex::new(false),
-            done_wake: Condvar::new(),
-        });
-        let failures = Arc::new(AtomicBool::new(false));
-        let thread_shared = Arc::clone(&shared);
-        let thread_failures = Arc::clone(&failures);
-        let thread_cache = Arc::clone(&cache);
-        let handle = std::thread::Builder::new()
-            .name("gc-snapshotter".into())
-            .spawn(move || {
-                {
-                    let mut stopped = thread_shared.stop.lock().expect("snapshotter lock");
-                    loop {
-                        if *stopped {
-                            break;
-                        }
-                        let (guard, _timeout) = thread_shared
-                            .wake
-                            .wait_timeout(stopped, interval)
-                            .expect("snapshotter lock");
-                        stopped = guard;
-                        if *stopped {
-                            break;
-                        }
-                        // Tick outside the lock so a `stop()` issued
-                        // mid-snapshot is observed the moment the tick
-                        // ends, not an interval later.
-                        drop(stopped);
-                        if thread_cache.snapshot_now().is_err() {
-                            thread_failures.store(true, Ordering::Relaxed);
-                        }
-                        stopped = thread_shared.stop.lock().expect("snapshotter lock");
-                    }
-                }
-                *thread_shared.done.lock().expect("snapshotter done lock") = true;
-                thread_shared.done_wake.notify_all();
-            })
-            .expect("spawn snapshotter thread");
-        Snapshotter { shared, handle: Some(handle), failures, cache }
-    }
-
-    /// `true` if any tick failed with an IO error since spawn.
-    pub fn had_failures(&self) -> bool {
-        self.failures.load(Ordering::Relaxed)
-    }
-
-    /// Signal the thread and wait for it to exit.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    /// Stop the worker with a bounded wait (a tick wedged longer than
-    /// [`SNAPSHOTTER_JOIN_TIMEOUT`] is detached rather than hanging
-    /// shutdown), then give the attached journal a final best-effort
-    /// fsync so process exit can never race buffered appends.
-    fn shutdown(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            *self.shared.stop.lock().expect("snapshotter lock") = true;
-            self.shared.wake.notify_all();
-            let deadline = Instant::now() + SNAPSHOTTER_JOIN_TIMEOUT;
-            let mut done = self.shared.done.lock().expect("snapshotter done lock");
-            while !*done {
-                let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                    break;
-                };
-                let (guard, _timeout) = self
-                    .shared
-                    .done_wake
-                    .wait_timeout(done, remaining)
-                    .expect("snapshotter done lock");
-                done = guard;
-            }
-            let finished = *done;
-            drop(done);
-            if finished {
-                let _ = handle.join();
-            } else {
-                // Leaked on purpose: the worker is stuck inside a tick.
-                self.failures.store(true, Ordering::Relaxed);
-            }
-        }
-        if let Some(store) = self.cache.attached_store() {
-            let _ = store.sync();
-        }
-    }
-}
-
-impl Drop for Snapshotter {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
 }
 
 #[cfg(test)]

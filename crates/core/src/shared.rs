@@ -50,7 +50,7 @@ use crate::cache::CacheManager;
 use crate::config::CacheConfig;
 use crate::cost::CostModel;
 use crate::entry::EntryId;
-use crate::persist::{self, PersistHealth, RecoveryReport, StoreHealth};
+use crate::persist::{self, PersistHealth, RecoveryReport};
 use crate::pipeline::admit::{self, AdmitLimits, AdmitOutcome};
 use crate::pipeline::probe::{CacheHits, ProbeScratch};
 use crate::pipeline::{bound, filter, probe, prune, verify, FastTier, PipelineCtx};
@@ -63,7 +63,7 @@ use crate::window::WindowManager;
 use crate::PolicyKind;
 use gc_graph::{BitSet, Graph, GraphId};
 use gc_method::{Dataset, Engine, Method, QueryKind};
-use gc_store::{CacheStore, EntryRecord, LoadOutcome, SnapshotInfo};
+use gc_store::{CacheStore, EntryRecord, JournalOp, LoadOutcome, SnapshotInfo};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -181,9 +181,19 @@ pub struct SharedGraphCache {
     /// Single-flight guard: only one thread builds a snapshot at a time;
     /// concurrent triggers become no-ops.
     snapshotting: AtomicBool,
-    /// Persistence circuit breaker (degraded-mode state + gauges); only
-    /// meaningful while a store is attached.
-    health: Arc<StoreHealth>,
+    /// `true` exactly while some applied mutation is in neither the
+    /// attached store's snapshot nor its journal. Written only under the
+    /// `data` lock: a failed delta append sets it under the write lock,
+    /// and [`Self::snapshot_to`] clears it under the read lock it holds
+    /// across the rotation that captured every such mutation. The lock
+    /// orders every write and the mutation's read, so `Relaxed` suffices;
+    /// the health gauge reads it unlocked.
+    behind: AtomicBool,
+    /// Failed store operations since attach (the `persist_errors` gauge).
+    persist_errors: AtomicU64,
+    /// Mutations applied while `behind` (the `journal_records_buffered`
+    /// gauge); cleared with it.
+    buffered: AtomicU64,
     /// Pipeline telemetry: stage histograms, the trace sampler, and the
     /// slow-query ring (all lock-free on the query path).
     telemetry: Telemetry,
@@ -242,7 +252,9 @@ impl SharedGraphCache {
             store: None,
             admits_since_snapshot: AtomicU64::new(0),
             snapshotting: AtomicBool::new(false),
-            health: Arc::new(StoreHealth::new()),
+            behind: AtomicBool::new(false),
+            persist_errors: AtomicU64::new(0),
+            buffered: AtomicU64::new(0),
         })
     }
 
@@ -326,9 +338,7 @@ impl SharedGraphCache {
         };
         if let Some((tier, served, steps)) = hit {
             drop(data);
-            let report = fast.finish(tier, served, steps);
-            self.maybe_probe_persistence();
-            return report;
+            return fast.finish(tier, served, steps);
         }
 
         // ---- staged pipeline ---------------------------------------------
@@ -479,7 +489,6 @@ impl SharedGraphCache {
         if outcome.admitted.is_some() {
             self.count_admission();
         }
-        self.maybe_probe_persistence();
 
         PROBE_SCRATCH.with(|s| std::mem::swap(&mut ctx.probe_scratch, &mut s.borrow_mut()));
         ctx.into_report(answer, outcome, elapsed)
@@ -490,28 +499,23 @@ impl SharedGraphCache {
     /// this is the only store work an admission does. Must be called
     /// without holding the `data` lock or any shard lock.
     fn count_admission(&self) {
-        let Some(store) = self.store.as_ref() else { return };
+        if self.store.is_none() {
+            return;
+        }
         let admits_since = self.admits_since_snapshot.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.health.health() == PersistHealth::Healthy
-            && persist::due_for_rotation(&self.config, admits_since, store.journal_bytes())
-        {
-            self.dispatch_directive(persist::PersistDirective::Rotate);
+        if self.config.snapshot_interval.is_some_and(|n| admits_since >= n) {
+            self.auto_snapshot();
         }
     }
 
-    /// Act on a persistence follow-up. Must be called without holding the
-    /// `data` lock or any shard lock: both snapshot paths re-acquire them.
-    fn dispatch_directive(&self, directive: persist::PersistDirective) {
-        match directive {
-            persist::PersistDirective::Nothing => {}
-            persist::PersistDirective::Rotate => {
-                if let Err(e) = self.snapshot_now() {
-                    eprintln!("graphcache: auto-snapshot failed ({e})");
-                    self.health.note_error();
-                    self.health.trip_degraded();
-                }
-            }
-            persist::PersistDirective::Probe => self.maybe_probe_persistence(),
+    /// A snapshot the cache cuts on its own: an interval, journal-size or
+    /// catch-up trigger. A failure is logged and counted by
+    /// [`Self::snapshot_now`]; the next trigger retries. Must be called
+    /// without holding the `data` lock or any shard lock: the snapshot
+    /// re-acquires them.
+    fn auto_snapshot(&self) {
+        if let Err(e) = self.snapshot_now() {
+            eprintln!("graphcache: auto-snapshot failed ({e})");
         }
     }
 
@@ -563,10 +567,10 @@ impl SharedGraphCache {
                 }
             }
         });
-        let directive = self.journal_dataset_delta(&data.dataset);
+        let behind = self.journal_delta(&data.dataset);
         drop(data);
         drop(span);
-        self.dispatch_directive(directive);
+        self.after_mutation(behind);
         gid
     }
 
@@ -600,55 +604,53 @@ impl SharedGraphCache {
                 entry.remove_answer(gid as usize);
             }
         }
-        let directive = self.journal_dataset_delta(&data.dataset);
+        let behind = self.journal_delta(&data.dataset);
         drop(data);
         drop(span);
-        self.dispatch_directive(directive);
+        self.after_mutation(behind);
         true
     }
 
-    /// Append the dataset's latest mutation to the attached journal.
-    /// Called while holding the `data` write lock (ordering the delta with
-    /// its generation); the returned directive must be dispatched *after*
-    /// the lock drops.
-    fn journal_dataset_delta(&self, dataset: &Dataset) -> persist::PersistDirective {
-        let Some(store) = self.store.as_ref() else {
-            return persist::PersistDirective::Nothing;
-        };
-        persist::journal_dataset_delta(
-            store,
-            &self.health,
-            &self.config,
-            self.admits_since_snapshot.load(Ordering::Relaxed),
-            dataset,
-        )
+    /// Journal the dataset's latest mutation. Called under the `data`
+    /// write lock, so deltas land in generation order. Returns whether the
+    /// store is now behind: this append failed, or an earlier one did and
+    /// no snapshot has caught up since — then the append is skipped, since
+    /// the journal already misses a delta, and the catch-up snapshot
+    /// covers this mutation too. The store's health never fails the
+    /// mutation: answers come from memory.
+    fn journal_delta(&self, dataset: &Dataset) -> bool {
+        let Some(store) = self.store.as_ref() else { return false };
+        if !self.behind.load(Ordering::Relaxed) {
+            let op = dataset.ops().last().expect("a mutation was just applied");
+            let delta = JournalOp {
+                generation: dataset.generation(),
+                resulting_fingerprint: dataset.content_fingerprint(),
+                op,
+            };
+            match store.append(&[delta]) {
+                Ok(_) => return false,
+                Err(e) => {
+                    eprintln!(
+                        "graphcache: dataset delta append failed ({e}); \
+                         persistence degraded until a snapshot catches up"
+                    );
+                    self.persist_errors.fetch_add(1, Ordering::Relaxed);
+                    self.behind.store(true, Ordering::Relaxed);
+                }
+            }
+        }
+        self.buffered.fetch_add(1, Ordering::Relaxed);
+        true
     }
 
-    /// While [`PersistHealth::Degraded`] and a recovery probe is due, try
-    /// to cut a fresh full snapshot: success re-arms durability (the
-    /// snapshot subsumes every buffered mutation), failure backs the probe
-    /// off — until the probe budget disables persistence. Every query
-    /// calls it, exact hits included: mutations, the only appends, may be
-    /// rare, so query traffic is what re-arms durability.
-    fn maybe_probe_persistence(&self) {
-        if self.store.is_none()
-            || self.health.health() != PersistHealth::Degraded
-            || !self.health.probe_due()
-        {
-            return;
-        }
-        match self.snapshot_now() {
-            Ok(Some(info)) => {
-                self.health.mark_recovered();
-                eprintln!(
-                    "graphcache: persistence recovered (fresh snapshot, generation {})",
-                    info.generation
-                );
-            }
-            // Another thread's snapshot is in flight; the probe deadline
-            // stays due and the next query retries.
-            Ok(None) => {}
-            Err(_) => self.health.probe_failed(self.config.persist_max_probes),
+    /// A mutation's store work once the `data` lock has dropped: a store
+    /// left behind cuts its catch-up snapshot, and a journal grown past
+    /// `journal_max_bytes` is rotated. So a failed write is retried once
+    /// per mutation, never on a timer and never by a query.
+    fn after_mutation(&self, behind: bool) {
+        let Some(store) = self.store.as_ref() else { return };
+        if behind || self.config.journal_max_bytes.is_some_and(|b| store.journal_bytes() >= b) {
+            self.auto_snapshot();
         }
     }
 
@@ -688,12 +690,17 @@ impl SharedGraphCache {
     pub fn attach_store(&mut self, store: Arc<CacheStore>) -> Result<SnapshotInfo, String> {
         store.set_fsync_policy(self.config.fsync_policy);
         self.store = Some(store);
-        self.health = Arc::new(StoreHealth::new());
+        *self.behind.get_mut() = false;
+        *self.persist_errors.get_mut() = 0;
+        *self.buffered.get_mut() = 0;
         self.snapshot_now().map(|info| info.expect("store just attached"))
     }
 
     /// Snapshot the whole cache to the attached store (see
-    /// [`Self::snapshot_to`]), resetting the auto-snapshot counter.
+    /// [`Self::snapshot_to`]), resetting the auto-snapshot counter. A
+    /// failed rotation resets it too, so a dead disk is retried once per
+    /// `snapshot_interval` admissions rather than on every one, and counts
+    /// toward the `persist_errors` gauge.
     ///
     /// Returns `Ok(None)` when no store is attached or another thread's
     /// snapshot is already in flight (single-flight).
@@ -703,11 +710,9 @@ impl SharedGraphCache {
             return Ok(None);
         }
         let result = self.snapshot_to(store);
-        if result.is_ok() {
-            // Reset only on success: after a failed rotation (e.g. disk
-            // full) the next admission retries instead of waiting out a
-            // whole fresh interval.
-            self.admits_since_snapshot.store(0, Ordering::Relaxed);
+        self.admits_since_snapshot.store(0, Ordering::Relaxed);
+        if result.is_err() {
+            self.persist_errors.fetch_add(1, Ordering::Relaxed);
         }
         self.snapshotting.store(false, Ordering::Release);
         result.map(Some)
@@ -719,7 +724,7 @@ impl SharedGraphCache {
     /// proceed untouched.
     ///
     /// With one shard, or when rotation does not race queries (shutdown
-    /// snapshots, a [`crate::Snapshotter`] tick in a quiet period),
+    /// snapshots, a quiet period),
     /// `restore(snapshot(cache)) ≡ cache` exactly, the admission window's
     /// phase included. Otherwise the union is a *fuzzy* cut: an admission
     /// made in a shard after that shard's capture is just not in the
@@ -753,7 +758,18 @@ impl SharedGraphCache {
             self.policy_name,
             entries.into_iter(),
         );
-        store.rotate(&doc).map_err(|e| format!("snapshot failed: {e}"))
+        let info = store.rotate(&doc).map_err(|e| format!("snapshot failed: {e}"))?;
+        // The doc holds every applied mutation, so the attached store is
+        // caught up. Cleared before `data` drops: a mutation after the drop
+        // appends (setting the flag again if that fails); clearing later
+        // could erase the flag a mutation in that gap set, and its delta
+        // would be lost while the health read healthy.
+        if self.store.as_deref().is_some_and(|s| std::ptr::eq(s, store)) {
+            self.behind.store(false, Ordering::Relaxed);
+            self.buffered.store(0, Ordering::Relaxed);
+        }
+        drop(data);
+        Ok(info)
     }
 
     /// Detach the persistence store (journaling stops; on-disk state stays
@@ -768,10 +784,17 @@ impl SharedGraphCache {
     }
 
     /// Persistence health of the attached store (`None` when detached).
-    /// `Degraded`/`Disabled` mean journaling is paused — the cache keeps
-    /// serving exact answers memory-only; see [`crate::persist`].
+    /// `Degraded` means some applied mutation is not on disk until the
+    /// next snapshot lands — the cache keeps serving exact answers; see
+    /// [`PersistHealth`].
     pub fn persist_health(&self) -> Option<PersistHealth> {
-        self.store.as_ref().map(|_| self.health.health())
+        self.store.as_ref().map(|_| {
+            if self.behind.load(Ordering::Relaxed) {
+                PersistHealth::Degraded
+            } else {
+                PersistHealth::Healthy
+            }
+        })
     }
 
     /// Build a cache and warm-restart it from `store`: apply the journal's
@@ -955,10 +978,10 @@ impl SharedGraphCache {
             s.dataset_generation = data.dataset.generation();
             s.dataset_live_graphs = data.dataset.live_count() as u64;
         }
-        if self.store.is_some() {
-            s.persist_health = self.health.health().as_str();
-            s.persist_errors = self.health.errors();
-            s.journal_records_buffered = self.health.buffered();
+        if let Some(health) = self.persist_health() {
+            s.persist_health = health.as_str();
+            s.persist_errors = self.persist_errors.load(Ordering::Relaxed);
+            s.journal_records_buffered = self.buffered.load(Ordering::Relaxed);
         }
         s.pipeline_p50_us = self.telemetry.total().percentile_us(50.0);
         s.pipeline_p99_us = self.telemetry.total().percentile_us(99.0);

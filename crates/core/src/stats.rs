@@ -83,19 +83,19 @@ pub struct GlobalStats {
     /// like the index-health gauges; empty in per-query deltas and ignored
     /// by [`StatsMonitor::add`].
     pub kernel_dispatch: &'static str,
-    /// Persistence *gauge*: circuit-breaker state of the attached store
-    /// (`"healthy"`, `"degraded"`, `"disabled"`; empty when no store is
-    /// attached — see [`crate::persist::PersistHealth`]). Populated at
-    /// snapshot time like the index-health gauges; empty in per-query
-    /// deltas and ignored by [`StatsMonitor::add`].
+    /// Persistence *gauge*: durability of the attached store
+    /// (`"healthy"` or `"degraded"`; empty when no store is attached —
+    /// see [`crate::persist::PersistHealth`]). Populated at snapshot time
+    /// like the index-health gauges; empty in per-query deltas and ignored
+    /// by [`StatsMonitor::add`].
     pub persist_health: &'static str,
-    /// Persistence *gauge*: failed store operations (journal appends,
-    /// snapshot rotations, recovery probes) since the store was attached.
-    /// Snapshot-time semantics like [`GlobalStats::distinct_features`].
+    /// Persistence *gauge*: failed store operations (delta appends and
+    /// snapshot rotations) since the store was attached. Snapshot-time
+    /// semantics like [`GlobalStats::distinct_features`].
     pub persist_errors: u64,
-    /// Persistence *gauge*: journal records accepted while the store was
-    /// degraded/disabled — counted but not persisted (a successful
-    /// recovery snapshot subsumes them and resets this to 0). Same
+    /// Persistence *gauge*: dataset mutations applied while the store was
+    /// degraded — in neither the snapshot nor the journal until the next
+    /// snapshot lands, which captures them all and resets this to 0. Same
     /// snapshot-time semantics.
     pub journal_records_buffered: u64,
     /// Serving *gauge*: HTTP requests routed by the `gc-server` front-end
@@ -214,6 +214,8 @@ pub struct StatsMonitor {
     inner: Arc<AtomicStats>,
 }
 
+/// Every [`GlobalStats`] counter, in field order: the monitor's atomics
+/// and the snapshot's persisted records ([`crate::persist`]) both walk it.
 macro_rules! for_each_counter {
     ($macro_cb:ident) => {
         $macro_cb!(queries);
@@ -236,6 +238,7 @@ macro_rules! for_each_counter {
         $macro_cb!(admission_rejected);
     };
 }
+pub(crate) use for_each_counter;
 
 impl StatsMonitor {
     /// New monitor with zeroed counters.

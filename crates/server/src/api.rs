@@ -205,11 +205,11 @@ pub struct StatsResponse {
     pub hit_ratio: f64,
     /// SIMD kernel tier the hot loops dispatched to.
     pub kernel_dispatch: String,
-    /// Persistence circuit-breaker state (empty when no store attached).
+    /// Store health, `healthy` or `degraded` (empty when no store attached).
     pub persist_health: String,
     /// Failed persistence operations since attach.
     pub persist_errors: u64,
-    /// Journal records buffered while persistence was degraded.
+    /// Dataset mutations not on disk while persistence is degraded.
     pub journal_records_buffered: u64,
     /// HTTP requests parsed and routed.
     pub requests_total: u64,

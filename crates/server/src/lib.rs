@@ -19,10 +19,9 @@
 //!   is attached, and reports what happened ([`DrainReport`]);
 //! * **observable** — `GET /metrics` exposes Prometheus-style per-stage
 //!   latency histograms and shed/timeout counters; `GET /healthz` is
-//!   pure liveness while `GET /readyz` reflects drain state and the
-//!   persistence circuit breaker ([`gc_core::persist::PersistHealth`]) —
-//!   degraded persistence flips `/readyz` details while answers stay
-//!   exact.
+//!   pure liveness while `GET /readyz` reflects drain state and names
+//!   the store's [`gc_core::persist::PersistHealth`] — a degraded store
+//!   changes the body, not the status, while answers stay exact.
 //!
 //! The protocol layer ([`http`]) is hand-rolled over `std::net` (the
 //! build container is offline) and property-tested to never panic or

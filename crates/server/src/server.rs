@@ -36,7 +36,6 @@
 use crate::api::{AnswerIds, ErrorBody, QueryReply, StageSummary, StatsResponse, TracesResponse};
 use crate::http::{parse_request, HttpLimits, InPlace, Parse, Request, Response};
 use crate::metrics::{ServerMetrics, Stage};
-use gc_core::persist::PersistHealth;
 use gc_core::{GlobalStats, SharedGraphCache};
 use gc_method::QueryKind;
 use gc_store::faults::FaultPlan;
@@ -765,18 +764,15 @@ fn handle_traces(req: &Request, shared: &Shared, slow: bool) -> Response {
     }
 }
 
-/// Readiness: `503` while draining; `503` when the persistence circuit
-/// breaker is `Disabled` (the cache still answers exactly, but an
-/// instance that can never persist again should be rotated out);
-/// `200` otherwise — including `Degraded`, which keeps serving exact
-/// answers memory-only while recovery probes run, with the state named
-/// in the body so operators can see it.
+/// Readiness: `503` while draining; `200` otherwise — including a
+/// `Degraded` store, which keeps serving exact answers while the next
+/// mutation retries its snapshot, with the state named in the body so
+/// operators can see it.
 fn handle_readyz(shared: &Shared) -> Response {
     if shared.draining.load(Ordering::Relaxed) {
         return Response::text(503, "draining");
     }
     match shared.cache.persist_health() {
-        Some(PersistHealth::Disabled) => Response::text(503, "not ready: persistence disabled"),
         Some(h) => Response::text(200, format!("ready (persistence {})", h.as_str())),
         None => Response::text(200, "ready (no store attached)"),
     }
@@ -1315,7 +1311,6 @@ mod tests {
             capacity: 16,
             window_size: 2,
             min_admit_tests: 0,
-            persist_retries: 0,
             ..CacheConfig::default()
         };
         let mut cache = SharedGraphCache::with_policy(

@@ -51,8 +51,8 @@
 //!
 //! This crate depends only on `gc-graph` and `gc-method` (graph and
 //! query-kind types); the kernel wiring — `SharedGraphCache::{snapshot_to,
-//! restore_from}`, the delta append in `insert_graph`/`remove_graph`, the
-//! periodic snapshotter — lives in `gc-core::persist`.
+//! restore_from}`, the delta append in `insert_graph`/`remove_graph` and
+//! the catch-up snapshot after a failed one — lives in `gc-core`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

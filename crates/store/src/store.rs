@@ -449,12 +449,13 @@ impl CacheStore {
     /// Errors if no rotation has happened in this process yet — appends are
     /// only meaningful relative to a snapshot this process wrote.
     ///
-    /// Failure semantics (what makes the persist hook's retry loop sound):
-    /// a failed *write* truncates the file back to the last record
-    /// boundary before the next attempt, so a torn partial batch never
-    /// survives mid-file; a failed *fsync* leaves the batch written, so a
-    /// retry may duplicate it — a duplicated delta fails replay's
-    /// generation check, which restores cold, never wrong.
+    /// Failure semantics: a failed *write* truncates the file back to the
+    /// last record boundary before the next append, so a torn partial
+    /// batch never survives mid-file; a failed *fsync* leaves the batch
+    /// written, so a caller that appended it again would duplicate it — a
+    /// duplicated delta fails replay's generation check, which restores
+    /// cold, never wrong. The cache never re-appends: after a failed
+    /// append it skips the journal until a snapshot has caught up.
     pub fn append(&self, ops: &[JournalOp<'_>]) -> io::Result<u64> {
         if ops.is_empty() {
             return Ok(self.journal_bytes());
