@@ -7,6 +7,35 @@ use gc_index::{FeatureConfig, QueryIndex};
 use gc_iso::GraphProfile;
 use gc_method::QueryKind;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A map keyed by WL fingerprint. The key is already a mixed 64-bit hash,
+/// so [`FingerprintHasher`] passes it through instead of re-hashing it.
+/// Queries whose fingerprints were crafted to collide cost at most a probe
+/// over one shard's entries and answer-only rows, both bounded by the
+/// cache's capacity.
+pub(crate) type FingerprintMap<V> = HashMap<u64, V, BuildHasherDefault<FingerprintHasher>>;
+
+/// The identity hasher of a [`FingerprintMap`], up to a rotation: the low
+/// bits pick a fingerprint's shard (`fp % shards`), so they are constant
+/// within one shard's maps, and the rotation keeps them from also picking
+/// the bucket.
+#[derive(Debug, Default)]
+pub(crate) struct FingerprintHasher(u64);
+
+impl Hasher for FingerprintHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a fingerprint map hashes u64 keys only");
+    }
+
+    fn write_u64(&mut self, fp: u64) {
+        self.0 = fp.rotate_left(32);
+    }
+}
 
 /// Owns the cached entries, the WL-fingerprint table (exact-match hits) and
 /// the containment [`QueryIndex`] (sub/super-case hits).
@@ -19,7 +48,7 @@ use std::collections::HashMap;
 pub struct CacheManager {
     slots: Vec<Option<CacheEntry>>,
     free: Vec<EntryId>,
-    by_fingerprint: HashMap<u64, Vec<EntryId>>,
+    by_fingerprint: FingerprintMap<Vec<EntryId>>,
     index: QueryIndex,
     live: usize,
     rows: AnswerRows,
@@ -32,7 +61,7 @@ impl CacheManager {
         CacheManager {
             slots: Vec::new(),
             free: Vec::new(),
-            by_fingerprint: HashMap::new(),
+            by_fingerprint: FingerprintMap::default(),
             index: QueryIndex::new(cfg),
             live: 0,
             rows: AnswerRows::default(),

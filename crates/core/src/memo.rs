@@ -17,18 +17,19 @@
 //! against the dataset generation it was computed on. Dropped rows are
 //! freed by the shard's next admission, not by the mutation.
 
+use crate::cache::FingerprintMap;
 use crate::entry::CacheEntry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Answer-only rows by fingerprint, in one FIFO the caller bounds (see
 /// module docs). A row's `id` is stale.
 #[derive(Debug, Default)]
 pub(crate) struct AnswerRows {
-    rows: HashMap<u64, Vec<CacheEntry>>,
+    rows: FingerprintMap<Vec<CacheEntry>>,
     /// The rows' fingerprints, oldest first.
     order: VecDeque<u64>,
     /// Rows the last [`Self::clear`] dropped, freed by [`Self::free_dropped`].
-    dropped: HashMap<u64, Vec<CacheEntry>>,
+    dropped: FingerprintMap<Vec<CacheEntry>>,
 }
 
 impl AnswerRows {

@@ -29,9 +29,10 @@
 //! composes them over cache state sharded behind `parking_lot::RwLock`,
 //! probing under read locks and admitting under short write sections
 //! ([`crate::GraphCache`] is the same composition with one shard). In
-//! front of the stages sit the query's key (`query_key`) and the exact
-//! tier, which serves a query whole from a resident entry or an
-//! answer-only row ([`FastTier`], closed by `FastPath`).
+//! front of the stages sit the query's key (`query_key`, a hint from
+//! `KeyHints` for a presentation seen before) and the exact tier, which
+//! serves a query whole from a resident entry or an answer-only row
+//! ([`FastTier`], closed by `FastPath`).
 
 pub mod admit;
 pub mod bound;
@@ -51,6 +52,7 @@ use gc_graph::{BitSet, Graph};
 use gc_index::FeatureVec;
 use gc_iso::GraphProfile;
 use gc_method::QueryKind;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Carries one query through the pipeline stages.
@@ -295,14 +297,115 @@ pub(crate) fn kind_label(kind: QueryKind) -> &'static str {
     }
 }
 
-/// The query's key — its WL fingerprint, computed once per query and
-/// shared by shard routing, [`probe::find_exact`] and admission —
-/// and the time since `start` it was ready at (observed as the `key` stage).
-pub(crate) fn query_key(telemetry: &Telemetry, query: &Graph, start: Instant) -> (u64, Duration) {
-    let fp = gc_graph::hash::fingerprint(query);
-    let key = start.elapsed();
-    telemetry.stage(PipelineStage::Key).observe(key);
-    (fp, key)
+/// Presentation hash → WL fingerprint hints: a direct-mapped, lock-free
+/// table of `(tag, key)` slots, written with the fingerprint every query
+/// computes and read by [`query_key`], so a repeated presentation routes
+/// its exact-tier lookup without recomputing the fingerprint.
+///
+/// **A hint only routes a lookup.** A lookup under a wrong key can only
+/// miss — every isomorph of the query is stored under the query's true
+/// fingerprint, in that fingerprint's home shard, and a hit is confirmed
+/// by isomorphism — and on a miss the caller computes the fingerprint
+/// ([`QueryKey::fingerprint`]) and looks again under it if it differs.
+/// The pipeline, admission and the answer-only row only ever take the
+/// computed key. So a stale, colliding or torn slot (the tag of one
+/// writer, the key of another) costs a fingerprint, never an answer, and
+/// nothing needs invalidating: a fingerprint is a function of the graph
+/// alone. Hence `Relaxed` everywhere.
+pub(crate) struct KeyHints {
+    /// Power-of-two many; a tag's low bits pick its slot.
+    slots: Box<[HintSlot]>,
+}
+
+#[derive(Default)]
+struct HintSlot {
+    tag: AtomicU64,
+    key: AtomicU64,
+}
+
+impl KeyHints {
+    /// Slots are capped at this many (16 MiB): beyond it a larger working
+    /// set only collides more often.
+    const MAX_SLOTS: usize = 1 << 20;
+
+    /// A table of `slots` rounded up to a power of two (at least one, at
+    /// most [`Self::MAX_SLOTS`]).
+    pub(crate) fn new(slots: usize) -> Self {
+        let slots = slots.clamp(1, Self::MAX_SLOTS).next_power_of_two();
+        KeyHints { slots: (0..slots).map(|_| HintSlot::default()).collect() }
+    }
+
+    fn slot(&self, tag: u64) -> &HintSlot {
+        &self.slots[tag as usize & (self.slots.len() - 1)]
+    }
+
+    /// The key last written under presentation hash `tag`, if its slot
+    /// still holds that tag.
+    pub(crate) fn get(&self, tag: u64) -> Option<u64> {
+        let slot = self.slot(tag);
+        (slot.tag.load(Ordering::Relaxed) == tag).then(|| slot.key.load(Ordering::Relaxed))
+    }
+
+    /// Hint `key` for presentation hash `tag`. Only a computed fingerprint
+    /// may be written here.
+    pub(crate) fn put(&self, tag: u64, key: u64) {
+        let slot = self.slot(tag);
+        slot.key.store(key, Ordering::Relaxed);
+        slot.tag.store(tag, Ordering::Relaxed);
+    }
+
+    /// Forget every hint (tests compare against a table-less run).
+    #[cfg(test)]
+    pub(crate) fn clear(&self) {
+        for slot in self.slots.iter() {
+            slot.tag.store(!0, Ordering::Relaxed);
+        }
+    }
+}
+
+/// A query's key: the one its exact-tier lookup is routed by — a hint, or
+/// the WL fingerprint when no hint was found — and the fingerprint itself
+/// once computed.
+pub(crate) struct QueryKey {
+    presentation: u64,
+    /// What the first exact-tier lookup (shard and bucket) uses.
+    pub routed: u64,
+    computed: Option<u64>,
+}
+
+impl QueryKey {
+    /// The query's WL fingerprint — the key shard routing, admission and
+    /// the answer-only row take. Computed here (and hinted) when the
+    /// routed key was a hint.
+    pub(crate) fn fingerprint(&mut self, hints: &KeyHints, query: &Graph) -> u64 {
+        *self.computed.get_or_insert_with(|| {
+            let fp = gc_graph::hash::fingerprint(query);
+            hints.put(self.presentation, fp);
+            fp
+        })
+    }
+}
+
+/// The query's key — a hint when `hints` holds one for the query's
+/// presentation hash, else its WL fingerprint, computed and hinted — and
+/// the time since `start` it was ready at (observed as the `key` stage).
+/// A query computes at most one fingerprint: here, or on a hinted miss
+/// through [`QueryKey::fingerprint`].
+pub(crate) fn query_key(
+    telemetry: &Telemetry,
+    hints: &KeyHints,
+    query: &Graph,
+    start: Instant,
+) -> (QueryKey, Duration) {
+    let presentation = gc_graph::hash::presentation_hash(query);
+    let mut key = QueryKey { presentation, routed: 0, computed: None };
+    key.routed = match hints.get(presentation) {
+        Some(hint) => hint,
+        None => key.fingerprint(hints, query),
+    };
+    let ready = start.elapsed();
+    telemetry.stage(PipelineStage::Key).observe(ready);
+    (key, ready)
 }
 
 /// What the runtime knows about a query before any tier has answered it;
@@ -312,7 +415,7 @@ pub(crate) struct FastPath<'a> {
     pub stats: &'a StatsMonitor,
     pub seq: u64,
     pub start: Instant,
-    /// [`query_key`]'s time: `start` → fingerprint ready.
+    /// [`query_key`]'s time: `start` → routed key ready.
     pub key: Duration,
     pub request_id: Option<&'a str>,
     pub kind: QueryKind,

@@ -23,8 +23,10 @@
 //! [`CacheManager`]): the caller's key picks the bucket,
 //! [`gc_iso::iso::confirm_isomorphic`] confirms — by comparing
 //! presentations when the query is a verbatim repeat, by a profiled search
-//! only for a renumbered isomorph. The key is the query's WL fingerprint,
-//! computed once per query by the caller; a wrong key can only miss.
+//! only for a renumbered isomorph. The key is the query's WL fingerprint
+//! or, on the runtime's exact tier, a hint of it; a wrong key can only
+//! miss, since every isomorph of the query is stored under its true
+//! fingerprint.
 //!
 //! The stage snapshots (clones) each hit's answer set, and copies its
 //! recorded baseline, while the cache is borrowed, so everything downstream

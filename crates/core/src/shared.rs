@@ -11,7 +11,9 @@
 //!   `parking_lot::RwLock` plus its own replacement-policy instance behind a
 //!   `Mutex`. A query graph's WL fingerprint picks its *home shard*
 //!   (admission and exact-match lookups, rows included, touch only that
-//!   shard; fingerprints are isomorphism-invariant, so a duplicate routes home);
+//!   shard; fingerprints are isomorphism-invariant, so a duplicate routes home).
+//!   A repeated presentation finds its fingerprint as a hint in a lock-free
+//!   table instead of recomputing it (see `KeyHints`: a hint only routes);
 //! * **read-mostly probing** — the probe / bound / filter / prune / verify
 //!   stages and answer-only row hits take only shard *read* locks (held
 //!   just long enough to copy answers); write locks are taken for the short
@@ -54,7 +56,7 @@ use crate::persist::{self, PersistHealth, RecoveryReport};
 use crate::pipeline::admit::{self, AdmitLimits, AdmitOutcome};
 use crate::pipeline::probe::{CacheHits, ProbeScratch};
 use crate::pipeline::{bound, filter, probe, prune, verify, FastTier, PipelineCtx};
-use crate::pipeline::{pipeline_trace, query_key, FastPath};
+use crate::pipeline::{pipeline_trace, query_key, FastPath, KeyHints};
 use crate::policy::ReplacementPolicy;
 use crate::report::{IndexHealth, QueryReport};
 use crate::stats::{GlobalStats, StatsMonitor};
@@ -200,6 +202,10 @@ pub struct SharedGraphCache {
     /// Which plans the bound stage may pick ([`bound::Plan::Auto`] unless a
     /// test forced one).
     plan: bound::Plan,
+    /// Presentation hash → fingerprint hints in front of the exact tier:
+    /// 2 × (capacity + [`ANSWER_ROWS`]) slots, so every resident entry and
+    /// row can keep a presentation's hint at a modest collision rate.
+    hints: KeyHints,
 }
 
 impl SharedGraphCache {
@@ -237,6 +243,7 @@ impl SharedGraphCache {
             })
             .collect();
         let telemetry = Telemetry::from_config(&config);
+        let hints = KeyHints::new(config.capacity.saturating_add(ANSWER_ROWS).saturating_mul(2));
         Ok(SharedGraphCache {
             cost: CostModel::new(&dataset),
             stats: StatsMonitor::new(),
@@ -246,6 +253,7 @@ impl SharedGraphCache {
             config,
             telemetry,
             plan: bound::Plan::Auto,
+            hints,
             shards,
             limits,
             policy_name,
@@ -277,6 +285,13 @@ impl SharedGraphCache {
         self
     }
 
+    /// Diagnostic: the key the hint table would route `query` by, if it
+    /// holds a hint for the query's presentation.
+    #[doc(hidden)]
+    pub fn key_hint(&self, query: &Graph) -> Option<u64> {
+        self.hints.get(gc_graph::hash::presentation_hash(query))
+    }
+
     /// Process one query through the staged pipeline; callable from any
     /// number of threads concurrently. Returns the exact answer set plus
     /// the Query-Journey anatomy (Fig. 3).
@@ -297,8 +312,7 @@ impl SharedGraphCache {
         let start = Instant::now();
         let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let seq = self.telemetry.begin_query();
-        let (fp, key) = query_key(&self.telemetry, query, start);
-        let home = (fp % self.shards.len() as u64) as usize;
+        let (mut key, key_ready) = query_key(&self.telemetry, &self.hints, query, start);
 
         // Pin the dataset for the query's duration: mutations take this
         // lock exclusively, so everything below sees one generation. The
@@ -306,42 +320,39 @@ impl SharedGraphCache {
         // re-acquire the read lock; parking_lot locks are not reentrant).
         let data = self.data.read();
         let generation = data.dataset.generation();
-        let fast = FastPath {
-            telemetry: &self.telemetry,
-            stats: &self.stats,
-            seq,
-            start,
-            key,
-            request_id,
-            kind,
-            shard: home as u32,
-            generation,
-        };
 
-        // ---- exact tier: home shard only ---------------------------------
-        // One read-locked lookup. An answer-only row is served under it (a
-        // copy of its answer and text slot, no credit); an entry is credited,
-        // so it pays for the write lock.
-        let hit = {
-            let state = self.shards[home].state.read();
-            match probe::find_exact(&state.cache, fp, query, kind) {
-                Some((row, FastTier::Memo, steps)) => {
-                    Some((FastTier::Memo, admit::ExactServe::of(row), steps))
-                }
-                Some(_) => {
-                    drop(state);
-                    let served = self.serve_exact(home, fp, query, kind, now);
-                    served.map(|(served, steps)| (FastTier::Exact, served, steps))
-                }
-                None => None,
+        // ---- exact tier: the routed key's home shard -----------------------
+        // A hit under a hinted key proves the hint right (see `KeyHints`). A
+        // miss computes the fingerprint, and a wrong hint is looked up again
+        // under it.
+        let mut home = self.home_shard(key.routed);
+        let mut hit = self.exact_tier(home, key.routed, query, kind, now);
+        if hit.is_none() {
+            let fp = key.fingerprint(&self.hints, query);
+            if fp != key.routed {
+                home = self.home_shard(fp);
+                hit = self.exact_tier(home, fp, query, kind, now);
             }
-        };
+        }
         if let Some((tier, served, steps)) = hit {
             drop(data);
+            let fast = FastPath {
+                telemetry: &self.telemetry,
+                stats: &self.stats,
+                seq,
+                start,
+                key: key_ready,
+                request_id,
+                kind,
+                shard: home as u32,
+                generation,
+            };
             return fast.finish(tier, served, steps);
         }
 
         // ---- staged pipeline ---------------------------------------------
+        // From here on only the computed key is used (computed above).
+        let fp = key.fingerprint(&self.hints, query);
         let mut timing = QueryTiming::default();
         let mut ctx = PipelineCtx::new(query, kind, now, data.dataset.len());
         // Borrow this thread's warm probe buffers for the query's lifetime
@@ -654,6 +665,38 @@ impl SharedGraphCache {
         }
     }
 
+    /// The shard that owns fingerprint `fp`: its entries, its answer-only
+    /// rows and its admission.
+    fn home_shard(&self, fp: u64) -> usize {
+        (fp % self.shards.len() as u64) as usize
+    }
+
+    /// The exact tier in `home` under `key`: one read-locked lookup. An
+    /// answer-only row is served under it (a copy of its answer and text
+    /// slot, no credit); an entry is credited, so it pays for the write
+    /// lock. Returns the serving tier, what it served and the
+    /// confirmation's steps.
+    fn exact_tier(
+        &self,
+        home: usize,
+        key: u64,
+        query: &Graph,
+        kind: QueryKind,
+        now: u64,
+    ) -> Option<(FastTier, admit::ExactServe, u64)> {
+        let state = self.shards[home].state.read();
+        match probe::find_exact(&state.cache, key, query, kind)? {
+            (row, FastTier::Memo, steps) => {
+                Some((FastTier::Memo, admit::ExactServe::of(row), steps))
+            }
+            _ => {
+                drop(state);
+                let (served, steps) = self.serve_exact(home, key, query, kind, now)?;
+                Some((FastTier::Exact, served, steps))
+            }
+        }
+    }
+
     /// Credit and copy out the exact hit for `query` (WL fingerprint `key`)
     /// from `home` under its write lock, where it is looked up again: `None`
     /// if the entry was evicted (or demoted to a row) since the read-locked
@@ -853,7 +896,7 @@ impl SharedGraphCache {
         for rec in &state.doc.entries {
             clock = clock.max(rec.stats.last_used).max(rec.stats.inserted_at);
             let fp = gc_graph::hash::fingerprint(&rec.graph);
-            let home = (fp % self.shards.len() as u64) as usize;
+            let home = self.home_shard(fp);
             let shard = &self.shards[home];
             let mut shard_state = shard.state.write();
             if probe::find_exact(&shard_state.cache, fp, &rec.graph, rec.kind).is_some() {
@@ -1234,6 +1277,204 @@ mod tests {
         assert!(!r1.exact_hit && r2.exact_hit);
         assert_eq!(r1.answer, r2.answer);
         assert_eq!(gc.shard_count(), 1);
+    }
+
+    /// A presentation pool over a small molecule dataset: queries cut from
+    /// dataset graphs, each followed by a renumbered isomorph of itself (a
+    /// second presentation of the same class).
+    fn hint_fixture(seed: u64) -> (Arc<Dataset>, Vec<Graph>) {
+        use rand::{Rng, SeedableRng};
+        let dataset = Arc::new(Dataset::new(gc_workload::molecule_dataset(20, seed)));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut pool = Vec::new();
+        for i in 0..8u32 {
+            let Some(q) =
+                gc_workload::extract_query(dataset.graph(i), 2 + i as usize % 5, &mut rng)
+            else {
+                continue;
+            };
+            let n = q.vertex_count() as u32;
+            let shift = rng.gen_range(1..n.max(2));
+            let perm: Vec<u32> = (0..n).map(|v| (v + shift) % n).collect();
+            let mut labels = vec![gc_graph::Label(0); n as usize];
+            for v in q.vertices() {
+                labels[perm[v as usize] as usize] = q.label(v);
+            }
+            let edges: Vec<(u32, u32)> =
+                q.edges().map(|(a, b)| (perm[a as usize], perm[b as usize])).collect();
+            let iso = gc_graph::graph_from_parts(&labels, &edges).unwrap();
+            pool.push(q);
+            pool.push(iso);
+        }
+        (dataset, pool)
+    }
+
+    /// Counters only: the time total differs between any two runs.
+    fn counters(gc: &SharedGraphCache) -> GlobalStats {
+        GlobalStats { total_time: std::time::Duration::ZERO, ..gc.monitor().snapshot() }
+    }
+
+    /// How a step poisons the queried presentation's hint slot first.
+    #[derive(Debug, Clone, Copy)]
+    enum Poison {
+        /// Whatever earlier queries left.
+        None,
+        /// A random key.
+        Random(u64),
+        /// A torn pair: this presentation's tag, another one's key.
+        Torn(usize),
+        /// The fingerprint of a class the cache holds (another one's, when
+        /// there is one).
+        Cached(usize),
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// Poisoned hints change nothing: every answer equals Method M's on
+        /// the live dataset, and every report flag and counter equals a run
+        /// whose table is cleared before each query (every key computed) —
+        /// both kinds, 1 and 8 shards, a full and a one-slot table, with
+        /// inserts and removals interleaved.
+        #[test]
+        fn poisoned_hints_change_no_answer_and_no_counter(
+            seed in 0u64..1_000,
+            min_admit_tests in 0usize..30,
+            one_slot in proptest::prelude::any::<bool>(),
+        ) {
+            use rand::{Rng, SeedableRng};
+            let (dataset, pool) = hint_fixture(seed);
+            for shards in [1, 8] {
+                let config = CacheConfig {
+                    capacity: 4,
+                    window_size: 2,
+                    shards,
+                    min_admit_tests,
+                    ..CacheConfig::default()
+                };
+                let build = || {
+                    let mut gc = shared_over(Arc::clone(&dataset), config.clone());
+                    if one_slot {
+                        gc.hints = KeyHints::new(1);
+                    }
+                    gc
+                };
+                let (hinted, cleared) = (build(), build());
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ shards as u64);
+                let mut fresh = gc_workload::molecule_dataset(16, seed + 1).into_iter();
+                for step in 0..60 {
+                    match rng.gen_range(0..12) {
+                        0 => {
+                            let g = fresh.next().expect("one fresh graph per step at most");
+                            assert_eq!(hinted.insert_graph(g.clone()), cleared.insert_graph(g));
+                        }
+                        1 => {
+                            let live: Vec<usize> = hinted.dataset().live_mask().iter().collect();
+                            let gid = live[rng.gen_range(0..live.len())] as u32;
+                            assert!(hinted.remove_graph(gid) && cleared.remove_graph(gid));
+                        }
+                        _ => {
+                            let q = &pool[rng.gen_range(0..pool.len())];
+                            let kind = if rng.gen_bool(0.5) {
+                                QueryKind::Subgraph
+                            } else {
+                                QueryKind::Supergraph
+                            };
+                            let tag = gc_graph::hash::presentation_hash(q);
+                            let poison = match rng.gen_range(0..4) {
+                                0 => Poison::None,
+                                1 => Poison::Random(rng.gen()),
+                                2 => Poison::Torn(rng.gen_range(0..pool.len())),
+                                _ => Poison::Cached(rng.gen()),
+                            };
+                            match poison {
+                                Poison::None => {}
+                                Poison::Random(key) => hinted.hints.put(tag, key),
+                                Poison::Torn(other) => {
+                                    let key = gc_graph::hash::fingerprint(&pool[other]);
+                                    hinted.hints.put(tag, key);
+                                }
+                                Poison::Cached(pick) => {
+                                    let own = gc_graph::hash::fingerprint(q);
+                                    let mut keys = Vec::new();
+                                    hinted.for_each_shard(|_, cm| {
+                                        keys.extend(cm.iter().map(|e| e.fingerprint));
+                                    });
+                                    let others: Vec<u64> =
+                                        keys.iter().copied().filter(|&k| k != own).collect();
+                                    let keys = if others.is_empty() { keys } else { others };
+                                    if !keys.is_empty() {
+                                        hinted.hints.put(tag, keys[pick % keys.len()]);
+                                    }
+                                }
+                            }
+                            cleared.hints.clear();
+                            let got = hinted.query(q, kind);
+                            let want = cleared.query(q, kind);
+                            let base = gc_method::execute_base(
+                                &hinted.dataset(),
+                                &SiMethod,
+                                Engine::Vf2,
+                                q,
+                                kind,
+                            );
+                            let at = format!("step {step}, {shards} shards, {kind:?}, {poison:?}");
+                            assert_eq!(got.answer, base.answer, "{at}: hinted answer");
+                            assert_eq!(want.answer, base.answer, "{at}: cleared answer");
+                            assert_eq!(
+                                (got.exact_hit, got.memo_hit, got.admitted, &got.evicted),
+                                (want.exact_hit, want.memo_hit, want.admitted, &want.evicted),
+                                "{at}: tier and admission"
+                            );
+                        }
+                    }
+                    assert_eq!(counters(&hinted), counters(&cleared), "after step {step}");
+                }
+            }
+        }
+    }
+
+    fn shared_over(dataset: Arc<Dataset>, config: CacheConfig) -> SharedGraphCache {
+        SharedGraphCache::with_policy(dataset, Box::new(SiMethod), PolicyKind::Hd, config).unwrap()
+    }
+
+    /// Four threads query presentations and their renumbered isomorphs,
+    /// both kinds, through a one-slot table: every presentation collides,
+    /// so the slot is overwritten (and read torn) all the time.
+    #[test]
+    fn colliding_presentations_answer_exactly_under_threads() {
+        let (dataset, pool) = hint_fixture(5);
+        let kinds = [QueryKind::Subgraph, QueryKind::Supergraph];
+        let expected: Vec<Vec<BitSet>> = pool
+            .iter()
+            .map(|q| {
+                kinds
+                    .iter()
+                    .map(|&kind| {
+                        gc_method::execute_base(&dataset, &SiMethod, Engine::Vf2, q, kind).answer
+                    })
+                    .collect()
+            })
+            .collect();
+        let config = CacheConfig { capacity: 6, window_size: 2, ..CacheConfig::default() };
+        let mut gc = shared_over(dataset, config);
+        gc.hints = KeyHints::new(1);
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (gc, pool, expected) = (&gc, &pool, &expected);
+                scope.spawn(move || {
+                    for round in 0..200 {
+                        let i = (t * 7 + round * 3) % pool.len();
+                        let k = (t + round) % 2;
+                        let got = gc.query(&pool[i], kinds[k]);
+                        assert_eq!(got.answer, expected[i][k], "thread {t}, round {round}");
+                    }
+                });
+            }
+        });
+        let stats = gc.stats();
+        assert_eq!(stats.queries, 4 * 200);
+        assert!(stats.exact_hits + stats.memo_hits > 0, "repeats are served whole");
     }
 
     #[test]

@@ -213,14 +213,16 @@ pub enum PipelineStage {
     Verify,
     /// Hit crediting, window admission (or an answer-only row), the sweep.
     Admit,
-    /// Query entry until its WL fingerprint — the one key of shard routing,
-    /// the exact tier and admission — is computed. Every query.
+    /// Query entry until the key the exact tier is routed by is ready: a
+    /// hint read by the query's presentation hash when its presentation
+    /// was seen before, else its WL fingerprint, computed. Every query.
     Key,
     /// Key done until an exact-match hit is served: `find_exact` under the
-    /// read lock (bucket lookup under the query's key, then confirmation),
+    /// read lock (bucket lookup under the routed key, then confirmation),
     /// the answer copy and, for an entry, the same under the write lock
-    /// with crediting. Exact and memo hits only: `key + exact` is their
-    /// whole time.
+    /// with crediting. When a hint missed and was wrong, it also holds the
+    /// fingerprint and the lookup under it. Exact and memo hits only:
+    /// `key + exact` is their whole time.
     Exact,
 }
 

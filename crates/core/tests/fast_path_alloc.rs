@@ -3,17 +3,19 @@
 //! With the trace sampler off, a warm hit on an **identical presentation**
 //! performs exactly **one** heap allocation — the answer set handed back in
 //! the report — at one shard (what `GraphCache` runs) and at eight: the
-//! query's one WL fingerprint runs on thread-local scratch and keys the
-//! lookup (an entry's hit repeats it under the write lock), the
-//! confirmation is a presentation comparison, the policy credit and the
-//! statistics are in place, the report's four stage sets are empty over an
-//! empty universe, and every hit's answer-text slot is a reference-count
-//! bump (nothing is rendered in process).
+//! repeat's key is a hint, read from a lock-free table by the query's
+//! presentation hash (no WL fingerprint is computed; a presentation the
+//! table lost computes one on thread-local scratch), it routes the lookup
+//! (an entry's hit repeats it under the write lock), the confirmation is a
+//! presentation comparison, the policy credit and the statistics are in
+//! place, the report's four stage sets are empty over an empty universe,
+//! and every hit's answer-text slot is a reference-count bump (nothing is
+//! rendered in process).
 //!
 //! Same counting-allocator harness as `probe_alloc.rs`; its own binary so
 //! the `#[global_allocator]` stays out of the other integration tests.
 
-use gc_core::{CacheConfig, PolicyKind, QueryReport, SharedGraphCache};
+use gc_core::{CacheConfig, PolicyKind, SharedGraphCache};
 use gc_graph::Graph;
 use gc_method::{Dataset, QueryKind, SiMethod};
 use gc_workload::{extract_query, molecule_dataset};
@@ -91,14 +93,19 @@ fn config(entries: bool) -> CacheConfig {
 }
 
 /// Send every query twice (the second pass warms the thread-local scratch
-/// and every lazily grown structure on the hit path), then count a third.
-fn pin_hits(mut query: impl FnMut(&Graph) -> QueryReport, queries: &[Graph], exact: bool) {
+/// and every lazily grown structure on the hit path), then count a third,
+/// routed by its hint.
+fn pin_hits(gc: &SharedGraphCache, queries: &[Graph], exact: bool) {
+    let query = |q: &Graph| gc.query(q, QueryKind::Subgraph);
     for _ in 0..2 {
         for q in queries {
             query(q);
         }
     }
     for q in queries {
+        let (allocations, hint) = counted(|| gc.key_hint(q));
+        assert_eq!(allocations, 0, "a hint is a presentation hash and a table read");
+        assert_eq!(hint, Some(gc_graph::hash::fingerprint(q)), "the repeat is routed by a hint");
         let (allocations, report) = counted(|| query(q));
         assert_eq!((report.exact_hit, report.memo_hit), (exact, !exact), "the repeat is a hit");
         assert_eq!(allocations, 1, "a warm hit allocates the returned answer and nothing else");
@@ -121,7 +128,7 @@ fn warm_hits_allocate_only_the_returned_answer() {
             CacheConfig { shards, ..config(exact) },
         )
         .unwrap();
-        pin_hits(|q| gc.query(q, QueryKind::Subgraph), &queries, exact);
+        pin_hits(&gc, &queries, exact);
         let stats = gc.stats();
         assert_eq!(stats.exact_confirm_iso, 0, "identical presentations: no isomorphism search");
         assert_eq!(stats.exact_hits + stats.memo_hits, 2 * queries.len() as u64);

@@ -94,6 +94,13 @@ impl Graph {
         &self.neighbors[self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize]
     }
 
+    /// The CSR neighbour array: every vertex's sorted neighbour list, in
+    /// vertex order (`neighbors(0) ++ neighbors(1) ++ …`).
+    #[inline]
+    pub(crate) fn neighbor_array(&self) -> &[VertexId] {
+        &self.neighbors
+    }
+
     /// `true` iff the undirected edge `(u, v)` exists. `O(log d(u))`.
     #[inline]
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {

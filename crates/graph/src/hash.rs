@@ -13,9 +13,12 @@
 //! (see `gc-iso`). This mirrors the canonical-labelling + verification split
 //! the papers describe.
 //!
-//! The cache computes exactly one [`fingerprint`] per query — it keys shard
+//! The cache computes at most one [`fingerprint`] per query — it keys shard
 //! routing, the exact-match lookup and admission alike — so the function runs
-//! on thread-local buffers and allocates nothing once warm.
+//! on thread-local buffers and allocates nothing once warm. A query whose
+//! exact presentation the cache has seen before is routed by
+//! [`presentation_hash`] instead, a far cheaper hash of the graph *as
+//! numbered*, which the cache maps to the fingerprint it computed last time.
 
 use crate::{Graph, VertexId};
 
@@ -114,6 +117,24 @@ pub fn fingerprint(g: &Graph) -> u64 {
         let header = mix(g.vertex_count() as u64, g.edge_count() as u64);
         mix(header, hash_seq(colors.iter().copied()))
     })
+}
+
+/// A 64-bit hash of one *presentation* of a graph, vertex numbering
+/// included: one multiply–xor pass over `n`, `m`, the labels and the CSR
+/// neighbour array, then one SplitMix64 finish.
+///
+/// Graphs that are `==` hash equal. Unlike [`fingerprint`] it is **not**
+/// isomorphism-invariant: renumbering the vertices almost always changes
+/// it. Each step `h ← (h ^ w) · K` is a bijection of `h` for a fixed word
+/// and injective in the word for a fixed `h`, so changing any single label
+/// or neighbour id always changes the hash. Allocation-free, and a few
+/// nanoseconds per vertex and edge.
+pub fn presentation_hash(g: &Graph) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let step = |h: u64, word: u64| (h ^ word).wrapping_mul(K);
+    let header = step(step(0x243F_6A88_85A3_08D3, g.vertex_count() as u64), g.edge_count() as u64);
+    let labelled = g.labels().iter().fold(header, |h, l| step(h, u64::from(l.0)));
+    splitmix64(g.neighbor_array().iter().fold(labelled, |h, &w| step(h, u64::from(w))))
 }
 
 /// A vertex ordering by (WL colour, degree, id) — deterministic across

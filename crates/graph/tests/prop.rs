@@ -1,5 +1,6 @@
 //! Property tests for the graph substrate: bitset algebra laws, builder/IO
-//! roundtrips, and WL-fingerprint invariance.
+//! roundtrips, WL-fingerprint invariance and what the presentation hash
+//! tells apart.
 
 use gc_graph::{BitSet, Graph, GraphBuilder, Label};
 use proptest::prelude::*;
@@ -203,5 +204,81 @@ proptest! {
         );
         prop_assert_eq!(&via_kernel, &via_sorted);
         prop_assert_eq!(via_kernel.to_vec(), want.iter().map(|&i| i as usize).collect::<Vec<_>>());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// `==` graphs share a presentation hash; changing one label, adding
+    /// one edge or renumbering the vertices changes it on ≥ 99 % of a
+    /// batch (a renumbering that yields an `==` graph — an automorphism —
+    /// is not a change and is not counted).
+    #[test]
+    fn presentation_hash_follows_the_presentation(
+        batch in proptest::collection::vec(
+            (arb_graph(12, 3), proptest::collection::vec(any::<u64>(), 12), any::<u64>()),
+            400,
+        ),
+    ) {
+        use gc_graph::graph_from_parts;
+        use gc_graph::hash::presentation_hash;
+        let (mut cases, mut changed) = ([0u32; 3], [0u32; 3]);
+        for (g, keys, pick) in &batch {
+            let h = presentation_hash(g);
+            let labels = g.labels().to_vec();
+            let edges = g.edge_slice().to_vec();
+            let rebuilt = graph_from_parts(&labels, &edges).unwrap();
+            prop_assert_eq!(&rebuilt, g);
+            prop_assert_eq!(presentation_hash(&rebuilt), h);
+            prop_assert_eq!(presentation_hash(&g.clone()), h);
+            let n = g.vertex_count();
+            if n == 0 {
+                continue;
+            }
+            let mut variants: [Option<Graph>; 3] = [None, None, None];
+            // One label changed.
+            let mut relabelled = labels.clone();
+            let v = (*pick as usize) % n;
+            relabelled[v] = Label((relabelled[v].0 + 1 + (*pick >> 32) as u32 % 3) % 4);
+            variants[0] = Some(graph_from_parts(&relabelled, &edges).unwrap());
+            // One edge added: the first non-edge from a picked vertex pair.
+            let non_edge = (0..n * n)
+                .map(|i| ((i + *pick as usize) % (n * n)) as u32)
+                .map(|i| (i / n as u32, i % n as u32))
+                .find(|&(a, b)| a < b && !g.has_edge(a, b));
+            if let Some(edge) = non_edge {
+                let mut more = edges.clone();
+                more.push(edge);
+                variants[1] = Some(graph_from_parts(&labels, &more).unwrap());
+            }
+            // The vertices renumbered: vertex i becomes its rank in `keys`.
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by_key(|&i| (keys[i], i));
+            let mut perm = vec![0u32; n];
+            for (rank, &i) in order.iter().enumerate() {
+                perm[i] = rank as u32;
+            }
+            let mut permuted = vec![Label(0); n];
+            for (i, &l) in labels.iter().enumerate() {
+                permuted[perm[i] as usize] = l;
+            }
+            let moved: Vec<(u32, u32)> =
+                edges.iter().map(|&(a, b)| (perm[a as usize], perm[b as usize])).collect();
+            variants[2] = Some(graph_from_parts(&permuted, &moved).unwrap());
+            for (k, variant) in variants.iter().enumerate() {
+                if let Some(other) = variant.as_ref().filter(|other| *other != g) {
+                    cases[k] += 1;
+                    changed[k] += u32::from(presentation_hash(other) != h);
+                }
+            }
+        }
+        for k in 0..3 {
+            prop_assert!(cases[k] >= 100, "variant {} sampled only {} times", k, cases[k]);
+            prop_assert!(
+                f64::from(changed[k]) >= 0.99 * f64::from(cases[k]),
+                "variant {}: {} of {} changed the hash", k, changed[k], cases[k]
+            );
+        }
     }
 }
