@@ -9,7 +9,7 @@
 //!    indices with speedups up to 40× on the AIDS dataset.
 
 use gc_bench::{print_table, run_base, run_cached, write_artifact};
-use gc_core::{CacheConfig, GraphCache, PolicyKind};
+use gc_core::{CacheConfig, PolicyKind, SharedGraphCache};
 use gc_method::{Dataset, FtvMethod, FtvTreeMethod, Method};
 use gc_workload::{molecule_dataset, Workload, WorkloadKind, WorkloadSpec};
 use serde::Serialize;
@@ -62,7 +62,7 @@ fn main() {
     let base_tree = run_base(&dataset, &ftv_tree, &workload);
 
     // --- GC over FTV(L) ------------------------------------------------------
-    let config = CacheConfig { capacity: 50, window_size: 10, ..CacheConfig::default() };
+    let config = CacheConfig { capacity: 50, window_size: 10, shards: 1, ..CacheConfig::default() };
     let gc_run = run_cached(
         &dataset,
         Box::new(FtvMethod::build(&dataset, l)),
@@ -73,7 +73,7 @@ fn main() {
     );
     // Re-run to capture final memory via a live instance (run_cached reports
     // it, but we also want the entry count for the table).
-    let mut gc = GraphCache::with_policy(
+    let gc = SharedGraphCache::with_policy(
         dataset.clone(),
         Box::new(FtvMethod::build(&dataset, l)),
         PolicyKind::Hd,

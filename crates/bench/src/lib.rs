@@ -20,7 +20,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use gc_core::{CacheConfig, GlobalStats, GraphCache, PolicyKind};
+use gc_core::{CacheConfig, GlobalStats, PolicyKind, SharedGraphCache};
 use gc_method::{execute_base, Dataset, Method};
 use gc_workload::Workload;
 use serde::Serialize;
@@ -76,7 +76,7 @@ pub fn run_base(dataset: &Arc<Dataset>, method: &dyn Method, workload: &Workload
     }
 }
 
-/// Run the workload through GraphCache with the given policy.
+/// Run the workload through a one-shard cache with the given policy.
 pub fn run_cached(
     dataset: &Arc<Dataset>,
     method: Box<dyn Method>,
@@ -85,7 +85,8 @@ pub fn run_cached(
     workload: &Workload,
     base: &BaseAggregate,
 ) -> CachedAggregate {
-    let mut gc = GraphCache::with_policy(dataset.clone(), method, policy, config.clone())
+    let config = CacheConfig { shards: 1, ..config.clone() };
+    let gc = SharedGraphCache::with_policy(dataset.clone(), method, policy, config)
         .expect("valid config");
     for wq in &workload.queries {
         gc.query(&wq.graph, wq.kind);

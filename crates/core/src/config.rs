@@ -1,8 +1,9 @@
 //! Cache configuration.
 
+use crate::shared::LOCAL_BITS;
 use gc_store::FsyncPolicy;
 
-/// Tunables of a [`crate::GraphCache`] instance.
+/// Tunables of a [`crate::SharedGraphCache`] instance.
 ///
 /// Defaults follow the demo deployment (paper §3: cache of 50 executed
 /// queries, window batches of 10) with budgets sized so cache probing can
@@ -30,11 +31,11 @@ pub struct CacheConfig {
     /// side of the kernel's "resource management (memory and threads)". The
     /// entry-count `capacity` still applies independently.
     pub max_bytes: Option<usize>,
-    /// Shard count of [`crate::SharedGraphCache`]: cache state is split into
-    /// this many independently-locked shards (queries are routed by graph
+    /// Shard count: cache state is split into this many
+    /// independently-locked shards (queries are routed by graph
     /// fingerprint). More shards → less write contention, a few more
-    /// shard probes per query. [`crate::GraphCache`] is one shard.
-    /// Must be in `1..=256`.
+    /// shard probes per query; one shard makes entry ids, hits and
+    /// evictions independent of routing. Must be in `1..=256`.
     pub shards: usize,
     /// Persistence: automatically write a snapshot (and rotate the
     /// journal) after this many admissions, when a
@@ -94,7 +95,8 @@ impl CacheConfig {
         CacheConfig { capacity, ..Default::default() }
     }
 
-    /// Validate invariants (positive capacity and window, nonzero budgets).
+    /// Validate invariants (positive capacity and window, nonzero budgets,
+    /// shard-local entry ids that fit their encoding).
     pub fn validate(&self) -> Result<(), String> {
         if self.capacity == 0 {
             return Err("capacity must be > 0".into());
@@ -107,6 +109,16 @@ impl CacheConfig {
         }
         if self.shards == 0 || self.shards > 256 {
             return Err("shards must be in 1..=256".into());
+        }
+        // A shard's slab peaks at its capacity share plus one window of
+        // admissions before the sweep; each slot's id must fit the
+        // shard-local bits of an encoded entry id.
+        let local_ids = 1usize << LOCAL_BITS;
+        if self.capacity.div_ceil(self.shards).saturating_add(self.window_size) > local_ids {
+            return Err(format!(
+                "capacity / shards + window_size must be <= {local_ids} \
+                 (shard-local entry ids are {LOCAL_BITS} bits)"
+            ));
         }
         if self.snapshot_interval == Some(0) {
             return Err("snapshot_interval must be > 0 when set".into());
@@ -144,6 +156,24 @@ mod tests {
         assert!(CacheConfig { shards: 0, ..CacheConfig::default() }.validate().is_err());
         assert!(CacheConfig { shards: 257, ..CacheConfig::default() }.validate().is_err());
         assert!(CacheConfig { shards: 256, ..CacheConfig::default() }.validate().is_ok());
+        // Shard-local entry ids are 24 bits: one shard's capacity share plus
+        // its window must fit.
+        let ids = 1 << LOCAL_BITS;
+        let one_shard = |capacity, window_size| CacheConfig {
+            capacity,
+            window_size,
+            shards: 1,
+            ..CacheConfig::default()
+        };
+        let err = one_shard(20_000_000, 10).validate().unwrap_err();
+        assert!(err.contains(&ids.to_string()), "{err}");
+        assert!(one_shard(ids - 10, 10).validate().is_ok());
+        assert!(one_shard(ids - 9, 10).validate().is_err());
+        assert!(one_shard(ids, 1).validate().is_err());
+        assert!(CacheConfig { capacity: 20_000_000, shards: 2, ..CacheConfig::default() }
+            .validate()
+            .is_ok());
+        assert!(CacheConfig { capacity: usize::MAX, ..CacheConfig::default() }.validate().is_err());
         assert!(CacheConfig { snapshot_interval: Some(0), ..CacheConfig::default() }
             .validate()
             .is_err());

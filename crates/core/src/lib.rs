@@ -17,9 +17,10 @@
 //!   behind `parking_lot::RwLock`s, `&self` queries from any number of
 //!   threads and lock-free statistics, plus dataset mutation with in-place
 //!   answer repair, snapshots and restores. Each query runs on its
-//!   caller's thread; concurrency comes from concurrent callers;
-//! * [`GraphCache`] — the same runtime with one shard, owned through
-//!   `&mut self` (the type the examples and experiments drive).
+//!   caller's thread; concurrency comes from concurrent callers. Code
+//!   whose counts must be reproducible (tests, the experiments, the
+//!   demo's single-client commands) builds it with
+//!   `CacheConfig { shards: 1, .. }`.
 //!
 //! Supporting components:
 //!
@@ -86,6 +87,3 @@ pub use stats::{GlobalStats, StatsMonitor};
 pub use telemetry::{
     Histogram, HistogramSnapshot, PipelineStage, QueryTiming, QueryTrace, Telemetry,
 };
-
-mod runtime;
-pub use runtime::GraphCache;

@@ -27,8 +27,7 @@
 //! stage's product. The stages take their dependencies (cache manager,
 //! policy, scratch) as explicit arguments; [`crate::SharedGraphCache`]
 //! composes them over cache state sharded behind `parking_lot::RwLock`,
-//! probing under read locks and admitting under short write sections
-//! ([`crate::GraphCache`] is the same composition with one shard). In
+//! probing under read locks and admitting under short write sections. In
 //! front of the stages sit the query's key (`query_key`, a hint from
 //! `KeyHints` for a presentation seen before) and the exact tier, which
 //! serves a query whole from a resident entry or an answer-only row

@@ -1,10 +1,11 @@
 //! The Query Processing Runtime: [`SharedGraphCache`].
 //!
 //! This is the one runtime. Queries, dataset mutations with their in-place
-//! answer repair, snapshots and restores are implemented here once;
-//! [`crate::GraphCache`] is this runtime with one shard behind `&mut self`.
+//! answer repair, snapshots and restores are implemented here once, and
+//! every cache — a test's, an experiment's, a server's — is one of these.
 //! Queries take `&self`, so any number of client threads can query one
-//! cache concurrently:
+//! cache concurrently; a caller that needs reproducible counts asks for
+//! one shard (`CacheConfig { shards: 1, .. }`):
 //!
 //! * **sharding** — cache state is split into [`CacheConfig::shards`]
 //!   independent shards, each `(CacheManager, WindowManager)` behind a
@@ -90,8 +91,9 @@ fn cache_features() -> gc_index::FeatureConfig {
     gc_index::FeatureConfig::default()
 }
 
-/// Bits of an encoded entry id that hold the shard-local id.
-const LOCAL_BITS: u32 = 24;
+/// Bits of an encoded entry id that hold the shard-local id
+/// ([`CacheConfig::validate`] keeps every shard's slab within them).
+pub(crate) const LOCAL_BITS: u32 = 24;
 /// Mask of the shard-local id.
 const LOCAL_MASK: EntryId = (1 << LOCAL_BITS) - 1;
 
@@ -815,12 +817,6 @@ impl SharedGraphCache {
         Ok(info)
     }
 
-    /// Detach the persistence store (journaling stops; on-disk state stays
-    /// at the last snapshot + journal).
-    pub fn detach_store(&mut self) -> Option<Arc<CacheStore>> {
-        self.store.take()
-    }
-
     /// The attached persistence store, if any.
     pub fn attached_store(&self) -> Option<&CacheStore> {
         self.store.as_deref()
@@ -1165,18 +1161,11 @@ mod tests {
             .unwrap()
     }
 
-    /// Eight shards against `GraphCache`'s one.
+    /// Eight shards against one.
     #[test]
     fn answers_match_sequential_and_repeats_hit_exactly() {
-        let ds = dataset();
         let gc = shared(CacheConfig::default());
-        let mut seq = crate::GraphCache::with_policy(
-            ds,
-            Box::new(SiMethod),
-            PolicyKind::Hd,
-            CacheConfig::default(),
-        )
-        .unwrap();
+        let seq = shared(CacheConfig { shards: 1, ..CacheConfig::default() });
         let queries = [g(&[0, 1], &[(0, 1)]), g(&[0], &[]), g(&[3], &[]), g(&[0, 1], &[(0, 1)])];
         for q in &queries {
             let a = gc.query(q, QueryKind::Subgraph);

@@ -310,7 +310,7 @@ pub struct QueryTrace {
     pub kind: String,
     /// How the answer was produced: `"exact"`, `"memo"`, or `"pipeline"`.
     pub outcome: String,
-    /// Home shard (always 0 for a [`crate::GraphCache`]).
+    /// Home shard (always 0 for a one-shard cache).
     pub shard: u32,
     /// Dataset generation the query executed against.
     pub generation: u64,

@@ -8,7 +8,7 @@
 //! every query, so the index directory is driven through tombstoning, tail
 //! merges and compaction sweeps at traffic rate.
 
-use gc_core::{CacheConfig, CacheManager, GraphCache, PolicyKind, SharedGraphCache};
+use gc_core::{CacheConfig, CacheManager, PolicyKind, SharedGraphCache};
 use gc_index::{COMPACT_MIN, COMPACT_TOMBSTONE_PCT};
 use gc_method::{Dataset, SiMethod};
 use gc_workload::{molecule_dataset, Workload, WorkloadKind, WorkloadSpec};
@@ -44,11 +44,15 @@ fn zipf_eviction_churn_keeps_sequential_cache_consistent() {
     let workload = Workload::generate(dataset.graphs(), &spec);
     // Window 1 + capacity 3: nearly every query admits and evicts, so the
     // directory compacts repeatedly (14 times over both policies).
-    let config = CacheConfig { capacity: 3, window_size: 1, ..CacheConfig::default() };
+    let config = CacheConfig { capacity: 3, window_size: 1, shards: 1, ..CacheConfig::default() };
     for policy in [PolicyKind::Lru, PolicyKind::Hd] {
-        let mut gc =
-            GraphCache::with_policy(dataset.clone(), Box::new(SiMethod), policy, config.clone())
-                .unwrap();
+        let gc = SharedGraphCache::with_policy(
+            dataset.clone(),
+            Box::new(SiMethod),
+            policy,
+            config.clone(),
+        )
+        .unwrap();
         for wq in &workload.queries {
             gc.query(&wq.graph, wq.kind);
             gc.for_each_shard(|_, cm| assert_consistent(cm));
@@ -124,11 +128,11 @@ fn repeat_heavy_churn_recycles_slots_without_desync() {
         ..WorkloadSpec::default()
     };
     let workload = Workload::generate(dataset.graphs(), &spec);
-    let mut gc = GraphCache::with_policy(
+    let gc = SharedGraphCache::with_policy(
         dataset,
         Box::new(SiMethod),
         PolicyKind::Lru,
-        CacheConfig { capacity: 4, window_size: 1, ..CacheConfig::default() },
+        CacheConfig { capacity: 4, window_size: 1, shards: 1, ..CacheConfig::default() },
     )
     .unwrap();
     for (i, wq) in workload.queries.iter().enumerate() {

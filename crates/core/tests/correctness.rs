@@ -6,7 +6,7 @@
 //! executed without a cache.
 
 use gc_core::pipeline::probe::PROBE_BUDGET;
-use gc_core::{CacheConfig, GraphCache, PolicyKind};
+use gc_core::{CacheConfig, PolicyKind, SharedGraphCache};
 use gc_graph::{graph_from_parts, Label};
 use gc_method::{execute_base, Dataset, Engine, FtvMethod, Method, QueryKind, SiMethod};
 use gc_workload::{molecule_dataset, Workload, WorkloadKind, WorkloadSpec};
@@ -21,7 +21,9 @@ fn check_workload(
     spec: &WorkloadSpec,
 ) {
     let workload = Workload::generate(dataset.graphs(), spec);
-    let mut gc = GraphCache::new(dataset.clone(), method_for_cache, policy.make(), config).unwrap();
+    let config = CacheConfig { shards: 1, ..config };
+    let gc =
+        SharedGraphCache::with_policy(dataset.clone(), method_for_cache, policy, config).unwrap();
     for (i, wq) in workload.queries.iter().enumerate() {
         let cached = gc.query(&wq.graph, wq.kind);
         let base = execute_base(&dataset, reference, Engine::Vf2, &wq.graph, wq.kind);
@@ -117,11 +119,11 @@ fn exact_hits_on_repeats() {
         ..WorkloadSpec::default()
     };
     let workload = Workload::generate(dataset.graphs(), &spec);
-    let mut gc = GraphCache::with_policy(
+    let gc = SharedGraphCache::with_policy(
         dataset.clone(),
         Box::new(SiMethod),
         PolicyKind::Lru,
-        CacheConfig { capacity: 10, window_size: 1, ..CacheConfig::default() },
+        CacheConfig { capacity: 10, window_size: 1, shards: 1, ..CacheConfig::default() },
     )
     .unwrap();
     for wq in &workload.queries {
@@ -144,11 +146,11 @@ fn cache_respects_capacity() {
         ..WorkloadSpec::default()
     };
     let workload = Workload::generate(dataset.graphs(), &spec);
-    let mut gc = GraphCache::with_policy(
+    let gc = SharedGraphCache::with_policy(
         dataset.clone(),
         Box::new(SiMethod),
         PolicyKind::Hd,
-        CacheConfig { capacity: 7, window_size: 3, ..CacheConfig::default() },
+        CacheConfig { capacity: 7, window_size: 3, shards: 1, ..CacheConfig::default() },
     )
     .unwrap();
     let mut evictions = 0usize;
@@ -176,7 +178,7 @@ fn byte_budget_caps_memory() {
     };
     let workload = Workload::generate(dataset.graphs(), &spec);
     let budget = 16 * 1024; // 16 KiB — far below an unbounded run
-    let mut gc = GraphCache::with_policy(
+    let gc = SharedGraphCache::with_policy(
         dataset.clone(),
         Box::new(SiMethod),
         PolicyKind::Hd,
@@ -184,6 +186,7 @@ fn byte_budget_caps_memory() {
             capacity: 1000,
             window_size: 4,
             max_bytes: Some(budget),
+            shards: 1,
             ..CacheConfig::default()
         },
     )
@@ -208,7 +211,9 @@ fn byte_budget_caps_memory() {
 fn zero_byte_budget_is_rejected() {
     let dataset = Arc::new(Dataset::new(molecule_dataset(3, 1)));
     let cfg = CacheConfig { max_bytes: Some(0), ..CacheConfig::default() };
-    assert!(GraphCache::with_policy(dataset, Box::new(SiMethod), PolicyKind::Lru, cfg).is_err());
+    assert!(
+        SharedGraphCache::with_policy(dataset, Box::new(SiMethod), PolicyKind::Lru, cfg).is_err()
+    );
 }
 
 #[test]
@@ -229,9 +234,10 @@ fn exhausted_hit_probe_keeps_answers_correct() {
         graph_from_parts(&one(3), &[(0, 1), (1, 2), (2, 0)]).unwrap(),
         graph_from_parts(&one(4), &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap(),
     ]));
-    let cfg = CacheConfig { window_size: 1, ..CacheConfig::default() };
-    let mut gc =
-        GraphCache::with_policy(dataset.clone(), Box::new(SiMethod), PolicyKind::Hd, cfg).unwrap();
+    let cfg = CacheConfig { window_size: 1, shards: 1, ..CacheConfig::default() };
+    let gc =
+        SharedGraphCache::with_policy(dataset.clone(), Box::new(SiMethod), PolicyKind::Hd, cfg)
+            .unwrap();
     assert!(gc.query(&k66, QueryKind::Supergraph).admitted.is_some(), "K_{{6,6}} is cached");
     let got = gc.query(&c11, QueryKind::Supergraph);
     let want = execute_base(&dataset, &SiMethod, Engine::Vf2, &c11, QueryKind::Supergraph);

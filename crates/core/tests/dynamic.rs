@@ -6,7 +6,7 @@
 //!   answers Method M alone would compute on the dataset *as mutated so
 //!   far*, and a cold cache rebuilt on the final dataset agrees with the
 //!   mutated-in-place cache (property test over random interleavings);
-//! * one shard (`GraphCache`) and four answer identically under the same
+//! * one shard and four answer identically under the same
 //!   mutation script;
 //! * a memo hit (an answer-only row) performs **zero** probe/verify work,
 //!   and every row is dropped by any dataset mutation;
@@ -25,7 +25,7 @@ mod common;
 
 use common::assert_consistent;
 use gc_core::persist::{inspect_dir, CacheStore, RecoveryReport};
-use gc_core::{CacheConfig, GraphCache, PolicyKind, QueryReport, SharedGraphCache};
+use gc_core::{CacheConfig, PolicyKind, QueryReport, SharedGraphCache};
 use gc_graph::BitSet;
 use gc_method::{execute_base, Dataset, Engine, QueryKind, SiMethod};
 use gc_store::journal::{decode_journal, encode_header, encode_record, HEADER_LEN};
@@ -47,8 +47,9 @@ fn dataset(n: usize, seed: u64) -> Arc<Dataset> {
     Arc::new(Dataset::new(molecule_dataset(n, seed)))
 }
 
+/// One shard: the counts below do not depend on routing.
 fn config() -> CacheConfig {
-    CacheConfig { capacity: 16, window_size: 2, ..CacheConfig::default() }
+    CacheConfig { capacity: 16, window_size: 2, shards: 1, ..CacheConfig::default() }
 }
 
 /// Warm-restart a one-shard SI/HD cache over `ds` from `store`.
@@ -56,8 +57,10 @@ fn restore(
     ds: Arc<Dataset>,
     cfg: CacheConfig,
     store: Arc<CacheStore>,
-) -> (GraphCache, RecoveryReport) {
-    GraphCache::restore_from(ds, Box::new(SiMethod), PolicyKind::Hd.make(), cfg, store).unwrap()
+) -> (SharedGraphCache, RecoveryReport) {
+    let cfg = CacheConfig { shards: 1, ..cfg };
+    SharedGraphCache::restore_from(ds, Arc::new(SiMethod), || PolicyKind::Hd.make(), cfg, store)
+        .unwrap()
 }
 
 /// One step of an interleaved mutation/query script.
@@ -99,7 +102,7 @@ fn insert_pool(n: usize, seed: u64) -> Vec<gc_graph::Graph> {
 /// Method M alone on the *current* dataset. Returns the (graph, kind)
 /// queries issued for replay against a cold rebuild.
 fn drive_sequential(
-    gc: &mut GraphCache,
+    gc: &SharedGraphCache,
     steps: &[Step],
     seed: u64,
 ) -> Vec<(gc_graph::Graph, QueryKind)> {
@@ -147,17 +150,17 @@ proptest! {
     #[test]
     fn interleavings_match_cold_rebuild(seed in 0u64..1000) {
         let ds = dataset(18, 40 + seed);
-        let mut gc =
-            GraphCache::with_policy(ds, Box::new(SiMethod), PolicyKind::Hd, config()).unwrap();
+        let gc =
+            SharedGraphCache::with_policy(ds, Box::new(SiMethod), PolicyKind::Hd, config()).unwrap();
         let steps = script(60, seed);
-        let issued = drive_sequential(&mut gc, &steps, seed);
+        let issued = drive_sequential(&gc, &steps, seed);
         prop_assert!(gc.dataset().generation() > 0, "script must mutate");
         gc.for_each_shard(|_, cm| assert_consistent(cm));
 
         // Cold rebuild on the final dataset: same answers for every query.
         let final_ds = gc.dataset();
-        let mut cold =
-            GraphCache::with_policy(final_ds, Box::new(SiMethod), PolicyKind::Hd, config())
+        let cold =
+            SharedGraphCache::with_policy(final_ds, Box::new(SiMethod), PolicyKind::Hd, config())
                 .unwrap();
         for (q, kind) in issued {
             let warm = gc.query(&q, kind);
@@ -167,13 +170,14 @@ proptest! {
     }
 }
 
-/// `GraphCache` (one shard) against four shards over one mutation script.
+/// One shard against four over one mutation script.
 #[test]
 fn sequential_and_sharded_answer_identically_under_mutation() {
     let ds = dataset(16, 77);
     let cfg = CacheConfig { shards: 4, ..config() };
-    let mut seq =
-        GraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, cfg.clone())
+    let one_shard = CacheConfig { shards: 1, ..cfg.clone() };
+    let seq =
+        SharedGraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, one_shard)
             .unwrap();
     let shared =
         SharedGraphCache::new(ds, Arc::new(SiMethod), || PolicyKind::Hd.make(), cfg).unwrap();
@@ -213,9 +217,9 @@ fn memo_hit_is_zero_work_and_generation_invalidated() {
     let ds = dataset(20, 123);
     // Tiny cache: entries evict fast, so a repeat finds its evicted entry
     // demoted to an answer-only row.
-    let cfg = CacheConfig { capacity: 2, window_size: 1, ..CacheConfig::default() };
-    let mut gc =
-        GraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Lru, cfg).unwrap();
+    let cfg = CacheConfig { capacity: 2, window_size: 1, shards: 1, ..CacheConfig::default() };
+    let gc = SharedGraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Lru, cfg)
+        .unwrap();
 
     let mut rng = StdRng::seed_from_u64(9);
     let q = extract_query(ds.graph(1), 6, &mut rng).unwrap();
@@ -254,8 +258,9 @@ fn memo_hit_is_zero_work_and_generation_invalidated() {
 #[test]
 fn cached_entries_are_repaired_in_place_by_mutation() {
     let ds = dataset(20, 321);
-    let mut gc =
-        GraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, config()).unwrap();
+    let gc =
+        SharedGraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, config())
+            .unwrap();
     let mut rng = StdRng::seed_from_u64(4);
     let q = extract_query(ds.graph(2), 5, &mut rng).unwrap();
     let first = gc.query(&q, QueryKind::Subgraph);
@@ -286,8 +291,9 @@ fn exact_hit_text_slot_follows_repairs() {
     let ds = dataset(20, 321);
     let mut rng = StdRng::seed_from_u64(4);
     let q = extract_query(ds.graph(2), 5, &mut rng).unwrap();
-    let mut gc =
-        GraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, config()).unwrap();
+    let gc =
+        SharedGraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, config())
+            .unwrap();
     let ids = |answer: &BitSet| {
         let mut text = Vec::new();
         answer.write_ids(&mut text);
@@ -336,7 +342,7 @@ fn warm_restart_replays_journaled_dataset_deltas() {
     // Session A: snapshot first (pristine dataset), then mutate — the
     // mutations live only in the journal as dataset deltas.
     let store = Arc::new(CacheStore::open(&dir).unwrap());
-    let (mut a, _) = restore(base.clone(), cfg.clone(), store);
+    let (a, _) = restore(base.clone(), cfg.clone(), store);
     let mut rng = StdRng::seed_from_u64(12);
     let q = extract_query(base.graph(3), 5, &mut rng).unwrap();
     a.query(&q, QueryKind::Subgraph);
@@ -359,7 +365,7 @@ fn warm_restart_replays_journaled_dataset_deltas() {
     // replayed from the journal, and restored entries repaired to the
     // final universe.
     let store = Arc::new(CacheStore::open(&dir).unwrap());
-    let (mut b, report) = restore(base, cfg, store);
+    let (b, report) = restore(base, cfg, store);
     assert!(report.warm, "delta-bearing store must restore warm: {:?}", report.cold_reason);
     assert!(report.journal_deltas >= 4, "all four mutations must replay as journal deltas");
     assert_eq!(b.dataset().generation(), final_gen);
@@ -376,7 +382,7 @@ fn restore_accepts_already_mutated_base_dataset() {
     let base = dataset(14, 777);
     let dir = tmpdir("mutated_base");
     let store = Arc::new(CacheStore::open(&dir).unwrap());
-    let (mut a, _) = restore(base.clone(), config(), store);
+    let (a, _) = restore(base.clone(), config(), store);
     let mut rng = StdRng::seed_from_u64(2);
     let q = extract_query(base.graph(1), 5, &mut rng).unwrap();
     a.query(&q, QueryKind::Subgraph);
@@ -391,7 +397,7 @@ fn restore_accepts_already_mutated_base_dataset() {
     // Restoring with the already-mutated dataset (e.g. the caller replayed
     // its own op log) must also work — no double-application of ops.
     let store = Arc::new(CacheStore::open(&dir).unwrap());
-    let (mut b, report) = restore(mutated.clone(), config(), store);
+    let (b, report) = restore(mutated.clone(), config(), store);
     assert!(report.warm, "mutated base matching the snapshot must restore warm");
     assert_eq!(b.dataset().content_fingerprint(), mutated.content_fingerprint());
     assert_eq!(b.query(&q, QueryKind::Subgraph).answer, answer);
@@ -492,7 +498,7 @@ fn dir_with_four_deltas(tag: &str) -> (Arc<Dataset>, PathBuf) {
     let base = dataset(12, 606);
     let dir = tmpdir(tag);
     let store = Arc::new(CacheStore::open(&dir).unwrap());
-    let (mut a, _) = restore(base.clone(), config(), store);
+    let (a, _) = restore(base.clone(), config(), store);
     for g in molecule_dataset(3, 909) {
         a.insert_graph(g);
     }
@@ -611,14 +617,14 @@ fn shared_dataset_with_a_tombstone() -> Arc<Dataset> {
     Arc::new(d)
 }
 
-fn cache_over(ds: &Arc<Dataset>) -> GraphCache {
-    GraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, config()).unwrap()
+fn cache_over(ds: &Arc<Dataset>) -> SharedGraphCache {
+    SharedGraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, config()).unwrap()
 }
 
 #[test]
 fn removing_an_already_removed_graph_does_not_copy_the_dataset() {
     let ds = shared_dataset_with_a_tombstone();
-    let mut gc = cache_over(&ds);
+    let gc = cache_over(&ds);
     assert!(!gc.remove_graph(2));
     assert!(Arc::ptr_eq(&gc.dataset(), &ds), "a no-op remove must not copy the dataset");
     assert_eq!(gc.dataset().generation(), 1);
@@ -628,7 +634,7 @@ fn removing_an_already_removed_graph_does_not_copy_the_dataset() {
 #[test]
 fn removing_an_unknown_graph_id_returns_false() {
     let ds = shared_dataset_with_a_tombstone();
-    let mut gc = cache_over(&ds);
+    let gc = cache_over(&ds);
     for gid in [ds.len() as u32, u32::MAX] {
         assert!(!gc.remove_graph(gid));
     }

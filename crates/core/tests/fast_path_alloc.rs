@@ -2,10 +2,10 @@
 //! by a resident entry (an exact hit) or an answer-only row (a memo hit).
 //! With the trace sampler off, a warm hit on an **identical presentation**
 //! performs exactly **one** heap allocation — the answer set handed back in
-//! the report — at one shard (what `GraphCache` runs) and at eight: the
-//! repeat's key is a hint, read from a lock-free table by the query's
-//! presentation hash (no WL fingerprint is computed; a presentation the
-//! table lost computes one on thread-local scratch), it routes the lookup
+//! the report — at one shard and at eight: the repeat's key is a hint,
+//! read from a lock-free table by the query's presentation hash (no WL
+//! fingerprint is computed; a presentation the table lost computes one on
+//! thread-local scratch), it routes the lookup
 //! (an entry's hit repeats it under the write lock), the confirmation is a
 //! presentation comparison, the policy credit and the statistics are in
 //! place, the report's four stage sets are empty over an empty universe,

@@ -13,7 +13,7 @@
 //! store, so they run in parallel.
 
 use gc_core::persist::{Failpoint, FaultPlan, FaultSite};
-use gc_core::{CacheConfig, GraphCache, PersistHealth, PolicyKind, SharedGraphCache};
+use gc_core::{CacheConfig, PersistHealth, PolicyKind, SharedGraphCache};
 use gc_method::{execute_base, Dataset, Engine, SiMethod};
 use gc_workload::{molecule_dataset, Workload, WorkloadKind, WorkloadSpec};
 use std::path::{Path, PathBuf};
@@ -91,8 +91,10 @@ fn failed_append_is_caught_up_by_a_snapshot() {
     let ds = dataset();
     let dir = tmpdir("catch_up");
     let store = Arc::new(gc_core::CacheStore::open(&dir).unwrap());
+    let one_shard = CacheConfig { shards: 1, ..config() };
     let mut gc =
-        GraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, config()).unwrap();
+        SharedGraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, one_shard)
+            .unwrap();
     gc.attach_store(Arc::clone(&store)).unwrap();
     assert_exact(&gc, &workload(&ds, 30, 5));
     let before = store.generation();
@@ -124,8 +126,10 @@ fn persistent_append_failure_degrades_then_recovers() {
     let ds = dataset();
     let dir = tmpdir("degrade");
     let store = Arc::new(gc_core::CacheStore::open(&dir).unwrap());
+    let one_shard = CacheConfig { shards: 1, ..config() };
     let mut gc =
-        GraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, config()).unwrap();
+        SharedGraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, one_shard)
+            .unwrap();
     gc.attach_store(Arc::clone(&store)).unwrap();
     assert_eq!(gc.persist_health(), Some(PersistHealth::Healthy));
 
@@ -167,8 +171,10 @@ fn total_store_outage_stays_degraded_and_exact() {
     let ds = dataset();
     let dir = tmpdir("outage");
     let store = Arc::new(gc_core::CacheStore::open(&dir).unwrap());
+    let one_shard = CacheConfig { shards: 1, ..config() };
     let mut gc =
-        GraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, config()).unwrap();
+        SharedGraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, one_shard)
+            .unwrap();
     gc.attach_store(Arc::clone(&store)).unwrap();
 
     // Appends AND snapshots fail: every mutation tries (and fails) its

@@ -14,7 +14,7 @@
 //! * a restore resumes the admission window's phase.
 
 use gc_core::persist::{CacheStore, RecoveryReport};
-use gc_core::{CacheConfig, GraphCache, PolicyKind, SharedGraphCache};
+use gc_core::{CacheConfig, PolicyKind, SharedGraphCache};
 use gc_graph::Graph;
 use gc_method::{execute_base, Dataset, Engine, QueryKind, SiMethod};
 use gc_workload::{molecule_dataset, Workload, WorkloadKind, WorkloadSpec};
@@ -47,8 +47,10 @@ fn config() -> CacheConfig {
     CacheConfig { capacity: 24, window_size: 3, ..CacheConfig::default() }
 }
 
-fn session(ds: &Arc<Dataset>, cfg: CacheConfig) -> GraphCache {
-    GraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, cfg).unwrap()
+/// A one-shard HD cache over `ds`.
+fn session(ds: &Arc<Dataset>, cfg: CacheConfig) -> SharedGraphCache {
+    let cfg = CacheConfig { shards: 1, ..cfg };
+    SharedGraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, cfg).unwrap()
 }
 
 fn open(dir: &Path) -> Arc<CacheStore> {
@@ -60,8 +62,10 @@ fn restore(
     ds: Arc<Dataset>,
     cfg: CacheConfig,
     store: Arc<CacheStore>,
-) -> (GraphCache, RecoveryReport) {
-    GraphCache::restore_from(ds, Box::new(SiMethod), PolicyKind::Hd.make(), cfg, store).unwrap()
+) -> (SharedGraphCache, RecoveryReport) {
+    let cfg = CacheConfig { shards: 1, ..cfg };
+    SharedGraphCache::restore_from(ds, Arc::new(SiMethod), || PolicyKind::Hd.make(), cfg, store)
+        .unwrap()
 }
 
 /// Multiset of (fingerprint, kind) over a cache's live entries, across its
@@ -102,7 +106,7 @@ fn crash_restores_the_last_snapshot_plus_every_delta() {
     // each time the store's generation bumps: that is what the rotation
     // wrote.
     let cfg = CacheConfig { snapshot_interval: Some(16), ..config() };
-    let (mut a, first) = restore(ds.clone(), cfg.clone(), open(&dir));
+    let (a, first) = restore(ds.clone(), cfg.clone(), open(&dir));
     assert!(!first.warm, "fresh directory must start cold");
     let mut generation = a.attached_store().unwrap().generation();
     let mut at_rotation = entry_signature(&a);
@@ -133,7 +137,7 @@ fn crash_restores_the_last_snapshot_plus_every_delta() {
     drop(a);
 
     // Session B: the last rotation's entries, every delta, exact answers.
-    let (mut b, report) = restore(ds.clone(), cfg, open(&dir));
+    let (b, report) = restore(ds.clone(), cfg, open(&dir));
     assert!(report.warm, "valid store must restore warm: {:?}", report.cold_reason);
     assert_eq!(entry_signature(&b), at_rotation, "restored entries = the last rotation's");
     assert_eq!(report.journal_deltas as u64, after_rotation);
@@ -160,16 +164,16 @@ fn warm_and_cold_answers_are_identical() {
     let dir = tmpdir("equivalence");
 
     let store = open(&dir);
-    let mut a = session(&ds, config());
+    let a = session(&ds, config());
     for wq in &warmup.queries {
         a.query(&wq.graph, wq.kind);
     }
     a.snapshot_to(&store).unwrap();
     drop(a);
 
-    let (mut warm, report) = restore(ds.clone(), config(), open(&dir));
+    let (warm, report) = restore(ds.clone(), config(), open(&dir));
     assert!(report.warm);
-    let mut cold = session(&ds, config());
+    let cold = session(&ds, config());
 
     let mut warm_hits = 0u64;
     for wq in &probe.queries {
@@ -218,7 +222,7 @@ fn persisted_dir(tag: &str, ds: &Arc<Dataset>) -> PathBuf {
 
 /// Restore from `dir` and assert a cold-but-correct start.
 fn assert_cold_but_correct(dir: &Path, ds: &Arc<Dataset>, what: &str) {
-    let (mut gc, report) = restore(ds.clone(), config(), open(dir));
+    let (gc, report) = restore(ds.clone(), config(), open(dir));
     assert!(!report.warm, "{what}: corruption must fail closed to a cold start");
     assert!(report.cold_reason.is_some(), "{what}: reason must be reported");
     assert!(gc.is_empty(), "{what}: cold cache must be empty");
@@ -289,7 +293,7 @@ fn corrupted_files_fall_back_to_cold_start() {
     let path = journal_path(&dir);
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-    let (mut gc, report) = restore(ds.clone(), config(), open(&dir));
+    let (gc, report) = restore(ds.clone(), config(), open(&dir));
     assert!(report.warm, "a torn tail keeps the intact journal prefix");
     assert!(report.journal_torn_bytes > 0, "the dropped tail is reported");
     let q = &workload(&ds, 5, 1).queries[0];
@@ -396,7 +400,7 @@ fn cross_runtime_restore_shared_to_sequential() {
 fn restore_into_a_smaller_cache_trims_it() {
     let ds = dataset(26, 61);
     let dir = tmpdir("trim");
-    let mut a = session(&ds, config());
+    let a = session(&ds, config());
     for wq in &workload(&ds, 80, 29).queries {
         a.query(&wq.graph, wq.kind);
     }
@@ -404,7 +408,7 @@ fn restore_into_a_smaller_cache_trims_it() {
     a.snapshot_to(&open(&dir)).unwrap();
 
     let small = CacheConfig { capacity: 3, window_size: 1, ..config() };
-    let (mut b, report) = restore(ds.clone(), small, open(&dir));
+    let (b, report) = restore(ds.clone(), small, open(&dir));
     assert!(report.warm);
     assert!(b.len() <= 3, "restored {} entries into a capacity-3 cache", b.len());
     assert_eq!(report.entries_restored, b.len());
@@ -425,7 +429,7 @@ fn restore_resumes_the_admission_window() {
     let w = workload(&ds, 120, 31);
     let dir = tmpdir("window");
     let cfg = CacheConfig { capacity: 8, window_size: 4, ..config() };
-    let mut a = session(&ds, cfg.clone());
+    let a = session(&ds, cfg.clone());
     let mut queries = w.queries.iter();
     for wq in queries.by_ref() {
         a.query(&wq.graph, wq.kind);
@@ -443,7 +447,7 @@ fn restore_resumes_the_admission_window() {
     assert_eq!(rows, 0, "the snapshot must not drop rows the original serves");
     a.snapshot_to(&open(&dir)).unwrap();
 
-    let (mut b, report) = restore(ds.clone(), cfg, open(&dir));
+    let (b, report) = restore(ds.clone(), cfg, open(&dir));
     assert!(report.warm);
     let mut evictions = 0;
     for (i, wq) in queries.enumerate() {
@@ -483,7 +487,7 @@ fn write_store_fixture() {
     let _ = std::fs::remove_dir_all(STORE_FIXTURE);
     let cfg = CacheConfig { snapshot_interval: Some(8), ..config() };
     let store = open(Path::new(STORE_FIXTURE));
-    let (mut gc, _) = restore(ds, cfg, store);
+    let (gc, _) = restore(ds, cfg, store);
     for (i, wq) in w.queries.iter().enumerate() {
         if i == 30 {
             gc.insert_graph(inserted.clone());
@@ -509,7 +513,7 @@ fn store_written_before_the_fingerprint_rewrite_restores_warm() {
     let cfg = CacheConfig { snapshot_interval: Some(8), ..config() };
     let mut live = Dataset::clone(&ds);
     live.insert_graph(inserted);
-    let (mut gc, report) = restore(ds, cfg, store);
+    let (gc, report) = restore(ds, cfg, store);
     assert!(report.warm, "fixture must restore warm: {:?}", report.cold_reason);
     assert_eq!(report.journal_deltas, 1, "the journaled insert replays");
     assert_eq!(report.journal_legacy_skipped, 5, "the legacy admission records are skipped");
@@ -554,14 +558,14 @@ proptest! {
         let cfg = CacheConfig { capacity, window_size: 2, ..CacheConfig::default() };
         let dir = tmpdir(&format!("prop_{ds_seed}_{w_seed}_{n_queries}_{capacity}"));
 
-        let mut a = session(&ds, cfg.clone());
+        let a = session(&ds, cfg.clone());
         for wq in &w.queries {
             a.query(&wq.graph, wq.kind);
         }
         let store = open(&dir);
         a.snapshot_to(&store).unwrap();
 
-        let (mut b, report) = restore(ds.clone(), cfg, store);
+        let (b, report) = restore(ds.clone(), cfg, store);
         prop_assert!(report.warm);
         prop_assert_eq!(report.entries_restored, a.len());
         prop_assert_eq!(entry_signature(&b), entry_signature(&a));

@@ -6,7 +6,8 @@
 //! gc generate --out ds.tve [--count 100] [--seed 42] [--model molecules|er|ba]
 //! gc run      --dataset ds.tve [--queries 300] [--workload zipf|uniform|drift]
 //!             [--policy HD] [--capacity 50] [--feature-size 2] [--dev]
-//!             [--clients 8] [--check]   # N>1: N client threads, one SharedGraphCache
+//!             [--clients 8] [--check]   # N>1: N client threads, one cache;
+//!                                       # --check: every answer vs Method M
 //!             [--snapshot-dir state/]   # warm-restart + journal + snapshot
 //!             [--server 127.0.0.1:7411] # client mode: POST the workload to
 //!                                       # a running `gc serve` over HTTP
@@ -30,14 +31,19 @@
 //! (entries re-routed to their home shards) before the client threads
 //! start, and the closing snapshot is taken after they join.
 //!
+//! Every local cache comes from one function, `build_cache`: one shard,
+//! except `run --clients N` (N > 1) and `serve`, which take the default
+//! shard count; with `--snapshot-dir` it is warm-restarted from the
+//! directory, for every subcommand.
+//!
 //! Datasets are plain `t/v/e` text files (the AIDS/gSpan format), so real
 //! datasets drop in directly.
 
 use gc_core::persist::CacheStore;
-use gc_core::{CacheConfig, GraphCache, PolicyKind, RecoveryReport, SharedGraphCache};
+use gc_core::{CacheConfig, PolicyKind, RecoveryReport, SharedGraphCache};
 use gc_demo::{
     developer_monitor, end_user_monitor, render_end_user_monitor, run_multi_client,
-    run_multi_client_persistent, run_query_journey, run_workload_comparison, DeploymentInfo,
+    run_query_journey, run_workload_comparison, DeploymentInfo,
 };
 use gc_method::{Dataset, FtvMethod, QueryKind};
 use gc_server::{HttpClient, QueryResponse, Server, ServerConfig};
@@ -143,42 +149,32 @@ fn cache_config(flags: &HashMap<String, String>) -> Result<CacheConfig, String> 
     })
 }
 
+/// Build the cache every subcommand runs: `shards` shards over a fresh
+/// FTV method, warm-restarted from `--snapshot-dir` when one is given
+/// (journaling stays attached, so the session's mutations persist too).
+/// The recovery report is printed and returned; `None` without a store.
 fn build_cache(
     dataset: &Arc<Dataset>,
     flags: &HashMap<String, String>,
-) -> Result<GraphCache, String> {
+    shards: usize,
+) -> Result<(SharedGraphCache, Option<RecoveryReport>), String> {
     let policy: PolicyKind =
         flags.get("policy").map(|p| p.parse()).transpose()?.unwrap_or(PolicyKind::Hd);
     let feature_size: usize = get(flags, "feature-size", 2)?;
-    GraphCache::with_policy(
-        dataset.clone(),
-        Box::new(FtvMethod::build(dataset, feature_size)),
-        policy,
-        cache_config(flags)?,
-    )
-}
-
-/// Build a cache warm-restarted from `--snapshot-dir` (journaling stays
-/// attached, so the session's admissions persist too).
-fn build_persistent_cache(
-    dataset: &Arc<Dataset>,
-    flags: &HashMap<String, String>,
-    dir: &str,
-) -> Result<(GraphCache, RecoveryReport), String> {
-    let policy: PolicyKind =
-        flags.get("policy").map(|p| p.parse()).transpose()?.unwrap_or(PolicyKind::Hd);
-    let feature_size: usize = get(flags, "feature-size", 2)?;
+    let config = CacheConfig { shards, ..cache_config(flags)? };
+    let method = Arc::new(FtvMethod::build(dataset, feature_size));
+    let Some(dir) = flags.get("snapshot-dir") else {
+        let gc = SharedGraphCache::new(dataset.clone(), method, || policy.make(), config)?;
+        return Ok((gc, None));
+    };
     let store = Arc::new(CacheStore::open(dir).map_err(|e| format!("{dir}: {e}"))?);
-    GraphCache::restore_from(
-        dataset.clone(),
-        Box::new(FtvMethod::build(dataset, feature_size)),
-        policy.make(),
-        cache_config(flags)?,
-        store,
-    )
+    let (gc, recovery) =
+        SharedGraphCache::restore_from(dataset.clone(), method, || policy.make(), config, store)?;
+    println!("[Persistence] {}", recovery.describe());
+    Ok((gc, Some(recovery)))
 }
 
-fn finish_snapshot(gc: &GraphCache) -> Result<(), String> {
+fn finish_snapshot(gc: &SharedGraphCache) -> Result<(), String> {
     let info = gc.snapshot_now()?.ok_or("no store attached")?;
     println!(
         "[Persistence] snapshot generation {} written: {} entries, {} KiB",
@@ -207,70 +203,35 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
         return run_against_server(addr, &dataset, &workload, flags);
     }
 
-    // Multi-client mode: stripe the workload over N threads hammering one
-    // SharedGraphCache (optionally cross-checking answers with --check;
-    // `--snapshot-dir` warm-restarts the shared cache and journals the
-    // session, exactly like the sequential mode).
+    // N > 1 clients stripe the workload over N threads hammering one cache
+    // of the default shard count; one client runs a one-shard cache.
+    // `--check` compares every answer with Method M alone, and
+    // `--snapshot-dir` warm-restarts the cache and journals the session,
+    // in both modes.
     let clients: usize = get(flags, "clients", 1)?;
+    let shards = if clients > 1 { CacheConfig::default().shards } else { 1 };
+    let (gc, _) = build_cache(&dataset, flags, shards)?;
+    let run = run_multi_client(&gc, &workload, clients, flags.contains_key("check"));
     if clients > 1 {
-        let policy: PolicyKind =
-            flags.get("policy").map(|p| p.parse()).transpose()?.unwrap_or(PolicyKind::Hd);
-        let feature_size: usize = get(flags, "feature-size", 2)?;
-        let config = cache_config(flags)?;
-        let make_method =
-            || -> Box<dyn gc_method::Method> { Box::new(FtvMethod::build(&dataset, feature_size)) };
-        let check = flags.contains_key("check");
-        let run = match flags.get("snapshot-dir") {
-            Some(dir) => {
-                let store = Arc::new(CacheStore::open(dir).map_err(|e| format!("{dir}: {e}"))?);
-                let (run, recovery, info) = run_multi_client_persistent(
-                    &dataset,
-                    &make_method,
-                    policy,
-                    &config,
-                    &workload,
-                    clients,
-                    check,
-                    store,
-                )?;
-                println!("[Persistence] {}", recovery.describe());
-                println!(
-                    "[Persistence] snapshot generation {} written: {} entries, {} KiB",
-                    info.generation,
-                    info.entries,
-                    info.snapshot_bytes / 1024
-                );
-                run
-            }
-            None => {
-                run_multi_client(&dataset, &make_method, policy, &config, &workload, clients, check)
-            }
-        };
         print!("{}", run.render());
-        if run.mismatches > 0 {
-            return Err(format!("{} answer mismatches vs sequential replay", run.mismatches));
+    } else {
+        println!("{}", end_user_monitor(&gc));
+        if flags.contains_key("dev") {
+            println!("{}", developer_monitor(&gc, get(flags, "top", 15)?));
         }
-        return Ok(());
-    }
-
-    let snapshot_dir = flags.get("snapshot-dir").cloned();
-    let mut gc = match &snapshot_dir {
-        Some(dir) => {
-            let (gc, recovery) = build_persistent_cache(&dataset, flags, dir)?;
-            println!("[Persistence] {}", recovery.describe());
-            gc
+        if run.verified {
+            println!(
+                "checked  : {} of {} answers match Method M alone",
+                run.queries - run.mismatches,
+                run.queries
+            );
         }
-        None => build_cache(&dataset, flags)?,
-    };
-    for wq in &workload.queries {
-        gc.query(&wq.graph, wq.kind);
     }
-    println!("{}", end_user_monitor(&gc));
-    if flags.contains_key("dev") {
-        println!("{}", developer_monitor(&gc, get(flags, "top", 15)?));
-    }
-    if snapshot_dir.is_some() {
+    if flags.contains_key("snapshot-dir") {
         finish_snapshot(&gc)?;
+    }
+    if run.mismatches > 0 {
+        return Err(format!("{} answer mismatches vs Method M", run.mismatches));
     }
     Ok(())
 }
@@ -287,10 +248,12 @@ fn cmd_save(flags: &HashMap<String, String>) -> Result<(), String> {
 /// `gc load`: warm-restart from a snapshot dir and show what came back,
 /// without running any workload.
 fn cmd_load(flags: &HashMap<String, String>) -> Result<(), String> {
-    let dir = flags.get("snapshot-dir").ok_or("missing --snapshot-dir <dir>")?;
+    if !flags.contains_key("snapshot-dir") {
+        return Err("missing --snapshot-dir <dir>".into());
+    }
     let dataset = load_dataset(flags)?;
-    let (gc, recovery) = build_persistent_cache(&dataset, flags, dir)?;
-    println!("[Persistence] {}", recovery.describe());
+    let (gc, recovery) = build_cache(&dataset, flags, 1)?;
+    let recovery = recovery.expect("--snapshot-dir is set");
     println!("{}", end_user_monitor(&gc));
     println!("{}", developer_monitor(&gc, get(flags, "top", 15)?));
     if !recovery.warm {
@@ -333,27 +296,8 @@ fn cmd_doctor(dir: &str, json: bool) -> Result<(), String> {
 /// `--snapshot-dir`, cutting a final snapshot for a warm restart.
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let dataset = load_dataset(flags)?;
-    let policy: PolicyKind =
-        flags.get("policy").map(|p| p.parse()).transpose()?.unwrap_or(PolicyKind::Hd);
-    let feature_size: usize = get(flags, "feature-size", 2)?;
     let workers: usize = get(flags, "workers", 4)?;
-    let config = cache_config(flags)?;
-    let method = FtvMethod::build(&dataset, feature_size);
-    let cache = match flags.get("snapshot-dir") {
-        Some(dir) => {
-            let store = Arc::new(CacheStore::open(dir).map_err(|e| format!("{dir}: {e}"))?);
-            let (gc, recovery) = SharedGraphCache::restore_from(
-                dataset.clone(),
-                Arc::new(method),
-                || policy.make(),
-                config,
-                store,
-            )?;
-            println!("[Persistence] {}", recovery.describe());
-            gc
-        }
-        None => SharedGraphCache::with_policy(dataset.clone(), Box::new(method), policy, config)?,
-    };
+    let (cache, _) = build_cache(&dataset, flags, CacheConfig::default().shards)?;
     let server = Server::start(
         Arc::new(cache),
         ServerConfig {
@@ -509,7 +453,7 @@ fn cmd_mutate(flags: &HashMap<String, String>) -> Result<(), String> {
     }
 
     let check = flags.contains_key("check");
-    let mut gc = build_cache(&dataset, flags)?;
+    let (gc, _) = build_cache(&dataset, flags, 1)?;
     let mut rng = StdRng::seed_from_u64(seed);
     let fresh = molecule_dataset(rounds * inserts, seed ^ 0x6d75_7461);
     let mut fresh = fresh.into_iter();
@@ -731,7 +675,7 @@ fn cmd_top(flags: &HashMap<String, String>) -> Result<(), String> {
 
 fn cmd_journey(flags: &HashMap<String, String>) -> Result<(), String> {
     let dataset = load_dataset(flags)?;
-    let mut gc = build_cache(&dataset, flags)?;
+    let (gc, _) = build_cache(&dataset, flags, 1)?;
     let seed: u64 = get(flags, "seed", 7)?;
     let mut rng = StdRng::seed_from_u64(seed);
     let chain = nested_chain(dataset.graph(0), &[3, 5, 8, 12], &mut rng);
@@ -743,7 +687,7 @@ fn cmd_journey(flags: &HashMap<String, String>) -> Result<(), String> {
             gc.query(q, QueryKind::Subgraph);
         }
     }
-    let journey = run_query_journey(&mut gc, &chain[2], QueryKind::Subgraph);
+    let journey = run_query_journey(&gc, &chain[2], QueryKind::Subgraph);
     println!("{}", journey.rendering);
     Ok(())
 }
@@ -780,7 +724,8 @@ const USAGE: &str =
   gc generate --out ds.tve [--count N] [--seed S] [--model molecules|er|ba]
   gc run      --dataset ds.tve [--queries N] [--workload zipf|uniform|drift]
               [--policy LRU|POP|PIN|PINC|HD] [--capacity N] [--feature-size L] [--dev]
-              [--clients N] [--check]   (N>1: N client threads, one SharedGraphCache)
+              [--clients N] [--check]   (N>1: N client threads, one cache;
+               --check compares every answer with Method M alone)
               [--server HOST:PORT]      (client mode: POST the workload to a
                running `gc serve`; --check cross-checks every HTTP answer)
               [--snapshot-dir DIR [--snapshot-interval N] [--journal-max-bytes B]

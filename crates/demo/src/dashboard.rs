@@ -3,8 +3,7 @@
 //! The paper's Dashboard Manager (Fig. 1) serves two audiences: end-users
 //! get digested performance panels (Sub-Iso Testing, Query Time, Cache
 //! Replacement); developers get introspection into the cache's internals.
-//! Both render here as plain text from a live [`SharedGraphCache`] (a
-//! `GraphCache` derefs to one).
+//! Both render here as plain text from a live [`SharedGraphCache`].
 
 use crate::ascii;
 use gc_core::{GlobalStats, SharedGraphCache};
@@ -174,18 +173,18 @@ pub fn developer_monitor(gc: &SharedGraphCache, limit: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gc_core::{CacheConfig, GraphCache, PolicyKind};
+    use gc_core::{CacheConfig, PolicyKind};
     use gc_method::{Dataset, QueryKind, SiMethod};
     use gc_workload::{molecule_dataset, Workload, WorkloadKind, WorkloadSpec};
     use std::sync::Arc;
 
-    fn warmed() -> GraphCache {
+    fn warmed() -> SharedGraphCache {
         let dataset = Arc::new(Dataset::new(molecule_dataset(15, 21)));
-        let mut gc = GraphCache::with_policy(
+        let gc = SharedGraphCache::with_policy(
             dataset.clone(),
             Box::new(SiMethod),
             PolicyKind::Hd,
-            CacheConfig { capacity: 8, window_size: 2, ..CacheConfig::default() },
+            CacheConfig { capacity: 8, window_size: 2, shards: 1, ..CacheConfig::default() },
         )
         .unwrap();
         let spec = WorkloadSpec {

@@ -27,8 +27,7 @@ pub mod workload_run;
 pub use dashboard::{developer_monitor, end_user_monitor, render_end_user_monitor, DeploymentInfo};
 pub use journey::{run_query_journey, QueryJourney};
 pub use workload_run::{
-    run_multi_client, run_multi_client_persistent, run_workload_comparison, MultiClientRun,
-    PolicyOutcome, WorkloadComparison,
+    run_multi_client, run_workload_comparison, MultiClientRun, PolicyOutcome, WorkloadComparison,
 };
 
 /// Render a short id list like `39, 41, 43, …` capped at `max` items.

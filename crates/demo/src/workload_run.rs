@@ -1,6 +1,6 @@
 //! Scenario II: The Workload Run (paper §3.2, Fig. 2(b,c)).
 //!
-//! Runs the same workload through one GraphCache instance per replacement
+//! Runs the same workload through one one-shard cache per replacement
 //! policy (all over the same Method M), tracking per-query hit percentages
 //! and which entries each policy evicts, then renders the side-by-side
 //! comparison the demo shows — different policies evict different graphs,
@@ -8,15 +8,12 @@
 //!
 //! Also hosts the **multi-client mode** ([`run_multi_client`]): the same
 //! workload striped across N client threads hammering one
-//! [`SharedGraphCache`], with optional per-answer verification against a
-//! sequential replay — the demo surface of the concurrent front-end.
+//! [`SharedGraphCache`], with optional per-answer verification against
+//! Method M alone — the demo surface of the concurrent front-end.
 
 use crate::ascii;
-use gc_core::{
-    CacheConfig, CacheStore, EntryId, GlobalStats, GraphCache, PolicyKind, RecoveryReport,
-    SharedGraphCache, SnapshotInfo,
-};
-use gc_method::{execute_base, Dataset, Engine, Method};
+use gc_core::{CacheConfig, EntryId, GlobalStats, PolicyKind, SharedGraphCache};
+use gc_method::{execute_base, Dataset, Engine, Method, SiMethod};
 use gc_workload::Workload;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -56,9 +53,11 @@ pub struct WorkloadComparison {
     pub base_avg_time: Duration,
 }
 
-/// Run `workload` under every bundled policy over caches built by
-/// `make_method` (one fresh Method M per policy so indices are unshared),
-/// and also through the base method alone for the speedup denominator.
+/// Run `workload` under every bundled policy over one-shard caches built
+/// by `make_method` (one fresh Method M per policy so indices are
+/// unshared), and also through the base method alone for the speedup
+/// denominator. `config.shards` is ignored: the evicted ids shown are one
+/// shard's.
 pub fn run_workload_comparison(
     dataset: &Arc<Dataset>,
     make_method: &dyn Fn() -> Box<dyn Method>,
@@ -82,9 +81,9 @@ pub fn run_workload_comparison(
     let outcomes = PolicyKind::all()
         .into_iter()
         .map(|policy| {
-            let mut gc =
-                GraphCache::with_policy(dataset.clone(), make_method(), policy, config.clone())
-                    .expect("valid config");
+            let config = CacheConfig { shards: 1, ..config.clone() };
+            let gc = SharedGraphCache::with_policy(dataset.clone(), make_method(), policy, config)
+                .expect("valid config");
             let mut evicted = Vec::new();
             let mut hit_timeline = Vec::with_capacity(workload.len());
             let mut hit_pct_timeline = Vec::with_capacity(workload.len());
@@ -216,7 +215,7 @@ pub struct MultiClientRun {
     /// Client thread count.
     pub clients: usize,
     /// Replacement policy used.
-    pub policy: PolicyKind,
+    pub policy: &'static str,
     /// Total queries served (across all clients).
     pub queries: usize,
     /// Wall-clock time from first to last query.
@@ -225,94 +224,40 @@ pub struct MultiClientRun {
     pub throughput_qps: f64,
     /// Final cache statistics.
     pub stats: GlobalStats,
-    /// Answers that differed from the sequential replay (always 0; counted
-    /// only when verification was requested).
+    /// Answers that differed from Method M's (always 0; counted only when
+    /// verification was requested).
     pub mismatches: usize,
-    /// Whether answers were verified against a sequential [`GraphCache`]
-    /// replay of the same workload.
+    /// Whether answers were verified against Method M alone over the
+    /// cache's dataset.
     pub verified: bool,
 }
 
-/// Run `workload` through one [`SharedGraphCache`] from `clients` threads
-/// (queries striped round-robin), measuring throughput.
+/// Run `workload` through `gc` from `clients` threads (queries striped
+/// round-robin), measuring throughput.
 ///
-/// With `verify_answers`, the same workload is first replayed through a
-/// sequential [`GraphCache`] over an identically-built Method M, and every
-/// concurrent answer is compared bit-for-bit (paper §1 Problem (2): the
+/// With `verify_answers`, every concurrent answer is compared bit-for-bit
+/// with Method M alone (an index-free scan, verified by VF2) over
+/// `gc.dataset()` — the dataset the cache actually serves, which after a
+/// warm restart includes the journal's deltas (paper §1 Problem (2): the
 /// shared front-end may not introduce false positives/negatives).
 pub fn run_multi_client(
-    dataset: &Arc<Dataset>,
-    make_method: &dyn Fn() -> Box<dyn Method>,
-    policy: PolicyKind,
-    config: &CacheConfig,
-    workload: &Workload,
-    clients: usize,
-    verify_answers: bool,
-) -> MultiClientRun {
-    let clients = clients.max(1);
-    let expected: Vec<gc_graph::BitSet> = if verify_answers {
-        let mut seq =
-            GraphCache::with_policy(dataset.clone(), make_method(), policy, config.clone())
-                .expect("valid config");
-        workload.queries.iter().map(|wq| seq.query(&wq.graph, wq.kind).answer).collect()
-    } else {
-        Vec::new()
-    };
-
-    let gc = SharedGraphCache::with_policy(dataset.clone(), make_method(), policy, config.clone())
-        .expect("valid config");
-    drive_clients(&gc, policy, workload, clients, verify_answers, &expected)
-}
-
-/// [`run_multi_client`] with persistence threaded through: the shared
-/// cache is warm-restarted from `store` (the snapshot's entries, each
-/// re-routed to its home shard, over the journal's dataset), the workload
-/// runs as usual, and a closing snapshot is rotated in. Returns the
-/// run, the recovery report, and the closing snapshot's info.
-#[allow(clippy::too_many_arguments)] // run_multi_client's surface + the store
-pub fn run_multi_client_persistent(
-    dataset: &Arc<Dataset>,
-    make_method: &dyn Fn() -> Box<dyn Method>,
-    policy: PolicyKind,
-    config: &CacheConfig,
-    workload: &Workload,
-    clients: usize,
-    verify_answers: bool,
-    store: Arc<CacheStore>,
-) -> Result<(MultiClientRun, RecoveryReport, SnapshotInfo), String> {
-    let clients = clients.max(1);
-    let expected: Vec<gc_graph::BitSet> = if verify_answers {
-        let mut seq =
-            GraphCache::with_policy(dataset.clone(), make_method(), policy, config.clone())
-                .expect("valid config");
-        workload.queries.iter().map(|wq| seq.query(&wq.graph, wq.kind).answer).collect()
-    } else {
-        Vec::new()
-    };
-
-    let (gc, recovery) = SharedGraphCache::restore_from(
-        dataset.clone(),
-        Arc::from(make_method()),
-        || policy.make(),
-        config.clone(),
-        store,
-    )?;
-    let run = drive_clients(&gc, policy, workload, clients, verify_answers, &expected);
-    let info =
-        gc.snapshot_now()?.expect("store is attached and no other thread snapshots this cache");
-    Ok((run, recovery, info))
-}
-
-/// Stripe `workload` round-robin over `clients` threads against `gc`,
-/// counting answers that differ from `expected` (when verifying).
-fn drive_clients(
     gc: &SharedGraphCache,
-    policy: PolicyKind,
     workload: &Workload,
     clients: usize,
     verify_answers: bool,
-    expected: &[gc_graph::BitSet],
 ) -> MultiClientRun {
+    let clients = clients.max(1);
+    let expected: Vec<gc_graph::BitSet> = if verify_answers {
+        let dataset = gc.dataset();
+        workload
+            .queries
+            .iter()
+            .map(|wq| execute_base(&dataset, &SiMethod, Engine::Vf2, &wq.graph, wq.kind).answer)
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let expected = &expected;
     let start = Instant::now();
     let mismatches: usize = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
@@ -338,7 +283,7 @@ fn drive_clients(
     let queries = workload.len();
     MultiClientRun {
         clients,
-        policy,
+        policy: gc.policy_name(),
         queries,
         elapsed,
         throughput_qps: queries as f64 / elapsed.as_secs_f64().max(1e-9),
@@ -370,7 +315,7 @@ impl MultiClientRun {
         ));
         if self.verified {
             out.push_str(&format!(
-                "answers vs sequential replay: {}\n",
+                "answers vs Method M alone: {}\n",
                 if self.mismatches == 0 {
                     "identical (bit-for-bit)".to_string()
                 } else {
@@ -385,11 +330,12 @@ impl MultiClientRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gc_method::SiMethod;
+    use gc_core::CacheStore;
     use gc_workload::{molecule_dataset, WorkloadKind, WorkloadSpec};
+    use std::path::Path;
 
-    #[test]
-    fn multi_client_matches_sequential_answers() {
+    /// 12 molecules and a 40-query Zipf workload over them.
+    fn fixture() -> (Arc<Dataset>, Workload) {
         let dataset = Arc::new(Dataset::new(molecule_dataset(12, 77)));
         let spec = WorkloadSpec {
             n_queries: 40,
@@ -399,10 +345,43 @@ mod tests {
             ..WorkloadSpec::default()
         };
         let w = Workload::generate(dataset.graphs(), &spec);
+        (dataset, w)
+    }
+
+    fn tmpdir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("gc_demo_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A four-shard SI/HD cache over `dataset`, warm-restarted from `dir`.
+    fn restore(dir: &Path, dataset: &Arc<Dataset>) -> (SharedGraphCache, gc_core::RecoveryReport) {
+        let cfg = CacheConfig {
+            capacity: 8,
+            window_size: 2,
+            shards: 4,
+            min_admit_tests: 0,
+            ..CacheConfig::default()
+        };
+        let store = Arc::new(CacheStore::open(dir).expect("open store"));
+        SharedGraphCache::restore_from(
+            dataset.clone(),
+            Arc::new(SiMethod),
+            || PolicyKind::Hd.make(),
+            cfg,
+            store,
+        )
+        .expect("restore")
+    }
+
+    #[test]
+    fn multi_client_matches_sequential_answers() {
+        let (dataset, w) = fixture();
         let cfg = CacheConfig { capacity: 8, window_size: 2, ..CacheConfig::default() };
-        let run =
-            run_multi_client(&dataset, &|| Box::new(SiMethod), PolicyKind::Hd, &cfg, &w, 4, true);
-        assert_eq!(run.mismatches, 0, "shared answers must equal sequential replay");
+        let gc = SharedGraphCache::with_policy(dataset, Box::new(SiMethod), PolicyKind::Hd, cfg)
+            .expect("valid config");
+        let run = run_multi_client(&gc, &w, 4, true);
+        assert_eq!(run.mismatches, 0, "shared answers must equal Method M's");
         assert_eq!(run.stats.queries, 40);
         assert_eq!(run.queries, 40);
         assert!(run.throughput_qps > 0.0);
@@ -413,58 +392,45 @@ mod tests {
 
     #[test]
     fn multi_client_persists_and_warm_restarts() {
-        let dir = std::env::temp_dir()
-            .join(format!("gc_demo_multiclient_persist_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let dataset = Arc::new(Dataset::new(molecule_dataset(12, 77)));
-        let spec = WorkloadSpec {
-            n_queries: 40,
-            pool_size: 10,
-            kind: WorkloadKind::Zipf { skew: 1.1 },
-            seed: 3,
-            ..WorkloadSpec::default()
-        };
-        let w = Workload::generate(dataset.graphs(), &spec);
-        let cfg = CacheConfig {
-            capacity: 8,
-            window_size: 2,
-            shards: 4,
-            min_admit_tests: 0,
-            ..CacheConfig::default()
-        };
+        let dir = tmpdir("multiclient_persist");
+        let (dataset, w) = fixture();
 
-        let store = Arc::new(CacheStore::open(&dir).expect("open store"));
-        let (run, recovery, info) = run_multi_client_persistent(
-            &dataset,
-            &|| Box::new(SiMethod),
-            PolicyKind::Hd,
-            &cfg,
-            &w,
-            4,
-            true,
-            store,
-        )
-        .expect("persistent run");
+        let (gc, recovery) = restore(&dir, &dataset);
+        let run = run_multi_client(&gc, &w, 4, true);
+        let info = gc.snapshot_now().expect("closing snapshot").expect("store is attached");
+        drop(gc);
         assert_eq!(run.mismatches, 0);
         assert!(!recovery.warm, "first run starts cold");
         assert!(info.entries > 0, "warm cache must snapshot entries");
 
         // Second session over the same dir restores those entries.
-        let store = Arc::new(CacheStore::open(&dir).expect("reopen store"));
-        let (run2, recovery2, _info2) = run_multi_client_persistent(
-            &dataset,
-            &|| Box::new(SiMethod),
-            PolicyKind::Hd,
-            &cfg,
-            &w,
-            2,
-            true,
-            store,
-        )
-        .expect("warm restart run");
+        let (gc, recovery2) = restore(&dir, &dataset);
+        let run2 = run_multi_client(&gc, &w, 2, true);
+        gc.snapshot_now().expect("closing snapshot").expect("store is attached");
         assert_eq!(run2.mismatches, 0);
         assert!(recovery2.warm, "second run must warm-restart");
         assert_eq!(recovery2.snapshot_entries, info.entries);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `--check` on a restored cache: the reference answers come from the
+    /// dataset the cache serves (the file's graphs plus the journal's
+    /// insert), not from the file's graphs alone.
+    #[test]
+    fn multi_client_check_uses_the_restored_dataset() {
+        let dir = tmpdir("multiclient_delta");
+        let (dataset, w) = fixture();
+        // A store holding one insert delta: a copy of graph 0, so every
+        // query contained in graph 0 gains an answer.
+        let (gc, _) = restore(&dir, &dataset);
+        gc.insert_graph(dataset.graph(0).clone());
+        drop(gc);
+
+        let (gc, recovery) = restore(&dir, &dataset);
+        assert_eq!(recovery.journal_deltas, 1);
+        assert_eq!(gc.dataset().len(), dataset.len() + 1);
+        let run = run_multi_client(&gc, &w, 4, true);
+        assert_eq!(run.mismatches, 0, "answers must match Method M on the restored dataset");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

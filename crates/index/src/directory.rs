@@ -28,7 +28,7 @@
 //! [`PostingDir::find`]; any mutation may invalidate those indices, so they
 //! must not be held across inserts/removals (the probes never mutate).
 //! Equivalence with the eager directory is property-tested in
-//! `tests/prop.rs` against [`crate::reference::EagerQueryIndex`].
+//! `tests/prop.rs` against `EagerQueryIndex` (in `tests/reference/`).
 
 /// Compact the posting directory when tombstoned slots reach this
 /// percentage of all directory slots.

@@ -141,7 +141,7 @@ pub fn stream_label_paths(
 /// edges, from every start vertex, in both directions — the **materializing
 /// reference enumerator**. The production pipeline uses
 /// [`stream_label_paths`] / [`ExtractScratch`]; this stays as the executable
-/// specification for equivalence tests and the [`crate::reference`] module.
+/// specification for equivalence tests and the test-side reference indexes.
 ///
 /// Returns `(paths, truncated)`; when `truncated` is true the enumeration hit
 /// `cfg.max_paths` and the result is partial (callers must then treat the
@@ -369,13 +369,6 @@ pub struct FeatureVec {
 }
 
 impl FeatureVec {
-    /// Assemble from pre-sorted, hash-unique items (crate-internal: used by
-    /// the reference implementations).
-    pub(crate) fn from_sorted_items(items: Vec<(u64, u32)>, truncated: bool) -> Self {
-        debug_assert!(items.windows(2).all(|w| w[0].0 < w[1].0), "items must be sorted + unique");
-        FeatureVec { items, truncated }
-    }
-
     /// Borrowed view for the allocation-free index APIs.
     pub fn as_features(&self) -> FeaturesRef<'_> {
         FeaturesRef { items: &self.items, truncated: self.truncated }

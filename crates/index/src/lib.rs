@@ -46,9 +46,9 @@
 //! [`TreeScratch`], and [`PathTrie`] is a contiguous arena intersected
 //! word-parallel into a caller-owned bitset via a [`TrieScratch`]. After
 //! warm-up the whole probe path performs zero heap allocations
-//! (`tests/alloc_free.rs`); the [`reference`](mod@reference) module keeps
-//! the previous materializing/HashMap/eager implementations as executable
-//! specifications.
+//! (`tests/alloc_free.rs`); `tests/reference/` keeps the previous
+//! materializing/HashMap/eager implementations, built on this crate's
+//! public API, as executable specifications.
 //!
 //! ## Maintenance discipline
 //!
@@ -73,7 +73,6 @@ mod extract;
 mod fit;
 pub mod merge;
 mod query_index;
-pub mod reference;
 mod tree;
 mod trie;
 

@@ -34,9 +34,9 @@
 //! query's. All per-probe state lives in a caller-owned [`CandScratch`],
 //! so the steady-state probe path performs
 //! **zero heap allocations** (pinned by `tests/alloc_free.rs`) and is
-//! property-tested equal to both the HashMap reference
-//! ([`crate::reference::RefQueryIndex`]) and the eager-directory reference
-//! ([`crate::reference::EagerQueryIndex`]).
+//! property-tested equal to both the HashMap reference (`RefQueryIndex`)
+//! and the eager-directory reference (`EagerQueryIndex`), both in
+//! `tests/reference/`.
 //!
 //! Entry ids are expected to be *slab-dense* (the cache manager reuses
 //! evicted slots), since the dense slot table is sized by the maximum live

@@ -39,7 +39,7 @@
 //! canonical hash is computed over scratch arrays with arithmetic identical
 //! to the materializing reference enumerator ([`enumerate_tree_codes`]),
 //! which is kept as the executable specification; equivalence of the whole
-//! index against [`crate::reference::RefTreeIndex`] is property-tested
+//! index against `RefTreeIndex` (in `tests/reference/`) is property-tested
 //! under interleaved insert/remove/probe schedules.
 
 use crate::directory::PostingDir;

@@ -29,7 +29,7 @@
 //!
 //! Its [`memory_bytes`](PathTrie::memory_bytes) drives the space side of the
 //! paper's Experiment II. Equivalence with the pointer-chasing
-//! implementation is pinned against [`crate::reference::RefPathTrie`].
+//! implementation is pinned against `RefPathTrie` (in `tests/reference/`).
 
 use crate::extract::{stream_label_paths, FeatureConfig, PathSink};
 use crate::fit;

@@ -4,6 +4,8 @@ use gc_graph::{Graph, Label};
 use gc_index::{FeatureConfig, PathTrie, QueryIndex};
 use proptest::prelude::*;
 
+mod reference;
+
 fn arb_graph(max_n: usize, max_label: u32) -> impl Strategy<Value = Graph> {
     (0..=max_n).prop_flat_map(move |n| {
         let labels = proptest::collection::vec(0..=max_label, n);
@@ -212,7 +214,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 // Equivalence: the allocation-free front-end vs the reference implementations
 // (the pre-streaming extraction, HashMap-postings query index and
-// pointer-chasing trie preserved in `gc_index::reference`).
+// pointer-chasing trie preserved in `reference/`).
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -227,16 +229,16 @@ proptest! {
     ) {
         let max_paths = [10usize, 100, 1_000_000][cap_sel];
         let cfg = FeatureConfig { max_len, max_paths };
-        let reference = gc_index::reference::feature_vec_materialized(&g, &cfg);
+        let reference = reference::feature_vec_materialized(&g, &cfg);
         let streamed = gc_index::feature_vec(&g, &cfg);
-        prop_assert_eq!(streamed.truncated(), reference.truncated(), "truncation flag diverged");
-        prop_assert_eq!(streamed.items(), reference.items(), "feature multiset diverged");
+        prop_assert_eq!(streamed.truncated(), reference.truncated, "truncation flag diverged");
+        prop_assert_eq!(streamed.items(), &reference.items[..], "feature multiset diverged");
 
         // The reusable-scratch path agrees with the one-shot path.
         let mut scratch = gc_index::ExtractScratch::new();
         let viewed = scratch.extract(&g, &cfg);
-        prop_assert_eq!(viewed.truncated(), reference.truncated());
-        prop_assert_eq!(viewed.items(), reference.items());
+        prop_assert_eq!(viewed.truncated(), reference.truncated);
+        prop_assert_eq!(viewed.items(), &reference.items[..]);
     }
 
     #[test]
@@ -248,7 +250,7 @@ proptest! {
     ) {
         let cfg = FeatureConfig::with_max_len(max_len);
         let mut flat = QueryIndex::new(cfg);
-        let mut reference = gc_index::reference::RefQueryIndex::new(cfg);
+        let mut reference = reference::RefQueryIndex::new(cfg);
         for (i, c) in cached.iter().enumerate() {
             flat.insert(i as u32, c);
             reference.insert(i as u32, c);
@@ -264,7 +266,11 @@ proptest! {
         let mut scratch = gc_index::CandScratch::new();
         for q in &queries {
             let qf = flat.features_of(q);
-            prop_assert_eq!(&qf, &reference.features_of(q), "feature extraction diverged");
+            prop_assert_eq!(
+                reference::Features::of(&qf),
+                reference.features_of(q),
+                "feature extraction diverged"
+            );
             prop_assert_eq!(
                 flat.sub_case_candidates(&qf),
                 reference.sub_case_candidates(&qf),
@@ -296,7 +302,7 @@ proptest! {
         // specification of the maintenance semantics.
         let cfg = FeatureConfig::with_max_len(max_len);
         let mut flat = QueryIndex::new(cfg);
-        let mut eager = gc_index::reference::EagerQueryIndex::new(cfg);
+        let mut eager = reference::EagerQueryIndex::new(cfg);
         let mut live: Vec<u32> = Vec::new();
         let mut next_id = 0u32;
         let mut scratch = gc_index::CandScratch::new();
@@ -349,7 +355,7 @@ proptest! {
     ) {
         let cfg = gc_index::TreeConfig::with_max_edges(max_edges);
         let mut flat = gc_index::TreeIndex::new(cfg);
-        let mut reference = gc_index::reference::RefTreeIndex::new(cfg);
+        let mut reference = reference::RefTreeIndex::new(cfg);
         let mut live: Vec<u32> = Vec::new();
         let mut next_gid = 0u32;
         for (op, sel) in ops {
@@ -419,7 +425,7 @@ proptest! {
     ) {
         let cfg = FeatureConfig::with_max_len(max_len);
         let arena = PathTrie::build(&dataset, cfg);
-        let reference = gc_index::reference::RefPathTrie::build(&dataset, cfg);
+        let reference = reference::RefPathTrie::build(&dataset, cfg);
         let mut scratch = gc_index::TrieScratch::new();
         let mut out = gc_graph::BitSet::new(dataset.len());
         for q in &queries {
@@ -454,7 +460,7 @@ fn query_index_compaction_boundary_keeps_candidates_exact() {
     };
     let cfg = FeatureConfig::with_max_len(3);
     let mut flat = QueryIndex::new(cfg);
-    let mut eager = gc_index::reference::EagerQueryIndex::new(cfg);
+    let mut eager = reference::EagerQueryIndex::new(cfg);
     for id in 0..32u32 {
         flat.insert(id, &chain(id));
         eager.insert(id, &chain(id));
@@ -627,13 +633,13 @@ fn super_probes_match_sigma_min_where_the_fit_test_has_survivors() {
         assert_eq!(got.to_vec(), brute.0, "case {case}: trie super filter != Σmin");
         assert_eq!(
             got,
-            gc_index::reference::RefPathTrie::build(&dataset, cfg).super_candidates(&query),
+            reference::RefPathTrie::build(&dataset, cfg).super_candidates(&query),
             "case {case}: trie super filter != reference"
         );
         tally(0, &brute, trie.node_count() - 1);
 
         let mut qi = QueryIndex::new(cfg);
-        let mut reference = gc_index::reference::RefQueryIndex::new(cfg);
+        let mut reference = reference::RefQueryIndex::new(cfg);
         for (id, g) in dataset.iter().enumerate() {
             qi.insert(id as u32, g);
             reference.insert(id as u32, g);
@@ -662,7 +668,7 @@ fn super_probes_match_sigma_min_where_the_fit_test_has_survivors() {
         assert_eq!(got.to_vec(), brute.0, "case {case}: tree super filter != Σmin");
         assert_eq!(
             got,
-            gc_index::reference::RefTreeIndex::build(&dataset, tcfg).super_candidates(&query),
+            reference::RefTreeIndex::build(&dataset, tcfg).super_candidates(&query),
             "case {case}: tree super filter != reference"
         );
         tally(2, &brute, tree.distinct_features());

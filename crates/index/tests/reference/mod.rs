@@ -1,21 +1,40 @@
 //! Reference implementations of the feature front-end.
 //!
 //! These are the pre-arena/pre-flat-postings data structures, kept as
-//! *executable specifications*: the property tests in `tests/prop.rs` assert
-//! the production structures compute identical candidate sets. They are
-//! **not** on any hot path — do not optimize them; their value is being
-//! obviously equivalent to the documented semantics.
+//! *executable specifications*: the property tests in `prop.rs` assert the
+//! production structures compute identical candidate sets. They live with
+//! the tests, are built from `gc_index`'s public API only, and are **not**
+//! on any hot path — do not optimize them; their value is being obviously
+//! equivalent to the documented semantics.
 
-use crate::extract::{enumerate_label_paths, feature_hash, FeatureConfig, FeatureVec};
-use crate::query_index::EntryId;
-use crate::tree::{enumerate_tree_codes, TreeConfig};
 use gc_graph::{BitSet, Graph, GraphId, Label};
+use gc_index::{
+    enumerate_label_paths, enumerate_tree_codes, feature_hash, EntryId, FeatureConfig, FeatureVec,
+    TreeConfig,
+};
 use std::collections::HashMap;
+
+/// A feature multiset as the materializing extraction builds it — the two
+/// things a [`FeatureVec`] holds.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Features {
+    /// `(feature_hash, count)` pairs sorted by hash.
+    pub items: Vec<(u64, u32)>,
+    /// Path enumeration was truncated.
+    pub truncated: bool,
+}
+
+impl Features {
+    /// The contents of a production feature vector.
+    pub fn of(fv: &FeatureVec) -> Self {
+        Features { items: fv.items().to_vec(), truncated: fv.truncated() }
+    }
+}
 
 /// Materializing feature extraction: enumerate every path into an owned
 /// `Vec<Vec<Label>>`, hash each, sort and aggregate. The pre-streaming
-/// implementation of [`crate::feature_vec`].
-pub fn feature_vec_materialized(g: &Graph, cfg: &FeatureConfig) -> FeatureVec {
+/// implementation of [`gc_index::feature_vec`].
+pub fn feature_vec_materialized(g: &Graph, cfg: &FeatureConfig) -> Features {
     let (paths, truncated) = enumerate_label_paths(g, cfg);
     let mut hashes: Vec<u64> = paths.iter().map(|p| feature_hash(p)).collect();
     hashes.sort_unstable();
@@ -26,17 +45,25 @@ pub fn feature_vec_materialized(g: &Graph, cfg: &FeatureConfig) -> FeatureVec {
             _ => items.push((h, 1)),
         }
     }
-    FeatureVec::from_sorted_items(items, truncated)
+    Features { items, truncated }
 }
 
+/// An indexed entry's `(hash, count)` items, for removal and the Σmin
+/// total.
 #[derive(Debug, Default)]
 struct Slot {
-    features: FeatureVec,
+    items: Vec<(u64, u32)>,
+}
+
+impl Slot {
+    fn total_count(&self) -> u64 {
+        self.items.iter().map(|&(_, c)| c as u64).sum()
+    }
 }
 
 /// The HashMap-postings containment index over cached query graphs — the
-/// pre-flat implementation of [`crate::QueryIndex`], semantics documented
-/// there.
+/// pre-flat implementation of [`gc_index::QueryIndex`], semantics
+/// documented there.
 #[derive(Debug)]
 pub struct RefQueryIndex {
     cfg: FeatureConfig,
@@ -57,7 +84,7 @@ impl RefQueryIndex {
     }
 
     /// Extract a query's features under this index's config (materialized).
-    pub fn features_of(&self, g: &Graph) -> FeatureVec {
+    pub fn features_of(&self, g: &Graph) -> Features {
         feature_vec_materialized(g, &self.cfg)
     }
 
@@ -68,14 +95,14 @@ impl RefQueryIndex {
             !self.slots.contains_key(&id) && !self.unfiltered.contains(&id),
             "duplicate entry id {id}"
         );
-        if fv.truncated() {
+        if fv.truncated {
             self.unfiltered.push(id);
             return;
         }
-        for &(h, c) in fv.items() {
+        for &(h, c) in &fv.items {
             self.posting.entry(h).or_default().push((id, c));
         }
-        self.slots.insert(id, Slot { features: fv });
+        self.slots.insert(id, Slot { items: fv.items });
     }
 
     /// Remove an entry. Unknown ids are ignored.
@@ -85,7 +112,7 @@ impl RefQueryIndex {
             return;
         }
         let Some(slot) = self.slots.remove(&id) else { return };
-        for &(h, _) in slot.features.items() {
+        for &(h, _) in &slot.items {
             if let Some(list) = self.posting.get_mut(&h) {
                 if let Some(pos) = list.iter().position(|&(e, _)| e == id) {
                     list.swap_remove(pos);
@@ -147,7 +174,7 @@ impl RefQueryIndex {
             }
         }
         for (&e, slot) in &self.slots {
-            let total = slot.features.total_count();
+            let total = slot.total_count();
             if total == 0 || matched.get(&e).copied().unwrap_or(0) == total {
                 out.push(e);
             }
@@ -158,7 +185,7 @@ impl RefQueryIndex {
 }
 
 /// The eagerly-maintained sorted-directory containment index — the
-/// pre-tombstone implementation of [`crate::QueryIndex`]: every insertion
+/// pre-tombstone implementation of [`gc_index::QueryIndex`]: every insertion
 /// of a new feature hash pays a `Vec::insert` memmove over the whole
 /// directory and every drained posting list pays the matching
 /// `Vec::remove`. Kept as the "eager directory" side of the
@@ -186,19 +213,9 @@ impl EagerQueryIndex {
         }
     }
 
-    /// Extract a query's features under this index's config.
-    pub fn features_of(&self, g: &Graph) -> FeatureVec {
-        crate::extract::feature_vec(g, &self.cfg)
-    }
-
     /// Index a cached query graph under `id`.
     pub fn insert(&mut self, id: EntryId, g: &Graph) {
-        let fv = self.features_of(g);
-        self.insert_features(id, fv);
-    }
-
-    /// Index a cached query by a precomputed feature vector.
-    pub fn insert_features(&mut self, id: EntryId, fv: FeatureVec) {
+        let fv = gc_index::feature_vec(g, &self.cfg);
         assert!(
             !self.slots.contains_key(&id) && !self.unfiltered.contains(&id),
             "duplicate entry id {id}"
@@ -222,7 +239,7 @@ impl EagerQueryIndex {
                 }
             }
         }
-        self.slots.insert(id, Slot { features: fv });
+        self.slots.insert(id, Slot { items: fv.items().to_vec() });
     }
 
     /// Remove an entry (cache eviction). Unknown ids are ignored.
@@ -232,7 +249,7 @@ impl EagerQueryIndex {
             return;
         }
         let Some(slot) = self.slots.remove(&id) else { return };
-        for &(h, _) in slot.features.items() {
+        for &(h, _) in &slot.items {
             if let Ok(i) = self.dir.binary_search(&h) {
                 let list = &mut self.posts[i];
                 if let Ok(pos) = list.binary_search_by_key(&id, |&(e, _)| e) {
@@ -274,7 +291,7 @@ impl EagerQueryIndex {
             if cur.is_empty() {
                 break;
             }
-            crate::merge::intersect_two_pointer(&cur, &self.posts[li], qc, &mut next);
+            gc_index::merge::intersect_two_pointer(&cur, &self.posts[li], qc, &mut next);
             std::mem::swap(&mut cur, &mut next);
         }
         out.extend(cur);
@@ -299,7 +316,7 @@ impl EagerQueryIndex {
             }
         }
         for (&e, slot) in &self.slots {
-            let total = slot.features.total_count();
+            let total = slot.total_count();
             if total == 0 || matched.get(&e).copied().unwrap_or(0) == total {
                 out.push(e);
             }
@@ -310,10 +327,10 @@ impl EagerQueryIndex {
 }
 
 /// The HashMap-postings tree-feature index — the pre-flat implementation of
-/// [`crate::TreeIndex`], extended with the same dynamic insert/remove API
-/// so the flat tier can be property-tested against it under interleaved
-/// admission/eviction/probe schedules. Semantics documented on
-/// [`crate::TreeIndex`].
+/// [`gc_index::TreeIndex`], extended with the same dynamic insert/remove
+/// API so the flat tier can be property-tested against it under
+/// interleaved admission/eviction/probe schedules. Semantics documented on
+/// [`gc_index::TreeIndex`].
 #[derive(Debug)]
 pub struct RefTreeIndex {
     cfg: TreeConfig,
@@ -392,11 +409,6 @@ impl RefTreeIndex {
                 }
             }
         }
-    }
-
-    /// Universe of the candidate bitsets (high-water graph id + 1).
-    pub fn dataset_size(&self) -> usize {
-        self.dataset_size
     }
 
     /// Candidate set for a subgraph query (sound overapproximation).
@@ -485,7 +497,7 @@ struct Node {
 }
 
 /// The pointer-chasing node trie — the pre-arena implementation of
-/// [`crate::PathTrie`], semantics documented there.
+/// [`gc_index::PathTrie`], semantics documented there.
 #[derive(Debug)]
 pub struct RefPathTrie {
     cfg: FeatureConfig,

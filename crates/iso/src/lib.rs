@@ -51,15 +51,6 @@ impl Found {
     pub fn is_yes(self) -> bool {
         matches!(self, Found::Yes)
     }
-
-    /// Convert to `Option<bool>`; `None` when the budget was exhausted.
-    pub fn as_bool(self) -> Option<bool> {
-        match self {
-            Found::Yes => Some(true),
-            Found::No => Some(false),
-            Found::Unknown => None,
-        }
-    }
 }
 
 /// Statistics produced by one search invocation.

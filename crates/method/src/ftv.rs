@@ -32,12 +32,6 @@ impl FtvMethod {
         FtvMethod { trie, max_len }
     }
 
-    /// Build with a full feature configuration.
-    pub fn build_with_config(dataset: &Dataset, cfg: FeatureConfig) -> Self {
-        let max_len = cfg.max_len;
-        FtvMethod { trie: PathTrie::build(dataset.graphs(), cfg), max_len }
-    }
-
     /// The feature size `L` this index was built with.
     pub fn feature_size(&self) -> usize {
         self.max_len

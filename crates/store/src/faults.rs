@@ -180,11 +180,6 @@ impl FaultPlan {
         self.inner.lock().expect("fault plan lock").sites.remove(&site);
     }
 
-    /// Disarm every site.
-    pub fn clear_all(&self) {
-        self.inner.lock().expect("fault plan lock").sites.clear();
-    }
-
     /// How many faults have fired so far.
     pub fn fired(&self) -> usize {
         self.inner.lock().expect("fault plan lock").fired.len()

@@ -18,11 +18,11 @@ fn main() {
     // A compound library of 200 molecule-like graphs.
     let dataset = Arc::new(Dataset::new(molecule_dataset(200, 555)));
     let method = Box::new(FtvMethod::build(&dataset, 3));
-    let mut gc = GraphCache::with_policy(
+    let gc = SharedGraphCache::with_policy(
         dataset.clone(),
         method,
         PolicyKind::Pinc, // cost-aware: molecules vary in verification cost
-        CacheConfig { capacity: 64, window_size: 4, ..CacheConfig::default() },
+        CacheConfig { capacity: 64, window_size: 4, shards: 1, ..CacheConfig::default() },
     )
     .expect("valid config");
 

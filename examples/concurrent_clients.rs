@@ -1,10 +1,11 @@
 //! Many client threads sharing one cache.
 //!
-//! The sequential `GraphCache` is `&mut self` per query — one in-flight
-//! query at a time. `SharedGraphCache` serves the same staged pipeline
-//! through `&self`: shard the cache state, probe under read locks, admit
-//! under short write sections, and let every client thread query
-//! concurrently with exactly the answers the sequential cache would give.
+//! `SharedGraphCache` serves the staged pipeline through `&self`: shard the
+//! cache state, probe under read locks, admit under short write sections,
+//! and let every client thread query concurrently. This example replays a
+//! workload through a one-shard cache from one thread, then through an
+//! eight-shard cache from eight, and checks that every concurrent answer is
+//! exactly the one the sequential replay gave.
 //!
 //! Run with: `cargo run --release --example concurrent_clients`
 
@@ -27,13 +28,13 @@ fn main() {
     };
     let workload = Workload::generate(dataset.graphs(), &spec);
 
-    // Reference run: the sequential cache (answers are exact regardless of
-    // cache state, so this doubles as the ground truth).
-    let mut seq = GraphCache::with_policy(
+    // Reference run: one shard, one thread (answers are exact regardless
+    // of cache state, so this doubles as the ground truth).
+    let seq = SharedGraphCache::with_policy(
         dataset.clone(),
         Box::new(FtvMethod::build(&dataset, 2)),
         PolicyKind::Hd,
-        CacheConfig::default(),
+        CacheConfig { shards: 1, ..CacheConfig::default() },
     )
     .unwrap();
     let t0 = Instant::now();
@@ -77,8 +78,9 @@ fn main() {
 
     let stats = gc.stats();
     println!("{QUERIES} queries, {CLIENTS} concurrent clients, {} shards", gc.shard_count());
-    println!("sequential GraphCache : {:>8.1} ms", seq_time.as_secs_f64() * 1e3);
-    println!("SharedGraphCache      : {:>8.1} ms", shared_time.as_secs_f64() * 1e3);
+    let shared = format!("{} shards, {CLIENTS} clients", gc.shard_count());
+    println!("{:<20}: {:>8.1} ms", "1 shard, 1 client", seq_time.as_secs_f64() * 1e3);
+    println!("{shared:<20}: {:>8.1} ms", shared_time.as_secs_f64() * 1e3);
     println!(
         "hit ratio {:.1}% | exact hits {} | admitted {} | evicted {}",
         100.0 * stats.hit_ratio(),

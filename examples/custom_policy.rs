@@ -1,10 +1,12 @@
-//! Developer scenario: plugging a custom replacement policy into GraphCache.
+//! Developer scenario: plugging a custom replacement policy into the cache.
 //!
 //! The paper's Fig. 2(d) shows the `Cache` extension class developers
 //! override (`updateCacheItems`, `updateCacheStaInfo`,
 //! `getReplacedContent`). The Rust equivalent is the
 //! [`ReplacementPolicy`] trait; this example implements a FIFO policy from
 //! scratch and races it against the bundled HD policy on the same workload.
+//! A cache takes a policy *factory*, called once per shard (each shard
+//! replaces over its own entries); this one-shard cache calls it once.
 //!
 //! ```sh
 //! cargo run --release --example custom_policy
@@ -50,14 +52,14 @@ impl ReplacementPolicy for FifoPolicy {
 
 fn run(
     dataset: &Arc<Dataset>,
-    policy: Box<dyn ReplacementPolicy>,
+    make_policy: fn() -> Box<dyn ReplacementPolicy>,
     workload: &Workload,
 ) -> (String, GlobalStats) {
-    let mut gc = GraphCache::new(
+    let gc = SharedGraphCache::new(
         dataset.clone(),
-        Box::new(FtvMethod::build(dataset, 2)),
-        policy,
-        CacheConfig { capacity: 30, window_size: 5, ..CacheConfig::default() },
+        Arc::new(FtvMethod::build(dataset, 2)),
+        make_policy,
+        CacheConfig { capacity: 30, window_size: 5, shards: 1, ..CacheConfig::default() },
     )
     .expect("valid config");
     for wq in &workload.queries {
@@ -78,10 +80,10 @@ fn main() {
     let workload = Workload::generate(dataset.graphs(), &spec);
 
     println!("racing a custom FIFO policy against bundled HD on {} queries\n", workload.len());
-    for policy in
-        [Box::new(FifoPolicy::default()) as Box<dyn ReplacementPolicy>, PolicyKind::Hd.make()]
-    {
-        let (name, stats) = run(&dataset, policy, &workload);
+    let policies: [fn() -> Box<dyn ReplacementPolicy>; 2] =
+        [|| Box::new(FifoPolicy::default()), || PolicyKind::Hd.make()];
+    for make_policy in policies {
+        let (name, stats) = run(&dataset, make_policy, &workload);
         println!(
             "{name:<14} hit ratio {:>5.1}%  tests/query {:>7.2}  tests saved {:>7}",
             100.0 * stats.hit_ratio(),
@@ -90,5 +92,5 @@ fn main() {
         );
     }
     println!("\nto plug in your own policy, implement gc_core::ReplacementPolicy");
-    println!("(on_insert / on_hit / on_evict / victims) and hand it to GraphCache::new.");
+    println!("(on_insert / on_hit / on_evict / victims) and hand SharedGraphCache::new a factory.");
 }

@@ -25,11 +25,11 @@ fn main() {
 
     // GraphCache over Method M with the HD policy (the paper's
     // when-in-doubt recommendation).
-    let mut gc = GraphCache::with_policy(
+    let gc = SharedGraphCache::with_policy(
         dataset.clone(),
         method,
         PolicyKind::Hd,
-        CacheConfig { capacity: 50, window_size: 10, ..CacheConfig::default() },
+        CacheConfig { capacity: 50, window_size: 10, shards: 1, ..CacheConfig::default() },
     )
     .expect("valid config");
 

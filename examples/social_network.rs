@@ -50,11 +50,11 @@ fn main() {
             execute_base(&dataset, &baseline, Engine::Vf2, &wq.graph, wq.kind).sub_iso_tests as u64;
     }
 
-    let mut gc = GraphCache::with_policy(
+    let gc = SharedGraphCache::with_policy(
         dataset.clone(),
         Box::new(SiMethod),
         PolicyKind::Hd,
-        CacheConfig { capacity: 60, window_size: 8, ..CacheConfig::default() },
+        CacheConfig { capacity: 60, window_size: 8, shards: 1, ..CacheConfig::default() },
     )
     .expect("valid config");
     for wq in &workload.queries {

@@ -18,8 +18,7 @@
 //!   pipeline (filter → probe → prune → verify → admit), replacement
 //!   policies (LRU/POP/PIN/PINC/HD), window manager, and the one runtime:
 //!   the concurrent sharded [`SharedGraphCache`](prelude::SharedGraphCache),
-//!   owned as a one-shard [`GraphCache`](prelude::GraphCache) by
-//!   single-client code;
+//!   built with one shard where counts must not depend on routing;
 //! * [`workload`] ([`gc_workload`]) — dataset generators and workload
 //!   synthesizers;
 //! * [`demo`] ([`gc_demo`]) — the text Demonstrator (Query Journey /
@@ -36,7 +35,7 @@
 //!
 //! // 2. A base method M (filter-then-verify over a path index) and a cache.
 //! let method = Box::new(FtvMethod::build(&dataset, 3));
-//! let mut gc = GraphCache::with_policy(
+//! let gc = SharedGraphCache::with_policy(
 //!     dataset.clone(),
 //!     method,
 //!     PolicyKind::Hd,
@@ -65,8 +64,8 @@ pub use gc_workload as workload;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use gc_core::{
-        CacheConfig, CacheEntry, EntryId, GlobalStats, GraphCache, HitCredit, HitKind, Policy,
-        PolicyKind, QueryReport, ReplacementPolicy, SharedGraphCache, StatsMonitor,
+        CacheConfig, CacheEntry, EntryId, GlobalStats, HitCredit, HitKind, Policy, PolicyKind,
+        QueryReport, ReplacementPolicy, SharedGraphCache, StatsMonitor,
     };
     pub use gc_demo::{run_multi_client, run_query_journey, run_workload_comparison};
     pub use gc_graph::{BitSet, Graph, GraphBuilder, Label};

@@ -5,7 +5,7 @@ use graphcache::prelude::*;
 use rand::rngs::StdRng;
 use std::sync::Arc;
 
-fn molecule_cache(n_graphs: usize, seed: u64, capacity: usize) -> (Arc<Dataset>, GraphCache) {
+fn molecule_cache(n_graphs: usize, seed: u64, capacity: usize) -> (Arc<Dataset>, SharedGraphCache) {
     molecule_cache_with(n_graphs, seed, CacheConfig { capacity, ..CacheConfig::default() })
 }
 
@@ -13,13 +13,13 @@ fn molecule_cache_with(
     n_graphs: usize,
     seed: u64,
     config: CacheConfig,
-) -> (Arc<Dataset>, GraphCache) {
+) -> (Arc<Dataset>, SharedGraphCache) {
     let dataset = Arc::new(Dataset::new(molecule_dataset(n_graphs, seed)));
-    let gc = GraphCache::with_policy(
+    let gc = SharedGraphCache::with_policy(
         dataset.clone(),
         Box::new(FtvMethod::build(&dataset, 2)),
         PolicyKind::Hd,
-        CacheConfig { window_size: 5, ..config },
+        CacheConfig { window_size: 5, shards: 1, ..config },
     )
     .expect("valid config");
     (dataset, gc)
@@ -27,7 +27,7 @@ fn molecule_cache_with(
 
 #[test]
 fn cached_answers_match_base_method_end_to_end() {
-    let (dataset, mut gc) = molecule_cache(40, 1001, 15);
+    let (dataset, gc) = molecule_cache(40, 1001, 15);
     let reference = FtvMethod::build(&dataset, 2);
     let spec = WorkloadSpec {
         n_queries: 80,
@@ -49,7 +49,7 @@ fn cached_answers_match_base_method_end_to_end() {
 fn pipeline_invariants_hold_on_every_query() {
     // Every query traced, so the trace accounting is checked on each one.
     let config = CacheConfig { capacity: 12, trace_sample_rate: 1.0, ..CacheConfig::default() };
-    let (dataset, mut gc) = molecule_cache_with(30, 2002, config);
+    let (dataset, gc) = molecule_cache_with(30, 2002, config);
     let spec = WorkloadSpec {
         n_queries: 60,
         pool_size: 20,
@@ -102,7 +102,7 @@ fn pipeline_invariants_hold_on_every_query() {
 
 #[test]
 fn resubmission_is_an_exact_hit_with_zero_tests() {
-    let (dataset, mut gc) = molecule_cache(25, 3003, 20);
+    let (dataset, gc) = molecule_cache(25, 3003, 20);
     let mut rng = StdRng::seed_from_u64(5);
     let q = extract_query(dataset.graph(3), 7, &mut rng).unwrap();
     let first = gc.query(&q, QueryKind::Subgraph);
@@ -116,7 +116,7 @@ fn resubmission_is_an_exact_hit_with_zero_tests() {
 
 #[test]
 fn chain_queries_generate_sub_and_super_hits() {
-    let (dataset, mut gc) = molecule_cache(30, 4004, 30);
+    let (dataset, gc) = molecule_cache(30, 4004, 30);
     let mut rng = StdRng::seed_from_u64(6);
     let chain = nested_chain(dataset.graph(2), &[3, 6, 9, 13], &mut rng);
     assert_eq!(chain.len(), 4);
@@ -134,7 +134,7 @@ fn chain_queries_generate_sub_and_super_hits() {
 
 #[test]
 fn supergraph_and_subgraph_entries_do_not_mix() {
-    let (dataset, mut gc) = molecule_cache(20, 5005, 20);
+    let (dataset, gc) = molecule_cache(20, 5005, 20);
     let mut rng = StdRng::seed_from_u64(7);
     let q = extract_query(dataset.graph(0), 6, &mut rng).unwrap();
     let sub = gc.query(&q, QueryKind::Subgraph);
@@ -163,18 +163,18 @@ fn graph_io_roundtrips_through_the_cache() {
     let d2 = Arc::new(Dataset::new(reloaded));
     let mut rng = StdRng::seed_from_u64(8);
     let q = extract_query(d1.graph(4), 5, &mut rng).unwrap();
-    let mut gc1 = GraphCache::with_policy(
+    let gc1 = SharedGraphCache::with_policy(
         d1.clone(),
         Box::new(SiMethod),
         PolicyKind::Lru,
-        CacheConfig::default(),
+        CacheConfig { shards: 1, ..CacheConfig::default() },
     )
     .unwrap();
-    let mut gc2 = GraphCache::with_policy(
+    let gc2 = SharedGraphCache::with_policy(
         d2.clone(),
         Box::new(SiMethod),
         PolicyKind::Lru,
-        CacheConfig::default(),
+        CacheConfig { shards: 1, ..CacheConfig::default() },
     )
     .unwrap();
     assert_eq!(
@@ -206,11 +206,11 @@ fn custom_policy_via_public_trait() {
     }
 
     let dataset = Arc::new(Dataset::new(molecule_dataset(20, 7007)));
-    let mut gc = GraphCache::new(
+    let gc = SharedGraphCache::new(
         dataset.clone(),
-        Box::new(SiMethod),
-        Box::new(EvictNewest { order: Vec::new() }),
-        CacheConfig { capacity: 5, window_size: 2, ..CacheConfig::default() },
+        Arc::new(SiMethod),
+        || Box::new(EvictNewest { order: Vec::new() }),
+        CacheConfig { capacity: 5, window_size: 2, shards: 1, ..CacheConfig::default() },
     )
     .unwrap();
     assert_eq!(gc.policy_name(), "evict-newest");
@@ -234,7 +234,7 @@ fn custom_policy_via_public_trait() {
 
 #[test]
 fn skewed_workload_yields_speedup() {
-    let (dataset, mut gc) = molecule_cache(60, 8008, 40);
+    let (dataset, gc) = molecule_cache(60, 8008, 40);
     let reference = FtvMethod::build(&dataset, 2);
     let spec = WorkloadSpec {
         n_queries: 200,
@@ -261,7 +261,7 @@ fn skewed_workload_yields_speedup() {
 
 #[test]
 fn stats_are_internally_consistent() {
-    let (dataset, mut gc) = molecule_cache(30, 9009, 10);
+    let (dataset, gc) = molecule_cache(30, 9009, 10);
     let spec = WorkloadSpec {
         n_queries: 50,
         pool_size: 20,

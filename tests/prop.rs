@@ -1,5 +1,5 @@
 //! Workspace-level property test: on arbitrary datasets and query streams,
-//! GraphCache's answers are bit-for-bit those of the uncached method — the
+//! the cache's answers are bit-for-bit those of the uncached method — the
 //! paper's no-false-positives/no-false-negatives guarantee.
 
 use graphcache::prelude::*;
@@ -42,7 +42,7 @@ proptest! {
     ) {
         let dataset = Arc::new(Dataset::new(dataset_graphs));
         let policy = PolicyKind::all()[policy_idx];
-        let mut gc = GraphCache::with_policy(
+        let gc = SharedGraphCache::with_policy(
             dataset.clone(),
             Box::new(SiMethod),
             policy,
@@ -50,6 +50,7 @@ proptest! {
                 capacity,
                 window_size: window,
                 min_admit_tests: 0,
+                shards: 1,
                 ..CacheConfig::default()
             },
         ).unwrap();
@@ -77,7 +78,7 @@ proptest! {
     ) {
         // The tentpole invariant: `SharedGraphCache` queried from N threads
         // returns, for every workload item, the exact answer set the
-        // sequential `GraphCache` replay produces — for each PolicyKind.
+        // sequential one-shard replay produces — for each PolicyKind.
         const THREADS: usize = 8;
         let policy = PolicyKind::all()[policy_idx];
         let dataset = Arc::new(Dataset::new(molecule_dataset(10, dataset_seed)));
@@ -99,11 +100,11 @@ proptest! {
             ..CacheConfig::default()
         };
 
-        let mut seq = GraphCache::with_policy(
+        let seq = SharedGraphCache::with_policy(
             dataset.clone(),
             Box::new(SiMethod),
             policy,
-            config.clone(),
+            CacheConfig { shards: 1, ..config.clone() },
         ).unwrap();
         let expected: Vec<BitSet> = workload
             .queries
@@ -150,17 +151,29 @@ proptest! {
     ) {
         // Two caches over different Methods M must agree with each other.
         let dataset = Arc::new(Dataset::new(dataset_graphs));
-        let mut gc_si = GraphCache::with_policy(
+        let gc_si = SharedGraphCache::with_policy(
             dataset.clone(),
             Box::new(SiMethod),
             PolicyKind::Hd,
-            CacheConfig { capacity: 4, window_size: 2, min_admit_tests: 0, ..CacheConfig::default() },
+            CacheConfig {
+                capacity: 4,
+                window_size: 2,
+                min_admit_tests: 0,
+                shards: 1,
+                ..CacheConfig::default()
+            },
         ).unwrap();
-        let mut gc_ftv = GraphCache::with_policy(
+        let gc_ftv = SharedGraphCache::with_policy(
             dataset.clone(),
             Box::new(FtvMethod::build(&dataset, 2)),
             PolicyKind::Lru,
-            CacheConfig { capacity: 4, window_size: 2, min_admit_tests: 0, ..CacheConfig::default() },
+            CacheConfig {
+                capacity: 4,
+                window_size: 2,
+                min_admit_tests: 0,
+                shards: 1,
+                ..CacheConfig::default()
+            },
         ).unwrap();
         for q in &queries {
             let a = gc_si.query(q, QueryKind::Subgraph);
