@@ -31,9 +31,13 @@
 //!   LRU, POP, PIN, PINC and HD behind the extension trait of Fig. 2(d)
 //!   (plus [`policy_ext`]'s GDS / arithmetic-HD / Random);
 //! * [`WindowManager`](window::WindowManager) — batched admission control;
-//! * [`StatsMonitor`] — the Statistics Monitor/Manager pair: atomic global
-//!   counters (no lock on the query path) and per-query [`QueryReport`]s
-//!   for the Demonstrator;
+//! * [`QueryReport`] — the one record of a query: the Demonstrator's
+//!   per-query anatomy, from which the Statistics Monitor derives the
+//!   atomic [`GlobalStats`] counters (no lock on the query path), the
+//!   telemetry hub its sampled [`QueryTrace`], and the server its reply.
+//!   The gauges beside the counters are read from their owners
+//!   ([`SharedGraphCache::index_health`], [`SharedGraphCache::persist_health`],
+//!   [`SharedGraphCache::telemetry`], [`SharedGraphCache::dataset`]);
 //! * [`CostModel`] — atomic per-graph verification-cost EWMA feeding the
 //!   cost-aware policies;
 //! * [`persist`] — durable cache state: snapshot + journal persistence
@@ -83,7 +87,7 @@ pub use pipeline::PipelineCtx;
 pub use policy::{HitCredit, HitKind, Policy, PolicyKind, ReplacementPolicy};
 pub use report::{IndexHealth, QueryReport};
 pub use shared::SharedGraphCache;
-pub use stats::{GlobalStats, StatsMonitor};
+pub use stats::GlobalStats;
 pub use telemetry::{
     Histogram, HistogramSnapshot, PipelineStage, QueryTiming, QueryTrace, Telemetry,
 };

@@ -31,7 +31,7 @@
 //! front of the stages sit the query's key (`query_key`, a hint from
 //! `KeyHints` for a presentation seen before) and the exact tier, which
 //! serves a query whole from a resident entry or an answer-only row
-//! ([`FastTier`], closed by `FastPath`).
+//! ([`FastTier`], reported by [`fast_report`]).
 
 pub mod admit;
 pub mod bound;
@@ -45,8 +45,7 @@ use crate::pipeline::bound::Bound;
 use crate::pipeline::probe::{CacheHits, HitSnapshot, ProbeScratch};
 use crate::pipeline::prune::Pruned;
 use crate::report::QueryReport;
-use crate::stats::{GlobalStats, StatsMonitor};
-use crate::telemetry::{PipelineStage, QueryTiming, QueryTrace, Telemetry};
+use crate::telemetry::{PipelineStage, QueryTiming, Telemetry};
 use gc_graph::{BitSet, Graph};
 use gc_index::FeatureVec;
 use gc_iso::GraphProfile;
@@ -58,9 +57,8 @@ use std::time::{Duration, Instant};
 ///
 /// Constructed at query entry; each stage reads its inputs from and writes
 /// its product into the context. After the last stage,
-/// [`PipelineCtx::stats_delta`] and [`PipelineCtx::into_report`] turn the
-/// accumulated products into the Statistics Monitor delta and the
-/// Demonstrator's [`QueryReport`].
+/// [`PipelineCtx::into_report`] turns the accumulated products into the
+/// query's [`QueryReport`].
 #[derive(Debug)]
 pub struct PipelineCtx<'q> {
     /// The query graph.
@@ -143,38 +141,18 @@ impl<'q> PipelineCtx<'q> {
         answer
     }
 
-    /// The Statistics Monitor delta for this (non-exact) query.
-    pub fn stats_delta(&self, outcome: &AdmitOutcome, elapsed: Duration) -> GlobalStats {
-        GlobalStats {
-            queries: 1,
-            hit_queries: u64::from(self.hits.exact.is_some() || self.hits.count() > 0),
-            queries_with_sub_hits: u64::from(!self.hits.sub.is_empty()),
-            queries_with_super_hits: u64::from(!self.hits.super_.is_empty()),
-            sub_hits: self.hits.sub.len() as u64,
-            super_hits: self.hits.super_.len() as u64,
-            tests_executed: self.pruned.to_verify.count() as u64,
-            probe_tests: self.hits.probe_tests,
-            tests_saved: self.pruned.saved as u64,
-            filter_skipped: u64::from(self.filter_skipped),
-            verify_steps: self.verify_steps,
-            probe_steps: self.hits.probe_steps,
-            admitted: u64::from(outcome.admitted.is_some()),
-            evicted: outcome.evicted.len() as u64,
-            admission_rejected: u64::from(outcome.rejected),
-            total_time: elapsed,
-            ..GlobalStats::default()
-        }
-    }
-
     /// Assemble the per-query report (Fig. 3 anatomy) after the last stage.
     ///
     /// `answer` is the [`PipelineCtx::answer`] value the caller already
     /// materialized for the admit stage — passed in so the full-universe
-    /// union is computed exactly once per query.
+    /// union is computed exactly once per query. The query ran against
+    /// dataset `generation`, spending `timing` in its stages.
     pub fn into_report(
         self,
         answer: BitSet,
         outcome: AdmitOutcome,
+        generation: u64,
+        timing: QueryTiming,
         elapsed: Duration,
     ) -> QueryReport {
         let verified_count = self.pruned.to_verify.count();
@@ -191,6 +169,7 @@ impl<'q> PipelineCtx<'q> {
             kind: self.kind,
             exact_hit: false,
             memo_hit: false,
+            confirm_iso: false,
             filter_skipped: self.filter_skipped,
             sub_hits: self.hits.sub,
             super_hits: self.hits.super_,
@@ -204,6 +183,9 @@ impl<'q> PipelineCtx<'q> {
             probe_steps: self.hits.probe_steps,
             admitted: outcome.admitted,
             evicted: outcome.evicted,
+            admission_rejected: outcome.rejected,
+            generation,
+            timing,
             elapsed,
         }
     }
@@ -219,24 +201,19 @@ pub enum FastTier {
     Memo,
 }
 
-impl FastTier {
-    /// `QueryTrace::outcome` label.
-    pub fn label(self) -> &'static str {
-        match self {
-            FastTier::Exact => "exact",
-            FastTier::Memo => "memo",
-        }
-    }
-}
-
-/// Build the report for a query `tier` served whole. No stage ran, so the
-/// four stage sets are empty over an empty universe — the answer is the
-/// only universe-sized value a hit produces, handed out with the serving
-/// entry's or row's text slot.
+/// Build the report for a query `tier` served whole against dataset
+/// `generation`; `confirm_steps` is what [`probe::find_exact`] reported for
+/// the hit's confirmation (non-zero: it took an isomorphism search). No
+/// stage ran, so the four stage sets are empty over an empty universe —
+/// the answer is the only universe-sized value a hit produces, handed out
+/// with the serving entry's or row's text slot.
 pub fn fast_report(
     tier: FastTier,
     served: ExactServe,
     kind: QueryKind,
+    confirm_steps: u64,
+    generation: u64,
+    timing: QueryTiming,
     elapsed: Duration,
 ) -> QueryReport {
     let ExactServe { answer, text, base_tests } = served;
@@ -250,6 +227,7 @@ pub fn fast_report(
         kind,
         exact_hit: tier == FastTier::Exact,
         memo_hit: tier == FastTier::Memo,
+        confirm_iso: confirm_steps > 0,
         filter_skipped: false,
         sub_hits: Vec::new(),
         super_hits: Vec::new(),
@@ -263,36 +241,10 @@ pub fn fast_report(
         probe_steps: 0,
         admitted: None,
         evicted: Vec::new(),
+        admission_rejected: false,
+        generation,
+        timing,
         elapsed,
-    }
-}
-
-/// The Statistics Monitor delta for a query `tier` served whole;
-/// `confirm_steps` is what [`probe::find_exact`] reported for the hit's
-/// confirmation (non-zero: it took an isomorphism search).
-pub fn fast_stats_delta(
-    tier: FastTier,
-    base_tests: u64,
-    confirm_steps: u64,
-    elapsed: Duration,
-) -> GlobalStats {
-    GlobalStats {
-        queries: 1,
-        hit_queries: 1,
-        exact_hits: u64::from(tier == FastTier::Exact),
-        memo_hits: u64::from(tier == FastTier::Memo),
-        exact_confirm_iso: u64::from(confirm_steps > 0),
-        tests_saved: base_tests,
-        total_time: elapsed,
-        ..GlobalStats::default()
-    }
-}
-
-/// `"sub"` / `"super"` trace label for a query kind.
-pub(crate) fn kind_label(kind: QueryKind) -> &'static str {
-    match kind {
-        QueryKind::Subgraph => "sub",
-        QueryKind::Supergraph => "super",
     }
 }
 
@@ -386,115 +338,31 @@ impl QueryKey {
 }
 
 /// The query's key — a hint when `hints` holds one for the query's
-/// presentation hash, else its WL fingerprint, computed and hinted — and
-/// the time since `start` it was ready at (observed as the `key` stage).
-/// A query computes at most one fingerprint: here, or on a hinted miss
+/// presentation hash, else its WL fingerprint, computed and hinted. The
+/// time since `start` it was ready at is recorded as the `key` stage. A
+/// query computes at most one fingerprint: here, or on a hinted miss
 /// through [`QueryKey::fingerprint`].
 pub(crate) fn query_key(
     telemetry: &Telemetry,
     hints: &KeyHints,
     query: &Graph,
     start: Instant,
-) -> (QueryKey, Duration) {
+    timing: &mut QueryTiming,
+) -> QueryKey {
     let presentation = gc_graph::hash::presentation_hash(query);
     let mut key = QueryKey { presentation, routed: 0, computed: None };
     key.routed = match hints.get(presentation) {
         Some(hint) => hint,
         None => key.fingerprint(hints, query),
     };
-    let ready = start.elapsed();
-    telemetry.stage(PipelineStage::Key).observe(ready);
-    (key, ready)
-}
-
-/// What the runtime knows about a query before any tier has answered it;
-/// closes the query when a tier in front of the pipeline serves it whole.
-pub(crate) struct FastPath<'a> {
-    pub telemetry: &'a Telemetry,
-    pub stats: &'a StatsMonitor,
-    pub seq: u64,
-    pub start: Instant,
-    /// [`query_key`]'s time: `start` → routed key ready.
-    pub key: Duration,
-    pub request_id: Option<&'a str>,
-    pub kind: QueryKind,
-    pub shard: u32,
-    pub generation: u64,
-}
-
-impl FastPath<'_> {
-    /// Publish the hit's statistics, observe it into the telemetry hub
-    /// (also as the `exact` stage: key done → now) and build its report
-    /// around what the hit `served`. The trace, when sampled or slow,
-    /// carries the answer size but no stage counts (no stage ran).
-    pub(crate) fn finish(
-        &self,
-        tier: FastTier,
-        served: ExactServe,
-        confirm_steps: u64,
-    ) -> QueryReport {
-        let elapsed = self.start.elapsed();
-        self.stats.add(&fast_stats_delta(tier, served.base_tests, confirm_steps, elapsed));
-        self.telemetry.stage(PipelineStage::Exact).observe(elapsed.saturating_sub(self.key));
-        self.telemetry.finish_query(self.seq, elapsed, |slow| QueryTrace {
-            seq: self.seq,
-            request_id: self.request_id.map(str::to_owned),
-            kind: kind_label(self.kind).to_owned(),
-            outcome: tier.label().to_owned(),
-            shard: self.shard,
-            generation: self.generation,
-            total_us: elapsed.as_micros().min(u128::from(u64::MAX)) as u64,
-            answer: served.answer.count() as u64,
-            slow,
-            ..QueryTrace::default()
-        });
-        fast_report(tier, served, self.kind, elapsed)
-    }
-}
-
-/// Assemble a full-pipeline [`QueryTrace`] from the query's context.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pipeline_trace(
-    seq: u64,
-    elapsed: std::time::Duration,
-    timing: &QueryTiming,
-    request_id: Option<&str>,
-    kind: QueryKind,
-    shard: u32,
-    generation: u64,
-    ctx: &PipelineCtx<'_>,
-    answer: &BitSet,
-    slow: bool,
-) -> QueryTrace {
-    QueryTrace {
-        seq,
-        request_id: request_id.map(str::to_owned),
-        kind: kind_label(kind).to_owned(),
-        outcome: "pipeline".to_owned(),
-        shard,
-        generation,
-        plan: crate::report::plan_label(ctx.filter_skipped).to_owned(),
-        total_us: elapsed.as_micros().min(u128::from(u64::MAX)) as u64,
-        probe_us: timing.us(PipelineStage::Probe),
-        bound_us: timing.us(PipelineStage::Bound),
-        filter_us: timing.us(PipelineStage::Filter),
-        prune_us: timing.us(PipelineStage::Prune),
-        verify_us: timing.us(PipelineStage::Verify),
-        admit_us: timing.us(PipelineStage::Admit),
-        cm_size: ctx.pruned.cm_size as u64,
-        definite: ctx.bound.definite.count() as u64,
-        to_verify: ctx.pruned.to_verify.count() as u64,
-        survivors: ctx.survivors.count() as u64,
-        answer: answer.count() as u64,
-        probe_tests: ctx.hits.probe_tests,
-        verify_steps: ctx.verify_steps,
-        slow,
-    }
+    telemetry.record(PipelineStage::Key, start.elapsed(), timing);
+    key
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::StatsMonitor;
     use gc_graph::{graph_from_parts, Label};
 
     #[test]
@@ -508,17 +376,23 @@ mod tests {
         ctx.survivors = BitSet::from_indices(8, [1usize]);
         ctx.verify_steps = 42;
         assert_eq!(ctx.answer().to_vec(), vec![1, 3]);
-        let delta = ctx.stats_delta(&AdmitOutcome::default(), Duration::from_millis(1));
-        assert_eq!(delta.queries, 1);
-        assert_eq!(delta.tests_executed, 2);
-        assert_eq!(delta.tests_saved, 2);
-        assert_eq!(delta.verify_steps, 42);
         let answer = ctx.answer();
         let report = ctx.into_report(
             answer,
             AdmitOutcome { admitted: Some(7), evicted: vec![1, 2], rejected: false },
+            3,
+            QueryTiming::default(),
             Duration::from_millis(1),
         );
+        let counters = StatsMonitor::default();
+        counters.observe(&report);
+        let delta = counters.snapshot();
+        assert_eq!(delta.queries, 1);
+        assert_eq!(delta.tests_executed, 2);
+        assert_eq!(delta.tests_saved, 2);
+        assert_eq!(delta.verify_steps, 42);
+        assert_eq!((delta.admitted, delta.evicted, delta.admission_rejected), (1, 2, 0));
+        assert_eq!(report.generation, 3);
         assert_eq!(report.answer.to_vec(), vec![1, 3]);
         assert_eq!(report.verified, 2);
         assert_eq!(report.survivors, 1);
@@ -533,7 +407,15 @@ mod tests {
             let text = std::sync::Arc::default();
             let answer = BitSet::from_indices(5, [2usize]);
             let served = ExactServe { answer, text, base_tests: 9 };
-            let r = fast_report(tier, served, QueryKind::Supergraph, Duration::ZERO);
+            let r = fast_report(
+                tier,
+                served,
+                QueryKind::Supergraph,
+                0,
+                0,
+                QueryTiming::default(),
+                Duration::ZERO,
+            );
             assert!(r.answer_text.is_some(), "every fast hit hands out its text slot");
             assert_eq!((r.exact_hit, r.memo_hit), (exact == 1, memo == 1));
             assert!(r.any_hit());
@@ -541,10 +423,25 @@ mod tests {
             assert_eq!((r.sub_iso_tests, r.probe_tests, r.verify_steps), (0, 0, 0));
             assert_eq!(r.answer.to_vec(), vec![2]);
             assert_eq!(r.cm_set.universe(), 0, "no stage ran: nothing universe-sized but A");
-            let d = fast_stats_delta(tier, 9, 0, Duration::ZERO);
+            let counters = StatsMonitor::default();
+            counters.observe(&r);
+            let d = counters.snapshot();
             assert_eq!((d.exact_hits, d.memo_hits, d.exact_confirm_iso), (exact, memo, 0));
             assert_eq!(d.tests_saved, 9);
-            assert_eq!(fast_stats_delta(tier, 9, 4, Duration::ZERO).exact_confirm_iso, 1);
+            let served =
+                ExactServe { answer: r.answer, text: std::sync::Arc::default(), base_tests: 9 };
+            let iso = fast_report(
+                tier,
+                served,
+                QueryKind::Supergraph,
+                4,
+                0,
+                QueryTiming::default(),
+                Duration::ZERO,
+            );
+            let counters = StatsMonitor::default();
+            counters.observe(&iso);
+            assert_eq!(counters.snapshot().exact_confirm_iso, 1);
         }
     }
 }

@@ -105,8 +105,6 @@ pub struct HitSnapshot {
 /// All hits found for one query, plus probing costs.
 #[derive(Debug, Clone, Default)]
 pub struct CacheHits {
-    /// Exact-match entry, if any.
-    pub exact: Option<EntryId>,
     /// Verified sub-case hits (`query ⊑ cached`).
     pub sub: Vec<EntryId>,
     /// Verified super-case hits (`cached ⊑ query`).
@@ -119,7 +117,7 @@ pub struct CacheHits {
 }
 
 impl CacheHits {
-    /// All non-exact hits with their relations (subs first, then supers).
+    /// All hits with their relations (subs first, then supers).
     pub fn iter(&self) -> impl Iterator<Item = Hit> + '_ {
         self.sub
             .iter()
@@ -127,7 +125,7 @@ impl CacheHits {
             .chain(self.super_.iter().map(|&e| Hit { entry: e, relation: Relation::CachedInQuery }))
     }
 
-    /// Total number of verified (non-exact) hits.
+    /// Total number of verified hits.
     pub fn count(&self) -> usize {
         self.sub.len() + self.super_.len()
     }
@@ -135,7 +133,6 @@ impl CacheHits {
     /// Absorb another probe result (used by the sharded front-end to merge
     /// per-shard hits; entry-id namespaces are the caller's concern).
     pub fn merge(&mut self, other: CacheHits) {
-        self.exact = self.exact.or(other.exact);
         self.sub.extend(other.sub);
         self.super_.extend(other.super_);
         self.probe_tests += other.probe_tests;
@@ -291,11 +288,12 @@ mod tests {
     use gc_index::FeatureConfig;
     use gc_iso::GraphProfile;
 
-    /// Exact match first, then the sub/super cases with features and the
-    /// query profile built here — one cache manager probed whole.
+    /// The runtime's order over one cache manager: no probing when the
+    /// exact tier matches, else the sub/super cases with features and the
+    /// query profile built here.
     fn probe(cache: &CacheManager, cfg: &CacheConfig, query: &Graph, kind: QueryKind) -> CacheHits {
-        if let Some((e, ..)) = find_exact(cache, gc_graph::hash::fingerprint(query), query, kind) {
-            return CacheHits { exact: Some(e.id), ..CacheHits::default() };
+        if exact(cache, query, kind).is_some() {
+            return CacheHits::default();
         }
         let qf = cache.index().features_of(query);
         let q_profile = GraphProfile::new(query, None);
@@ -438,7 +436,7 @@ mod tests {
         let cm = cache_with(&[(edge, QueryKind::Subgraph), (square, QueryKind::Subgraph)]);
         let q = g(&[0, 1, 0], &[(0, 1), (1, 2)]); // path 0-1-0
         let hits = probe(&cm, &CacheConfig::default(), &q, QueryKind::Subgraph);
-        assert!(hits.exact.is_none());
+        assert!(exact(&cm, &q, QueryKind::Subgraph).is_none());
         assert_eq!(hits.sub, vec![1], "q is inside the square");
         assert_eq!(hits.super_, vec![0], "edge is inside q");
         assert!(hits.probe_tests >= 2);
@@ -450,7 +448,7 @@ mod tests {
         let q = g(&[0, 1], &[(0, 1)]);
         let cm = cache_with(&[(q.clone(), QueryKind::Subgraph)]);
         let hits = probe(&cm, &CacheConfig::default(), &q, QueryKind::Subgraph);
-        assert!(hits.exact.is_some());
+        assert!(exact(&cm, &q, QueryKind::Subgraph).is_some());
         assert_eq!(hits.probe_tests, 0);
         assert!(hits.sub.is_empty() && hits.super_.is_empty());
     }
@@ -508,20 +506,8 @@ mod tests {
 
     #[test]
     fn merge_combines_shard_results() {
-        let mut a = CacheHits {
-            sub: vec![1],
-            super_: vec![2],
-            probe_tests: 3,
-            probe_steps: 10,
-            ..CacheHits::default()
-        };
-        let b = CacheHits {
-            sub: vec![7],
-            super_: vec![],
-            probe_tests: 1,
-            probe_steps: 5,
-            ..CacheHits::default()
-        };
+        let mut a = CacheHits { sub: vec![1], super_: vec![2], probe_tests: 3, probe_steps: 10 };
+        let b = CacheHits { sub: vec![7], super_: vec![], probe_tests: 1, probe_steps: 5 };
         a.merge(b);
         assert_eq!(a.sub, vec![1, 7]);
         assert_eq!(a.super_, vec![2]);

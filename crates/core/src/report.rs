@@ -1,6 +1,7 @@
 //! Per-query reports for the Demonstrator.
 
 use crate::entry::{AnswerText, EntryId};
+use crate::telemetry::QueryTiming;
 use gc_graph::BitSet;
 use gc_method::QueryKind;
 use std::sync::Arc;
@@ -10,8 +11,8 @@ use std::time::Duration;
 /// directory — the compaction signals of the tombstoned directory
 /// maintenance (PR 4), surfaced here so dashboards and operators never
 /// need to poke `gc_index` directly. Read via
-/// [`crate::SharedGraphCache::index_health`]; also mirrored into the
-/// gauge fields of [`crate::GlobalStats`] snapshots.
+/// [`crate::SharedGraphCache::index_health`], which is where the End-User
+/// Monitor reads it at render time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexHealth {
     /// Distinct live feature hashes in the directory.
@@ -36,6 +37,9 @@ impl IndexHealth {
 
 /// Everything GraphCache can tell about one processed query — the data
 /// behind the demo's Query Journey (Fig. 3) and the Demonstrator panels.
+/// It is the one record of a query: the Statistics Monitor's counters, the
+/// sampled [`crate::QueryTrace`] and the server's `/query` reply are each
+/// derived from it.
 #[derive(Debug, Clone)]
 pub struct QueryReport {
     /// The exact answer set `A` (Fig. 3(h)).
@@ -66,6 +70,10 @@ pub struct QueryReport {
     /// `true` when an answer-only row (an evicted entry, or a query
     /// admission rejected) served the query, without credit or any stage.
     pub memo_hit: bool,
+    /// `true` when the exact or memo hit's confirmation needed the
+    /// isomorphism search (the query was a differently numbered isomorph
+    /// of the stored graph; see [`gc_iso::iso::confirm_isomorphic`]).
+    pub confirm_iso: bool,
     /// `true` when the pipeline took the bounded plan: the cache hits
     /// already fenced the answer, so Method M's filter never ran and
     /// `cm_set` is the hits' upper bound `U` (see
@@ -100,18 +108,15 @@ pub struct QueryReport {
     pub admitted: Option<EntryId>,
     /// Entries evicted while admitting this query's window.
     pub evicted: Vec<EntryId>,
+    /// `true` when the admission filter rejected the query.
+    pub admission_rejected: bool,
+    /// The dataset generation the answer was served against: the answer is
+    /// exactly Method M's over the dataset at this generation.
+    pub generation: u64,
+    /// Time spent per stage (the stages that did not run read 0).
+    pub timing: QueryTiming,
     /// Wall-clock time of the whole `query()` call.
     pub elapsed: Duration,
-}
-
-/// Display label of the plan a pipeline query ran (`QueryTrace::plan`, the
-/// server's `QueryResponse::plan`, the Query Journey).
-pub(crate) fn plan_label(filter_skipped: bool) -> &'static str {
-    if filter_skipped {
-        "bounded"
-    } else {
-        "filter"
-    }
 }
 
 impl QueryReport {
@@ -121,8 +126,22 @@ impl QueryReport {
     pub fn plan(&self) -> &'static str {
         if self.exact_hit || self.memo_hit {
             ""
+        } else if self.filter_skipped {
+            "bounded"
         } else {
-            plan_label(self.filter_skipped)
+            "filter"
+        }
+    }
+
+    /// Which tier served the query: `"exact"`, `"memo"` or `"pipeline"`
+    /// (the trace's `outcome`, the server's `x-gc-tier` header).
+    pub fn tier(&self) -> &'static str {
+        if self.exact_hit {
+            "exact"
+        } else if self.memo_hit {
+            "memo"
+        } else {
+            "pipeline"
         }
     }
 
@@ -152,10 +171,11 @@ impl QueryReport {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn base_report() -> QueryReport {
+    /// The demo's Fig. 3 pipeline query: 75 → 43 tests.
+    pub(crate) fn base_report() -> QueryReport {
         QueryReport {
             answer: BitSet::new(10),
             answer_text: None,
@@ -166,6 +186,7 @@ mod tests {
             kind: QueryKind::Subgraph,
             exact_hit: false,
             memo_hit: false,
+            confirm_iso: false,
             filter_skipped: false,
             sub_hits: vec![],
             super_hits: vec![],
@@ -179,6 +200,9 @@ mod tests {
             probe_steps: 0,
             admitted: None,
             evicted: vec![],
+            admission_rejected: false,
+            generation: 0,
+            timing: QueryTiming::default(),
             elapsed: Duration::ZERO,
         }
     }
@@ -190,9 +214,10 @@ mod tests {
         assert!((r.test_speedup() - 75.0 / 43.0).abs() < 1e-9);
         assert_eq!(r.tests_saved(), 32);
         assert!(!r.any_hit());
-        assert_eq!(r.plan(), "filter");
+        assert_eq!((r.plan(), r.tier()), ("filter", "pipeline"));
         assert_eq!(QueryReport { filter_skipped: true, ..r.clone() }.plan(), "bounded");
-        assert_eq!(QueryReport { memo_hit: true, ..r }.plan(), "");
+        let memo = QueryReport { memo_hit: true, ..r };
+        assert_eq!((memo.plan(), memo.tier()), ("", "memo"));
     }
 
     #[test]
@@ -218,5 +243,6 @@ mod tests {
         r.verified = 0;
         assert_eq!(r.test_speedup(), 75.0);
         assert!(r.any_hit());
+        assert_eq!(r.tier(), "exact");
     }
 }

@@ -19,9 +19,10 @@
 //!   stages and answer-only row hits take only shard *read* locks (held
 //!   just long enough to copy answers); write locks are taken for the short
 //!   sections that mutate state: hit crediting and admission/eviction;
-//! * **lock-free accounting** — [`StatsMonitor`] and [`CostModel`] are
-//!   atomics-based, so statistics and cost observations never serialize
-//!   queries;
+//! * **lock-free accounting** — the Statistics Monitor (observing each
+//!   query's [`QueryReport`] into [`GlobalStats`] counters) and
+//!   [`CostModel`] are atomics-based, so statistics and cost observations
+//!   never serialize queries;
 //! * **one query, one thread** — every stage of a query, shard probes and
 //!   candidate verification included, runs on the caller's thread with
 //!   that thread's scratch; the cores are occupied by concurrent callers
@@ -56,12 +57,12 @@ use crate::entry::EntryId;
 use crate::persist::{self, PersistHealth, RecoveryReport};
 use crate::pipeline::admit::{self, AdmitLimits, AdmitOutcome};
 use crate::pipeline::probe::{CacheHits, ProbeScratch};
-use crate::pipeline::{bound, filter, probe, prune, verify, FastTier, PipelineCtx};
-use crate::pipeline::{pipeline_trace, query_key, FastPath, KeyHints};
+use crate::pipeline::{bound, fast_report, filter, probe, prune, verify, FastTier, PipelineCtx};
+use crate::pipeline::{query_key, KeyHints};
 use crate::policy::ReplacementPolicy;
 use crate::report::{IndexHealth, QueryReport};
 use crate::stats::{GlobalStats, StatsMonitor};
-use crate::telemetry::{PipelineStage, QueryTiming, Telemetry};
+use crate::telemetry::{PipelineStage, QueryTiming, QueryTrace, Telemetry};
 use crate::window::WindowManager;
 use crate::PolicyKind;
 use gc_graph::{BitSet, Graph, GraphId};
@@ -70,7 +71,7 @@ use gc_store::{CacheStore, EntryRecord, JournalOp, LoadOutcome, SnapshotInfo};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 thread_local! {
     /// Per-thread query buffers: `query` is `&self` (any number of client
@@ -193,7 +194,8 @@ pub struct SharedGraphCache {
     /// orders every write and the mutation's read, so `Relaxed` suffices;
     /// the health gauge reads it unlocked.
     behind: AtomicBool,
-    /// Failed store operations since attach (the `persist_errors` gauge).
+    /// Failed store operations since attach (reported by
+    /// [`Self::persist_health`]).
     persist_errors: AtomicU64,
     /// Mutations applied while `behind` (the `journal_records_buffered`
     /// gauge); cleared with it.
@@ -248,7 +250,7 @@ impl SharedGraphCache {
         let hints = KeyHints::new(config.capacity.saturating_add(ANSWER_ROWS).saturating_mul(2));
         Ok(SharedGraphCache {
             cost: CostModel::new(&dataset),
-            stats: StatsMonitor::new(),
+            stats: StatsMonitor::default(),
             clock: AtomicU64::new(0),
             data: RwLock::new(DataState { overlay: BitSet::new(dataset.len()), dataset }),
             method,
@@ -314,7 +316,8 @@ impl SharedGraphCache {
         let start = Instant::now();
         let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let seq = self.telemetry.begin_query();
-        let (mut key, key_ready) = query_key(&self.telemetry, &self.hints, query, start);
+        let mut timing = QueryTiming::default();
+        let mut key = query_key(&self.telemetry, &self.hints, query, start, &mut timing);
 
         // Pin the dataset for the query's duration: mutations take this
         // lock exclusively, so everything below sees one generation. The
@@ -338,24 +341,22 @@ impl SharedGraphCache {
         }
         if let Some((tier, served, steps)) = hit {
             drop(data);
-            let fast = FastPath {
-                telemetry: &self.telemetry,
-                stats: &self.stats,
-                seq,
-                start,
-                key: key_ready,
-                request_id,
-                kind,
-                shard: home as u32,
-                generation,
-            };
-            return fast.finish(tier, served, steps);
+            // Key ready → served is the `exact` stage.
+            let elapsed = start.elapsed();
+            let key_ready = Duration::from_nanos(timing.ns(PipelineStage::Key));
+            self.telemetry.record(
+                PipelineStage::Exact,
+                elapsed.saturating_sub(key_ready),
+                &mut timing,
+            );
+            let report = fast_report(tier, served, kind, steps, generation, timing, elapsed);
+            self.observe(&report, seq, request_id, home);
+            return report;
         }
 
         // ---- staged pipeline ---------------------------------------------
         // From here on only the computed key is used (computed above).
         let fp = key.fingerprint(&self.hints, query);
-        let mut timing = QueryTiming::default();
         let mut ctx = PipelineCtx::new(query, kind, now, data.dataset.len());
         // Borrow this thread's warm probe buffers for the query's lifetime
         // (returned before the context is consumed below).
@@ -481,30 +482,25 @@ impl SharedGraphCache {
         drop(admit_span);
 
         let elapsed = start.elapsed();
-        self.stats.add(&ctx.stats_delta(&outcome, elapsed));
-        self.telemetry.finish_query(seq, elapsed, |slow| {
-            pipeline_trace(
-                seq,
-                elapsed,
-                &timing,
-                request_id,
-                kind,
-                home as u32,
-                generation,
-                &ctx,
-                &answer,
-                slow,
-            )
-        });
+        PROBE_SCRATCH.with(|s| std::mem::swap(&mut ctx.probe_scratch, &mut s.borrow_mut()));
+        let report = ctx.into_report(answer, outcome, generation, timing, elapsed);
+        self.observe(&report, seq, request_id, home);
         // Release the dataset first: a due rotation snapshots, and
         // snapshots re-acquire the data read lock.
         drop(data);
-        if outcome.admitted.is_some() {
+        if report.admitted.is_some() {
             self.count_admission();
         }
+        report
+    }
 
-        PROBE_SCRATCH.with(|s| std::mem::swap(&mut ctx.probe_scratch, &mut s.borrow_mut()));
-        ctx.into_report(answer, outcome, elapsed)
+    /// Close query `seq`: count its report and observe it into the
+    /// telemetry hub, which captures its trace when it is sampled or slow.
+    fn observe(&self, report: &QueryReport, seq: u64, request_id: Option<&str>, home: usize) {
+        self.stats.observe(report);
+        self.telemetry.finish_query(seq, report.elapsed, |slow| {
+            QueryTrace::of(report, seq, request_id, home as u32, slow)
+        });
     }
 
     /// Count one admission toward the auto-snapshot trigger and snapshot
@@ -822,17 +818,22 @@ impl SharedGraphCache {
         self.store.as_deref()
     }
 
-    /// Persistence health of the attached store (`None` when detached).
-    /// `Degraded` means some applied mutation is not on disk until the
-    /// next snapshot lands — the cache keeps serving exact answers; see
-    /// [`PersistHealth`].
-    pub fn persist_health(&self) -> Option<PersistHealth> {
+    /// Persistence health of the attached store (`None` when detached):
+    /// `(health, errors, buffered)`. `Degraded` means some applied mutation
+    /// is not on disk until the next snapshot lands — the cache keeps
+    /// serving exact answers; see [`PersistHealth`]. `errors` counts the
+    /// failed store operations (delta appends and snapshot rotations) since
+    /// the store was attached; `buffered` the mutations applied while
+    /// degraded, which the next snapshot captures (resetting it to 0).
+    pub fn persist_health(&self) -> Option<(PersistHealth, u64, u64)> {
         self.store.as_ref().map(|_| {
-            if self.behind.load(Ordering::Relaxed) {
+            let health = if self.behind.load(Ordering::Relaxed) {
                 PersistHealth::Degraded
             } else {
                 PersistHealth::Healthy
-            }
+            };
+            let errors = self.persist_errors.load(Ordering::Relaxed);
+            (health, errors, self.buffered.load(Ordering::Relaxed))
         })
     }
 
@@ -948,7 +949,7 @@ impl SharedGraphCache {
             let share = pending / n_shards + usize::from(si < pending % n_shards);
             shard_state.window.restore_pending(share);
         }
-        self.stats.add(&persist::stats_from_records(&state.doc.stats));
+        self.stats = StatsMonitor::resumed(&persist::stats_from_records(&state.doc.stats));
         for (gid, &(est, observed)) in state.doc.cost.iter().enumerate() {
             self.cost.restore_estimate(gid, est, observed);
         }
@@ -1004,29 +1005,9 @@ impl SharedGraphCache {
         }
     }
 
-    /// Snapshot of the global statistics, with the index-health gauges
-    /// populated by summing every shard's containment-index directory.
+    /// Snapshot of the Statistics Monitor's counters (lock-free).
     pub fn stats(&self) -> GlobalStats {
-        let mut s = self.stats.snapshot();
-        let health = self.index_health();
-        s.distinct_features = health.distinct_features as u64;
-        s.tombstoned_slots = health.tombstoned_slots as u64;
-        s.kernel_dispatch = gc_graph::simd::kernel_name();
-        {
-            let data = self.data.read();
-            s.dataset_generation = data.dataset.generation();
-            s.dataset_live_graphs = data.dataset.live_count() as u64;
-        }
-        if let Some(health) = self.persist_health() {
-            s.persist_health = health.as_str();
-            s.persist_errors = self.persist_errors.load(Ordering::Relaxed);
-            s.journal_records_buffered = self.buffered.load(Ordering::Relaxed);
-        }
-        s.pipeline_p50_us = self.telemetry.total().percentile_us(50.0);
-        s.pipeline_p99_us = self.telemetry.total().percentile_us(99.0);
-        s.traces_sampled = self.telemetry.sampled_count();
-        s.slow_queries = self.telemetry.slow_count();
-        s
+        self.stats.snapshot()
     }
 
     /// The pipeline telemetry hub: stage histograms, sampled traces, and
@@ -1044,11 +1025,6 @@ impl SharedGraphCache {
             health.tombstoned_slots += cm.index().tombstoned_slots();
         });
         health
-    }
-
-    /// Shared handle to the Statistics Monitor (lock-free).
-    pub fn monitor(&self) -> StatsMonitor {
-        self.stats.clone()
     }
 
     /// Number of cached entries across all shards.
@@ -1118,7 +1094,6 @@ fn encode_entry_id(shard: usize, local: EntryId) -> EntryId {
 
 fn encode_hits(shard: usize, hits: &CacheHits) -> CacheHits {
     CacheHits {
-        exact: hits.exact.map(|id| encode_entry_id(shard, id)),
         sub: hits.sub.iter().map(|&id| encode_entry_id(shard, id)).collect(),
         super_: hits.super_.iter().map(|&id| encode_entry_id(shard, id)).collect(),
         probe_tests: hits.probe_tests,
@@ -1175,6 +1150,31 @@ mod tests {
         }
         assert_eq!(gc.stats().exact_hits, 1, "the repeat is an exact hit");
         assert_eq!(gc.len(), seq.len());
+    }
+
+    /// A sampled trace is its report's: every stage the query ran, the key
+    /// included, sums to no more than its total.
+    #[test]
+    fn sampled_traces_cover_every_stage() {
+        let gc = shared(CacheConfig { trace_sample_rate: 1.0, ..CacheConfig::default() });
+        let q = g(&[0, 1, 2], &[(0, 1), (1, 2)]);
+        let miss = gc.query(&q, QueryKind::Subgraph);
+        let hit = gc.query(&q, QueryKind::Subgraph);
+        assert_eq!((miss.tier(), hit.tier()), ("pipeline", "exact"));
+        let traces = gc.telemetry().recent_traces(2);
+        for (report, trace) in [(&hit, &traces[0]), (&miss, &traces[1])] {
+            assert_eq!(trace.outcome, report.tier());
+            assert!(trace.stage_sum_us() <= trace.total_us, "{trace:?}");
+            assert_eq!(trace.key_us, report.timing.us(PipelineStage::Key));
+            assert_eq!(trace.exact_us, report.timing.us(PipelineStage::Exact));
+            if report.timing.ns(PipelineStage::Key) >= 1_000 {
+                assert!(trace.key_us > 0, "{trace:?}");
+            }
+            assert!(report.timing.ns(PipelineStage::Key) > 0, "every query is keyed");
+        }
+        let staged: u64 = PipelineStage::ALL.iter().map(|&st| hit.timing.ns(st)).sum();
+        assert_eq!(u128::from(staged), hit.elapsed.as_nanos(), "a hit is key + exact");
+        assert_eq!(miss.timing.ns(PipelineStage::Exact), 0, "the pipeline has no exact stage");
     }
 
     #[test]
@@ -1300,7 +1300,7 @@ mod tests {
 
     /// Counters only: the time total differs between any two runs.
     fn counters(gc: &SharedGraphCache) -> GlobalStats {
-        GlobalStats { total_time: std::time::Duration::ZERO, ..gc.monitor().snapshot() }
+        GlobalStats { total_time: Duration::ZERO, ..gc.stats() }
     }
 
     /// How a step poisons the queried presentation's hint slot first.

@@ -1,20 +1,22 @@
 //! Statistics Monitor / Manager.
 //!
-//! [`GlobalStats`] is a plain snapshot/delta struct; [`StatsMonitor`] holds
-//! the live counters as atomics so *no lock is taken on the query path* —
-//! concurrent queries from [`crate::SharedGraphCache`] publish their deltas
-//! with `fetch_add` and dashboards snapshot without stalling anyone.
+//! [`GlobalStats`] is a plain snapshot of the counters; the crate-private
+//! `StatsMonitor` holds them live as atomics, so *no lock is taken on the
+//! query path*: every query's [`QueryReport`] is observed with `fetch_add`s
+//! and dashboards snapshot without stalling anyone. The gauges dashboards
+//! show beside the counters are read from their owners at render time
+//! ([`crate::SharedGraphCache::index_health`],
+//! [`crate::SharedGraphCache::persist_health`],
+//! [`crate::SharedGraphCache::telemetry`], the dataset).
 
+use crate::report::QueryReport;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
-/// Aggregate operational metrics of a cache instance (paper Fig. 1:
-/// Statistics Monitor feeding the Demonstrator's Sub-Iso Testing / Query
-/// Time panels).
-///
-/// Doubles as the *delta* type: the query pipeline accumulates one
-/// `GlobalStats` per query and publishes it via [`StatsMonitor::add`].
+/// The counters of a cache instance (paper Fig. 1: the Statistics Monitor
+/// feeding the Demonstrator's Sub-Iso Testing / Query Time panels), each a
+/// sum over the queries' [`QueryReport`]s. The snapshot persists exactly
+/// these.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct GlobalStats {
     /// Queries processed.
@@ -67,73 +69,6 @@ pub struct GlobalStats {
     pub admission_rejected: u64,
     /// Total wall-clock time inside `query()`.
     pub total_time: Duration,
-    /// Index-health *gauge* (not a counter): distinct live feature hashes
-    /// in the containment index's posting directory. Populated at snapshot
-    /// time by [`crate::SharedGraphCache::stats`];
-    /// always 0 in per-query deltas and ignored by [`StatsMonitor::add`].
-    pub distinct_features: u64,
-    /// Index-health *gauge*: tombstoned (evicted, not yet compacted) slots
-    /// in the posting directory — the compaction-debt signal of the lazy
-    /// directory maintenance. Same snapshot-time semantics as
-    /// [`GlobalStats::distinct_features`].
-    pub tombstoned_slots: u64,
-    /// Deployment *gauge*: the kernel tier the bitset/merge hot loops
-    /// dispatched to on this machine (`"avx2"` or `"scalar"`;
-    /// see [`gc_graph::simd::kernel_name`]). Populated at snapshot time
-    /// like the index-health gauges; empty in per-query deltas and ignored
-    /// by [`StatsMonitor::add`].
-    pub kernel_dispatch: &'static str,
-    /// Persistence *gauge*: durability of the attached store
-    /// (`"healthy"` or `"degraded"`; empty when no store is attached —
-    /// see [`crate::persist::PersistHealth`]). Populated at snapshot time
-    /// like the index-health gauges; empty in per-query deltas and ignored
-    /// by [`StatsMonitor::add`].
-    pub persist_health: &'static str,
-    /// Persistence *gauge*: failed store operations (delta appends and
-    /// snapshot rotations) since the store was attached. Snapshot-time
-    /// semantics like [`GlobalStats::distinct_features`].
-    pub persist_errors: u64,
-    /// Persistence *gauge*: dataset mutations applied while the store was
-    /// degraded — in neither the snapshot nor the journal until the next
-    /// snapshot lands, which captures them all and resets this to 0. Same
-    /// snapshot-time semantics.
-    pub journal_records_buffered: u64,
-    /// Serving *gauge*: HTTP requests routed by the `gc-server` front-end
-    /// (0 when the cache is not being served). Populated by the server's
-    /// stats snapshot, never by per-query deltas; ignored by
-    /// [`StatsMonitor::add`] like the other gauges.
-    pub requests_total: u64,
-    /// Serving *gauge*: requests shed under overload (accept-loop `503`s
-    /// plus queued-past-deadline `503`s). Same snapshot-time semantics.
-    pub requests_shed: u64,
-    /// Serving *gauge*: requests that exceeded a deadline (`504`/`408` or
-    /// served late). Same snapshot-time semantics.
-    pub requests_timed_out: u64,
-    /// Serving *gauge*: seconds since the serving front-end started. Same
-    /// snapshot-time semantics.
-    pub uptime_secs: u64,
-    /// Dataset *gauge*: generation counter of the live dataset (number of
-    /// insert/remove mutations applied since the base dataset). Populated
-    /// at snapshot time like the index-health gauges; 0 in per-query
-    /// deltas and ignored by [`StatsMonitor::add`].
-    pub dataset_generation: u64,
-    /// Dataset *gauge*: live (non-tombstoned) graphs in the dataset. Same
-    /// snapshot-time semantics.
-    pub dataset_live_graphs: u64,
-    /// Telemetry *gauge*: estimated median end-to-end query latency in
-    /// microseconds, from the pipeline's log2 histogram (upper bucket
-    /// bound — within 2× of the true median). Populated at snapshot time
-    /// like the other gauges; ignored by [`StatsMonitor::add`].
-    pub pipeline_p50_us: u64,
-    /// Telemetry *gauge*: estimated p99 end-to-end query latency,
-    /// microseconds. Same snapshot-time semantics.
-    pub pipeline_p99_us: u64,
-    /// Telemetry *gauge*: query traces captured by the sampler so far.
-    /// Same snapshot-time semantics.
-    pub traces_sampled: u64,
-    /// Telemetry *gauge*: queries that exceeded the slow-query threshold.
-    /// Same snapshot-time semantics.
-    pub slow_queries: u64,
 }
 
 impl GlobalStats {
@@ -156,62 +91,16 @@ impl GlobalStats {
         }
     }
 
-    /// Average wall-clock time per query.
+    /// Average wall-clock time per query (divided in `u128` nanoseconds,
+    /// so no query count truncates).
     pub fn avg_time_per_query(&self) -> Duration {
         if self.queries == 0 {
             Duration::ZERO
         } else {
-            self.total_time / self.queries as u32
+            let nanos = self.total_time.as_nanos() / u128::from(self.queries);
+            Duration::from_nanos(nanos as u64)
         }
     }
-
-    /// Tombstoned fraction of the containment-index directory — the
-    /// compaction-health gauge dashboards plot. Delegates to
-    /// [`crate::report::IndexHealth::tombstone_ratio`], the single home of
-    /// the formula.
-    pub fn tombstone_ratio(&self) -> f64 {
-        crate::report::IndexHealth {
-            distinct_features: self.distinct_features as usize,
-            tombstoned_slots: self.tombstoned_slots as usize,
-        }
-        .tombstone_ratio()
-    }
-}
-
-/// The live counters, one atomic per [`GlobalStats`] field.
-#[derive(Debug, Default)]
-struct AtomicStats {
-    queries: AtomicU64,
-    hit_queries: AtomicU64,
-    exact_hits: AtomicU64,
-    memo_hits: AtomicU64,
-    exact_confirm_iso: AtomicU64,
-    queries_with_sub_hits: AtomicU64,
-    queries_with_super_hits: AtomicU64,
-    sub_hits: AtomicU64,
-    super_hits: AtomicU64,
-    tests_executed: AtomicU64,
-    probe_tests: AtomicU64,
-    tests_saved: AtomicU64,
-    filter_skipped: AtomicU64,
-    verify_steps: AtomicU64,
-    probe_steps: AtomicU64,
-    admitted: AtomicU64,
-    evicted: AtomicU64,
-    admission_rejected: AtomicU64,
-    total_time_nanos: AtomicU64,
-}
-
-/// Thread-safe, lock-free wrapper around [`GlobalStats`] — the Statistics
-/// Monitor.
-///
-/// Cloning shares the underlying counters (`Arc`). All operations are
-/// `fetch_add`/`load` on relaxed atomics: per-field totals are exact; a
-/// snapshot taken *while a query publishes* may see that query's fields
-/// partially applied (torn across fields, never within one).
-#[derive(Debug, Clone, Default)]
-pub struct StatsMonitor {
-    inner: Arc<AtomicStats>,
 }
 
 /// Every [`GlobalStats`] counter, in field order: the monitor's atomics
@@ -240,53 +129,86 @@ macro_rules! for_each_counter {
 }
 pub(crate) use for_each_counter;
 
-impl StatsMonitor {
-    /// New monitor with zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// The Statistics Monitor: one relaxed atomic per [`GlobalStats`] counter.
+/// Per-field totals are exact; a snapshot taken *while a query is
+/// observed* may see that query's counters partially applied (torn across
+/// fields, never within one).
+#[derive(Debug, Default)]
+pub(crate) struct StatsMonitor {
+    queries: AtomicU64,
+    hit_queries: AtomicU64,
+    exact_hits: AtomicU64,
+    memo_hits: AtomicU64,
+    exact_confirm_iso: AtomicU64,
+    queries_with_sub_hits: AtomicU64,
+    queries_with_super_hits: AtomicU64,
+    sub_hits: AtomicU64,
+    super_hits: AtomicU64,
+    tests_executed: AtomicU64,
+    probe_tests: AtomicU64,
+    tests_saved: AtomicU64,
+    filter_skipped: AtomicU64,
+    verify_steps: AtomicU64,
+    probe_steps: AtomicU64,
+    admitted: AtomicU64,
+    evicted: AtomicU64,
+    admission_rejected: AtomicU64,
+    total_time_nanos: AtomicU64,
+}
 
-    /// Publish one query's accumulated delta (lock-free).
-    pub fn add(&self, delta: &GlobalStats) {
-        let inner = &self.inner;
-        macro_rules! add_field {
+impl StatsMonitor {
+    /// A monitor resuming from `counters` (a restored snapshot's).
+    pub(crate) fn resumed(counters: &GlobalStats) -> Self {
+        let m = StatsMonitor::default();
+        macro_rules! store_field {
             ($f:ident) => {
-                if delta.$f != 0 {
-                    inner.$f.fetch_add(delta.$f, Ordering::Relaxed);
-                }
+                m.$f.store(counters.$f, Ordering::Relaxed);
             };
         }
-        for_each_counter!(add_field);
-        let nanos = delta.total_time.as_nanos() as u64;
-        if nanos != 0 {
-            inner.total_time_nanos.fetch_add(nanos, Ordering::Relaxed);
-        }
+        for_each_counter!(store_field);
+        m.total_time_nanos.store(counters.total_time.as_nanos() as u64, Ordering::Relaxed);
+        m
+    }
+
+    /// Count one query: every counter is a function of its report.
+    pub(crate) fn observe(&self, r: &QueryReport) {
+        let add = |counter: &AtomicU64, v: u64| {
+            if v != 0 {
+                counter.fetch_add(v, Ordering::Relaxed);
+            }
+        };
+        add(&self.queries, 1);
+        add(&self.hit_queries, u64::from(r.any_hit()));
+        add(&self.exact_hits, u64::from(r.exact_hit));
+        add(&self.memo_hits, u64::from(r.memo_hit));
+        add(&self.exact_confirm_iso, u64::from(r.confirm_iso));
+        add(&self.queries_with_sub_hits, u64::from(!r.sub_hits.is_empty()));
+        add(&self.queries_with_super_hits, u64::from(!r.super_hits.is_empty()));
+        add(&self.sub_hits, r.sub_hits.len() as u64);
+        add(&self.super_hits, r.super_hits.len() as u64);
+        add(&self.tests_executed, r.verified as u64);
+        add(&self.probe_tests, r.probe_tests);
+        add(&self.tests_saved, (r.cm_size - r.verified) as u64);
+        add(&self.filter_skipped, u64::from(r.filter_skipped));
+        add(&self.verify_steps, r.verify_steps);
+        add(&self.probe_steps, r.probe_steps);
+        add(&self.admitted, u64::from(r.admitted.is_some()));
+        add(&self.evicted, r.evicted.len() as u64);
+        add(&self.admission_rejected, u64::from(r.admission_rejected));
+        add(&self.total_time_nanos, r.elapsed.as_nanos() as u64);
     }
 
     /// Snapshot the current counters.
-    pub fn snapshot(&self) -> GlobalStats {
-        let inner = &self.inner;
+    pub(crate) fn snapshot(&self) -> GlobalStats {
         let mut out = GlobalStats::default();
         macro_rules! load_field {
             ($f:ident) => {
-                out.$f = inner.$f.load(Ordering::Relaxed);
+                out.$f = self.$f.load(Ordering::Relaxed);
             };
         }
         for_each_counter!(load_field);
-        out.total_time = Duration::from_nanos(inner.total_time_nanos.load(Ordering::Relaxed));
+        out.total_time = Duration::from_nanos(self.total_time_nanos.load(Ordering::Relaxed));
         out
-    }
-
-    /// Reset all counters.
-    pub fn reset(&self) {
-        let inner = &self.inner;
-        macro_rules! reset_field {
-            ($f:ident) => {
-                inner.$f.store(0, Ordering::Relaxed);
-            };
-        }
-        for_each_counter!(reset_field);
-        inner.total_time_nanos.store(0, Ordering::Relaxed);
     }
 }
 
@@ -311,127 +233,87 @@ mod tests {
     }
 
     #[test]
-    fn monitor_shares_state() {
-        let m = StatsMonitor::new();
-        let m2 = m.clone();
-        m.add(&GlobalStats { queries: 5, ..GlobalStats::default() });
-        m2.add(&GlobalStats { queries: 5, ..GlobalStats::default() });
-        assert_eq!(m.snapshot().queries, 10);
-        m.reset();
-        assert_eq!(m2.snapshot().queries, 0);
+    fn avg_time_per_query_past_u32_queries() {
+        let s = GlobalStats {
+            queries: 1 << 32,
+            total_time: Duration::from_nanos(5 << 32),
+            ..GlobalStats::default()
+        };
+        assert_eq!(s.avg_time_per_query(), Duration::from_nanos(5));
+        let s = GlobalStats {
+            queries: (1 << 32) + 1,
+            total_time: Duration::from_secs(10),
+            ..GlobalStats::default()
+        };
+        assert_eq!(s.avg_time_per_query(), Duration::from_nanos(2), "10 s over 2^32+1 queries");
     }
 
-    #[test]
-    fn add_covers_every_field() {
-        let m = StatsMonitor::new();
-        let delta = GlobalStats {
-            queries: 1,
-            hit_queries: 2,
-            exact_hits: 3,
-            memo_hits: 17,
-            exact_confirm_iso: 19,
-            queries_with_sub_hits: 4,
-            queries_with_super_hits: 5,
-            sub_hits: 6,
-            super_hits: 7,
-            tests_executed: 8,
+    /// A report that moves every counter.
+    fn busy_report() -> QueryReport {
+        QueryReport {
+            exact_hit: true,
+            memo_hit: true,
+            confirm_iso: true,
+            filter_skipped: true,
+            sub_hits: vec![1, 2],
+            super_hits: vec![3],
             probe_tests: 9,
-            tests_saved: 10,
-            filter_skipped: 18,
             verify_steps: 11,
             probe_steps: 12,
-            admitted: 13,
-            evicted: 14,
-            admission_rejected: 15,
-            total_time: Duration::from_nanos(16),
-            // Gauges: never accumulated by the monitor (set at snapshot
-            // time by the runtimes, not by `add`).
-            distinct_features: 0,
-            tombstoned_slots: 0,
-            kernel_dispatch: "",
-            persist_health: "",
-            persist_errors: 0,
-            journal_records_buffered: 0,
-            requests_total: 0,
-            requests_shed: 0,
-            requests_timed_out: 0,
-            uptime_secs: 0,
-            dataset_generation: 0,
-            dataset_live_graphs: 0,
-            pipeline_p50_us: 0,
-            pipeline_p99_us: 0,
-            traces_sampled: 0,
-            slow_queries: 0,
-        };
-        m.add(&delta);
-        assert_eq!(m.snapshot(), delta);
-        m.add(&delta);
-        assert_eq!(m.snapshot().total_time, Duration::from_nanos(32));
+            admitted: Some(7),
+            evicted: vec![1, 2],
+            admission_rejected: true,
+            elapsed: Duration::from_nanos(16),
+            ..crate::report::tests::base_report()
+        }
     }
 
     #[test]
-    fn gauges_pass_through_ratio() {
-        let s = GlobalStats {
-            distinct_features: 30,
-            tombstoned_slots: 10,
-            kernel_dispatch: "avx2",
-            persist_health: "degraded",
-            persist_errors: 5,
-            journal_records_buffered: 7,
-            requests_total: 100,
-            requests_shed: 3,
-            requests_timed_out: 2,
-            uptime_secs: 60,
-            dataset_generation: 4,
-            dataset_live_graphs: 40,
-            pipeline_p50_us: 128,
-            pipeline_p99_us: 4096,
-            traces_sampled: 9,
-            slow_queries: 1,
-            ..Default::default()
+    fn observe_covers_every_counter() {
+        let m = StatsMonitor::default();
+        m.observe(&busy_report());
+        let expected = GlobalStats {
+            queries: 1,
+            hit_queries: 1,
+            exact_hits: 1,
+            memo_hits: 1,
+            exact_confirm_iso: 1,
+            queries_with_sub_hits: 1,
+            queries_with_super_hits: 1,
+            sub_hits: 2,
+            super_hits: 1,
+            tests_executed: 43,
+            probe_tests: 9,
+            tests_saved: 75 - 43,
+            filter_skipped: 1,
+            verify_steps: 11,
+            probe_steps: 12,
+            admitted: 1,
+            evicted: 2,
+            admission_rejected: 1,
+            total_time: Duration::from_nanos(16),
         };
-        assert!((s.tombstone_ratio() - 0.25).abs() < 1e-12);
-        assert_eq!(GlobalStats::default().tombstone_ratio(), 0.0);
-        // Gauge fields in a published delta are ignored by the monitor.
-        let m = StatsMonitor::new();
-        m.add(&s);
-        assert_eq!(m.snapshot().distinct_features, 0);
-        assert_eq!(m.snapshot().tombstoned_slots, 0);
-        assert_eq!(m.snapshot().kernel_dispatch, "");
-        assert_eq!(m.snapshot().persist_health, "");
-        assert_eq!(m.snapshot().persist_errors, 0);
-        assert_eq!(m.snapshot().journal_records_buffered, 0);
-        assert_eq!(m.snapshot().requests_total, 0);
-        assert_eq!(m.snapshot().requests_shed, 0);
-        assert_eq!(m.snapshot().requests_timed_out, 0);
-        assert_eq!(m.snapshot().uptime_secs, 0);
-        assert_eq!(m.snapshot().dataset_generation, 0);
-        assert_eq!(m.snapshot().dataset_live_graphs, 0);
-        assert_eq!(m.snapshot().pipeline_p50_us, 0);
-        assert_eq!(m.snapshot().pipeline_p99_us, 0);
-        assert_eq!(m.snapshot().traces_sampled, 0);
-        assert_eq!(m.snapshot().slow_queries, 0);
+        assert_eq!(m.snapshot(), expected);
+        m.observe(&busy_report());
+        assert_eq!(m.snapshot().total_time, Duration::from_nanos(32));
+        assert_eq!(StatsMonitor::resumed(&m.snapshot()).snapshot(), m.snapshot());
     }
 
     #[test]
     fn concurrent_adds_are_exact() {
-        let m = StatsMonitor::new();
+        let m = StatsMonitor::default();
+        let report = crate::report::tests::base_report();
         std::thread::scope(|scope| {
             for _ in 0..4 {
-                let m = m.clone();
-                scope.spawn(move || {
+                scope.spawn(|| {
                     for _ in 0..1000 {
-                        m.add(&GlobalStats {
-                            queries: 1,
-                            tests_executed: 2,
-                            ..GlobalStats::default()
-                        });
+                        m.observe(&report);
                     }
                 });
             }
         });
         let s = m.snapshot();
         assert_eq!(s.queries, 4000);
-        assert_eq!(s.tests_executed, 8000);
+        assert_eq!(s.tests_executed, 4000 * 43);
     }
 }

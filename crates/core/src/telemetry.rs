@@ -13,6 +13,7 @@
 //! latency reports — one set of bucket math, property-tested once.
 
 use crate::config::CacheConfig;
+use crate::report::QueryReport;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -260,20 +261,32 @@ impl PipelineStage {
     }
 }
 
-/// Per-query local stage timings, filled in by [`Span`] timers and folded
-/// into a [`QueryTrace`] when the query is sampled. Plain `u64`s — no
-/// atomics, no allocation.
+/// Per-query local stage timings, filled in by [`Span`] timers and
+/// [`Telemetry::record`] and carried on the query's
+/// [`crate::QueryReport`]. Nanoseconds, like the [`Histogram`] sum, so a
+/// trace converts each stage to µs once. Plain `u64`s — no atomics, no
+/// allocation.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct QueryTiming {
-    /// Microseconds spent per stage, indexed by [`PipelineStage::index`].
-    pub stage_us: [u64; PipelineStage::ALL.len()],
+    /// Nanoseconds spent per stage, indexed by [`PipelineStage::index`].
+    pub stage_ns: [u64; PipelineStage::ALL.len()],
 }
 
 impl QueryTiming {
-    /// Microseconds this query spent in `stage` (0 if it never ran).
-    pub fn us(&self, stage: PipelineStage) -> u64 {
-        self.stage_us[stage.index()]
+    /// Nanoseconds this query spent in `stage` (0 if it never ran).
+    pub fn ns(&self, stage: PipelineStage) -> u64 {
+        self.stage_ns[stage.index()]
     }
+
+    /// Whole microseconds this query spent in `stage`.
+    pub fn us(&self, stage: PipelineStage) -> u64 {
+        self.ns(stage) / 1000
+    }
+}
+
+/// `d` in nanoseconds, saturated to `u64`.
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
 /// RAII span timer: created via [`Telemetry::span`] (or
@@ -292,7 +305,7 @@ impl Drop for Span<'_> {
         let elapsed = self.start.elapsed();
         self.hist.observe(elapsed);
         if let Some(slot) = self.slot.as_deref_mut() {
-            *slot += elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
+            *slot += nanos(elapsed);
         }
     }
 }
@@ -333,8 +346,13 @@ pub struct QueryTrace {
     /// Admit-stage time (crediting + admission + replacement sweep),
     /// microseconds.
     pub admit_us: u64,
+    /// Key time (entry until the exact tier's key is ready), microseconds.
+    pub key_us: u64,
+    /// Exact-tier time of an exact or memo hit (key ready until served),
+    /// microseconds; 0 on the pipeline.
+    pub exact_us: u64,
     /// Method M baseline tests: `|C_M|` out of the filter stage, or its
-    /// upper bound on the bounded plan.
+    /// upper bound on the bounded plan; 0 for `exact`/`memo` outcomes.
     pub cm_size: u64,
     /// Candidates answered definitively by cache hits (no test needed).
     pub definite: u64,
@@ -353,9 +371,50 @@ pub struct QueryTrace {
 }
 
 impl QueryTrace {
-    /// Sum of the per-stage durations — compare against [`total_us`] to
-    /// check the spans cover the pipeline (they undercount total by
-    /// per-stage µs truncation plus untimed glue, never overcount).
+    /// The trace of the query `report` records, captured as number `seq`
+    /// (with the serving edge's `request_id`) on home `shard`. An exact or
+    /// memo hit ran no pipeline stage, so its candidate counts read 0.
+    pub(crate) fn of(
+        report: &QueryReport,
+        seq: u64,
+        request_id: Option<&str>,
+        shard: u32,
+        slow: bool,
+    ) -> Self {
+        let us = |stage| report.timing.us(stage);
+        let ran_pipeline = !(report.exact_hit || report.memo_hit);
+        QueryTrace {
+            seq,
+            request_id: request_id.map(str::to_owned),
+            kind: report.kind.as_str().to_owned(),
+            outcome: report.tier().to_owned(),
+            shard,
+            generation: report.generation,
+            plan: report.plan().to_owned(),
+            total_us: nanos(report.elapsed) / 1000,
+            probe_us: us(PipelineStage::Probe),
+            bound_us: us(PipelineStage::Bound),
+            filter_us: us(PipelineStage::Filter),
+            prune_us: us(PipelineStage::Prune),
+            verify_us: us(PipelineStage::Verify),
+            admit_us: us(PipelineStage::Admit),
+            key_us: us(PipelineStage::Key),
+            exact_us: us(PipelineStage::Exact),
+            cm_size: if ran_pipeline { report.cm_size as u64 } else { 0 },
+            definite: report.definite as u64,
+            to_verify: report.verified as u64,
+            survivors: report.survivors as u64,
+            answer: report.answer.count() as u64,
+            probe_tests: report.probe_tests,
+            verify_steps: report.verify_steps,
+            slow,
+        }
+    }
+
+    /// Sum of the per-stage durations, all eight — compare against
+    /// [`total_us`] to check the spans cover the query. The stages are
+    /// disjoint spans of it, so the sum never exceeds the total; it falls
+    /// short by untimed glue and each stage's truncation to whole µs.
     ///
     /// [`total_us`]: QueryTrace::total_us
     pub fn stage_sum_us(&self) -> u64 {
@@ -365,6 +424,8 @@ impl QueryTrace {
             + self.prune_us
             + self.verify_us
             + self.admit_us
+            + self.key_us
+            + self.exact_us
     }
 }
 
@@ -486,12 +547,20 @@ impl Telemetry {
             .chain(std::iter::once(("mutate", &self.mutate)))
     }
 
+    /// Record `elapsed` as the query's time in `stage`: into the stage
+    /// histogram and the query-local `timing` slot (what a [`Span`] does
+    /// on drop, for a stage timed from instants taken elsewhere).
+    pub fn record(&self, stage: PipelineStage, elapsed: Duration, timing: &mut QueryTiming) {
+        self.stages[stage.index()].observe(elapsed);
+        timing.stage_ns[stage.index()] += nanos(elapsed);
+    }
+
     /// Start an RAII span for `stage`: on drop, the elapsed time lands in
     /// the stage histogram and the query-local `timing` slot.
     pub fn span<'a>(&'a self, stage: PipelineStage, timing: &'a mut QueryTiming) -> Span<'a> {
         Span {
             hist: &self.stages[stage.index()],
-            slot: Some(&mut timing.stage_us[stage.index()]),
+            slot: Some(&mut timing.stage_ns[stage.index()]),
             start: Instant::now(),
         }
     }
@@ -579,6 +648,8 @@ mod tests {
             prune_us: 3,
             verify_us: 4,
             admit_us: 0,
+            key_us: 6,
+            exact_us: 0,
             cm_size: 5,
             definite: 1,
             to_verify: 3,
@@ -793,7 +864,8 @@ mod tests {
     #[test]
     fn stage_sum_is_sum_of_stage_fields() {
         let t = trace(0);
-        assert_eq!(t.stage_sum_us(), 1 + 2 + 3 + 4);
+        assert_eq!(t.stage_sum_us(), 1 + 2 + 3 + 4 + 6);
+        assert_eq!(QueryTrace { exact_us: 5, ..t }.stage_sum_us(), 1 + 2 + 3 + 4 + 6 + 5);
     }
 
     #[test]

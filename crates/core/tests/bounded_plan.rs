@@ -94,7 +94,7 @@ fn build(base: &[Graph], method_idx: usize, shards: usize, plan: Plan) -> Shared
 
 /// The published counters with the one clock-derived field cleared.
 fn counts(gc: &SharedGraphCache) -> GlobalStats {
-    GlobalStats { total_time: Duration::ZERO, ..gc.monitor().snapshot() }
+    GlobalStats { total_time: Duration::ZERO, ..gc.stats() }
 }
 
 /// Drive `ops` through `gc`, checking every answer and report invariant;

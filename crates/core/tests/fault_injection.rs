@@ -58,6 +58,11 @@ fn assert_exact(gc: &SharedGraphCache, w: &Workload) {
 }
 
 /// `rounds` insert/remove pairs: two mutations each.
+/// The attached store's durability state, without its counts.
+fn health(gc: &SharedGraphCache) -> Option<PersistHealth> {
+    gc.persist_health().map(|(state, ..)| state)
+}
+
 fn mutate(gc: &SharedGraphCache, rounds: u64) {
     for round in 0..rounds {
         let gid = gc.insert_graph(molecule_dataset(1, 100 + round).remove(0));
@@ -107,14 +112,14 @@ fn failed_append_is_caught_up_by_a_snapshot() {
 
     // The mutation itself cut the catch-up snapshot: healthy at once.
     assert_eq!(
-        gc.persist_health(),
+        health(&gc),
         Some(PersistHealth::Healthy),
         "the failed append's own mutation must catch the store up"
     );
     assert!(store.generation() > before, "no catch-up snapshot was cut");
-    let stats = gc.stats();
-    assert_eq!(stats.persist_errors, 1, "the failed append is counted");
-    assert_eq!(stats.journal_records_buffered, 0);
+    let (_, errors, buffered) = gc.persist_health().unwrap();
+    assert_eq!(errors, 1, "the failed append is counted");
+    assert_eq!(buffered, 0);
     mutate(&gc, 1);
     assert_exact(&gc, &workload(&ds, 30, 6));
     assert_restores_live(&ds, &dir, &gc);
@@ -131,7 +136,7 @@ fn persistent_append_failure_degrades_then_recovers() {
         SharedGraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, one_shard)
             .unwrap();
     gc.attach_store(Arc::clone(&store)).unwrap();
-    assert_eq!(gc.persist_health(), Some(PersistHealth::Healthy));
+    assert_eq!(health(&gc), Some(PersistHealth::Healthy));
 
     // Every journal append fails for the whole test; snapshots fail until
     // they are cleared below.
@@ -142,26 +147,26 @@ fn persistent_append_failure_degrades_then_recovers() {
 
     mutate(&gc, 1);
     assert_exact(&gc, &workload(&ds, 30, 9));
-    assert_eq!(gc.persist_health(), Some(PersistHealth::Degraded));
-    let stats = gc.stats();
-    assert_eq!(stats.persist_health, "degraded");
-    assert!(stats.persist_errors > 0, "errors gauge must count the failed writes");
-    assert_eq!(stats.journal_records_buffered, 2, "both mutations are off disk");
+    assert_eq!(health(&gc), Some(PersistHealth::Degraded));
+    let (state, errors, buffered) = gc.persist_health().unwrap();
+    assert_eq!(state.as_str(), "degraded");
+    assert!(errors > 0, "errors gauge must count the failed writes");
+    assert_eq!(buffered, 2, "both mutations are off disk");
 
     // Snapshots work again; appends still do not. The next mutation skips
     // its append and its catch-up snapshot heals the store — no waiting.
     plan.clear(FaultSite::SnapshotWrite);
     let healthy_generation = store.generation();
     gc.insert_graph(molecule_dataset(1, 200).remove(0));
-    assert_eq!(gc.persist_health(), Some(PersistHealth::Healthy));
+    assert_eq!(health(&gc), Some(PersistHealth::Healthy));
     assert!(store.generation() > healthy_generation, "recovery must cut a fresh snapshot");
-    let stats = gc.stats();
-    assert_eq!(stats.persist_health, "healthy");
-    assert_eq!(stats.journal_records_buffered, 0, "a full snapshot subsumes buffered records");
+    let (state, _, buffered) = gc.persist_health().unwrap();
+    assert_eq!(state.as_str(), "healthy");
+    assert_eq!(buffered, 0, "a full snapshot subsumes buffered records");
 
     // Appends still fail: each mutation heals itself with a snapshot.
     mutate(&gc, 1);
-    assert_eq!(gc.persist_health(), Some(PersistHealth::Healthy));
+    assert_eq!(health(&gc), Some(PersistHealth::Healthy));
     assert_restores_live(&ds, &dir, &gc);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -184,7 +189,7 @@ fn total_store_outage_stays_degraded_and_exact() {
     plan.arm(FaultSite::SnapshotWrite, Failpoint::ErrAfter { n: 0 });
     store.set_fault_plan(Some(Arc::clone(&plan)));
 
-    let mut errors = gc.stats().persist_errors;
+    let mut errors = gc.persist_health().unwrap().1;
     let mut inserted = Vec::new();
     for round in 0..6u64 {
         if round % 3 == 2 {
@@ -192,20 +197,20 @@ fn total_store_outage_stays_degraded_and_exact() {
         } else {
             inserted.push(gc.insert_graph(molecule_dataset(1, 300 + round).remove(0)));
         }
-        assert_eq!(gc.persist_health(), Some(PersistHealth::Degraded), "round {round}");
-        let stats = gc.stats();
-        assert!(stats.persist_errors > errors, "round {round}: the retry was not attempted");
-        errors = stats.persist_errors;
-        assert_eq!(stats.journal_records_buffered, round + 1);
+        assert_eq!(health(&gc), Some(PersistHealth::Degraded), "round {round}");
+        let (_, now_errors, buffered) = gc.persist_health().unwrap();
+        assert!(now_errors > errors, "round {round}: the retry was not attempted");
+        errors = now_errors;
+        assert_eq!(buffered, round + 1);
         assert_exact(&gc, &workload(&gc.dataset(), 12, round));
-        assert_eq!(gc.stats().persist_errors, errors, "a query touched the store");
+        assert_eq!(gc.persist_health().unwrap().1, errors, "a query touched the store");
     }
 
     // The fault clears: the next mutation heals the store.
     store.set_fault_plan(None);
     gc.insert_graph(molecule_dataset(1, 400).remove(0));
-    assert_eq!(gc.persist_health(), Some(PersistHealth::Healthy));
-    assert_eq!(gc.stats().journal_records_buffered, 0);
+    assert_eq!(health(&gc), Some(PersistHealth::Healthy));
+    assert_eq!(gc.persist_health().unwrap().2, 0);
     assert_restores_live(&ds, &dir, &gc);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -230,11 +235,11 @@ fn shared_cache_degrades_and_recovers() {
     store.set_fault_plan(Some(plan));
     mutate(&gc, 2);
     assert_exact(&gc, &workload(&ds, 30, 17));
-    assert_eq!(gc.persist_health(), Some(PersistHealth::Degraded));
+    assert_eq!(health(&gc), Some(PersistHealth::Degraded));
 
     store.set_fault_plan(None);
     mutate(&gc, 1);
-    assert_eq!(gc.persist_health(), Some(PersistHealth::Healthy));
+    assert_eq!(health(&gc), Some(PersistHealth::Healthy));
     assert_restores_live(&ds, &dir, &gc);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -324,7 +329,7 @@ fn faulty_concurrent_epoch(seed: u64) {
 
     store.set_fault_plan(None);
     mutate(&gc, 1);
-    assert_eq!(gc.persist_health(), Some(PersistHealth::Healthy), "epoch {seed}");
+    assert_eq!(health(&gc), Some(PersistHealth::Healthy), "epoch {seed}");
     assert_exact(&gc, &workload(&gc.dataset(), 8, seed));
     assert_restores_live(&ds, &dir, &gc);
     let _ = std::fs::remove_dir_all(&dir);

@@ -43,7 +43,7 @@ use gc_core::persist::CacheStore;
 use gc_core::{CacheConfig, PolicyKind, RecoveryReport, SharedGraphCache};
 use gc_demo::{
     developer_monitor, end_user_monitor, render_end_user_monitor, run_multi_client,
-    run_query_journey, run_workload_comparison, DeploymentInfo,
+    run_query_journey, run_workload_comparison,
 };
 use gc_method::{Dataset, FtvMethod, QueryKind};
 use gc_server::{HttpClient, QueryResponse, Server, ServerConfig};
@@ -323,10 +323,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
             let _ = std::io::stdin().read_line(&mut String::new());
         }
     }
-    println!(
-        "{}",
-        render_end_user_monitor(&DeploymentInfo::of(server.cache()), &server.serving_stats())
-    );
+    println!("{}", render_end_user_monitor(server.cache(), Some(&server.serving_stats())));
     let report = server.drain();
     println!(
         "[Drain] {}/{} workers finished in {:.0} ms{}{}",
@@ -498,10 +495,11 @@ fn cmd_mutate(flags: &HashMap<String, String>) -> Result<(), String> {
             gc.remove_graph(live[rng.gen_range(0..live.len())]);
         }
         let s = gc.stats();
+        let dataset = gc.dataset();
         println!(
             "{round:>5} | {:>10} | {:>11} | {:>16} | {:>9} | {:>8.1}% | {:>15.1}",
-            s.dataset_generation,
-            s.dataset_live_graphs,
+            dataset.generation(),
+            dataset.live_count(),
             gc.memo_len(),
             s.memo_hits,
             s.hit_ratio() * 100.0,

@@ -6,57 +6,29 @@
 //! Both render here as plain text from a live [`SharedGraphCache`].
 
 use crate::ascii;
-use gc_core::{GlobalStats, SharedGraphCache};
-
-/// Deployment facts the End-User Monitor renders alongside the
-/// statistics — extracted so the panel can also be drawn for a served
-/// cache whose stats carry the serving gauges.
-#[derive(Debug, Clone)]
-pub struct DeploymentInfo {
-    /// Base method name.
-    pub method: String,
-    /// Replacement policy name.
-    pub policy: &'static str,
-    /// Live cached entries.
-    pub entries: usize,
-    /// Configured capacity.
-    pub capacity: usize,
-    /// Admission window size.
-    pub window_size: usize,
-    /// Cache memory footprint, bytes.
-    pub memory_bytes: usize,
-}
-
-impl DeploymentInfo {
-    /// Deployment facts of a cache.
-    pub fn of(gc: &SharedGraphCache) -> Self {
-        DeploymentInfo {
-            method: gc.method_name(),
-            policy: gc.policy_name(),
-            entries: gc.len(),
-            capacity: gc.config().capacity,
-            window_size: gc.config().window_size,
-            memory_bytes: gc.memory_bytes(),
-        }
-    }
-}
+use gc_core::SharedGraphCache;
+use gc_server::ServingStats;
 
 /// End-User Monitor: the three Demonstrator panels (paper §2) — sub-iso
-/// testing, query time, and cache replacement — from the cache's global
-/// statistics.
+/// testing, query time, and cache replacement — from the cache's counters,
+/// then the `[Index Health]` gauges read from their owners.
 pub fn end_user_monitor(gc: &SharedGraphCache) -> String {
-    render_end_user_monitor(&DeploymentInfo::of(gc), &gc.stats())
+    render_end_user_monitor(gc, None)
 }
 
-/// [`end_user_monitor`] for any stats snapshot: a served cache passes
-/// stats with the serving gauges populated (see `gc_server`), which
-/// lights up the serving line of the `[Index Health]` panel.
-pub fn render_end_user_monitor(info: &DeploymentInfo, s: &GlobalStats) -> String {
+/// [`end_user_monitor`] for a served cache: `serving` (the server's own
+/// counters, see `gc_server::Server::serving_stats`) lights up the serving
+/// line of the `[Index Health]` panel.
+pub fn render_end_user_monitor(gc: &SharedGraphCache, serving: Option<&ServingStats>) -> String {
+    let s = gc.stats();
     let mut out = String::new();
     out.push_str("=== End-User Monitor ===\n");
     out.push_str(&format!(
         "deployment: method {}, policy {}, {} / {} cache entries\n\n",
-        info.method, info.policy, info.entries, info.capacity
+        gc.method_name(),
+        gc.policy_name(),
+        gc.len(),
+        gc.config().capacity
     ));
     out.push_str("[Sub-Iso Testing]\n");
     out.push_str(&format!("  queries processed      : {}\n", s.queries));
@@ -82,42 +54,47 @@ pub fn render_end_user_monitor(info: &DeploymentInfo, s: &GlobalStats) -> String
     ));
     out.push_str(&format!(
         "  admitted / evicted     : {} / {} (window {}, {} rejected by admission)\n",
-        s.admitted, s.evicted, info.window_size, s.admission_rejected
+        s.admitted,
+        s.evicted,
+        gc.config().window_size,
+        s.admission_rejected
     ));
-    out.push_str(&format!("  cache memory           : {} KiB\n\n", info.memory_bytes / 1024));
+    out.push_str(&format!("  cache memory           : {} KiB\n\n", gc.memory_bytes() / 1024));
     out.push_str("[Index Health]\n");
-    out.push_str(&format!("  distinct features      : {}\n", s.distinct_features));
+    let index = gc.index_health();
+    out.push_str(&format!("  distinct features      : {}\n", index.distinct_features));
     out.push_str(&format!(
         "  tombstoned slots       : {} ({:.1}% of directory; compacted lazily)\n",
-        s.tombstoned_slots,
-        100.0 * s.tombstone_ratio()
+        index.tombstoned_slots,
+        100.0 * index.tombstone_ratio()
     ));
     out.push_str(&format!(
         "  kernel dispatch        : {} (bitset/merge hot loops)\n",
-        s.kernel_dispatch
+        gc_graph::simd::kernel_name()
     ));
+    let t = gc.telemetry();
     out.push_str(&format!(
         "  pipeline latency       : p50 {} us, p99 {} us ({} traces sampled, {} slow)\n",
-        s.pipeline_p50_us, s.pipeline_p99_us, s.traces_sampled, s.slow_queries
+        t.total().percentile_us(50.0),
+        t.total().percentile_us(99.0),
+        t.sampled_count(),
+        t.slow_count()
     ));
-    if s.persist_health.is_empty() {
-        out.push_str("  persistence            : detached (memory-only)\n");
-    } else {
-        out.push_str(&format!(
-            "  persistence            : {} ({} persist errors, {} records buffered)\n",
-            s.persist_health, s.persist_errors, s.journal_records_buffered
-        ));
+    match gc.persist_health() {
+        None => out.push_str("  persistence            : detached (memory-only)\n"),
+        Some((health, errors, buffered)) => out.push_str(&format!(
+            "  persistence            : {} ({errors} persist errors, {buffered} records buffered)\n",
+            health.as_str()
+        )),
     }
-    // Serving gauges are populated only when the stats come from a
-    // `gc-server` front-end snapshot; a cache that is not being served
-    // says so rather than rendering misleading zeros.
-    if s.requests_total > 0 || s.uptime_secs > 0 {
-        out.push_str(&format!(
+    // A cache that is not being served says so rather than rendering
+    // misleading zeros.
+    match serving {
+        Some(v) => out.push_str(&format!(
             "  serving                : {} requests ({} shed, {} timed out), up {}s\n",
-            s.requests_total, s.requests_shed, s.requests_timed_out, s.uptime_secs
-        ));
-    } else {
-        out.push_str("  serving                : not serving (start with `gc serve`)\n");
+            v.requests_total, v.requests_shed, v.requests_timed_out, v.uptime_secs
+        )),
+        None => out.push_str("  serving                : not serving (start with `gc serve`)\n"),
     }
     out
 }
@@ -230,13 +207,25 @@ mod tests {
 
     #[test]
     fn pipeline_latency_line_renders_telemetry_gauges() {
-        let gc = warmed();
-        let mut s = gc.stats();
-        s.pipeline_p50_us = 128;
-        s.pipeline_p99_us = 4096;
-        s.traces_sampled = 3;
-        s.slow_queries = 1;
-        let txt = render_end_user_monitor(&DeploymentInfo::of(&gc), &s);
+        let dataset = Arc::new(Dataset::new(molecule_dataset(3, 21)));
+        let config = CacheConfig {
+            trace_sample_rate: 1.0,
+            slow_query_threshold: std::time::Duration::from_millis(1),
+            ..CacheConfig::default()
+        };
+        let gc = SharedGraphCache::with_policy(dataset, Box::new(SiMethod), PolicyKind::Hd, config)
+            .unwrap();
+        // Three queries observed straight into the cache's telemetry hub:
+        // p50 lands in the (64, 128] µs bucket, p99 in (2048, 4096].
+        let t = gc.telemetry();
+        for us in [100, 100, 4000] {
+            let seq = t.begin_query();
+            t.finish_query(seq, std::time::Duration::from_micros(us), |slow| gc_core::QueryTrace {
+                slow,
+                ..Default::default()
+            });
+        }
+        let txt = end_user_monitor(&gc);
         assert!(
             txt.contains(
                 "pipeline latency       : p50 128 us, p99 4096 us (3 traces sampled, 1 slow)"
@@ -248,12 +237,13 @@ mod tests {
     #[test]
     fn serving_gauges_render_when_populated() {
         let gc = warmed();
-        let mut s = gc.stats();
-        s.requests_total = 120;
-        s.requests_shed = 7;
-        s.requests_timed_out = 2;
-        s.uptime_secs = 33;
-        let txt = render_end_user_monitor(&DeploymentInfo::of(&gc), &s);
+        let serving = ServingStats {
+            requests_total: 120,
+            requests_shed: 7,
+            requests_timed_out: 2,
+            uptime_secs: 33,
+        };
+        let txt = render_end_user_monitor(&gc, Some(&serving));
         assert!(
             txt.contains("serving                : 120 requests (7 shed, 2 timed out), up 33s"),
             "{txt}"
@@ -275,10 +265,10 @@ mod tests {
     #[test]
     fn index_health_gauges_track_the_live_index() {
         let gc = warmed();
-        let s = gc.stats();
+        let txt = end_user_monitor(&gc);
         let h = gc.index_health();
-        assert_eq!(s.distinct_features, h.distinct_features as u64);
-        assert_eq!(s.tombstoned_slots, h.tombstoned_slots as u64);
+        assert!(txt.contains(&format!("distinct features      : {}\n", h.distinct_features)));
+        assert!(txt.contains(&format!("tombstoned slots       : {} (", h.tombstoned_slots)));
         assert!(h.distinct_features > 0, "a warmed cache indexes features");
     }
 

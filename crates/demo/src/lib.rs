@@ -24,7 +24,7 @@ pub mod dashboard;
 pub mod journey;
 pub mod workload_run;
 
-pub use dashboard::{developer_monitor, end_user_monitor, render_end_user_monitor, DeploymentInfo};
+pub use dashboard::{developer_monitor, end_user_monitor, render_end_user_monitor};
 pub use journey::{run_query_journey, QueryJourney};
 pub use workload_run::{
     run_multi_client, run_workload_comparison, MultiClientRun, PolicyOutcome, WorkloadComparison,

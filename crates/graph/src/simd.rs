@@ -17,7 +17,8 @@
 //! sizes in `tests/prop.rs`, and gcbench times them as
 //! `graph.bitset_ns_per_kword` and `graph.intersect_pairs_ns_per_elem`.
 //! [`kernel_name`] exposes the chosen tier so deployments can observe
-//! which code path is live (surfaced as `GlobalStats::kernel_dispatch`).
+//! which code path is live (the `kernel_dispatch` gauge of `GET /stats`
+//! and the demo's End-User Monitor).
 //!
 //! This is the one module in the workspace allowed to use `unsafe`: calling
 //! a `#[target_feature]` function from a non-feature context, and the raw

@@ -8,7 +8,7 @@
 //! its output buffer ([`QueryReply::write_json`]) in exactly the bytes
 //! `serde_json` would produce for the equivalent [`QueryResponse`].
 
-use gc_graph::BitSet;
+use gc_core::QueryReport;
 use serde::{Deserialize, Serialize};
 use std::io::Write as _;
 
@@ -53,41 +53,15 @@ pub struct QueryResponse {
     pub deadline_exceeded: bool,
 }
 
-/// The answer ids of a [`QueryReply`], in one of two forms.
-#[derive(Debug, Clone, Copy)]
-pub enum AnswerIds<'a> {
-    /// Already rendered by [`BitSet::write_ids`] — an exact or memo hit's
-    /// shared [`gc_core::AnswerText`]: copied as is.
-    Rendered(&'a [u8]),
-    /// Rendered while the reply is written (pipeline answers).
-    Set(&'a BitSet),
-}
-
-/// A `/query` success reply, borrowed from the report that produced it:
-/// the [`QueryResponse`] fields, without the owned id vector and strings.
-/// The server never builds a `QueryResponse`; it writes this.
+/// A `/query` success reply: the [`QueryResponse`] fields, read from the
+/// query's [`QueryReport`] plus the server's own timings, without the owned
+/// id vector and strings. The server never builds a `QueryResponse`; it
+/// writes this.
 #[derive(Debug, Clone, Copy)]
 pub struct QueryReply<'a> {
-    /// See [`QueryResponse::answer`].
-    pub answer: AnswerIds<'a>,
-    /// See [`QueryResponse::kind`] (`"sub"` or `"super"`).
-    pub kind: &'static str,
-    /// See [`QueryResponse::exact_hit`].
-    pub exact_hit: bool,
-    /// See [`QueryResponse::memo_hit`].
-    pub memo_hit: bool,
-    /// See [`QueryResponse::plan`] (`""`, `"filter"` or `"bounded"`).
-    pub plan: &'static str,
-    /// See [`QueryResponse::cm_size`].
-    pub cm_size: usize,
-    /// See [`QueryResponse::definite`].
-    pub definite: usize,
-    /// See [`QueryResponse::verified`].
-    pub verified: usize,
-    /// See [`QueryResponse::sub_iso_tests`].
-    pub sub_iso_tests: u64,
-    /// See [`QueryResponse::probe_tests`].
-    pub probe_tests: u64,
+    /// The query's record: its answer (with the shared rendered ids of an
+    /// exact or memo hit), kind, tier, plan and test counts.
+    pub report: &'a QueryReport,
     /// See [`QueryResponse::queue_us`].
     pub queue_us: u64,
     /// See [`QueryResponse::parse_us`].
@@ -102,33 +76,35 @@ impl QueryReply<'_> {
     /// Append the reply's JSON to `out`: byte for byte what
     /// `serde_json::to_string` gives for the equivalent [`QueryResponse`]
     /// (same field order, compact), with no intermediate value tree and no
-    /// allocation of its own beyond growing `out`.
+    /// allocation of its own beyond growing `out`. An exact or memo hit's
+    /// ids are copied from its shared [`gc_core::AnswerText`] (rendered by
+    /// the first reply that needed them); a pipeline answer's are rendered
+    /// by [`BitSet::write_ids`](gc_graph::BitSet::write_ids) as they are
+    /// written.
     pub fn write_json(&self, out: &mut Vec<u8>) {
-        debug_assert!(
-            [self.kind, self.plan].iter().all(|s| !s.contains(['"', '\\']) && s.is_ascii()),
-            "kind and plan are fixed labels that need no escaping"
-        );
+        let r = self.report;
         out.extend_from_slice(b"{\"answer\":[");
-        match self.answer {
-            AnswerIds::Rendered(ids) => out.extend_from_slice(ids),
-            AnswerIds::Set(set) => set.write_ids(out),
+        match &r.answer_text {
+            Some(text) => out.extend_from_slice(text.get_or_render(&r.answer)),
+            None => r.answer.write_ids(out),
         }
-        // Writing to a `Vec` cannot fail.
+        // Writing to a `Vec` cannot fail; `kind` and `plan` are fixed
+        // labels that need no escaping.
         let _ = write!(
             out,
             "],\"kind\":\"{}\",\"exact_hit\":{},\"memo_hit\":{},\"plan\":\"{}\",\
              \"cm_size\":{},\"definite\":{},\"verified\":{},\"sub_iso_tests\":{},\
              \"probe_tests\":{},\"queue_us\":{},\"parse_us\":{},\"execute_us\":{},\
              \"deadline_exceeded\":{}}}",
-            self.kind,
-            self.exact_hit,
-            self.memo_hit,
-            self.plan,
-            self.cm_size,
-            self.definite,
-            self.verified,
-            self.sub_iso_tests,
-            self.probe_tests,
+            r.kind.as_str(),
+            r.exact_hit,
+            r.memo_hit,
+            r.plan(),
+            r.cm_size,
+            r.definite,
+            r.verified,
+            r.sub_iso_tests,
+            r.probe_tests,
             self.queue_us,
             self.parse_us,
             self.execute_us,

@@ -44,5 +44,5 @@ pub use api::{
 };
 pub use client::{percentile, run_load, Backoff, ClientResponse, HttpClient, LoadReport, LoadSpec};
 pub use http::{parse_request, HttpLimits, Parse, ParseError, Request, Response};
-pub use metrics::{Histogram, ServerMetrics, Stage};
+pub use metrics::{Histogram, ServerMetrics, ServingStats, Stage};
 pub use server::{DrainReport, Server, ServerConfig, ServerHandle};

@@ -1,9 +1,9 @@
 //! Server-side metrics: lock-free counters and per-stage latency
 //! histograms, rendered as Prometheus text exposition.
 //!
-//! Mirrors the accounting philosophy of [`gc_core::StatsMonitor`]: every
-//! observation is a relaxed `fetch_add`, so metrics never serialize the
-//! request path.
+//! Mirrors the accounting philosophy of the cache's Statistics Monitor
+//! (the [`gc_core::GlobalStats`] counters): every observation is a relaxed
+//! `fetch_add`, so metrics never serialize the request path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -49,6 +49,21 @@ impl Stage {
 /// cache grew per-stage telemetry; both now use the single property-tested
 /// implementation in [`gc_core::telemetry`].
 pub use gc_core::telemetry::Histogram;
+
+/// The serving counters dashboards show for a served cache, read from
+/// [`ServerMetrics`] at one instant.
+#[derive(Debug, Clone, Copy)]
+pub struct ServingStats {
+    /// HTTP requests parsed and routed.
+    pub requests_total: u64,
+    /// Requests shed under overload (both shed points, see
+    /// [`ServerMetrics::total_shed`]).
+    pub requests_shed: u64,
+    /// Requests that exceeded a deadline.
+    pub requests_timed_out: u64,
+    /// Seconds since the server started.
+    pub uptime_secs: u64,
+}
 
 /// All server-side counters and histograms, shared across workers.
 #[derive(Debug)]
@@ -110,6 +125,16 @@ impl ServerMetrics {
         self.started.elapsed().as_secs()
     }
 
+    /// The serving counters, now.
+    pub fn serving(&self) -> ServingStats {
+        ServingStats {
+            requests_total: self.requests_total.load(Ordering::Relaxed),
+            requests_shed: self.total_shed(),
+            requests_timed_out: self.requests_timed_out.load(Ordering::Relaxed),
+            uptime_secs: self.uptime_secs(),
+        }
+    }
+
     /// Shed total across both shed points (accept-loop and queue-expiry) —
     /// the number operators alert on.
     pub fn total_shed(&self) -> u64 {
@@ -117,13 +142,14 @@ impl ServerMetrics {
     }
 
     /// Render the full Prometheus text exposition: server counters, stage
-    /// histograms, cache pipeline telemetry, and the cache-level counters
-    /// from `cache_stats`.
+    /// histograms, cache pipeline telemetry, the cache-level counters from
+    /// `cache_stats`, and the cache's `entries` and `persist_errors` gauges.
     pub fn render_prometheus(
         &self,
         cache_stats: &gc_core::GlobalStats,
         entries: usize,
         telemetry: &gc_core::Telemetry,
+        persist_errors: u64,
     ) -> String {
         let mut out = String::with_capacity(4096);
         let counter = |out: &mut String, name: &str, help: &str, v: u64| {
@@ -259,7 +285,7 @@ impl ServerMetrics {
             &mut out,
             "gc_cache_persist_errors",
             "Failed persistence operations since attach.",
-            cache_stats.persist_errors,
+            persist_errors,
         );
         out
     }
@@ -308,7 +334,7 @@ mod tests {
         m.observe(Stage::Execute, Duration::from_micros(42));
         let stats = gc_core::GlobalStats { queries: 3, filter_skipped: 2, ..Default::default() };
         let telemetry = gc_core::Telemetry::from_config(&gc_core::CacheConfig::default());
-        let text = m.render_prometheus(&stats, 7, &telemetry);
+        let text = m.render_prometheus(&stats, 7, &telemetry, 4);
         assert!(text.contains("gc_requests_total 3\n"));
         assert!(text.contains("gc_requests_shed_total 2\n"), "both shed points sum");
         assert!(text.contains("stage=\"execute\""));
@@ -316,6 +342,7 @@ mod tests {
         assert!(text.contains("gc_cache_queries_total 3\n"));
         assert!(text.contains("gc_filter_skipped_total 2\n"));
         assert!(text.contains("gc_cache_entries 7\n"));
+        assert!(text.contains("gc_cache_persist_errors 4\n"));
         assert!(text.contains("# TYPE gc_request_stage_microseconds histogram\n"));
     }
 
@@ -334,7 +361,7 @@ mod tests {
             ..Default::default()
         });
         let stats = gc_core::GlobalStats::default();
-        let text = m.render_prometheus(&stats, 0, &telemetry);
+        let text = m.render_prometheus(&stats, 0, &telemetry, 0);
         assert!(text.contains("# TYPE gc_pipeline_stage_microseconds histogram\n"));
         assert!(text.contains("gc_pipeline_stage_microseconds_count{stage=\"verify\"} 1\n"));
         assert!(text.contains("gc_pipeline_stage_microseconds_count{stage=\"filter\"} 0\n"));

@@ -33,10 +33,10 @@
 //! attached — so a subsequent warm restart serves exact answers
 //! immediately.
 
-use crate::api::{AnswerIds, ErrorBody, QueryReply, StageSummary, StatsResponse, TracesResponse};
+use crate::api::{ErrorBody, QueryReply, StageSummary, StatsResponse, TracesResponse};
 use crate::http::{parse_request, HttpLimits, InPlace, Parse, Request, Response};
-use crate::metrics::{ServerMetrics, Stage};
-use gc_core::{GlobalStats, SharedGraphCache};
+use crate::metrics::{ServerMetrics, ServingStats, Stage};
+use gc_core::SharedGraphCache;
 use gc_method::QueryKind;
 use gc_store::faults::FaultPlan;
 use parking_lot::Mutex;
@@ -208,12 +208,10 @@ impl Server {
         &self.shared.cache
     }
 
-    /// Cache statistics with the serving gauges
-    /// (`requests_total`/`requests_shed`/`requests_timed_out`/
-    /// `uptime_secs`) populated — what dashboards should render for a
-    /// served cache.
-    pub fn serving_stats(&self) -> GlobalStats {
-        serving_stats(&self.shared)
+    /// The server's own serving counters — what dashboards render beside
+    /// the cache's for a served cache.
+    pub fn serving_stats(&self) -> ServingStats {
+        self.shared.metrics.serving()
     }
 
     /// Gracefully stop: stop accepting, let workers finish in-flight
@@ -293,17 +291,6 @@ fn generate_request_id() -> String {
 /// joined against the slow-query log.
 fn request_id_for(req: &Request) -> Cow<'_, str> {
     req.header("x-request-id").map_or_else(|| Cow::Owned(generate_request_id()), Cow::Borrowed)
-}
-
-/// Cache stats + serving gauges (shared by `/stats` and the handle).
-fn serving_stats(shared: &Shared) -> GlobalStats {
-    let mut s = shared.cache.stats();
-    let m = &shared.metrics;
-    s.requests_total = m.requests_total.load(Ordering::Relaxed);
-    s.requests_shed = m.total_shed();
-    s.requests_timed_out = m.requests_timed_out.load(Ordering::Relaxed);
-    s.uptime_secs = m.uptime_secs();
-    s
 }
 
 // ---- accept loop -----------------------------------------------------------
@@ -513,10 +500,12 @@ fn route(
         ("POST", "/mutate") => handle_mutate(req, shared),
         ("GET", "/stats") => handle_stats(shared),
         ("GET", "/metrics") => {
+            let cache = &shared.cache;
             let text = shared.metrics.render_prometheus(
-                &shared.cache.stats(),
-                shared.cache.len(),
-                shared.cache.telemetry(),
+                &cache.stats(),
+                cache.len(),
+                cache.telemetry(),
+                cache.persist_health().map_or(0, |(_, errors, _)| errors),
             );
             Response::text(200, text)
         }
@@ -601,26 +590,8 @@ fn handle_query(
     }
 
     let write_start = Instant::now();
-    let tier: &[u8] = match (report.exact_hit, report.memo_hit) {
-        (true, _) => b"exact",
-        (_, true) => b"memo",
-        _ => b"pipeline",
-    };
-    let answer = match &report.answer_text {
-        Some(text) => AnswerIds::Rendered(text.get_or_render(&report.answer)),
-        None => AnswerIds::Set(&report.answer),
-    };
     let reply = QueryReply {
-        answer,
-        kind: kind.as_str(),
-        exact_hit: report.exact_hit,
-        memo_hit: report.memo_hit,
-        plan: report.plan(),
-        cm_size: report.cm_size,
-        definite: report.definite,
-        verified: report.verified,
-        sub_iso_tests: report.sub_iso_tests,
-        probe_tests: report.probe_tests,
+        report: &report,
         queue_us: queue_wait.as_micros() as u64,
         parse_us: parse_time.as_micros() as u64,
         execute_us: execute.as_micros() as u64,
@@ -631,7 +602,7 @@ fn handle_query(
         200,
         &[
             ("content-type", b"application/json"),
-            ("x-gc-tier", tier),
+            ("x-gc-tier", report.tier().as_bytes()),
             ("x-request-id", request_id.as_bytes()),
         ],
     );
@@ -693,9 +664,23 @@ fn mutate_response(op: &str, gid: u32, applied: bool, shared: &Shared) -> Respon
     }
 }
 
+/// `GET /stats`: the cache's counters, then each gauge read from its owner
+/// — the dataset, the kernel tier, the store, the telemetry hub and the
+/// server's own metrics.
 fn handle_stats(shared: &Shared) -> Response {
-    let s = serving_stats(shared);
-    let telemetry = shared.cache.telemetry();
+    let cache = &shared.cache;
+    let s = cache.stats();
+    // Read and drop at once: a live dataset handle would make the next
+    // mutation copy the dataset.
+    let (generation, live_graphs) = {
+        let dataset = cache.dataset();
+        (dataset.generation(), dataset.live_count() as u64)
+    };
+    let (persist_health, persist_errors, journal_records_buffered) = cache
+        .persist_health()
+        .map_or(("", 0, 0), |(h, errors, buffered)| (h.as_str(), errors, buffered));
+    let serving = shared.metrics.serving();
+    let telemetry = cache.telemetry();
     let resp = StatsResponse {
         queries: s.queries,
         hit_queries: s.hit_queries,
@@ -710,26 +695,26 @@ fn handle_stats(shared: &Shared) -> Response {
         filter_skipped: s.filter_skipped,
         admitted: s.admitted,
         evicted: s.evicted,
-        entries: shared.cache.len(),
-        dataset_generation: s.dataset_generation,
-        dataset_live_graphs: s.dataset_live_graphs,
+        entries: cache.len(),
+        dataset_generation: generation,
+        dataset_live_graphs: live_graphs,
         hit_ratio: s.hit_ratio(),
-        kernel_dispatch: s.kernel_dispatch.into(),
-        persist_health: s.persist_health.into(),
-        persist_errors: s.persist_errors,
-        journal_records_buffered: s.journal_records_buffered,
-        requests_total: s.requests_total,
-        requests_shed: s.requests_shed,
-        requests_timed_out: s.requests_timed_out,
-        uptime_secs: s.uptime_secs,
+        kernel_dispatch: gc_graph::simd::kernel_name().into(),
+        persist_health: persist_health.into(),
+        persist_errors,
+        journal_records_buffered,
+        requests_total: serving.requests_total,
+        requests_shed: serving.requests_shed,
+        requests_timed_out: serving.requests_timed_out,
+        uptime_secs: serving.uptime_secs,
         draining: shared.draining.load(Ordering::Relaxed),
         workers: shared.config.workers,
         queue_depth: shared.config.queue_depth,
-        pipeline_p50_us: s.pipeline_p50_us,
+        pipeline_p50_us: telemetry.total().percentile_us(50.0),
         pipeline_p90_us: telemetry.total().percentile_us(90.0),
-        pipeline_p99_us: s.pipeline_p99_us,
-        traces_sampled: s.traces_sampled,
-        slow_queries: s.slow_queries,
+        pipeline_p99_us: telemetry.total().percentile_us(99.0),
+        traces_sampled: telemetry.sampled_count(),
+        slow_queries: telemetry.slow_count(),
         stages: telemetry.labelled_stages().map(|(label, h)| stage_summary(label, h)).collect(),
         request_stages: Stage::ALL
             .iter()
@@ -773,7 +758,7 @@ fn handle_readyz(shared: &Shared) -> Response {
         return Response::text(503, "draining");
     }
     match shared.cache.persist_health() {
-        Some(h) => Response::text(200, format!("ready (persistence {})", h.as_str())),
+        Some((h, ..)) => Response::text(200, format!("ready (persistence {})", h.as_str())),
         None => Response::text(200, "ready (no store attached)"),
     }
 }
@@ -859,6 +844,78 @@ mod tests {
         assert_eq!(metrics.status, 200);
         assert!(metrics.body_text().contains("gc_requests_total"));
         assert!(metrics.body_text().contains("gc_request_stage_microseconds_bucket"));
+        server.drain();
+    }
+
+    /// The names clients and scrapers depend on: the keys of `/stats`, the
+    /// metric families of `/metrics`, and the fields of a trace.
+    #[test]
+    fn public_names_are_pinned() {
+        let (server, dataset) = start_server(quick_config());
+        let mut client = HttpClient::connect(server.addr()).unwrap();
+        let body = gc_graph::io::dataset_to_string(std::slice::from_ref(&dataset.graphs()[0]));
+        let resp = client
+            .request("POST", "/query?kind=sub", &[("x-request-id", "pin-1")], body.as_bytes())
+            .unwrap();
+        assert_eq!(resp.status, 200);
+        let keys = |v: &serde_json::Value| -> Vec<String> {
+            v.as_object().unwrap().iter().map(|(k, _)| k.clone()).collect()
+        };
+
+        let stats: serde_json::Value =
+            serde_json::from_str(&client.get("/stats").unwrap().body_text()).unwrap();
+        let want = "queries hit_queries exact_hits memo_hits exact_confirm_iso sub_hits \
+            super_hits tests_executed probe_tests tests_saved filter_skipped admitted evicted \
+            entries dataset_generation dataset_live_graphs hit_ratio kernel_dispatch \
+            persist_health persist_errors journal_records_buffered requests_total requests_shed \
+            requests_timed_out uptime_secs draining workers queue_depth pipeline_p50_us \
+            pipeline_p90_us pipeline_p99_us traces_sampled slow_queries stages request_stages";
+        assert_eq!(keys(&stats), want.split_whitespace().collect::<Vec<_>>());
+
+        let metrics = client.get("/metrics").unwrap().body_text();
+        let families: Vec<&str> =
+            metrics.lines().filter_map(|l| l.strip_prefix("# TYPE ")).collect();
+        let want = "gc_uptime_seconds gauge
+            gc_connections_accepted_total counter
+            gc_requests_total counter
+            gc_requests_shed_total counter
+            gc_requests_timed_out_total counter
+            gc_parse_errors_total counter
+            gc_request_stage_microseconds histogram
+            gc_pipeline_stage_microseconds histogram
+            gc_query_microseconds histogram
+            gc_query_p50_microseconds gauge
+            gc_query_p99_microseconds gauge
+            gc_traces_sampled_total counter
+            gc_slow_queries_total counter
+            gc_cache_queries_total counter
+            gc_cache_hit_queries_total counter
+            gc_cache_exact_hits_total counter
+            gc_exact_confirm_iso_total counter
+            gc_cache_tests_executed_total counter
+            gc_cache_tests_saved_total counter
+            gc_filter_skipped_total counter
+            gc_cache_admitted_total counter
+            gc_cache_evicted_total counter
+            gc_cache_entries gauge
+            gc_cache_persist_errors gauge";
+        let want: Vec<&str> = want.lines().map(str::trim).collect();
+        assert_eq!(families, want);
+
+        let traces: serde_json::Value =
+            serde_json::from_str(&client.get("/debug/traces").unwrap().body_text()).unwrap();
+        let (_, traces) = &traces.as_object().unwrap()[0];
+        let trace = &traces.as_array().expect("a traces array")[0];
+        let mut fields = keys(trace);
+        fields.sort();
+        let mut want: Vec<&str> = "seq request_id kind outcome shard generation plan total_us \
+            probe_us bound_us filter_us prune_us verify_us admit_us cm_size definite to_verify \
+            survivors answer probe_tests verify_steps slow"
+            .split_whitespace()
+            .chain(["key_us", "exact_us"])
+            .collect();
+        want.sort();
+        assert_eq!(fields, want);
         server.drain();
     }
 

@@ -2,13 +2,17 @@
 //! serialized: its bytes must be exactly what `serde_json` produces for the
 //! equivalent [`QueryResponse`] — the type clients parse it with — for every
 //! answer shape, both kinds, every plan, and scalars up to `u64::MAX`, and
-//! whether the ids arrive pre-rendered (an exact hit's shared text) or as a
+//! whether the ids come from a hit's shared text or are rendered from the
 //! set.
 
+use gc_core::{AnswerText, QueryReport, QueryTiming};
 use gc_graph::BitSet;
-use gc_server::api::{AnswerIds, QueryReply};
+use gc_method::QueryKind;
+use gc_server::api::QueryReply;
 use gc_server::QueryResponse;
 use proptest::prelude::*;
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Scalars drawn from the edges as well as the middle of `u64`.
 fn scalar() -> impl Strategy<Value = u64> {
@@ -20,47 +24,71 @@ fn scalar() -> impl Strategy<Value = u64> {
     })
 }
 
-/// Hand-written bytes, both ways of supplying the ids, against `serde_json`.
-fn check(answer: &BitSet, kind: &'static str, plan: &'static str, n: &[u64], flags: [bool; 3]) {
-    let [exact_hit, memo_hit, deadline_exceeded] = flags;
-    let reply = |answer| QueryReply {
-        answer,
+/// Hand-written bytes, with the ids rendered while writing, rendered into
+/// a fresh text slot, and copied from an already rendered one, against
+/// `serde_json`. `flags` are `[exact_hit, memo_hit, filter_skipped,
+/// deadline_exceeded]`; the plan follows from the first three.
+fn check(answer: &BitSet, kind: QueryKind, n: &[u64], flags: [bool; 4]) {
+    let [exact_hit, memo_hit, filter_skipped, deadline_exceeded] = flags;
+    let report = |answer_text| QueryReport {
+        answer: answer.clone(),
+        answer_text,
+        cm_set: BitSet::new(0),
+        definite_set: BitSet::new(0),
+        verified_set: BitSet::new(0),
+        survivors_set: BitSet::new(0),
         kind,
         exact_hit,
         memo_hit,
-        plan,
+        confirm_iso: false,
+        filter_skipped,
+        sub_hits: Vec::new(),
+        super_hits: Vec::new(),
         cm_size: n[0] as usize,
         definite: n[1] as usize,
         verified: n[2] as usize,
+        survivors: 0,
         sub_iso_tests: n[3],
         probe_tests: n[4],
-        queue_us: n[5],
-        parse_us: n[6],
-        execute_us: n[7],
-        deadline_exceeded,
+        verify_steps: 0,
+        probe_steps: 0,
+        admitted: None,
+        evicted: Vec::new(),
+        admission_rejected: false,
+        generation: 0,
+        timing: QueryTiming::default(),
+        elapsed: Duration::ZERO,
     };
-    let want = serde_json::to_string(&QueryResponse {
-        answer: answer.to_vec(),
-        kind: kind.into(),
-        exact_hit,
-        memo_hit,
-        plan: plan.into(),
-        cm_size: n[0] as usize,
-        definite: n[1] as usize,
-        verified: n[2] as usize,
-        sub_iso_tests: n[3],
-        probe_tests: n[4],
-        queue_us: n[5],
-        parse_us: n[6],
-        execute_us: n[7],
-        deadline_exceeded,
-    })
-    .unwrap();
-    let mut rendered = Vec::new();
-    answer.write_ids(&mut rendered);
-    for ids in [AnswerIds::Set(answer), AnswerIds::Rendered(&rendered)] {
+    let rendered = Arc::new(AnswerText::default());
+    rendered.get_or_render(answer);
+    for text in [None, Some(Arc::new(AnswerText::default())), Some(rendered)] {
+        let report = report(text);
+        let want = serde_json::to_string(&QueryResponse {
+            answer: answer.to_vec(),
+            kind: kind.as_str().into(),
+            exact_hit,
+            memo_hit,
+            plan: report.plan().into(),
+            cm_size: n[0] as usize,
+            definite: n[1] as usize,
+            verified: n[2] as usize,
+            sub_iso_tests: n[3],
+            probe_tests: n[4],
+            queue_us: n[5],
+            parse_us: n[6],
+            execute_us: n[7],
+            deadline_exceeded,
+        })
+        .unwrap();
+        let reply = QueryReply {
+            report: &report,
+            queue_us: n[5],
+            parse_us: n[6],
+            execute_us: n[7],
+            deadline_exceeded,
+        };
         let mut out = Vec::new();
-        reply(ids).write_json(&mut out);
+        reply.write_json(&mut out);
         assert_eq!(String::from_utf8(out).unwrap(), want);
     }
 }
@@ -72,15 +100,13 @@ proptest! {
     fn written_reply_equals_serialized_response(
         universe in 1usize..5_000,
         members in proptest::collection::vec(0usize..5_000, 0..60),
-        kind in 0u8..2,
-        plan in 0u8..3,
+        supergraph in any::<bool>(),
         n in proptest::collection::vec(scalar(), 8),
-        flags in (any::<bool>(), any::<bool>(), any::<bool>()),
+        flags in (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
     ) {
         let answer = BitSet::from_indices(universe, members.into_iter().filter(|&m| m < universe));
-        let kind = ["sub", "super"][kind as usize];
-        let plan = ["", "filter", "bounded"][plan as usize];
-        check(&answer, kind, plan, &n, [flags.0, flags.1, flags.2]);
+        let kind = if supergraph { QueryKind::Supergraph } else { QueryKind::Subgraph };
+        check(&answer, kind, &n, [flags.0, flags.1, flags.2, flags.3]);
     }
 }
 
@@ -95,8 +121,13 @@ fn empty_single_and_million_id_answers() {
         BitSet::from_indices(million + 1, [million]),
         BitSet::full(million),
     ] {
-        for (kind, plan) in [("sub", ""), ("super", "filter"), ("sub", "bounded")] {
-            check(&answer, kind, plan, &n, [true, false, true]);
+        // Plans "", "filter" and "bounded".
+        for (kind, exact_hit, bounded) in [
+            (QueryKind::Subgraph, true, false),
+            (QueryKind::Supergraph, false, false),
+            (QueryKind::Subgraph, false, true),
+        ] {
+            check(&answer, kind, &n, [exact_hit, false, bounded, true]);
         }
     }
 }

@@ -65,7 +65,7 @@ pub use gc_workload as workload;
 pub mod prelude {
     pub use gc_core::{
         CacheConfig, CacheEntry, EntryId, GlobalStats, HitCredit, HitKind, Policy, PolicyKind,
-        QueryReport, ReplacementPolicy, SharedGraphCache, StatsMonitor,
+        QueryReport, ReplacementPolicy, SharedGraphCache,
     };
     pub use gc_demo::{run_multi_client, run_query_journey, run_workload_comparison};
     pub use gc_graph::{BitSet, Graph, GraphBuilder, Label};
