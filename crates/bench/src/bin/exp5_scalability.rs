@@ -8,8 +8,8 @@
 //! 2. workload skew ∈ {0.0, 0.6, 1.2, 1.8} at fixed capacity —
 //!    skew is where the up-to-40× regime lives: the more repetition and
 //!    containment structure, the larger the speedup;
-//! 3. hit-check cap ([`CacheConfig::max_hit_checks`], per direction)
-//!    ∈ {4, 16, 64, 256}.
+//! 3. hit-check cap ([`CacheConfig::max_hit_checks`], per direction and
+//!    per shard; these runs use one shard) ∈ {4, 16, 64, 256}.
 
 use gc_bench::{print_table, run_base, run_cached, write_artifact};
 use gc_core::{CacheConfig, PolicyKind};

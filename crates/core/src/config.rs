@@ -19,8 +19,11 @@ pub struct CacheConfig {
     /// Admission window size: executed queries are buffered and admitted in
     /// batches of this many (Window Manager).
     pub window_size: usize,
-    /// Maximum hit candidates to *verify* per query in each direction: at
-    /// most this many sub-case and this many super-case tests.
+    /// Maximum hit candidates to *verify* per query, per direction **and
+    /// per shard**: each shard's probe runs at most this many sub-case and
+    /// this many super-case tests, so with `shards` shards one query may run
+    /// up to `shards ×` this many per direction (ROADMAP item 3 makes it
+    /// one cap per query).
     pub max_hit_checks: usize,
     /// Admission filter: only cache queries whose execution performed at
     /// least this many sub-iso tests (cheap queries cannot repay their cache

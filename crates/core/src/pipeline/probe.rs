@@ -173,7 +173,8 @@ pub const PROBE_BUDGET: u64 = 100_000;
 /// most *useful* entries first (largest answer sets for sub-case hits —
 /// they yield more definite answers for subgraph queries; smallest answer
 /// sets for super-case hits — they prune more), so the per-direction check
-/// cap ([`CacheConfig::max_hit_checks`]) spends its budget where it pays.
+/// cap ([`CacheConfig::max_hit_checks`], applied per call and so per shard)
+/// spends its budget where it pays.
 /// For supergraph queries the utility direction flips with the semantics;
 /// ordering is adjusted accordingly.
 ///

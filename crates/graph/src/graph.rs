@@ -101,6 +101,16 @@ impl Graph {
         &self.neighbors
     }
 
+    /// Hint the CPU to load the arrays a sub-iso test reads — labels, CSR
+    /// offsets and neighbours, not the edge list — ahead of the test (see
+    /// [`crate::simd::prefetch`]). Changes nothing.
+    #[inline]
+    pub fn prefetch(&self) {
+        crate::simd::prefetch(&self.labels);
+        crate::simd::prefetch(&self.offsets);
+        crate::simd::prefetch(&self.neighbors);
+    }
+
     /// `true` iff the undirected edge `(u, v)` exists. `O(log d(u))`.
     #[inline]
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {

@@ -20,10 +20,13 @@
 //! which code path is live (the `kernel_dispatch` gauge of `GET /stats`
 //! and the demo's End-User Monitor).
 //!
+//! [`prefetch`] is the one non-arithmetic kernel: a cache-line hint the
+//! verify stage issues for the next candidate's arrays.
+//!
 //! This is the one module in the workspace allowed to use `unsafe`: calling
-//! a `#[target_feature]` function from a non-feature context, and the raw
-//! vector loads of the posting merge. Everything else stays
-//! `#![deny(unsafe_code)]`.
+//! a `#[target_feature]` function from a non-feature context, the raw
+//! vector loads of the posting merge, and the prefetch intrinsic.
+//! Everything else stays `#![deny(unsafe_code)]`.
 #![allow(unsafe_code)]
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -376,6 +379,36 @@ pub fn pair_scan_wins(cur_len: usize, list_len: usize) -> bool {
     }
 }
 
+/// Cache-line size the prefetch walk steps by (every x86-64 part in use).
+const CACHE_LINE: usize = 64;
+
+/// Ask the CPU to pull every cache line of `s` into L1 (`_mm_prefetch`
+/// with the T0 hint on x86-64; a no-op elsewhere). Only a hint: nothing is
+/// read, a line that arrives late or is evicted again merely costs the miss
+/// it was meant to hide, and no result depends on it. Empty and
+/// zero-sized-type slices prefetch nothing.
+#[inline]
+pub fn prefetch<T>(s: &[T]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let bytes = std::mem::size_of_val(s);
+        if bytes == 0 {
+            return;
+        }
+        let base = s.as_ptr().cast::<i8>();
+        let lead = base as usize % CACHE_LINE;
+        let first = base.wrapping_sub(lead);
+        for line in 0..(lead + bytes).div_ceil(CACHE_LINE) {
+            // SAFETY: a prefetch reads no value and never faults, whatever
+            // the address; SSE, which provides it, is baseline on x86-64.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(first.wrapping_add(line * CACHE_LINE)) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = s;
+}
+
 /// Dispatched [`scalar::intersect_pairs`]: SIMD posting-pair block-scan on
 /// AVX2 machines when the list is the much longer side (see
 /// `PAIR_SCAN_MIN_RATIO`), the portable linear merge elsewhere.
@@ -455,5 +488,18 @@ mod tests {
         assert_eq!(blocks, vec![0u64; 2]);
         // Empty blocks tolerate an empty posting list.
         intersect_postings(&mut [], &[], 1);
+    }
+
+    #[test]
+    fn prefetch_accepts_any_slice() {
+        // A hint over empty, zero-sized-type, unaligned and multi-line
+        // slices: nothing to observe but that it returns.
+        prefetch::<u64>(&[]);
+        prefetch(&[(); 1000]);
+        prefetch(&[(); 0]);
+        let v: Vec<u8> = (0..=255).collect();
+        prefetch(&v[1..]);
+        prefetch(&v[63..65]);
+        prefetch(&v[255..]);
     }
 }

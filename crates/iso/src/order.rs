@@ -14,60 +14,42 @@ use gc_graph::{Graph, VertexId};
 ///   (index = label), steering the start vertex towards globally rare labels.
 pub fn search_order(pattern: &Graph, label_freq: Option<&[u32]>) -> Vec<VertexId> {
     let n = pattern.vertex_count();
-    let mut order = Vec::with_capacity(n);
-    if n == 0 {
-        return order;
+    let own_hist = pattern.label_histogram();
+    // The tie-breaks below connectivity never change, so rank them once:
+    // rarer target label, then rarer pattern label, then higher degree,
+    // then lower id. Packed high to low into one `u128`; the full id makes
+    // every key distinct.
+    let static_key = |v: VertexId| -> u128 {
+        let l = pattern.label(v).0 as usize;
+        // Without target stats every vertex ties here and the pattern's
+        // own label histogram decides.
+        let freq = label_freq.map_or(0, |f| f.get(l).copied().unwrap_or(0));
+        (u128::from(!freq) << 96)
+            | (u128::from(!own_hist[l]) << 64)
+            | (u128::from(pattern.degree(v) as u32) << 32)
+            | u128::from(!v)
+    };
+    let mut ranked: Vec<u128> = pattern.vertices().map(static_key).collect();
+    ranked.sort_unstable();
+    // key[v] = (already-ordered neighbours of v) << 32 | (1 + rank of v):
+    // one integer per vertex, compared whole. 0 marks a placed vertex, so
+    // while any vertex is unplaced the maximum is an unplaced one.
+    let mut key = vec![0u64; n];
+    for (rank, &k) in ranked.iter().enumerate() {
+        key[!(k as u32) as usize] = rank as u64 + 1;
     }
 
-    let freq_of = |v: VertexId| -> u64 {
-        let l = pattern.label(v).0 as usize;
-        match label_freq {
-            Some(f) => f.get(l).copied().unwrap_or(0) as u64,
-            // Without target stats, approximate rarity by the pattern's own
-            // label histogram (computed lazily below).
-            None => 0,
-        }
-    };
-    let own_hist = pattern.label_histogram();
-    let own_freq = |v: VertexId| own_hist[pattern.label(v).0 as usize] as u64;
-
-    let mut placed = vec![false; n];
-    // connections[v] = number of already-ordered neighbours of v.
-    let mut connections = vec![0u32; n];
-
+    let mut order = Vec::with_capacity(n);
     for _ in 0..n {
-        // Select the best next vertex: prefer connected-to-placed, then rare
-        // label, then high degree, then low id for determinism.
-        let mut best: Option<VertexId> = None;
-        for v in pattern.vertices() {
-            if placed[v as usize] {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some(b) => {
-                    let key = |u: VertexId| {
-                        (
-                            connections[u as usize],        // more connections first
-                            std::cmp::Reverse(freq_of(u)),  // rarer target label first
-                            std::cmp::Reverse(own_freq(u)), // rarer pattern label first
-                            pattern.degree(u) as u32,       // higher degree first
-                            std::cmp::Reverse(u),           // lower id first
-                        )
-                    };
-                    key(v) > key(b)
-                }
-            };
-            if better {
-                best = Some(v);
-            }
-        }
-        let v = best.expect("at least one unplaced vertex remains");
-        placed[v as usize] = true;
-        order.push(v);
-        for &w in pattern.neighbors(v) {
-            if !placed[w as usize] {
-                connections[w as usize] += 1;
+        // The best next vertex: most connected to the placed ones, then the
+        // best rank.
+        let best = (0..n).max_by_key(|&v| key[v]).expect("an unplaced vertex remains");
+        debug_assert_ne!(key[best], 0, "a placed vertex was chosen again");
+        key[best] = 0;
+        order.push(best as VertexId);
+        for &w in pattern.neighbors(best as VertexId) {
+            if key[w as usize] != 0 {
+                key[w as usize] += 1 << 32;
             }
         }
     }

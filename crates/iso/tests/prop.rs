@@ -257,3 +257,136 @@ proptest! {
         prop_assert!(on.steps <= off.steps, "{} > {}", on.steps, off.steps);
     }
 }
+
+/// The search order as first written: every step rebuilds each candidate's
+/// five-part key tuple inside the scan. Kept as the oracle for
+/// [`gc_iso::search_order`], whose output must not move by a single vertex
+/// (VF2's step counts, and so the cost model, depend on it).
+fn reference_search_order(pattern: &Graph, label_freq: Option<&[u32]>) -> Vec<u32> {
+    let n = pattern.vertex_count();
+    let mut order = Vec::with_capacity(n);
+    if n == 0 {
+        return order;
+    }
+    let freq_of = |v: u32| -> u64 {
+        let l = pattern.label(v).0 as usize;
+        match label_freq {
+            Some(f) => f.get(l).copied().unwrap_or(0) as u64,
+            None => 0,
+        }
+    };
+    let own_hist = pattern.label_histogram();
+    let own_freq = |v: u32| own_hist[pattern.label(v).0 as usize] as u64;
+    let mut placed = vec![false; n];
+    let mut connections = vec![0u32; n];
+    for _ in 0..n {
+        let mut best: Option<u32> = None;
+        for v in pattern.vertices() {
+            if placed[v as usize] {
+                continue;
+            }
+            let better = match best {
+                None => true,
+                Some(b) => {
+                    let key = |u: u32| {
+                        (
+                            connections[u as usize],
+                            std::cmp::Reverse(freq_of(u)),
+                            std::cmp::Reverse(own_freq(u)),
+                            pattern.degree(u) as u32,
+                            std::cmp::Reverse(u),
+                        )
+                    };
+                    key(v) > key(b)
+                }
+            };
+            if better {
+                best = Some(v);
+            }
+        }
+        let v = best.expect("at least one unplaced vertex remains");
+        placed[v as usize] = true;
+        order.push(v);
+        for &w in pattern.neighbors(v) {
+            if !placed[w as usize] {
+                connections[w as usize] += 1;
+            }
+        }
+    }
+    order
+}
+
+/// Strategy: a molecule-shaped graph — a random spanning tree plus a few
+/// ring closures over a skewed alphabet (mostly label 0, as carbon is).
+fn arb_molecule(max_n: usize) -> impl Strategy<Value = Graph> {
+    fn atom(x: u32) -> u32 {
+        match x {
+            0..=64 => 0,
+            65..=79 => 1,
+            80..=89 => 2,
+            90..=95 => 3,
+            _ => 4 + x % 3,
+        }
+    }
+    (1..=max_n).prop_flat_map(move |n| {
+        (
+            proptest::collection::vec((0u32..100).prop_map(atom), n),
+            proptest::collection::vec(any::<u32>(), n),
+            proptest::collection::vec((0..n as u32, 0..n as u32), 0..=3),
+        )
+            .prop_map(move |(labels, parents, rings)| {
+                let mut b = gc_graph::GraphBuilder::new();
+                for &l in &labels {
+                    b.add_vertex(Label(l));
+                }
+                for (i, p) in parents.iter().enumerate().skip(1) {
+                    let _ = b.add_edge_dedup(p % i as u32, i as u32);
+                }
+                for (u, v) in rings {
+                    if u != v {
+                        let _ = b.add_edge_dedup(u, v);
+                    }
+                }
+                b.build()
+            })
+    })
+}
+
+/// Strategy: target label frequencies as the dataset hands them over,
+/// sometimes shorter than the pattern's alphabet and with extreme counts.
+fn arb_label_freq() -> impl Strategy<Value = Option<Vec<u32>>> {
+    let count = (0u32..4, any::<u32>()).prop_map(|(pick, x)| match pick {
+        0 => 0,
+        1 => u32::MAX,
+        2 => x % 8,
+        _ => x,
+    });
+    (any::<bool>(), proptest::collection::vec(count, 0..8))
+        .prop_map(|(given, freq)| given.then_some(freq))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn search_order_equals_reference_on_molecules(
+        g in arb_molecule(48),
+        freq in arb_label_freq(),
+    ) {
+        prop_assert_eq!(
+            gc_iso::search_order(&g, freq.as_deref()),
+            reference_search_order(&g, freq.as_deref())
+        );
+    }
+
+    #[test]
+    fn search_order_equals_reference_on_random_graphs(
+        g in arb_graph(12, 4),
+        freq in arb_label_freq(),
+    ) {
+        prop_assert_eq!(
+            gc_iso::search_order(&g, freq.as_deref()),
+            reference_search_order(&g, freq.as_deref())
+        );
+    }
+}

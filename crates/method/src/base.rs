@@ -39,7 +39,9 @@ pub fn execute_base(
     let mut answer = dataset.empty_set();
     let mut verify_steps = 0u64;
     // One query profile + one scratch for the whole candidate sweep: the
-    // per-candidate loop is setup- and allocation-free.
+    // per-candidate loop is setup- and allocation-free. No prefetch of the
+    // next candidate, unlike the cache's verify stage: this run is the
+    // fixed reference `time_speedup` is measured against.
     let profile = QueryProfile::new(dataset, query, kind);
     let mut scratch = VfScratch::new();
     for gid in candidates.iter() {

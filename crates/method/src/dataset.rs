@@ -299,6 +299,23 @@ impl Dataset {
         }
     }
 
+    /// Hint the CPU to load what testing graph `id` reads — the graph's CSR
+    /// arrays, its `sig`/`order` slices and its summary vectors — so the
+    /// misses overlap the test before it. Only a hint: no decision, step
+    /// count or result depends on it.
+    ///
+    /// # Panics
+    /// Panics when `id` is out of range.
+    #[inline]
+    pub fn prefetch(&self, id: GraphId) {
+        let p = self.profile(id);
+        self.graphs[id as usize].prefetch();
+        gc_graph::simd::prefetch(p.sig);
+        gc_graph::simd::prefetch(p.order);
+        gc_graph::simd::prefetch(&p.summary.label_hist);
+        gc_graph::simd::prefetch(&p.summary.degrees_desc);
+    }
+
     /// The flat profile side arrays (for memory accounting).
     pub fn profiles(&self) -> &DatasetProfiles {
         &self.profiles
