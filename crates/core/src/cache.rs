@@ -1,11 +1,11 @@
 //! Cache Manager: storage of cached queries and their lookup structures.
 
 use crate::entry::{CacheEntry, EntryId, EntryStats};
-use crate::memo::AnswerRows;
-use gc_graph::{BitSet, Graph};
-use gc_index::{FeatureConfig, QueryIndex};
-use gc_iso::GraphProfile;
-use gc_method::QueryKind;
+use crate::memo::{AnswerRows, Row};
+use gc_graph::{BitSet, Graph, GraphId};
+use gc_index::{FeatureConfig, FeatureVec, QueryIndex};
+use gc_iso::{GraphProfile, VfScratch};
+use gc_method::{Dataset, Engine, QueryKind};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -43,7 +43,8 @@ impl Hasher for FingerprintHasher {
 /// Entry ids are slab slots: dense, reused after eviction. Beside the
 /// entries it keeps **answer-only rows** (evicted entries, queries
 /// admission rejected; `memo.rs` holds them) by fingerprint, in a FIFO the
-/// caller bounds; only [`crate::pipeline::probe::find_exact`] sees them.
+/// caller bounds; only [`crate::pipeline::probe::find_exact`] serves them,
+/// and a dataset mutation repairs them with the entries.
 #[derive(Debug)]
 pub struct CacheManager {
     slots: Vec<Option<CacheEntry>>,
@@ -161,7 +162,6 @@ impl CacheManager {
         features: gc_index::FeatureVec,
     ) -> EntryId {
         debug_assert_eq!(fingerprint, gc_graph::hash::fingerprint(&graph));
-        self.rows.free_dropped();
         let id = match self.free.pop() {
             Some(id) => id,
             None => {
@@ -186,39 +186,79 @@ impl CacheManager {
         id
     }
 
-    /// Remove an entry; returns it if it was live.
-    pub fn remove(&mut self, id: EntryId) -> Option<CacheEntry> {
+    /// Remove an entry; returns it, with the features it was indexed by, if
+    /// it was live.
+    pub fn remove(&mut self, id: EntryId) -> Option<(CacheEntry, FeatureVec)> {
         let entry = self.slots.get_mut(id as usize)?.take()?;
         self.live -= 1;
         self.free.push(id);
-        self.index.remove(id);
+        let features = self.index.remove(id).expect("live entries are indexed");
         if let Some(bucket) = self.by_fingerprint.get_mut(&entry.fingerprint) {
             bucket.retain(|&e| e != id);
             if bucket.is_empty() {
                 self.by_fingerprint.remove(&entry.fingerprint);
             }
         }
-        Some(entry)
+        Some((entry, features))
     }
 
-    /// Evict entry `id` by demoting it to an answer-only row (see
-    /// [`Self::push_row`]); `false` if it is not a live entry.
+    /// Evict entry `id` by demoting it to an answer-only row that keeps its
+    /// index features (see [`Self::push_row`]); `false` if it is not a live
+    /// entry.
     pub(crate) fn demote(&mut self, id: EntryId, bound: usize) -> bool {
-        let Some(entry) = self.remove(id) else { return false };
-        self.push_row(entry, bound);
+        let Some((entry, features)) = self.remove(id) else { return false };
+        self.push_row(entry, features, bound);
         true
     }
 
-    /// Store `row` as an answer-only row, keeping the newest `bound` rows
-    /// (`0` stores nothing).
-    pub(crate) fn push_row(&mut self, row: CacheEntry, bound: usize) {
-        self.rows.push(row, bound);
+    /// Store `row` with its query's `features` (under this cache's config)
+    /// as an answer-only row, keeping the newest `bound` rows (`0` stores
+    /// nothing).
+    pub(crate) fn push_row(&mut self, row: CacheEntry, features: FeatureVec, bound: usize) {
+        self.rows.push(Row { entry: row, features }, bound);
     }
 
-    /// Drop every answer-only row. They are freed by the next admission,
-    /// not here: a mutation calls this on every shard under its locks.
-    pub(crate) fn clear_rows(&mut self) {
-        self.rows.clear();
+    /// Every entry and every answer-only row, for a repair that treats them
+    /// alike.
+    pub(crate) fn records_mut(&mut self) -> impl Iterator<Item = &mut CacheEntry> {
+        let rows = self.rows.iter_mut().map(|row| &mut row.entry);
+        self.slots.iter_mut().flatten().chain(rows)
+    }
+
+    /// Repair every entry and row for dataset graph `gid`, whose bit they
+    /// must not hold yet and whose `features` were extracted under this
+    /// cache's config: grow each answer to the dataset's universe, and add
+    /// `gid` where the record's query and the graph are contained the way
+    /// the record's kind asks. The containment test runs only where the
+    /// path counts admit containment, read from the record's own features
+    /// (an entry's index slot, a row's copy); truncated features admit
+    /// everything.
+    pub(crate) fn repair_inserted(
+        &mut self,
+        dataset: &Dataset,
+        gid: GraphId,
+        features: &FeatureVec,
+        vf: &mut VfScratch,
+    ) {
+        let mut repair = |record: &mut CacheEntry, own: Option<&FeatureVec>| {
+            record.grow_answer(dataset.len());
+            let admitted = own.is_none_or(|own| admits(record.kind, own, features));
+            if admitted && record.answers_inserted(dataset, gid, Engine::Vf2, vf) {
+                record.set_answer(gid as usize, true);
+            }
+        };
+        for entry in self.slots.iter_mut().flatten() {
+            repair(entry, self.index.features(entry.id));
+        }
+        for Row { entry, features } in self.rows.iter_mut() {
+            repair(entry, Some(features));
+        }
+    }
+
+    /// Every entry and every answer-only row (invariant checks).
+    #[cfg(test)]
+    pub(crate) fn records(&self) -> impl Iterator<Item = &CacheEntry> {
+        self.iter().chain(self.rows.iter().map(|row| &row.entry))
     }
 
     /// Approximate heap bytes of all cached entries plus lookup structures —
@@ -227,6 +267,18 @@ impl CacheManager {
         let entries: usize = self.iter().map(CacheEntry::memory_bytes).sum();
         entries + self.index.memory_bytes()
     }
+}
+
+/// `false` only if the path counts rule out that a record of `kind`, whose
+/// query has features `own`, and a graph with `features` are contained the
+/// way the kind asks. Truncated features admit everything.
+fn admits(kind: QueryKind, own: &FeatureVec, features: &FeatureVec) -> bool {
+    features.truncated()
+        || own.truncated()
+        || match kind {
+            QueryKind::Subgraph => features.dominates(own),
+            QueryKind::Supergraph => own.dominates(features),
+        }
 }
 
 #[cfg(test)]
@@ -251,7 +303,7 @@ mod tests {
         let b = insert_simple(&mut cm, &[1]);
         assert_eq!(cm.len(), 2);
         assert_eq!(cm.get(a).unwrap().id, a);
-        let removed = cm.remove(a).unwrap();
+        let (removed, _) = cm.remove(a).unwrap();
         assert_eq!(removed.id, a);
         assert!(cm.get(a).is_none());
         assert_eq!(cm.len(), 1);
@@ -328,6 +380,64 @@ mod tests {
         assert!(cm.memory_bytes() > 0);
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The repair prefilter is sound: where a record's features reject a
+        /// graph, VF2 finds no containment, and the containment index over
+        /// the entries decides the same; `repair_inserted` then sets exactly
+        /// the bits VF2 sets, for an entry and for a row of either kind.
+        /// Records and inserted graphs are molecules, fragments cut from
+        /// them and random graphs over two labels.
+        #[test]
+        fn prefilter_rejections_are_never_containments(
+            seed in proptest::prelude::any::<u64>(),
+            edges in 2usize..8,
+        ) {
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut graphs = gc_workload::molecule_dataset(3, seed);
+            for m in graphs.clone() {
+                graphs.extend(gc_workload::extract_query(&m, edges, &mut rng));
+            }
+            graphs.push(gc_workload::random::erdos_renyi(5, 0.5, 2, &mut rng));
+            graphs.push(gc_workload::random::erdos_renyi(9, 0.4, 2, &mut rng));
+            let cfg = FeatureConfig::default();
+            let features: Vec<FeatureVec> =
+                graphs.iter().map(|g| gc_index::feature_vec(g, &cfg)).collect();
+            let mut vf = VfScratch::new();
+            for (gi, g) in graphs.iter().enumerate() {
+                let dataset = Dataset::new(vec![g.clone()]);
+                for (qi, q) in graphs.iter().enumerate() {
+                    for kind in [QueryKind::Subgraph, QueryKind::Supergraph] {
+                        let contained = match kind {
+                            QueryKind::Subgraph => Engine::Vf2.verify(q, g).0,
+                            QueryKind::Supergraph => Engine::Vf2.verify(g, q).0,
+                        };
+                        let admitted = admits(kind, &features[qi], &features[gi]);
+                        proptest::prop_assert!(admitted || !contained, "{:?} {} {}", kind, qi, gi);
+                        let mut entry = CacheManager::new(cfg);
+                        let id = entry.insert(q.clone(), kind, BitSet::new(0), 1, 1, 0);
+                        let (index, fg) = (entry.index(), &features[gi]);
+                        let by_index = match kind {
+                            QueryKind::Subgraph => index.super_case_candidates(fg),
+                            QueryKind::Supergraph => index.sub_case_candidates(fg),
+                        };
+                        proptest::prop_assert_eq!(by_index.contains(&id), admitted);
+                        let mut row = CacheManager::new(cfg);
+                        let rid = row.insert(q.clone(), kind, BitSet::new(0), 1, 1, 0);
+                        proptest::prop_assert!(row.demote(rid, 1));
+                        for cm in [&mut entry, &mut row] {
+                            cm.repair_inserted(&dataset, 0, &features[gi], &mut vf);
+                            let record = cm.records().next().expect("one record");
+                            proptest::prop_assert_eq!(record.answer().contains(0), contained);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn rows_are_bounded_and_invisible_to_the_entry_views() {
         let mut cm = CacheManager::new(FeatureConfig::default());
@@ -346,8 +456,6 @@ mod tests {
         assert!(cm.demote(ids[1], 2) && cm.demote(ids[2], 2) && cm.demote(ids[3], 0));
         assert_eq!([0, 1, 2, 3].map(|l| rows(&cm, l)), [0, 1, 1, 0]);
         assert_eq!((cm.len(), cm.row_count()), (0, 2));
-        cm.clear_rows();
-        assert_eq!([1, 2].map(|l| rows(&cm, l)), [0, 0]);
-        assert_eq!(cm.row_count(), 0);
+        assert_eq!(cm.records_mut().count(), 2, "repair reaches the rows");
     }
 }

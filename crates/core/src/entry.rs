@@ -151,16 +151,10 @@ impl CacheEntry {
         self.answer.grow(universe);
     }
 
-    /// Repair: add dataset graph `gid` to the answer.
-    pub(crate) fn insert_answer(&mut self, gid: usize) {
-        if self.answer.insert(gid) {
-            self.new_text_version();
-        }
-    }
-
-    /// Repair: drop dataset graph `gid` from the answer.
-    pub(crate) fn remove_answer(&mut self, gid: usize) {
-        if self.answer.remove(gid) {
+    /// Repair: add dataset graph `gid` to the answer (`member`) or drop it.
+    pub(crate) fn set_answer(&mut self, gid: usize, member: bool) {
+        let changed = if member { self.answer.insert(gid) } else { self.answer.remove(gid) };
+        if changed {
             self.new_text_version();
         }
     }
@@ -274,13 +268,13 @@ mod tests {
 
         // No change to the ids: the rendered slot stays.
         e.grow_answer(20);
-        e.insert_answer(4);
-        e.remove_answer(7);
+        e.set_answer(4, true);
+        e.set_answer(7, false);
         e.mask_answer(&BitSet::full(20));
         assert!(Arc::ptr_eq(e.answer_text(), &served));
 
         // A changed answer gets a fresh slot; the held one keeps its text.
-        e.insert_answer(12);
+        e.set_answer(12, true);
         assert!(!Arc::ptr_eq(e.answer_text(), &served));
         assert_eq!(served.get(), Some(&b"1,4"[..]));
         assert_eq!(e.answer_text().get_or_render(e.answer()), b"1,4,12");
@@ -288,7 +282,7 @@ mod tests {
 
         // An unshared slot is emptied in place.
         let slot = Arc::as_ptr(e.answer_text());
-        e.remove_answer(1);
+        e.set_answer(1, false);
         assert_eq!(Arc::as_ptr(e.answer_text()), slot);
         assert_eq!(e.answer_text().get(), None);
         e.mask_answer(&BitSet::from_indices(20, [12usize]));

@@ -11,25 +11,33 @@
 //!
 //! ## Correctness
 //!
-//! Rows are exact without a generation stamp: every dataset mutation drops
-//! every row under the runtime's locks (see
-//! [`crate::SharedGraphCache::insert_graph`]), so a row is only ever served
-//! against the dataset generation it was computed on. Dropped rows are
-//! freed by the shard's next admission, not by the mutation.
+//! Rows are exact without a generation stamp: every dataset mutation
+//! repairs every row in place, exactly as it repairs the entries and under
+//! the same locks (see [`crate::SharedGraphCache::insert_graph`]), so a
+//! row's answer is always Method M's on the current generation. A row keeps
+//! the path features of its query (moved from the demoted entry's index
+//! slot, or from the rejected query's extraction) so that repair runs a
+//! containment test only where the path counts allow one.
 
 use crate::cache::FingerprintMap;
 use crate::entry::CacheEntry;
+use gc_index::FeatureVec;
 use std::collections::VecDeque;
+
+/// One answer-only row: the entry it stores and its query's features.
+#[derive(Debug)]
+pub(crate) struct Row {
+    pub(crate) entry: CacheEntry,
+    pub(crate) features: FeatureVec,
+}
 
 /// Answer-only rows by fingerprint, in one FIFO the caller bounds (see
 /// module docs). A row's `id` is stale.
 #[derive(Debug, Default)]
 pub(crate) struct AnswerRows {
-    rows: FingerprintMap<Vec<CacheEntry>>,
+    rows: FingerprintMap<Vec<Row>>,
     /// The rows' fingerprints, oldest first.
     order: VecDeque<u64>,
-    /// Rows the last [`Self::clear`] dropped, freed by [`Self::free_dropped`].
-    dropped: FingerprintMap<Vec<CacheEntry>>,
 }
 
 impl AnswerRows {
@@ -40,16 +48,28 @@ impl AnswerRows {
 
     /// The rows stored under fingerprint `fp`, oldest first.
     pub(crate) fn bucket(&self, fp: u64) -> impl Iterator<Item = &CacheEntry> {
-        self.rows.get(&fp).into_iter().flatten()
+        self.rows.get(&fp).into_iter().flatten().map(|row| &row.entry)
+    }
+
+    /// Every row, for repair.
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut Row> {
+        self.rows.values_mut().flatten()
+    }
+
+    /// Every row (invariant checks).
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Row> {
+        self.rows.values().flatten()
     }
 
     /// Store `row`, keeping the newest `bound` rows (`0` stores nothing).
-    pub(crate) fn push(&mut self, row: CacheEntry, bound: usize) {
+    pub(crate) fn push(&mut self, row: Row, bound: usize) {
         if bound == 0 {
             return;
         }
-        self.order.push_back(row.fingerprint);
-        self.rows.entry(row.fingerprint).or_default().push(row);
+        let fp = row.entry.fingerprint;
+        self.order.push_back(fp);
+        self.rows.entry(fp).or_default().push(row);
         while self.order.len() > bound {
             let fp = self.order.pop_front().expect("more rows than the bound");
             let bucket = self.rows.get_mut(&fp).expect("every listed row is stored");
@@ -58,17 +78,6 @@ impl AnswerRows {
                 self.rows.remove(&fp);
             }
         }
-    }
-
-    /// Drop every row; their memory is kept until [`Self::free_dropped`].
-    pub(crate) fn clear(&mut self) {
-        self.order.clear();
-        self.dropped = std::mem::take(&mut self.rows);
-    }
-
-    /// Free the rows the last [`Self::clear`] dropped.
-    pub(crate) fn free_dropped(&mut self) {
-        self.dropped.clear();
     }
 }
 
@@ -80,7 +89,7 @@ mod tests {
     use gc_graph::hash::fingerprint;
     use gc_graph::{graph_from_parts, BitSet, Graph, Label};
     use gc_index::FeatureConfig;
-    use gc_method::{Dataset, QueryKind, SiMethod};
+    use gc_method::{Dataset, Engine, QueryKind, SiMethod};
     use std::sync::Arc;
 
     fn g(labels: &[u32], edges: &[(u32, u32)]) -> Graph {
@@ -143,26 +152,35 @@ mod tests {
         assert_eq!(lookup(&cm, &c6, QueryKind::Subgraph).unwrap().0.to_vec(), [0]);
     }
 
+    /// A mutation repairs every row in place: the repeat stays a zero-work
+    /// memo hit, with Method M's answer on the new generation.
     #[test]
-    fn generation_bump_invalidates_everything() {
+    fn generation_bump_repairs_every_row() {
         let gc = rejecting_cache(vec![g(&[0, 1], &[(0, 1)]), g(&[2], &[])]);
         let (q, kind) = (g(&[0], &[]), QueryKind::Subgraph);
         assert!(!gc.query(&q, kind).memo_hit);
         assert!(!gc.query(&g(&[2], &[]), kind).memo_hit);
         assert_eq!((gc.len(), gc.memo_len()), (0, 2), "rejected queries are stored as rows");
         assert!(gc.query(&q, kind).memo_hit);
-        // A mutation moves the dataset to a new generation and drops every
-        // row, so the repeat is executed against the new dataset.
+        let repeat_is_repaired = |gc: &SharedGraphCache| {
+            let r = gc.query(&q, kind);
+            assert!(r.memo_hit, "the row survives the mutation");
+            assert_eq!((r.sub_iso_tests, r.probe_tests, r.verify_steps), (0, 0, 0));
+            let want = gc_method::execute_base(&gc.dataset(), &SiMethod, Engine::Vf2, &q, kind);
+            assert_eq!(r.answer, want.answer, "Method M's answer on the new generation");
+            r.answer.to_vec()
+        };
         let generation = gc.dataset().generation();
         let gid = gc.insert_graph(g(&[0], &[]));
         assert!(gc.dataset().generation() > generation);
-        assert_eq!(gc.memo_len(), 0, "every row dropped");
-        let again = gc.query(&q, kind);
-        assert!(!again.memo_hit, "the new generation misses");
-        assert_eq!(again.answer.to_vec(), [0, gid as usize]);
-        assert!(gc.query(&q, kind).memo_hit, "and stores a row of the new generation");
-        assert!(gc.remove_graph(gid));
-        assert_eq!(gc.memo_len(), 0, "a removal drops every row too");
+        assert_eq!(gc.memo_len(), 2, "no row dropped");
+        assert_eq!(repeat_is_repaired(&gc), [0, gid as usize]);
+        // A graph the row's query does not embed in stays out of it.
+        let other = gc.insert_graph(g(&[3], &[]));
+        assert_eq!(repeat_is_repaired(&gc), [0, gid as usize]);
+        assert!(gc.remove_graph(0) && gc.remove_graph(other));
+        assert_eq!(repeat_is_repaired(&gc), [gid as usize]);
+        assert_eq!(gc.memo_len(), 2);
     }
 
     #[test]

@@ -188,6 +188,7 @@ pub fn run(
     now: u64,
 ) -> AdmitOutcome {
     let profile = profile.unwrap_or_else(|| GraphProfile::new(query, None));
+    let features = features.unwrap_or_else(|| cache.index().features_of(query));
     if (base_tests as usize) < cfg.min_admit_tests {
         let (graph, answer, stats) = (query.clone(), answer.clone(), EntryStats::default());
         let row = CacheEntry::new(
@@ -201,10 +202,9 @@ pub fn run(
             base_cost,
             stats,
         );
-        cache.push_row(row, limits.rows);
+        cache.push_row(row, features, limits.rows);
         return AdmitOutcome { rejected: true, ..AdmitOutcome::default() };
     }
-    let features = features.unwrap_or_else(|| cache.index().features_of(query));
     let id = cache.insert_with_features(
         query.clone(),
         profile,

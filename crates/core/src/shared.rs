@@ -66,7 +66,7 @@ use crate::telemetry::{PipelineStage, QueryTiming, QueryTrace, Telemetry};
 use crate::window::WindowManager;
 use crate::PolicyKind;
 use gc_graph::{BitSet, Graph, GraphId};
-use gc_method::{Dataset, Engine, Method, QueryKind};
+use gc_method::{Dataset, Method, QueryKind};
 use gc_store::{CacheStore, EntryRecord, JournalOp, LoadOutcome, SnapshotInfo};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -538,19 +538,19 @@ impl SharedGraphCache {
     /// Everything derived from the dataset is repaired in place: the method
     /// index is offered the graph (the filter overlay covers methods that
     /// decline — see [`gc_method::Method::on_insert_graph`]), every cached
-    /// answer set re-verifies the new graph where its summary prefilter
-    /// admits it, every answer-only row is dropped, and the delta is
-    /// journaled — inside the write lock, so deltas always land in
+    /// entry and every answer-only row re-verifies the new graph where its
+    /// path features and summary admit containment (see
+    /// [`CacheManager::repair_inserted`](crate::CacheManager)), and the
+    /// delta is journaled — inside the write lock, so deltas always land in
     /// generation order.
     ///
-    /// Dropping the rows here is what keeps them exact without a
-    /// generation stamp: a query stores its row during admission, under
+    /// Repairing the rows with the entries is what keeps them exact without
+    /// a generation stamp: a query stores its row during admission, under
     /// the shard write lock *and* the `data` read lock it has held since
-    /// entry, so every row in a shard was computed against the current
-    /// generation, and a row computed against an older one can never land
-    /// after this mutation (which holds the `data` write lock while it
-    /// clears each shard under that shard's write lock). The rows are freed
-    /// by each shard's next admission, not by the mutation.
+    /// entry, so a row is computed against the generation it lands in, and
+    /// this mutation (holding the `data` write lock, and each shard's write
+    /// lock while it repairs that shard) carries every row to the next
+    /// generation.
     pub fn insert_graph(&self, g: Graph) -> GraphId {
         let mut data = self.data.write();
         let span = self.telemetry.mutate_span();
@@ -562,18 +562,11 @@ impl SharedGraphCache {
         if !self.method.on_insert_graph(&data.dataset, gid) {
             data.overlay.insert(gid as usize);
         }
+        let features = gc_index::feature_vec(data.dataset.graph(gid), &cache_features());
         PROBE_SCRATCH.with(|s| {
             let vf = &mut s.borrow_mut().vf;
             for shard in self.shards.iter() {
-                let mut state = shard.state.write();
-                state.cache.clear_rows();
-                for id in state.cache.ids() {
-                    let entry = state.cache.get_mut(id).expect("listed id is live");
-                    entry.grow_answer(universe);
-                    if entry.answers_inserted(&data.dataset, gid, Engine::Vf2, vf) {
-                        entry.insert_answer(gid as usize);
-                    }
-                }
+                shard.state.write().cache.repair_inserted(&data.dataset, gid, &features, vf);
             }
         });
         let behind = self.journal_delta(&data.dataset);
@@ -586,10 +579,10 @@ impl SharedGraphCache {
     /// Tombstone a data graph; returns `false` if `gid` was already removed
     /// or never existed. Same quiescing discipline as
     /// [`Self::insert_graph`]; the graph is cleared from every shard's
-    /// cached answer sets, the method index is told
-    /// ([`gc_method::Method::on_remove_graph`]), every answer-only row is
-    /// dropped (see [`Self::insert_graph`] for why that keeps them exact),
-    /// and the delta is journaled.
+    /// cached entries and answer-only rows (see [`Self::insert_graph`] for
+    /// why that keeps the rows exact), the method index is told
+    /// ([`gc_method::Method::on_remove_graph`]), and the delta is
+    /// journaled.
     pub fn remove_graph(&self, gid: GraphId) -> bool {
         let mut data = self.data.write();
         // Decided on the shared handle: `make_mut` deep-copies the dataset
@@ -607,11 +600,7 @@ impl SharedGraphCache {
         }
         for shard in self.shards.iter() {
             let mut state = shard.state.write();
-            state.cache.clear_rows();
-            for id in state.cache.ids() {
-                let entry = state.cache.get_mut(id).expect("listed id is live");
-                entry.remove_answer(gid as usize);
-            }
+            state.cache.records_mut().for_each(|record| record.set_answer(gid as usize, false));
         }
         let behind = self.journal_delta(&data.dataset);
         drop(data);
@@ -955,27 +944,25 @@ impl SharedGraphCache {
         }
 
         // Repair restored answers against the mutations the snapshot
-        // predates: tombstoned graphs are masked out, and each
-        // journal-inserted graph is re-verified per entry.
+        // predates, as a mutation would: tombstoned and journal-inserted
+        // graphs are masked out, then each live journal-inserted graph is
+        // decided per entry (inserted then removed: stays masked out).
+        let mut keep = dataset.live_mask().clone();
+        for &gid in &journal_inserted {
+            keep.remove(gid as usize);
+        }
+        let inserted: Vec<_> = journal_inserted
+            .iter()
+            .filter(|&&gid| dataset.is_live(gid))
+            .map(|&gid| (gid, gc_index::feature_vec(dataset.graph(gid), &cache_features())))
+            .collect();
         PROBE_SCRATCH.with(|s| {
             let vf = &mut s.borrow_mut().vf;
             for shard in self.shards.iter() {
-                let mut shard_state = shard.state.write();
-                for id in shard_state.cache.ids() {
-                    let entry = shard_state.cache.get_mut(id).expect("listed id is live");
-                    if dataset.has_tombstones() {
-                        entry.mask_answer(dataset.live_mask());
-                    }
-                    for &gid in &journal_inserted {
-                        if !dataset.live_mask().contains(gid as usize) {
-                            continue; // inserted then removed: stays masked out
-                        }
-                        if entry.answers_inserted(&dataset, gid, Engine::Vf2, vf) {
-                            entry.insert_answer(gid as usize);
-                        } else {
-                            entry.remove_answer(gid as usize);
-                        }
-                    }
+                let cache = &mut shard.state.write().cache;
+                cache.records_mut().for_each(|record| record.mask_answer(&keep));
+                for (gid, features) in &inserted {
+                    cache.repair_inserted(&dataset, *gid, features, vf);
                 }
             }
         });
@@ -1115,7 +1102,7 @@ impl std::fmt::Debug for SharedGraphCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gc_method::SiMethod;
+    use gc_method::{Engine, SiMethod};
 
     fn g(labels: &[u32], edges: &[(u32, u32)]) -> Graph {
         let ls: Vec<gc_graph::Label> = labels.iter().map(|&l| gc_graph::Label(l)).collect();
@@ -1475,5 +1462,74 @@ mod tests {
             CacheConfig { shards: 0, ..CacheConfig::default() },
         );
         assert!(err.is_err());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// After random mutations, every entry and every answer-only row of
+        /// every shard holds Method M's answer for its query on the mutated
+        /// dataset. That is what a full, unfiltered repair leaves (every
+        /// record re-tested against every inserted graph, from answers that
+        /// were exact before), so the path-feature prefilter drops no
+        /// containment. Both kinds, 1 and 4 shards, rejections and evictions
+        /// filling the rows, inserts of molecules, fragments and random
+        /// graphs.
+        #[test]
+        fn filtered_repair_leaves_method_m_answers(
+            seed in 0u64..1_000,
+            four_shards in proptest::prelude::any::<bool>(),
+            mutations in 1usize..10,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let shards = if four_shards { 4 } else { 1 };
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let molecules = gc_workload::molecule_dataset(16, seed);
+            let mut pool = Vec::new();
+            for m in &molecules {
+                pool.extend(gc_workload::extract_query(m, rng.gen_range(2..7), &mut rng));
+            }
+            let dataset = Arc::new(Dataset::new(molecules[..10].to_vec()));
+            let config = CacheConfig {
+                capacity: 3,
+                window_size: 1,
+                shards,
+                min_admit_tests: 4,
+                ..CacheConfig::default()
+            };
+            let gc =
+                SharedGraphCache::with_policy(dataset, Box::new(SiMethod), PolicyKind::Hd, config)
+                    .unwrap();
+            for (i, q) in pool.iter().enumerate() {
+                gc.query(q, if i % 3 == 0 { QueryKind::Supergraph } else { QueryKind::Subgraph });
+            }
+            for m in &molecules[..4] {
+                gc.query(m, QueryKind::Supergraph);
+            }
+            proptest::prop_assert!(gc.memo_len() > 0 && !gc.is_empty(), "records to repair");
+            for _ in 0..mutations {
+                let live: Vec<usize> = gc.dataset().live_mask().iter().collect();
+                match rng.gen_range(0..4) {
+                    0 if live.len() > 2 => {
+                        let victim = live[rng.gen_range(0..live.len())] as u32;
+                        proptest::prop_assert!(gc.remove_graph(victim));
+                    }
+                    1 => drop(gc.insert_graph(pool[rng.gen_range(0..pool.len())].clone())),
+                    2 => {
+                        let random = gc_workload::random::erdos_renyi(6, 0.4, 3, &mut rng);
+                        drop(gc.insert_graph(random));
+                    }
+                    _ => drop(gc.insert_graph(molecules[rng.gen_range(10..16usize)].clone())),
+                }
+                let dataset = gc.dataset();
+                gc.for_each_shard(|si, cm| {
+                    for record in cm.records() {
+                        let (q, kind) = (&record.graph, record.kind);
+                        let want = gc_method::execute_base(&dataset, &SiMethod, Engine::Vf2, q, kind);
+                        assert_eq!(record.answer(), &want.answer, "shard {si}, {:?}", record.kind);
+                    }
+                });
+            }
+        }
     }
 }

@@ -9,7 +9,8 @@
 //! * one shard and four answer identically under the same
 //!   mutation script;
 //! * a memo hit (an answer-only row) performs **zero** probe/verify work,
-//!   and every row is dropped by any dataset mutation;
+//!   and every row is repaired in place by any dataset mutation, so memo
+//!   hits keep landing across mutations;
 //! * mutations racing a snapshot neither deadlock nor lose their delta —
 //!   every journaled delta is recoverable (warm restart replays it);
 //! * warm restarts replay dataset deltas from the journal on top of the
@@ -99,21 +100,25 @@ fn insert_pool(n: usize, seed: u64) -> Vec<gc_graph::Graph> {
 }
 
 /// Run `steps` against a sequential cache, checking every query against
-/// Method M alone on the *current* dataset. Returns the (graph, kind)
-/// queries issued for replay against a cold rebuild.
+/// Method M alone on the *current* dataset; every other query re-asks an
+/// earlier one, so rows are hit across mutations. Returns the (graph, kind)
+/// queries issued for replay against a cold rebuild, and how many memo hits
+/// landed after the first mutation.
 fn drive_sequential(
     gc: &SharedGraphCache,
     steps: &[Step],
     seed: u64,
-) -> Vec<(gc_graph::Graph, QueryKind)> {
+) -> (Vec<(gc_graph::Graph, QueryKind)>, usize) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut pool = insert_pool(steps.len(), seed ^ 0xfeed).into_iter();
-    let mut issued = Vec::new();
+    let mut issued: Vec<(gc_graph::Graph, QueryKind)> = Vec::new();
+    let (mut mutated, mut memo_after_mutation) = (false, 0);
     for step in steps {
         match step {
             Step::Insert => {
                 let gid = gc.insert_graph(pool.next().unwrap());
                 assert!(gc.dataset().live_mask().contains(gid as usize));
+                mutated = true;
             }
             Step::Remove => {
                 // Keep at least 4 live graphs so queries stay meaningful.
@@ -122,23 +127,28 @@ fn drive_sequential(
                     let victim = live[rng.gen_range(0..live.len())] as u32;
                     assert!(gc.remove_graph(victim));
                     assert!(!gc.remove_graph(victim), "double remove must be a no-op");
+                    mutated = true;
                 }
             }
             Step::Query(kind) => {
-                let q = live_query(&gc.dataset(), &mut rng);
-                let r = gc.query(&q, *kind);
-                let want = execute_base(&gc.dataset(), &SiMethod, Engine::Vf2, &q, *kind);
+                let (q, kind) = match issued.len() {
+                    n if n > 0 && rng.gen_bool(0.5) => issued[rng.gen_range(0..n)].clone(),
+                    _ => (live_query(&gc.dataset(), &mut rng), *kind),
+                };
+                let r = gc.query(&q, kind);
+                let want = execute_base(&gc.dataset(), &SiMethod, Engine::Vf2, &q, kind);
                 assert_eq!(r.answer, want.answer, "answer must match Method M on current dataset");
                 if r.memo_hit {
                     assert_eq!(r.sub_iso_tests, 0, "memo hit must run zero sub-iso tests");
                     assert_eq!(r.probe_tests, 0, "memo hit must run zero probes");
                     assert_eq!(r.verify_steps, 0, "memo hit must run zero verifier steps");
+                    memo_after_mutation += usize::from(mutated);
                 }
-                issued.push((q, *kind));
+                issued.push((q, kind));
             }
         }
     }
-    issued
+    (issued, memo_after_mutation)
 }
 
 proptest! {
@@ -146,15 +156,18 @@ proptest! {
 
     /// Any interleaving of insert/remove/query matches Method M per step,
     /// and a cold cache rebuilt on the final dataset answers identically
-    /// to the mutated-in-place cache.
+    /// to the mutated-in-place cache. Two entries and repeated queries put
+    /// most repeats on repaired rows.
     #[test]
     fn interleavings_match_cold_rebuild(seed in 0u64..1000) {
         let ds = dataset(18, 40 + seed);
+        let cfg = CacheConfig { capacity: 2, window_size: 1, ..config() };
         let gc =
-            SharedGraphCache::with_policy(ds, Box::new(SiMethod), PolicyKind::Hd, config()).unwrap();
+            SharedGraphCache::with_policy(ds, Box::new(SiMethod), PolicyKind::Hd, cfg).unwrap();
         let steps = script(60, seed);
-        let issued = drive_sequential(&gc, &steps, seed);
+        let (issued, memo_after_mutation) = drive_sequential(&gc, &steps, seed);
         prop_assert!(gc.dataset().generation() > 0, "script must mutate");
+        prop_assert!(memo_after_mutation > 0, "some memo hit must land after a mutation");
         gc.for_each_shard(|_, cm| assert_consistent(cm));
 
         // Cold rebuild on the final dataset: same answers for every query.
@@ -213,7 +226,7 @@ fn sequential_and_sharded_answer_identically_under_mutation() {
 }
 
 #[test]
-fn memo_hit_is_zero_work_and_generation_invalidated() {
+fn memo_hit_is_zero_work_and_repaired_across_mutations() {
     let ds = dataset(20, 123);
     // Tiny cache: entries evict fast, so a repeat finds its evicted entry
     // demoted to an answer-only row.
@@ -233,26 +246,29 @@ fn memo_hit_is_zero_work_and_generation_invalidated() {
     }
     assert!(gc.memo_len() > 0, "evicted entries must be kept as answer-only rows");
 
-    let repeat = gc.query(&q, QueryKind::Subgraph);
-    assert!(!repeat.exact_hit, "entry must have been evicted");
-    assert!(repeat.memo_hit, "evicted repeat must be served by its answer-only row");
-    assert_eq!(repeat.sub_iso_tests, 0);
-    assert_eq!(repeat.probe_tests, 0);
-    assert_eq!(repeat.verify_steps, 0);
-    assert_eq!(repeat.answer, first.answer);
-    assert_eq!(gc.stats().memo_hits, 1);
+    // The repeat is a zero-work memo hit with Method M's answer on the
+    // dataset as it stands, before and after each kind of mutation.
+    let repeat = || {
+        let r = gc.query(&q, QueryKind::Subgraph);
+        assert!(!r.exact_hit, "entry must have been evicted");
+        assert!(r.memo_hit, "evicted repeat must be served by its answer-only row");
+        assert_eq!((r.sub_iso_tests, r.probe_tests, r.verify_steps), (0, 0, 0));
+        let want = execute_base(&gc.dataset(), &SiMethod, Engine::Vf2, &q, QueryKind::Subgraph);
+        assert_eq!(r.answer, want.answer, "the row must equal Method M on this generation");
+        r.answer
+    };
+    assert_eq!(repeat(), first.answer);
+    let rows = gc.memo_len();
 
-    // A mutation drops every row at once.
+    // An insert of a graph containing q repairs the row to include it …
     let inserted = gc.insert_graph(ds.graph(1).clone());
-    assert_eq!(gc.memo_len(), 0);
-    let after = gc.query(&q, QueryKind::Subgraph);
-    assert!(!after.memo_hit, "mutation must invalidate every row");
-    assert!(
-        after.answer.contains(inserted as usize),
-        "the re-executed answer must see the inserted duplicate graph"
-    );
-    let want = execute_base(&gc.dataset(), &SiMethod, Engine::Vf2, &q, QueryKind::Subgraph);
-    assert_eq!(after.answer, want.answer);
+    assert_eq!(gc.memo_len(), rows, "a mutation drops no row");
+    assert!(repeat().contains(inserted as usize), "the repaired row sees the inserted graph");
+    // … and removing a graph of the answer clears it from the row.
+    let member = first.answer.iter().next().expect("graph 1 contains q") as u32;
+    assert!(gc.remove_graph(member));
+    assert!(!repeat().contains(member as usize), "the repaired row drops the removed graph");
+    assert_eq!(gc.stats().memo_hits, 3);
 }
 
 #[test]

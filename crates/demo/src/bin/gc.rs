@@ -434,7 +434,9 @@ fn run_against_server(
 /// `gc mutate`: the dynamic-dataset demo — rounds of interleaved
 /// queries, inserts, and removes against one live cache, showing the
 /// generation counter, in-place answer repair, and the answer-only rows
-/// (memo hits) at work. With `--check`, every answer is cross-checked against Method M
+/// (memo hits) at work. After the first round, half the queries re-ask a
+/// query of an earlier round, so entries and rows are hit across
+/// mutations. With `--check`, every answer is cross-checked against Method M
 /// alone on the dataset *as mutated so far*. With `--server ADDR`, the
 /// mutations are POSTed to a running `gc serve` via `/mutate` instead.
 fn cmd_mutate(flags: &HashMap<String, String>) -> Result<(), String> {
@@ -455,17 +457,26 @@ fn cmd_mutate(flags: &HashMap<String, String>) -> Result<(), String> {
     let fresh = molecule_dataset(rounds * inserts, seed ^ 0x6d75_7461);
     let mut fresh = fresh.into_iter();
     let mut checked = 0u64;
+    let mut asked: Vec<gc_graph::Graph> = Vec::new();
 
     println!("=== Dynamic Dataset Demo ===");
     println!(
         "round | generation | live graphs | answer-only rows | memo hits | hit ratio | avg tests/query"
     );
     for round in 0..rounds {
+        let earlier = asked.len();
         for _ in 0..queries {
-            let live: Vec<u32> = gc.dataset().live_mask().iter().map(|gid| gid as u32).collect();
-            let src = live[rng.gen_range(0..live.len())];
-            let Some(q) = gc_workload::extract_query(gc.dataset().graph(src), 6, &mut rng) else {
-                continue;
+            let q = if earlier > 0 && rng.gen_bool(0.5) {
+                asked[rng.gen_range(0..earlier)].clone()
+            } else {
+                let live: Vec<u32> = gc.dataset().live_mask().iter().map(|g| g as u32).collect();
+                let src = live[rng.gen_range(0..live.len())];
+                let Some(q) = gc_workload::extract_query(gc.dataset().graph(src), 6, &mut rng)
+                else {
+                    continue;
+                };
+                asked.push(q.clone());
+                q
             };
             let r = gc.query(&q, QueryKind::Subgraph);
             if check {

@@ -259,7 +259,9 @@ impl<'a> FeaturesRef<'a> {
     /// Copy into an owned [`FeatureVec`] (one allocation; done once per
     /// query so probe and admission share the same extraction).
     pub fn to_feature_vec(&self) -> FeatureVec {
-        FeatureVec { items: self.items.to_vec(), truncated: self.truncated }
+        let mask = crate::fit::mask(self.items.iter().map(|&(h, _)| h));
+        let (items, total) = (self.items.to_vec(), self.total_count());
+        FeatureVec { items, truncated: self.truncated, total, mask }
     }
 }
 
@@ -361,11 +363,14 @@ impl ExtractScratch {
 }
 
 /// A graph's feature multiset, represented as `(feature_hash, count)` pairs
-/// sorted by hash.
+/// sorted by hash, with its fit signature (total count and
+/// key mask) kept beside them.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FeatureVec {
     items: Vec<(u64, u32)>,
     truncated: bool,
+    pub(crate) total: u64,
+    pub(crate) mask: u64,
 }
 
 impl FeatureVec {
@@ -391,7 +396,7 @@ impl FeatureVec {
 
     /// Total occurrence count over all features.
     pub fn total_count(&self) -> u64 {
-        self.items.iter().map(|&(_, c)| c as u64).sum()
+        self.total
     }
 
     /// `true` when path enumeration was truncated; domination answers are
@@ -406,9 +411,11 @@ impl FeatureVec {
     }
 
     /// `true` iff `self`'s counts dominate `other`'s on every feature of
-    /// `other` (i.e. `other` may be contained in `self`).
+    /// `other` (i.e. `other` may be contained in `self`). The fit
+    /// signatures answer most `false`s without a merge-walk.
     pub fn dominates(&self, other: &FeatureVec) -> bool {
-        crate::fit::dominated(&other.items, &self.items)
+        crate::fit::fits(other.total, other.mask, self.total, self.mask)
+            && crate::fit::dominated(&other.items, &self.items)
     }
 
     /// Approximate heap bytes (for index-size accounting).

@@ -51,15 +51,6 @@ use gc_graph::Graph;
 /// Identifier of an entry in the cache (assigned by the caller).
 pub type EntryId = u32;
 
-#[derive(Debug)]
-struct Slot {
-    features: FeatureVec,
-    /// Cached `features.total_count()` and the features' mask: the entry's
-    /// fit signature.
-    total: u64,
-    mask: u64,
-}
-
 /// Reusable probe state for [`QueryIndex::sub_case_candidates_into`] /
 /// [`QueryIndex::super_case_candidates_into`]. One per worker; buffers grow
 /// to their high-water mark and stay.
@@ -93,8 +84,9 @@ pub struct QueryIndex {
     cfg: FeatureConfig,
     /// Tombstoned sorted hash directory over posting lists.
     dir: PostingDir,
-    /// Dense slot table indexed by entry id.
-    slots: Vec<Option<Slot>>,
+    /// Dense slot table indexed by entry id: each live entry's features,
+    /// fit signature included.
+    slots: Vec<Option<FeatureVec>>,
     live: usize,
     /// Entries whose extraction was truncated: always candidates in both
     /// directions (soundness). Sorted ascending.
@@ -147,6 +139,12 @@ impl QueryIndex {
         feature_vec(g, &self.cfg)
     }
 
+    /// The features entry `id` is indexed by; `None` for an unknown id and
+    /// for an unfiltered (truncated) entry.
+    pub fn features(&self, id: EntryId) -> Option<&FeatureVec> {
+        self.slots.get(id as usize)?.as_ref()
+    }
+
     fn contains_id(&self, id: EntryId) -> bool {
         self.slots.get(id as usize).is_some_and(Option::is_some)
             || self.unfiltered.binary_search(&id).is_ok()
@@ -179,23 +177,24 @@ impl QueryIndex {
         if self.slots.len() <= id as usize {
             self.slots.resize_with(id as usize + 1, || None);
         }
-        let total = fv.total_count();
-        let mask = fit::mask(fv.items().iter().map(|&(h, _)| h));
-        self.slots[id as usize] = Some(Slot { features: fv, total, mask });
+        self.slots[id as usize] = Some(fv);
         self.live += 1;
     }
 
-    /// Remove an entry (cache eviction). Unknown ids are ignored.
-    pub fn remove(&mut self, id: EntryId) {
+    /// Remove an entry (cache eviction) and hand back its features — an
+    /// empty truncated vector for an unfiltered entry. Unknown ids are
+    /// ignored (`None`).
+    pub fn remove(&mut self, id: EntryId) -> Option<FeatureVec> {
         if let Ok(pos) = self.unfiltered.binary_search(&id) {
             self.unfiltered.remove(pos);
-            return;
+            return Some(FeaturesRef::new(&[], true).to_feature_vec());
         }
-        let Some(slot) = self.slots.get_mut(id as usize).and_then(Option::take) else { return };
+        let features = self.slots.get_mut(id as usize).and_then(Option::take)?;
         self.live -= 1;
-        for &(h, _) in slot.features.items() {
+        for &(h, _) in features.items() {
             self.dir.remove_posting(h, id);
         }
+        Some(features)
     }
 
     /// Add the (always-candidate) unfiltered entries to the ascending,
@@ -284,7 +283,7 @@ impl QueryIndex {
         for (id, slot) in self.slots.iter().enumerate() {
             if let Some(s) = slot {
                 if fit::fits(s.total, s.mask, q_total, q_mask)
-                    && fit::dominated(s.features.items(), f.items())
+                    && fit::dominated(s.items(), f.items())
                 {
                     scratch.out.push(id as EntryId);
                 }
@@ -316,9 +315,9 @@ impl QueryIndex {
     pub fn memory_bytes(&self) -> usize {
         let mut bytes = self.unfiltered.capacity() * std::mem::size_of::<EntryId>()
             + self.dir.memory_bytes()
-            + self.slots.capacity() * std::mem::size_of::<Option<Slot>>();
-        for slot in self.slots.iter().flatten() {
-            bytes += slot.features.memory_bytes();
+            + self.slots.capacity() * std::mem::size_of::<Option<FeatureVec>>();
+        for features in self.slots.iter().flatten() {
+            bytes += features.memory_bytes();
         }
         bytes
     }
@@ -404,14 +403,14 @@ mod tests {
     fn remove_unindexes() {
         let (mut qi, _) = idx();
         assert_eq!(qi.len(), 4);
-        qi.remove(2);
+        let fv = qi.features_of(&g(&[0, 1, 0], &[(0, 1), (1, 2), (0, 2)]));
+        assert_eq!(qi.remove(2), Some(fv), "the entry's features come back");
         assert_eq!(qi.len(), 3);
         let qf = qi.features_of(&g(&[0, 1], &[(0, 1)]));
         let cands = qi.sub_case_candidates(&qf);
         assert!(!cands.contains(&2));
         // Removing twice (or unknown ids) is a no-op.
-        qi.remove(2);
-        qi.remove(99);
+        assert_eq!((qi.remove(2), qi.remove(99)), (None, None));
         assert_eq!(qi.len(), 3);
     }
 
@@ -470,7 +469,7 @@ mod tests {
         let qf = qi.features_of(&g(&[1], &[]));
         assert_eq!(qi.sub_case_candidates(&qf), vec![2, 5]);
         assert_eq!(qi.super_case_candidates(&qf), vec![2, 5]);
-        qi.remove(5);
+        assert!(qi.remove(5).is_some_and(|fv| fv.truncated() && fv.is_empty()));
         assert_eq!(qi.sub_case_candidates(&qf), vec![2]);
     }
 

@@ -1200,6 +1200,61 @@ mod tests {
         server.drain();
     }
 
+    /// A memo hit's text follows the in-place repairs of its row: after an
+    /// insert and after a remove, the repeat is still served from the row,
+    /// byte-identical to `serde_json` and equal to Method M's answer on the
+    /// mutated dataset.
+    #[test]
+    fn memo_hit_text_follows_row_repairs_over_http() {
+        let dataset = Arc::new(Dataset::new(molecule_dataset(24, 42)));
+        // Nothing is admitted: the query is stored as an answer-only row.
+        let config = CacheConfig { min_admit_tests: usize::MAX, ..CacheConfig::default() };
+        let cache = SharedGraphCache::with_policy(
+            Arc::clone(&dataset),
+            Box::new(SiMethod),
+            PolicyKind::Hd,
+            config,
+        )
+        .unwrap();
+        let server = Server::start(Arc::new(cache), quick_config()).unwrap();
+        let mut client = HttpClient::connect(server.addr()).unwrap();
+        let query = dataset.graphs()[0].clone();
+        let body = gc_graph::io::dataset_to_string(std::slice::from_ref(&query));
+        let ask = |client: &mut HttpClient, tier: &str| -> Vec<usize> {
+            let resp = client.post("/query?kind=sub", body.as_bytes()).unwrap();
+            assert_eq!(resp.header("x-gc-tier"), Some(tier));
+            let text = resp.body_text();
+            let parsed: QueryResponse = serde_json::from_str(&text).unwrap();
+            assert_eq!(serde_json::to_string(&parsed).unwrap(), text, "serde_json's exact bytes");
+            let want = gc_method::execute_base(
+                &server.cache().dataset(),
+                &SiMethod,
+                gc_method::Engine::Vf2,
+                &query,
+                QueryKind::Subgraph,
+            );
+            assert_eq!(parsed.answer, want.answer.to_vec());
+            assert_eq!(parsed.memo_hit, tier == "memo");
+            parsed.answer
+        };
+        let cold = ask(&mut client, "pipeline");
+        assert_eq!(ask(&mut client, "memo"), cold, "the first memo hit renders the row's text");
+        let mutate = |client: &mut HttpClient, path: &str, body: &[u8]| {
+            let resp = client.post(path, body).unwrap();
+            assert_eq!(resp.status, 200);
+            serde_json::from_str::<crate::api::MutateResponse>(&resp.body_text()).unwrap()
+        };
+        // A duplicate of graph 0 joins the row's answer …
+        let ins = mutate(&mut client, "/mutate?op=insert", body.as_bytes());
+        let grown = ask(&mut client, "memo");
+        assert_eq!(grown.last(), Some(&(ins.graph_id as usize)));
+        assert_eq!(ask(&mut client, "memo"), grown);
+        // … and removing graph 0 takes it out again.
+        mutate(&mut client, "/mutate?op=remove&id=0", &[]);
+        assert_eq!(ask(&mut client, "memo"), grown[1..]);
+        server.drain();
+    }
+
     #[test]
     fn memo_hits_are_named_in_the_tier_header() {
         let dataset = Arc::new(Dataset::new(molecule_dataset(24, 42)));
